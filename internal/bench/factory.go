@@ -13,12 +13,10 @@ import (
 	"nbr/internal/sigsim"
 	"nbr/internal/smr"
 	"nbr/internal/smr/debra"
-	"nbr/internal/smr/he"
+	"nbr/internal/smr/epoch"
+	"nbr/internal/smr/era"
 	"nbr/internal/smr/hp"
-	"nbr/internal/smr/ibr"
 	"nbr/internal/smr/leaky"
-	"nbr/internal/smr/qsbr"
-	"nbr/internal/smr/rcu"
 )
 
 // SchemeNames lists every reclamation scheme in the harness, in the order
@@ -119,17 +117,17 @@ func newScheme(name string, arena mem.Arena, threads int, cfg SchemeConfig, req 
 	case "none", "leaky":
 		return leaky.New(arena, threads), nil
 	case "qsbr":
-		return qsbr.New(arena, threads, qsbr.Config{Threshold: cfg.Threshold}), nil
+		return epoch.NewQSBR(arena, threads, epoch.Config{Threshold: cfg.Threshold}), nil
 	case "rcu":
-		return rcu.New(arena, threads, rcu.Config{Threshold: cfg.Threshold}), nil
+		return epoch.NewRCU(arena, threads, epoch.Config{Threshold: cfg.Threshold}), nil
 	case "debra":
 		return debra.New(arena, threads), nil
 	case "hp":
 		return hp.New(arena, threads, hp.Config{Slots: req.Slots, Threshold: cfg.Threshold}), nil
 	case "ibr":
-		return ibr.New(arena, threads, ibr.Config{Threshold: cfg.Threshold, EraFreq: cfg.EraFreq}), nil
+		return era.NewIBR(arena, threads, era.Config{Threshold: cfg.Threshold, EraFreq: cfg.EraFreq}), nil
 	case "he":
-		return he.New(arena, threads, he.Config{Slots: req.Slots, Threshold: cfg.Threshold, EraFreq: cfg.EraFreq}), nil
+		return era.NewHE(arena, threads, era.Config{Slots: req.Slots, Threshold: cfg.Threshold, EraFreq: cfg.EraFreq}), nil
 	case "nbr":
 		return core.New(arena, threads, core.Config{
 			BagSize: cfg.BagSize, LoFraction: cfg.LoFraction,

@@ -1,0 +1,269 @@
+package bench
+
+import (
+	"testing"
+
+	"nbr/internal/ds"
+	"nbr/internal/mem"
+	"nbr/internal/smr"
+)
+
+// TestSchemeSeams pins which optional seams every scheme implements.
+// Registry.Bind discovers Quiescer, SlotRevoker and RoundForcer by silent
+// type assertion, so a scheme that loses a kernel method to an embedding
+// slip would "recover trivially" like leaky and just leak.
+func TestSchemeSeams(t *testing.T) {
+	reclaiming := []string{"Member", "Quiescer", "Drainer", "RoundForcer"}
+	signalling := append([]string{"SlotRevoker", "Recordable"}, reclaiming...)
+	want := map[string][]string{
+		"none": {"Member", "Drainer"},
+		"qsbr": reclaiming, "rcu": reclaiming, "debra": reclaiming,
+		"ibr": reclaiming, "hp": reclaiming, "he": reclaiming,
+		"nbr": signalling, "nbr+": signalling,
+	}
+	for _, name := range SchemeNames {
+		pool := mem.NewPool[retireRec](mem.Config{MaxThreads: 2})
+		sch, err := NewScheme(name, pool, 2, retireCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, member := sch.(smr.Member)
+		_, quiescer := sch.(smr.Quiescer)
+		_, drainer := sch.(smr.Drainer)
+		_, forcer := sch.(smr.RoundForcer)
+		_, revoker := sch.(smr.SlotRevoker)
+		_, recordable := sch.(smr.Recordable)
+		got := map[string]bool{
+			"Member": member, "Quiescer": quiescer, "Drainer": drainer,
+			"RoundForcer": forcer, "SlotRevoker": revoker, "Recordable": recordable,
+		}
+		for _, seam := range want[name] {
+			if !got[seam] {
+				t.Errorf("%s: lost smr.%s", name, seam)
+			}
+			delete(got, seam)
+		}
+		for seam, has := range got {
+			if has {
+				t.Errorf("%s: implements undeclared smr.%s", name, seam)
+			}
+		}
+	}
+}
+
+// carveArena is a counting fake mem.SegmentArena: handles are small even
+// integers, a segment is a directory entry, and every carve and free is
+// recorded.
+type carveArena struct {
+	weight map[mem.Ptr]int
+	hdrs   map[mem.Ptr]*mem.Hdr
+	next   mem.Ptr
+	carves int
+	freed  []mem.Ptr
+}
+
+func (a *carveArena) Free(tid int, p mem.Ptr) { a.FreeBatch(tid, []mem.Ptr{p}) }
+func (a *carveArena) FreeBatch(_ int, ps []mem.Ptr) {
+	for _, p := range ps {
+		a.freed = append(a.freed, p)
+		delete(a.weight, p)
+	}
+}
+func (a *carveArena) Hdr(p mem.Ptr) *mem.Hdr {
+	if a.hdrs[p] == nil {
+		a.hdrs[p] = &mem.Hdr{}
+	}
+	return a.hdrs[p]
+}
+func (a *carveArena) Valid(mem.Ptr) bool          { return true }
+func (a *carveArena) SizeCache(int, int)          {}
+func (a *carveArena) DrainCache(int)              {}
+func (a *carveArena) SegmentWeight(p mem.Ptr) int { return a.weight[p] }
+func (a *carveArena) CarveSegment(_ int, p mem.Ptr, take int) (head, rest mem.Ptr) {
+	if take >= a.weight[p] {
+		return p, mem.Null
+	}
+	a.carves++
+	a.next += 2
+	a.weight[a.next] = take
+	a.weight[p] -= take
+	return a.next, p
+}
+
+// TestCarvePolicy states PR 9's rule directly: only the era-interval schemes
+// may carve a retired segment. he/ibr split a run of weight 3×threshold into
+// ceil(w/threshold) pieces that inherit its birth era; every other scheme
+// never calls CarveSegment and bags the original handle whole — identity-based
+// protection names that handle, which a carved piece's fresh head never is.
+func TestCarvePolicy(t *testing.T) {
+	const threads, pieces = 2, 3
+	cfg := retireCfg()
+	weight := pieces * cfg.Threshold
+	for _, name := range SchemeNames {
+		t.Run(name, func(t *testing.T) {
+			const seg = mem.Ptr(2)
+			arena := &carveArena{weight: map[mem.Ptr]int{seg: weight}, hdrs: map[mem.Ptr]*mem.Hdr{}, next: seg}
+			sch, err := NewScheme(name, arena, threads, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := sch.Guard(0)
+			g.OnAlloc(seg)
+			birth := arena.Hdr(seg).Birth()
+			g.RetireSegment(seg)
+
+			wantPieces := 1
+			if name == "he" || name == "ibr" {
+				wantPieces = pieces
+				if birth == 0 {
+					t.Fatal("era scheme did not stamp a birth era")
+				}
+			}
+			if arena.carves != wantPieces-1 {
+				t.Fatalf("CarveSegment calls = %d, want %d", arena.carves, wantPieces-1)
+			}
+			st := sch.Stats()
+			if st.Segments != uint64(wantPieces) || st.SegRecords != uint64(weight) || st.Retired != uint64(weight) {
+				t.Fatalf("segments=%d segRecords=%d retired=%d, want %d pieces standing for %d records",
+					st.Segments, st.SegRecords, st.Retired, wantPieces, weight)
+			}
+			for p, hdr := range arena.hdrs {
+				if hdr.Birth() != birth {
+					t.Errorf("piece %v has birth era %d, want the run's %d", p, hdr.Birth(), birth)
+				}
+			}
+
+			// Nothing protects the run, so draining frees every piece: the
+			// handles the arena sees are what the scheme bagged.
+			for round := 0; round < 4; round++ {
+				for tid := 0; tid < threads; tid++ {
+					sch.(smr.Drainer).Drain(tid)
+				}
+			}
+			if name == "none" {
+				wantPieces = 0
+			}
+			if len(arena.freed) != wantPieces {
+				t.Fatalf("arena saw %v freed, want %d handle(s)", arena.freed, wantPieces)
+			}
+			if wantPieces == 1 && arena.freed[0] != seg {
+				t.Fatalf("freed %v, want the original handle %v", arena.freed[0], seg)
+			}
+			if st := sch.Stats(); wantPieces > 0 && st.Freed != uint64(weight) {
+				t.Fatalf("freed weight = %d, want %d", st.Freed, weight)
+			}
+		})
+	}
+}
+
+// TestSchemeAllocs pins "0 allocs/op" for every scheme's two reclamation
+// paths once warm: (a) a retire→pass cycle, and (b) the recovery path a
+// lease release runs (the three Quiescer calls of Registry.runRecovery)
+// while a peer pins the survivors, so they travel to the orphan list and
+// back on every run.
+func TestSchemeAllocs(t *testing.T) {
+	const threads, runs, rehearsal = 2, 4, 8
+	cfg := retireCfg()
+	// Wide enough for the peer to pin one record per run.
+	req := ds.Requirements{Slots: 16, Reservations: 16}
+	for _, name := range SchemeNames {
+		t.Run(name, func(t *testing.T) {
+			pool := mem.NewPool[retireRec](mem.Config{MaxThreads: threads})
+			sch, err := NewSchemeFor(name, pool, threads, cfg, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := smr.NewRegistry(threads)
+			reg.Bind(sch)
+			worker, err := reg.Acquire()
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := sch.Guard(worker.Tid())
+			alloc := func(tid, n int) []mem.Ptr {
+				ps := make([]mem.Ptr, n)
+				for i := range ps {
+					ps[i], _ = pool.Alloc(tid)
+					sch.Guard(tid).OnAlloc(ps[i])
+				}
+				return ps
+			}
+			retire := func(p mem.Ptr) {
+				g.BeginOp()
+				g.Retire(p)
+				g.EndOp()
+			}
+
+			// (a) Each run retires two thresholds' worth of records, so at
+			// least one pass fires; the records are allocated up front.
+			burst := 2 * cfg.Threshold
+			fresh := alloc(worker.Tid(), (rehearsal+runs+1)*burst)
+			cycle := func() {
+				for _, p := range fresh[:burst] {
+					retire(p)
+				}
+				fresh = fresh[burst:]
+			}
+			for i := 0; i < rehearsal; i++ {
+				cycle()
+			}
+			if got := testing.AllocsPerRun(runs, cycle); got != 0 {
+				t.Errorf("warm retire→pass cycle: %v allocs/run, want 0", got)
+			}
+
+			// (b) The peer pins every record the worker is about to retire, by
+			// whatever its scheme calls protection, and stays inside its
+			// operation.
+			q, ok := sch.(smr.Quiescer)
+			if !ok {
+				return // leaky: no recovery path
+			}
+			peer, err := reg.Acquire()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pinned := alloc(worker.Tid(), rehearsal+runs+1)
+			pg := sch.Guard(peer.Tid())
+			pin := func() {
+				pg.BeginOp()
+				pg.BeginRead()
+				for i, p := range pinned {
+					pg.Protect(i, p)
+					pg.Reserve(i, p)
+				}
+				pg.EndRead()
+			}
+			release := func() {
+				retire(pinned[0])
+				pinned = pinned[1:]
+				q.ReclaimAll(worker.Tid())
+				q.OrphanSurvivors(worker.Tid())
+				q.ResetSlot(worker.Tid())
+			}
+			pin()
+			for i := 0; i < rehearsal; i++ {
+				release()
+			}
+			if reg.OrphanCount() == 0 {
+				t.Fatal("the peer pinned nothing: the recovery path never orphaned a survivor")
+			}
+			// Unpin (a fresh read phase clears reservations, EndOp the rest)
+			// and drain, so the measured runs start from short bags with warm
+			// capacity everywhere.
+			pg.BeginRead()
+			pg.EndRead()
+			pg.EndOp()
+			for round := 0; round < 4; round++ {
+				sch.(smr.Drainer).Drain(worker.Tid())
+				sch.(smr.Drainer).Drain(peer.Tid())
+			}
+			pin()
+			if got := testing.AllocsPerRun(runs, release); got != 0 {
+				t.Errorf("recovery with pinned survivors: %v allocs/run, want 0", got)
+			}
+			if reg.OrphanCount() == 0 {
+				t.Fatal("measured recoveries orphaned nothing")
+			}
+		})
+	}
+}

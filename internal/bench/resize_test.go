@@ -9,10 +9,10 @@ import "testing"
 // retiring its cells individually. Counter ratios only — no timing.
 func TestResizeBurstSegmentAmortization(t *testing.T) {
 	cfg := DefaultSchemeConfig()
-	// The threshold must leave the bag headroom for whole arrays: a bag
-	// pinned at its threshold forces RetireChunk down to single-record
-	// carves, which is per-node retirement with extra steps (and is exactly
-	// what the stamps_per_record column would expose).
+	// The threshold must leave the bag headroom for whole arrays: under a
+	// small one every array is carved into many threshold-weight pieces
+	// (DESIGN.md §16), which drifts toward per-node retirement with extra
+	// steps (and is exactly what the stamps_per_record column would expose).
 	cfg.Threshold = 512
 	base := ResizeBurstWorkload{
 		Scheme: "ibr", Threads: 4, KeysPerThread: 800, Cfg: cfg,

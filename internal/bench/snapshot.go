@@ -378,8 +378,8 @@ func WriteSnapshot(path string, duration time.Duration, cfg SchemeConfig, assert
 		{"ibr", true},
 	}
 	// The cells run at a fixed 512-record threshold regardless of the sweep
-	// config: the bag needs headroom for whole arrays, or RetireChunk
-	// degrades to single-record carves and the A/B measures nothing.
+	// config: the bag needs headroom for whole arrays, or every array is
+	// carved into many small pieces and the A/B measures the carve count.
 	rcfg := cfg
 	rcfg.Threshold = 512
 	perRecord := map[bool]float64{} // mode → stamps+scans per retired record (ibr pair)
@@ -495,7 +495,7 @@ func measureScanCost(threads, slots int) ScanCostPoint {
 		for i := 0; i < b.N; i++ {
 			set.CollectRows(announce, slots, active)
 			for k := 0; k < probes; k++ {
-				set.Contains(uint64(2*k + 1))
+				set.Contains(mem.Ptr(2*k + 1))
 			}
 		}
 	})

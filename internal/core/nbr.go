@@ -24,7 +24,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"nbr/internal/mem"
 	"nbr/internal/obs"
@@ -72,16 +71,13 @@ func (c Config) withDefaults() Config {
 
 // Scheme is an NBR or NBR+ instance bound to one arena.
 type Scheme struct {
-	arena mem.Arena
+	// Kernel owns the limbo bags, counters, segment accounting, membership
+	// (the active mask every reservation scan and signal broadcast iterates)
+	// and the recovery path; this type adds NBR's announcement layout,
+	// watermark trigger and reservation keep test.
+	smr.Kernel
 	cfg   Config
 	group *sigsim.Group
-
-	// Membership carries the active mask every reservation scan and signal
-	// broadcast iterates (full in fixed-N mode, the registry's after
-	// AttachRegistry — scan and signal cost tracks live threads rather
-	// than capacity) plus the registry itself for orphan adoption and
-	// scan-round reporting.
-	smr.Membership
 
 	// loWm is the NBR+ LoWatermark in records, fixed at construction so the
 	// Retire fast path never touches floating point.
@@ -95,18 +91,9 @@ type Scheme struct {
 	// odd while the thread is broadcasting signals, even otherwise.
 	announceTS []smr.Pad64
 
-	// forceScan is the ForceRound collection scratch, serialized by forceMu
-	// (any acquirer may force a round; guards never touch this scratch).
-	forceMu   sync.Mutex
+	// forceScan is the ForceRound collection scratch (the kernel serializes
+	// forced rounds; guards never touch this scratch).
 	forceScan smr.ScanSet
-
-	// seg is the segment-retirement state: the arena's segment interface and
-	// the largest retired segment weight, which scales the declared bounds.
-	seg smr.SegState
-
-	// rec is the flight recorder shared with the registry and signal group;
-	// nil or disabled costs the read/retire hot paths one predictable branch.
-	rec *obs.Recorder
 
 	gs []*guard
 }
@@ -119,7 +106,6 @@ func New(arena mem.Arena, threads int, cfg Config) *Scheme {
 			threads*cfg.Slots, cfg.BagSize))
 	}
 	s := &Scheme{
-		arena:        arena,
 		cfg:          cfg,
 		loWm:         int(float64(cfg.BagSize) * cfg.LoFraction),
 		group:        sigsim.NewGroup(threads, cfg.Signals),
@@ -127,61 +113,44 @@ func New(arena mem.Arena, threads int, cfg Config) *Scheme {
 		announceTS:   make([]smr.Pad64, threads),
 		forceScan:    smr.NewScanSet(threads * cfg.Slots),
 	}
-	s.seg.Init(arena)
-	s.InitFixed(threads)
+	name := "nbr"
+	if cfg.Plus {
+		name = "nbr+"
+	}
+	s.Init(smr.Spec{
+		Name: name, Arena: arena, Threads: threads, Burst: cfg.BagSize,
+		Attach: s.attachThread,
+		Collect: func() {
+			s.forceScan.CollectRows(s.reservations, cfg.Slots, s.ActiveMask)
+		},
+	})
 	s.group.SetActive(s.ActiveMask)
 	s.gs = make([]*guard, threads)
 	for i := range s.gs {
-		s.gs[i] = &guard{
-			s:         s,
-			tid:       i,
-			row:       s.reservations[i*cfg.Slots : (i+1)*cfg.Slots],
-			scan:      smr.NewScanSet(threads * cfg.Slots),
-			freeables: make([]mem.Ptr, 0, cfg.BagSize),
-			scanTS:    make([]uint64, threads),
+		g := &guard{
+			s:      s,
+			row:    s.reservations[i*cfg.Slots : (i+1)*cfg.Slots],
+			scan:   smr.NewScanSet(threads * cfg.Slots),
+			scanTS: make([]uint64, threads),
 		}
+		s.Bind(i, &g.Limbo, g)
+		s.gs[i] = g
 	}
 	return s
-}
-
-// Name implements smr.Scheme.
-func (s *Scheme) Name() string {
-	if s.cfg.Plus {
-		return "nbr+"
-	}
-	return "nbr"
 }
 
 // Guard implements smr.Scheme.
 func (s *Scheme) Guard(tid int) smr.Guard { return s.gs[tid] }
 
-// Stats implements smr.Scheme.
+// Stats implements smr.Scheme: the kernel's counter fold plus the signal
+// group's counters.
 func (s *Scheme) Stats() smr.Stats {
-	var st smr.Stats
-	for _, g := range s.gs {
-		st.Retired += g.retired.Load()
-		g.batches.AddTo(&st.BatchHist)
-		st.Freed += g.freed.Load()
-		st.Scans += g.scans.Load()
-		st.Segments += g.segments.Load()
-		st.SegRecords += g.segRecords.Load()
-	}
+	st := s.Kernel.Stats()
 	gs := s.group.Stats()
 	st.Signals = gs.Sent
 	st.Neutralized = gs.Neutralized
 	st.Ignored = gs.Ignored
 	return st
-}
-
-// segW is the per-survivor weight multiplier: every bag entry or orphan a
-// peer can pin is at worst one segment handle standing for MaxWeight records.
-// 1 until the first RetireSegment lands, so the pre-segment formulas are
-// recovered exactly; monotone afterwards, preserving the bound's contract.
-func (s *Scheme) segW() int {
-	if w := s.seg.MaxWeight(); w > 1 {
-		return w
-	}
-	return 1
 }
 
 // ThreadBound returns the worst-case number of unreclaimed records one
@@ -196,30 +165,26 @@ func (s *Scheme) segW() int {
 // (see RetireSegment), so a whole segment can land in one append after the
 // watermark check.
 func (s *Scheme) ThreadBound() int {
-	return 2*s.cfg.BagSize + (len(s.gs)*s.cfg.Slots+1)*s.segW()
+	return 2*s.cfg.BagSize + (len(s.gs)*s.cfg.Slots+1)*s.SegW()
 }
 
 // GarbageBound implements smr.Scheme: the enforced system-wide bound is
 // every thread at its Lemma 10 worst case simultaneously, plus the orphan
 // allowance — under dynamic membership, up to N concurrently departing
 // threads can each strand one survivor set (records peers still reserve,
-// ≤ N·R each, each worth up to segW records) on the orphan list before the
+// ≤ N·R each, each worth up to SegW records) on the orphan list before the
 // next reclaimer adopts it. The declaration is against MaxThreads and holds
 // across membership churn.
 func (s *Scheme) GarbageBound() int {
 	n := len(s.gs)
-	return n*s.ThreadBound() + n*n*s.cfg.Slots*s.segW()
+	return n*s.ThreadBound() + n*n*s.cfg.Slots*s.SegW()
 }
 
-// ReclaimBurst implements smr.Scheme: a reclamation frees at most one full
-// limbo bag at once.
-func (s *Scheme) ReclaimBurst() int { return s.cfg.BagSize }
-
-// AttachRegistry implements smr.Member: the scheme adopts the registry's
-// active mask for its scans and signal broadcasts and registers the lease
-// hooks. Must be called before any guard is used.
+// AttachRegistry implements smr.Member: on top of the kernel's wiring the
+// signal group adopts the registry's active mask and the scheme joins the
+// registry's flight recorder. Must be called before any guard is used.
 func (s *Scheme) AttachRegistry(r *smr.Registry) {
-	s.Join(r, len(s.gs), "core", s.attachThread)
+	s.Kernel.AttachRegistry(r)
 	s.group.SetActive(s.ActiveMask)
 	if rec := r.Recorder(); rec != nil {
 		s.SetRecorder(rec)
@@ -230,7 +195,7 @@ func (s *Scheme) AttachRegistry(r *smr.Registry) {
 // join the recorder's timeline. Bind wires it from the registry; fixed-N
 // harnesses (dstest) call it directly. Construction-time wiring only.
 func (s *Scheme) SetRecorder(rec *obs.Recorder) {
-	s.rec = rec
+	s.Rec = rec
 	s.group.SetRecorder(rec)
 }
 
@@ -242,44 +207,8 @@ func (s *Scheme) SetRecorder(rec *obs.Recorder) {
 // that happened after the snapshot, whoever occupied the slot.
 func (s *Scheme) attachThread(tid int) {
 	s.group.Attach(tid)
-	g := s.gs[tid]
-	for i := range g.row {
-		g.row[i].Store(0)
-	}
-	g.atLoWm = false
-	g.bookmark = 0
-	g.sinceScan = 0
-}
-
-// ReclaimAll implements smr.Quiescer: adopt any previously orphaned records
-// into tid's bag and run one full signal-and-scan reclamation over
-// everything. Part of the shared recovery path; runs on whichever goroutine
-// recovers the slot (owner or reaper), after the slot left the active mask.
-func (s *Scheme) ReclaimAll(tid int) {
-	g := s.gs[tid]
-	g.adopt(0)
-	if len(g.limbo) == 0 {
-		return
-	}
-	if s.cfg.Plus {
-		s.announceTS[tid].Add(1)
-		s.group.SignalAll(tid)
-		s.announceTS[tid].Add(1)
-	} else {
-		s.group.SignalAll(tid)
-	}
-	g.reclaimFreeable(len(g.limbo))
-}
-
-// OrphanSurvivors implements smr.Quiescer: hand the records peers still
-// reserve (at most N·R) to the shared orphan list for the next reclaimer.
-func (s *Scheme) OrphanSurvivors(tid int) {
-	g := s.gs[tid]
-	if len(g.limbo) > 0 {
-		s.Reg.AddOrphans(g.limbo)
-		g.limbo = g.limbo[:0]
-		g.limboW = 0
-	}
+	s.ResetSlot(tid)
+	s.gs[tid].bookmark = 0
 }
 
 // ResetSlot implements smr.Quiescer: neutralize tid's announcement state.
@@ -298,62 +227,24 @@ func (s *Scheme) ResetSlot(tid int) {
 // slot.
 func (s *Scheme) RevokeSlot(tid int) { s.group.Revoke(tid) }
 
-// ForceRound implements smr.RoundForcer: one bracketed reservation
-// collection over the active mask — the same snapshot reclaimFreeable takes
-// before sweeping, minus the sweep — so the registry's quarantine clock
-// advances without waiting for a bag to reach its watermark.
-func (s *Scheme) ForceRound() bool {
-	s.forceMu.Lock()
-	defer s.forceMu.Unlock()
-	return s.Membership.ForceRound(func() {
-		s.forceScan.CollectRows(s.reservations, s.cfg.Slots, s.ActiveMask)
-	})
-}
-
-// Drain implements smr.Drainer: adopt all orphans and reclaim everything the
-// bag holds on behalf of tid, which the caller must own. Records reserved by
-// concurrently active peers survive in the bag.
-func (s *Scheme) Drain(tid int) {
-	g := s.gs[tid]
-	g.adopt(0)
-	if len(g.limbo) == 0 {
-		return
-	}
-	if s.cfg.Plus {
-		s.announceTS[tid].Add(1)
-		s.group.SignalAll(tid)
-		s.announceTS[tid].Add(1)
-	} else {
-		s.group.SignalAll(tid)
-	}
-	g.reclaimFreeable(len(g.limbo))
-	g.cleanUp()
-}
-
 // LimboLen reports thread tid's current limbo-bag population (test hook;
 // call only from tid or while tid is quiescent).
-func (s *Scheme) LimboLen(tid int) int { return len(s.gs[tid].limbo) }
+func (s *Scheme) LimboLen(tid int) int { return len(s.gs[tid].Bag) }
 
 // TSScans reports how many announceTS scans thread tid has performed (test
 // hook for the record-counted ScanFreq cadence; NBR+ only).
 func (s *Scheme) TSScans(tid int) uint64 { return s.gs[tid].tsScans.Load() }
 
 type guard struct {
-	s   *Scheme
-	tid int
+	// Limbo is the kernel's bag (the paper's limbo bag), counters and the
+	// Guard methods NBR leaves as no-ops.
+	smr.Limbo
+	s *Scheme
 
 	// row is this thread's reservation row, sliced out of the shared array
 	// once at construction so Reserve/BeginRead never multiply tid·R.
-	row []smr.Pad64
-
-	limbo []mem.Ptr
-	// limboW is the bag's record weight: len(limbo) until a segment handle
-	// lands, after which each handle counts its member run. All watermark
-	// comparisons run against limboW so the enforced bound keeps counting
-	// every member record behind a single bag entry.
-	limboW    int
-	scan      smr.ScanSet // reclaim scratch, reused across scans
-	freeables []mem.Ptr   // reclaim scratch: the batch handed to FreeBatch
+	row  []smr.Pad64
+	scan smr.ScanSet // reclaim scratch, reused across scans
 
 	// NBR+ LoWatermark state (Algorithm 2 lines 1–3). atLoWm is the
 	// inverse of the paper's firstLoWmEntryFlag.
@@ -366,21 +257,8 @@ type guard struct {
 	// owner-only, closed into the read-phase histogram at EndRead.
 	readFrom int64
 
-	retired    smr.Counter
-	batches    smr.BatchHist
-	freed      smr.Counter
-	scans      smr.Counter
-	tsScans    smr.Counter // NBR+ announceTS scans (cadence observability)
-	segments   smr.Counter // segment handles bagged (RetireSegment pieces)
-	segRecords smr.Counter // member records those handles stood for
+	tsScans smr.Counter // NBR+ announceTS scans (cadence observability)
 }
-
-func (g *guard) Tid() int { return g.tid }
-
-// BeginOp and EndOp delimit the preamble/quiescent phases; NBR needs no
-// per-operation work outside the read/write phase calls.
-func (g *guard) BeginOp() {}
-func (g *guard) EndOp()   {}
 
 // BeginRead is beginΦread (Algorithm 1 lines 6–9): clear the reservation
 // row, then become restartable. The order matters — a reclaimer scanning
@@ -392,11 +270,11 @@ func (g *guard) BeginRead() {
 	for i := range g.row {
 		g.row[i].Store(0)
 	}
-	if g.s.rec.Enabled() {
-		g.readFrom = g.s.rec.Clock()
-		g.s.rec.Rec(g.tid, obs.EvReadBegin, 0)
+	if g.s.Rec.Enabled() {
+		g.readFrom = g.s.Rec.Clock()
+		g.s.Rec.Rec(g.Tid(), obs.EvReadBegin, 0)
 	}
-	g.s.group.SetRestartable(g.tid)
+	g.s.group.SetRestartable(g.Tid())
 }
 
 // Reserve announces a record the upcoming write phase will access
@@ -415,31 +293,28 @@ func (g *guard) Reserve(i int, p mem.Ptr) {
 // signal to this thread; if a signal already arrived, the transition
 // neutralizes instead (see sigsim.ClearRestartable).
 func (g *guard) EndRead() {
-	g.s.group.ClearRestartable(g.tid)
+	g.s.group.ClearRestartable(g.Tid())
 	if from := g.readFrom; from != 0 {
 		// Only a successful transition lands here: a neutralized EndRead
 		// panics above, leaving the phase open on the timeline (exactly what
 		// a stall dump should show) until the restart's BeginRead reopens it.
 		g.readFrom = 0
-		g.s.rec.ObserveSince(obs.HistReadPhase, from)
-		g.s.rec.Rec(g.tid, obs.EvReadEnd, 0)
+		g.s.Rec.ObserveSince(obs.HistReadPhase, from)
+		g.s.Rec.Rec(g.Tid(), obs.EvReadEnd, 0)
 	}
 }
 
 // Protect is NBR's record-access barrier: deliver any pending neutralization
 // signal before the record is touched (the paper's Assumption 4).
 func (g *guard) Protect(_ int, _ mem.Ptr) {
-	g.s.group.Poll(g.tid)
+	g.s.group.Poll(g.Tid())
 }
-
-func (g *guard) NeedsValidation() bool { return false }
-func (g *guard) OnAlloc(mem.Ptr)       {}
 
 // OnStale handles a read that found a freed slot. Frees are ordered after
 // signal posts, so a pending signal must now be visible and the re-poll
 // neutralizes this thread; if it does not, the scheme itself is broken.
 func (g *guard) OnStale(p mem.Ptr) {
-	g.s.group.Poll(g.tid)
+	g.s.group.Poll(g.Tid())
 	panic("core: use-after-free not explained by a pending signal: " + p.String())
 }
 
@@ -447,14 +322,10 @@ func (g *guard) OnStale(p mem.Ptr) {
 // (NBR+).
 func (g *guard) Retire(p mem.Ptr) {
 	g.beforeRetire(1)
-	p = p.Unmarked()
-	g.limbo = append(g.limbo, p)
-	g.limboW++
-	g.retired.Inc()
-	g.batches.Record(1)
+	g.Push(p)
 	// Garbage-age sampling: stamp the handle so the hub's free seam can
 	// measure its retire→free residence. One branch when the recorder is off.
-	g.s.rec.SampleRetire(uint64(p))
+	g.s.Rec.SampleRetire(uint64(p.Unmarked()))
 }
 
 // RetireBatch implements smr.Guard: the batch lands in the bag in chunks of
@@ -470,62 +341,26 @@ func (g *guard) RetireBatch(ps []mem.Ptr) {
 	if len(ps) == 0 {
 		return
 	}
-	g.batches.Record(len(ps))
-	g.s.rec.SampleRetire(uint64(ps[0].Unmarked())) // age-sample one record per splice
+	g.Handoff(len(ps))
+	g.s.Rec.SampleRetire(uint64(ps[0].Unmarked())) // age-sample one record per splice
 	for len(ps) > 0 {
 		take := g.beforeRetire(len(ps))
-		for _, p := range ps[:take] {
-			g.limbo = append(g.limbo, p.Unmarked())
-		}
-		g.limboW += take
-		// Counted per chunk, not per handoff: a concurrent Stats sampler
-		// must never see a whole splice as garbage before the split has had
-		// a chance to reclaim between its chunks.
-		g.retired.Add(uint64(take))
+		g.PushChunk(ps[:take])
 		ps = ps[take:]
 	}
 }
 
-// RetireSegment implements smr.Guard: the handle lands in the bag as a
-// single entry standing for its whole member run — one bag append and one
-// scan participation for K unlinked records — while the watermark
-// bookkeeping runs against the bag's record *weight*, so the enforced bound
-// keeps counting every member. The handle is never carved: NBR reservations
-// name the retired handle itself (a write-phase peer holds the segment
-// handle from its last endΦread Reserve), and reclaimFreeable matches bag
-// entries against reservations by handle identity — a carved prefix's fresh
-// head handle would appear in no reservation row and its member cells would
-// be freed under a peer the original handle's reservation still covers. An
-// oversized segment therefore lands whole, a one-append overshoot the
-// bound's segment-weight term absorbs (see ThreadBound); a handle that is
-// not a live segment degrades to Retire.
-func (g *guard) RetireSegment(p mem.Ptr) {
-	w := mem.SegWeight(g.s.seg.Arena(), p)
-	if w <= 1 {
-		g.Retire(p)
-		return
-	}
-	g.beforeRetire(w)
-	// Note before bagging: a concurrent GarbageBound reader must never
-	// see segment garbage under a pre-segment (or lighter) bound.
-	g.s.seg.Note(w)
-	p = p.Unmarked()
-	g.limbo = append(g.limbo, p)
-	g.limboW += w
-	g.retired.Add(uint64(w))
-	g.batches.Record(w)
-	g.segments.Inc()
-	g.segRecords.Add(uint64(w))
-	if g.s.rec.Enabled() {
-		g.s.rec.Rec(g.tid, obs.EvSegRetire, uint64(w))
-		g.s.rec.SampleRetire(uint64(p))
-	}
-}
+// BeforeSegment implements smr.Policy: a segment handle lands whole (NBR
+// reservations name the retired handle itself and the sweep matches bag
+// entries against them by identity, so the kernel never carves for NBR) and
+// the watermark bookkeeping runs once for its full weight — a one-append
+// overshoot the bound's segment-weight term absorbs (see ThreadBound).
+func (g *guard) BeforeSegment(_, _ mem.Ptr, w int) { g.beforeRetire(w) }
 
 // beforeRetire runs the watermark bookkeeping for the next chunk of records
 // about to land in the bag (avail record-weight is ready) and returns how
 // much weight may be appended before the next check. All comparisons run on
-// limboW, the bag's record weight, so a segment handle counts its whole
+// BagW, the bag's record weight, so a segment handle counts its whole
 // member run. Chunks are capped so that every trigger the per-record loop
 // would hit lands exactly on a chunk boundary:
 // the HiWatermark (reclamation), and under NBR+ also the LoWatermark (the
@@ -537,17 +372,17 @@ func (g *guard) RetireSegment(p mem.Ptr) {
 func (g *guard) beforeRetire(avail int) int {
 	if g.s.cfg.Plus {
 		g.checkPlus()
-	} else if g.limboW >= g.s.cfg.BagSize {
+	} else if g.BagW >= g.s.cfg.BagSize {
 		// A reclamation is due anyway: adopt up to one bag's worth of
 		// orphaned records so departed threads' garbage rides this scan.
-		g.adopt(g.s.cfg.BagSize)
-		g.s.group.SignalAll(g.tid)
-		g.reclaimFreeable(len(g.limbo))
+		g.Adopt(g.s.cfg.BagSize)
+		g.signalAll()
+		g.reclaimFreeable(len(g.Bag))
 	}
-	take := g.s.cfg.BagSize - g.limboW
+	take := g.s.cfg.BagSize - g.BagW
 	if g.s.cfg.Plus {
 		if !g.atLoWm {
-			if room := g.s.loWm - g.limboW; room > 0 && room < take {
+			if room := g.s.loWm - g.BagW; room > 0 && room < take {
 				take = room
 			}
 		} else if room := g.s.cfg.ScanFreq - g.sinceScan; room > 0 && room < take {
@@ -557,7 +392,7 @@ func (g *guard) beforeRetire(avail int) int {
 	if take < 1 {
 		// Reached when weighted survivors pin the bag at or past the
 		// watermark: a reclamation leaves at most N·R bag entries, but each
-		// may be a segment handle worth up to MaxWeight records, so limboW
+		// may be a segment handle worth up to SegW records, so BagW
 		// can exceed BagSize even though N·R < BagSize. Degrade to
 		// per-record checks rather than stalling; the overshoot stays within
 		// ThreadBound's survivor terms.
@@ -580,19 +415,17 @@ func (g *guard) beforeRetire(avail int) int {
 func (g *guard) checkPlus() {
 	hi, lo := g.s.cfg.BagSize, g.s.loWm
 	switch {
-	case g.limboW >= hi:
+	case g.BagW >= hi:
 		// RGP begin (odd) … signalAll … RGP end (even). Orphans adopted
 		// first so departed threads' garbage rides the same scan.
-		g.adopt(hi)
-		g.s.announceTS[g.tid].Add(1)
-		g.s.group.SignalAll(g.tid)
-		g.s.announceTS[g.tid].Add(1)
-		g.reclaimFreeable(len(g.limbo))
+		g.Adopt(hi)
+		g.signalAll()
+		g.reclaimFreeable(len(g.Bag))
 		g.cleanUp()
-	case g.limboW >= lo:
+	case g.BagW >= lo:
 		if !g.atLoWm {
 			g.atLoWm = true
-			g.bookmark = len(g.limbo)
+			g.bookmark = len(g.Bag)
 			for i := range g.s.announceTS {
 				g.scanTS[i] = g.s.announceTS[i].Load()
 			}
@@ -644,33 +477,42 @@ func (g *guard) cleanUp() {
 	g.sinceScan = 0
 }
 
-// reclaimFreeable frees every record in limbo[:upto] that no thread has
-// reserved (Algorithm 1 lines 21–25). Reserved records stay in the bag —
-// there are at most N·R of them, which is what bounds the bag.
-//
-// The reservation snapshot is a flat sorted scratch (one pass, one sort,
-// binary-search membership) and the freeable records go back to the arena in
-// a single FreeBatch call, so a reclaim burst costs zero heap allocations
-// and one free-list interaction regardless of bag size.
-func (g *guard) reclaimFreeable(upto int) {
-	g.scans.Inc()
-	if r := g.s.Reg; r != nil {
-		r.BeginScan()
-		defer r.EndScan()
+// signalAll neutralizes every peer; under NBR+ the broadcast is bracketed as
+// one RGP: begin (odd) … signalAll … end (even). A broadcast that unwinds
+// (revocation) leaves the timestamp odd, which certifies nothing.
+func (g *guard) signalAll() {
+	ts := &g.s.announceTS[g.Tid()]
+	if g.s.cfg.Plus {
+		ts.Add(1)
 	}
-	g.scan.CollectRows(g.s.reservations, g.s.cfg.Slots, g.s.ActiveMask)
-	var freedW int
-	g.limbo, g.freeables, freedW, g.limboW = g.scan.SweepBagSeg(
-		g.s.arena, g.s.seg.Active(), g.tid, g.limbo, upto, g.freeables)
-	g.freed.Add(uint64(freedW))
+	g.s.group.SignalAll(g.Tid())
+	if g.s.cfg.Plus {
+		ts.Add(1)
+	}
 }
 
-// adopt pulls up to max (all when max <= 0) orphaned records from the
-// registry into the limbo bag, so a scan this thread is about to run frees
-// departed threads' garbage too. Adopted records were counted as retired by
-// their original thread; only freeing is accounted here.
-func (g *guard) adopt(max int) {
-	n := len(g.limbo)
-	g.limbo = g.s.Adopt(g.limbo, max)
-	g.limboW += g.s.seg.WeighAll(g.limbo[n:])
+// FullPass implements smr.Policy: adopt all orphans and run one full
+// signal-and-scan reclamation over everything the bag holds. Records reserved
+// by concurrently active peers survive in the bag.
+func (g *guard) FullPass() {
+	g.Adopt(0)
+	if len(g.Bag) == 0 {
+		return
+	}
+	g.signalAll()
+	g.reclaimFreeable(len(g.Bag))
+	g.cleanUp()
+}
+
+// reclaimFreeable frees every record in Bag[:upto] that no thread has
+// reserved (Algorithm 1 lines 21–25). Reserved records stay in the bag —
+// there are at most N·R of them, which is what bounds the bag. The
+// reservation snapshot is a flat sorted scratch (one pass, one sort,
+// binary-search membership), so a reclaim burst costs zero heap allocations.
+func (g *guard) reclaimFreeable(upto int) {
+	g.Scan(upto, g.collect, g.scan.Contains)
+}
+
+func (g *guard) collect() {
+	g.scan.CollectRows(g.s.reservations, g.s.cfg.Slots, g.s.ActiveMask)
 }

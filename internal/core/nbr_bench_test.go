@@ -40,7 +40,7 @@ func BenchmarkReclaim(b *testing.B) {
 				for _, h := range hs {
 					g.Retire(h)
 				}
-				g.reclaimFreeable(len(g.limbo))
+				g.reclaimFreeable(len(g.Bag))
 			}
 		})
 	}
@@ -85,9 +85,9 @@ func BenchmarkRetire(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				h, _ := pool.Alloc(0)
 				g.Retire(h)
-				if len(g.limbo) >= 1<<18 { // keep the bag below the watermarks
+				if len(g.Bag) >= 1<<18 { // keep the bag below the watermarks
 					b.StopTimer()
-					g.reclaimFreeable(len(g.limbo))
+					g.reclaimFreeable(len(g.Bag))
 					g.cleanUp()
 					b.StartTimer()
 				}

@@ -181,7 +181,7 @@ func TestPlusConcurrentPassiveReclaim(t *testing.T) {
 		}
 		// Park between watermarks until a peer's RGP is observed, then
 		// keep trickling so the scan runs.
-		for i := 0; i < 2000 && g.freed.Load() == 0; i++ {
+		for i := 0; i < 2000 && g.Freed.Load() == 0; i++ {
 			h, _ := pool.Alloc(0)
 			g.Retire(h)
 			if s.LimboLen(0) >= 60 { // stay under HiWatermark
@@ -204,7 +204,7 @@ func TestPlusConcurrentPassiveReclaim(t *testing.T) {
 	}
 	wg.Wait()
 	g := s.Guard(0).(*guard)
-	if g.freed.Load() == 0 && s.LimboLen(0) >= 64 {
+	if g.Freed.Load() == 0 && s.LimboLen(0) >= 64 {
 		t.Fatal("LoWatermark thread neither reclaimed nor stayed below HiWatermark")
 	}
 }
@@ -212,8 +212,8 @@ func TestPlusConcurrentPassiveReclaim(t *testing.T) {
 // reclaimSelfCheck is a test hook asserting the guard's limbo never exceeds
 // the configured bound mid-run.
 func (g *guard) reclaimSelfCheck(t *testing.T) {
-	if len(g.limbo) > g.s.ThreadBound() {
-		t.Errorf("limbo %d exceeds bound %d", len(g.limbo), g.s.ThreadBound())
+	if len(g.Bag) > g.s.ThreadBound() {
+		t.Errorf("limbo %d exceeds bound %d", len(g.Bag), g.s.ThreadBound())
 	}
 }
 
@@ -254,7 +254,7 @@ func TestQuickPhaseMachine(t *testing.T) {
 			h, _ := pool.Alloc(0)
 			g.Retire(h)
 		}
-		return len(g.limbo) <= s.ThreadBound()
+		return len(g.Bag) <= s.ThreadBound()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Fatal(err)

@@ -332,7 +332,7 @@ func TestPlusPassiveReclamationWithoutSignals(t *testing.T) {
 		t.Fatal("passive reclamation must not send signals")
 	}
 	g := g0.(*guard)
-	if g.freed.Load() == 0 {
+	if g.Freed.Load() == 0 {
 		t.Fatal("LoWatermark thread never reclaimed after observing the RGP")
 	}
 	if s.LimboLen(0) >= lo+1 {
@@ -351,13 +351,13 @@ func TestPlusIncompleteRGPDoesNotReclaim(t *testing.T) {
 
 	s.announceTS[1].Add(1) // peer is mid-broadcast: odd, advanced by 1
 	fill(g0, pool, 0, scanFreq+1)
-	if g := g0.(*guard); g.freed.Load() != 0 {
+	if g := g0.(*guard); g.Freed.Load() != 0 {
 		t.Fatal("reclaimed on an incomplete RGP")
 	}
 
 	s.announceTS[1].Add(1) // broadcast complete: +2 since snapshot
 	fill(g0, pool, 0, scanFreq+1)
-	if g := g0.(*guard); g.freed.Load() == 0 {
+	if g := g0.(*guard); g.Freed.Load() == 0 {
 		t.Fatal("failed to reclaim after a complete RGP")
 	}
 }
@@ -377,19 +377,19 @@ func TestPlusMidRGPSnapshotRequiresFullPostBookmarkRGP(t *testing.T) {
 
 	s.announceTS[1].Add(1) // the pre-bookmark RGP ends
 	fill(g0, pool, 0, scanFreq+1)
-	if g := g0.(*guard); g.freed.Load() != 0 {
+	if g := g0.(*guard); g.Freed.Load() != 0 {
 		t.Fatal("reclaimed on an RGP that began before the bookmark")
 	}
 
 	s.announceTS[1].Add(1) // a post-bookmark RGP begins: odd, == snapshot+2
 	fill(g0, pool, 0, scanFreq+1)
-	if g := g0.(*guard); g.freed.Load() != 0 {
+	if g := g0.(*guard); g.Freed.Load() != 0 {
 		t.Fatal("reclaimed on a begun-but-unfinished post-bookmark RGP")
 	}
 
 	s.announceTS[1].Add(1) // the post-bookmark RGP ends: even, rounded+2
 	fill(g0, pool, 0, scanFreq+1)
-	if g := g0.(*guard); g.freed.Load() == 0 {
+	if g := g0.(*guard); g.Freed.Load() == 0 {
 		t.Fatal("failed to reclaim after a complete post-bookmark RGP")
 	}
 }
@@ -403,7 +403,7 @@ func TestPlusRebookmarksAfterReclaim(t *testing.T) {
 		s.announceTS[1].Add(2)
 		fill(g0, pool, 0, scanFreq+1)
 	}
-	if g := g0.(*guard); g.freed.Load() == 0 {
+	if g := g0.(*guard); g.Freed.Load() == 0 {
 		t.Fatal("no reclamation across rounds")
 	}
 	if s.LimboLen(0) >= bag {

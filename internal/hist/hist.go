@@ -8,7 +8,10 @@
 // recording costs a handful of instructions.
 package hist
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Buckets is the number of power-of-two buckets: bucket i counts values v
 // with bitlen(v) == i, i.e. v in [2^(i-1), 2^i).
@@ -52,35 +55,40 @@ func (h *Histogram) Count() uint64 { return h.total }
 // Max returns the largest recorded value.
 func (h *Histogram) Max() int64 { return h.max }
 
-// Quantile returns an upper bound for the q-quantile (0 ≤ q ≤ 1): the upper
-// edge of the bucket containing it. Returns 0 for an empty histogram.
+// Quantile returns an upper bound for the q-quantile (0 ≤ q ≤ 1); see the
+// package-level Quantile for the contract. Returns 0 for an empty histogram.
 func (h *Histogram) Quantile(q float64) int64 {
-	if h.total == 0 {
+	return Quantile(h.counts[:], h.max, q)
+}
+
+// Upper is the largest value power-of-two bucket i can hold: bitlen(v) == i
+// means v ≤ 2^i − 1, and bucket 0 holds only 0.
+func Upper(i int) int64 { return int64(1)<<uint(i) - 1 }
+
+// Quantile is the one bucket walk behind every power-of-two histogram in the
+// repo (Histogram, obs.Hist, smr.Stats.BatchHist). counts[i] counts the
+// recorded values of bit length i and max is the largest recorded value (or
+// any upper bound for it). The result is an upper bound for the nearest-rank
+// q-quantile — the smallest recorded value with at least ⌈q·n⌉ values at or
+// below it: Upper of the bucket holding it, tightened to max in the final
+// bucket. q is clamped to [0, 1]; an empty histogram reports 0.
+func Quantile(counts []uint64, max int64, q float64) int64 {
+	var total uint64
+	for _, c := range counts {
+		total += c
+	}
+	if total == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(q * float64(h.total))
-	if rank >= h.total {
-		rank = h.total - 1
+	rank := uint64(1)
+	if r := math.Ceil(q * float64(total)); r > 1 {
+		rank = min(uint64(r), total)
 	}
 	var seen uint64
-	for i, c := range h.counts {
-		seen += c
-		if rank < seen {
-			if i == 0 {
-				return 0
-			}
-			upper := int64(1) << uint(i)
-			if h.max < upper {
-				return h.max // tighten the final bucket with the observed max
-			}
-			return upper
+	for i, c := range counts {
+		if seen += c; seen >= rank {
+			return min(Upper(i), max)
 		}
 	}
-	return h.max
+	return max
 }

@@ -32,6 +32,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"nbr/internal/hist"
 )
 
 // Code is an event type tag. It occupies the top 8 bits of the packed event
@@ -62,10 +64,10 @@ const (
 	EvSigRestart // read phase restarted after a neutralization
 
 	// core — the read-phase bracket and the retire seam.
-	EvReadBegin  // BeginRead: row cleared, restartable set
-	EvReadEnd    // EndRead: restartable cleared
-	EvSegRetire  // segment handle bagged            arg: segment weight
-	EvSegCarve   // retired segment carved           arg: records carved
+	EvReadBegin // BeginRead: row cleared, restartable set
+	EvReadEnd   // EndRead: restartable cleared
+	EvSegRetire // segment handle bagged            arg: segment weight
+	EvSegCarve  // retired segment carved           arg: records carved
 
 	// mem.Hub — the multi-structure free seam.
 	EvHubDispatch // uniform batch dispatched        arg: record count
@@ -522,8 +524,8 @@ func (r *Recorder) Snapshot(maxEvents int) Snapshot {
 
 // Hist is an atomic power-of-two histogram: bucket i counts values whose
 // bit length is i, i.e. [2^(i-1), 2^i). Same shape as internal/hist and
-// smr.Stats.BatchHist, but writable from many threads and snapshotable
-// concurrently. The zero value is ready to use.
+// smr.Stats.BatchHist (and the same quantile walk), but writable from many
+// threads and snapshotable concurrently. The zero value is ready to use.
 type Hist struct {
 	counts [64]atomic.Uint64
 	total  atomic.Uint64
@@ -561,46 +563,16 @@ func (h *Hist) Max() int64 {
 	return h.max.Load()
 }
 
-// Quantile returns the upper edge of the bucket holding the q-quantile
-// (nearest-rank over a concurrent snapshot of the buckets), tightened by the
-// recorded max in the final bucket — the same contract as
-// internal/hist.Histogram.Quantile and Stats.BatchQuantile.
+// Quantile returns an upper bound for the q-quantile over a concurrent
+// snapshot of the buckets: hist.Quantile, the walk internal/hist.Histogram
+// and smr.Stats.BatchQuantile share.
 func (h *Hist) Quantile(q float64) int64 {
 	if h == nil {
 		return 0
 	}
 	var counts [64]uint64
-	var total uint64
 	for i := range h.counts {
 		counts[i] = h.counts[i].Load()
-		total += counts[i]
 	}
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	var seen uint64
-	for i, c := range counts {
-		seen += c
-		if seen > rank {
-			upper := int64(1) << uint(i)
-			if i == 0 {
-				upper = 1
-			}
-			if m := h.max.Load(); m < upper && m >= upper/2 {
-				upper = m
-			}
-			return upper
-		}
-	}
-	return h.max.Load()
+	return hist.Quantile(counts[:], h.max.Load(), q)
 }

@@ -2,8 +2,10 @@
 // reclamation), the fastest EBR variant in the paper's comparison and its
 // main baseline. The distinguishing features over plain EBR:
 //
-//   - three per-thread limbo bags rotated on epoch change, so freeing needs
-//     no per-record epoch tags;
+//   - per-thread limbo bags rotated on epoch change, so freeing needs no
+//     per-record epoch tags: the bag is kept in epoch order and a mark
+//     separates the previous epoch's records from the current one's (the bag
+//     for epoch e−2 is always empty — the last rotation freed it);
 //   - an amortized epoch advance: each operation start checks exactly one
 //     peer, so the scan cost of a grace period is spread over ~n operations;
 //   - a quiescent bit in the announcement word so idle threads never block
@@ -23,174 +25,86 @@ import (
 
 // Scheme is a DEBRA instance.
 type Scheme struct {
-	arena    mem.Arena
+	smr.Kernel
 	epoch    smr.Pad64
 	announce []smr.Pad64 // epoch<<1 | active bit
 	gs       []*guard
-	smr.Membership
-
-	// seg is the segment-retirement state: the arena's segment interface and
-	// the largest retired segment weight (weighted accounting only — DEBRA's
-	// garbage stays unbounded either way).
-	seg smr.SegState
 }
 
 // New creates a DEBRA scheme for the given arena and thread count.
 func New(arena mem.Arena, threads int) *Scheme {
-	s := &Scheme{arena: arena, announce: make([]smr.Pad64, threads)}
-	s.seg.Init(arena)
-	s.InitFixed(threads)
+	s := &Scheme{announce: make([]smr.Pad64, threads), gs: make([]*guard, threads)}
 	s.epoch.Store(2)
-	for i := range s.announce {
-		s.announce[i].Store(2 << 1) // epoch 2, quiescent
-	}
-	s.gs = make([]*guard, threads)
+	// Burst 0: rotation bursts have no declared size (bags grow with the
+	// grace period), so the allocator keeps its default cache sizing.
+	s.Init(smr.Spec{
+		Name: "debra", Arena: arena, Threads: threads,
+		Attach: s.attachThread,
+		// DEBRA's organic reclamation (rotation) is not a bracketed scan at
+		// all — its grace-period check is amortized one peer per operation —
+		// so the registry's round clock advances only through forced rounds;
+		// the collection is the full epoch check a rotation's worth of
+		// BeginOps performs.
+		Collect: func() { s.stuck(-1, s.epoch.Load()) },
+	})
 	for i := range s.gs {
-		s.gs[i] = &guard{s: s, tid: i, localE: 2}
+		s.announce[i].Store(2 << 1) // epoch 2, quiescent
+		g := &guard{s: s, localE: 2}
+		s.Bind(i, &g.Limbo, g)
+		s.gs[i] = g
 	}
 	return s
 }
 
-// Name implements smr.Scheme.
-func (s *Scheme) Name() string { return "debra" }
-
 // Guard implements smr.Scheme.
 func (s *Scheme) Guard(tid int) smr.Guard { return s.gs[tid] }
-
-// Stats implements smr.Scheme.
-func (s *Scheme) Stats() smr.Stats {
-	var st smr.Stats
-	for _, g := range s.gs {
-		st.Retired += g.retired.Load()
-		g.batches.AddTo(&st.BatchHist)
-		st.Freed += g.freed.Load()
-		st.Advances += g.advances.Load()
-		st.Segments += g.segments.Load()
-		st.SegRecords += g.segRecords.Load()
-	}
-	return st
-}
 
 // GarbageBound implements smr.Scheme: DEBRA does not bound garbage — a
 // stalled thread pins the epoch and every bag grows until it recovers (the
 // property-P2 failure E2 demonstrates).
 func (s *Scheme) GarbageBound() int { return smr.Unbounded }
 
-// ReclaimBurst implements smr.Scheme: DEBRA's rotation bursts have no
-// declared size (bags grow with the grace period), so the allocator keeps
-// its default cache sizing.
-func (s *Scheme) ReclaimBurst() int { return 0 }
-
-// AttachRegistry implements smr.Member: the amortized epoch scan treats
-// inactive slots as quiescent — a departed thread must never pin the epoch
-// — and the lease hooks keep announcements and limbo bags coherent across
-// slot reuse. Must run before guards are used.
-func (s *Scheme) AttachRegistry(r *smr.Registry) {
-	s.Join(r, len(s.gs), "debra", s.attachThread)
-}
-
 // attachThread readies slot tid for a new leaseholder: adopt the current
 // epoch quiescently so the predecessor's announcement cannot pin the epoch
-// or trip the next BeginOp's rotation logic.
+// or trip the next BeginOp's rotation logic. The bag is empty (recovery
+// orphaned it), so adopting an epoch rotates nothing.
 func (s *Scheme) attachThread(tid int) {
 	g := s.gs[tid]
-	e := s.epoch.Load()
-	g.localE = e
-	g.scanAt = 0
-	s.announce[tid].Store(e << 1) // current epoch, quiescent
-}
-
-// ReclaimAll implements smr.Quiescer: rotate once if the epoch moved,
-// freeing any bags past their grace periods. Part of the shared recovery
-// path; runs after the slot left the active mask.
-func (s *Scheme) ReclaimAll(tid int) {
-	g := s.gs[tid]
-	if e := s.epoch.Load(); e != g.localE {
-		g.rotate(e)
-	}
-}
-
-// OrphanSurvivors implements smr.Quiescer: orphan everything still in limbo
-// — the adopter files the records under its own current epoch, which is at
-// least as late as DEBRA would have used, so the two-epoch safety margin is
-// preserved.
-func (s *Scheme) OrphanSurvivors(tid int) {
-	g := s.gs[tid]
-	for i := range g.bags {
-		if len(g.bags[i]) > 0 {
-			s.Reg.AddOrphans(g.bags[i])
-			g.bags[i] = g.bags[i][:0]
-		}
-	}
+	g.localE, g.scanAt = s.epoch.Load(), 0
+	s.ResetSlot(tid)
 }
 
 // ResetSlot implements smr.Quiescer: announce tid quiescent at its last
-// local epoch so a vacant slot cannot pin the epoch.
+// local epoch so a vacant slot cannot pin the epoch. Recovery has emptied
+// the bag, so the rotation mark restarts with it.
 func (s *Scheme) ResetSlot(tid int) {
-	s.announce[tid].Store(s.gs[tid].localE << 1)
-}
-
-// ForceRound implements smr.RoundForcer: one bracketed pass over the active
-// threads' epoch announcements. DEBRA's organic reclamation (rotation) is
-// not a bracketed scan at all — its grace-period check is amortized one peer
-// per operation — so under DEBRA the registry's round clock advances only
-// through forced rounds; the collection is the full epoch check a rotation's
-// worth of BeginOps performs.
-func (s *Scheme) ForceRound() bool {
-	return s.Membership.ForceRound(func() {
-		e := s.epoch.Load()
-		s.ActiveMask.Range(func(i int) {
-			v := s.announce[i].Load()
-			_ = v
-			_ = e
-		})
-	})
-}
-
-// Drain implements smr.Drainer: adopt all orphans into the current bag,
-// then attempt one epoch advance and rotation on behalf of tid. At
-// quiescence three consecutive calls walk the grace periods forward and
-// empty every bag.
-func (s *Scheme) Drain(tid int) {
 	g := s.gs[tid]
-	g.adopt()
-	e := s.epoch.Load()
+	g.mark = 0
+	s.announce[tid].Store(g.localE << 1)
+}
+
+// stuck reports whether any active thread other than self is still inside
+// an operation it began under an epoch older than e. A quiescent or departed
+// thread must never pin the epoch (the membership half of dynamic DEBRA).
+func (s *Scheme) stuck(self int, e uint64) bool {
 	stuck := false
 	s.ActiveMask.Range(func(peer int) {
-		if stuck || peer == tid {
-			return
-		}
-		v := s.announce[peer].Load()
-		if v&1 != 0 && v>>1 < e {
+		if v := s.announce[peer].Load(); peer != self && v&1 != 0 && v>>1 < e {
 			stuck = true
 		}
 	})
-	if !stuck && s.epoch.CompareAndSwap(e, e+1) {
-		g.advances.Inc()
-		e++
-	}
-	if e != g.localE {
-		g.rotate(e)
-		s.announce[tid].Store(e << 1)
-	}
+	return stuck
 }
 
 type guard struct {
+	smr.Limbo
 	s      *Scheme
-	tid    int
 	localE uint64
-	bags   [3][]mem.Ptr
+	// mark splits the bag, which is in retire order: Bag[:mark] was retired
+	// under epoch localE−1, Bag[mark:] under localE.
+	mark   int
 	scanAt int // next peer to check in the amortized scan
-
-	retired    smr.Counter
-	batches    smr.BatchHist
-	freed      smr.Counter
-	advances   smr.Counter
-	segments   smr.Counter // segment handles filed (RetireSegment calls)
-	segRecords smr.Counter // member records those handles stood for
 }
-
-func (g *guard) Tid() int { return g.tid }
 
 // BeginOp is DEBRA's leaveQstate: adopt the current epoch (rotating and
 // freeing limbo bags if it moved), announce it with the active bit, and
@@ -200,19 +114,18 @@ func (g *guard) BeginOp() {
 	if e != g.localE {
 		g.rotate(e)
 	}
-	g.s.announce[g.tid].Store(e<<1 | 1)
+	g.s.announce[g.Tid()].Store(e<<1 | 1)
 
 	peer := g.scanAt
 	v := g.s.announce[peer].Load()
 	// A peer passes the check when quiescent, caught up to the current
-	// epoch, or simply not a member — a departed thread must never pin the
-	// epoch (the membership half of dynamic DEBRA).
+	// epoch, or simply not a member.
 	if v&1 == 0 || v>>1 >= e || !g.s.ActiveMask.Active(peer) {
 		g.scanAt++
 		if g.scanAt == len(g.s.announce) {
 			g.scanAt = 0
 			if g.s.epoch.CompareAndSwap(e, e+1) {
-				g.advances.Inc()
+				g.Advances.Inc()
 			}
 		}
 	}
@@ -220,127 +133,79 @@ func (g *guard) BeginOp() {
 
 // EndOp is enterQstate: clear the active bit, keeping the epoch bits.
 func (g *guard) EndOp() {
-	g.s.announce[g.tid].Store(g.localE << 1)
-}
-
-func (g *guard) BeginRead()            {}
-func (g *guard) Reserve(int, mem.Ptr)  {}
-func (g *guard) EndRead()              {}
-func (g *guard) Protect(int, mem.Ptr)  {}
-func (g *guard) NeedsValidation() bool { return false }
-func (g *guard) OnAlloc(mem.Ptr)       {}
-
-func (g *guard) OnStale(p mem.Ptr) {
-	panic("debra: use-after-free detected: " + p.String())
+	g.s.announce[g.Tid()].Store(g.localE << 1)
 }
 
 // Retire appends to the bag of the epoch current *now* (not at operation
 // start): the global epoch may have advanced once mid-operation, and a
 // record unlinked under the newer epoch can be held by readers that adopted
 // it, so filing it under the stale epoch would shrink the two-epoch safety
-// margin to one. Rotation here must not touch the thread's announcement —
-// raising it mid-operation would unpin records this operation still holds.
-// Freeing happens wholesale at rotation, which is what makes DEBRA fast and
-// its reclamation bursty.
+// margin to one. Freeing happens wholesale at rotation, which is what makes
+// DEBRA fast and its reclamation bursty.
 func (g *guard) Retire(p mem.Ptr) {
-	if e := g.s.epoch.Load(); e != g.localE {
-		g.rotate(e)
-	}
-	g.adopt()
-	g.bags[g.localE%3] = append(g.bags[g.localE%3], p.Unmarked())
-	g.retired.Inc()
-	g.batches.Record(1)
+	g.catchUp()
+	g.Push(p)
 }
 
 // RetireBatch implements smr.Guard: one epoch check (and at most one
 // rotation) files the whole batch into the current bag. The epoch is read
 // after every record in the batch was unlinked, so no record is filed under
-// an epoch older than a per-record Retire loop would have used.
+// an epoch older than a per-record Retire loop would have used. Garbage is
+// unbounded regardless, so nothing is split.
 func (g *guard) RetireBatch(ps []mem.Ptr) {
 	if len(ps) == 0 {
 		return
 	}
+	g.catchUp()
+	g.Handoff(len(ps))
+	g.PushChunk(ps)
+}
+
+// BeforeSegment implements smr.Policy: one epoch check covers all members of
+// the handle; the rotation burst frees them through the arena's fan-out.
+func (g *guard) BeforeSegment(_, _ mem.Ptr, _ int) { g.catchUp() }
+
+// catchUp adopts the current epoch (rotating if it moved), then pulls every
+// orphaned record into the current epoch's end of the bag. The order
+// matters: an orphan was retired no later than now, so filing it under the
+// freshly read epoch e guarantees it is not freed before rotate(e+2) — two
+// full grace periods after its retirement. Filing under a stale localE would
+// shrink that margin (a drain guard can lag the epoch by ≥2, which would
+// free adopted records with no grace period at all). Rotation here must not
+// touch the thread's announcement — raising it mid-operation would unpin
+// records this operation still holds.
+func (g *guard) catchUp() {
 	if e := g.s.epoch.Load(); e != g.localE {
 		g.rotate(e)
 	}
-	g.adopt()
-	bag := &g.bags[g.localE%3]
-	for _, p := range ps {
-		*bag = append(*bag, p.Unmarked())
-	}
-	g.retired.Add(uint64(len(ps)))
-	g.batches.Record(len(ps))
+	g.Adopt(0)
 }
 
-// RetireSegment implements smr.Guard: the handle is filed in the current
-// epoch's bag as a single entry standing for its whole member run — one
-// epoch check covers all K members instead of K bag entries. DEBRA's
-// garbage is unbounded regardless (like RetireBatch, no splitting is
-// needed); the rotation burst frees the members through the arena's
-// segment fan-out. A handle that is not a live segment degrades to Retire.
-func (g *guard) RetireSegment(p mem.Ptr) {
-	w := mem.SegWeight(g.s.seg.Arena(), p)
-	if w <= 1 {
-		g.Retire(p)
-		return
+// FullPass implements smr.Policy: catch up, attempt one epoch advance and
+// rotate on behalf of the guard, leaving it announced quiescent. At
+// quiescence three consecutive calls walk the grace periods forward and
+// empty the bag.
+func (g *guard) FullPass() {
+	g.catchUp()
+	e := g.localE
+	if !g.s.stuck(g.Tid(), e) && g.s.epoch.CompareAndSwap(e, e+1) {
+		g.Advances.Inc()
+		g.rotate(e + 1)
 	}
-	if e := g.s.epoch.Load(); e != g.localE {
-		g.rotate(e)
-	}
-	g.adopt()
-	// Note before filing so the rotation burst weighs the handle's run.
-	g.s.seg.Note(w)
-	g.bags[g.localE%3] = append(g.bags[g.localE%3], p.Unmarked())
-	g.retired.Add(uint64(w))
-	g.batches.Record(w)
-	g.segments.Inc()
-	g.segRecords.Add(uint64(w))
+	g.s.announce[g.Tid()].Store(g.localE << 1)
 }
 
-// rotate adopts epoch e. Records in the bag for epoch e-2 (and older, if the
-// epoch jumped by ≥2) are past two grace periods and freed in one burst.
+// rotate adopts epoch e. Records retired under epoch e−2 (the bag below the
+// mark) — or everything, if the epoch jumped by ≥2 — are past two grace
+// periods and freed in one burst; what was the current epoch's bag becomes
+// the previous one's.
 func (g *guard) rotate(e uint64) {
+	upto := g.mark
 	if e >= g.localE+2 {
-		for i := range g.bags {
-			g.freeBag(i)
-		}
-	} else {
-		g.freeBag(int((e + 1) % 3)) // == (e-2)%3
+		upto = len(g.Bag)
 	}
+	g.Sweep(upto, func(mem.Ptr) bool { return false })
+	g.mark = len(g.Bag)
 	g.localE = e
 	g.scanAt = 0 // scan progress was for the previous epoch
-}
-
-func (g *guard) freeBag(i int) {
-	for _, p := range g.bags[i] {
-		// Weigh before Free: freeing a segment handle removes it from the
-		// arena's directory.
-		w := g.s.seg.Weigh(p)
-		g.s.arena.Free(g.tid, p)
-		g.freed.Add(uint64(w))
-	}
-	g.bags[i] = g.bags[i][:0]
-}
-
-// adopt pulls every orphaned record into the *current* epoch's bag. The
-// epoch is re-read (rotating if it moved) immediately before filing: an
-// orphan was retired no later than now, so filing under the freshly read
-// epoch e guarantees it is not freed before rotate(e+2) — two full grace
-// periods after its retirement. Filing under a stale localE would shrink
-// that margin (a drain guard can lag the epoch by ≥2, which would free
-// adopted records with no grace period at all). Adopted records were
-// already counted as retired.
-func (g *guard) adopt() {
-	if g.s.HasOrphans() {
-		if e := g.s.epoch.Load(); e != g.localE {
-			g.rotate(e)
-		}
-		bag := &g.bags[g.localE%3]
-		*bag = g.s.Adopt(*bag, 0)
-	}
-}
-
-// Garbage reports this guard's current limbo population (test hook).
-func (g *guard) Garbage() int {
-	return len(g.bags[0]) + len(g.bags[1]) + len(g.bags[2])
 }

@@ -3,7 +3,7 @@ package he_test
 import (
 	"testing"
 
-	"nbr/internal/smr/he"
+	"nbr/internal/smr/era"
 )
 
 // TestBoundTightWithoutPinning pins the exact pinned-set declaration: with
@@ -16,7 +16,7 @@ import (
 // term, and fail here instead of silently blessing the leak.
 func TestBoundTightWithoutPinning(t *testing.T) {
 	const threads, threshold = 4, 32
-	pool, s := setup(threads, he.Config{Threshold: threshold, EraFreq: 1})
+	pool, s := setup(threads, era.Config{Threshold: threshold, EraFreq: 1})
 	want := threads * (2*threshold + 2)
 	if got := s.GarbageBound(); got != want {
 		t.Fatalf("unpinned bound = %d, want static buffered term %d", got, want)
@@ -39,7 +39,7 @@ func TestBoundTightWithoutPinning(t *testing.T) {
 // harness samples).
 func TestBoundTracksPinnedSet(t *testing.T) {
 	const threads, threshold = 2, 16
-	pool, s := setup(threads, he.Config{Threshold: threshold, EraFreq: 1})
+	pool, s := setup(threads, era.Config{Threshold: threshold, EraFreq: 1})
 	g0, g1 := s.Guard(0), s.Guard(1)
 
 	static := s.GarbageBound()

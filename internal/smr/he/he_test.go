@@ -1,27 +1,30 @@
+// Package he_test is the hazard-eras behavioural suite. The implementation lives
+// in internal/smr/era, shared with its sibling scheme; the suite keeps its
+// own directory so each scheme's tests stay addressable by name.
 package he_test
 
 import (
 	"testing"
 
 	"nbr/internal/mem"
-	"nbr/internal/smr/he"
+	"nbr/internal/smr/era"
 )
 
 type rec struct{ v uint64 }
 
-func setup(threads int, cfg he.Config) (*mem.Pool[rec], *he.Scheme) {
+func setup(threads int, cfg era.Config) (*mem.Pool[rec], *era.Scheme) {
 	pool := mem.NewPool[rec](mem.Config{MaxThreads: threads})
-	return pool, he.New(pool, threads, cfg)
+	return pool, era.NewHE(pool, threads, cfg)
 }
 
-func alloc(pool *mem.Pool[rec], s *he.Scheme, tid int) mem.Ptr {
+func alloc(pool *mem.Pool[rec], s *era.Scheme, tid int) mem.Ptr {
 	h, _ := pool.Alloc(tid)
 	s.Guard(tid).OnAlloc(h)
 	return h
 }
 
 func TestAnnouncedEraBlocksLifetime(t *testing.T) {
-	pool, s := setup(2, he.Config{Threshold: 8, EraFreq: 1})
+	pool, s := setup(2, era.Config{Threshold: 8, EraFreq: 1})
 	g0, g1 := s.Guard(0), s.Guard(1)
 
 	target := alloc(pool, s, 0)
@@ -44,7 +47,7 @@ func TestAnnouncedEraBlocksLifetime(t *testing.T) {
 }
 
 func TestEraOutsideLifetimeDoesNotBlock(t *testing.T) {
-	pool, s := setup(2, he.Config{Threshold: 8, EraFreq: 1})
+	pool, s := setup(2, era.Config{Threshold: 8, EraFreq: 1})
 	g0, g1 := s.Guard(0), s.Guard(1)
 
 	g1.BeginOp()
@@ -71,7 +74,7 @@ func TestEraOutsideLifetimeDoesNotBlock(t *testing.T) {
 func TestProtectFastPathSkipsStore(t *testing.T) {
 	// Re-protecting under an unchanged era must not panic and must keep
 	// the announcement (behavioural check of the HE fast path).
-	pool, s := setup(2, he.Config{Threshold: 1 << 20, EraFreq: 1 << 20})
+	pool, s := setup(2, era.Config{Threshold: 1 << 20, EraFreq: 1 << 20})
 	g1 := s.Guard(1)
 	h := alloc(pool, s, 0)
 	g1.Protect(0, h)
@@ -84,7 +87,7 @@ func TestProtectFastPathSkipsStore(t *testing.T) {
 }
 
 func TestSlotOutOfRangePanics(t *testing.T) {
-	pool, s := setup(1, he.Config{Slots: 1})
+	pool, s := setup(1, era.Config{Slots: 1})
 	h, _ := pool.Alloc(0)
 	defer func() {
 		if recover() == nil {
@@ -95,7 +98,7 @@ func TestSlotOutOfRangePanics(t *testing.T) {
 }
 
 func TestNameAndValidation(t *testing.T) {
-	_, s := setup(1, he.Config{})
+	_, s := setup(1, era.Config{})
 	if s.Name() != "he" {
 		t.Fatalf("name = %q", s.Name())
 	}

@@ -10,8 +10,6 @@
 package hp
 
 import (
-	"sync"
-
 	"nbr/internal/mem"
 	"nbr/internal/smr"
 )
@@ -39,214 +37,110 @@ func (c Config) withDefaults(threads int) Config {
 	return c
 }
 
-// Scheme is a hazard-pointer instance.
+// Scheme is a hazard-pointer instance: the limbo kernel plus N·K
+// announcement slots, a threshold trigger and an identity keep test.
 type Scheme struct {
-	arena mem.Arena
+	smr.Kernel
 	cfg   Config
 	slots []smr.Pad64 // N*K announcement slots
 	gs    []*guard
-	smr.Membership
 
-	// forceScan is the ForceRound collection scratch, serialized by forceMu.
-	forceMu   sync.Mutex
+	// forceScan is the ForceRound collection scratch.
 	forceScan smr.ScanSet
-
-	// seg is the segment-retirement state: the arena's segment interface and
-	// the largest retired segment weight, which scales the declared bound.
-	seg smr.SegState
 }
 
 // New creates a hazard-pointer scheme for the given arena and thread count.
 func New(arena mem.Arena, threads int, cfg Config) *Scheme {
-	s := &Scheme{arena: arena, cfg: cfg.withDefaults(threads)}
-	s.seg.Init(arena)
-	s.InitFixed(threads)
-	s.slots = make([]smr.Pad64, threads*s.cfg.Slots)
-	s.forceScan = smr.NewScanSet(threads * s.cfg.Slots)
-	s.gs = make([]*guard, threads)
+	cfg = cfg.withDefaults(threads)
+	s := &Scheme{
+		cfg:       cfg,
+		slots:     make([]smr.Pad64, threads*cfg.Slots),
+		forceScan: smr.NewScanSet(threads * cfg.Slots),
+		gs:        make([]*guard, threads),
+	}
+	s.Init(smr.Spec{
+		Name: "hp", Arena: arena, Threads: threads, Burst: cfg.Threshold,
+		Attach:  s.ResetSlot,
+		Collect: func() { s.forceScan.CollectRows(s.slots, cfg.Slots, s.ActiveMask) },
+	})
 	for i := range s.gs {
-		s.gs[i] = &guard{
-			s: s, tid: i, hiSlot: -1,
-			scan:      smr.NewScanSet(threads * s.cfg.Slots),
-			freeables: make([]mem.Ptr, 0, s.cfg.Threshold),
+		g := &guard{
+			s: s, hiSlot: -1,
+			row:  s.slots[i*cfg.Slots : (i+1)*cfg.Slots],
+			scan: smr.NewScanSet(threads * cfg.Slots),
 		}
+		s.Bind(i, &g.Limbo, g)
+		s.gs[i] = g
 	}
 	return s
 }
 
-// Name implements smr.Scheme.
-func (s *Scheme) Name() string { return "hp" }
-
 // Guard implements smr.Scheme.
 func (s *Scheme) Guard(tid int) smr.Guard { return s.gs[tid] }
-
-// Stats implements smr.Scheme.
-func (s *Scheme) Stats() smr.Stats {
-	var st smr.Stats
-	for _, g := range s.gs {
-		st.Retired += g.retired.Load()
-		g.batches.AddTo(&st.BatchHist)
-		st.Freed += g.freed.Load()
-		st.Scans += g.scans.Load()
-		st.Segments += g.segments.Load()
-		st.SegRecords += g.segRecords.Load()
-	}
-	return st
-}
 
 // GarbageBound implements smr.Scheme: each thread's retire buffer scans at
 // the threshold (measured in record weight — a segment handle counts its
 // whole member run) and a scan leaves at most N·K protected survivors, so
-// the system-wide garbage never exceeds N·(Threshold + (N·K+1)·segW) — the
+// the system-wide garbage never exceeds N·(Threshold + (N·K+1)·SegW) — the
 // Θ(N²K) bound property P2 charges hazard pointers for. The +1 is the one
 // in-flight RetireSegment append per thread: identity-based hazards forbid
-// carving an announced handle (see RetireSegment), so a whole segment of up
-// to segW records can land in one append before the post-append scan fires.
+// carving an announced handle (smr.Spec.Carve), so a whole segment of up to
+// SegW records can land in one append before the post-append scan fires.
 // Added on top is the orphan allowance: up to N concurrently departing
 // threads can each strand one protected survivor set (≤ N·K entries, each
-// worth up to segW records) on the orphan list before the next scan adopts
-// it. segW is 1 until the first RetireSegment lands and monotone afterwards,
-// preserving the contract.
+// worth up to SegW records) on the orphan list before the next scan adopts
+// it.
 func (s *Scheme) GarbageBound() int {
-	n := len(s.gs)
-	segW := s.seg.MaxWeight()
-	if segW < 1 {
-		segW = 1
-	}
+	n, segW := len(s.gs), s.SegW()
 	return n*(s.cfg.Threshold+(n*s.cfg.Slots+1)*segW) + n*n*s.cfg.Slots*segW
 }
 
-// ReclaimBurst implements smr.Scheme: a scan frees at most one full retire
-// buffer at once.
-func (s *Scheme) ReclaimBurst() int { return s.cfg.Threshold }
-
-// AttachRegistry implements smr.Member: adopt the registry's active mask for
-// hazard scans and register the lease hooks. Must run before guards are used.
-func (s *Scheme) AttachRegistry(r *smr.Registry) {
-	s.Join(r, len(s.gs), "hp", s.attachThread)
-}
-
-// attachThread clears slot tid's hazard announcements for a new leaseholder.
-func (s *Scheme) attachThread(tid int) {
-	for i := 0; i < s.cfg.Slots; i++ {
-		s.slot(tid, i).Store(0)
-	}
-	s.gs[tid].hiSlot = -1
-}
-
-// ReclaimAll implements smr.Quiescer: adopt previously orphaned records and
-// scan once over everything. Part of the shared recovery path; runs after
-// the slot left the active mask.
-func (s *Scheme) ReclaimAll(tid int) {
+// ResetSlot implements smr.Quiescer, and readies the slot for a new
+// leaseholder: clear tid's hazard announcements.
+func (s *Scheme) ResetSlot(tid int) {
 	g := s.gs[tid]
-	g.adopt(0)
-	if len(g.bag) > 0 {
-		g.doScan()
+	for i := range g.row {
+		g.row[i].Store(0)
 	}
+	g.hiSlot = -1
 }
-
-// OrphanSurvivors implements smr.Quiescer: orphan the protected survivors
-// (≤ N·K) for the next reclaimer to adopt.
-func (s *Scheme) OrphanSurvivors(tid int) {
-	g := s.gs[tid]
-	if len(g.bag) > 0 {
-		s.Reg.AddOrphans(g.bag)
-		g.bag = g.bag[:0]
-		g.bagW = 0
-	}
-}
-
-// ResetSlot implements smr.Quiescer: clear tid's hazard announcements.
-func (s *Scheme) ResetSlot(tid int) { s.attachThread(tid) }
-
-// ForceRound implements smr.RoundForcer: one bracketed hazard collection
-// over the active mask — doScan's snapshot without the sweep — advancing
-// the registry's quarantine clock on demand.
-func (s *Scheme) ForceRound() bool {
-	s.forceMu.Lock()
-	defer s.forceMu.Unlock()
-	return s.Membership.ForceRound(func() {
-		s.forceScan.CollectRows(s.slots, s.cfg.Slots, s.ActiveMask)
-	})
-}
-
-// Drain implements smr.Drainer: adopt all orphans and scan on behalf of tid.
-func (s *Scheme) Drain(tid int) {
-	g := s.gs[tid]
-	g.adopt(0)
-	if len(g.bag) > 0 {
-		g.doScan()
-	}
-}
-
-func (s *Scheme) slot(tid, i int) *smr.Pad64 { return &s.slots[tid*s.cfg.Slots+i] }
 
 type guard struct {
-	s         *Scheme
-	tid       int
+	smr.Limbo
+	s      *Scheme
+	row    []smr.Pad64 // this thread's K announcement slots
 	hiSlot int
-	bag    []mem.Ptr
-	// bagW is the buffer's record weight: len(bag) until a segment handle
-	// lands, after which each handle counts its member run. The scan
-	// threshold compares against bagW so the bound counts every member.
-	bagW      int
-	scan      smr.ScanSet // scan scratch, reused
-	freeables []mem.Ptr   // scan scratch: the batch handed to FreeBatch
-
-	retired    smr.Counter
-	batches    smr.BatchHist
-	freed      smr.Counter
-	scans      smr.Counter
-	segments   smr.Counter // segment handles bagged (RetireSegment pieces)
-	segRecords smr.Counter // member records those handles stood for
+	scan   smr.ScanSet // scan scratch, reused
 }
-
-func (g *guard) Tid() int { return g.tid }
-
-func (g *guard) BeginOp() {}
 
 // EndOp releases every hazard pointer the operation announced (Fig. 2c's
 // unprotect-on-return).
 func (g *guard) EndOp() {
 	for i := 0; i <= g.hiSlot; i++ {
-		g.s.slot(g.tid, i).Store(0)
+		g.row[i].Store(0)
 	}
 	g.hiSlot = -1
 }
-
-func (g *guard) BeginRead()           {}
-func (g *guard) Reserve(int, mem.Ptr) {}
-func (g *guard) EndRead()             {}
 
 // Protect announces p in the slot. The store is sequentially consistent
 // (Go's atomic store; an XCHG on x86-64), so a reclaimer scanning after
 // retiring p either sees the announcement or the announcing thread's
 // subsequent link validation sees the unlink — the standard HP argument.
 func (g *guard) Protect(slot int, p mem.Ptr) {
-	if slot >= g.s.cfg.Slots {
+	if slot >= len(g.row) {
 		panic("hp: slot out of range")
 	}
 	if slot > g.hiSlot {
 		g.hiSlot = slot
 	}
-	g.s.slot(g.tid, slot).Store(uint64(p.Unmarked()))
+	g.row[slot].Store(uint64(p.Unmarked()))
 }
 
 func (g *guard) NeedsValidation() bool { return true }
-func (g *guard) OnAlloc(mem.Ptr)       {}
-
-func (g *guard) OnStale(p mem.Ptr) {
-	panic("hp: use-after-free detected (validation raced a free): " + p.String())
-}
 
 func (g *guard) Retire(p mem.Ptr) {
-	g.bag = append(g.bag, p.Unmarked())
-	g.bagW++
-	g.retired.Inc()
-	g.batches.Record(1)
-	if g.bagW >= g.s.cfg.Threshold {
-		g.doScan()
-	}
+	g.Push(p)
+	g.Landed(1)
 }
 
 // RetireBatch implements smr.Guard: the batch lands in the buffer in chunks
@@ -260,75 +154,39 @@ func (g *guard) RetireBatch(ps []mem.Ptr) {
 	if len(ps) == 0 {
 		return
 	}
-	g.batches.Record(len(ps))
+	g.Handoff(len(ps))
 	for len(ps) > 0 {
-		take := smr.RetireChunk(g.s.cfg.Threshold, g.bagW, len(ps))
-		for _, p := range ps[:take] {
-			g.bag = append(g.bag, p.Unmarked())
-		}
-		g.bagW += take
-		g.retired.Add(uint64(take))
+		take := g.Chunk(len(ps))
+		g.PushChunk(ps[:take])
 		ps = ps[take:]
-		if g.bagW >= g.s.cfg.Threshold {
-			g.doScan()
-		}
+		g.Landed(take)
 	}
 }
 
-// RetireSegment implements smr.Guard: the handle lands in the buffer as a
-// single entry standing for its whole member run — one bag append and one
-// hazard-scan participation for K unlinked records — while the threshold
-// check runs against the buffer's record weight. The handle is never carved:
-// hazard protection is by handle identity (readers announce *this* handle,
-// and doScan matches bag entries against announcements by that identity), so
-// a carved prefix's fresh head handle would appear in no announcement and
-// its member cells would be freed under a reader the original handle's
-// hazard still covers. An oversized segment therefore lands whole — a
-// one-append overshoot the bound's segment-weight term absorbs (see
-// GarbageBound) — and the post-append scan drains it. A handle that is not a
-// live segment degrades to Retire.
-func (g *guard) RetireSegment(p mem.Ptr) {
-	w := mem.SegWeight(g.s.seg.Arena(), p)
-	if w <= 1 {
-		g.Retire(p)
-		return
-	}
-	// Note before bagging: a concurrent GarbageBound reader must never
-	// see segment garbage under a pre-segment (or lighter) bound.
-	g.s.seg.Note(w)
-	g.bag = append(g.bag, p.Unmarked())
-	g.bagW += w
-	g.retired.Add(uint64(w))
-	g.batches.Record(w)
-	g.segments.Inc()
-	g.segRecords.Add(uint64(w))
-	if g.bagW >= g.s.cfg.Threshold {
-		g.doScan()
+// Landed implements smr.Policy, the trigger after every append: scan once the
+// buffer's record weight reaches the threshold. A segment handle lands whole
+// (hazards name the handle itself), so the scan that follows an oversized
+// one drains it.
+func (g *guard) Landed(int) {
+	if g.Full() {
+		g.pass(g.s.cfg.Threshold)
 	}
 }
 
-// doScan collects every active thread's announcements into the flat sorted
-// scratch and frees the unprotected remainder of the bag in one FreeBatch
-// call — zero heap allocations and one free-list interaction per scan. Any
-// orphaned records are adopted first, so departed threads' garbage rides the
-// same sweep.
-func (g *guard) doScan() {
-	g.adopt(g.s.cfg.Threshold)
-	g.scans.Inc()
-	if r := g.s.Reg; r != nil {
-		r.BeginScan()
-		defer r.EndScan()
+// FullPass implements smr.Policy: adopt all orphans and scan once over
+// everything the buffer holds.
+func (g *guard) FullPass() { g.pass(0) }
+
+// pass adopts up to max orphaned records (all when 0), so departed threads'
+// garbage rides the same sweep, then collects every active thread's
+// announcements and frees the unprotected remainder of the buffer.
+func (g *guard) pass(max int) {
+	g.Adopt(max)
+	if len(g.Bag) > 0 {
+		g.Scan(len(g.Bag), g.collect, g.scan.Contains)
 	}
+}
+
+func (g *guard) collect() {
 	g.scan.CollectRows(g.s.slots, g.s.cfg.Slots, g.s.ActiveMask)
-	var freedW int
-	g.bag, g.freeables, freedW, g.bagW = g.scan.SweepBagSeg(
-		g.s.arena, g.s.seg.Active(), g.tid, g.bag, len(g.bag), g.freeables)
-	g.freed.Add(uint64(freedW))
-}
-
-// adopt pulls up to max (all when max <= 0) orphaned records into the bag.
-func (g *guard) adopt(max int) {
-	n := len(g.bag)
-	g.bag = g.s.Adopt(g.bag, max)
-	g.bagW += g.s.seg.WeighAll(g.bag[n:])
 }

@@ -3,7 +3,7 @@ package ibr_test
 import (
 	"testing"
 
-	"nbr/internal/smr/ibr"
+	"nbr/internal/smr/era"
 )
 
 // TestBoundTightWithoutPinning pins the exact pinned-set declaration: with
@@ -13,7 +13,7 @@ import (
 // raise pinnedPeak above the static term and fail here (see the he variant).
 func TestBoundTightWithoutPinning(t *testing.T) {
 	const threads, threshold = 4, 32
-	pool, s := setup(threads, ibr.Config{Threshold: threshold, EraFreq: 1})
+	pool, s := setup(threads, era.Config{Threshold: threshold, EraFreq: 1})
 	want := threads * (2*threshold + 2)
 	if got := s.GarbageBound(); got != want {
 		t.Fatalf("unpinned bound = %d, want static buffered term %d", got, want)
@@ -36,7 +36,7 @@ func TestBoundTightWithoutPinning(t *testing.T) {
 // it covers.
 func TestBoundTracksPinnedSet(t *testing.T) {
 	const threads, threshold = 2, 16
-	pool, s := setup(threads, ibr.Config{Threshold: threshold, EraFreq: 1})
+	pool, s := setup(threads, era.Config{Threshold: threshold, EraFreq: 1})
 	g0, g1 := s.Guard(0), s.Guard(1)
 
 	static := s.GarbageBound()

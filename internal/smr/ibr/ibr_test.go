@@ -1,28 +1,31 @@
+// Package ibr_test is the 2GE-IBR behavioural suite. The implementation lives
+// in internal/smr/era, shared with its sibling scheme; the suite keeps its
+// own directory so each scheme's tests stay addressable by name.
 package ibr_test
 
 import (
 	"testing"
 
 	"nbr/internal/mem"
-	"nbr/internal/smr/ibr"
+	"nbr/internal/smr/era"
 )
 
 type rec struct{ v uint64 }
 
-func setup(threads int, cfg ibr.Config) (*mem.Pool[rec], *ibr.Scheme) {
+func setup(threads int, cfg era.Config) (*mem.Pool[rec], *era.Scheme) {
 	pool := mem.NewPool[rec](mem.Config{MaxThreads: threads})
-	return pool, ibr.New(pool, threads, cfg)
+	return pool, era.NewIBR(pool, threads, cfg)
 }
 
 // alloc allocates and stamps a record's birth era through the guard.
-func alloc(pool *mem.Pool[rec], s *ibr.Scheme, tid int) mem.Ptr {
+func alloc(pool *mem.Pool[rec], s *era.Scheme, tid int) mem.Ptr {
 	h, _ := pool.Alloc(tid)
 	s.Guard(tid).OnAlloc(h)
 	return h
 }
 
 func TestReservedIntervalBlocksOverlappingLifetimes(t *testing.T) {
-	pool, s := setup(2, ibr.Config{Threshold: 8, EraFreq: 1})
+	pool, s := setup(2, era.Config{Threshold: 8, EraFreq: 1})
 	g0, g1 := s.Guard(0), s.Guard(1)
 
 	g1.BeginOp() // reserves [era, era] now — old records conflict
@@ -49,7 +52,7 @@ func TestOldReservationDoesNotBlockYoungRecords(t *testing.T) {
 	// The IBR selling point vs EBR: a stalled reader only pins records
 	// whose lifetimes overlap its interval, not everything retired later…
 	// unless the reader keeps raising its upper bound via Protect.
-	pool, s := setup(2, ibr.Config{Threshold: 8, EraFreq: 1})
+	pool, s := setup(2, era.Config{Threshold: 8, EraFreq: 1})
 	g0, g1 := s.Guard(0), s.Guard(1)
 
 	g1.BeginOp() // interval pinned at the current era; g1 now stalls
@@ -69,7 +72,7 @@ func TestOldReservationDoesNotBlockYoungRecords(t *testing.T) {
 }
 
 func TestProtectRaisesUpperBound(t *testing.T) {
-	pool, s := setup(2, ibr.Config{Threshold: 8, EraFreq: 1})
+	pool, s := setup(2, era.Config{Threshold: 8, EraFreq: 1})
 	g0, g1 := s.Guard(0), s.Guard(1)
 
 	g1.BeginOp()
@@ -92,7 +95,7 @@ func TestProtectRaisesUpperBound(t *testing.T) {
 }
 
 func TestEraAdvancesOnAllocAndRetire(t *testing.T) {
-	pool, s := setup(1, ibr.Config{Threshold: 1024, EraFreq: 4})
+	pool, s := setup(1, era.Config{Threshold: 1024, EraFreq: 4})
 	for i := 0; i < 64; i++ {
 		s.Guard(0).Retire(alloc(pool, s, 0))
 	}
@@ -102,7 +105,7 @@ func TestEraAdvancesOnAllocAndRetire(t *testing.T) {
 }
 
 func TestBirthAndRetireStamped(t *testing.T) {
-	pool, s := setup(1, ibr.Config{EraFreq: 1, Threshold: 1 << 20})
+	pool, s := setup(1, era.Config{EraFreq: 1, Threshold: 1 << 20})
 	h := alloc(pool, s, 0)
 	s.Guard(0).Retire(h)
 	hdr := pool.Hdr(h)
@@ -112,7 +115,7 @@ func TestBirthAndRetireStamped(t *testing.T) {
 }
 
 func TestNeedsValidationAndName(t *testing.T) {
-	_, s := setup(1, ibr.Config{})
+	_, s := setup(1, era.Config{})
 	if !s.Guard(0).NeedsValidation() {
 		t.Fatal("IBR requires link validation")
 	}

@@ -9,43 +9,35 @@ import (
 	"nbr/internal/smr"
 )
 
-// Scheme is the leaky (no reclamation) scheme.
+// Scheme is the leaky (no reclamation) scheme. It uses the limbo kernel for
+// its counters only — the kernel is a field, not embedded, so none of the
+// recovery seams (Quiescer, RoundForcer) exist: retired records are dropped
+// on the floor whether or not the retiring thread stays.
 type Scheme struct {
+	k  smr.Kernel
 	gs []*guard
-
-	// seg resolves segment handles so RetireSegment can account the member
-	// records a leaked segment stands for; the records still leak.
-	seg smr.SegState
 }
 
 // New creates a leaky scheme for the given number of threads. The arena is
 // only consulted to weigh retired segment handles; nothing is ever freed.
 func New(arena mem.Arena, threads int) *Scheme {
 	s := &Scheme{gs: make([]*guard, threads)}
-	s.seg.Init(arena)
+	s.k.Init(smr.Spec{Name: "none", Arena: arena, Threads: threads})
 	for i := range s.gs {
-		s.gs[i] = &guard{s: s, tid: i}
+		s.gs[i] = &guard{}
+		s.k.Bind(i, &s.gs[i].Limbo, s.gs[i])
 	}
 	return s
 }
 
 // Name implements smr.Scheme.
-func (s *Scheme) Name() string { return "none" }
+func (s *Scheme) Name() string { return s.k.Name() }
 
 // Guard implements smr.Scheme.
 func (s *Scheme) Guard(tid int) smr.Guard { return s.gs[tid] }
 
 // Stats implements smr.Scheme.
-func (s *Scheme) Stats() smr.Stats {
-	var st smr.Stats
-	for _, g := range s.gs {
-		st.Retired += g.retired.Load()
-		g.batches.AddTo(&st.BatchHist)
-		st.Segments += g.segments.Load()
-		st.SegRecords += g.segRecords.Load()
-	}
-	return st
-}
+func (s *Scheme) Stats() smr.Stats { return s.k.Stats() }
 
 // GarbageBound implements smr.Scheme: leaky never frees, so garbage is
 // unbounded by construction (the memory-usage worst case in every figure).
@@ -56,54 +48,34 @@ func (s *Scheme) GarbageBound() int { return smr.Unbounded }
 func (s *Scheme) ReclaimBurst() int { return 0 }
 
 // AttachRegistry implements smr.Member: leaky holds no per-thread
-// reclamation state, so membership churn needs no hooks — retired records
-// are dropped on the floor whether or not the retiring thread stays.
+// reclamation state, so membership churn needs no hooks.
 func (s *Scheme) AttachRegistry(*smr.Registry) {}
 
 // Drain implements smr.Drainer as a no-op: there is nothing to reclaim.
 func (s *Scheme) Drain(int) {}
 
-type guard struct {
-	s          *Scheme
-	tid        int
-	retired    smr.Counter
-	batches    smr.BatchHist
-	segments   smr.Counter // segment handles dropped (RetireSegment calls)
-	segRecords smr.Counter // member records those handles stood for
+// guard counts what is retired and forgets it: every landing empties the
+// bag without freeing.
+type guard struct{ smr.Limbo }
+
+func (g *guard) Retire(p mem.Ptr) {
+	g.Push(p)
+	g.Forget()
 }
 
-func (g *guard) Tid() int              { return g.tid }
-func (g *guard) BeginOp()              {}
-func (g *guard) EndOp()                {}
-func (g *guard) BeginRead()            {}
-func (g *guard) Reserve(int, mem.Ptr)  {}
-func (g *guard) EndRead()              {}
-func (g *guard) Protect(int, mem.Ptr)  {}
-func (g *guard) NeedsValidation() bool { return false }
-func (g *guard) OnAlloc(mem.Ptr)       {}
-func (g *guard) Retire(mem.Ptr)        { g.retired.Inc(); g.batches.Record(1) }
 func (g *guard) RetireBatch(ps []mem.Ptr) {
 	if len(ps) == 0 {
 		return
 	}
-	g.retired.Add(uint64(len(ps)))
-	g.batches.Record(len(ps))
-}
-// RetireSegment implements smr.Guard: count the member records the handle
-// stands for, then drop it on the floor like every other retire.
-func (g *guard) RetireSegment(p mem.Ptr) {
-	w := mem.SegWeight(g.s.seg.Arena(), p)
-	if w <= 1 {
-		g.Retire(p)
-		return
-	}
-	g.s.seg.Note(w)
-	g.retired.Add(uint64(w))
-	g.batches.Record(w)
-	g.segments.Inc()
-	g.segRecords.Add(uint64(w))
+	g.Handoff(len(ps))
+	g.PushChunk(ps)
+	g.Forget()
 }
 
-func (g *guard) OnStale(p mem.Ptr) {
-	panic("leaky: use-after-free detected (impossible: leaky never frees): " + p.String())
-}
+// Landed implements smr.Policy: a retired segment handle is counted for its
+// member records by the kernel, then dropped like every other retire.
+func (g *guard) Landed(int) { g.Forget() }
+
+// FullPass implements smr.Policy; never reached (the kernel's Drain is not
+// exposed).
+func (g *guard) FullPass() {}

@@ -1,21 +1,24 @@
+// Package qsbr_test is the QSBR behavioural suite. The implementation lives
+// in internal/smr/epoch, shared with its sibling scheme; the suite keeps its
+// own directory so each scheme's tests stay addressable by name.
 package qsbr_test
 
 import (
 	"testing"
 
 	"nbr/internal/mem"
-	"nbr/internal/smr/qsbr"
+	"nbr/internal/smr/epoch"
 )
 
 type rec struct{ v uint64 }
 
-func setup(threads, threshold int) (*mem.Pool[rec], *qsbr.Scheme) {
+func setup(threads, threshold int) (*mem.Pool[rec], *epoch.Scheme) {
 	pool := mem.NewPool[rec](mem.Config{MaxThreads: threads})
-	return pool, qsbr.New(pool, threads, qsbr.Config{Threshold: threshold})
+	return pool, epoch.NewQSBR(pool, threads, epoch.Config{Threshold: threshold})
 }
 
 // churn retires n fresh records through tid.
-func churn(pool *mem.Pool[rec], s *qsbr.Scheme, tid, n int) []mem.Ptr {
+func churn(pool *mem.Pool[rec], s *epoch.Scheme, tid, n int) []mem.Ptr {
 	g := s.Guard(tid)
 	var hs []mem.Ptr
 	for i := 0; i < n; i++ {

@@ -1,20 +1,23 @@
+// Package rcu_test is the RCU behavioural suite. The implementation lives
+// in internal/smr/epoch, shared with its sibling scheme; the suite keeps its
+// own directory so each scheme's tests stay addressable by name.
 package rcu_test
 
 import (
 	"testing"
 
 	"nbr/internal/mem"
-	"nbr/internal/smr/rcu"
+	"nbr/internal/smr/epoch"
 )
 
 type rec struct{ v uint64 }
 
-func setup(threads, threshold int) (*mem.Pool[rec], *rcu.Scheme) {
+func setup(threads, threshold int) (*mem.Pool[rec], *epoch.Scheme) {
 	pool := mem.NewPool[rec](mem.Config{MaxThreads: threads})
-	return pool, rcu.New(pool, threads, rcu.Config{Threshold: threshold})
+	return pool, epoch.NewRCU(pool, threads, epoch.Config{Threshold: threshold})
 }
 
-func churn(pool *mem.Pool[rec], s *rcu.Scheme, tid, n int) {
+func churn(pool *mem.Pool[rec], s *epoch.Scheme, tid, n int) {
 	g := s.Guard(tid)
 	for i := 0; i < n; i++ {
 		g.BeginOp()

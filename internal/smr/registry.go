@@ -20,10 +20,11 @@ type ActiveSet = sigsim.ActiveSet
 var ErrRegistryFull = errors.New("smr: registry full (every slot leased or quarantined)")
 
 // Member is implemented by schemes that participate in dynamic thread
-// membership. AttachRegistry must be called exactly once, after construction
-// and before any guard is used: the scheme adopts the registry's active mask
-// for its scans and signals, registers its acquire/release hooks, and starts
-// adopting the registry's orphan list during reclamation.
+// membership (Kernel.AttachRegistry, for every scheme that reclaims).
+// AttachRegistry must be called exactly once, after construction and before
+// any guard is used: the scheme adopts the registry's active mask for its
+// scans and signals, registers its acquire hook, and starts adopting the
+// registry's orphan list during reclamation.
 type Member interface {
 	Scheme
 	AttachRegistry(r *Registry)
@@ -389,72 +390,6 @@ func (l *Lease) Tid() int { return l.tid }
 // zombie of a scheme without signal delivery points is still caught at its
 // next operation.
 func (l *Lease) Revoked() bool { return l.revoked.Load() }
-
-// Membership is the scheme-side half of dynamic membership, embedded by
-// every scheme so the registry wiring exists in exactly one place: the
-// bound registry (nil in fixed-N mode), the active mask every scan
-// iterates, and the orphan-adoption gate. Schemes keep only their genuinely
-// distinct parts — the attach protocol registered through Join and the
-// release-side residue exposed as a Quiescer (captured by Bind).
-type Membership struct {
-	// Reg is the bound registry, nil in fixed-N mode.
-	Reg *Registry
-	// ActiveMask is the membership mask scans and signals iterate: full in
-	// fixed-N mode, the registry's mask after Join.
-	ActiveMask *ActiveSet
-}
-
-// InitFixed selects fixed-N mode: all threads permanently active.
-func (m *Membership) InitFixed(threads int) {
-	m.ActiveMask = sigsim.FullActiveSet(threads)
-}
-
-// Join wires the scheme into r: capacity check, mask adoption, and the
-// acquire-hook registration. The release side no longer registers here — it
-// is the shared recovery path, which calls back into the scheme through the
-// Quiescer methods Bind captured. Must run after construction and before any
-// guard is used.
-func (m *Membership) Join(r *Registry, threads int, scheme string, onAcquire func(tid int)) {
-	if r.MaxThreads() != threads {
-		panic(scheme + ": registry capacity does not match scheme thread count")
-	}
-	m.Reg = r
-	m.ActiveMask = r.Active()
-	r.OnAcquire(onAcquire)
-}
-
-// ForceRound runs collect as one completed scan round: bracketed by the
-// registry's BeginScan/EndScan so it counts toward quarantine aging, and a
-// no-op (false) in fixed-N mode where there is no quarantine to age. collect
-// must be a genuine collection pass over the scheme's announcement state —
-// the round counter certifies "a collection that began after a release has
-// completed", nothing about sweeping — and the caller is responsible for
-// serializing access to whatever scratch it collects into.
-func (m *Membership) ForceRound(collect func()) bool {
-	if m.Reg == nil {
-		return false
-	}
-	m.Reg.BeginScan()
-	collect()
-	m.Reg.EndScan()
-	return true
-}
-
-// HasOrphans reports whether adoption would pull anything (one atomic load;
-// the gate reclaim paths poll).
-func (m *Membership) HasOrphans() bool {
-	return m.Reg != nil && m.Reg.OrphanCount() > 0
-}
-
-// Adopt pulls up to max (all when max <= 0) orphaned records into dst. The
-// records were counted as retired by their original thread; the adopter
-// must free them under its own protocol without re-counting.
-func (m *Membership) Adopt(dst []mem.Ptr, max int) []mem.Ptr {
-	if !m.HasOrphans() {
-		return dst
-	}
-	return m.Reg.AdoptOrphans(dst, max)
-}
 
 // AddOrphans appends a departing thread's unreclaimable records to the
 // shared orphan list. The slice is not retained.

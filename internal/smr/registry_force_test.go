@@ -7,7 +7,7 @@ import (
 )
 
 // fakeForcer stands in for a scheme's RoundForcer: each forced round is a
-// bracketed no-op collection, exactly what Membership.ForceRound produces.
+// bracketed no-op collection, exactly what Kernel.ForceRound produces.
 type fakeForcer struct {
 	r     *Registry
 	mu    sync.Mutex

@@ -16,7 +16,7 @@ import (
 // hashing, and binary-search membership over a cache-resident array.
 //
 // A ScanSet is single-threaded scratch owned by one guard and reused across
-// scans; Collect snapshots the slots with the same atomic loads the map
+// scans; CollectRows snapshots the slots with the same atomic loads the map
 // version performed.
 type ScanSet struct {
 	vals []uint64
@@ -28,27 +28,13 @@ func NewScanSet(capacity int) ScanSet {
 	return ScanSet{vals: make([]uint64, 0, capacity)}
 }
 
-// Collect snapshots every non-zero slot value and sorts the result. It
-// replaces the set's previous contents.
-func (s *ScanSet) Collect(slots []Pad64) {
-	s.vals = s.vals[:0]
-	for i := range slots {
-		if v := slots[i].Load(); v != 0 {
-			s.vals = append(s.vals, v)
-		}
-	}
-	slices.Sort(s.vals)
-}
-
 // CollectRows snapshots the announcement rows of every *active* thread —
 // slots is the flat N·width array, row tid at [tid·width, (tid+1)·width) —
-// and sorts the result, replacing the set's previous contents. It is the
-// dynamic-membership form of Collect: scan cost is proportional to live
-// threads, and with a full mask it loads exactly the slots Collect would.
-// Skipping an inactive row is safe because a thread is only inactive while
-// outside operations (no live announcements), and a thread that activates
-// after this snapshot cannot reach records that were unlinked before it
-// activated.
+// and sorts the result, replacing the set's previous contents. Scan cost is
+// proportional to live threads. Skipping an inactive row is safe because a
+// thread is only inactive while outside operations (no live announcements),
+// and a thread that activates after this snapshot cannot reach records that
+// were unlinked before it activated.
 func (s *ScanSet) CollectRows(slots []Pad64, width int, active *sigsim.ActiveSet) {
 	s.vals = s.vals[:0]
 	active.Range(func(tid int) {
@@ -62,72 +48,9 @@ func (s *ScanSet) CollectRows(slots []Pad64, width int, active *sigsim.ActiveSet
 	slices.Sort(s.vals)
 }
 
-// Contains reports whether v was present when Collect snapshotted the slots.
-func (s *ScanSet) Contains(v uint64) bool {
-	_, ok := slices.BinarySearch(s.vals, v)
+// Contains reports whether p was announced when CollectRows snapshotted the
+// slots: the identity-based schemes' keep test.
+func (s *ScanSet) Contains(p mem.Ptr) bool {
+	_, ok := slices.BinarySearch(s.vals, uint64(p))
 	return ok
-}
-
-// Len returns the number of collected entries.
-func (s *ScanSet) Len() int { return len(s.vals) }
-
-// SweepBag is the shared reclaim sweep: it partitions bag[:upto] into
-// survivors (records present in the set) and a batch freed through one
-// arena.FreeBatch call, compacting the bag in place. scratch is the caller's
-// reusable batch buffer. It returns the compacted bag, the emptied scratch
-// (possibly regrown), and the number of records freed.
-func (s *ScanSet) SweepBag(arena mem.Arena, tid int, bag []mem.Ptr, upto int, scratch []mem.Ptr) ([]mem.Ptr, []mem.Ptr, int) {
-	kept := bag[:0]
-	batch := scratch[:0]
-	for _, p := range bag[:upto] {
-		if s.Contains(uint64(p)) {
-			kept = append(kept, p)
-		} else {
-			batch = append(batch, p)
-		}
-	}
-	kept = append(kept, bag[upto:]...)
-	// A fruitless scan (every record reserved) must not touch the arena at
-	// all — the free path is the allocator's contended side, and an empty
-	// hand-off would still pay the interface call and its batch bookkeeping
-	// on every scan that found nothing.
-	if len(batch) > 0 {
-		arena.FreeBatch(tid, batch)
-	}
-	return kept, batch[:0], len(batch)
-}
-
-// SweepBagSeg is SweepBag with segment-weighted accounting: each bag entry
-// counts its mem.SegWeight records (a segment handle stands for its whole
-// member run), and the sweep reports the freed and surviving weights so
-// weighted watermark checks stay exact. A nil segs means no segment can be
-// in the bag; every entry then weighs 1 and no directory probe is paid —
-// callers gate on their scheme-level "has segments" flag and pass nil on the
-// common path.
-func (s *ScanSet) SweepBagSeg(arena mem.Arena, segs mem.SegmentArena, tid int, bag []mem.Ptr, upto int, scratch []mem.Ptr) (keptBag, scr []mem.Ptr, freedW, keptW int) {
-	if segs == nil {
-		kept, scr, freed := s.SweepBag(arena, tid, bag, upto, scratch)
-		return kept, scr, freed, len(kept)
-	}
-	kept := bag[:0]
-	batch := scratch[:0]
-	for _, p := range bag[:upto] {
-		if s.Contains(uint64(p)) {
-			kept = append(kept, p)
-			keptW += mem.SegWeight(segs, p)
-		} else {
-			batch = append(batch, p)
-			freedW += mem.SegWeight(segs, p)
-		}
-	}
-	for _, p := range bag[upto:] {
-		kept = append(kept, p)
-		keptW += mem.SegWeight(segs, p)
-	}
-	// The weights must be read before FreeBatch: freeing a segment handle
-	// removes it from the arena's directory.
-	if len(batch) > 0 {
-		arena.FreeBatch(tid, batch)
-	}
-	return kept, batch[:0], freedW, keptW
 }

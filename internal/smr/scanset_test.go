@@ -13,7 +13,7 @@ type countingArena struct {
 	freed       int
 }
 
-func (a *countingArena) Free(int, mem.Ptr) { panic("scanset must batch frees") }
+func (a *countingArena) Free(int, mem.Ptr) { panic("the sweep must batch frees") }
 func (a *countingArena) FreeBatch(_ int, ps []mem.Ptr) {
 	a.freeBatches++
 	a.freed += len(ps)
@@ -23,45 +23,56 @@ func (a *countingArena) Valid(mem.Ptr) bool   { return true }
 func (a *countingArena) SizeCache(int, int)   {}
 func (a *countingArena) DrainCache(int)       {}
 
+// bareGuard is the least a guard supplies: the kernel's Limbo plus the two
+// Policy methods without defaults.
+type bareGuard struct{ Limbo }
+
+func (g *bareGuard) Retire(p mem.Ptr) { g.Push(p) }
+func (g *bareGuard) FullPass()        {}
+
 // TestSweepBagFruitlessScanSkipsArena pins the empty-batch fix: a sweep in
 // which every bag record is reserved must not touch the arena at all — the
 // free path is the allocator's contended side, and reclamation under
 // pressure scans fruitlessly often.
 func TestSweepBagFruitlessScanSkipsArena(t *testing.T) {
+	arena := &countingArena{}
+	var k Kernel
+	k.Init(Spec{Name: "test", Arena: arena, Threads: 1})
+	g := &bareGuard{}
+	k.Bind(0, &g.Limbo, g)
+
 	slots := make([]Pad64, 4)
-	bag := make([]mem.Ptr, 0, 4)
 	for i := 0; i < 4; i++ {
 		p := mem.Ptr(uint64(i)*2 + 2)
 		slots[i].Store(uint64(p))
-		bag = append(bag, p)
+		g.Retire(p)
 	}
 	var set ScanSet
-	set.Collect(slots)
+	collect := func() { set.CollectRows(slots, len(slots), k.ActiveMask) }
 
-	arena := &countingArena{}
-	var scratch []mem.Ptr
-	var freed int
-	bag, scratch, freed = set.SweepBag(arena, 0, bag, len(bag), scratch)
-	if freed != 0 || arena.freed != 0 {
-		t.Fatalf("fully reserved bag freed %d records (arena saw %d)", freed, arena.freed)
+	g.Scan(len(g.Bag), collect, set.Contains)
+	if st := k.Stats(); st.Freed != 0 || arena.freed != 0 {
+		t.Fatalf("fully reserved bag freed %d records (arena saw %d)", st.Freed, arena.freed)
 	}
 	if arena.freeBatches != 0 {
 		t.Fatalf("fruitless sweep still called FreeBatch %d time(s)", arena.freeBatches)
 	}
-	if len(bag) != 4 {
-		t.Fatalf("survivors = %d, want 4", len(bag))
+	if len(g.Bag) != 4 || g.BagW != 4 {
+		t.Fatalf("survivors = %d (weight %d), want 4", len(g.Bag), g.BagW)
 	}
 
 	// Clearing one reservation makes the next sweep free exactly that
 	// record through exactly one batch.
 	slots[2].Store(0)
-	set.Collect(slots)
-	bag, _, freed = set.SweepBag(arena, 0, bag, len(bag), scratch)
-	if freed != 1 || arena.freeBatches != 1 || arena.freed != 1 {
+	g.Scan(len(g.Bag), collect, set.Contains)
+	if st := k.Stats(); st.Freed != 1 || arena.freeBatches != 1 || arena.freed != 1 {
 		t.Fatalf("after unreserving one record: freed=%d batches=%d arenaFreed=%d",
-			freed, arena.freeBatches, arena.freed)
+			st.Freed, arena.freeBatches, arena.freed)
 	}
-	if len(bag) != 3 {
-		t.Fatalf("survivors = %d, want 3", len(bag))
+	if len(g.Bag) != 3 || g.BagW != 3 {
+		t.Fatalf("survivors = %d (weight %d), want 3", len(g.Bag), g.BagW)
+	}
+	if st := k.Stats(); st.Scans != 2 {
+		t.Fatalf("scans = %d, want 2", st.Scans)
 	}
 }

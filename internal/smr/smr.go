@@ -32,8 +32,7 @@
 package smr
 
 import (
-	"math"
-
+	"nbr/internal/hist"
 	"nbr/internal/mem"
 	"nbr/internal/sigsim"
 )
@@ -180,61 +179,23 @@ func (s Stats) RetireCalls() uint64 {
 	return n
 }
 
-// BatchQuantile returns an upper bound for the q-quantile handoff size: the
-// upper edge of the power-of-two bucket containing it. Returns 0 when no
-// handoffs were recorded.
+// BatchQuantile returns an upper bound for the q-quantile handoff size
+// (hist.Quantile over BatchHist). Returns 0 when no handoffs were recorded.
 func (s Stats) BatchQuantile(q float64) int64 {
-	total := s.RetireCalls()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	// Nearest-rank: the smallest value with at least ceil(q·total) recorded
-	// handoffs at or below it, i.e. 0-indexed rank ceil(q·total)−1.
-	r := math.Ceil(q * float64(total))
-	if r < 1 {
-		r = 1
-	}
-	rank := uint64(r) - 1
-	if rank >= total {
-		rank = total - 1
-	}
-	var seen uint64
-	for i, c := range s.BatchHist {
-		seen += c
-		if rank < seen {
-			return bucketUpper(i)
-		}
-	}
-	return bucketUpper(BatchBuckets - 1)
+	return hist.Quantile(s.BatchHist[:], s.BatchMax(), q)
 }
 
 // BatchMax returns an upper bound for the largest handoff recorded (the
-// upper edge of the top non-empty bucket), or 0 if none.
+// upper edge of the top non-empty bucket), or 0 if none. The top bucket is
+// open-ended (Record saturates batches of 2^(BatchBuckets-1) or more into
+// it), so for it the value is a saturation cap, not a true upper bound.
 func (s Stats) BatchMax() int64 {
 	for i := BatchBuckets - 1; i >= 0; i-- {
 		if s.BatchHist[i] != 0 {
-			return bucketUpper(i)
+			return hist.Upper(i)
 		}
 	}
 	return 0
-}
-
-// bucketUpper is the largest size bucket i can hold: bitlen(s) == i means
-// s ≤ 2^i - 1. The top bucket is open-ended (Record saturates batches of
-// 2^(BatchBuckets-1) or more into it), so for it the returned value is a
-// saturation cap, not a true upper bound — BatchQuantile/BatchMax report at
-// most 2^(BatchBuckets-1) - 1 however large the actual handoff was.
-func bucketUpper(i int) int64 {
-	if i <= 0 {
-		return 0
-	}
-	return int64(1)<<i - 1
 }
 
 // Stamps returns the number of scheme-side per-retirement bookkeeping events
@@ -285,49 +246,6 @@ func (s Stats) Garbage() uint64 {
 // double-free-grade bug, never a benign state.
 func (s Stats) Invalid() bool {
 	return s.Freed > s.Retired
-}
-
-// RetireChunk sizes the next chunk of a split RetireBatch for a
-// threshold-triggered scheme (hp/he/ibr): the records that fill the bag
-// exactly to the scan threshold — so the post-append scan check fires at
-// the same bag lengths a per-record Retire loop would hit — degrading to
-// single records when the bag is already at or past the threshold (the
-// last scan freed nothing), exactly as the loop would. Centralizing the
-// policy keeps the three schemes' split semantics from diverging.
-func RetireChunk(threshold, bagLen, avail int) int {
-	take := threshold - bagLen
-	if take < 1 {
-		take = 1
-	}
-	if take > avail {
-		take = avail
-	}
-	return take
-}
-
-// SegChunk sizes the next carve of an oversized segment for the carving
-// (era-interval) schemes: whole threshold-weight pieces, independent of the
-// current bag fill. RetireChunk's fill-to-threshold policy is wrong here —
-// when a sweep leaves the bag pinned at the threshold (era survivors, which
-// unlike NBR's reclamation can exceed any fixed residue), it degrades to
-// single-record carves, which is per-record retirement paying an extra
-// directory split per record. Whole pieces keep the carve count at
-// ceil(weight/threshold) — the amortization the segment seam exists for —
-// and cap every piece's weight at the threshold, so the segment-weight term
-// of GarbageBound never grows past it; the post-append sweep still fires at
-// bag weight ≥ threshold, and the one in-flight piece per thread is covered
-// by the bound's per-entry segment-weight slack. Only he and ibr may carve:
-// their pieces inherit the run's birth era, so interval protection covers
-// them. Identity-based schemes (hp, nbr) bag handles whole — see
-// Guard.RetireSegment.
-func SegChunk(threshold, avail int) int {
-	if threshold < 1 {
-		threshold = 1
-	}
-	if threshold > avail {
-		return avail
-	}
-	return threshold
 }
 
 // Execute runs one data-structure operation body under g, restarting it when

@@ -245,6 +245,45 @@ func TestLeaseSetDeadline(t *testing.T) {
 	}
 }
 
+// TestLeaseSetDeadlineWakesWatchdog: a deadline registered while the watchdog
+// is already asleep toward a later one must wake it. One lease at +30 s puts
+// the watchdog to sleep; a second lease then asks for +100 ms and must be
+// reaped within 2× that, not when the old sleep runs out.
+func TestLeaseSetDeadlineWakesWatchdog(t *testing.T) {
+	rt, err := nbr.NewRuntime(nbr.RuntimeOptions{MaxThreads: 2, BagSize: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.NewSet("lazylist"); err != nil {
+		t.Fatal(err)
+	}
+	patient, err := rt.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer patient.Release()
+	patient.SetDeadline(time.Now().Add(30 * time.Second))
+	time.Sleep(5 * time.Millisecond) // let the watchdog compute its sleep
+
+	const deadline = 100 * time.Millisecond
+	wedged, err := rt.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	wedged.SetDeadline(start.Add(deadline))
+	for rt.ReapedLeases() == 0 {
+		if time.Since(start) > 2*deadline {
+			t.Fatalf("lease with a %v deadline not reaped within %v: the watchdog slept through it", deadline, 2*deadline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if !wedged.Revoked() || patient.Revoked() {
+		t.Fatalf("wrong lease reaped: wedged=%v patient=%v", wedged.Revoked(), patient.Revoked())
+	}
+	wedged.Release()
+}
+
 // TestRuntimeCancelVsReapRace is the regression stress for the AcquireCtx
 // admission queue under concurrent cancellation and reaping: a waiter whose
 // context fires while a baton (from a voluntary release OR a reap on the

@@ -123,10 +123,15 @@ type Runtime struct {
 	waiters []chan struct{}
 
 	// Lease watchdog: outstanding deadlines keyed by the smr lease (unique
-	// per acquire). The reaper goroutine runs only while deadlines exist.
-	watchMu sync.Mutex
-	watched map[*smr.Lease]time.Time
-	watchOn bool
+	// per acquire). The reaper goroutine runs only while deadlines exist;
+	// watchNext is the deadline it is sleeping toward and watchWake (buffer 1:
+	// a pending poke is all a second one could say) cuts that sleep short
+	// when an earlier deadline is registered.
+	watchMu   sync.Mutex
+	watched   map[*smr.Lease]time.Time
+	watchOn   bool
+	watchNext time.Time
+	watchWake chan struct{}
 
 	// rec is the flight recorder shared by the whole pipeline (registry,
 	// scheme, signal group, hub, admission). Created disabled — every
@@ -155,6 +160,8 @@ func NewRuntime(opts RuntimeOptions) (*Runtime, error) {
 		hub:  mem.NewHub(opts.MaxThreads),
 		reg:  smr.NewRegistry(opts.MaxThreads),
 		rec:  obs.NewRecorder(opts.MaxThreads),
+
+		watchWake: make(chan struct{}, 1),
 	}
 	// Recorder wiring precedes Bind (materialize), so the scheme adopts the
 	// same timeline when it is built.
@@ -356,13 +363,21 @@ func (rt *Runtime) with(ctx context.Context, home *Set, fn func(*Lease) error) (
 }
 
 // watchLease registers (or moves) a lease's reap deadline and makes sure the
-// watchdog goroutine is running.
+// watchdog goroutine is running — and awake, if it is sleeping toward a later
+// deadline than this one. Uniform LeaseTimeout deadlines only grow, so they
+// never pay the wake-up.
 func (rt *Runtime) watchLease(l *smr.Lease, at time.Time) {
 	rt.watchMu.Lock()
 	if rt.watched == nil {
 		rt.watched = make(map[*smr.Lease]time.Time)
 	}
 	rt.watched[l] = at
+	if rt.watchOn && at.Before(rt.watchNext) {
+		select {
+		case rt.watchWake <- struct{}{}:
+		default:
+		}
+	}
 	if !rt.watchOn {
 		rt.watchOn = true
 		go func() {
@@ -385,13 +400,15 @@ func (rt *Runtime) unwatchLease(l *smr.Lease) {
 }
 
 // watchdog is the reaper loop: it sleeps until the earliest outstanding
-// deadline, revokes every over-deadline lease through the registry's shared
+// deadline (or until watchLease registers an earlier one), revokes every over-deadline lease through the registry's shared
 // recovery path (Registry.Revoke — recovery runs HERE, on the reaper's
 // goroutine, including the allocator-cache drain), and exits when no
 // deadline remains (the next watchLease restarts it). A revoked slot's
 // after-release hook hands the admission baton to the longest AcquireCtx
 // waiter exactly like a voluntary release.
 func (rt *Runtime) watchdog() {
+	sleep := time.NewTimer(0)
+	defer sleep.Stop()
 	for {
 		rt.watchMu.Lock()
 		if len(rt.watched) == 0 {
@@ -414,6 +431,7 @@ func (rt *Runtime) watchdog() {
 				next = at
 			}
 		}
+		rt.watchNext = next
 		rt.watchMu.Unlock()
 		if len(expired) > 0 {
 			for _, e := range expired {
@@ -425,11 +443,11 @@ func (rt *Runtime) watchdog() {
 			}
 			continue // deadlines may have moved while we reaped
 		}
-		d := time.Until(next)
-		if d < time.Millisecond {
-			d = time.Millisecond
+		sleep.Reset(max(time.Until(next), time.Millisecond))
+		select {
+		case <-sleep.C:
+		case <-rt.watchWake:
 		}
-		time.Sleep(d)
 	}
 }
 
