@@ -1,4 +1,4 @@
-// Package nbr's top-level benchmarks regenerate every table and figure of
+// The top-level benchmarks regenerate every table and figure of
 // the paper at testing.B scale: each BenchmarkFigX mirrors one exhibit
 // (DESIGN.md §5 maps them), running the same workload cells as cmd/nbrbench
 // but with host-scaled key ranges and short trials so `go test -bench=.`
@@ -8,13 +8,14 @@
 // For paper-shaped sweeps (full key ranges, thread sweeps, 5s trials) use:
 //
 //	go run ./cmd/nbrbench -experiment fig3a -full -duration 5s -trials 3
-package nbr
+package nbr_test
 
 import (
 	"testing"
 	"time"
 
 	"nbr/internal/bench"
+	"nbr/internal/catalog"
 )
 
 const (
@@ -43,8 +44,8 @@ var benchMixes = []struct {
 
 func runCell(b *testing.B, w bench.Workload) {
 	b.Helper()
-	if w.Cfg == (bench.SchemeConfig{}) {
-		w.Cfg = bench.DefaultSchemeConfig()
+	if w.Cfg == (catalog.SchemeConfig{}) {
+		w.Cfg = catalog.DefaultSchemeConfig()
 	}
 	w.Duration = benchDuration
 	w.Prefill = -1
@@ -211,7 +212,7 @@ func BenchmarkAblateSignals(b *testing.B) {
 		b.Run(s, func(b *testing.B) {
 			w := bench.Workload{DS: "dgt", Scheme: s, Threads: benchThreads,
 				KeyRange: treeRange, InsPct: 50, DelPct: 50,
-				Duration: benchDuration, Prefill: -1, Cfg: bench.DefaultSchemeConfig()}
+				Duration: benchDuration, Prefill: -1, Cfg: catalog.DefaultSchemeConfig()}
 			var signalsPerKop float64
 			for i := 0; i < b.N; i++ {
 				r, err := bench.Run(w)

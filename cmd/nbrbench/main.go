@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"nbr/internal/bench"
+	"nbr/internal/catalog"
 )
 
 func main() {
@@ -59,7 +60,7 @@ func main() {
 		return
 	}
 
-	cfg := bench.DefaultSchemeConfig()
+	cfg := catalog.DefaultSchemeConfig()
 	cfg.BagSize = *bag
 	cfg.LoFraction = *lowm
 	cfg.SendSpin = *sigspin

@@ -15,7 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nbr/internal/bench"
+	"nbr/internal/catalog"
 )
 
 func main() {
@@ -26,16 +26,16 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := bench.DefaultSchemeConfig()
+	cfg := catalog.DefaultSchemeConfig()
 	cfg.BagSize = 128 // reclaim constantly
 	cfg.Threshold = 48
 	cfg.EraFreq = 16
 	cfg.ScanFreq = 4
 
 	failures := 0
-	for _, dsName := range bench.DSNames {
-		for _, scheme := range bench.SchemeNames {
-			if !bench.Runnable(dsName, scheme) {
+	for _, dsName := range catalog.DSNames {
+		for _, scheme := range catalog.SchemeNames {
+			if !catalog.Runnable(dsName, scheme) {
 				continue
 			}
 			if err := stress(dsName, scheme, *threads, *keys, *seconds, cfg); err != nil {
@@ -53,20 +53,20 @@ func main() {
 	fmt.Println("all combinations safe")
 }
 
-func stress(dsName, scheme string, threads int, keys uint64, seconds float64, cfg bench.SchemeConfig) (err error) {
+func stress(dsName, scheme string, threads int, keys uint64, seconds float64, cfg catalog.SchemeConfig) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
-	inst, err := bench.NewDS(dsName, threads)
+	inst, err := catalog.NewDS(dsName, threads)
 	if err != nil {
 		return err
 	}
 	// Build the scheme at the structure's declared widths, exactly like the
 	// benchmarks do — the stress matrix must cover the narrow configuration
 	// the measurements actually run.
-	sch, err := bench.NewSchemeFor(scheme, inst.Arena, threads, cfg, inst.Req)
+	sch, err := catalog.NewSchemeFor(scheme, inst.Arena, threads, cfg, inst.Req)
 	if err != nil {
 		return err
 	}

@@ -30,10 +30,13 @@ func (rt *Runtime) Observe(on bool) {
 // Observing reports whether the flight recorder is currently enabled.
 func (rt *Runtime) Observing() bool { return rt.rec.Enabled() }
 
-// debugSnapshot is the /debug/nbr JSON document: the runtime's counter set,
-// bounds and admission state, plus the recorder's histogram quantiles and
-// last-K merged events.
-type debugSnapshot struct {
+// DebugSnapshot is the /debug/nbr JSON document: the runtime's counter set,
+// bounds and admission state, the shared arena's free-path amortization
+// (reclamation bursts the hub received vs pool FreeBatch calls it issued —
+// dispatches per burst stays at or under the number of structures however the
+// retire stream interleaves owners), plus the recorder's histogram quantiles
+// (indexed by the obs.Hist* constants) and last-K merged events.
+type DebugSnapshot struct {
 	Scheme          string       `json:"scheme"`
 	Structures      []string     `json:"structures"`
 	MaxThreads      int          `json:"max_threads"`
@@ -42,6 +45,8 @@ type debugSnapshot struct {
 	GarbageBound    int          `json:"garbage_bound"`
 	Garbage         int64        `json:"garbage"`
 	StagedFrees     int          `json:"staged_frees"`
+	HubBursts       uint64       `json:"hub_bursts"`
+	HubDispatches   uint64       `json:"hub_dispatches"`
 	ForcedRounds    uint64       `json:"forced_rounds"`
 	FallbackReuses  uint64       `json:"fallback_reuses"`
 	ReapedLeases    uint64       `json:"reaped_leases"`
@@ -56,9 +61,12 @@ type debugSnapshot struct {
 // by default: enough to span a reclamation burst on every thread.
 const debugEvents = 128
 
-func (rt *Runtime) debugSnapshot(maxEvents int) debugSnapshot {
-	st := rt.Stats()
-	return debugSnapshot{
+// Snapshot returns the document Debug and PublishExpvar serve, typed, with
+// the last maxEvents merged flight-recorder events (0 for none): the one
+// read path for harnesses and operators alike.
+func (rt *Runtime) Snapshot(maxEvents int) DebugSnapshot {
+	st, hub := rt.Stats(), rt.hub.Stats()
+	return DebugSnapshot{
 		Scheme:          rt.Scheme(),
 		Structures:      rt.Structures(),
 		MaxThreads:      rt.MaxThreads(),
@@ -66,7 +74,9 @@ func (rt *Runtime) debugSnapshot(maxEvents int) debugSnapshot {
 		Waiters:         rt.Waiters(),
 		GarbageBound:    rt.GarbageBound(),
 		Garbage:         int64(st.Retired) - int64(st.Freed),
-		StagedFrees:     rt.StagedFrees(),
+		StagedFrees:     int(hub.Staged),
+		HubBursts:       hub.Bursts,
+		HubDispatches:   hub.Dispatches,
 		ForcedRounds:    rt.ForcedRounds(),
 		FallbackReuses:  rt.FallbackReuses(),
 		ReapedLeases:    rt.ReapedLeases(),
@@ -89,7 +99,7 @@ func (rt *Runtime) Debug() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(rt.debugSnapshot(debugEvents)); err != nil {
+		if err := enc.Encode(rt.Snapshot(debugEvents)); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
@@ -102,7 +112,7 @@ func (rt *Runtime) Debug() http.Handler {
 // call it once per process per runtime.
 func (rt *Runtime) PublishExpvar(name string) {
 	expvar.Publish(name, expvar.Func(func() any {
-		return rt.debugSnapshot(0) // counters and quantiles; no event tail
+		return rt.Snapshot(0) // counters and quantiles; no event tail
 	}))
 }
 

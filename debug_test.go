@@ -57,6 +57,8 @@ func TestRuntimeDebugHandler(t *testing.T) {
 			Retired uint64
 			Freed   uint64
 		} `json:"stats"`
+		HubBursts     uint64 `json:"hub_bursts"`
+		HubDispatches uint64 `json:"hub_dispatches"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
 		t.Fatalf("debug snapshot not parseable: %v\n%s", err, rec.Body.String())
@@ -66,6 +68,17 @@ func TestRuntimeDebugHandler(t *testing.T) {
 	}
 	if snap.Stats.Retired == 0 {
 		t.Fatal("no retires recorded; the workload did not exercise reclamation")
+	}
+	// The hub's free-path amortization is on the operator's document, and the
+	// typed accessor serves the same numbers: one structure, so every burst
+	// the hub received left it as exactly one pool dispatch.
+	if snap.HubBursts == 0 || snap.HubDispatches != snap.HubBursts {
+		t.Fatalf("hub counters: %d bursts, %d dispatches; want equal and non-zero on one structure",
+			snap.HubBursts, snap.HubDispatches)
+	}
+	if doc := rt.Snapshot(0); doc.HubBursts != snap.HubBursts || doc.Stats.Retired != snap.Stats.Retired {
+		t.Fatalf("Snapshot() disagrees with the served document: %d bursts / %d retired vs %d / %d",
+			doc.HubBursts, doc.Stats.Retired, snap.HubBursts, snap.Stats.Retired)
 	}
 	var leaseHold, readPhase uint64
 	for _, h := range snap.Recorder.Hists {

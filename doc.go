@@ -28,9 +28,13 @@
 // algorithms, internal/ds/* the evaluated data structures (the paper's five
 // plus a resizable split-ordered hash map whose doubling retires each old
 // bucket array as one segment — K records behind a single scheme-side stamp;
-// DESIGN.md §14), and internal/bench the harness that regenerates every
-// figure of the paper's evaluation (driven by cmd/nbrbench or the top-level
-// testing.B benchmarks in bench_test.go).
+// DESIGN.md §14). internal/catalog, a leaf over those packages, constructs
+// every scheme and structure by name and encodes the paper's Table 1; this
+// package builds on it, and above this package sit internal/dstest (the
+// correctness suites) and internal/bench, the harness that regenerates every
+// figure of the paper's evaluation and measures its shared-runtime cells on
+// the Runtime that ships (driven by cmd/nbrbench or the top-level testing.B
+// benchmarks in bench_test.go). DESIGN.md §1 has the import order.
 //
 // The runtime is observable in time, not just in count: every Runtime
 // carries a per-thread flight recorder (internal/obs) — fixed rings of

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"time"
 
-	"nbr/internal/bench"
+	"nbr/internal/catalog"
 	"nbr/internal/mem"
 	"nbr/internal/smr"
 )
@@ -50,10 +50,10 @@ const (
 
 // Schemes lists the reclamation schemes a Domain can run, in the order the
 // paper's figures present them.
-func Schemes() []string { return append([]string(nil), bench.SchemeNames...) }
+func Schemes() []string { return append([]string(nil), catalog.SchemeNames...) }
 
 // Structures lists the concurrent ordered sets a Domain can host.
-func Structures() []string { return append([]string(nil), bench.DSNames...) }
+func Structures() []string { return append([]string(nil), catalog.DSNames...) }
 
 // Options configures a Domain. The zero value selects the paper's defaults:
 // an NBR+-protected lazy list sized for a moderately parallel host.

@@ -3,6 +3,7 @@ package nbr_test
 import (
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -84,6 +85,29 @@ func TestDomainRejectsTable1Violations(t *testing.T) {
 	}
 	if _, err := nbr.New(nbr.Options{Structure: "abtree", Scheme: "hp"}); err == nil {
 		t.Fatal("abtree under HP must be rejected (no reachability validation)")
+	}
+}
+
+// TestDomainUnknownNames pins the constructor's two different refusals apart:
+// a name the library does not have is reported as unknown — not blamed on
+// Table 1 — and no error reaching a library user names the benchmark harness.
+func TestDomainUnknownNames(t *testing.T) {
+	for _, c := range []struct {
+		opts nbr.Options
+		want string
+	}{
+		{nbr.Options{Scheme: "bogus"}, `unknown scheme "bogus"`},
+		{nbr.Options{Structure: "bogus"}, `unknown data structure "bogus"`},
+	} {
+		_, err := nbr.New(c.opts)
+		if err == nil {
+			t.Fatalf("New(%+v) succeeded", c.opts)
+		}
+		if msg := err.Error(); !strings.HasPrefix(msg, "nbr: ") || !strings.Contains(msg, c.want) ||
+			strings.Contains(msg, "Table 1") || strings.Contains(msg, "bench") {
+			t.Errorf("New(%+v) = %q; want an nbr: error saying %s, with no mention of Table 1 or the harness",
+				c.opts, msg, c.want)
+		}
 	}
 }
 

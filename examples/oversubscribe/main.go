@@ -26,6 +26,7 @@ import (
 
 	"nbr"
 	"nbr/internal/bench"
+	"nbr/internal/catalog"
 )
 
 func main() {
@@ -44,7 +45,7 @@ func main() {
 			DelPct:   50,
 			Duration: 600 * time.Millisecond,
 			Prefill:  -1,
-			Cfg:      bench.DefaultSchemeConfig(),
+			Cfg:      catalog.DefaultSchemeConfig(),
 		})
 		if err != nil {
 			panic(err)
@@ -74,13 +75,16 @@ func wedgedHolder() {
 	check(err)
 
 	// The wedge: acquire, do a little work, then stop forever — a handler
-	// stuck on a dead downstream call. Its lease is deliberately leaked.
+	// stuck on a dead downstream call. Its lease is deliberately leaked. Like
+	// a real handler it arms its own deadline after its last operation, which
+	// orders everything it wrote before the watchdog's recovery of the slot.
 	l, err := rt.Acquire()
 	check(err)
 	for k := uint64(1); k <= 64; k++ {
 		set.Insert(l, k)
 	}
 	wedgedAt := time.Now()
+	l.SetDeadline(wedgedAt.Add(deadline))
 
 	for rt.ReapedLeases() == 0 {
 		if time.Since(wedgedAt) > 2*deadline {

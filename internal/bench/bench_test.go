@@ -5,15 +5,17 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"nbr/internal/catalog"
 )
 
 func TestNewSchemeAllNames(t *testing.T) {
-	inst, err := NewDS("lazylist", 2)
+	inst, err := catalog.NewDS("lazylist", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range SchemeNames {
-		s, err := NewScheme(name, inst.Arena, 2, DefaultSchemeConfig())
+	for _, name := range catalog.SchemeNames {
+		s, err := catalog.NewScheme(name, inst.Arena, 2, catalog.DefaultSchemeConfig())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -21,14 +23,14 @@ func TestNewSchemeAllNames(t *testing.T) {
 			t.Fatalf("scheme %q reports name %q", name, s.Name())
 		}
 	}
-	if _, err := NewScheme("bogus", inst.Arena, 2, DefaultSchemeConfig()); err == nil {
+	if _, err := catalog.NewScheme("bogus", inst.Arena, 2, catalog.DefaultSchemeConfig()); err == nil {
 		t.Fatal("unknown scheme must error")
 	}
 }
 
 func TestNewDSAllNames(t *testing.T) {
-	for _, name := range DSNames {
-		inst, err := NewDS(name, 2)
+	for _, name := range catalog.DSNames {
+		inst, err := catalog.NewDS(name, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -39,15 +41,15 @@ func TestNewDSAllNames(t *testing.T) {
 			t.Fatalf("%s: fresh instance invalid: %v", name, err)
 		}
 	}
-	if _, err := NewDS("bogus", 2); err == nil {
+	if _, err := catalog.NewDS("bogus", 2); err == nil {
 		t.Fatal("unknown structure must error")
 	}
 }
 
 func TestTable1Coverage(t *testing.T) {
-	for _, d := range DSNames {
-		for _, s := range SchemeNames {
-			if _, ok := Table1Verdict(d, s); !ok {
+	for _, d := range catalog.DSNames {
+		for _, s := range catalog.SchemeNames {
+			if _, ok := catalog.Table1Verdict(d, s); !ok {
 				t.Fatalf("no Table 1 verdict for %s/%s", d, s)
 			}
 		}
@@ -69,22 +71,22 @@ func TestTable1KnownVerdicts(t *testing.T) {
 		{"abtree", "debra", true},
 	}
 	for _, c := range cases {
-		v, ok := Table1Verdict(c.ds, c.scheme)
+		v, ok := catalog.Table1Verdict(c.ds, c.scheme)
 		if !ok || v.OK != c.ok {
-			t.Fatalf("Table1Verdict(%s, %s) = %+v, want OK=%v", c.ds, c.scheme, v, c.ok)
+			t.Fatalf("catalog.Table1Verdict(%s, %s) = %+v, want OK=%v", c.ds, c.scheme, v, c.ok)
 		}
 	}
 }
 
 func TestRunnableExceptions(t *testing.T) {
 	// The paper's E1 runs HP on the lazy list and DGT despite Table 1.
-	if !Runnable("lazylist", "hp") || !Runnable("dgt", "hp") {
+	if !catalog.Runnable("lazylist", "hp") || !catalog.Runnable("dgt", "hp") {
 		t.Fatal("benchmark-mode exceptions missing")
 	}
-	if Runnable("hmlist-norestart", "nbr+") {
+	if catalog.Runnable("hmlist-norestart", "nbr+") {
 		t.Fatal("hmlist-norestart must stay rejected for NBR")
 	}
-	if Runnable("abtree", "hp") {
+	if catalog.Runnable("abtree", "hp") {
 		t.Fatal("abtree has no benchmark-mode HP exception")
 	}
 }
@@ -101,7 +103,7 @@ func TestRunSmoke(t *testing.T) {
 	r, err := Run(Workload{
 		DS: "lazylist", Scheme: "nbr+", Threads: 2, KeyRange: 256,
 		InsPct: 50, DelPct: 50, Duration: 50 * time.Millisecond,
-		Prefill: -1, Cfg: DefaultSchemeConfig(),
+		Prefill: -1, Cfg: catalog.DefaultSchemeConfig(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +122,7 @@ func TestRunWithStalledThread(t *testing.T) {
 			DS: "lazylist", Scheme: scheme, Threads: 2, KeyRange: 256,
 			InsPct: 50, DelPct: 50, Duration: 60 * time.Millisecond,
 			Prefill: -1, Stall: true,
-			Cfg: SchemeConfig{BagSize: 64, LoFraction: 0.5, ScanFreq: 4, Slots: 4, Threshold: 32},
+			Cfg: catalog.SchemeConfig{BagSize: 64, LoFraction: 0.5, ScanFreq: 4, Slots: 4, Threshold: 32},
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)
@@ -135,7 +137,7 @@ func TestRunWithStalledThread(t *testing.T) {
 }
 
 func TestRunPrefillsToHalfRange(t *testing.T) {
-	inst, err := NewDS("lazylist", 1)
+	inst, err := catalog.NewDS("lazylist", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +145,7 @@ func TestRunPrefillsToHalfRange(t *testing.T) {
 	r, err := Run(Workload{
 		DS: "lazylist", Scheme: "none", Threads: 1, KeyRange: 200,
 		InsPct: 0, DelPct: 0, Duration: 20 * time.Millisecond,
-		Prefill: -1, Cfg: DefaultSchemeConfig(),
+		Prefill: -1, Cfg: catalog.DefaultSchemeConfig(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +185,7 @@ func TestThroughputFigureOutput(t *testing.T) {
 		Threads:  []int{1, 2},
 		Duration: 25 * time.Millisecond,
 		Trials:   1,
-		Cfg:      DefaultSchemeConfig(),
+		Cfg:      catalog.DefaultSchemeConfig(),
 		Out:      &buf,
 	}
 	err := throughputFigure(o, "lazylist", 200, []mix{{50, 50}}, []string{"none", "nbr+"})

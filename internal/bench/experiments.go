@@ -6,6 +6,8 @@ import (
 	"sort"
 	"text/tabwriter"
 	"time"
+
+	"nbr/internal/catalog"
 )
 
 // Options are the host-dependent knobs shared by all experiment presets.
@@ -22,7 +24,7 @@ type Options struct {
 	// host-scaled defaults.
 	Full bool
 	// Cfg carries the scheme knobs (bag sizes, signal costs, …).
-	Cfg SchemeConfig
+	Cfg catalog.SchemeConfig
 	Out io.Writer
 }
 
@@ -493,16 +495,16 @@ func sparkline(series []int64, width int) string {
 func PrintTable1(out io.Writer) {
 	tw := tabwriter.NewWriter(out, 10, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "structure\tNBR/NBR+\tEBR (qsbr,rcu,debra)\tHP-family (hp,ibr,he)")
-	names := append([]string{}, DSNames...)
+	names := append([]string{}, catalog.DSNames...)
 	sort.Strings(names)
 	for _, d := range names {
 		fmt.Fprintf(tw, "%s", d)
 		for _, fam := range []string{"nbr", "debra", "hp"} {
-			v, _ := Table1Verdict(d, fam)
+			v, _ := catalog.Table1Verdict(d, fam)
 			cell := "no"
 			if v.OK {
 				cell = "yes"
-			} else if Runnable(d, fam) {
+			} else if catalog.Runnable(d, fam) {
 				cell = "no*"
 			}
 			fmt.Fprintf(tw, "\t%s", cell)
@@ -514,7 +516,7 @@ func PrintTable1(out io.Writer) {
 	fmt.Fprintln(out, "\nnotes:")
 	for _, d := range names {
 		for _, fam := range []string{"nbr", "debra", "hp"} {
-			if v, ok := Table1Verdict(d, fam); ok && v.Note != "" {
+			if v, ok := catalog.Table1Verdict(d, fam); ok && v.Note != "" {
 				fmt.Fprintf(out, "  %s / %s: %s\n", d, fam, v.Note)
 			}
 		}

@@ -3,6 +3,7 @@ package bench
 import (
 	"testing"
 
+	"nbr/internal/catalog"
 	"nbr/internal/ds"
 	"nbr/internal/mem"
 	"nbr/internal/smr"
@@ -21,9 +22,9 @@ func TestSchemeSeams(t *testing.T) {
 		"ibr": reclaiming, "hp": reclaiming, "he": reclaiming,
 		"nbr": signalling, "nbr+": signalling,
 	}
-	for _, name := range SchemeNames {
+	for _, name := range catalog.SchemeNames {
 		pool := mem.NewPool[retireRec](mem.Config{MaxThreads: 2})
-		sch, err := NewScheme(name, pool, 2, retireCfg())
+		sch, err := catalog.NewScheme(name, pool, 2, retireCfg())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,11 +100,11 @@ func TestCarvePolicy(t *testing.T) {
 	const threads, pieces = 2, 3
 	cfg := retireCfg()
 	weight := pieces * cfg.Threshold
-	for _, name := range SchemeNames {
+	for _, name := range catalog.SchemeNames {
 		t.Run(name, func(t *testing.T) {
 			const seg = mem.Ptr(2)
 			arena := &carveArena{weight: map[mem.Ptr]int{seg: weight}, hdrs: map[mem.Ptr]*mem.Hdr{}, next: seg}
-			sch, err := NewScheme(name, arena, threads, cfg)
+			sch, err := catalog.NewScheme(name, arena, threads, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,10 +167,10 @@ func TestSchemeAllocs(t *testing.T) {
 	cfg := retireCfg()
 	// Wide enough for the peer to pin one record per run.
 	req := ds.Requirements{Slots: 16, Reservations: 16}
-	for _, name := range SchemeNames {
+	for _, name := range catalog.SchemeNames {
 		t.Run(name, func(t *testing.T) {
 			pool := mem.NewPool[retireRec](mem.Config{MaxThreads: threads})
-			sch, err := NewSchemeFor(name, pool, threads, cfg, req)
+			sch, err := catalog.NewSchemeFor(name, pool, threads, cfg, req)
 			if err != nil {
 				t.Fatal(err)
 			}

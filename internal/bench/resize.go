@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nbr/internal/catalog"
 	"nbr/internal/ds/hashmap"
 	"nbr/internal/mem"
 	"nbr/internal/smr"
@@ -37,7 +38,7 @@ type ResizeBurstWorkload struct {
 	KeysPerThread int
 	// PerNode selects the dissolve-and-retire-individually baseline.
 	PerNode bool
-	Cfg     SchemeConfig
+	Cfg     catalog.SchemeConfig
 }
 
 // ResizeBurstResult is the outcome of one run, all counters read at the
@@ -75,7 +76,7 @@ func RunResizeBurst(w ResizeBurstWorkload) (ResizeBurstResult, error) {
 	} else {
 		m = hashmap.NewWith(mcfg)
 	}
-	sch, err := NewSchemeFor(w.Scheme, m.Arena(), w.Threads, w.Cfg, m.Requirements())
+	sch, err := catalog.NewSchemeFor(w.Scheme, m.Arena(), w.Threads, w.Cfg, m.Requirements())
 	if err != nil {
 		return ResizeBurstResult{}, err
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"nbr/internal/catalog"
 	"nbr/internal/mem"
 	"nbr/internal/smr"
 )
@@ -16,8 +17,8 @@ type retireRec struct{ _ [2]uint64 }
 // equivalence runs exercise reclamation repeatedly. The batch sizes used by
 // the tests divide BagSize, Threshold, Threshold/4 and EraFreq, so batch
 // boundaries land exactly on the per-record trigger points.
-func retireCfg() SchemeConfig {
-	return SchemeConfig{
+func retireCfg() catalog.SchemeConfig {
+	return catalog.SchemeConfig{
 		BagSize:    64,
 		LoFraction: 0.5,
 		ScanFreq:   4,
@@ -36,7 +37,7 @@ func TestRetireBatchEquivalence(t *testing.T) {
 	const total, threads = 192, 2
 	run := func(t *testing.T, scheme string, batch int, batched bool) (smr.Stats, mem.Stats) {
 		pool := mem.NewPool[retireRec](mem.Config{MaxThreads: threads})
-		sch, err := NewScheme(scheme, pool, threads, retireCfg())
+		sch, err := catalog.NewScheme(scheme, pool, threads, retireCfg())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +61,7 @@ func TestRetireBatchEquivalence(t *testing.T) {
 		}
 		return sch.Stats(), pool.Stats()
 	}
-	for _, scheme := range SchemeNames {
+	for _, scheme := range catalog.SchemeNames {
 		for _, batch := range []int{2, 8, 16} {
 			t.Run(fmt.Sprintf("%s/batch%d", scheme, batch), func(t *testing.T) {
 				loopS, loopM := run(t, scheme, batch, false)
@@ -105,7 +106,7 @@ func TestRetireSplitEquivalence(t *testing.T) {
 	const total, threads = 300, 2
 	run := func(t *testing.T, scheme string, batch int) (smr.Stats, mem.Stats) {
 		pool := mem.NewPool[retireRec](mem.Config{MaxThreads: threads})
-		sch, err := NewScheme(scheme, pool, threads, retireCfg())
+		sch, err := catalog.NewScheme(scheme, pool, threads, retireCfg())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +137,7 @@ func TestRetireSplitEquivalence(t *testing.T) {
 		// Aligned with Threshold/4 = 16, the qsbr/rcu sweep amortization.
 		"qsbr": {4, 16}, "rcu": {4, 16},
 	}
-	for _, scheme := range SchemeNames {
+	for _, scheme := range catalog.SchemeNames {
 		sizes, ok := shapes[scheme]
 		if !ok {
 			sizes = shapes["default"]
@@ -166,11 +167,11 @@ func TestRetireSplitEquivalence(t *testing.T) {
 // with the thread count, everyone else the Unbounded sentinel.
 func TestGarbageBoundDeclarations(t *testing.T) {
 	bounded := map[string]bool{"nbr": true, "nbr+": true, "hp": true, "he": true, "ibr": true}
-	for _, scheme := range SchemeNames {
+	for _, scheme := range catalog.SchemeNames {
 		t.Run(scheme, func(t *testing.T) {
 			bound := func(threads int) int {
 				pool := mem.NewPool[retireRec](mem.Config{MaxThreads: threads})
-				sch, err := NewScheme(scheme, pool, threads, retireCfg())
+				sch, err := catalog.NewScheme(scheme, pool, threads, retireCfg())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -195,10 +196,10 @@ func TestGarbageBoundDeclarations(t *testing.T) {
 
 // TestRetireBatchEmptyIsNoop checks the degenerate batch for every scheme.
 func TestRetireBatchEmptyIsNoop(t *testing.T) {
-	for _, scheme := range SchemeNames {
+	for _, scheme := range catalog.SchemeNames {
 		t.Run(scheme, func(t *testing.T) {
 			pool := mem.NewPool[retireRec](mem.Config{MaxThreads: 1})
-			sch, err := NewScheme(scheme, pool, 1, retireCfg())
+			sch, err := catalog.NewScheme(scheme, pool, 1, retireCfg())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,10 +219,10 @@ func TestRetireBatchEmptyIsNoop(t *testing.T) {
 // rotation, signal broadcast, shard flushes).
 func TestRetireBatchConcurrentRace(t *testing.T) {
 	const threads, rounds, batch = 4, 50, 16
-	for _, scheme := range SchemeNames {
+	for _, scheme := range catalog.SchemeNames {
 		t.Run(scheme, func(t *testing.T) {
 			pool := mem.NewPool[retireRec](mem.Config{MaxThreads: threads, CacheSize: 16, Shards: 4})
-			sch, err := NewScheme(scheme, pool, threads, retireCfg())
+			sch, err := catalog.NewScheme(scheme, pool, threads, retireCfg())
 			if err != nil {
 				t.Fatal(err)
 			}

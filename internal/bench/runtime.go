@@ -1,28 +1,28 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"nbr/internal/ds"
-	"nbr/internal/mem"
+	"nbr"
+	"nbr/internal/catalog"
 	"nbr/internal/obs"
-	"nbr/internal/smr"
 )
 
-// This file measures the shared-runtime regime: several structures behind
-// one mem.Hub, one scheme instance, one lease registry — the substrate the
-// public nbr.Runtime wraps (bench cannot import the root package without a
-// cycle, so the cell is built from the same internals). The workload is
-// lease-per-session over more workers than slots: every session acquires a
-// slot, churns every structure under it, and releases, so the measurement
-// includes admission, slot recycling, forced-round quarantine aging and the
-// multi-owner free routing — the costs a service pays per request.
+// This file measures the shared-runtime regime on the runtime that ships:
+// several structures attached to one nbr.Runtime — one arena hub, one scheme
+// instance, one lease registry. The workload is lease-per-session over more
+// workers than slots: every session is one Runtime.With — AcquireCtx's FIFO
+// admission, the labelled envelope, the shared release path — churning every
+// structure under a single lease, so the measurement includes admission, slot
+// recycling, forced-round quarantine aging and the multi-owner free routing —
+// the costs a service pays per request. Every counter and quantile in the
+// result is read from the runtime's own debug document (Runtime.Snapshot).
 
 // RuntimeWorkload is one multi-structure shared-runtime cell.
 type RuntimeWorkload struct {
@@ -33,7 +33,9 @@ type RuntimeWorkload struct {
 	KeyRange   uint64
 	SessionOps int // operations per lease session, spread across structures
 	Duration   time.Duration
-	Cfg        SchemeConfig
+	// Cfg carries the scheme knobs RuntimeOptions has; Cfg.Slots is not
+	// consulted — a Runtime always sizes its scheme to the attached structures.
+	Cfg catalog.SchemeConfig
 	// Interleave selects the adversarial retire pattern: each session walks
 	// the structures round-robin doing insert-then-delete pairs, so the
 	// retire stream entering the shared bags alternates owners perfectly —
@@ -41,11 +43,12 @@ type RuntimeWorkload struct {
 	// length one). False keeps the mixed read/write service workload.
 	Interleave bool
 	// Stall selects the holder-death cell: every stallEvery-th session the
-	// worker wedges with its lease held — it never releases — and hands the
-	// lease to a harness reaper that revokes it through Registry.Revoke (the
-	// shared recovery path, run on the reaper's goroutine mid-measurement)
-	// and then issues the zombie's late Release. The cell tracks the cost of
-	// recycling reaped slots under load and records the recovery counters.
+	// worker wedges with its lease held — after its last operation it arms
+	// its own deadline at "now" and never releases — so the runtime's
+	// watchdog revokes it (the shared recovery path, run on the watchdog's
+	// goroutine mid-measurement), and a zombie goroutine issues the late
+	// Release once the reap has landed. The cell tracks the cost of recycling
+	// reaped slots under load and records the recovery counters.
 	Stall bool
 }
 
@@ -55,174 +58,93 @@ type RuntimeWorkload struct {
 // measures throughput rather than pure recovery.
 const stallEvery = 8
 
-// RuntimeResult is one measured shared-runtime cell.
+// RuntimeResult is one measured shared-runtime cell: the point the snapshot
+// records (every counter and quantile in it read from the runtime's own debug
+// document after the post-run drain) plus what only reports and assertions
+// need. Stats is the post-drain tally; EventTail is the merged
+// flight-recorder timeline at the end of the run, embedded in violation
+// reports so a failed bound names the stalled thread.
 type RuntimeResult struct {
-	RuntimeWorkload
-	Ops      uint64
-	Elapsed  time.Duration
-	Mops     float64
-	Sessions uint64 // completed acquire→ops→release cycles
-	// The aggregated garbage-bound contract, as in Result.
-	Bound       int
-	GarbagePeak uint64
-	Stats       smr.Stats
-	// Quarantine-aging telemetry: forced rounds keep Fallbacks at zero.
-	ForcedRounds uint64
-	Fallbacks    uint64
-	// Drained reports Retired == Freed with the hub's free staging empty
-	// after the post-run drain: the shared bags leaked nothing across
-	// structures and lease churn, and no record was stranded in staging.
-	Drained bool
-	// Free-path amortization telemetry: reclamation bursts the hub received
-	// vs. pool FreeBatch calls it issued. DispatchPerBurst ≈ 1 is the
-	// single-structure Domain's amortization; one-per-run degradation under
-	// interleaved retires shows up as DispatchPerBurst ≈ records/burst.
-	HubBursts        uint64
-	HubDispatches    uint64
-	DispatchPerBurst float64
-	// ScanEntries is threads × reservations — the announcement rows one
-	// reservation scan visits at the widths the scheme was built with.
-	ScanEntries int
-	// Holder-death telemetry (schema v6). In a Stall cell Reaped counts the
-	// wedged holders the harness reaper revoked, RevokedReleases the zombie
-	// late-Release no-ops, and OrphansAdopted the orphaned records survivors
-	// re-homed. In a non-stall cell all three must read zero — nothing
-	// injects holder deaths there, so a non-zero Reaped means a healthy
-	// holder was revoked (nbrtrend flags that host-independently).
-	Reaped          uint64
-	RevokedReleases uint64
-	OrphansAdopted  uint64
-	// Time-domain telemetry (schema v8): the cell runs with the flight
-	// recorder enabled, so alongside the counters it reports how long workers
-	// waited for admission (first ErrRegistryFull → successful Acquire,
-	// spanning the whole Gosched retry loop) and how long sampled retired
-	// records sat as garbage before the allocator freed them. Quantiles are
-	// power-of-two bucket edges in nanoseconds — host-dependent context, not
-	// invariants; nbrtrend reports them unflagged. EventTail is the merged
-	// flight-recorder timeline at the end of the run, embedded in violation
-	// reports so a failed bound names the stalled thread.
-	AdmitWaitP50  int64
-	AdmitWaitP99  int64
-	GarbageAgeP50 int64
-	GarbageAgeP99 int64
-	EventTail     string
+	RuntimePoint
+	Ops       uint64
+	Elapsed   time.Duration
+	Stats     nbr.Stats
+	EventTail string
 }
 
 // BoundExceeded reports whether the sampled garbage peak violated the
 // scheme's declared aggregated bound.
 func (r RuntimeResult) BoundExceeded() bool {
-	return r.Bound != smr.Unbounded && r.GarbagePeak > uint64(r.Bound)
+	return r.Bound != nbr.Unbounded && r.GarbagePeak > uint64(r.Bound)
 }
-
-// StructuresKey joins the structure names for cell identification.
-func (w RuntimeWorkload) StructuresKey() string { return strings.Join(w.Structures, "+") }
 
 // RunRuntime executes one shared-runtime cell.
 func RunRuntime(w RuntimeWorkload) (RuntimeResult, error) {
-	if len(w.Structures) == 0 {
-		return RuntimeResult{}, fmt.Errorf("bench: runtime cell needs at least one structure")
+	if len(w.Structures) == 0 || w.Slots <= 0 || w.Workers <= 0 || w.SessionOps <= 0 || w.KeyRange < 2 || w.Duration <= 0 {
+		return RuntimeResult{}, fmt.Errorf("bench: runtime cell needs Structures, Slots, Workers, SessionOps, KeyRange >= 2 and Duration")
 	}
-	if w.Slots <= 0 || w.Workers <= 0 {
-		return RuntimeResult{}, fmt.Errorf("bench: runtime cell needs Slots and Workers")
-	}
-	if w.SessionOps <= 0 {
-		w.SessionOps = 64
-	}
-	if w.KeyRange < 2 {
-		w.KeyRange = 4096
-	}
-	if w.Duration <= 0 {
-		w.Duration = time.Second
-	}
-
-	// One hub, one pool per structure (tagged), one scheme over the hub at
-	// the widest attached announcement needs, one registry.
-	hub := mem.NewHub(w.Slots)
-	insts := make([]Instance, 0, len(w.Structures))
-	req := ds.Requirements{Threshold: ds.DefaultThreshold}
-	for _, name := range w.Structures {
-		if !Runnable(name, w.Scheme) {
-			return RuntimeResult{}, fmt.Errorf("bench: %s is not runnable under %s (Table 1)", name, w.Scheme)
-		}
-		inst, err := NewDSArena(name, mem.Config{MaxThreads: w.Slots, Tag: hub.NextTag()})
-		if err != nil {
-			return RuntimeResult{}, err
-		}
-		hub.Attach(len(insts), inst.Arena)
-		insts = append(insts, inst)
-		if inst.Req.Slots > req.Slots {
-			req.Slots = inst.Req.Slots
-		}
-		if inst.Req.Reservations > req.Reservations {
-			req.Reservations = inst.Req.Reservations
-		}
-	}
-	sch, err := NewSchemeFor(w.Scheme, hub, w.Slots, w.Cfg, req)
+	rt, err := nbr.NewRuntime(nbr.RuntimeOptions{
+		Scheme: w.Scheme, MaxThreads: w.Slots,
+		BagSize: w.Cfg.BagSize, LoFraction: w.Cfg.LoFraction, ScanFreq: w.Cfg.ScanFreq,
+		Threshold: w.Cfg.Threshold, EraFreq: w.Cfg.EraFreq,
+		SendSpin: w.Cfg.SendSpin, HandleSpin: w.Cfg.HandleSpin,
+	})
 	if err != nil {
-		return RuntimeResult{}, err
+		return RuntimeResult{}, fmt.Errorf("bench: %w", err)
+	}
+	sets := make([]*nbr.Set, len(w.Structures))
+	for i, name := range w.Structures {
+		if sets[i], err = rt.NewSet(name); err != nil {
+			return RuntimeResult{}, fmt.Errorf("bench: %w", err)
+		}
 	}
 	// The cell measures the reclamation pipeline in time as well as in
-	// count: the recorder is wired before Bind (so the scheme adopts it via
-	// AttachRegistry) and enabled for the whole run. The fixed-N workload
+	// count, so the recorder is on for the whole run. The fixed-N workload
 	// cells in workload.go deliberately stay recorder-free — their measured
 	// trajectories predate the recorder and must not absorb even its
 	// one-branch cost — but this cell's whole point is the pipeline's time
 	// domain, so it pays the branch and reports the quantiles.
-	rec := obs.NewRecorder(w.Slots)
-	rec.Enable()
-	reg := smr.NewRegistry(w.Slots)
-	reg.SetRecorder(rec)
-	hub.SetRecorder(rec)
-	reg.Bind(sch)
-	if burst := sch.ReclaimBurst(); burst > 0 {
-		reg.OnAcquire(func(tid int) { hub.SizeCache(tid, burst) })
-	}
-	reg.OnRelease(func(tid int) { hub.DrainCache(tid) })
+	rt.Observe(true)
 
-	// Prefill each structure to half its stripe of the key range.
-	if l, err := reg.Acquire(); err == nil {
-		g := sch.Guard(l.Tid())
+	// Prefill each structure to half the key range.
+	ctx := context.Background()
+	if err := rt.With(ctx, func(l *nbr.Lease) error {
 		seed := uint64(0x9e3779b97f4a7c15)
-		for i, inst := range insts {
-			target := int(w.KeyRange / 2)
-			for n := 0; n < target; {
-				if inst.Set.Insert(g, splitmix64(&seed)%w.KeyRange+1) {
+		for _, set := range sets {
+			for n := 0; n < int(w.KeyRange/2); {
+				if set.Insert(l, splitmix64(&seed)%w.KeyRange+1) {
 					n++
 				}
 			}
-			_ = i
 		}
-		l.Release()
+		return nil
+	}); err != nil {
+		return RuntimeResult{}, fmt.Errorf("bench: prefill: %w", err)
 	}
 
 	var (
 		stop        atomic.Bool
 		peakGarbage atomic.Uint64
-		started     sync.WaitGroup
 		done        sync.WaitGroup
 		opCounts    = make([]uint64, w.Workers)
 		sessions    atomic.Uint64
+		failed      = make([]error, w.Workers)
 	)
-	// The harness reaper for Stall cells: wedged holders' leases arrive here;
-	// each is revoked — the shared recovery path runs on this goroutine, not
-	// the holder's — and then given the zombie's late Release. The channel
-	// holds at most Slots leases (a wedge keeps its slot until revoked), so
-	// the send in the worker never blocks.
-	var reapCh chan *smr.Lease
-	reaperDone := make(chan struct{})
-	if w.Stall {
-		reapCh = make(chan *smr.Lease, w.Slots)
-		go func() {
-			defer close(reaperDone)
-			for l := range reapCh {
-				if reg.Revoke(l) {
-					l.Release() // the zombie waking up late: a counted no-op
-				}
+	// The zombies of a Stall cell: a wedged holder's lease arrives here, and
+	// once the watchdog has revoked it the holder "wakes up late" and
+	// releases — a counted no-op. The buffer is one wedge per slot; a wedge
+	// that finds it full only waits for this goroutine, which always drains.
+	zombies := make(chan *nbr.Lease, w.Slots)
+	zombiesDone := make(chan struct{})
+	go func() {
+		defer close(zombiesDone)
+		for l := range zombies {
+			for !l.Revoked() {
+				time.Sleep(50 * time.Microsecond)
 			}
-		}()
-	} else {
-		close(reaperDone)
-	}
+			l.Release()
+		}
+	}()
 
 	samplerDone := make(chan struct{})
 	go func() {
@@ -232,7 +154,7 @@ func RunRuntime(w RuntimeWorkload) (RuntimeResult, error) {
 		tick := time.NewTicker(time.Millisecond)
 		defer tick.Stop()
 		for !stop.Load() {
-			if g := sch.Stats().Garbage(); g > peakGarbage.Load() {
+			if g := rt.Stats().Garbage(); g > peakGarbage.Load() {
 				peakGarbage.Store(g)
 			}
 			<-tick.C
@@ -240,149 +162,113 @@ func RunRuntime(w RuntimeWorkload) (RuntimeResult, error) {
 	}()
 
 	for wk := 0; wk < w.Workers; wk++ {
-		started.Add(1)
 		done.Add(1)
 		go func(wk int) {
 			defer done.Done()
 			rng := uint64(wk)*0x100000001b3 + 0x9e3779b97f4a7c15
-			started.Done()
 			var ops uint64
-			var nsess int
-			// Admission wait, measured where this cell actually waits: the
-			// workers oversubscribe the registry and spin on ErrRegistryFull,
-			// so the wait is first-refusal → successful Acquire, spanning
-			// every Gosched of the retry loop.
-			var waitFrom int64
-			for !stop.Load() {
-				l, err := reg.Acquire()
-				if errors.Is(err, smr.ErrRegistryFull) {
-					if waitFrom == 0 {
-						waitFrom = rec.Clock()
-					}
-					runtime.Gosched()
-					continue
-				}
-				if err != nil {
-					return
-				}
-				if waitFrom != 0 {
-					rec.ObserveSince(obs.HistAdmissionWait, waitFrom)
-					waitFrom = 0
-				}
-				g := sch.Guard(l.Tid())
+			session := func(l *nbr.Lease) error {
 				for i := 0; i < w.SessionOps; i++ {
 					r := splitmix64(&rng)
 					if w.Interleave {
 						// Adversarial retires: round-robin the structures so
 						// consecutive retired records never share an owner,
 						// and pair insert/delete so nearly every op retires.
-						inst := insts[i%len(insts)]
+						set := sets[i%len(sets)]
 						key := r%w.KeyRange + 1
-						inst.Set.Insert(g, key)
-						inst.Set.Delete(g, key)
+						set.Insert(l, key)
+						set.Delete(l, key)
 						ops += 2
 						continue
 					}
-					inst := insts[r%uint64(len(insts))]
+					set := sets[r%uint64(len(sets))]
 					key := (r>>16)%w.KeyRange + 1
 					switch (r >> 8) % 4 {
 					case 0, 1:
-						inst.Set.Insert(g, key)
+						set.Insert(l, key)
 					case 2:
-						inst.Set.Delete(g, key)
+						set.Delete(l, key)
 					default:
-						inst.Set.Contains(g, key)
+						set.Contains(l, key)
 					}
 					ops++
 				}
-				nsess++
-				if w.Stall && nsess%stallEvery == 0 {
-					//nbr:allow leaseescape — deliberate wedge: the workload ships the lease to the reaper to exercise revocation under load
-					reapCh <- l // wedged: never releases; the reaper revokes
+				return nil
+			}
+			for n := 1; !stop.Load(); n++ {
+				var err error
+				if w.Stall && n%stallEvery == 0 {
+					var l *nbr.Lease
+					if l, err = rt.AcquireCtx(ctx); err == nil {
+						_ = session(l) // never fails
+						// Wedged: the holder's last act is arming its own
+						// deadline, which orders its writes before the reap.
+						l.SetDeadline(time.Now())
+						//nbr:allow leaseescape — deliberate wedge: the holder never releases; the zombie goroutine issues its late Release after the watchdog's reap
+						zombies <- l
+					}
 				} else {
-					l.Release()
+					err = rt.With(ctx, session)
+				}
+				if failed[wk] = err; err != nil {
+					break
 				}
 				sessions.Add(1)
-				if ops%1024 == 0 {
-					runtime.Gosched() // oversubscribed: keep interleaving fine
-				}
 			}
 			opCounts[wk] = ops
 		}(wk)
 	}
 
-	started.Wait()
 	begin := time.Now()
 	time.Sleep(w.Duration)
 	stop.Store(true)
 	done.Wait()
 	elapsed := time.Since(begin)
-	if w.Stall {
-		close(reapCh)
-	}
-	<-reaperDone
+	close(zombies)
+	<-zombiesDone
 	<-samplerDone
+	if err := errors.Join(failed...); err != nil {
+		return RuntimeResult{}, fmt.Errorf("bench: runtime session: %w", err)
+	}
 
-	res := RuntimeResult{
-		RuntimeWorkload: w,
-		Elapsed:         elapsed,
-		Sessions:        sessions.Load(),
-		Stats:           sch.Stats(),
-		Bound:           sch.GarbageBound(),
-		GarbagePeak:     peakGarbage.Load(),
-		ForcedRounds:    reg.ForcedRounds(),
-		Fallbacks:       reg.FallbackReuses(),
-		Reaped:          reg.ReapedLeases(),
-		RevokedReleases: reg.RevokedReleases(),
-		OrphansAdopted:  reg.OrphansAdopted(),
+	// Drain the shared bags: the cell must end Retired == Freed with the
+	// hub's free staging empty, or the runtime seam leaked (or stranded)
+	// records across structures. The document is read after the drain, so
+	// the event tail shows the run's final state — in a healthy cell the
+	// drain's scan rounds, in a stuck one the open read phase that pinned
+	// the garbage.
+	peak := max(peakGarbage.Load(), rt.Stats().Garbage())
+	if err := rt.Drain(); err != nil {
+		return RuntimeResult{}, fmt.Errorf("bench: drain: %w", err)
 	}
-	if g := res.Stats.Garbage(); g > res.GarbagePeak {
-		res.GarbagePeak = g
-	}
+	doc := rt.Snapshot(0)
+	_, reservations := rt.Widths()
+	aw, ga := doc.Recorder.Hists[obs.HistAdmissionWait], doc.Recorder.Hists[obs.HistGarbageAge]
+	res := RuntimeResult{Elapsed: elapsed, Stats: doc.Stats, RuntimePoint: RuntimePoint{
+		Structures: strings.Join(w.Structures, "+"), Scheme: w.Scheme,
+		Slots: w.Slots, Workers: w.Workers, KeyRange: w.KeyRange,
+		Interleaved: w.Interleave, Stall: w.Stall,
+		Sessions: sessions.Load(), Freed: doc.Stats.Freed,
+		Bound: doc.GarbageBound, GarbagePeak: peak,
+		ForcedRounds: doc.ForcedRounds, Fallbacks: doc.FallbackReuses,
+		Drained:   doc.Stats.Retired == doc.Stats.Freed && doc.StagedFrees == 0,
+		HubBursts: doc.HubBursts, HubDispatches: doc.HubDispatches,
+		ScanEntries: w.Slots * reservations,
+		Reaped:      doc.ReapedLeases, RevokedReleases: doc.RevokedReleases,
+		OrphansAdopted: doc.OrphansAdopted,
+		AdmitWaits:     aw.Count,
+		AdmitWaitP50us: float64(aw.P50ns) / 1e3, AdmitWaitP99us: float64(aw.P99ns) / 1e3,
+		GarbageAgeP50us: float64(ga.P50ns) / 1e3, GarbageAgeP99us: float64(ga.P99ns) / 1e3,
+	}}
 	for _, c := range opCounts {
 		res.Ops += c
 	}
 	res.Mops = float64(res.Ops) / elapsed.Seconds() / 1e6
-
-	// Drain the shared bags: the cell must end Retired == Freed with the
-	// hub's free staging empty, or the runtime seam leaked (or stranded)
-	// records across structures.
-	if dr, ok := sch.(smr.Drainer); ok {
-		if l, err := reg.Acquire(); err == nil {
-			for i := 0; i < 64; i++ {
-				st := sch.Stats()
-				if st.Retired == st.Freed {
-					break
-				}
-				dr.Drain(l.Tid())
-			}
-			l.Release()
-		}
-		res.Stats = sch.Stats()
-		res.Drained = res.Stats.Retired == res.Stats.Freed && hub.Staged() == 0
-	} else {
-		res.Drained = hub.Staged() == 0 // leaky never frees; nothing to drain
+	if res.HubBursts > 0 {
+		res.DispatchPerBurst = float64(res.HubDispatches) / float64(res.HubBursts)
 	}
-
-	hs := hub.Stats()
-	res.HubBursts = hs.Bursts
-	res.HubDispatches = hs.Dispatches
-	if hs.Bursts > 0 {
-		res.DispatchPerBurst = float64(hs.Dispatches) / float64(hs.Bursts)
-	}
-	res.ScanEntries = w.Slots * req.Reservations
-
-	// The time-domain quantiles (schema v8) and the timeline tail the
-	// violation reports embed. Captured after the drain so the tail shows
-	// the run's final state — in a healthy cell the last events are the
-	// drain's scan rounds, in a stuck one the open read phase that pinned
-	// the garbage.
-	aw := rec.Hist(obs.HistAdmissionWait)
-	res.AdmitWaitP50 = aw.Quantile(0.50)
-	res.AdmitWaitP99 = aw.Quantile(0.99)
-	ga := rec.Hist(obs.HistGarbageAge)
-	res.GarbageAgeP50 = ga.Quantile(0.50)
-	res.GarbageAgeP99 = ga.Quantile(0.99)
-	res.EventTail = rec.Tail(64)
+	var tail strings.Builder
+	rt.DumpRecorder(&tail, 64)
+	res.EventTail = tail.String()
 	return res, nil
 }

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"nbr"
+	"nbr/internal/catalog"
 	"nbr/internal/mem"
 	"nbr/internal/sigsim"
 	"nbr/internal/smr"
@@ -36,23 +38,19 @@ type Snapshot struct {
 	FreeBurst   []FreeBurstPoint   `json:"free_burst"`
 }
 
-// SnapshotSchema names the current snapshot layout. v2 added the retire
-// batch-size distribution per workload cell; v3 added the garbage-bound
-// contract columns (declared bound + sampled garbage peak); v4 added the
-// multi-structure shared-runtime cells; v5 added the adversarial
-// interleaved-retire runtime cells with the hub's dispatch-per-burst
-// amortization columns, and the Domain-vs-Runtime width-comparison cells;
-// v6 adds the stall-injection runtime cell (wedged holders reaped by
-// revocation mid-run) and the recovery columns — reaped, revoked_releases,
-// orphans_adopted — on every runtime cell; v7 adds the resize-burst cells
-// with the segment-retirement counter ratios (segments_retired,
-// stamps_per_record, scans_per_record), recorded for both the segment fast
-// path and the dissolve-per-node baseline on the same burst; v8 adds the
-// flight-recorder time-domain columns on the runtime cells — admission-wait
-// and garbage-residence-age quantiles (power-of-two bucket edges, µs) — which
-// are host-dependent context: nbrtrend records their movement but never flags
-// them. Older files lack the newer fields; consumers treat them as absent.
-const SnapshotSchema = "nbr-perf-snapshot/v8"
+// SnapshotSchema names the current snapshot layout: end-to-end workload
+// cells (throughput, latency, retire batch-size distribution, declared bound
+// vs sampled garbage peak); shared-runtime cells measured on the public
+// nbr.Runtime — mixed, adversarially interleaved and stall-injection — with
+// the hub's dispatch-per-burst, the recovery counters and the recorder's
+// admission-wait / garbage-age quantiles plus the admission-wait sample count;
+// resize-burst cells with the segment-retirement counter ratios;
+// Domain-vs-Runtime width cells; and the reservation-scan and free-burst
+// microbenchmarks. Up to v8 the runtime cells came from a reconstruction
+// inside the harness, so their timings do not compare across the v8/v9
+// boundary (nbrtrend marks them untrusted); their counters do. Older files
+// lack the newer fields; consumers treat them as absent.
+const SnapshotSchema = "nbr-perf-snapshot/v9"
 
 // WorkloadPoint is one end-to-end cell.
 type WorkloadPoint struct {
@@ -83,13 +81,13 @@ type WorkloadPoint struct {
 	GarbagePeak uint64 `json:"garbage_peak"`
 }
 
-// RuntimePoint is one multi-structure shared-runtime cell (schema v4):
-// several structures behind one arena hub and one scheme, workers
-// oversubscribing a lease registry, one lease session covering every
-// structure. Mops includes acquire/release per session; Sessions counts the
-// lease recycles the run performed; the bound columns carry the aggregated
-// contract; Fallbacks must stay zero (forced rounds cover quarantine
-// aging); Drained reports Retired == Freed after the post-run drain.
+// RuntimePoint is one multi-structure shared-runtime cell: several
+// structures attached to one nbr.Runtime, workers oversubscribing its lease
+// slots, one lease session covering every structure. Mops includes
+// acquire/release per session; Sessions counts the lease recycles the run
+// performed; the bound columns carry the aggregated contract; Fallbacks must
+// stay zero (forced rounds cover quarantine aging); Drained reports
+// Retired == Freed after the post-run drain.
 type RuntimePoint struct {
 	Structures   string  `json:"structures"` // "+"-joined, attachment order
 	Scheme       string  `json:"scheme"`
@@ -115,7 +113,7 @@ type RuntimePoint struct {
 	DispatchPerBurst float64 `json:"dispatch_per_burst,omitempty"`
 	ScanEntries      int     `json:"scan_entries,omitempty"`
 	// Holder-death columns (schema v6). Stall marks the stall-injection cell:
-	// wedged holders never release and a harness reaper revokes them mid-run,
+	// wedged holders never release and the runtime's watchdog reaps them mid-run,
 	// so Reaped must be non-zero there (zero is asserted as a violation by
 	// -assert-bound: the revocation path went dead). In every other cell all
 	// three columns must read zero — a reap appearing in a non-stall cell
@@ -125,12 +123,14 @@ type RuntimePoint struct {
 	Reaped          uint64 `json:"reaped"`
 	RevokedReleases uint64 `json:"revoked_releases"`
 	OrphansAdopted  uint64 `json:"orphans_adopted"`
-	// Time-domain columns (schema v8), from the cell's flight recorder:
-	// admission wait (first refusal → admitted) and garbage residence age
-	// (sampled retire → free) quantiles in microseconds. These are
-	// power-of-two bucket edges, so two hosts disagree only by bucket; they
-	// are still wall-clock and therefore host-dependent — nbrtrend shows
-	// their movement as context and never flags it.
+	// Time-domain columns, from the runtime's flight recorder: admission wait
+	// (first enqueue → admitted) and garbage residence age (sampled retire →
+	// free) quantiles in microseconds. These are power-of-two bucket edges, so
+	// two hosts disagree only by bucket; they are still wall-clock and
+	// therefore host-dependent — nbrtrend shows their movement as context and
+	// never flags it. AdmitWaits (schema v9) is how many waits the admission
+	// quantiles summarise: a p99 over four samples is not a distribution.
+	AdmitWaits      uint64  `json:"admit_waits"`
 	AdmitWaitP50us  float64 `json:"admit_wait_p50_us,omitempty"`
 	AdmitWaitP99us  float64 `json:"admit_wait_p99_us,omitempty"`
 	GarbageAgeP50us float64 `json:"garbage_age_p50_us,omitempty"`
@@ -169,11 +169,11 @@ type ResizeBurstPoint struct {
 
 // WidthPoint is one Domain-vs-Runtime width-comparison cell (schema v5): the
 // announcement widths each construction path gives one structure, and the
-// measured reservation-scan cost at those widths. With the width registry
-// the runtime builds at the structure's declared widths, so the entries gap
-// is zero and ns/scan is at parity; a reopened gap (RuntimeEntries >
-// DomainEntries) means the runtime is back to conservative global widths and
-// is always flagged by nbrtrend, host-independently.
+// measured reservation-scan cost at those widths. The runtime builds at the
+// structure's declared widths, so the entries gap is zero and ns/scan is at
+// parity; a reopened gap (RuntimeEntries > DomainEntries) means the runtime is
+// back to conservative global widths and is always flagged by nbrtrend,
+// host-independently.
 type WidthPoint struct {
 	DS              string  `json:"ds"`
 	Threads         int     `json:"threads"`
@@ -232,7 +232,7 @@ const snapshotThreads = 8
 // exceeded the scheme's declared GarbageBound (the `nbrbench -assert-bound`
 // mode) — the snapshot is still written so the violating numbers are
 // inspectable.
-func WriteSnapshot(path string, duration time.Duration, cfg SchemeConfig, assertBound bool) error {
+func WriteSnapshot(path string, duration time.Duration, cfg catalog.SchemeConfig, assertBound bool) error {
 	threads := snapshotThreads
 	snap := Snapshot{
 		Schema:     SnapshotSchema,
@@ -269,19 +269,19 @@ func WriteSnapshot(path string, duration time.Duration, cfg SchemeConfig, assert
 		}
 	}
 
-	// The shared-runtime cells (schema v4): one lease registry and one
-	// scheme over three structures, workers oversubscribing the slots, so
-	// the snapshot tracks the per-session admission + multi-owner routing
-	// cost alongside the fixed-N workloads. Both the paper's main baseline
-	// and NBR+ are recorded; schema v5 adds, for each scheme, the
-	// adversarial interleaved-retire variant whose round-robin retire stream
-	// alternates owners perfectly — the dispatch-per-burst column on that
-	// cell is the hub's staging amortization under its worst case. Schema v6
-	// adds the stall-injection cell: NBR+ with every stallEvery-th holder
-	// wedging lease-held and a reaper revoking it mid-run, so the snapshot
-	// tracks reaped-slot recycling under load; the bound and drain-to-zero
-	// contracts must hold through holder deaths, and a stall cell that reaps
-	// nothing is itself a violation (the revocation path went dead).
+	// The shared-runtime cells: one nbr.Runtime over three structures,
+	// workers oversubscribing the slots, so the snapshot tracks the
+	// per-session admission + multi-owner routing cost alongside the fixed-N
+	// workloads. Both the paper's main baseline and NBR+ are recorded, each
+	// also in the adversarial interleaved-retire variant whose round-robin
+	// retire stream alternates owners perfectly — the dispatch-per-burst
+	// column on that cell is the hub's staging amortization under its worst
+	// case. The stall-injection cell is NBR+ with every stallEvery-th holder
+	// wedging lease-held and the runtime's watchdog reaping it mid-run, so
+	// the snapshot tracks reaped-slot recycling under load; the bound and
+	// drain-to-zero contracts must hold through holder deaths, and a stall
+	// cell that reaps nothing is itself a violation (the revocation path
+	// went dead).
 	for _, rc := range []struct {
 		scheme            string
 		interleave, stall bool
@@ -307,24 +307,8 @@ func WriteSnapshot(path string, duration time.Duration, cfg SchemeConfig, assert
 		if err != nil {
 			return fmt.Errorf("snapshot runtime cell %s: %w", rc.scheme, err)
 		}
-		snap.Runtime = append(snap.Runtime, RuntimePoint{
-			Structures: r.StructuresKey(), Scheme: rc.scheme,
-			Slots: r.Slots, Workers: r.Workers, KeyRange: r.KeyRange,
-			Mops: r.Mops, Sessions: r.Sessions, Freed: r.Stats.Freed,
-			Bound: r.Bound, GarbagePeak: r.GarbagePeak,
-			ForcedRounds: r.ForcedRounds, Fallbacks: r.Fallbacks,
-			Drained:     r.Drained,
-			Interleaved: rc.interleave, HubBursts: r.HubBursts,
-			HubDispatches: r.HubDispatches, DispatchPerBurst: r.DispatchPerBurst,
-			ScanEntries: r.ScanEntries,
-			Stall:       rc.stall, Reaped: r.Reaped,
-			RevokedReleases: r.RevokedReleases, OrphansAdopted: r.OrphansAdopted,
-			AdmitWaitP50us:  float64(r.AdmitWaitP50) / 1e3,
-			AdmitWaitP99us:  float64(r.AdmitWaitP99) / 1e3,
-			GarbageAgeP50us: float64(r.GarbageAgeP50) / 1e3,
-			GarbageAgeP99us: float64(r.GarbageAgeP99) / 1e3,
-		})
-		cell := r.StructuresKey()
+		snap.Runtime = append(snap.Runtime, r.RuntimePoint)
+		cell := r.Structures
 		if rc.interleave {
 			cell += "/interleaved"
 		}
@@ -431,7 +415,7 @@ func WriteSnapshot(path string, duration time.Duration, cfg SchemeConfig, assert
 	// The width-comparison cells (schema v5): for structures at both ends of
 	// the declared-reservation range, the scan entries and ns/scan a Domain
 	// gets (exact declared widths) vs what a Runtime hosting only that
-	// structure builds through the width registry. The gap must stay closed.
+	// structure builds. The gap must stay closed.
 	for _, name := range []string{"lazylist", "dgt"} {
 		wp, err := measureWidths(name, snapshotThreads)
 		if err != nil {
@@ -506,26 +490,31 @@ func measureScanCost(threads, slots int) ScanCostPoint {
 	}
 }
 
-// measureWidths builds one width-comparison cell: the Domain side uses the
-// structure's own declared widths, the Runtime side the widths the shared
-// runtime's width registry resolves for a runtime hosting exactly that
-// structure (the same fold nbr.NewRuntime + NewSet performs). Scan cost is
-// measured at each side's threads × reservations entries.
-func measureWidths(name string, threads int) (WidthPoint, error) {
-	domainReq, err := DSRequirements(name)
+// measureWidths builds one width-comparison cell from real objects: the
+// Domain side is the reservation width nbr.New gives the structure, the
+// Runtime side the width of a NewRuntime hosting exactly that structure (plus
+// any kinds it pre-declares — none in the snapshot, where the gap must be 0).
+// Scan cost is measured at each side's threads × reservations entries.
+func measureWidths(name string, threads int, declared ...string) (WidthPoint, error) {
+	d, err := nbr.New(nbr.Options{Structure: name, MaxThreads: threads})
 	if err != nil {
 		return WidthPoint{}, err
 	}
-	runtimeReq, err := MaxRequirements([]string{name})
+	rt, err := nbr.NewRuntime(nbr.RuntimeOptions{MaxThreads: threads, Structures: declared})
 	if err != nil {
 		return WidthPoint{}, err
 	}
-	domain := measureScanCost(threads, domainReq.Reservations)
-	rt := measureScanCost(threads, runtimeReq.Reservations)
+	if _, err := rt.NewSet(name); err != nil {
+		return WidthPoint{}, err
+	}
+	_, domainRes := d.Runtime().Widths()
+	_, runtimeRes := rt.Widths()
+	domain := measureScanCost(threads, domainRes)
+	shared := measureScanCost(threads, runtimeRes)
 	return WidthPoint{
 		DS: name, Threads: threads,
-		DomainEntries: domain.Entries, RuntimeEntries: rt.Entries,
-		DomainNsPerScan: domain.NsPerScan, RuntimeNsScan: rt.NsPerScan,
+		DomainEntries: domain.Entries, RuntimeEntries: shared.Entries,
+		DomainNsPerScan: domain.NsPerScan, RuntimeNsScan: shared.NsPerScan,
 	}, nil
 }
 

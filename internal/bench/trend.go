@@ -39,9 +39,10 @@ type TrendDelta struct {
 	// means worse (throughput down, cost up).
 	Pct        float64
 	Regression bool
-	// Untrusted marks a delta between snapshots from different host shapes
-	// (gomaxprocs/goarch): the numbers are shown but never flagged, because
-	// the machines are not comparable.
+	// Untrusted marks a delta whose two sides are not comparable: snapshots
+	// from different host shapes (gomaxprocs/goarch), or a runtime-cell timing
+	// across the schema v8/v9 boundary (see CompareSnapshots). The numbers are
+	// shown but never flagged.
 	Untrusted bool
 }
 
@@ -54,7 +55,7 @@ func (d TrendDelta) String() string {
 		// flagged even across host shapes.
 		tag = "  REGRESSION"
 	case d.Untrusted:
-		tag = "  UNTRUSTED(host shape differs)"
+		tag = "  UNTRUSTED(host shape or runtime-cell source differs)"
 	}
 	return fmt.Sprintf("%-44s %-10s %10.3f %s %10.3f  (%+.1f%%)%s",
 		d.Cell, d.Metric, d.Prev, arrow, d.Next, d.Pct, tag)
@@ -97,14 +98,19 @@ func worsePct(prev, next float64, up bool) float64 {
 func CompareSnapshots(prev, next Snapshot, threshold float64) []TrendDelta {
 	var out []TrendDelta
 	untrusted := HostShapeMismatch(prev, next) != ""
-	add := func(cell, metric string, p, n float64, up, flag bool) {
-		pct := worsePct(p, n, up)
-		out = append(out, TrendDelta{
-			Cell: cell, Metric: metric, Prev: p, Next: n, Pct: pct,
-			Regression: flag && pct > threshold && !untrusted,
-			Untrusted:  untrusted,
-		})
+	// adder appends timing deltas, marked (and never flagged) when the two
+	// sides are not comparable.
+	adder := func(distrust bool) func(cell, metric string, p, n float64, up, flag bool) {
+		return func(cell, metric string, p, n float64, up, flag bool) {
+			pct := worsePct(p, n, up)
+			out = append(out, TrendDelta{
+				Cell: cell, Metric: metric, Prev: p, Next: n, Pct: pct,
+				Regression: flag && pct > threshold && !distrust,
+				Untrusted:  distrust,
+			})
+		}
 	}
+	add := adder(untrusted)
 
 	prevW := map[string]WorkloadPoint{}
 	for _, w := range prev.Workloads {
@@ -146,6 +152,18 @@ func CompareSnapshots(prev, next Snapshot, threshold float64) []TrendDelta {
 		}
 		return key
 	}
+	// Up to schema v8 the runtime cells ran a reconstruction of the runtime
+	// inside the harness (workers spinning on a full registry); from v9 they
+	// run the public nbr.Runtime (blocking FIFO admission, the shipped
+	// watchdog). Across that boundary their wall-clock columns — everything
+	// that goes through addRT — are not comparable; their counters obey the
+	// same invariants on both sides and are compared (and flagged) as ever.
+	fromTwin := func(s Snapshot) bool {
+		var v int // stays 0 — older than any boundary — for a schema that does not parse
+		fmt.Sscanf(s.Schema, "nbr-perf-snapshot/v%d", &v)
+		return v < 9
+	}
+	addRT := adder(untrusted || fromTwin(prev) != fromTwin(next))
 	prevR := map[string]RuntimePoint{}
 	for _, r := range prev.Runtime {
 		prevR[runtimeKey(r)] = r
@@ -156,10 +174,10 @@ func CompareSnapshots(prev, next Snapshot, threshold float64) []TrendDelta {
 		if !ok {
 			continue
 		}
-		add(key, "mops", p.Mops, r.Mops, false, true)
-		add(key, "sessions", float64(p.Sessions), float64(r.Sessions), false, false)
+		addRT(key, "mops", p.Mops, r.Mops, false, true)
+		addRT(key, "sessions", float64(p.Sessions), float64(r.Sessions), false, false)
 		if p.GarbagePeak > 0 && r.GarbagePeak > 0 {
-			add(key, "garbage_pk", float64(p.GarbagePeak), float64(r.GarbagePeak), true, false)
+			addRT(key, "garbage_pk", float64(p.GarbagePeak), float64(r.GarbagePeak), true, false)
 		}
 		// Dispatch-per-burst (schema v5) is a counter ratio, not a timing:
 		// host-independent, so its growth past the threshold is flagged even
@@ -189,12 +207,12 @@ func CompareSnapshots(prev, next Snapshot, threshold float64) []TrendDelta {
 		// invariants this file already trusts (fallbacks, dispatch-per-burst,
 		// reaps) remain the flagged surface.
 		if p.AdmitWaitP99us > 0 && r.AdmitWaitP99us > 0 {
-			add(key, "admit_p50", p.AdmitWaitP50us, r.AdmitWaitP50us, true, false)
-			add(key, "admit_p99", p.AdmitWaitP99us, r.AdmitWaitP99us, true, false)
+			addRT(key, "admit_p50", p.AdmitWaitP50us, r.AdmitWaitP50us, true, false)
+			addRT(key, "admit_p99", p.AdmitWaitP99us, r.AdmitWaitP99us, true, false)
 		}
 		if p.GarbageAgeP99us > 0 && r.GarbageAgeP99us > 0 {
-			add(key, "gage_p50", p.GarbageAgeP50us, r.GarbageAgeP50us, true, false)
-			add(key, "gage_p99", p.GarbageAgeP99us, r.GarbageAgeP99us, true, false)
+			addRT(key, "gage_p50", p.GarbageAgeP50us, r.GarbageAgeP50us, true, false)
+			addRT(key, "gage_p99", p.GarbageAgeP99us, r.GarbageAgeP99us, true, false)
 		}
 		// Reap counts (schema v6) are counters, not timings. In a stall cell
 		// they are the injection working (informational); in any other cell

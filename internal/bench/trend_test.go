@@ -270,3 +270,35 @@ func TestCompareSnapshotsV6ReapsFlaggedOnlyOffStall(t *testing.T) {
 		t.Fatalf("steady state flagged: %v", regs)
 	}
 }
+
+// TestCompareSnapshotsRuntimeTimingsUntrustedAcrossV9 pins the v8/v9
+// boundary: the runtime cells changed what they measure (harness twin →
+// public nbr.Runtime), so across it their timings are shown untrusted and
+// never flagged, while their counters — and every other cell — compare as
+// before. Within one side of the boundary nothing changes.
+func TestCompareSnapshotsRuntimeTimingsUntrustedAcrossV9(t *testing.T) {
+	prev := trendSnapV5(1.0, 16)
+	prev.Schema = "nbr-perf-snapshot/v8"
+	next := trendSnapV5(3.0, 16) // amortization lost: a counter regression
+	next.Runtime[0].Mops = 0.4   // and a throughput collapse
+	next.Workloads[0].Mops = 1.0 // and a workload-cell collapse
+
+	flagged := map[string]bool{}
+	for _, d := range CompareSnapshots(prev, next, 10) {
+		runtimeTiming := strings.HasPrefix(d.Cell, "runtime") && (d.Metric == "mops" || d.Metric == "sessions")
+		if d.Untrusted != runtimeTiming {
+			t.Errorf("across v8→v9 %q/%s untrusted=%v, want %v", d.Cell, d.Metric, d.Untrusted, runtimeTiming)
+		}
+		if d.Regression {
+			flagged[strings.Fields(d.Cell)[0]+"/"+d.Metric] = true
+		}
+	}
+	if flagged["runtime/mops"] || !flagged["runtime/disp_burst"] || !flagged["workload/mops"] {
+		t.Fatalf("across v8→v9 flagged %v; want the runtime counter and the workload timing, not the runtime timing", flagged)
+	}
+
+	prev.Schema = SnapshotSchema // same side of the boundary: the timing is trusted again
+	if regs := Regressions(CompareSnapshots(prev, next, 10)); len(regs) != 3 {
+		t.Fatalf("within v9 want mops flagged on both cells plus disp_burst, got %v", regs)
+	}
+}

@@ -1,12 +1,13 @@
-// Package bench is the experiment harness: it constructs data structures and
-// reclamation schemes by name, encodes the paper's applicability matrix
-// (Table 1), drives timed workloads, and reproduces every figure of the
-// evaluation (see DESIGN.md §5 for the index).
-package bench
+// Package catalog is the module's table of contents: it constructs every
+// reclamation scheme and data structure by name, declares each structure's
+// announcement widths, encodes the paper's applicability matrix (Table 1) and
+// owns the one function that wires a scheme into a lease registry. It is a
+// leaf — it imports only ds/*, smr/*, core, mem and sigsim — so the public nbr
+// package, the correctness suites and the benchmark harness all sit above it
+// (DESIGN.md §1).
+package catalog
 
 import (
-	"fmt"
-
 	"nbr/internal/core"
 	"nbr/internal/ds"
 	"nbr/internal/mem"
@@ -103,7 +104,7 @@ func NewSchemeFor(name string, arena mem.Arena, threads int, cfg SchemeConfig, r
 	// shared-shard interaction and the recycled slots stay local for the
 	// allocations that refill the structure (ROADMAP item from PR 1).
 	// Lease-managed callers re-apply the same sizing per slot at acquire
-	// time via the registry hooks.
+	// time (BindLeases).
 	if burst := sch.ReclaimBurst(); burst > 0 {
 		for tid := 0; tid < threads; tid++ {
 			arena.SizeCache(tid, burst)
@@ -128,17 +129,26 @@ func newScheme(name string, arena mem.Arena, threads int, cfg SchemeConfig, req 
 		return era.NewIBR(arena, threads, era.Config{Threshold: cfg.Threshold, EraFreq: cfg.EraFreq}), nil
 	case "he":
 		return era.NewHE(arena, threads, era.Config{Slots: req.Slots, Threshold: cfg.Threshold, EraFreq: cfg.EraFreq}), nil
-	case "nbr":
+	case "nbr", "nbr+":
 		return core.New(arena, threads, core.Config{
-			BagSize: cfg.BagSize, LoFraction: cfg.LoFraction,
-			ScanFreq: cfg.ScanFreq, Slots: cfg.Slots, Signals: sig,
-		}), nil
-	case "nbr+":
-		return core.New(arena, threads, core.Config{
-			Plus:    true,
+			Plus:    name == "nbr+",
 			BagSize: cfg.BagSize, LoFraction: cfg.LoFraction,
 			ScanFreq: cfg.ScanFreq, Slots: cfg.Slots, Signals: sig,
 		}), nil
 	}
-	return nil, fmt.Errorf("bench: unknown scheme %q (have %v)", name, SchemeNames)
+	return nil, CheckScheme(name)
+}
+
+// BindLeases wires a scheme into a lease registry over the arena its records
+// are freed to. The order is a correctness condition: Bind registers the
+// scheme's quiesce hook first, so a departing thread's frees reach the
+// arena's caches (and a Hub's staging buffers) before the drain hook
+// registered after it flushes them; the acquire hook re-applies the
+// reclamation-burst cache sizing NewSchemeFor gave every slot up front.
+func BindLeases(reg *smr.Registry, sch smr.Scheme, arena mem.Arena) {
+	reg.Bind(sch)
+	if burst := sch.ReclaimBurst(); burst > 0 {
+		reg.OnAcquire(func(tid int) { arena.SizeCache(tid, burst) })
+	}
+	reg.OnRelease(func(tid int) { arena.DrainCache(tid) })
 }

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"nbr/internal/bench"
+	"nbr/internal/catalog"
 	"nbr/internal/ds/abtree"
 )
 
@@ -13,9 +13,9 @@ import (
 // leaves recycle constantly.
 func TestQuickSetSemantics(t *testing.T) {
 	tr := abtree.New(1)
-	cfg := bench.DefaultSchemeConfig()
+	cfg := catalog.DefaultSchemeConfig()
 	cfg.BagSize = 64
-	s, err := bench.NewScheme("nbr+", tr.Arena(), 1, cfg)
+	s, err := catalog.NewScheme("nbr+", tr.Arena(), 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestQuickSetSemantics(t *testing.T) {
 // cycles, exercising root growth and collapse in both directions.
 func TestGrowShrinkCycles(t *testing.T) {
 	tr := abtree.New(1)
-	s, err := bench.NewScheme("debra", tr.Arena(), 1, bench.DefaultSchemeConfig())
+	s, err := catalog.NewScheme("debra", tr.Arena(), 1, catalog.DefaultSchemeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

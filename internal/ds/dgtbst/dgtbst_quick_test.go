@@ -4,7 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"nbr/internal/bench"
+	"nbr/internal/catalog"
 	"nbr/internal/ds/dgtbst"
 )
 
@@ -12,9 +12,9 @@ import (
 // tiny limbo bag (internal routers and leaves recycle constantly).
 func TestQuickSetSemantics(t *testing.T) {
 	tr := dgtbst.New(1)
-	cfg := bench.DefaultSchemeConfig()
+	cfg := catalog.DefaultSchemeConfig()
 	cfg.BagSize = 64
-	s, err := bench.NewScheme("nbr+", tr.Arena(), 1, cfg)
+	s, err := catalog.NewScheme("nbr+", tr.Arena(), 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestQuickSetSemantics(t *testing.T) {
 // insert retires none.
 func TestDeleteRetiresRouterAndLeaf(t *testing.T) {
 	tr := dgtbst.New(1)
-	s, err := bench.NewScheme("debra", tr.Arena(), 1, bench.DefaultSchemeConfig())
+	s, err := catalog.NewScheme("debra", tr.Arena(), 1, catalog.DefaultSchemeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"nbr/internal/bench"
+	"nbr/internal/catalog"
 	"nbr/internal/ds/dgtbst"
 	"nbr/internal/dstest"
 	"nbr/internal/smr"
@@ -25,7 +25,7 @@ func TestMatrix(t *testing.T) { dstest.RunAll(t, factory()) }
 func newWithGuard(t *testing.T, scheme string) (*dgtbst.Tree, smr.Guard) {
 	t.Helper()
 	tr := dgtbst.New(1)
-	s, err := bench.NewScheme(scheme, tr.Arena(), 1, bench.DefaultSchemeConfig())
+	s, err := catalog.NewScheme(scheme, tr.Arena(), 1, catalog.DefaultSchemeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,6 +35,14 @@ type Requirements struct {
 	Threshold    int
 }
 
+// Widen grows r, field by field, to the smallest widths both r and o fit
+// under — how a scheme shared by several structures is sized.
+func (r *Requirements) Widen(o Requirements) {
+	r.Slots = max(r.Slots, o.Slots)
+	r.Reservations = max(r.Reservations, o.Reservations)
+	r.Threshold = max(r.Threshold, o.Threshold)
+}
+
 // DefaultThreshold is the per-peer retire-buffer depth the harness's
 // structures declare: 2 records per default hazard slot, matching the scan
 // cadence hp's 2·N·Slots default produced before Slots narrowed per-DS.

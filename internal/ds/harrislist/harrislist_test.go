@@ -3,7 +3,7 @@ package harrislist_test
 import (
 	"testing"
 
-	"nbr/internal/bench"
+	"nbr/internal/catalog"
 	"nbr/internal/ds/harrislist"
 	"nbr/internal/dstest"
 	"nbr/internal/smr"
@@ -30,7 +30,7 @@ func TestMatrix(t *testing.T) { dstest.RunAll(t, factory()) }
 func newWithGuard(t *testing.T, scheme string) (*harrislist.List, smr.Guard) {
 	t.Helper()
 	l := harrislist.New(1)
-	s, err := bench.NewScheme(scheme, l.Arena(), 1, bench.DefaultSchemeConfig())
+	s, err := catalog.NewScheme(scheme, l.Arena(), 1, catalog.DefaultSchemeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"nbr/internal/bench"
+	"nbr/internal/catalog"
 	"nbr/internal/ds/hashmap"
 	"nbr/internal/dstest"
 	"nbr/internal/mem"
@@ -34,7 +34,7 @@ func TestMatrix(t *testing.T) { dstest.RunAll(t, factory()) }
 func newWithGuard(t *testing.T, scheme string) (*hashmap.Map, smr.Guard) {
 	t.Helper()
 	m := hashmap.New(1)
-	s, err := bench.NewSchemeFor(scheme, m.Arena(), 1, bench.DefaultSchemeConfig(), m.Requirements())
+	s, err := catalog.NewSchemeFor(scheme, m.Arena(), 1, catalog.DefaultSchemeConfig(), m.Requirements())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestResizeGrowth(t *testing.T) {
 // under a grace-period scheme (the only family the baseline is safe under).
 func TestPerNodeBaseline(t *testing.T) {
 	m := hashmap.NewPerNodeWith(mem.Config{MaxThreads: 1})
-	sch, err := bench.NewSchemeFor("ibr", m.Arena(), 1, bench.DefaultSchemeConfig(), m.Requirements())
+	sch, err := catalog.NewSchemeFor("ibr", m.Arena(), 1, catalog.DefaultSchemeConfig(), m.Requirements())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +153,8 @@ func TestPerNodeBaseline(t *testing.T) {
 // escaped the watermark accounting overshoots here by the array length. The
 // storm then drains to Retired == Freed, proving no segment is stranded.
 func TestResizeStormBound(t *testing.T) {
-	for _, scheme := range bench.SchemeNames {
-		if !bench.Runnable("hashmap", scheme) {
+	for _, scheme := range catalog.SchemeNames {
+		if !catalog.Runnable("hashmap", scheme) {
 			continue
 		}
 		scheme := scheme
@@ -165,14 +165,14 @@ func TestResizeStormBound(t *testing.T) {
 func resizeStorm(t *testing.T, scheme string) {
 	const threads = 6
 	m := hashmap.New(threads)
-	cfg := bench.SchemeConfig{
+	cfg := catalog.SchemeConfig{
 		BagSize:    32, // one retired array can span the bag
 		LoFraction: 0.5,
 		ScanFreq:   4,
 		Threshold:  48,
 		EraFreq:    16,
 	}
-	sch, err := bench.NewSchemeFor(scheme, m.Arena(), threads, cfg, m.Requirements())
+	sch, err := catalog.NewSchemeFor(scheme, m.Arena(), threads, cfg, m.Requirements())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"nbr/internal/bench"
+	"nbr/internal/catalog"
 	"nbr/internal/ds/hmlist"
 )
 
@@ -16,11 +16,11 @@ import (
 func TestVariantsEquivalent(t *testing.T) {
 	lr := hmlist.New(1, hmlist.Restart)
 	ln := hmlist.New(1, hmlist.NoRestart)
-	sr, err := bench.NewScheme("debra", lr.Arena(), 1, bench.DefaultSchemeConfig())
+	sr, err := catalog.NewScheme("debra", lr.Arena(), 1, catalog.DefaultSchemeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn, err := bench.NewScheme("debra", ln.Arena(), 1, bench.DefaultSchemeConfig())
+	sn, err := catalog.NewScheme("debra", ln.Arena(), 1, catalog.DefaultSchemeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestVariantsEquivalent(t *testing.T) {
 
 func TestQuickSetSemantics(t *testing.T) {
 	l := hmlist.New(1, hmlist.Restart)
-	s, err := bench.NewScheme("nbr+", l.Arena(), 1, bench.DefaultSchemeConfig())
+	s, err := catalog.NewScheme("nbr+", l.Arena(), 1, catalog.DefaultSchemeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@ package hmlist_test
 import (
 	"testing"
 
-	"nbr/internal/bench"
+	"nbr/internal/catalog"
 	"nbr/internal/ds/hmlist"
 	"nbr/internal/dstest"
 	"nbr/internal/smr"
@@ -32,12 +32,12 @@ func TestMatrixNoRestart(t *testing.T) {
 func TestNoRestartRejectsNBR(t *testing.T) {
 	// Table 1: HM04 without the E4 modification cannot use NBR.
 	for _, scheme := range []string{"nbr", "nbr+"} {
-		if bench.Runnable("hmlist-norestart", scheme) {
+		if catalog.Runnable("hmlist-norestart", scheme) {
 			t.Fatalf("matrix must reject hmlist-norestart under %s", scheme)
 		}
 	}
 	for _, scheme := range []string{"nbr", "nbr+", "debra", "hp"} {
-		if !bench.Runnable("hmlist", scheme) {
+		if !catalog.Runnable("hmlist", scheme) {
 			t.Fatalf("matrix must admit the restart variant under %s", scheme)
 		}
 	}
@@ -46,7 +46,7 @@ func TestNoRestartRejectsNBR(t *testing.T) {
 func newWithGuard(t *testing.T, scheme string, v hmlist.Variant) (*hmlist.List, smr.Guard) {
 	t.Helper()
 	l := hmlist.New(1, v)
-	s, err := bench.NewScheme(scheme, l.Arena(), 1, bench.DefaultSchemeConfig())
+	s, err := catalog.NewScheme(scheme, l.Arena(), 1, catalog.DefaultSchemeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"nbr/internal/bench"
+	"nbr/internal/catalog"
 	"nbr/internal/ds"
 	"nbr/internal/ds/lazylist"
 	"nbr/internal/dstest"
@@ -26,7 +26,7 @@ func TestMatrix(t *testing.T) { dstest.RunAll(t, factory()) }
 func newWithGuard(t *testing.T, scheme string) (*lazylist.List, smr.Guard) {
 	t.Helper()
 	l := lazylist.New(1)
-	s, err := bench.NewScheme(scheme, l.Arena(), 1, bench.DefaultSchemeConfig())
+	s, err := catalog.NewScheme(scheme, l.Arena(), 1, catalog.DefaultSchemeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,23 +37,19 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"nbr/internal/bench"
-	"nbr/internal/ds"
-	"nbr/internal/mem"
+	"nbr/internal/catalog"
 	"nbr/internal/obs"
 	"nbr/internal/sigsim"
 	"nbr/internal/smr"
 )
 
-// Instance is one data structure wired to its arena.
-type Instance struct {
-	Set   ds.Set
-	Arena mem.Arena
-}
+// Instance is one data structure wired to its arena; a factory fills in Set
+// and Arena.
+type Instance = catalog.Instance
 
 // Factory creates instances of one data structure for the suite.
 type Factory struct {
-	// Name must match the applicability-matrix entry (bench.DSNames).
+	// Name must match the applicability-matrix entry (catalog.DSNames).
 	Name string
 	// New creates a set sized for the given number of threads.
 	New func(threads int) Instance
@@ -71,8 +67,8 @@ type Factory struct {
 // freeing and neutralization constantly rather than only at scale. Slots
 // stays 0 (auto) so the suites run the same narrow per-DS widths the
 // benchmarks use.
-func config() bench.SchemeConfig {
-	return bench.SchemeConfig{
+func config() catalog.SchemeConfig {
+	return catalog.SchemeConfig{
 		BagSize:    128,
 		LoFraction: 0.5,
 		ScanFreq:   4,
@@ -85,7 +81,7 @@ func newScheme(t *testing.T, name string, inst Instance, threads int) smr.Scheme
 	t.Helper()
 	// Schemes are sized to the structure's declared announcement widths,
 	// exactly as bench.Run constructs the measured configurations.
-	s, err := bench.NewSchemeFor(name, inst.Arena, threads, config(), inst.Set.Requirements())
+	s, err := catalog.NewSchemeFor(name, inst.Arena, threads, config(), inst.Set.Requirements())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +121,39 @@ func dumpRecorder(t *testing.T, rec *obs.Recorder) {
 	_ = os.WriteFile(dumpFile, []byte(tail), 0o644) // best-effort: the artifact step tolerates absence
 }
 
+// watchBound holds the live GarbageBound contract: a background goroutine
+// races the garbage count against the declared bound until the returned stop
+// is called, which reports the last violating sample, if any. GarbageBound
+// is monotone, so a bound read after the garbage sample can only be ≥ the
+// bound at sampling time: garbage > bound is a true violation, never a race
+// artifact.
+func watchBound(garbage func() uint64, bound func() int) (stop func() (g uint64, b int, violated bool)) {
+	var halt atomic.Bool
+	var g uint64
+	var b int
+	var violated bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for !halt.Load() {
+			sample := garbage()
+			if limit := bound(); limit != smr.Unbounded && sample > uint64(limit) {
+				g, b, violated = sample, limit, true
+			}
+			runtime.Gosched()
+		}
+	}()
+	return func() (uint64, int, bool) {
+		halt.Store(true)
+		<-done
+		return g, b, violated
+	}
+}
+
 // RunAll executes every suite × scheme combination for the factory.
 func RunAll(t *testing.T, f Factory) {
-	for _, scheme := range bench.SchemeNames {
-		if !bench.Runnable(f.Name, scheme) {
+	for _, scheme := range catalog.SchemeNames {
+		if !catalog.Runnable(f.Name, scheme) {
 			continue
 		}
 		scheme := scheme
@@ -283,7 +308,7 @@ func Bound(t *testing.T, f Factory, scheme string) {
 	inst := f.New(threads)
 	cfg := config()
 	cfg.BagSize = 32 // N·R ≤ 18 stays below; one splice can span the bag
-	sch, err := bench.NewSchemeFor(scheme, inst.Arena, threads, cfg, inst.Set.Requirements())
+	sch, err := catalog.NewSchemeFor(scheme, inst.Arena, threads, cfg, inst.Set.Requirements())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +395,7 @@ func BoundChain(t *testing.T, f Factory, scheme string) {
 	inst := f.New(threads)
 	cfg := config()
 	cfg.BagSize = 32 // one splice spans many bags
-	sch, err := bench.NewSchemeFor(scheme, inst.Arena, threads, cfg, inst.Set.Requirements())
+	sch, err := catalog.NewSchemeFor(scheme, inst.Arena, threads, cfg, inst.Set.Requirements())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"nbr/internal/bench"
+	"nbr/internal/catalog"
 	"nbr/internal/sigsim"
 	"nbr/internal/smr"
 )
@@ -40,16 +40,12 @@ func Kill(t *testing.T, f Factory, scheme string) {
 	}
 
 	inst := f.New(maxThreads)
-	sch, err := bench.NewSchemeFor(scheme, inst.Arena, maxThreads, config(), inst.Set.Requirements())
+	sch, err := catalog.NewSchemeFor(scheme, inst.Arena, maxThreads, config(), inst.Set.Requirements())
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := smr.NewRegistry(maxThreads)
-	reg.Bind(sch)
-	if burst := sch.ReclaimBurst(); burst > 0 {
-		reg.OnAcquire(func(tid int) { inst.Arena.SizeCache(tid, burst) })
-	}
-	reg.OnRelease(func(tid int) { inst.Arena.DrainCache(tid) })
+	catalog.BindLeases(reg, sch, inst.Arena)
 
 	// owners is the recycled-tid aliasing detector, as in Lease. A wedged
 	// holder gives up its count before handing the lease to the reaper: its
@@ -57,22 +53,7 @@ func Kill(t *testing.T, f Factory, scheme string) {
 	// before that.
 	var owners [maxThreads]atomic.Int32
 
-	var stop atomic.Bool
-	var violation atomic.Bool
-	var peak, peakBound atomic.Uint64
-	samplerDone := make(chan struct{})
-	go func() {
-		defer close(samplerDone)
-		for !stop.Load() {
-			g := sch.Stats().Garbage()
-			if bound := sch.GarbageBound(); bound != smr.Unbounded && g > uint64(bound) {
-				violation.Store(true)
-				peak.Store(g)
-				peakBound.Store(uint64(bound))
-			}
-			runtime.Gosched()
-		}
-	}()
+	stopWatch := watchBound(func() uint64 { return sch.Stats().Garbage() }, sch.GarbageBound)
 
 	// The reaper: wedged holders' leases arrive here; each is revoked — the
 	// shared recovery path runs on THIS goroutine, not the holder's — and
@@ -193,11 +174,8 @@ func Kill(t *testing.T, f Factory, scheme string) {
 
 	close(reap)
 	<-reaperDone
-	stop.Store(true)
-	<-samplerDone
-	if violation.Load() {
-		t.Fatalf("garbage-bound contract violated under holder kills: sampled %d > declared bound %d",
-			peak.Load(), peakBound.Load())
+	if g, b, violated := stopWatch(); violated {
+		t.Fatalf("garbage-bound contract violated under holder kills: sampled %d > declared bound %d", g, b)
 	}
 
 	if got := reg.ReapedLeases(); got != reaped.Load() {
@@ -228,16 +206,9 @@ func Kill(t *testing.T, f Factory, scheme string) {
 		t.Fatalf("stats invalid at quiescence (double-free accounting): freed %d > retired %d",
 			st.Freed, st.Retired)
 	}
-	if d, ok := sch.(smr.Drainer); ok && scheme != "none" {
-		for i := 0; i < 64; i++ {
-			st = sch.Stats()
-			if st.Retired == st.Freed {
-				break
-			}
-			d.Drain(held[0].Tid())
-		}
-		st = sch.Stats()
-		if st.Retired != st.Freed {
+	if scheme != "none" {
+		smr.DrainQuiet(sch, held[0].Tid())
+		if st = sch.Stats(); st.Retired != st.Freed {
 			t.Fatalf("drain left stranded records after holder kills: retired %d, freed %d (%d leaked)",
 				st.Retired, st.Freed, st.Retired-st.Freed)
 		}

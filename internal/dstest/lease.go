@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"nbr/internal/bench"
+	"nbr/internal/catalog"
 	"nbr/internal/smr"
 )
 
@@ -32,43 +32,18 @@ func Lease(t *testing.T, f Factory, scheme string) {
 	}
 
 	inst := f.New(maxThreads)
-	sch, err := bench.NewSchemeFor(scheme, inst.Arena, maxThreads, config(), inst.Set.Requirements())
+	sch, err := catalog.NewSchemeFor(scheme, inst.Arena, maxThreads, config(), inst.Set.Requirements())
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := smr.NewRegistry(maxThreads)
-	reg.Bind(sch)
-	// The allocator-side lease hooks: size the slot's cache to the scheme's
-	// burst on acquire, flush it on release so unleased slots strand no
-	// recyclable records.
-	if burst := sch.ReclaimBurst(); burst > 0 {
-		reg.OnAcquire(func(tid int) { inst.Arena.SizeCache(tid, burst) })
-	}
-	reg.OnRelease(func(tid int) { inst.Arena.DrainCache(tid) })
+	catalog.BindLeases(reg, sch, inst.Arena)
 
 	// owners tracks concurrent lease holders per tid: two at once is the
 	// recycled-tid aliasing the quarantine exists to prevent.
 	var owners [maxThreads]atomic.Int32
 
-	var stop atomic.Bool
-	var violation atomic.Bool
-	var peak, peakBound atomic.Uint64
-	samplerDone := make(chan struct{})
-	go func() {
-		defer close(samplerDone)
-		for !stop.Load() {
-			g := sch.Stats().Garbage()
-			// GarbageBound is monotone, so a bound read after the garbage
-			// sample can only be ≥ the bound at sampling time: g > bound is
-			// a true violation, never a race artifact.
-			if bound := sch.GarbageBound(); bound != smr.Unbounded && g > uint64(bound) {
-				violation.Store(true)
-				peak.Store(g)
-				peakBound.Store(uint64(bound))
-			}
-			runtime.Gosched()
-		}
-	}()
+	stopWatch := watchBound(func() uint64 { return sch.Stats().Garbage() }, sch.GarbageBound)
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -110,11 +85,8 @@ func Lease(t *testing.T, f Factory, scheme string) {
 		}(w)
 	}
 	wg.Wait()
-	stop.Store(true)
-	<-samplerDone
-	if violation.Load() {
-		t.Fatalf("garbage-bound contract violated under lease churn: sampled %d > declared bound %d",
-			peak.Load(), peakBound.Load())
+	if g, b, violated := stopWatch(); violated {
+		t.Fatalf("garbage-bound contract violated under lease churn: sampled %d > declared bound %d", g, b)
 	}
 
 	// Drain: every record a departed thread retired must be reclaimable at
@@ -125,21 +97,14 @@ func Lease(t *testing.T, f Factory, scheme string) {
 		t.Fatalf("stats invalid at quiescence (double-free accounting): freed %d > retired %d",
 			st.Freed, st.Retired)
 	}
-	if d, ok := sch.(smr.Drainer); ok && scheme != "none" {
+	if scheme != "none" {
 		l, err := reg.Acquire()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 64; i++ {
-			st = sch.Stats()
-			if st.Retired == st.Freed {
-				break
-			}
-			d.Drain(l.Tid())
-		}
+		smr.DrainQuiet(sch, l.Tid())
 		l.Release()
-		st = sch.Stats()
-		if st.Retired != st.Freed {
+		if st = sch.Stats(); st.Retired != st.Freed {
 			t.Fatalf("drain left orphaned records: retired %d, freed %d (%d leaked)",
 				st.Retired, st.Freed, st.Retired-st.Freed)
 		}

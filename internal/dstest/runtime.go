@@ -3,7 +3,6 @@ package dstest
 import (
 	"context"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -83,25 +82,7 @@ func RuntimeChurn(t *testing.T, scheme string) {
 	// recycled-tid aliasing the quarantine exists to prevent.
 	var owners [maxThreads]atomic.Int32
 
-	var stop atomic.Bool
-	var violation atomic.Bool
-	var peak, peakBound atomic.Uint64
-	samplerDone := make(chan struct{})
-	go func() {
-		defer close(samplerDone)
-		for !stop.Load() {
-			g := rt.Stats().Garbage()
-			// GarbageBound is monotone, so a bound read after the garbage
-			// sample can only be ≥ the bound at sampling time: g > bound is
-			// a true violation, never a race artifact.
-			if bound := rt.GarbageBound(); bound != nbr.Unbounded && g > uint64(bound) {
-				violation.Store(true)
-				peak.Store(g)
-				peakBound.Store(uint64(bound))
-			}
-			runtime.Gosched()
-		}
-	}()
+	stopWatch := watchBound(func() uint64 { return rt.Stats().Garbage() }, rt.GarbageBound)
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -143,12 +124,9 @@ func RuntimeChurn(t *testing.T, scheme string) {
 		}(w)
 	}
 	wg.Wait()
-	stop.Store(true)
-	<-samplerDone
-	if violation.Load() {
+	if g, b, violated := stopWatch(); violated {
 		dumpRuntime(t, rt)
-		t.Fatalf("aggregated garbage-bound contract violated under multi-structure churn: sampled %d > declared bound %d",
-			peak.Load(), peakBound.Load())
+		t.Fatalf("aggregated garbage-bound contract violated under multi-structure churn: sampled %d > declared bound %d", g, b)
 	}
 	// The round guarantee must hold without the oldest-slot fallback: every
 	// scheme in the harness except the leaky baseline can force the missing

@@ -112,7 +112,7 @@ type guard struct {
 func (g *guard) BeginOp() {
 	e := g.s.epoch.Load()
 	if e != g.localE {
-		g.rotate(e)
+		g.rotate(e, len(g.Bag))
 	}
 	g.s.announce[g.Tid()].Store(e<<1 | 1)
 
@@ -165,20 +165,25 @@ func (g *guard) RetireBatch(ps []mem.Ptr) {
 // the handle; the rotation burst frees them through the arena's fan-out.
 func (g *guard) BeforeSegment(_, _ mem.Ptr, _ int) { g.catchUp() }
 
-// catchUp adopts the current epoch (rotating if it moved), then pulls every
-// orphaned record into the current epoch's end of the bag. The order
-// matters: an orphan was retired no later than now, so filing it under the
-// freshly read epoch e guarantees it is not freed before rotate(e+2) — two
-// full grace periods after its retirement. Filing under a stale localE would
-// shrink that margin (a drain guard can lag the epoch by ≥2, which would
-// free adopted records with no grace period at all). Rotation here must not
-// touch the thread's announcement — raising it mid-operation would unpin
-// records this operation still holds.
+// catchUp pulls every orphaned record into the bag, then adopts the current
+// epoch (rotating if it moved) with the orphans filed at the current epoch's
+// end of the bag. The order matters: the epoch is read after the orphans were
+// taken, so it is no older than the one any of them was retired under, and
+// filing them under it guarantees none is freed before rotate(e+2) — two full
+// grace periods after its retirement. An epoch read before the adoption can
+// be stale by the time a just-departed thread's records arrive (the adopter
+// preempted in between), which would file a record retired under e+1 as e and
+// free it one grace period early; filing under a stale localE would be worse
+// (a drain guard can lag the epoch by ≥2, which would free adopted records
+// with no grace period at all). Rotation here must not touch the thread's
+// announcement — raising it mid-operation would unpin records this operation
+// still holds.
 func (g *guard) catchUp() {
-	if e := g.s.epoch.Load(); e != g.localE {
-		g.rotate(e)
-	}
+	own := len(g.Bag)
 	g.Adopt(0)
+	if e := g.s.epoch.Load(); e != g.localE {
+		g.rotate(e, own)
+	}
 }
 
 // FullPass implements smr.Policy: catch up, attempt one epoch advance and
@@ -190,22 +195,23 @@ func (g *guard) FullPass() {
 	e := g.localE
 	if !g.s.stuck(g.Tid(), e) && g.s.epoch.CompareAndSwap(e, e+1) {
 		g.Advances.Inc()
-		g.rotate(e + 1)
+		g.rotate(e+1, len(g.Bag))
 	}
 	g.s.announce[g.Tid()].Store(g.localE << 1)
 }
 
-// rotate adopts epoch e. Records retired under epoch e−2 (the bag below the
-// mark) — or everything, if the epoch jumped by ≥2 — are past two grace
-// periods and freed in one burst; what was the current epoch's bag becomes
-// the previous one's.
-func (g *guard) rotate(e uint64) {
+// rotate adopts epoch e for the guard's own records Bag[:own]; anything past
+// them was adopted just now and belongs to epoch e itself. Own records retired
+// under epoch e−2 (the bag below the mark) — or all of them, if the epoch
+// jumped by ≥2 — are past two grace periods and freed in one burst; what was
+// the current epoch's bag becomes the previous one's.
+func (g *guard) rotate(e uint64, own int) {
 	upto := g.mark
 	if e >= g.localE+2 {
-		upto = len(g.Bag)
+		upto = own
 	}
 	g.Sweep(upto, func(mem.Ptr) bool { return false })
-	g.mark = len(g.Bag)
+	g.mark = own - upto
 	g.localE = e
 	g.scanAt = 0 // scan progress was for the previous epoch
 }

@@ -39,6 +39,20 @@ type Drainer interface {
 	Drain(tid int)
 }
 
+// DrainQuiet makes Drain passes on behalf of tid until every retired record
+// is freed. At quiescence that takes a few passes (64 is far past any
+// scheme's grace-period walk); under concurrent traffic it is a best-effort
+// burst. A scheme that is no Drainer is left alone.
+func DrainQuiet(s Scheme, tid int) {
+	d, ok := s.(Drainer)
+	for i := 0; ok && i < 64; i++ {
+		if st := s.Stats(); st.Retired == st.Freed {
+			return
+		}
+		d.Drain(tid)
+	}
+}
+
 // Registry hands out dense thread slots as revocable leases, so
 // goroutine-pool services can run reclamation-protected operations without a
 // fixed thread set. It owns three pieces of shared state:

@@ -10,7 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nbr/internal/bench"
+	"nbr/internal/catalog"
 	"nbr/internal/ds"
 	"nbr/internal/mem"
 	"nbr/internal/obs"
@@ -146,11 +146,15 @@ type schemeBox struct {
 }
 
 // NewRuntime creates a Runtime with no structures attached. Structure kinds
-// named in opts.Structures are resolved through the width registry and
-// widen the (not-yet-built) scheme up front; unknown names are rejected.
+// named in opts.Structures are resolved through the catalog and widen the
+// (not-yet-built) scheme up front; unknown scheme or structure names are
+// rejected here, not at the first Acquire.
 func NewRuntime(opts RuntimeOptions) (*Runtime, error) {
 	opts = opts.withDefaults()
-	req, err := bench.MaxRequirements(opts.Structures)
+	if err := catalog.CheckScheme(opts.Scheme); err != nil {
+		return nil, fmt.Errorf("nbr: %w", err)
+	}
+	req, err := catalog.MaxRequirements(opts.Structures)
 	if err != nil {
 		return nil, fmt.Errorf("nbr: RuntimeOptions.Structures: %w", err)
 	}
@@ -192,7 +196,7 @@ func (rt *Runtime) materialize() (smr.Scheme, error) {
 	if req.Threshold <= 0 {
 		req.Threshold = ds.DefaultThreshold
 	}
-	cfg := bench.SchemeConfig{
+	cfg := catalog.SchemeConfig{
 		BagSize:    rt.opts.BagSize,
 		LoFraction: rt.opts.LoFraction,
 		ScanFreq:   rt.opts.ScanFreq,
@@ -201,18 +205,11 @@ func (rt *Runtime) materialize() (smr.Scheme, error) {
 		SendSpin:   rt.opts.SendSpin,
 		HandleSpin: rt.opts.HandleSpin,
 	}
-	scheme, err := bench.NewSchemeFor(rt.opts.Scheme, rt.hub, rt.opts.MaxThreads, cfg, req)
+	scheme, err := catalog.NewSchemeFor(rt.opts.Scheme, rt.hub, rt.opts.MaxThreads, cfg, req)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("nbr: %w", err)
 	}
-	// Hook order matters: Bind registers the scheme's quiesce hook first, so
-	// a departing thread's frees reach the hub's staging buffers and its
-	// allocator caches before the drain hook flushes them.
-	rt.reg.Bind(scheme)
-	if burst := scheme.ReclaimBurst(); burst > 0 {
-		rt.reg.OnAcquire(func(tid int) { rt.hub.SizeCache(tid, burst) })
-	}
-	rt.reg.OnRelease(func(tid int) { rt.hub.DrainCache(tid) })
+	catalog.BindLeases(rt.reg, scheme, rt.hub)
 	rt.req = req
 	rt.sch.Store(&schemeBox{s: scheme})
 	return scheme, nil
@@ -231,9 +228,8 @@ func (rt *Runtime) materialize() (smr.Scheme, error) {
 // been attached up front — but a wider one is rejected; pre-declare it in
 // RuntimeOptions.Structures to reserve its widths.
 func (rt *Runtime) NewSet(structure string) (*Set, error) {
-	if !bench.Runnable(structure, rt.opts.Scheme) {
-		return nil, fmt.Errorf("nbr: %s is not runnable under %s (the paper's Table 1)",
-			structure, rt.opts.Scheme)
+	if err := catalog.Check(structure, rt.opts.Scheme); err != nil {
+		return nil, fmt.Errorf("nbr: %w", err)
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -241,9 +237,9 @@ func (rt *Runtime) NewSet(structure string) (*Set, error) {
 	if tag >= rt.opts.MaxStructures {
 		return nil, fmt.Errorf("nbr: runtime full (%d structures attached)", tag)
 	}
-	inst, err := bench.NewDSArena(structure, mem.Config{MaxThreads: rt.opts.MaxThreads, Tag: tag})
+	inst, err := catalog.NewDSArena(structure, mem.Config{MaxThreads: rt.opts.MaxThreads, Tag: tag})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("nbr: %w", err)
 	}
 	if rt.sch.Load() != nil {
 		// Width-frozen: the scheme exists, so its reservation rows and
@@ -253,15 +249,7 @@ func (rt *Runtime) NewSet(structure string) (*Set, error) {
 				structure, inst.Req.Slots, inst.Req.Reservations, rt.req.Slots, rt.req.Reservations)
 		}
 	} else {
-		if inst.Req.Slots > rt.req.Slots {
-			rt.req.Slots = inst.Req.Slots
-		}
-		if inst.Req.Reservations > rt.req.Reservations {
-			rt.req.Reservations = inst.Req.Reservations
-		}
-		if inst.Req.Threshold > rt.req.Threshold {
-			rt.req.Threshold = inst.Req.Threshold
-		}
+		rt.req.Widen(inst.Req)
 	}
 	rt.hub.Attach(tag, inst.Arena)
 	s := &Set{rt: rt, inst: inst, name: structure}
@@ -676,22 +664,12 @@ func (rt *Runtime) Drain() error {
 	if err != nil {
 		return err
 	}
-	dr, ok := scheme.(smr.Drainer)
-	if !ok {
-		return nil
-	}
 	l, err := rt.reg.Acquire()
 	if err != nil {
 		return err
 	}
 	defer l.Release()
-	for i := 0; i < 64; i++ {
-		st := scheme.Stats()
-		if st.Retired == st.Freed {
-			break
-		}
-		dr.Drain(l.Tid())
-	}
+	smr.DrainQuiet(scheme, l.Tid())
 	return nil
 }
 
@@ -700,7 +678,7 @@ func (rt *Runtime) Drain() error {
 // Len and Validate are quiescent: no concurrent mutators.
 type Set struct {
 	rt   *Runtime
-	inst bench.Instance
+	inst catalog.Instance
 	name string
 }
 

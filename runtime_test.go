@@ -3,6 +3,7 @@ package nbr_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -404,6 +405,28 @@ func TestRuntimeRejectsBadAttachments(t *testing.T) {
 	}
 	if _, err := rtHP.NewSet("abtree"); err == nil {
 		t.Fatal("abtree under HP must be rejected (no reachability validation)")
+	}
+}
+
+// TestRuntimeUnknownNames pins where and how a Runtime refuses names it does
+// not have: an unknown scheme fails NewRuntime itself (not the first Acquire,
+// deep inside a request), and neither that error nor the one for an unknown
+// pre-declared structure names the benchmark harness.
+func TestRuntimeUnknownNames(t *testing.T) {
+	for _, c := range []struct {
+		opts nbr.RuntimeOptions
+		want string
+	}{
+		{nbr.RuntimeOptions{Scheme: "bogus"}, `unknown scheme "bogus"`},
+		{nbr.RuntimeOptions{Structures: []string{"bogus"}}, `unknown data structure "bogus"`},
+	} {
+		_, err := nbr.NewRuntime(c.opts)
+		if err == nil {
+			t.Fatalf("NewRuntime(%+v) succeeded; unknown names must fail construction", c.opts)
+		}
+		if msg := err.Error(); !strings.HasPrefix(msg, "nbr: ") || !strings.Contains(msg, c.want) || strings.Contains(msg, "bench") {
+			t.Errorf("NewRuntime(%+v) = %q; want an nbr: error saying %s, with no mention of the harness", c.opts, msg, c.want)
+		}
 	}
 }
 
