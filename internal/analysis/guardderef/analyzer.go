@@ -21,8 +21,8 @@ var Analyzer = &framework.Analyzer{
 	Doc: `check that arena record pointers are obtained under protection
 
 Within functions that manage guard brackets, flags calls to the mem arena
-accessors (Raw, Get, MustGet, Hdr) on paths where no read phase can be open,
-unless the handle was reserved (passed to Guard.Reserve) in the same
+accessors (Raw, Slot, Get, MustGet, Hdr) on paths where no read phase can be
+open, unless the handle was reserved (passed to Guard.Reserve) in the same
 function — reservations are exactly the mechanism that keeps a record live
 past EndRead. Functions without brackets are out of scope: write-phase
 helpers hold locks or reservations their callers took. Separately, flags any
@@ -99,7 +99,7 @@ func accessorName(info *types.Info, call *ast.CallExpr) string {
 		return ""
 	}
 	switch fn.Name() {
-	case "Raw", "Get", "MustGet", "Hdr":
+	case "Raw", "Slot", "Get", "MustGet", "Hdr":
 		return fn.Name()
 	}
 	return ""

@@ -28,6 +28,23 @@ func (s *store) peekAfterClose(g smr.Guard) uint64 {
 	return s.pool.Raw(p).key // want "Raw outside any read phase"
 }
 
+// slotAfterClose resolves the slot after the phase closed: the one-lookup
+// accessor hands out the same unvalidated record pointer Raw does, and a
+// generation word to check it against only helps a copy taken under cover.
+func (s *store) slotAfterClose(g smr.Guard) uint64 {
+	b := smr.BarrierOf(g)
+	g.BeginRead()
+	p := s.head
+	b.Protect(0, p)
+	g.EndRead()
+	n, gen := s.pool.Slot(p) // want "Slot outside any read phase"
+	k := n.key
+	if !gen.Is(p) {
+		return 0
+	}
+	return k
+}
+
 // peekBetweenPhases pokes the arena on the gap between two brackets.
 func (s *store) peekBetweenPhases(g smr.Guard) uint64 {
 	g.BeginRead()
@@ -61,6 +78,22 @@ func (s *store) inPhasePeek(g smr.Guard) uint64 {
 	v := s.pool.Raw(s.head).key
 	g.EndRead()
 	return v
+}
+
+// inPhaseSlot is the read helper's shape: barrier, one slot resolution, copy,
+// generation re-check, all bracketed.
+func (s *store) inPhaseSlot(g smr.Guard) (uint64, bool) {
+	b := smr.BarrierOf(g)
+	g.BeginRead()
+	b.Protect(0, s.head)
+	n, gen := s.pool.Slot(s.head)
+	k := n.key
+	if !gen.Is(s.head) {
+		g.EndRead()
+		return 0, b.Stale(s.head)
+	}
+	g.EndRead()
+	return k, true
 }
 
 // reservedPeek is legal: the handle was Reserved inside the phase, so the

@@ -101,6 +101,19 @@ func setFuncInfo(facts *framework.FactStore, fn *types.Func, fi *FuncInfo) {
 // are deliberately not matched: inside a scheme the protocol methods are
 // implementation, not use.
 func GuardMethod(info *types.Info, call *ast.CallExpr) string {
+	return smrMethod(info, call, "Guard")
+}
+
+// BarrierMethod returns the method name if call is a method call on
+// smr.Barrier, the per-operation resolution of a guard's read barrier, or ""
+// otherwise.
+func BarrierMethod(info *types.Info, call *ast.CallExpr) string {
+	return smrMethod(info, call, "Barrier")
+}
+
+// smrMethod returns the method name if call is a method call whose receiver
+// is the named smr type (or a pointer to it), or "" otherwise.
+func smrMethod(info *types.Info, call *ast.CallExpr, typeName string) string {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return ""
@@ -118,7 +131,7 @@ func GuardMethod(info *types.Info, call *ast.CallExpr) string {
 		return ""
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != SMRPath || obj.Name() != "Guard" {
+	if obj.Pkg() == nil || obj.Pkg().Path() != SMRPath || obj.Name() != typeName {
 		return ""
 	}
 	return sel.Sel.Name

@@ -135,6 +135,13 @@ func (c *Checker) checkCall(call *ast.CallExpr, report func(Violation)) {
 		}
 		return
 	}
+	// The per-operation read barrier speaks the same vocabulary: Protect is
+	// Guard.Protect behind a load and a compare, NeedsValidation a cached
+	// read, Stale the shared tail that ends in Guard.OnStale.
+	switch BarrierMethod(c.Info, call) {
+	case "Protect", "NeedsValidation", "Stale":
+		return
+	}
 	fn := StaticCallee(c.Info, call)
 	if fn == nil {
 		report(Violation{call.Pos(), "call through a function value in read phase: callee is not provably restartable"})

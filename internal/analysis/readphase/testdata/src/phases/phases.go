@@ -121,6 +121,56 @@ func (l *list) search(g smr.Guard, key uint64) (mem.Ptr, bool) {
 	return t, k == key
 }
 
+// read is the structures' barriered copy on the per-operation barrier: the
+// inlined poll, one slot resolution, the copy, the generation re-check and
+// the shared stale tail. Nothing in it needs an annotation.
+func (l *list) read(b *smr.Barrier, slot int, p mem.Ptr) (uint64, mem.Ptr, bool) {
+	b.Protect(slot, p)
+	n, gen := l.pool.Slot(p)
+	k := n.key
+	next := mem.Ptr(atomic.LoadUint64(&n.next))
+	if !gen.Is(p) {
+		return 0, mem.Null, b.Stale(p)
+	}
+	return k, next, true
+}
+
+// searchBarrier is search on the barrier: the helper above is proven
+// restartable, and the barrier's own methods are protocol vocabulary.
+func (l *list) searchBarrier(g smr.Guard, b *smr.Barrier, key uint64) (mem.Ptr, bool) {
+retry:
+	g.BeginRead()
+	t, slot := l.head, 0
+	for t != mem.Null {
+		k, next, ok := l.read(b, slot, t)
+		if !ok {
+			goto retry
+		}
+		if b.NeedsValidation() && !l.pool.Valid(t) {
+			goto retry
+		}
+		if k >= key {
+			g.Reserve(0, t)
+			g.EndRead()
+			return t, k == key
+		}
+		t, slot = next, slot^1
+	}
+	g.EndRead()
+	return mem.Null, false
+}
+
+// searchResolveInside resolves the barrier inside the phase it serves. The
+// resolution asks the guard for its poll words through an optional interface
+// no proof can see into, and it belongs before the phase anyway: once per
+// operation, not once per restart.
+func (l *list) searchResolveInside(g smr.Guard) {
+	g.BeginRead()
+	b := smr.BarrierOf(g) // want "call to smr.BarrierOf in read phase: not restartable"
+	b.Protect(0, l.head)
+	g.EndRead()
+}
+
 // pushScratch appends to this thread's private marked-chain buffer.
 //
 //nbr:restartable — the buffer is Tid-private and the restart path resets it, so a torn append is unobservable

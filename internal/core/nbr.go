@@ -24,6 +24,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"nbr/internal/mem"
 	"nbr/internal/obs"
@@ -308,6 +309,12 @@ func (g *guard) EndRead() {
 // signal before the record is touched (the paper's Assumption 4).
 func (g *guard) Protect(_ int, _ mem.Ptr) {
 	g.s.group.Poll(g.Tid())
+}
+
+// ProtectWords implements smr.FastProtect: Protect is exactly Poll, so a
+// traversal may skip it while Poll's own comparison says nothing is pending.
+func (g *guard) ProtectWords() (*atomic.Uint64, *uint64) {
+	return g.s.group.PollWords(g.Tid())
 }
 
 // OnStale handles a read that found a freed slot. Frees are ordered after

@@ -142,9 +142,9 @@ func (t *Tree) MemStats() mem.Stats { return t.pool.Stats() }
 // read takes a seqlock-consistent snapshot of p. While the node is locked
 // the reader spins, re-running the scheme barrier so neutralization signals
 // are still delivered promptly.
-func (t *Tree) read(g smr.Guard, slot int, p mem.Ptr) (view, bool) {
-	g.Protect(slot, p)
-	n := t.pool.Raw(p)
+func (t *Tree) read(b *smr.Barrier, slot int, p mem.Ptr) (view, bool) {
+	b.Protect(slot, p)
+	n, gen := t.pool.Slot(p)
 	for i := 0; ; i++ {
 		v1 := atomic.LoadUint64(&n.lock)
 		if v1&1 == 0 {
@@ -155,7 +155,7 @@ func (t *Tree) read(g smr.Guard, slot int, p mem.Ptr) (view, bool) {
 				v.keys[j] = atomic.LoadUint64(&n.keys[j])
 				v.children[j] = mem.Ptr(atomic.LoadUint64(&n.children[j]))
 			}
-			if !t.pool.Valid(p) {
+			if !gen.Is(p) {
 				break
 			}
 			if atomic.LoadUint64(&n.lock) == v1 {
@@ -166,20 +166,16 @@ func (t *Tree) read(g smr.Guard, slot int, p mem.Ptr) (view, bool) {
 			}
 			continue // writer raced: retry the snapshot
 		}
-		if !t.pool.Valid(p) {
+		if !gen.Is(p) {
 			break
 		}
 		if i&15 == 15 {
 			runtime.Gosched()
 		}
-		g.Protect(slot, p) // keep polling while spinning in Φread
+		b.Protect(slot, p) // keep polling while spinning in Φread
 	}
 	// The handle went stale while reading.
-	if g.NeedsValidation() {
-		return view{}, false
-	}
-	g.OnStale(p)
-	return view{}, false
+	return view{}, b.Stale(p)
 }
 
 // lock acquires a node's seqlock write side.
@@ -207,16 +203,17 @@ func childAt(n *node, i int) mem.Ptr {
 
 // Contains implements ds.Set: one pure read phase.
 func (t *Tree) Contains(g smr.Guard, key uint64) bool {
+	b := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
 	retry:
 		g.BeginRead()
 		cur := t.entry
-		curV, _ := t.read(g, 0, cur) // the entry sentinel is never freed
+		curV, _ := t.read(&b, 0, cur) // the entry sentinel is never freed
 		slot := 0
 		for !curV.leaf {
 			next := curV.children[curV.route(key)]
 			slot = (slot + 1) & 1
-			nv, ok := t.read(g, slot, next)
+			nv, ok := t.read(&b, slot, next)
 			if !ok {
 				goto retry
 			}
@@ -233,16 +230,17 @@ func (t *Tree) Contains(g smr.Guard, key uint64) bool {
 // its parent always has room for a split — though the leaf itself is
 // replaced copy-on-write, never split in place.
 func (t *Tree) Insert(g smr.Guard, key uint64) bool {
+	b := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
 		for {
 			g.BeginRead()
 			parent := t.entry
-			parentV, _ := t.read(g, 0, parent)
+			parentV, _ := t.read(&b, 0, parent)
 			pSlot, cSlot := 0, 1
 			for {
 				i := parentV.route(key)
 				child := parentV.children[i]
-				childV, ok := t.read(g, cSlot, child)
+				childV, ok := t.read(&b, cSlot, child)
 				if !ok {
 					break // stale under a validating scheme: restart
 				}
@@ -278,16 +276,17 @@ func (t *Tree) Insert(g smr.Guard, key uint64) bool {
 // (merge/borrow with a sibling) and collapses a unary root, restarting from
 // the root after each auxiliary write phase.
 func (t *Tree) Delete(g smr.Guard, key uint64) bool {
+	b := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
 		for {
 			g.BeginRead()
 			parent := t.entry
-			parentV, _ := t.read(g, 0, parent)
+			parentV, _ := t.read(&b, 0, parent)
 			pSlot, cSlot := 0, 1
 			for {
 				i := parentV.route(key)
 				child := parentV.children[i]
-				childV, ok := t.read(g, cSlot, child)
+				childV, ok := t.read(&b, cSlot, child)
 				if !ok {
 					break
 				}

@@ -90,18 +90,19 @@ func (t *Tree) Requirements() ds.Requirements {
 // MemStats reports allocator statistics.
 func (t *Tree) MemStats() mem.Stats { return t.pool.Stats() }
 
-func (t *Tree) read(g smr.Guard, slot int, p mem.Ptr) (view, bool) {
-	g.Protect(slot, p)
-	n := t.pool.Raw(p)
+// read is the barriered copy of a record: Protect, copy every field, then
+// re-validate the handle generation through the same slot resolution. A
+// failed check reports !ok under the validating schemes and does not return
+// under the others (smr.Barrier.Stale).
+func (t *Tree) read(b *smr.Barrier, slot int, p mem.Ptr) (view, bool) {
+	b.Protect(slot, p)
+	n, gen := t.pool.Slot(p)
 	var v view
 	v.key = atomic.LoadUint64(&n.key)
 	v.left = mem.Ptr(atomic.LoadUint64(&n.left))
 	v.right = mem.Ptr(atomic.LoadUint64(&n.right))
-	if !t.pool.Valid(p) {
-		if g.NeedsValidation() {
-			return view{}, false
-		}
-		g.OnStale(p)
+	if !gen.Is(p) {
+		return view{}, b.Stale(p)
 	}
 	return v, true
 }
@@ -114,7 +115,7 @@ func (t *Tree) read(g smr.Guard, slot int, p mem.Ptr) (view, bool) {
 // parent's child is reachable. This flag is what stands in for the marks
 // DGT15 lacks (Table 1's objection) — see the package comment.
 func (t *Tree) validateChild(g smr.Guard, par mem.Ptr, goLeft bool, next mem.Ptr) bool {
-	n := t.pool.Raw(par)
+	n, gen := t.pool.Slot(par)
 	var c mem.Ptr
 	if goLeft {
 		c = mem.Ptr(atomic.LoadUint64(&n.left))
@@ -122,7 +123,7 @@ func (t *Tree) validateChild(g smr.Guard, par mem.Ptr, goLeft bool, next mem.Ptr
 		c = mem.Ptr(atomic.LoadUint64(&n.right))
 	}
 	rm := atomic.LoadUint32(&n.removed) != 0
-	if !t.pool.Valid(par) {
+	if !gen.Is(par) {
 		g.OnStale(par)
 	}
 	return c == next && !rm
@@ -131,12 +132,12 @@ func (t *Tree) validateChild(g smr.Guard, par mem.Ptr, goLeft bool, next mem.Ptr
 // search descends to a leaf, keeping the grandparent, parent and leaf
 // protected in slots 0, 1, 2 (rotating). On return the read phase is still
 // open. gpar is Null only when the leaf hangs directly off the root.
-func (t *Tree) search(g smr.Guard, key uint64) (gpar, par, leaf mem.Ptr, gparV, parV, leafV view) {
+func (t *Tree) search(g smr.Guard, b *smr.Barrier, key uint64) (gpar, par, leaf mem.Ptr, gparV, parV, leafV view) {
 retry:
 	g.BeginRead()
 	gpar, par = mem.Null, mem.Null
 	cur := t.root
-	curV, _ := t.read(g, 0, cur) // the root sentinel is never freed
+	curV, _ := t.read(b, 0, cur) // the root sentinel is never freed
 	slot := 0
 	for !curV.leaf() {
 		gpar, gparV = par, parV
@@ -147,11 +148,11 @@ retry:
 			next = curV.right
 		}
 		slot = (slot + 1) % 3
-		nv, ok := t.read(g, slot, next)
+		nv, ok := t.read(b, slot, next)
 		if !ok {
 			goto retry
 		}
-		if g.NeedsValidation() && !t.validateChild(g, par, goLeft, next) {
+		if b.NeedsValidation() && !t.validateChild(g, par, goLeft, next) {
 			goto retry
 		}
 		cur, curV = next, nv
@@ -196,8 +197,9 @@ func setChild(n *node, goLeft bool, c mem.Ptr) {
 
 // Contains implements ds.Set: a pure read phase.
 func (t *Tree) Contains(g smr.Guard, key uint64) bool {
+	b := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
-		_, _, _, _, _, leafV := t.search(g, key)
+		_, _, _, _, _, leafV := t.search(g, &b, key)
 		g.EndRead()
 		return leafV.key == key
 	})
@@ -206,9 +208,10 @@ func (t *Tree) Contains(g smr.Guard, key uint64) bool {
 // Insert implements ds.Set: one lock (parent), replacing the leaf with a
 // routing node over {leaf, new leaf}.
 func (t *Tree) Insert(g smr.Guard, key uint64) bool {
+	b := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
 		for {
-			_, par, leaf, _, parV, leafV := t.search(g, key)
+			_, par, leaf, _, parV, leafV := t.search(g, &b, key)
 			if leafV.key == key {
 				g.EndRead()
 				return false
@@ -255,9 +258,10 @@ func (t *Tree) Insert(g smr.Guard, key uint64) bool {
 // Delete implements ds.Set: two locks (grandparent, parent), splicing the
 // sibling into the grandparent and retiring parent and leaf.
 func (t *Tree) Delete(g smr.Guard, key uint64) bool {
+	b := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
 		for {
-			gpar, par, leaf, gparV, parV, leafV := t.search(g, key)
+			gpar, par, leaf, gparV, parV, leafV := t.search(g, &b, key)
 			if leafV.key != key {
 				g.EndRead()
 				return false

@@ -115,3 +115,11 @@ func TestRandomizedAgainstModel(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSlotSize pins the tree's per-record footprint: a 40-byte node behind an
+// 8-byte generation word, no era header inline.
+func TestSlotSize(t *testing.T) {
+	if got := dgtbst.New(1).MemStats().SlotSize; got != 48 {
+		t.Fatalf("dgtbst slot is %d bytes, want 48", got)
+	}
+}

@@ -79,26 +79,23 @@ func (l *List) Requirements() ds.Requirements {
 func (l *List) MemStats() mem.Stats { return l.pool.Stats() }
 
 // read is the barriered copy (see lazylist.read for the protocol).
-func (l *List) read(g smr.Guard, slot int, p mem.Ptr) (view, bool) {
-	g.Protect(slot, p)
-	n := l.pool.Raw(p)
+func (l *List) read(b *smr.Barrier, slot int, p mem.Ptr) (view, bool) {
+	b.Protect(slot, p)
+	n, gen := l.pool.Slot(p)
 	var v view
 	v.key = atomic.LoadUint64(&n.key)
 	v.next = mem.Ptr(atomic.LoadUint64(&n.next))
-	if !l.pool.Valid(p) {
-		if g.NeedsValidation() {
-			return view{}, false
-		}
-		g.OnStale(p)
+	if !gen.Is(p) {
+		return view{}, b.Stale(p)
 	}
 	return v, true
 }
 
 // rawNext re-reads a protected node's link (validation and write phases).
 func (l *List) rawNext(g smr.Guard, p mem.Ptr) mem.Ptr {
-	n := l.pool.Raw(p)
+	n, gen := l.pool.Slot(p)
 	v := mem.Ptr(atomic.LoadUint64(&n.next))
-	if !l.pool.Valid(p) {
+	if !gen.Is(p) {
 		g.OnStale(p)
 	}
 	return v
@@ -127,7 +124,7 @@ func scratchPush(s *[]mem.Ptr, p mem.Ptr) { *s = append(*s, p) }
 //
 // Slot discipline: left stays announced in slot 0; the traversal cursor
 // alternates slots 1 and 2; right ends in slot 1 (re-announced if needed).
-func (l *List) search(g smr.Guard, key uint64) (left, right mem.Ptr, rightV view) {
+func (l *List) search(g smr.Guard, b *smr.Barrier, key uint64) (left, right mem.Ptr, rightV view) {
 	scratch := &l.scratch[g.Tid()]
 searchAgain:
 	for {
@@ -135,7 +132,7 @@ searchAgain:
 		scratchReset(scratch)
 
 		t := l.head
-		tV, _ := l.read(g, 0, t) // head sentinel, never freed
+		tV, _ := l.read(b, 0, t) // head sentinel, never freed
 		left, right = t, mem.Null
 		leftNext := tV.next
 		slot := 1
@@ -145,7 +142,7 @@ searchAgain:
 			if !tV.next.Marked() {
 				left = t
 				leftNext = tV.next
-				g.Protect(0, left) // left already covered; renew slot 0
+				b.Protect(0, left) // left already covered; renew slot 0
 				scratchReset(scratch)
 			} else {
 				scratchPush(scratch, t)
@@ -156,11 +153,11 @@ searchAgain:
 				rightV = view{key: ds.MaxKey, next: mem.Null}
 				break
 			}
-			nv, ok := l.read(g, slot, next)
+			nv, ok := l.read(b, slot, next)
 			if !ok {
 				continue searchAgain
 			}
-			if g.NeedsValidation() && l.rawNext(g, t).Unmarked() != next {
+			if b.NeedsValidation() && l.rawNext(g, t).Unmarked() != next {
 				continue searchAgain
 			}
 			t, tV = next, nv
@@ -199,17 +196,19 @@ searchAgain:
 
 // Contains implements ds.Set via a full search (which may help unlink).
 func (l *List) Contains(g smr.Guard, key uint64) bool {
+	b := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
-		_, right, rightV := l.search(g, key)
+		_, right, rightV := l.search(g, &b, key)
 		return right != l.tail && rightV.key == key
 	})
 }
 
 // Insert implements ds.Set (Algorithm 3's insert).
 func (l *List) Insert(g smr.Guard, key uint64) bool {
+	b := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
 		for {
-			left, right, rightV := l.search(g, key)
+			left, right, rightV := l.search(g, &b, key)
 			if right != l.tail && rightV.key == key {
 				return false
 			}
@@ -232,9 +231,10 @@ func (l *List) Insert(g smr.Guard, key uint64) bool {
 // Delete implements ds.Set: logical mark CAS, then attempt the physical
 // unlink; on failure the next search performs the unlink and retires.
 func (l *List) Delete(g smr.Guard, key uint64) bool {
+	b := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
 		for {
-			left, right, rightV := l.search(g, key)
+			left, right, rightV := l.search(g, &b, key)
 			if right == l.tail || rightV.key != key {
 				return false
 			}

@@ -168,27 +168,24 @@ func before(ask, akey, bsk, bkey uint64) bool {
 }
 
 // read is the barriered copy (see lazylist.read for the protocol).
-func (m *Map) read(g smr.Guard, slot int, p mem.Ptr) (view, bool) {
-	g.Protect(slot, p)
-	n := m.pool.Raw(p)
+func (m *Map) read(br *smr.Barrier, slot int, p mem.Ptr) (view, bool) {
+	br.Protect(slot, p)
+	n, gen := m.pool.Slot(p)
 	var v view
 	v.skey = atomic.LoadUint64(&n.skey)
 	v.key = atomic.LoadUint64(&n.key)
 	v.next = mem.Ptr(atomic.LoadUint64(&n.next))
-	if !m.pool.Valid(p) {
-		if g.NeedsValidation() {
-			return view{}, false
-		}
-		g.OnStale(p)
+	if !gen.Is(p) {
+		return view{}, br.Stale(p)
 	}
 	return v, true
 }
 
 // rawNext re-reads a protected node's link (validation and write phases).
 func (m *Map) rawNext(g smr.Guard, p mem.Ptr) mem.Ptr {
-	n := m.pool.Raw(p)
+	n, gen := m.pool.Slot(p)
 	v := mem.Ptr(atomic.LoadUint64(&n.next))
-	if !m.pool.Valid(p) {
+	if !gen.Is(p) {
 		g.OnStale(p)
 	}
 	return v
@@ -203,17 +200,15 @@ func (m *Map) casNext(p mem.Ptr, old, new mem.Ptr) bool {
 // loadCell reads cell b of tab's array inside a read phase. The cell slot is
 // pinned by the array's segment handle (slot 3), not individually: Protect
 // on the member is hp-redundant but is NBR's access barrier (poll before
-// touch), and the Valid check catches the array being freed under a reader
-// whose announcements a neutralization wiped.
-func (m *Map) loadCell(g smr.Guard, slot int, tab *table, b uint64) (mem.Ptr, bool) {
+// touch), and the generation check catches the array being freed under a
+// reader whose announcements a neutralization wiped.
+func (m *Map) loadCell(br *smr.Barrier, slot int, tab *table, b uint64) (mem.Ptr, bool) {
 	c := tab.run.At(int(b))
-	g.Protect(slot, c)
-	v := mem.Ptr(atomic.LoadUint64(&m.pool.Raw(c).next))
-	if !m.pool.Valid(c) {
-		if g.NeedsValidation() {
-			return mem.Null, false
-		}
-		g.OnStale(c)
+	br.Protect(slot, c)
+	n, gen := m.pool.Slot(c)
+	v := mem.Ptr(atomic.LoadUint64(&n.next))
+	if !gen.Is(c) {
+		return mem.Null, br.Stale(c)
 	}
 	return v, true
 }
@@ -248,18 +243,18 @@ func scratchPush(s *[]mem.Ptr, p mem.Ptr) { *s = append(*s, p) }
 // No reservation outlives the phase: the returned start is a dummy, and
 // dummies are never retired, so it stays a valid traversal root for the next
 // phase no matter what the reclaimer does in between.
-func (m *Map) bucketStart(g smr.Guard, tab *table, b uint64) (start mem.Ptr, initb int, ok bool) {
+func (m *Map) bucketStart(g smr.Guard, br *smr.Barrier, tab *table, b uint64) (start mem.Ptr, initb int, ok bool) {
 searchAgain:
 	for {
 		g.BeginRead()
-		g.Protect(3, tab.seg)
+		br.Protect(3, tab.seg)
 		if m.tab.Load() != tab {
 			g.EndRead()
 			return mem.Null, 0, false
 		}
 		initb = -1
 		for bb := b; ; bb = parent(bb) {
-			c, ok := m.loadCell(g, 0, tab, bb)
+			c, ok := m.loadCell(br, 0, tab, bb)
 			if !ok {
 				continue searchAgain
 			}
@@ -282,10 +277,10 @@ searchAgain:
 // start (an initialized ancestor's dummy), insert one dummy node if no racer
 // already has, then publish it in tab's cell. Returns false when tab went
 // stale, sending the operation back to reload the table.
-func (m *Map) initBucket(g smr.Guard, tab *table, start mem.Ptr, b uint64) bool {
+func (m *Map) initBucket(g smr.Guard, br *smr.Barrier, tab *table, start mem.Ptr, b uint64) bool {
 	dsk := dummySkey(b)
 	for {
-		left, right, rightV, ok := m.listSearch(g, tab, start, dsk, 0)
+		left, right, rightV, ok := m.listSearch(g, br, tab, start, dsk, 0)
 		if !ok {
 			return false
 		}
@@ -318,20 +313,20 @@ func (m *Map) initBucket(g smr.Guard, tab *table, start mem.Ptr, b uint64) bool 
 // reservation row, so the endΦread here must re-reserve the handle (slot 2)
 // for the caller's cell writes and array reads to stay covered). ok=false
 // means tab is no longer installed.
-func (m *Map) listSearch(g smr.Guard, tab *table, start mem.Ptr, sk, key uint64) (left, right mem.Ptr, rightV view, ok bool) {
+func (m *Map) listSearch(g smr.Guard, br *smr.Barrier, tab *table, start mem.Ptr, sk, key uint64) (left, right mem.Ptr, rightV view, ok bool) {
 	scratch := &m.scratch[g.Tid()]
 searchAgain:
 	for {
 		g.BeginRead()
 		scratchReset(scratch)
-		g.Protect(3, tab.seg)
+		br.Protect(3, tab.seg)
 		if m.tab.Load() != tab {
 			g.EndRead()
 			return mem.Null, mem.Null, view{}, false
 		}
 
 		t := start
-		tV, _ := m.read(g, 0, t) // start is a dummy, never freed
+		tV, _ := m.read(br, 0, t) // start is a dummy, never freed
 		left, right = t, mem.Null
 		leftNext := tV.next
 		slot := 1
@@ -341,7 +336,7 @@ searchAgain:
 			if !tV.next.Marked() {
 				left = t
 				leftNext = tV.next
-				g.Protect(0, left) // left already covered; renew slot 0
+				br.Protect(0, left) // left already covered; renew slot 0
 				scratchReset(scratch)
 			} else {
 				scratchPush(scratch, t)
@@ -352,11 +347,11 @@ searchAgain:
 				rightV = view{skey: ds.MaxKey, key: ds.MaxKey, next: mem.Null}
 				break
 			}
-			nv, ok := m.read(g, slot, next)
+			nv, ok := m.read(br, slot, next)
 			if !ok {
 				continue searchAgain
 			}
-			if g.NeedsValidation() && m.rawNext(g, t).Unmarked() != next {
+			if br.NeedsValidation() && m.rawNext(g, t).Unmarked() != next {
 				continue searchAgain
 			}
 			t, tV = next, nv
@@ -398,18 +393,18 @@ searchAgain:
 // bracketing pair for (sk, key) under a table that was the installed one
 // when the final listSearch announced it; left, right and the table's
 // segment handle are reserved on return.
-func (m *Map) locate(g smr.Guard, sk, key uint64) (tab *table, left, right mem.Ptr, rightV view) {
+func (m *Map) locate(g smr.Guard, br *smr.Barrier, sk, key uint64) (tab *table, left, right mem.Ptr, rightV view) {
 	for {
 		tab = m.tab.Load()
-		start, initb, ok := m.bucketStart(g, tab, key&tab.mask)
+		start, initb, ok := m.bucketStart(g, br, tab, key&tab.mask)
 		if !ok {
 			continue
 		}
 		if initb >= 0 {
-			m.initBucket(g, tab, start, uint64(initb))
+			m.initBucket(g, br, tab, start, uint64(initb))
 			continue // re-resolve: deeper ancestors may still be missing
 		}
-		l, r, rv, ok := m.listSearch(g, tab, start, sk, key)
+		l, r, rv, ok := m.listSearch(g, br, tab, start, sk, key)
 		if !ok {
 			continue
 		}
@@ -420,8 +415,9 @@ func (m *Map) locate(g smr.Guard, sk, key uint64) (tab *table, left, right mem.P
 // Contains implements ds.Set via a full search (which may help unlink).
 func (m *Map) Contains(g smr.Guard, key uint64) bool {
 	sk := dataSkey(key)
+	br := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
-		_, _, right, rightV := m.locate(g, sk, key)
+		_, _, right, rightV := m.locate(g, &br, sk, key)
 		return right != m.tail && rightV.skey == sk && rightV.key == key
 	})
 }
@@ -432,9 +428,10 @@ func (m *Map) Contains(g smr.Guard, key uint64) bool {
 // the table pointer safe in its write phase.
 func (m *Map) Insert(g smr.Guard, key uint64) bool {
 	sk := dataSkey(key)
+	br := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
 		for {
-			tab, left, right, rightV := m.locate(g, sk, key)
+			tab, left, right, rightV := m.locate(g, &br, sk, key)
 			if right != m.tail && rightV.skey == sk && rightV.key == key {
 				return false
 			}
@@ -460,9 +457,10 @@ func (m *Map) Insert(g smr.Guard, key uint64) bool {
 // Dummies are unreachable here — their skeys are even, data skeys odd.
 func (m *Map) Delete(g smr.Guard, key uint64) bool {
 	sk := dataSkey(key)
+	br := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
 		for {
-			_, left, right, rightV := m.locate(g, sk, key)
+			_, left, right, rightV := m.locate(g, &br, sk, key)
 			if right == m.tail || rightV.skey != sk || rightV.key != key {
 				return false
 			}

@@ -5,6 +5,7 @@ import (
 
 	"nbr/internal/core"
 	"nbr/internal/mem"
+	"nbr/internal/smr"
 	"nbr/internal/smr/hp"
 )
 
@@ -82,8 +83,9 @@ func TestMidResizeReader(t *testing.T) {
 	// The reader now traverses the stale array exactly as a mid-resize
 	// traversal would: every cell must read cleanly, and every initialized
 	// cell must still point at a live dummy (dummies are never retired).
+	rb := smr.BarrierOf(r)
 	for b := uint64(0); b <= old.mask; b++ {
-		dp, ok := m.loadCell(r, 0, old, b)
+		dp, ok := m.loadCell(&rb, 0, old, b)
 		if !ok {
 			t.Fatalf("cell %d of the pinned array failed validation", b)
 		}
@@ -98,7 +100,7 @@ func TestMidResizeReader(t *testing.T) {
 			t.Fatalf("cell %d points at a data node (skey %#x)", b, sk)
 		}
 	}
-	if dp, _ := m.loadCell(r, 0, old, 0); dp != m.head {
+	if dp, _ := m.loadCell(&rb, 0, old, 0); dp != m.head {
 		t.Fatal("old cell 0 must still be the list head")
 	}
 

@@ -88,25 +88,23 @@ type view struct {
 	next mem.Ptr // raw, may carry the mark bit
 }
 
-func (l *List) read(g smr.Guard, slot int, p mem.Ptr) (view, bool) {
-	g.Protect(slot, p)
-	n := l.pool.Raw(p)
+// read is the barriered copy (see lazylist.read for the protocol).
+func (l *List) read(b *smr.Barrier, slot int, p mem.Ptr) (view, bool) {
+	b.Protect(slot, p)
+	n, gen := l.pool.Slot(p)
 	var v view
 	v.key = atomic.LoadUint64(&n.key)
 	v.next = mem.Ptr(atomic.LoadUint64(&n.next))
-	if !l.pool.Valid(p) {
-		if g.NeedsValidation() {
-			return view{}, false
-		}
-		g.OnStale(p)
+	if !gen.Is(p) {
+		return view{}, b.Stale(p)
 	}
 	return v, true
 }
 
 func (l *List) rawNext(g smr.Guard, p mem.Ptr) mem.Ptr {
-	n := l.pool.Raw(p)
+	n, gen := l.pool.Slot(p)
 	v := mem.Ptr(atomic.LoadUint64(&n.next))
-	if !l.pool.Valid(p) {
+	if !gen.Is(p) {
 		g.OnStale(p)
 	}
 	return v
@@ -121,12 +119,12 @@ func (l *List) casNext(p mem.Ptr, old, new mem.Ptr) bool {
 // marked nodes it encounters. On return the read phase is closed with prev
 // and curr reserved, and found reports curr.key == key. curr may be the
 // tail sentinel.
-func (l *List) find(g smr.Guard, key uint64) (prev, curr mem.Ptr, currV view, found bool) {
+func (l *List) find(g smr.Guard, b *smr.Barrier, key uint64) (prev, curr mem.Ptr, currV view, found bool) {
 tryAgain:
 	for {
 		g.BeginRead()
 		prev = l.head
-		prevV, _ := l.read(g, 0, prev)
+		prevV, _ := l.read(b, 0, prev)
 		curr = prevV.next.Unmarked()
 		prevSlot, currSlot := 0, 1
 		for {
@@ -137,7 +135,7 @@ tryAgain:
 				return prev, curr, view{key: ds.MaxKey}, false
 			}
 			var ok bool
-			currV, ok = l.read(g, currSlot, curr)
+			currV, ok = l.read(b, currSlot, curr)
 			if !ok {
 				continue tryAgain
 			}
@@ -162,7 +160,7 @@ tryAgain:
 				// Original HM04: resume from prev. Only reachable under
 				// schemes without read phases (the matrix rejects NBR).
 				g.BeginRead()
-				g.Protect(prevSlot, prev)
+				b.Protect(prevSlot, prev)
 				curr = l.rawNext(g, prev).Unmarked()
 				continue
 			}
@@ -181,17 +179,19 @@ tryAgain:
 
 // Contains implements ds.Set.
 func (l *List) Contains(g smr.Guard, key uint64) bool {
+	b := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
-		_, _, _, found := l.find(g, key)
+		_, _, _, found := l.find(g, &b, key)
 		return found
 	})
 }
 
 // Insert implements ds.Set.
 func (l *List) Insert(g smr.Guard, key uint64) bool {
+	b := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
 		for {
-			prev, curr, _, found := l.find(g, key)
+			prev, curr, _, found := l.find(g, &b, key)
 			if found {
 				return false
 			}
@@ -209,9 +209,10 @@ func (l *List) Insert(g smr.Guard, key uint64) bool {
 
 // Delete implements ds.Set: mark curr (linearization), then try one snip.
 func (l *List) Delete(g smr.Guard, key uint64) bool {
+	b := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
 		for {
-			prev, curr, currV, found := l.find(g, key)
+			prev, curr, currV, found := l.find(g, &b, key)
 			if !found {
 				return false
 			}

@@ -82,36 +82,20 @@ func (l *List) Requirements() ds.Requirements {
 func (l *List) MemStats() mem.Stats { return l.pool.Stats() }
 
 // read is the barriered copy of a record: Protect (announce/poll) first,
-// copy every field, then re-validate the handle generation. For validating
-// schemes (HP/IBR/HE) a failed generation check is the benign
-// freed-before-announce window that link re-validation exists to catch, so
-// it reports !ok and the caller restarts; for every other scheme the record
-// was promised live and the failure is routed to OnStale (neutralization
-// under NBR, a proven use-after-free elsewhere).
-func (l *List) read(g smr.Guard, slot int, p mem.Ptr) (view, bool) {
-	g.Protect(slot, p)
-	n := l.pool.Raw(p)
+// copy every field, then re-validate the handle generation through the same
+// slot resolution. A failed check reports !ok under the validating schemes
+// and does not return under the others (smr.Barrier.Stale).
+func (l *List) read(b *smr.Barrier, slot int, p mem.Ptr) (view, bool) {
+	b.Protect(slot, p)
+	n, gen := l.pool.Slot(p)
 	var v view
 	v.key = atomic.LoadUint64(&n.key)
 	v.next = mem.Ptr(atomic.LoadUint64(&n.next))
 	v.marked = atomic.LoadUint32(&n.marked) != 0
-	if !l.pool.Valid(p) {
-		if g.NeedsValidation() {
-			return view{}, false
-		}
-		g.OnStale(p)
+	if !gen.Is(p) {
+		return view{}, b.Stale(p)
 	}
 	return v, true
-}
-
-// next re-reads the link field of a protected record (used under locks).
-func (l *List) next(g smr.Guard, p mem.Ptr) mem.Ptr {
-	n := l.pool.Raw(p)
-	v := mem.Ptr(atomic.LoadUint64(&n.next))
-	if !l.pool.Valid(p) {
-		g.OnStale(p)
-	}
-	return v
 }
 
 // validateLink is the HP/IBR reachability validation: it proves curr was
@@ -119,10 +103,10 @@ func (l *List) next(g smr.Guard, p mem.Ptr) mem.Ptr {
 // The marked flag is loaded *after* the link: marking is monotone, so
 // unmarked-after implies pred was linked when the link still said curr.
 func (l *List) validateLink(g smr.Guard, pred, curr mem.Ptr) bool {
-	n := l.pool.Raw(pred)
+	n, gen := l.pool.Slot(pred)
 	link := mem.Ptr(atomic.LoadUint64(&n.next))
 	marked := atomic.LoadUint32(&n.marked) != 0
-	if !l.pool.Valid(pred) {
+	if !gen.Is(pred) {
 		g.OnStale(pred)
 	}
 	return link == curr && !marked
@@ -131,20 +115,20 @@ func (l *List) validateLink(g smr.Guard, pred, curr mem.Ptr) bool {
 // search is the Φread: traverse from the head until curr.key ≥ key,
 // returning the protected (pred, curr) pair and their snapshots. On return
 // the read phase is still open; the caller decides what to reserve.
-func (l *List) search(g smr.Guard, key uint64) (pred, curr mem.Ptr, predV, currV view) {
+func (l *List) search(g smr.Guard, b *smr.Barrier, key uint64) (pred, curr mem.Ptr, predV, currV view) {
 retry:
 	g.BeginRead()
 	pred = l.head
-	predV, _ = l.read(g, 0, pred) // the head sentinel is never freed
+	predV, _ = l.read(b, 0, pred) // the head sentinel is never freed
 	curr = predV.next
 	predSlot, currSlot := 0, 1
 	for {
 		var ok bool
-		currV, ok = l.read(g, currSlot, curr)
+		currV, ok = l.read(b, currSlot, curr)
 		if !ok {
 			goto retry // freed before the announcement took effect
 		}
-		if g.NeedsValidation() && !l.validateLink(g, pred, curr) {
+		if b.NeedsValidation() && !l.validateLink(g, pred, curr) {
 			goto retry // curr was not provably reachable when protected
 		}
 		if currV.key >= key {
@@ -185,8 +169,9 @@ func validate(pred, curr *node, currPtr mem.Ptr) bool {
 // write phase, so endΦread is invoked with no reservations before returning
 // (§5.3).
 func (l *List) Contains(g smr.Guard, key uint64) bool {
+	b := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
-		_, _, _, currV := l.search(g, key)
+		_, _, _, currV := l.search(g, &b, key)
 		g.EndRead()
 		return currV.key == key && !currV.marked
 	})
@@ -197,9 +182,10 @@ func (l *List) Contains(g smr.Guard, key uint64) bool {
 // is allocated inside the write phase, where neutralization can no longer
 // strike, so restarts never leak memory.
 func (l *List) Insert(g smr.Guard, key uint64) bool {
+	b := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
 		for {
-			pred, curr, _, currV := l.search(g, key)
+			pred, curr, _, currV := l.search(g, &b, key)
 			g.Reserve(0, pred)
 			g.Reserve(1, curr)
 			g.EndRead()
@@ -234,9 +220,10 @@ func (l *List) Insert(g smr.Guard, key uint64) bool {
 // reclaimer can never free a record whose lock word a peer still spins on
 // without that peer holding its own protection.
 func (l *List) Delete(g smr.Guard, key uint64) bool {
+	b := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
 		for {
-			pred, curr, _, currV := l.search(g, key)
+			pred, curr, _, currV := l.search(g, &b, key)
 			if currV.key != key {
 				g.EndRead()
 				return false

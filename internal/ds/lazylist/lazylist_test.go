@@ -132,3 +132,11 @@ func TestQuickSetSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSlotSize pins the list's per-record footprint: a 24-byte node behind an
+// 8-byte generation word, no era header inline.
+func TestSlotSize(t *testing.T) {
+	if got := lazylist.New(1).MemStats().SlotSize; got != 32 {
+		t.Fatalf("lazylist slot is %d bytes, want 32", got)
+	}
+}

@@ -36,8 +36,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"nbr/internal/catalog"
+	"nbr/internal/mem"
 	"nbr/internal/obs"
 	"nbr/internal/sigsim"
 	"nbr/internal/smr"
@@ -157,8 +159,19 @@ func RunAll(t *testing.T, f Factory) {
 			continue
 		}
 		scheme := scheme
+		// Every instance the suites build for this scheme, for the era-table
+		// check that closes the run.
+		var made []Instance
+		churned := false
+		newInst := f.New
+		f := f // this scheme's copy, building through the recorder below
+		f.New = func(threads int) Instance {
+			inst := newInst(threads)
+			made = append(made, inst)
+			return inst
+		}
 		t.Run("sequential/"+scheme, func(t *testing.T) { Sequential(t, f, scheme) })
-		t.Run("concurrent/"+scheme, func(t *testing.T) { Concurrent(t, f, scheme, 6, 256) })
+		t.Run("concurrent/"+scheme, func(t *testing.T) { Concurrent(t, f, scheme, 6, 256); churned = true })
 		t.Run("churn/"+scheme, func(t *testing.T) { Concurrent(t, f, scheme, 6, 8) })
 		t.Run("stall/"+scheme, func(t *testing.T) { Stall(t, f, scheme) })
 		t.Run("bound/"+scheme, func(t *testing.T) { Bound(t, f, scheme) })
@@ -167,6 +180,42 @@ func RunAll(t *testing.T, f Factory) {
 		if f.Chain != nil {
 			t.Run("boundchain/"+scheme, func(t *testing.T) { BoundChain(t, f, scheme) })
 		}
+		t.Run("eratable/"+scheme, func(t *testing.T) { eraTables(t, scheme, made, churned) })
+	}
+}
+
+// stampingSchemes lists the schemes that keep per-record era or epoch stamps
+// (mem.Hdr): the only ones allowed to materialize a pool's era side table.
+var stampingSchemes = map[string]bool{
+	"he": true, "ibr": true, "qsbr": true, "rcu": true,
+}
+
+// eraTables closes a scheme's run over every instance its suites built: a
+// scheme that stamps nothing must have left every pool's era side table
+// unmaterialized — its records cost their slot and nothing else — and a
+// stamping scheme must have materialized one wherever it churned.
+func eraTables(t *testing.T, scheme string, made []Instance, churned bool) {
+	stamped := 0
+	for _, inst := range made {
+		ms, ok := inst.Set.(interface{ MemStats() mem.Stats })
+		if !ok {
+			t.Fatalf("%T reports no MemStats", inst.Set)
+		}
+		st := ms.MemStats()
+		if st.EraBytes == 0 {
+			continue
+		}
+		stamped++
+		if !stampingSchemes[scheme] {
+			t.Fatalf("%s materialized %d bytes of era tables; it writes no per-record stamps", scheme, st.EraBytes)
+		}
+		if want := st.Live * int64(st.SlotSize+unsafe.Sizeof(mem.Hdr{})); st.LiveBytes != want {
+			t.Fatalf("LiveBytes = %d for %d live records of a %d-byte slot and a header each, want %d",
+				st.LiveBytes, st.Live, st.SlotSize, want)
+		}
+	}
+	if stampingSchemes[scheme] && churned && stamped == 0 {
+		t.Fatalf("%s ran the concurrent suite without materializing an era table", scheme)
 	}
 }
 

@@ -23,28 +23,40 @@ const (
 	refillBatch = 64
 )
 
-// Hdr is the per-slot allocator header. The generation counter implements
-// use-after-free detection (even = free, odd = live); the birth and retire
-// eras are reserved for era-based SMR schemes (IBR, hazard eras) which the
-// paper notes require per-record metadata. All fields are accessed atomically.
+// Gen is a slot's generation word, the use-after-free detector: even while
+// the slot is free, odd while it is live, bumped by every Alloc and Free. It
+// is the only allocator metadata a record carries inline.
+type Gen struct {
+	v atomic.Uint32
+	_ uint32
+}
+
+// Is reports whether q's generation is current, i.e. q still addresses the
+// allocation it was created by.
+func (g *Gen) Is(q Ptr) bool { return g.v.Load() == q.Gen() }
+
+// Hdr is a record's era header: the birth and retire stamps the era and
+// epoch schemes keep per record (the per-record metadata the paper notes IBR
+// and hazard eras require). It lives in a per-slab side table that Arena.Hdr
+// materializes on first use, so a pool whose scheme never asks for a header
+// never pays for one. A slot's header outlives its occupants: a fresh table
+// reads zero, exactly as a fresh slab does.
 type Hdr struct {
-	gen    uint32
-	_      uint32
-	birth  uint64
-	retire uint64
+	birth  atomic.Uint64
+	retire atomic.Uint64
 }
 
 // Birth returns the record's allocation era (set by era-based schemes).
-func (h *Hdr) Birth() uint64 { return atomic.LoadUint64(&h.birth) }
+func (h *Hdr) Birth() uint64 { return h.birth.Load() }
 
 // SetBirth records the record's allocation era.
-func (h *Hdr) SetBirth(e uint64) { atomic.StoreUint64(&h.birth, e) }
+func (h *Hdr) SetBirth(e uint64) { h.birth.Store(e) }
 
 // Retire returns the record's retirement tag (era or epoch, scheme-defined).
-func (h *Hdr) Retire() uint64 { return atomic.LoadUint64(&h.retire) }
+func (h *Hdr) Retire() uint64 { return h.retire.Load() }
 
 // SetRetire records the record's retirement tag.
-func (h *Hdr) SetRetire(e uint64) { atomic.StoreUint64(&h.retire, e) }
+func (h *Hdr) SetRetire(e uint64) { h.retire.Store(e) }
 
 // Arena is the type-erased view of a Pool that SMR schemes hold: enough to
 // free retired records and to tag them with eras, without knowing the record
@@ -59,7 +71,8 @@ type Arena interface {
 	// interaction and at most one shared-free-list interaction for the
 	// entire batch. The slice is not retained.
 	FreeBatch(tid int, ps []Ptr)
-	// Hdr exposes the allocator header of a live or retired record.
+	// Hdr exposes the era header of a live or retired record, materializing
+	// the side table that holds it on first use.
 	Hdr(p Ptr) *Hdr
 	// Valid reports whether p still addresses the allocation it was created
 	// by (i.e. the record has not been freed).
@@ -128,7 +141,7 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// Pool is a slab allocator for records of type T. Each slot carries a Hdr
+// Pool is a slab allocator for records of type T. Each slot carries a Gen
 // whose generation tags handles; see the package comment. Alloc and Free are
 // safe for concurrent use provided each goroutine uses its own thread id.
 type Pool[T any] struct {
@@ -138,6 +151,12 @@ type Pool[T any] struct {
 	slabs  [maxSlabs]atomic.Pointer[[SlabSize]slot[T]]
 	cursor atomic.Uint64 // next never-carved slot index
 	growMu sync.Mutex
+
+	// Era side table (see Hdr): a directory of per-slab header tables, both
+	// levels published once under growMu on the first Hdr call that needs
+	// them and read lock-free. eraTabs counts the tables for Stats.
+	eras    atomic.Pointer[eraDir]
+	eraTabs atomic.Int64
 
 	global  globalFree
 	threads []tcache
@@ -150,9 +169,22 @@ type Pool[T any] struct {
 	nsegs atomic.Int32
 }
 
+// slot is one record and its generation word: 8 + sizeof(T) bytes.
 type slot[T any] struct {
-	hdr Hdr
+	gen Gen
 	val T
+}
+
+// eraDir is the era side table's slab directory, parallel to Pool.slabs.
+type eraDir [maxSlabs]atomic.Pointer[[SlabSize]Hdr]
+
+// slabError is the panic value for a handle whose slab was never carved — a
+// corrupt handle. A typed value instead of a formatted string keeps slotAt
+// within the inlining budget of every read helper that resolves a slot.
+type slabError uint32
+
+func (e slabError) Error() string {
+	return fmt.Sprintf("mem: handle into unallocated slab (idx %d)", uint32(e))
 }
 
 // globalFree is the shared recycled-slot list, split into Config.Shards
@@ -262,9 +294,19 @@ func (p *Pool[T]) MaxThreads() int { return p.cfg.MaxThreads }
 func (p *Pool[T]) slotAt(idx uint32) *slot[T] {
 	s := p.slabs[idx>>slabBits].Load()
 	if s == nil {
-		panic(fmt.Sprintf("mem: handle into unallocated slab (idx %d)", idx))
+		panic(slabError(idx))
 	}
 	return &s[idx&(SlabSize-1)]
+}
+
+// Slot returns the record for q together with its generation word, from one
+// slot resolution: the copy-then-validate read copies the fields through the
+// first and then asks the second whether q is still current (Gen.Is), with
+// no second trip through the slab directory. The record pointer is
+// unvalidated, exactly as Raw's.
+func (p *Pool[T]) Slot(q Ptr) (*T, *Gen) {
+	s := p.slotAt(q.Idx())
+	return &s.val, &s.gen
 }
 
 // Raw returns the record for p without validating its generation. Callers
@@ -274,14 +316,46 @@ func (p *Pool[T]) Raw(q Ptr) *T {
 	return &p.slotAt(q.Idx()).val
 }
 
-// Hdr implements Arena.
+// Hdr implements Arena. The common case is two lock-free loads; the first
+// call into a slab materializes its header table (and the very first the
+// directory), so pools under schemes that keep no per-record stamps never
+// allocate either.
 func (p *Pool[T]) Hdr(q Ptr) *Hdr {
-	return &p.slotAt(q.Idx()).hdr
+	idx := q.Idx()
+	if d := p.eras.Load(); d != nil {
+		if tab := d[idx>>slabBits].Load(); tab != nil {
+			return &tab[idx&(SlabSize-1)]
+		}
+	}
+	return &p.eraTable(idx >> slabBits)[idx&(SlabSize-1)]
+}
+
+// eraTable returns slab sb's header table, publishing it (and the directory)
+// under growMu if this is the first touch; concurrent first touches agree on
+// one table.
+func (p *Pool[T]) eraTable(sb uint32) *[SlabSize]Hdr {
+	if p.slabs[sb].Load() == nil {
+		panic(slabError(sb << slabBits))
+	}
+	p.growMu.Lock()
+	defer p.growMu.Unlock()
+	d := p.eras.Load()
+	if d == nil {
+		d = new(eraDir)
+		p.eras.Store(d)
+	}
+	tab := d[sb].Load()
+	if tab == nil {
+		tab = new([SlabSize]Hdr)
+		d[sb].Store(tab)
+		p.eraTabs.Add(1)
+	}
+	return tab
 }
 
 // Valid implements Arena: it reports whether q's generation is current.
 func (p *Pool[T]) Valid(q Ptr) bool {
-	return atomic.LoadUint32(&p.slotAt(q.Idx()).hdr.gen) == q.Gen()
+	return p.slotAt(q.Idx()).gen.Is(q)
 }
 
 // Get returns the record for q if the handle is still live.
@@ -290,7 +364,7 @@ func (p *Pool[T]) Get(q Ptr) (*T, bool) {
 		return nil, false
 	}
 	s := p.slotAt(q.Idx())
-	if atomic.LoadUint32(&s.hdr.gen) != q.Gen() {
+	if !s.gen.Is(q) {
 		return nil, false
 	}
 	return &s.val, true
@@ -318,8 +392,8 @@ func (p *Pool[T]) Alloc(tid int) (Ptr, *T) {
 	idx := tc.free[len(tc.free)-1]
 	tc.free = tc.free[:len(tc.free)-1]
 	s := p.slotAt(idx)
-	g := atomic.LoadUint32(&s.hdr.gen) // even: slot is free
-	atomic.StoreUint32(&s.hdr.gen, g+1)
+	g := s.gen.v.Load() // even: slot is free
+	s.gen.v.Store(g + 1)
 	tc.allocs.Add(1)
 	return pack(idx, g+1, p.cfg.Tag), &s.val
 }
@@ -334,8 +408,8 @@ func (p *Pool[T]) release(q Ptr) uint32 {
 		panic(fmt.Sprintf("mem: free of %v routed to pool with tag %d (Hub misroute or corrupt handle)", q, p.cfg.Tag))
 	}
 	s := p.slotAt(q.Idx())
-	if !atomic.CompareAndSwapUint32(&s.hdr.gen, q.Gen(), q.Gen()+1) {
-		panic(fmt.Sprintf("mem: double free of %v (slot gen now %d)", q, atomic.LoadUint32(&s.hdr.gen)))
+	if !s.gen.v.CompareAndSwap(q.Gen(), q.Gen()+1) {
+		panic(fmt.Sprintf("mem: double free of %v (slot gen now %d)", q, s.gen.v.Load()))
 	}
 	return q.Idx()
 }
@@ -461,11 +535,21 @@ func (p *Pool[T]) flush(tc *tcache, tid, keep int) {
 // records, i.e. reachable records plus unreclaimed garbage — the quantity the
 // paper's E2 experiment measures as resident memory.
 type Stats struct {
-	Allocs    uint64
-	Frees     uint64
-	Live      int64
-	SlotSize  uintptr
+	Allocs uint64
+	Frees  uint64
+	Live   int64
+	// SlotSize is the inline footprint of one record: its generation word
+	// plus the record itself. The era header is not part of it.
+	SlotSize uintptr
+	// EraBytes is the size of the materialized era side tables: 0 until a
+	// scheme asks for a header, then one header per slot of every slab it
+	// touched.
+	EraBytes uint64
+	// LiveBytes is Live records at SlotSize each, plus one era header each
+	// once any side table exists — what a record costs under the scheme
+	// that is actually running.
 	LiveBytes int64
+	// SlabBytes is the carved slabs plus EraBytes.
 	SlabBytes uint64
 	GlobalOps uint64
 }
@@ -481,9 +565,14 @@ func (p *Pool[T]) Stats() Stats {
 	}
 	st.Live = int64(st.Allocs) - int64(st.Frees)
 	st.SlotSize = unsafe.Sizeof(slot[T]{})
-	st.LiveBytes = st.Live * int64(st.SlotSize)
+	st.EraBytes = uint64(p.eraTabs.Load()) * SlabSize * uint64(unsafe.Sizeof(Hdr{}))
+	perRecord := int64(st.SlotSize)
+	if st.EraBytes != 0 {
+		perRecord += int64(unsafe.Sizeof(Hdr{}))
+	}
+	st.LiveBytes = st.Live * perRecord
 	carved := p.cursor.Load()
-	st.SlabBytes = ((carved + SlabSize - 1) >> slabBits) * SlabSize * uint64(st.SlotSize)
+	st.SlabBytes = ((carved+SlabSize-1)>>slabBits)*SlabSize*uint64(st.SlotSize) + st.EraBytes
 	st.GlobalOps = p.global.ops.Load()
 	return st
 }

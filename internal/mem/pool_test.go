@@ -1,9 +1,11 @@
 package mem
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 type rec struct {
@@ -189,11 +191,181 @@ func TestStatsAccounting(t *testing.T) {
 	if st.Allocs != 100 || st.Frees != 40 || st.Live != 60 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.LiveBytes != 60*int64(st.SlotSize) {
-		t.Fatalf("LiveBytes = %d, slot %d", st.LiveBytes, st.SlotSize)
+	// No scheme asked for a header: a record costs its slot and nothing else.
+	if st.EraBytes != 0 || st.LiveBytes != 60*int64(st.SlotSize) {
+		t.Fatalf("LiveBytes = %d, EraBytes = %d, slot %d", st.LiveBytes, st.EraBytes, st.SlotSize)
 	}
-	if st.SlabBytes == 0 {
-		t.Fatal("SlabBytes must reflect carved slabs")
+	if st.SlabBytes != SlabSize*uint64(st.SlotSize) {
+		t.Fatalf("SlabBytes = %d, want one slab of %d-byte slots", st.SlabBytes, st.SlotSize)
+	}
+	// The first header materializes the slab's side table, and every live
+	// record is then charged its 16-byte header.
+	p.Hdr(hs[99]).SetBirth(1)
+	era := p.Stats()
+	if era.EraBytes != SlabSize*16 {
+		t.Fatalf("EraBytes = %d, want one table of %d headers", era.EraBytes, SlabSize)
+	}
+	if era.LiveBytes != 60*int64(st.SlotSize+16) {
+		t.Fatalf("LiveBytes = %d with era tables, want 60 records of %d+16 bytes", era.LiveBytes, st.SlotSize)
+	}
+	if era.SlabBytes != st.SlabBytes+era.EraBytes {
+		t.Fatalf("SlabBytes = %d, want slabs %d + era tables %d", era.SlabBytes, st.SlabBytes, era.EraBytes)
+	}
+}
+
+// TestSlotLayout pins the inline footprint of a record: an 8-byte generation
+// word and the record, no era header. The two shapes are the lazy list's and
+// the DGT tree's nodes — 32 and 48 bytes per slot.
+func TestSlotLayout(t *testing.T) {
+	type listNode struct {
+		key, next    uint64
+		marked, lock uint32
+	}
+	type treeNode struct {
+		key, left, right, ticket uint64
+		removed                  uint32
+	}
+	if got := unsafe.Sizeof(slot[listNode]{}); got != 32 || got != 8+unsafe.Sizeof(listNode{}) {
+		t.Fatalf("slot[listNode] is %d bytes, want 8+%d = 32", got, unsafe.Sizeof(listNode{}))
+	}
+	if got := unsafe.Sizeof(slot[treeNode]{}); got != 48 || got != 8+unsafe.Sizeof(treeNode{}) {
+		t.Fatalf("slot[treeNode] is %d bytes, want 8+%d = 48", got, unsafe.Sizeof(treeNode{}))
+	}
+	if got := unsafe.Sizeof(slot[uint32]{}); got != 8+4 {
+		t.Fatalf("slot[uint32] is %d bytes, want 8+4", got)
+	}
+	if got := unsafe.Sizeof(Hdr{}); got != 16 {
+		t.Fatalf("Hdr is %d bytes, want 16", got)
+	}
+}
+
+// TestSlotOneResolution checks the one-lookup accessor against the two it
+// replaces on the read path: same record as Raw, same verdict as Valid,
+// before and after the free.
+func TestSlotOneResolution(t *testing.T) {
+	p := newTestPool(1)
+	h, v := p.Alloc(0)
+	v.key = 9
+	n, gen := p.Slot(h.WithMark())
+	if n != p.Raw(h) || n.key != 9 {
+		t.Fatal("Slot must address the record Raw addresses")
+	}
+	if !gen.Is(h) || !p.Valid(h) {
+		t.Fatal("a live handle must be current")
+	}
+	p.Free(0, h)
+	if gen.Is(h) || p.Valid(h) {
+		t.Fatal("a freed handle must be stale through the same generation word")
+	}
+	h2, _ := p.Alloc(0)
+	if h2.Idx() != h.Idx() {
+		t.Fatalf("expected the slot to be recycled (idx %d, got %d)", h.Idx(), h2.Idx())
+	}
+	if gen.Is(h) || !gen.Is(h2) {
+		t.Fatal("the recycled slot must be current for its new handle only")
+	}
+}
+
+// TestEraTableLazy: nothing on the allocate/read/free path materializes the
+// era side table; the first Hdr of a slab does, for that slab only; and a
+// slot's header outlives its occupants, as the inline header did.
+func TestEraTableLazy(t *testing.T) {
+	p := newTestPool(1)
+	var hs []Ptr
+	for i := 0; i < SlabSize+8; i++ { // spills into a second slab
+		h, _ := p.Alloc(0)
+		hs = append(hs, h)
+	}
+	for _, h := range hs {
+		if _, ok := p.Get(h); !ok || !p.Valid(h) {
+			t.Fatalf("fresh handle %v not live", h)
+		}
+	}
+	p.Free(0, hs[1])
+	if p.eras.Load() != nil || p.Stats().EraBytes != 0 {
+		t.Fatal("alloc, read and free must not materialize era tables")
+	}
+
+	first, last := hs[0], hs[len(hs)-1]
+	p.Hdr(first).SetBirth(7)
+	if got := p.eraTabs.Load(); got != 1 {
+		t.Fatalf("%d era tables after touching one slab, want 1", got)
+	}
+	if p.Hdr(hs[2]).Birth() != 0 {
+		t.Fatal("a fresh table must read zero")
+	}
+	p.Hdr(last).SetRetire(11)
+	if got := p.eraTabs.Load(); got != 2 {
+		t.Fatalf("%d era tables after touching the second slab, want 2", got)
+	}
+	if p.Hdr(first.WithMark()).Birth() != 7 || p.Hdr(last).Retire() != 11 {
+		t.Fatal("headers lost their stamps")
+	}
+
+	p.Free(0, first)
+	again, _ := p.Alloc(0)
+	if again.Idx() != first.Idx() {
+		t.Fatalf("expected slot %d back, got %d", first.Idx(), again.Idx())
+	}
+	if p.Hdr(again).Birth() != 7 {
+		t.Fatal("a slot's header must outlive its occupants")
+	}
+}
+
+// TestEraTableFirstTouchRace has many goroutines take the first header of one
+// slab at once: they must all land in one table.
+func TestEraTableFirstTouchRace(t *testing.T) {
+	const n = 16
+	p := newTestPool(n)
+	h, _ := p.Alloc(0)
+	hdrs := make([]*Hdr, n)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for i := 0; i < n; i++ {
+		done.Add(1)
+		go func(i int) {
+			defer done.Done()
+			start.Wait()
+			hdrs[i] = p.Hdr(h)
+			hdrs[i].SetRetire(uint64(i + 1))
+		}(i)
+	}
+	start.Done()
+	done.Wait()
+	for i, hd := range hdrs {
+		if hd != hdrs[0] {
+			t.Fatalf("goroutine %d got a different header than goroutine 0", i)
+		}
+	}
+	if got := p.eraTabs.Load(); got != 1 {
+		t.Fatalf("%d era tables materialized, want 1", got)
+	}
+	if p.Hdr(h).Retire() == 0 {
+		t.Fatal("no stamp reached the shared header")
+	}
+}
+
+// TestCorruptHandlePanicsTyped: a handle into a slab that was never carved
+// panics with the typed error on every accessor, the header's included.
+func TestCorruptHandlePanicsTyped(t *testing.T) {
+	p := newTestPool(1)
+	p.Alloc(0)
+	bad := pack(5*SlabSize+3, 1, 0)
+	for name, f := range map[string]func(){
+		"Raw":   func() { p.Raw(bad) },
+		"Slot":  func() { p.Slot(bad) },
+		"Valid": func() { p.Valid(bad) },
+		"Hdr":   func() { p.Hdr(bad) },
+	} {
+		func() {
+			defer func() {
+				err, ok := recover().(error)
+				if !ok || !strings.Contains(err.Error(), "unallocated slab") {
+					t.Fatalf("%s on a corrupt handle: recovered %v, want the slab error", name, err)
+				}
+			}()
+			f()
+		}()
 	}
 }
 

@@ -1,9 +1,6 @@
 package mem
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // This file is the segment layer: batch slot carving (AllocBatch) and
 // Ptr-addressable segment records that stand for a whole contiguous run of
@@ -98,7 +95,7 @@ func (p *Pool[T]) AllocBatch(tid, n int) Run {
 	for i := uint64(0); i < uint64(n); i++ {
 		s := p.slotAt(uint32(base + i))
 		// Fresh-carved slots are on generation 0 (free); flip to 1 (live).
-		atomic.StoreUint32(&s.hdr.gen, 1)
+		s.gen.v.Store(1)
 	}
 	p.threads[tid].allocs.Add(uint64(n))
 	return Run{first: pack(uint32(base), 1, p.cfg.Tag), n: n}

@@ -58,7 +58,11 @@ const (
 type state struct {
 	word atomic.Uint64
 	// Owner-only fields (no atomics needed).
-	delivered   uint64 // signals already handled or absorbed
+	// quiet is the largest value word can hold with nothing left for the
+	// owner to handle: every post up to the last delivery or absorption
+	// counted, the restartable bit set, the revoked bit clear (quietAt).
+	// Anything pending — a later post, a revocation — puts word above it.
+	quiet       uint64
 	sink        uint64 // spin-cost accumulator, defeats dead-code elimination
 	restartFrom int64  // post timestamp carried from a neutralizing delivery
 	// lastPost is the recorder timestamp of the most recent SignalAll post
@@ -121,7 +125,7 @@ func (g *Group) Attach(tid int) {
 	for {
 		old := s.word.Load()
 		if s.word.CompareAndSwap(old, old&^(restartableBit|revokedBit)) {
-			s.delivered = old / postUnit
+			s.quiet = quietAt(old)
 			s.restartFrom = 0 // a stale predecessor latency must not be measured
 			return
 		}
@@ -174,7 +178,7 @@ func (g *Group) SetRestartable(tid int) {
 			g.deliver(tid, s, old)
 		}
 		if s.word.CompareAndSwap(old, old|restartableBit) {
-			s.delivered = old / postUnit
+			s.quiet = quietAt(old)
 			if from := s.restartFrom; from != 0 {
 				// This setjmp is the restart of a neutralized read phase:
 				// close the post→restart latency opened at the delivery.
@@ -198,7 +202,7 @@ func (g *Group) ClearRestartable(tid int) {
 	s := &g.states[tid]
 	for {
 		old := s.word.Load()
-		if old&revokedBit != 0 || old/postUnit > s.delivered {
+		if old > s.quiet {
 			g.deliver(tid, s, old)
 			// deliver panics (restartable is still set); not reached.
 		}
@@ -208,15 +212,32 @@ func (g *Group) ClearRestartable(tid int) {
 	}
 }
 
+// quietAt returns the quiet ceiling of a thread that has handled or absorbed
+// everything in old. With the revoked bit clear, word ≤ quietAt(old) exactly
+// when no post followed old's; with it set, word is above every ceiling.
+func quietAt(old uint64) uint64 {
+	return old&^revokedBit | restartableBit
+}
+
 // Poll is the delivery barrier: it must be invoked before every access to a
 // shared record. If signals are pending it runs the handler — restarting the
 // thread when restartable, ignoring otherwise.
 func (g *Group) Poll(tid int) {
 	s := &g.states[tid]
-	old := s.word.Load()
-	if old&revokedBit != 0 || old/postUnit > s.delivered {
+	if old := s.word.Load(); old > s.quiet {
 		g.deliver(tid, s, old)
 	}
+}
+
+// PollWords exposes the two words Poll compares for thread tid, for a
+// per-record barrier that inlines the comparison instead of calling Poll:
+// Poll delivers nothing while word.Load() <= *quiet, so a caller that
+// resolved the pair once may skip Poll for as long as that holds, and must
+// call it — the only place a handler runs — as soon as it does not. quiet is
+// owner-only: the pair belongs to tid's goroutine.
+func (g *Group) PollWords(tid int) (word *atomic.Uint64, quiet *uint64) {
+	s := &g.states[tid]
+	return &s.word, &s.quiet
 }
 
 // deliver runs the signal handler for all outstanding posts in old. A sticky
@@ -224,7 +245,7 @@ func (g *Group) Poll(tid int) {
 // point until the next occupant's Attach acknowledges it, whatever the
 // restartable flag says — the zombie must unwind, not restart.
 func (g *Group) deliver(tid int, s *state, old uint64) {
-	s.delivered = old / postUnit
+	s.quiet = quietAt(old)
 	s.sink = spin(g.cfg.HandleSpin, s.sink)
 	pending := old / postUnit
 	if old&revokedBit != 0 {
@@ -280,7 +301,7 @@ func (g *Group) Posted(tid int) uint64 {
 // Delivered returns how many of tid's signals have been handled or absorbed.
 // Only tid itself may call this (the counter is owner-local).
 func (g *Group) Delivered(tid int) uint64 {
-	return g.states[tid].delivered
+	return g.states[tid].quiet / postUnit
 }
 
 // Stats aggregates signal-traffic counters across the group.

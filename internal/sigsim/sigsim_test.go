@@ -306,3 +306,50 @@ func TestStatsRevokedCount(t *testing.T) {
 		t.Fatalf("kills miscounted as neutralizations: %d", st.Neutralized)
 	}
 }
+
+// TestPollWordsMatchPoll walks one thread through random sequences of every
+// operation that moves its state word or its quiet ceiling and checks, after
+// each step, that the comparison PollWords publishes says "pending" exactly
+// when Poll would deliver: a post beyond the delivered count, or an
+// unacknowledged revocation.
+func TestPollWordsMatchPoll(t *testing.T) {
+	check := func(ops []uint8) bool {
+		g := NewGroup(2, Config{})
+		word, quiet := g.PollWords(0)
+		for i, op := range ops {
+			func() {
+				defer func() {
+					switch r := recover().(type) {
+					case nil, Neutralized, Revoked:
+					default:
+						panic(r)
+					}
+				}()
+				switch op % 6 {
+				case 0:
+					g.SignalAll(1)
+				case 1:
+					g.Revoke(0)
+				case 2:
+					g.Attach(0)
+				case 3:
+					g.SetRestartable(0)
+				case 4:
+					g.ClearRestartable(0)
+				case 5:
+					g.Poll(0)
+				}
+			}()
+			want := g.Posted(0) > g.Delivered(0) || g.IsRevoked(0)
+			if got := word.Load() > *quiet; got != want {
+				t.Errorf("after op %d of %v: words say pending=%v, posted %d delivered %d revoked %v",
+					i, ops, got, g.Posted(0), g.Delivered(0), g.IsRevoked(0))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}

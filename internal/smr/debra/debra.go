@@ -98,8 +98,9 @@ func (s *Scheme) stuck(self int, e uint64) bool {
 
 type guard struct {
 	smr.Limbo
-	s      *Scheme
-	localE uint64
+	smr.NoProtect // an epoch section needs no per-record barrier
+	s             *Scheme
+	localE        uint64
 	// mark splits the bag, which is in retire order: Bag[:mark] was retired
 	// under epoch localE−1, Bag[mark:] under localE.
 	mark   int

@@ -121,9 +121,10 @@ func (s *Scheme) minAnnounced() uint64 {
 
 type guard struct {
 	smr.Limbo
-	s          *Scheme
-	sinceSweep int
-	min        uint64 // the sweep's grace-period snapshot
+	smr.NoProtect // a read-side section needs no per-record barrier
+	s             *Scheme
+	sinceSweep    int
+	min           uint64 // the sweep's grace-period snapshot
 }
 
 // BeginOp enters an RCU read-side critical section: announce the current

@@ -56,7 +56,10 @@ func (s *Scheme) Drain(int) {}
 
 // guard counts what is retired and forgets it: every landing empties the
 // bag without freeing.
-type guard struct{ smr.Limbo }
+type guard struct {
+	smr.Limbo
+	smr.NoProtect // nothing is ever freed, so nothing needs a barrier
+}
 
 func (g *guard) Retire(p mem.Ptr) {
 	g.Push(p)

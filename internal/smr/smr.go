@@ -13,10 +13,14 @@
 //     schemes announce p in the slot, NBR polls for pending neutralization
 //     signals, epoch schemes do nothing. If NeedsValidation reports true the
 //     caller must re-read the link it obtained p from and restart the
-//     operation on mismatch (the HP/IBR reachability validation);
+//     operation on mismatch (the HP/IBR reachability validation). A
+//     traversal makes both calls through a Barrier resolved once per
+//     operation (BarrierOf), which skips Protect while nothing is pending
+//     for guards that allow it (barrier.go);
 //   - reads record fields by copying them and then re-validating the handle
 //     generation, reporting a stale handle via OnStale (which neutralizes
-//     under NBR and panics — a detected use-after-free — everywhere else);
+//     under NBR and panics — a detected use-after-free — everywhere else;
+//     Barrier.Stale is that tail, written once);
 //   - calls Reserve then EndRead before its write phase (endΦread with the
 //     reservation set; no-ops outside NBR);
 //   - calls Retire for every unlinked record, or RetireBatch when one

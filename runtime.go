@@ -631,6 +631,7 @@ func (rt *Runtime) MemStats() MemStats {
 		agg.Allocs += st.Allocs
 		agg.Frees += st.Frees
 		agg.Live += st.Live
+		agg.EraBytes += st.EraBytes
 		agg.LiveBytes += st.LiveBytes
 		agg.SlabBytes += st.SlabBytes
 		agg.GlobalOps += st.GlobalOps
