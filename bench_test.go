@@ -11,6 +11,7 @@
 package nbr_test
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -22,33 +23,14 @@ const (
 	benchThreads  = 4
 	benchDuration = 200 * time.Millisecond
 	treeRange     = 50_000 // host-scaled stand-in for the paper's 2M
-	bigTreeRange  = 100_000
 )
 
 // benchSchemes is the reduced comparison set used in the testing.B harness
 // (the full set runs via cmd/nbrbench).
 var benchSchemes = []string{"none", "debra", "hp", "nbr", "nbr+"}
 
-// abSchemes excludes pointer-based schemes, which Table 1 rules out for the
-// ABTree.
-var abSchemes = []string{"none", "debra", "nbr", "nbr+"}
-
-var benchMixes = []struct {
-	name     string
-	ins, del int
-}{
-	{"u50", 50, 50}, // update-intensive
-	{"u25", 25, 25}, // balanced
-	{"u5", 5, 5},    // search-intensive
-}
-
 func runCell(b *testing.B, w bench.Workload) {
 	b.Helper()
-	if w.Cfg == (catalog.SchemeConfig{}) {
-		w.Cfg = catalog.DefaultSchemeConfig()
-	}
-	w.Duration = benchDuration
-	w.Prefill = -1
 	var mops, peak float64
 	for i := 0; i < b.N; i++ {
 		r, err := bench.Run(w)
@@ -56,155 +38,67 @@ func runCell(b *testing.B, w bench.Workload) {
 			b.Fatal(err)
 		}
 		mops += r.Mops
-		if mb := float64(r.PeakBytes) / (1 << 20); mb > peak {
-			peak = mb
-		}
+		peak = max(peak, r.PeakMB)
 	}
 	b.ReportMetric(mops/float64(b.N), "Mops/s")
 	b.ReportMetric(peak, "peak-MB")
 }
 
-// BenchmarkFig3a is E1 on the DGT tree (paper key range 2M, host-scaled).
-func BenchmarkFig3a(b *testing.B) {
-	for _, m := range benchMixes {
-		for _, s := range benchSchemes {
-			b.Run(m.name+"/"+s, func(b *testing.B) {
-				runCell(b, bench.Workload{DS: "dgt", Scheme: s, Threads: benchThreads,
-					KeyRange: treeRange, InsPct: m.ins, DelPct: m.del})
-			})
+// benchPresets runs the cells of the named nbrbench presets (bench.Experiment
+// .Cells — the grids are stated there, once) as sub-benchmarks, thinned to
+// testing.B scale: one thread count, short trials, benchSchemes only, key
+// ranges above 20K at a quarter of nbrbench's host-scaled ones (2M → 50K,
+// 20M → 100K), and — unless allMixes — only the 50i-50d mix.
+func benchPresets(b *testing.B, allMixes bool, presets ...string) {
+	o := bench.Options{Threads: []int{benchThreads}, Duration: benchDuration, Cfg: catalog.DefaultSchemeConfig()}
+	for _, name := range presets {
+		e, ok := bench.Lookup(name)
+		if !ok {
+			b.Fatalf("no preset %q", name)
+		}
+		for _, c := range e.Cells(o) {
+			if !slices.Contains(benchSchemes, c.Scheme) || !allMixes && c.InsPct != 50 {
+				continue
+			}
+			if c.KeyRange > 20_000 {
+				c.KeyRange /= 4
+			}
+			b.Run(c.Name, func(b *testing.B) { runCell(b, c.Workload) })
 		}
 	}
 }
+
+// BenchmarkFig3a is E1 on the DGT tree (paper key range 2M, host-scaled).
+func BenchmarkFig3a(b *testing.B) { benchPresets(b, true, "fig3a") }
 
 // BenchmarkFig3b is E1 on the lazy list (key range 20K).
-func BenchmarkFig3b(b *testing.B) {
-	for _, m := range benchMixes {
-		for _, s := range benchSchemes {
-			b.Run(m.name+"/"+s, func(b *testing.B) {
-				runCell(b, bench.Workload{DS: "lazylist", Scheme: s, Threads: benchThreads,
-					KeyRange: 20_000, InsPct: m.ins, DelPct: m.del})
-			})
-		}
-	}
-}
+func BenchmarkFig3b(b *testing.B) { benchPresets(b, true, "fig3b") }
 
 // BenchmarkFig4a is E3 on the ABTree at low contention (2M, scaled) and
-// high contention (200).
-func BenchmarkFig4a(b *testing.B) {
-	for _, kr := range []struct {
-		name string
-		r    uint64
-	}{{"large", treeRange}, {"small", 200}} {
-		for _, s := range abSchemes {
-			b.Run(kr.name+"/"+s, func(b *testing.B) {
-				runCell(b, bench.Workload{DS: "abtree", Scheme: s, Threads: benchThreads,
-					KeyRange: kr.r, InsPct: 50, DelPct: 50})
-			})
-		}
-	}
-}
+// high contention (200); Table 1 rules the pointer-based schemes out.
+func BenchmarkFig4a(b *testing.B) { benchPresets(b, true, "fig4a") }
 
 // BenchmarkFig4b is E4: the Harris-Michael restart study.
-func BenchmarkFig4b(b *testing.B) {
-	series := []struct{ name, ds, scheme string }{
-		{"nbr+", "hmlist", "nbr+"},
-		{"debra-restarts", "hmlist", "debra"},
-		{"debra-norestarts", "hmlist-norestart", "debra"},
-		{"none", "hmlist", "none"},
-	}
-	for _, kr := range []struct {
-		name string
-		r    uint64
-	}{{"20K", 20_000}, {"200", 200}} {
-		for _, s := range series {
-			b.Run(kr.name+"/"+s.name, func(b *testing.B) {
-				runCell(b, bench.Workload{DS: s.ds, Scheme: s.scheme, Threads: benchThreads,
-					KeyRange: kr.r, InsPct: 50, DelPct: 50})
-			})
-		}
-	}
-}
+func BenchmarkFig4b(b *testing.B) { benchPresets(b, true, "fig4b") }
 
 // BenchmarkFig4c is E2 with a stalled thread: peak-MB is the paper's metric.
-func BenchmarkFig4c(b *testing.B) {
-	for _, s := range benchSchemes {
-		b.Run(s, func(b *testing.B) {
-			runCell(b, bench.Workload{DS: "dgt", Scheme: s, Threads: benchThreads,
-				KeyRange: treeRange, InsPct: 50, DelPct: 50, Stall: true})
-		})
-	}
-}
+func BenchmarkFig4c(b *testing.B) { benchPresets(b, true, "fig4c") }
 
 // BenchmarkFig4d is E2 without the stalled thread.
-func BenchmarkFig4d(b *testing.B) {
-	for _, s := range benchSchemes {
-		b.Run(s, func(b *testing.B) {
-			runCell(b, bench.Workload{DS: "dgt", Scheme: s, Threads: benchThreads,
-				KeyRange: treeRange, InsPct: 50, DelPct: 50})
-		})
-	}
-}
+func BenchmarkFig4d(b *testing.B) { benchPresets(b, true, "fig4d") }
 
 // BenchmarkFig5 covers the appendix DGT size sweep (20M scaled / 20K).
-func BenchmarkFig5(b *testing.B) {
-	for _, kr := range []struct {
-		name string
-		r    uint64
-	}{{"large", bigTreeRange}, {"20K", 20_000}} {
-		for _, s := range benchSchemes {
-			b.Run(kr.name+"/"+s, func(b *testing.B) {
-				runCell(b, bench.Workload{DS: "dgt", Scheme: s, Threads: benchThreads,
-					KeyRange: kr.r, InsPct: 50, DelPct: 50})
-			})
-		}
-	}
-}
+func BenchmarkFig5(b *testing.B) { benchPresets(b, false, "fig5a", "fig5b") }
 
 // BenchmarkFig6 covers the appendix lazy-list size sweep (2K / 200).
-func BenchmarkFig6(b *testing.B) {
-	for _, kr := range []struct {
-		name string
-		r    uint64
-	}{{"2K", 2_000}, {"200", 200}} {
-		for _, s := range benchSchemes {
-			b.Run(kr.name+"/"+s, func(b *testing.B) {
-				runCell(b, bench.Workload{DS: "lazylist", Scheme: s, Threads: benchThreads,
-					KeyRange: kr.r, InsPct: 50, DelPct: 50})
-			})
-		}
-	}
-}
+func BenchmarkFig6(b *testing.B) { benchPresets(b, false, "fig6a", "fig6b") }
 
 // BenchmarkFig7 covers the appendix Harris-list size sweep (200/2K/20K).
-func BenchmarkFig7(b *testing.B) {
-	for _, kr := range []struct {
-		name string
-		r    uint64
-	}{{"200", 200}, {"2K", 2_000}, {"20K", 20_000}} {
-		for _, s := range benchSchemes {
-			b.Run(kr.name+"/"+s, func(b *testing.B) {
-				runCell(b, bench.Workload{DS: "harris", Scheme: s, Threads: benchThreads,
-					KeyRange: kr.r, InsPct: 50, DelPct: 50})
-			})
-		}
-	}
-}
+func BenchmarkFig7(b *testing.B) { benchPresets(b, false, "fig7a", "fig7b", "fig7c") }
 
 // BenchmarkFig8 covers the appendix ABTree size sweep (20M scaled / 2M
 // scaled).
-func BenchmarkFig8(b *testing.B) {
-	for _, kr := range []struct {
-		name string
-		r    uint64
-	}{{"larger", bigTreeRange}, {"large", treeRange}} {
-		for _, s := range abSchemes {
-			b.Run(kr.name+"/"+s, func(b *testing.B) {
-				runCell(b, bench.Workload{DS: "abtree", Scheme: s, Threads: benchThreads,
-					KeyRange: kr.r, InsPct: 50, DelPct: 50})
-			})
-		}
-	}
-}
+func BenchmarkFig8(b *testing.B) { benchPresets(b, false, "fig8a", "fig8b") }
 
 // BenchmarkAblateSignals quantifies §5's O(n²)→O(n) signal reduction.
 func BenchmarkAblateSignals(b *testing.B) {

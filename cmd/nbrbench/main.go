@@ -61,10 +61,8 @@ func main() {
 	}
 
 	cfg := catalog.DefaultSchemeConfig()
-	cfg.BagSize = *bag
-	cfg.LoFraction = *lowm
-	cfg.SendSpin = *sigspin
-	cfg.HandleSpin = *sigspin / 2
+	cfg.BagSize, cfg.LoFraction = *bag, *lowm
+	cfg.SendSpin, cfg.HandleSpin = *sigspin, *sigspin/2
 
 	if *snapshot != "" {
 		// The snapshot suite is fixed (8 threads: the end-to-end workload
@@ -74,13 +72,11 @@ func main() {
 		// comparable across PRs; workload flags other than -duration and the
 		// scheme knobs do not apply to it.
 		if *experiment != "" || *custom || *threads != "" {
-			fmt.Fprintln(os.Stderr, "nbrbench: -snapshot runs a fixed suite; it cannot be combined with -experiment, -custom, or -threads")
-			os.Exit(1)
+			die("-snapshot runs a fixed suite; it cannot be combined with -experiment, -custom, or -threads")
 		}
 		fmt.Printf("# writing perf snapshot to %s (duration %v per cell, fixed 8-thread suite)\n", *snapshot, *duration)
 		if err := bench.WriteSnapshot(*snapshot, *duration, cfg, *assertBound); err != nil {
-			fmt.Fprintln(os.Stderr, "nbrbench:", err)
-			os.Exit(1)
+			die(err)
 		}
 		return
 	}
@@ -93,21 +89,17 @@ func main() {
 		}
 		r, err := bench.Run(w)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "nbrbench:", err)
-			os.Exit(1)
+			die(err)
 		}
 		bound := "unbounded"
 		if r.Bound >= 0 {
 			bound = fmt.Sprint(r.Bound)
 		}
 		fmt.Printf("%s/%s threads=%d range=%d %di-%dd: %.3f Mops/s, peak %.2f MB, %d signals, %d neutralized, garbage %d (peak %d, bound %s)\n",
-			r.DS, r.Scheme, r.Threads, r.KeyRange, r.InsPct, r.DelPct,
-			r.Mops, float64(r.PeakBytes)/(1<<20), r.Stats.Signals,
-			r.Stats.Neutralized, r.Stats.Garbage(), r.GarbagePeak, bound)
-		if *assertBound && r.BoundExceeded() {
-			fmt.Fprintf(os.Stderr, "nbrbench: garbage-bound contract violated: peak %d > declared bound %d\n",
-				r.GarbagePeak, r.Bound)
-			os.Exit(1)
+			r.DS, r.Scheme, r.Threads, r.KeyRange, w.InsPct, w.DelPct,
+			r.Mops, r.PeakMB, r.Signals, r.Stats.Neutralized, r.Garbage, r.GarbagePeak, bound)
+		if v := r.Violations(); *assertBound && len(v) > 0 {
+			die("garbage-bound contract violated:", strings.Join(v, "; "))
 		}
 		return
 	}
@@ -118,24 +110,24 @@ func main() {
 	}
 	e, ok := bench.Lookup(*experiment)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "nbrbench: unknown experiment %q; use -list\n", *experiment)
-		os.Exit(1)
+		die(fmt.Sprintf("unknown experiment %q; use -list", *experiment))
 	}
 
 	o := bench.Options{
-		Threads:  parseThreads(*threads),
-		Duration: *duration,
-		Trials:   *trials,
-		Full:     *full,
-		Cfg:      cfg,
-		Out:      os.Stdout,
+		Threads: parseThreads(*threads), Duration: *duration, Trials: *trials,
+		Full: *full, Cfg: cfg, Out: os.Stdout,
 	}
 	fmt.Printf("# %s — %s\n# threads=%v duration=%v trials=%d full=%v (GOMAXPROCS=%d)\n",
 		e.Name, e.Desc, o.Threads, o.Duration, o.Trials, o.Full, runtime.GOMAXPROCS(0))
 	if err := e.Run(o); err != nil {
-		fmt.Fprintln(os.Stderr, "nbrbench:", err)
-		os.Exit(1)
+		die(err)
 	}
+}
+
+// die reports a fatal error and exits 1.
+func die(msg ...any) {
+	fmt.Fprintln(os.Stderr, append([]any{"nbrbench:"}, msg...)...)
+	os.Exit(1)
 }
 
 // parseThreads parses "-threads 1,2,4" or derives a host-scaled sweep that
@@ -146,8 +138,7 @@ func parseThreads(s string) []int {
 		for _, f := range strings.Split(s, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(f))
 			if err != nil || n < 1 {
-				fmt.Fprintf(os.Stderr, "nbrbench: bad -threads entry %q\n", f)
-				os.Exit(1)
+				die(fmt.Sprintf("bad -threads entry %q", f))
 			}
 			out = append(out, n)
 		}

@@ -2,12 +2,13 @@
 // consecutive BENCH_<n>.json files (written by `nbrbench -snapshot`) and
 // flags regressions — throughput drops in the end-to-end workload and
 // shared-runtime cells and cost growth in the reservation-scan and
-// free-burst microbenchmarks. Two schema-v5 invariants are flagged
-// host-independently, because they are counter ratios rather than timings:
-// the hub's dispatch-per-burst amortization blowing up on the interleaved
-// runtime cells, and a Domain-vs-Runtime width gap reopening (the runtime
-// scanning wider announcement rows than a Domain would for the same
-// structure).
+// free-burst microbenchmarks. Counter columns are flagged host-independently,
+// because they are not timings: a counter ratio (the hub's dispatch-per-burst
+// amortization, the segment cells' stamps and scans per record) worsening past
+// the threshold, and a count that must stay zero (fallbacks, reaps outside the
+// stall cell, the Domain-vs-Runtime width gap, scan allocations) leaving it.
+// After each pair it also lists the invariants the newer snapshot breaks on
+// its own (the same check `nbrbench -snapshot -assert-bound` blocks on).
 //
 // Only same-host snapshot pairs (matching gomaxprocs and goarch) are
 // compared by default: numbers from different host shapes say nothing about
@@ -35,7 +36,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
+	"slices"
 	"strconv"
 
 	"nbr/internal/bench"
@@ -94,18 +95,22 @@ func main() {
 			fmt.Printf("  WARNING: host shape differs (%s); deltas below are untrusted and not flagged\n", mismatch)
 		}
 		deltas := bench.CompareSnapshots(snaps[i-1], snaps[i], *threshold)
-		if len(deltas) == 0 {
-			fmt.Println("  (no comparable cells)")
-			continue
-		}
 		for _, d := range deltas {
 			fmt.Println(" ", d)
 		}
 		if regs := bench.Regressions(deltas); len(regs) > 0 {
 			regressed = true
 			fmt.Printf("  => %d regression(s) flagged\n", len(regs))
+		} else if len(deltas) == 0 {
+			fmt.Println("  (no comparable cells)")
 		} else {
 			fmt.Println("  => no regressions")
+		}
+		// The newer snapshot's own invariants, whatever its predecessor read:
+		// a count that was already non-zero last time is still broken.
+		for _, v := range snaps[i].Violations() {
+			regressed = true
+			fmt.Printf("  VIOLATION in %s: %s\n", paths[i], v)
 		}
 	}
 	if skipped > 0 {
@@ -120,27 +125,12 @@ var benchFile = regexp.MustCompile(`^BENCH_(\d+)\.json$`)
 
 // defaultPaths globs BENCH_<n>.json in the working directory, ordered by n.
 func defaultPaths() ([]string, error) {
-	matches, err := filepath.Glob("BENCH_*.json")
-	if err != nil {
-		return nil, err
+	paths, err := filepath.Glob("BENCH_*.json")
+	paths = slices.DeleteFunc(paths, func(p string) bool { return !benchFile.MatchString(p) })
+	n := func(p string) int {
+		n, _ := strconv.Atoi(benchFile.FindStringSubmatch(p)[1])
+		return n
 	}
-	type numbered struct {
-		n    int
-		path string
-	}
-	var files []numbered
-	for _, m := range matches {
-		sub := benchFile.FindStringSubmatch(filepath.Base(m))
-		if sub == nil {
-			continue
-		}
-		n, _ := strconv.Atoi(sub[1])
-		files = append(files, numbered{n, m})
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].n < files[j].n })
-	out := make([]string, len(files))
-	for i, f := range files {
-		out[i] = f.path
-	}
-	return out, nil
+	slices.SortFunc(paths, func(a, b string) int { return n(a) - n(b) })
+	return paths, err
 }

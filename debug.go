@@ -27,9 +27,6 @@ func (rt *Runtime) Observe(on bool) {
 	}
 }
 
-// Observing reports whether the flight recorder is currently enabled.
-func (rt *Runtime) Observing() bool { return rt.rec.Enabled() }
-
 // DebugSnapshot is the /debug/nbr JSON document: the runtime's counter set,
 // bounds and admission state, the shared arena's free-path amortization
 // (reclamation bursts the hub received vs pool FreeBatch calls it issued —

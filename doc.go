@@ -57,6 +57,7 @@
 // statically by cmd/nbrvet, which runs as a blocking CI check; see
 // DESIGN.md §13 for the rules and the annotation grammar.
 //
-// See README.md for a tour, DESIGN.md for the architecture and the
-// substitution arguments, and EXPERIMENTS.md for measured-vs-paper results.
+// See DESIGN.md for the architecture and the substitution arguments — §5 is
+// the index of experiment presets and snapshot cells — and the committed
+// BENCH_<n>.json trajectory (diffed by cmd/nbrtrend) for the measured results.
 package nbr

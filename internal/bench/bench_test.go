@@ -9,88 +9,6 @@ import (
 	"nbr/internal/catalog"
 )
 
-func TestNewSchemeAllNames(t *testing.T) {
-	inst, err := catalog.NewDS("lazylist", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range catalog.SchemeNames {
-		s, err := catalog.NewScheme(name, inst.Arena, 2, catalog.DefaultSchemeConfig())
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if s.Name() != name {
-			t.Fatalf("scheme %q reports name %q", name, s.Name())
-		}
-	}
-	if _, err := catalog.NewScheme("bogus", inst.Arena, 2, catalog.DefaultSchemeConfig()); err == nil {
-		t.Fatal("unknown scheme must error")
-	}
-}
-
-func TestNewDSAllNames(t *testing.T) {
-	for _, name := range catalog.DSNames {
-		inst, err := catalog.NewDS(name, 2)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if inst.Set == nil || inst.Arena == nil || inst.MemStats == nil {
-			t.Fatalf("%s: incomplete instance", name)
-		}
-		if err := inst.Set.Validate(); err != nil {
-			t.Fatalf("%s: fresh instance invalid: %v", name, err)
-		}
-	}
-	if _, err := catalog.NewDS("bogus", 2); err == nil {
-		t.Fatal("unknown structure must error")
-	}
-}
-
-func TestTable1Coverage(t *testing.T) {
-	for _, d := range catalog.DSNames {
-		for _, s := range catalog.SchemeNames {
-			if _, ok := catalog.Table1Verdict(d, s); !ok {
-				t.Fatalf("no Table 1 verdict for %s/%s", d, s)
-			}
-		}
-	}
-}
-
-func TestTable1KnownVerdicts(t *testing.T) {
-	cases := []struct {
-		ds, scheme string
-		ok         bool
-	}{
-		{"lazylist", "nbr+", true},
-		{"lazylist", "hp", false},
-		{"hmlist-norestart", "nbr", false},
-		{"hmlist", "nbr", true},
-		{"harris", "hp", true},
-		{"dgt", "ibr", false},
-		{"abtree", "he", false},
-		{"abtree", "debra", true},
-	}
-	for _, c := range cases {
-		v, ok := catalog.Table1Verdict(c.ds, c.scheme)
-		if !ok || v.OK != c.ok {
-			t.Fatalf("catalog.Table1Verdict(%s, %s) = %+v, want OK=%v", c.ds, c.scheme, v, c.ok)
-		}
-	}
-}
-
-func TestRunnableExceptions(t *testing.T) {
-	// The paper's E1 runs HP on the lazy list and DGT despite Table 1.
-	if !catalog.Runnable("lazylist", "hp") || !catalog.Runnable("dgt", "hp") {
-		t.Fatal("benchmark-mode exceptions missing")
-	}
-	if catalog.Runnable("hmlist-norestart", "nbr+") {
-		t.Fatal("hmlist-norestart must stay rejected for NBR")
-	}
-	if catalog.Runnable("abtree", "hp") {
-		t.Fatal("abtree has no benchmark-mode HP exception")
-	}
-}
-
 func TestRunRejectsIncompatible(t *testing.T) {
 	_, err := Run(Workload{DS: "hmlist-norestart", Scheme: "nbr+", Threads: 1,
 		KeyRange: 100, Duration: 10 * time.Millisecond})
@@ -111,7 +29,7 @@ func TestRunSmoke(t *testing.T) {
 	if r.Ops == 0 || r.Mops <= 0 {
 		t.Fatalf("no throughput measured: %+v", r)
 	}
-	if r.PeakBytes <= 0 {
+	if r.PeakMB <= 0 {
 		t.Fatal("peak memory not sampled")
 	}
 }
@@ -188,7 +106,7 @@ func TestThroughputFigureOutput(t *testing.T) {
 		Cfg:      catalog.DefaultSchemeConfig(),
 		Out:      &buf,
 	}
-	err := throughputFigure(o, "lazylist", 200, []mix{{50, 50}}, []string{"none", "nbr+"})
+	err := throughputFigure(o, grid("lazylist", 200, updateMix, []string{"none", "nbr+"}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"nbr/internal/catalog"
@@ -41,87 +39,44 @@ type ResizeBurstWorkload struct {
 	Cfg     catalog.SchemeConfig
 }
 
-// ResizeBurstResult is the outcome of one run, all counters read at the
-// post-drain quiescent point.
+// ResizeBurstResult is the outcome of one run: the point the snapshot
+// records plus the scheme's full tally, all counters read at the post-drain
+// quiescent point.
 type ResizeBurstResult struct {
-	Keys        uint64 // total inserts performed
-	Mops        float64
-	Resizes     uint64
-	Stats       smr.Stats
-	Bound       int
-	GarbagePeak uint64
-	Drained     bool // Retired == Freed after the drain
-}
-
-// BoundExceeded reports a live garbage-bound contract violation.
-func (r ResizeBurstResult) BoundExceeded() bool {
-	return r.Bound != smr.Unbounded && r.GarbagePeak > uint64(r.Bound)
+	ResizeBurstPoint
+	Stats smr.Stats
 }
 
 // perNodeSafe lists the schemes the dissolve baseline may run under.
-var perNodeSafe = map[string]bool{
-	"ibr": true, "he": true, "qsbr": true, "rcu": true, "debra": true, "none": true,
-}
+var perNodeSafe = []string{"ibr", "he", "qsbr", "rcu", "debra", "none"}
 
 // RunResizeBurst executes one resize-burst cell.
 func RunResizeBurst(w ResizeBurstWorkload) (ResizeBurstResult, error) {
-	if w.PerNode && !perNodeSafe[w.Scheme] {
+	if w.PerNode && !slices.Contains(perNodeSafe, w.Scheme) {
 		return ResizeBurstResult{}, fmt.Errorf(
 			"bench: per-node resize baseline is unsafe under %s (no per-cell protection)", w.Scheme)
 	}
-	mcfg := mem.Config{MaxThreads: w.Threads}
-	var m *hashmap.Map
+	newMap, mode := hashmap.NewWith, "segment"
 	if w.PerNode {
-		m = hashmap.NewPerNodeWith(mcfg)
-	} else {
-		m = hashmap.NewWith(mcfg)
+		newMap, mode = hashmap.NewPerNodeWith, "per-node"
 	}
+	m := newMap(mem.Config{MaxThreads: w.Threads})
 	sch, err := catalog.NewSchemeFor(w.Scheme, m.Arena(), w.Threads, w.Cfg, m.Requirements())
 	if err != nil {
 		return ResizeBurstResult{}, err
 	}
 
-	var stop atomic.Bool
-	var peak atomic.Uint64
-	samplerDone := make(chan struct{})
-	go func() {
-		defer close(samplerDone)
-		for !stop.Load() {
-			if g := sch.Stats().Garbage(); g > peak.Load() {
-				peak.Store(g)
-			}
-			runtime.Gosched()
-		}
-	}()
-
+	garbagePeak := watchGarbage(time.Millisecond, func() uint64 { return sch.Stats().Garbage() })
 	start := time.Now()
-	var wg sync.WaitGroup
-	for tid := 0; tid < w.Threads; tid++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			g := sch.Guard(tid)
-			base := uint64(tid) * 1_000_000
-			for i := 0; i < w.KeysPerThread; i++ {
-				m.Insert(g, base+uint64(i)+1)
-			}
-		}(tid)
-	}
-	wg.Wait()
+	parallel(w.Threads, func(tid int) {
+		g := sch.Guard(tid)
+		base := uint64(tid) * 1_000_000
+		for i := 0; i < w.KeysPerThread; i++ {
+			m.Insert(g, base+uint64(i)+1)
+		}
+	})
 	elapsed := time.Since(start)
-	stop.Store(true)
-	<-samplerDone
-
-	res := ResizeBurstResult{
-		Keys:    uint64(w.Threads * w.KeysPerThread),
-		Resizes: m.Resizes(),
-	}
-	if s := elapsed.Seconds(); s > 0 {
-		res.Mops = float64(res.Keys) / s / 1e6
-	}
-	if g := sch.Stats().Garbage(); g > peak.Load() {
-		peak.Store(g)
-	}
+	peak := garbagePeak()
 
 	// Drain to quiescence. NBR reservation rows persist past EndOp, so each
 	// thread first runs one search on the current table, re-pointing its rows
@@ -130,21 +85,18 @@ func RunResizeBurst(w ResizeBurstWorkload) (ResizeBurstResult, error) {
 	for tid := 0; tid < w.Threads; tid++ {
 		m.Contains(sch.Guard(tid), 1<<40)
 	}
-	if d, ok := sch.(smr.Drainer); ok && w.Scheme != "none" {
-		for round := 0; round < 500; round++ {
-			if st := sch.Stats(); st.Retired == st.Freed {
-				break
-			}
-			for tid := 0; tid < w.Threads; tid++ {
-				d.Drain(tid)
-			}
-		}
-	}
+	drained := drainQuiet(sch, w.Threads)
 
-	res.Stats = sch.Stats()
-	res.Bound = sch.GarbageBound()
-	res.GarbagePeak = peak.Load()
-	res.Drained = res.Stats.Retired == res.Stats.Freed
+	st := sch.Stats()
+	res := ResizeBurstResult{Stats: st, ResizeBurstPoint: ResizeBurstPoint{
+		Scheme: w.Scheme, Mode: mode, Threads: w.Threads,
+		Keys: uint64(w.Threads * w.KeysPerThread), Resizes: m.Resizes(),
+		Retired: st.Retired, SegmentsRetired: st.Segments, SegRecords: st.SegRecords, Scans: st.Scans,
+		StampsPerRecord: st.StampsPerRecord(), ScansPerRecord: st.ScansPerRecord(),
+		BoundContract: BoundContract{Bound: sch.GarbageBound(), GarbagePeak: peak},
+		Drained:       drained,
+	}}
+	res.Mops = float64(res.Keys) / elapsed.Seconds() / 1e6
 	if err := m.Validate(); err != nil {
 		return res, fmt.Errorf("bench: hash map invalid after resize burst: %w", err)
 	}

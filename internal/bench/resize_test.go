@@ -38,6 +38,10 @@ func TestResizeBurstSegmentAmortization(t *testing.T) {
 		if !r.Drained {
 			t.Fatalf("drain stalled: retired %d, freed %d", r.Stats.Retired, r.Stats.Freed)
 		}
+		// The same contract as one method, segment amortization included.
+		if v := r.Violations(); len(v) != 0 {
+			t.Fatalf("cell breaks its own invariants: %q", v)
+		}
 		return r
 	}
 	sr := run(seg)

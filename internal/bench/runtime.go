@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -61,21 +60,11 @@ const stallEvery = 8
 // RuntimeResult is one measured shared-runtime cell: the point the snapshot
 // records (every counter and quantile in it read from the runtime's own debug
 // document after the post-run drain) plus what only reports and assertions
-// need. Stats is the post-drain tally; EventTail is the merged
-// flight-recorder timeline at the end of the run, embedded in violation
-// reports so a failed bound names the stalled thread.
+// need. Stats is the post-drain tally.
 type RuntimeResult struct {
 	RuntimePoint
-	Ops       uint64
-	Elapsed   time.Duration
-	Stats     nbr.Stats
-	EventTail string
-}
-
-// BoundExceeded reports whether the sampled garbage peak violated the
-// scheme's declared aggregated bound.
-func (r RuntimeResult) BoundExceeded() bool {
-	return r.Bound != nbr.Unbounded && r.GarbagePeak > uint64(r.Bound)
+	Ops   uint64
+	Stats nbr.Stats
 }
 
 // RunRuntime executes one shared-runtime cell.
@@ -123,12 +112,9 @@ func RunRuntime(w RuntimeWorkload) (RuntimeResult, error) {
 	}
 
 	var (
-		stop        atomic.Bool
-		peakGarbage atomic.Uint64
-		done        sync.WaitGroup
-		opCounts    = make([]uint64, w.Workers)
-		sessions    atomic.Uint64
-		failed      = make([]error, w.Workers)
+		stop     atomic.Bool
+		sessions atomic.Uint64
+		failed   = make([]error, w.Workers)
 	)
 	// The zombies of a Stall cell: a wedged holder's lease arrives here, and
 	// once the watchdog has revoked it the holder "wakes up late" and
@@ -146,87 +132,63 @@ func RunRuntime(w RuntimeWorkload) (RuntimeResult, error) {
 		}
 	}()
 
-	samplerDone := make(chan struct{})
-	go func() {
-		defer close(samplerDone)
-		// Same 1ms cadence as the workload cells' sampler: a Gosched spin
-		// would burn a core inside the measured window and deflate Mops.
-		tick := time.NewTicker(time.Millisecond)
-		defer tick.Stop()
-		for !stop.Load() {
-			if g := rt.Stats().Garbage(); g > peakGarbage.Load() {
-				peakGarbage.Store(g)
+	garbagePeak := watchGarbage(time.Millisecond, func() uint64 { return rt.Stats().Garbage() })
+
+	ops, elapsed := churn(w.Workers, w.Duration, &stop, func(wk int) (ops uint64) {
+		rng := uint64(wk)*0x100000001b3 + 0x9e3779b97f4a7c15
+		session := func(l *nbr.Lease) error {
+			for i := 0; i < w.SessionOps; i++ {
+				r := splitmix64(&rng)
+				if w.Interleave {
+					// Adversarial retires: round-robin the structures so
+					// consecutive retired records never share an owner,
+					// and pair insert/delete so nearly every op retires.
+					set := sets[i%len(sets)]
+					key := r%w.KeyRange + 1
+					set.Insert(l, key)
+					set.Delete(l, key)
+					ops += 2
+					continue
+				}
+				set := sets[r%uint64(len(sets))]
+				key := (r>>16)%w.KeyRange + 1
+				switch (r >> 8) % 4 {
+				case 0, 1:
+					set.Insert(l, key)
+				case 2:
+					set.Delete(l, key)
+				default:
+					set.Contains(l, key)
+				}
+				ops++
 			}
-			<-tick.C
+			return nil
 		}
-	}()
-
-	for wk := 0; wk < w.Workers; wk++ {
-		done.Add(1)
-		go func(wk int) {
-			defer done.Done()
-			rng := uint64(wk)*0x100000001b3 + 0x9e3779b97f4a7c15
-			var ops uint64
-			session := func(l *nbr.Lease) error {
-				for i := 0; i < w.SessionOps; i++ {
-					r := splitmix64(&rng)
-					if w.Interleave {
-						// Adversarial retires: round-robin the structures so
-						// consecutive retired records never share an owner,
-						// and pair insert/delete so nearly every op retires.
-						set := sets[i%len(sets)]
-						key := r%w.KeyRange + 1
-						set.Insert(l, key)
-						set.Delete(l, key)
-						ops += 2
-						continue
-					}
-					set := sets[r%uint64(len(sets))]
-					key := (r>>16)%w.KeyRange + 1
-					switch (r >> 8) % 4 {
-					case 0, 1:
-						set.Insert(l, key)
-					case 2:
-						set.Delete(l, key)
-					default:
-						set.Contains(l, key)
-					}
-					ops++
+		for n := 1; !stop.Load(); n++ {
+			var err error
+			if w.Stall && n%stallEvery == 0 {
+				var l *nbr.Lease
+				if l, err = rt.AcquireCtx(ctx); err == nil {
+					_ = session(l) // never fails
+					// Wedged: the holder's last act is arming its own
+					// deadline, which orders its writes before the reap.
+					l.SetDeadline(time.Now())
+					//nbr:allow leaseescape — deliberate wedge: the holder never releases; the zombie goroutine issues its late Release after the watchdog's reap
+					zombies <- l
 				}
-				return nil
+			} else {
+				err = rt.With(ctx, session)
 			}
-			for n := 1; !stop.Load(); n++ {
-				var err error
-				if w.Stall && n%stallEvery == 0 {
-					var l *nbr.Lease
-					if l, err = rt.AcquireCtx(ctx); err == nil {
-						_ = session(l) // never fails
-						// Wedged: the holder's last act is arming its own
-						// deadline, which orders its writes before the reap.
-						l.SetDeadline(time.Now())
-						//nbr:allow leaseescape — deliberate wedge: the holder never releases; the zombie goroutine issues its late Release after the watchdog's reap
-						zombies <- l
-					}
-				} else {
-					err = rt.With(ctx, session)
-				}
-				if failed[wk] = err; err != nil {
-					break
-				}
-				sessions.Add(1)
+			if failed[wk] = err; err != nil {
+				break
 			}
-			opCounts[wk] = ops
-		}(wk)
-	}
-
-	begin := time.Now()
-	time.Sleep(w.Duration)
-	stop.Store(true)
-	done.Wait()
-	elapsed := time.Since(begin)
+			sessions.Add(1)
+		}
+		return ops
+	})
 	close(zombies)
 	<-zombiesDone
-	<-samplerDone
+	peak := garbagePeak()
 	if err := errors.Join(failed...); err != nil {
 		return RuntimeResult{}, fmt.Errorf("bench: runtime session: %w", err)
 	}
@@ -237,20 +199,19 @@ func RunRuntime(w RuntimeWorkload) (RuntimeResult, error) {
 	// the event tail shows the run's final state — in a healthy cell the
 	// drain's scan rounds, in a stuck one the open read phase that pinned
 	// the garbage.
-	peak := max(peakGarbage.Load(), rt.Stats().Garbage())
 	if err := rt.Drain(); err != nil {
 		return RuntimeResult{}, fmt.Errorf("bench: drain: %w", err)
 	}
 	doc := rt.Snapshot(0)
 	_, reservations := rt.Widths()
 	aw, ga := doc.Recorder.Hists[obs.HistAdmissionWait], doc.Recorder.Hists[obs.HistGarbageAge]
-	res := RuntimeResult{Elapsed: elapsed, Stats: doc.Stats, RuntimePoint: RuntimePoint{
+	res := RuntimeResult{Ops: ops, Stats: doc.Stats, RuntimePoint: RuntimePoint{
 		Structures: strings.Join(w.Structures, "+"), Scheme: w.Scheme,
 		Slots: w.Slots, Workers: w.Workers, KeyRange: w.KeyRange,
 		Interleaved: w.Interleave, Stall: w.Stall,
 		Sessions: sessions.Load(), Freed: doc.Stats.Freed,
-		Bound: doc.GarbageBound, GarbagePeak: peak,
-		ForcedRounds: doc.ForcedRounds, Fallbacks: doc.FallbackReuses,
+		BoundContract: BoundContract{Bound: doc.GarbageBound, GarbagePeak: peak},
+		ForcedRounds:  doc.ForcedRounds, Fallbacks: doc.FallbackReuses,
 		Drained:   doc.Stats.Retired == doc.Stats.Freed && doc.StagedFrees == 0,
 		HubBursts: doc.HubBursts, HubDispatches: doc.HubDispatches,
 		ScanEntries: w.Slots * reservations,
@@ -260,10 +221,7 @@ func RunRuntime(w RuntimeWorkload) (RuntimeResult, error) {
 		AdmitWaitP50us: float64(aw.P50ns) / 1e3, AdmitWaitP99us: float64(aw.P99ns) / 1e3,
 		GarbageAgeP50us: float64(ga.P50ns) / 1e3, GarbageAgeP99us: float64(ga.P99ns) / 1e3,
 	}}
-	for _, c := range opCounts {
-		res.Ops += c
-	}
-	res.Mops = float64(res.Ops) / elapsed.Seconds() / 1e6
+	res.Mops = float64(ops) / elapsed.Seconds() / 1e6
 	if res.HubBursts > 0 {
 		res.DispatchPerBurst = float64(res.HubDispatches) / float64(res.HubBursts)
 	}

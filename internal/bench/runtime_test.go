@@ -43,6 +43,9 @@ func TestRunRuntimeCell(t *testing.T) {
 		t.Fatalf("a cell with no stall injection reaped %d holders (%d zombie releases): a healthy holder was revoked",
 			r.Reaped, r.RevokedReleases)
 	}
+	if v := r.Violations(); len(v) != 0 {
+		t.Fatalf("healthy cell breaks its own invariants: %q", v)
+	}
 }
 
 // TestRunRuntimeStallCell pins the holder-death cell: wedged holders are
@@ -80,6 +83,9 @@ func TestRunRuntimeStallCell(t *testing.T) {
 	}
 	if !r.Drained {
 		t.Fatalf("holder deaths leaked records: retired %d != freed %d", r.Stats.Retired, r.Stats.Freed)
+	}
+	if v := r.Violations(); len(v) != 0 {
+		t.Fatalf("stall cell breaks its own invariants: %q", v)
 	}
 }
 

@@ -1,18 +1,10 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"strings"
-	"testing"
 	"time"
 
-	"nbr"
-	"nbr/internal/catalog"
-	"nbr/internal/mem"
-	"nbr/internal/sigsim"
 	"nbr/internal/smr"
 )
 
@@ -38,117 +30,289 @@ type Snapshot struct {
 	FreeBurst   []FreeBurstPoint   `json:"free_burst"`
 }
 
-// SnapshotSchema names the current snapshot layout: end-to-end workload
-// cells (throughput, latency, retire batch-size distribution, declared bound
-// vs sampled garbage peak); shared-runtime cells measured on the public
-// nbr.Runtime — mixed, adversarially interleaved and stall-injection — with
-// the hub's dispatch-per-burst, the recovery counters and the recorder's
-// admission-wait / garbage-age quantiles plus the admission-wait sample count;
-// resize-burst cells with the segment-retirement counter ratios;
-// Domain-vs-Runtime width cells; and the reservation-scan and free-burst
-// microbenchmarks. Up to v8 the runtime cells came from a reconstruction
-// inside the harness, so their timings do not compare across the v8/v9
-// boundary (nbrtrend marks them untrusted); their counters do. Older files
-// lack the newer fields; consumers treat them as absent.
+// SnapshotSchema names the snapshot layout: six sections, one point type
+// each — end-to-end workload cells; shared-runtime cells measured on the
+// public nbr.Runtime (mixed, adversarially interleaved, stall-injection);
+// resize-burst cells; Domain-vs-Runtime width cells; and the reservation-scan
+// and free-burst microbenchmarks. Files written under older schema numbers
+// load as they are: a column they lack reads zero and is left out of the
+// comparison. The one boundary that matters is v8/v9 — up to v8 the runtime
+// cells came from a reconstruction inside the harness, so their timings do not
+// compare across it (nbrtrend marks them untrusted); their counters do.
 const SnapshotSchema = "nbr-perf-snapshot/v9"
 
-// WorkloadPoint is one end-to-end cell.
+// point is one snapshot row. Every point type says three things about itself,
+// each exactly once (DESIGN.md §5): which cell it is, which of its columns
+// nbrtrend compares and how each is judged, and which invariants it must hold
+// on its own.
+type point interface {
+	key() string
+	columns() []column
+	// Violations lists the invariants the point breaks, one message each,
+	// prefixed with the cell's key; nil on a healthy point. `nbrbench
+	// -assert-bound` fails on them, nbrtrend reports them for the newer
+	// snapshot of a pair, the unit tests call them on their own results.
+	Violations() []string
+}
+
+// class is how a column's movement between two snapshots is judged.
+type class int
+
+const (
+	// timing is wall-clock: flagged when it worsens past the threshold,
+	// unless the two sides are not comparable (different host shape, or a
+	// runtime cell across the v8/v9 boundary).
+	timing class = iota
+	// info is context (peak memory, tail latency, batch sizes, sample
+	// counts): shown, never flagged — it swings with host load.
+	info
+	// ratio is a counter ratio: host-independent, so worsening past the
+	// threshold is flagged on any pair of hosts.
+	ratio
+	// zero is a count that must stay zero: host-independent, flagged when it
+	// leaves zero. (That it *is* non-zero is the point's own Violations.)
+	zero
+)
+
+// column is one compared metric of a point.
+type column struct {
+	name  string
+	v     float64
+	up    bool // larger is worse
+	class class
+	// absent: the cell did not record this column (an older schema, a feature
+	// that was off). A column is compared when both sides have it — a
+	// must-stay-zero one when either does.
+	absent bool
+	// exact: never marked Untrusted, even across host shapes. Held by the two
+	// counts (reaps, width gap) the trend report has always shown bare.
+	exact bool
+}
+
+func col(name string, v float64, up bool, c class) column {
+	return column{name: name, v: v, up: up, class: c}
+}
+
+func (c column) when(recorded bool) column { c.absent = !recorded; return c }
+
+// points flattens the six sections, in file order.
+func (s Snapshot) points() []point {
+	out := section([]point(nil), s.Workloads)
+	out = section(out, s.Runtime)
+	out = section(out, s.ResizeBurst)
+	out = section(out, s.Widths)
+	out = section(out, s.ScanCost)
+	return section(out, s.FreeBurst)
+}
+
+func section[P point](out []point, ps []P) []point {
+	for _, p := range ps {
+		out = append(out, p)
+	}
+	return out
+}
+
+// Violations collects every point's broken invariants, in file order.
+func (s Snapshot) Violations() []string {
+	var out []string
+	for _, p := range s.points() {
+		out = append(out, p.Violations()...)
+	}
+	return out
+}
+
+// BoundContract is the garbage-bound pair every end-to-end point carries: the
+// scheme's declared bound (smr.Unbounded = -1 for the epoch schemes and
+// leaky) and the largest garbage the run's sampler observed. GarbagePeak
+// above a non-negative Bound is a contract violation, not noise.
+type BoundContract struct {
+	Bound       int    `json:"bound"`
+	GarbagePeak uint64 `json:"garbage_peak"`
+}
+
+// BoundExceeded reports whether the sampled garbage peak violated the
+// declared bound. Always false for unbounded schemes.
+func (b BoundContract) BoundExceeded() bool {
+	return b.Bound != smr.Unbounded && b.GarbagePeak > uint64(b.Bound)
+}
+
+func (b BoundContract) exceeded() string {
+	return fails(b.BoundExceeded(), "garbage peak %d > declared bound %d", b.GarbagePeak, b.Bound)
+}
+
+// fails is one invariant's verdict: "" while it holds, the message once broken.
+func fails(broken bool, format string, args ...any) string {
+	if !broken {
+		return ""
+	}
+	return fmt.Sprintf(format, args...)
+}
+
+// violations keeps the verdicts that are broken, each under the cell's key.
+func violations(cell string, verdicts ...string) (out []string) {
+	for _, v := range verdicts {
+		if v != "" {
+			out = append(out, cell+": "+v)
+		}
+	}
+	return out
+}
+
+// WorkloadPoint is one end-to-end cell: throughput, peak live memory, the
+// scheme's counters, sampled operation latency, the retire handoff-size
+// distribution (how much of the retire traffic the RetireBatch seam
+// amortizes; BatchHist bucket i counts batches of size in [2^(i-1), 2^i)) and
+// the garbage-bound contract.
 type WorkloadPoint struct {
-	DS       string  `json:"ds"`
-	Scheme   string  `json:"scheme"`
-	Threads  int     `json:"threads"`
-	KeyRange uint64  `json:"key_range"`
-	Mops     float64 `json:"mops"`
-	PeakMB   float64 `json:"peak_mb"`
-	Signals  uint64  `json:"signals"`
-	Freed    uint64  `json:"freed"`
-	Garbage  uint64  `json:"garbage"`
-	P50us    float64 `json:"p50_us"`
-	P99us    float64 `json:"p99_us"`
-	// Retire batch-size distribution (schema v2): how much of the retire
-	// traffic the RetireBatch seam amortizes. BatchHist bucket i counts
-	// batches of size in [2^(i-1), 2^i).
+	DS        string   `json:"ds"`
+	Scheme    string   `json:"scheme"`
+	Threads   int      `json:"threads"`
+	KeyRange  uint64   `json:"key_range"`
+	Mops      float64  `json:"mops"`
+	PeakMB    float64  `json:"peak_mb"`
+	Signals   uint64   `json:"signals"`
+	Freed     uint64   `json:"freed"`
+	Garbage   uint64   `json:"garbage"`
+	P50us     float64  `json:"p50_us"`
+	P99us     float64  `json:"p99_us"`
 	Batches   uint64   `json:"retire_batches,omitempty"`
 	BatchP50  int64    `json:"batch_p50,omitempty"`
 	BatchP99  int64    `json:"batch_p99,omitempty"`
 	BatchMax  int64    `json:"batch_max,omitempty"`
 	BatchHist []uint64 `json:"batch_hist,omitempty"`
-	// Garbage-bound contract (schema v3): the scheme's declared bound
-	// (smr.Unbounded = -1 for the epoch schemes and leaky) and the largest
-	// garbage the run's sampler observed. GarbagePeak above a non-negative
-	// Bound is a contract violation, not noise.
-	Bound       int    `json:"bound"`
-	GarbagePeak uint64 `json:"garbage_peak"`
+	BoundContract
 }
+
+func (w WorkloadPoint) key() string {
+	return fmt.Sprintf("workload %s/%s t=%d range=%d", w.DS, w.Scheme, w.Threads, w.KeyRange)
+}
+
+func (w WorkloadPoint) columns() []column {
+	return []column{
+		col("mops", w.Mops, false, timing),
+		col("peak_mb", w.PeakMB, true, info),
+		col("p99_us", w.P99us, true, info),
+		col("batch_p99", float64(w.BatchP99), false, info).when(w.Batches > 0),
+		// Informational in the diff — the hard check is Violations — but a
+		// growing peak against a fixed bound is worth seeing.
+		col("garbage_pk", float64(w.GarbagePeak), true, info).when(w.GarbagePeak > 0),
+	}
+}
+
+func (w WorkloadPoint) Violations() []string { return violations(w.key(), w.exceeded()) }
 
 // RuntimePoint is one multi-structure shared-runtime cell: several
 // structures attached to one nbr.Runtime, workers oversubscribing its lease
 // slots, one lease session covering every structure. Mops includes
-// acquire/release per session; Sessions counts the lease recycles the run
-// performed; the bound columns carry the aggregated contract; Fallbacks must
-// stay zero (forced rounds cover quarantine aging); Drained reports
-// Retired == Freed after the post-run drain.
+// acquire/release per session and Sessions counts the lease recycles.
+// Fallbacks must stay zero (forced rounds cover quarantine aging); Drained
+// reports Retired == Freed with the hub's free staging empty after the
+// post-run drain. Interleaved marks the adversarial round-robin retire cell;
+// DispatchPerBurst is pool FreeBatch calls per reclamation burst the hub
+// received — ~1 is Domain-parity amortization, one-per-run degradation reads
+// as ≈ records/burst. ScanEntries is threads × reservations at the widths the
+// cell's scheme was built with. Stall marks the stall-injection cell, whose
+// wedged holders never release and are reaped by the runtime's watchdog
+// mid-run: there Reaped must be non-zero (the revocation path went dead
+// otherwise), in every other cell zero (a healthy holder was revoked). The
+// admission-wait (first enqueue → admitted; AdmitWaits is the sample count —
+// a p99 over four samples is not a distribution) and garbage-age (sampled
+// retire → free) quantiles are read from the runtime's flight recorder in
+// microseconds; they are power-of-two bucket edges and wall-clock, so
+// nbrtrend shows their movement as context and never flags it.
 type RuntimePoint struct {
-	Structures   string  `json:"structures"` // "+"-joined, attachment order
-	Scheme       string  `json:"scheme"`
-	Slots        int     `json:"slots"`
-	Workers      int     `json:"workers"`
-	KeyRange     uint64  `json:"key_range"`
-	Mops         float64 `json:"mops"`
-	Sessions     uint64  `json:"sessions"`
-	Freed        uint64  `json:"freed"`
-	Bound        int     `json:"bound"`
-	GarbagePeak  uint64  `json:"garbage_peak"`
-	ForcedRounds uint64  `json:"forced_rounds"`
-	Fallbacks    uint64  `json:"fallbacks"`
-	Drained      bool    `json:"drained"`
-	// Free-path amortization (schema v5). Interleaved marks the adversarial
-	// round-robin retire cell; DispatchPerBurst is pool FreeBatch calls per
-	// reclamation burst the hub received — ~1 is Domain-parity amortization,
-	// one-per-run degradation reads as ≈ records/burst. ScanEntries is
-	// threads × reservations at the widths the cell's scheme was built with.
+	Structures string  `json:"structures"` // "+"-joined, attachment order
+	Scheme     string  `json:"scheme"`
+	Slots      int     `json:"slots"`
+	Workers    int     `json:"workers"`
+	KeyRange   uint64  `json:"key_range"`
+	Mops       float64 `json:"mops"`
+	Sessions   uint64  `json:"sessions"`
+	Freed      uint64  `json:"freed"`
+	BoundContract
+	ForcedRounds     uint64  `json:"forced_rounds"`
+	Fallbacks        uint64  `json:"fallbacks"`
+	Drained          bool    `json:"drained"`
 	Interleaved      bool    `json:"interleaved,omitempty"`
 	HubBursts        uint64  `json:"hub_bursts,omitempty"`
 	HubDispatches    uint64  `json:"hub_dispatches,omitempty"`
 	DispatchPerBurst float64 `json:"dispatch_per_burst,omitempty"`
 	ScanEntries      int     `json:"scan_entries,omitempty"`
-	// Holder-death columns (schema v6). Stall marks the stall-injection cell:
-	// wedged holders never release and the runtime's watchdog reaps them mid-run,
-	// so Reaped must be non-zero there (zero is asserted as a violation by
-	// -assert-bound: the revocation path went dead). In every other cell all
-	// three columns must read zero — a reap appearing in a non-stall cell
-	// means a healthy holder was revoked, which nbrtrend always flags
-	// (counter, not timing: host-independent).
-	Stall           bool   `json:"stall,omitempty"`
-	Reaped          uint64 `json:"reaped"`
-	RevokedReleases uint64 `json:"revoked_releases"`
-	OrphansAdopted  uint64 `json:"orphans_adopted"`
-	// Time-domain columns, from the runtime's flight recorder: admission wait
-	// (first enqueue → admitted) and garbage residence age (sampled retire →
-	// free) quantiles in microseconds. These are power-of-two bucket edges, so
-	// two hosts disagree only by bucket; they are still wall-clock and
-	// therefore host-dependent — nbrtrend shows their movement as context and
-	// never flags it. AdmitWaits (schema v9) is how many waits the admission
-	// quantiles summarise: a p99 over four samples is not a distribution.
-	AdmitWaits      uint64  `json:"admit_waits"`
-	AdmitWaitP50us  float64 `json:"admit_wait_p50_us,omitempty"`
-	AdmitWaitP99us  float64 `json:"admit_wait_p99_us,omitempty"`
-	GarbageAgeP50us float64 `json:"garbage_age_p50_us,omitempty"`
-	GarbageAgeP99us float64 `json:"garbage_age_p99_us,omitempty"`
+	Stall            bool    `json:"stall,omitempty"`
+	Reaped           uint64  `json:"reaped"`
+	RevokedReleases  uint64  `json:"revoked_releases"`
+	OrphansAdopted   uint64  `json:"orphans_adopted"`
+	AdmitWaits       uint64  `json:"admit_waits"`
+	AdmitWaitP50us   float64 `json:"admit_wait_p50_us,omitempty"`
+	AdmitWaitP99us   float64 `json:"admit_wait_p99_us,omitempty"`
+	GarbageAgeP50us  float64 `json:"garbage_age_p50_us,omitempty"`
+	GarbageAgeP99us  float64 `json:"garbage_age_p99_us,omitempty"`
+	// EventTail is the merged flight-recorder timeline at the end of the run.
+	// Not part of the file; a violating cell embeds it in its report, so a
+	// failed bound names the stalled thread and its open read phase rather
+	// than a bare counter mismatch.
+	EventTail string `json:"-"`
 }
 
-// ResizeBurstPoint is one resize-burst cell (schema v7): an insert-only
-// storm on the resizable hash map whose retire stream is purely whole bucket
-// arrays, run in `segment` mode (one RetireSegment handle per array) or in
-// `per-node` mode (the array dissolved and every cell retired individually).
-// The ratio columns are pure counters — stamps_per_record is scheme-side
-// bookkeeping events per retired record (1.0 means no amortization, the
-// per-node floor; Segments/SegRecords is the segment-mode floor) and
-// scans_per_record is reclamation scans per retired record — so the A/B
-// comparison holds on any host. `nbrbench -assert-bound` requires the
-// segment cell's stamps+scans per record to undercut the per-node cell's by
-// at least 8×, the bound to have held live through the storm, and the drain
-// to reach Retired == Freed.
+func (r RuntimePoint) key() string {
+	key := fmt.Sprintf("runtime %s/%s t=%d w=%d", r.Structures, r.Scheme, r.Slots, r.Workers)
+	if r.Interleaved {
+		key += " ilv"
+	}
+	if r.Stall {
+		key += " stall"
+	}
+	return key
+}
+
+func (r RuntimePoint) columns() []column {
+	// In a stall cell reaps are the injection working; anywhere else nothing
+	// injects holder deaths, so the count must stay zero.
+	reaps := zero
+	if r.Stall {
+		reaps = info
+	}
+	admit, age := r.AdmitWaitP99us > 0, r.GarbageAgeP99us > 0
+	return []column{
+		col("mops", r.Mops, false, timing),
+		col("sessions", float64(r.Sessions), false, info),
+		col("garbage_pk", float64(r.GarbagePeak), true, info).when(r.GarbagePeak > 0),
+		// Losing the hub's staging amortization shows up here as
+		// ~1 → ~records-per-burst.
+		col("disp_burst", r.DispatchPerBurst, true, ratio).when(r.DispatchPerBurst > 0),
+		col("fallbacks", float64(r.Fallbacks), true, zero),
+		col("admit_p50", r.AdmitWaitP50us, true, info).when(admit),
+		col("admit_p99", r.AdmitWaitP99us, true, info).when(admit),
+		col("gage_p50", r.GarbageAgeP50us, true, info).when(age),
+		col("gage_p99", r.GarbageAgeP99us, true, info).when(age),
+		{name: "reaped", v: float64(r.Reaped), up: true, class: reaps, exact: true},
+	}
+}
+
+func (r RuntimePoint) Violations() []string {
+	out := violations(r.key(), r.exceeded(),
+		fails(!r.Drained, "drain left retired != freed (%d freed) or records stranded in the hub's free staging", r.Freed),
+		fails(r.Stall && r.Reaped == 0, "stall injection reaped nothing (revocation path dead)"),
+		fails(!r.Stall && r.Reaped != 0, "%d holders reaped in a cell with no stall injection", r.Reaped),
+		fails(r.Fallbacks != 0, "unaged-slot fallback used %d times; forced rounds must cover the churn", r.Fallbacks))
+	if len(out) > 0 && r.EventTail != "" {
+		tail := strings.ReplaceAll(strings.TrimRight(r.EventTail, "\n"), "\n", "\n    ")
+		out = append(out, "flight recorder tail for "+r.key()+":\n    "+tail)
+	}
+	return out
+}
+
+// ResizeBurstPoint is one resize-burst cell: an insert-only storm on the
+// resizable hash map whose retire stream is purely whole bucket arrays, run
+// in `segment` mode (one RetireSegment handle per array) or in `per-node`
+// mode (the array dissolved and every cell retired individually). The ratio
+// columns are pure counters — stamps_per_record is scheme-side bookkeeping
+// events per retired record and scans_per_record is reclamation scans per
+// retired record — so the A/B comparison holds on any host. Per-node mode
+// stamps every record, so its stamps_per_record is exactly 1.0 and its
+// stamps+scans per record at least that; a segment cell that pays more than
+// 1/segmentAmortization per record has therefore lost the 8× the fast path
+// claims, whatever the per-node cell beside it measured.
 type ResizeBurstPoint struct {
 	Scheme          string  `json:"scheme"`
 	Mode            string  `json:"mode"` // "segment" or "per-node"
@@ -162,18 +326,48 @@ type ResizeBurstPoint struct {
 	Scans           uint64  `json:"scans"`
 	StampsPerRecord float64 `json:"stamps_per_record"`
 	ScansPerRecord  float64 `json:"scans_per_record"`
-	Bound           int     `json:"bound"`
-	GarbagePeak     uint64  `json:"garbage_peak"`
-	Drained         bool    `json:"drained"`
+	BoundContract
+	Drained bool `json:"drained"`
 }
 
-// WidthPoint is one Domain-vs-Runtime width-comparison cell (schema v5): the
+// segmentAmortization is the factor by which segment retirement must undercut
+// the per-node floor of one stamp per retired record.
+const segmentAmortization = 8
+
+func (rb ResizeBurstPoint) key() string {
+	return fmt.Sprintf("resize %s/%s t=%d", rb.Scheme, rb.Mode, rb.Threads)
+}
+
+func (rb ResizeBurstPoint) columns() []column {
+	// Only the segment mode's ratios are guarantees: one regressing toward
+	// 1.0 means retired arrays stopped riding their segment handles. The
+	// per-node baseline sits at the floor by construction and is context.
+	guarantee := info
+	if rb.Mode == "segment" {
+		guarantee = ratio
+	}
+	return []column{
+		col("mops", rb.Mops, false, timing),
+		col("stamps_rec", rb.StampsPerRecord, true, guarantee),
+		col("scans_rec", rb.ScansPerRecord, true, guarantee),
+	}
+}
+
+func (rb ResizeBurstPoint) Violations() []string {
+	cost := rb.StampsPerRecord + rb.ScansPerRecord
+	return violations(rb.key(), rb.exceeded(),
+		fails(!rb.Drained, "drain left some of the %d retired records unfreed", rb.Retired),
+		fails(rb.Mode == "segment" && cost*segmentAmortization > 1,
+			"segment mode pays %.4f stamps+scans per retired record, under %dx below the per-node floor of 1.0",
+			cost, segmentAmortization))
+}
+
+// WidthPoint is one Domain-vs-Runtime width-comparison cell: the
 // announcement widths each construction path gives one structure, and the
 // measured reservation-scan cost at those widths. The runtime builds at the
 // structure's declared widths, so the entries gap is zero and ns/scan is at
 // parity; a reopened gap (RuntimeEntries > DomainEntries) means the runtime is
-// back to conservative global widths and is always flagged by nbrtrend,
-// host-independently.
+// back to conservative global widths — a pure width count, wrong on any host.
 type WidthPoint struct {
 	DS              string  `json:"ds"`
 	Threads         int     `json:"threads"`
@@ -183,8 +377,23 @@ type WidthPoint struct {
 	RuntimeNsScan   float64 `json:"runtime_ns_per_scan"`
 }
 
+func (wd WidthPoint) key() string { return fmt.Sprintf("width %s t=%d", wd.DS, wd.Threads) }
+
+func (wd WidthPoint) columns() []column {
+	return []column{
+		{name: "width_gap", v: float64(wd.RuntimeEntries - wd.DomainEntries), up: true, class: zero, exact: true},
+		col("rt_ns_scan", wd.RuntimeNsScan, true, timing),
+	}
+}
+
+func (wd WidthPoint) Violations() []string {
+	return violations(wd.key(), fails(wd.RuntimeEntries > wd.DomainEntries,
+		"runtime scans %d announcement entries where a Domain scans %d", wd.RuntimeEntries, wd.DomainEntries))
+}
+
 // ScanCostPoint measures one reservation scan (collect + sort + BagSize
-// membership probes) at a given scan width N·R.
+// membership probes) at a given scan width N·R. The scan works in a flat
+// preallocated scratch, so AllocsPerOp is exactly zero.
 type ScanCostPoint struct {
 	Threads     int     `json:"threads"`
 	Slots       int     `json:"slots"`
@@ -192,6 +401,20 @@ type ScanCostPoint struct {
 	Probes      int     `json:"probes"`  // membership checks per scan
 	NsPerScan   float64 `json:"ns_per_scan"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+}
+
+func (s ScanCostPoint) key() string { return fmt.Sprintf("scan N=%d R=%d", s.Threads, s.Slots) }
+
+func (s ScanCostPoint) columns() []column {
+	return []column{
+		col("ns_per_scan", s.NsPerScan, true, timing),
+		col("allocs_per_op", float64(s.AllocsPerOp), true, zero).when(s.AllocsPerOp > 0),
+	}
+}
+
+func (s ScanCostPoint) Violations() []string {
+	return violations(s.key(), fails(s.AllocsPerOp != 0,
+		"reservation scan allocates %d times per scan; the flat scratch must not", s.AllocsPerOp))
 }
 
 // FreeBurstPoint measures allocator throughput under concurrent
@@ -204,336 +427,12 @@ type FreeBurstPoint struct {
 	MopsPerSec float64 `json:"mops_per_sec"`
 }
 
-// snapshotCells is the fixed end-to-end suite: one tree and one list, the
-// paper's main baseline (DEBRA), the fence-heavy baseline (HP, list only per
-// Table 1 practice), and both NBR variants.
-var snapshotCells = []struct {
-	ds, scheme string
-	keyRange   uint64
-}{
-	{"dgt", "debra", 200_000},
-	{"dgt", "nbr", 200_000},
-	{"dgt", "nbr+", 200_000},
-	{"lazylist", "debra", 20_000},
-	{"lazylist", "hp", 20_000},
-	{"lazylist", "nbr+", 20_000},
-	// The subtree-unlinking tree: its merge path retires two nodes per
-	// RetireBatch, so this cell's batch histogram shows the seam working.
-	{"abtree", "nbr+", 100_000},
+func (f FreeBurstPoint) key() string {
+	return fmt.Sprintf("burst shards=%d g=%d b=%d", f.Shards, f.Goroutines, f.Burst)
 }
 
-// snapshotThreads is fixed rather than host-scaled so snapshots from
-// different machines chart one trajectory; 8 keeps the paper's
-// oversubscribed regime (and its signal traffic) even on small containers.
-const snapshotThreads = 8
-
-// WriteSnapshot runs the snapshot suite and writes the JSON to path. With
-// assertBound it additionally fails on any cell whose sampled garbage peak
-// exceeded the scheme's declared GarbageBound (the `nbrbench -assert-bound`
-// mode) — the snapshot is still written so the violating numbers are
-// inspectable.
-func WriteSnapshot(path string, duration time.Duration, cfg catalog.SchemeConfig, assertBound bool) error {
-	threads := snapshotThreads
-	snap := Snapshot{
-		Schema:     SnapshotSchema,
-		CreatedAt:  time.Now().UTC(),
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-
-	var violations []string
-	for _, c := range snapshotCells {
-		r, err := Run(Workload{
-			DS: c.ds, Scheme: c.scheme, Threads: threads, KeyRange: c.keyRange,
-			InsPct: 50, DelPct: 50, Duration: duration, Prefill: -1, Cfg: cfg,
-		})
-		if err != nil {
-			return fmt.Errorf("snapshot cell %s/%s: %w", c.ds, c.scheme, err)
-		}
-		snap.Workloads = append(snap.Workloads, WorkloadPoint{
-			DS: c.ds, Scheme: c.scheme, Threads: threads, KeyRange: c.keyRange,
-			Mops:    r.Mops,
-			PeakMB:  float64(r.PeakBytes) / (1 << 20),
-			Signals: r.Stats.Signals, Freed: r.Stats.Freed, Garbage: r.Stats.Garbage(),
-			P50us: float64(r.LatP50) / 1e3, P99us: float64(r.LatP99) / 1e3,
-			Batches: r.Batches, BatchP50: r.BatchP50, BatchP99: r.BatchP99,
-			BatchMax: r.BatchMax, BatchHist: r.BatchHist,
-			Bound: r.Bound, GarbagePeak: r.GarbagePeak,
-		})
-		if r.BoundExceeded() {
-			violations = append(violations,
-				fmt.Sprintf("%s/%s: garbage peak %d > declared bound %d",
-					c.ds, c.scheme, r.GarbagePeak, r.Bound))
-		}
-	}
-
-	// The shared-runtime cells: one nbr.Runtime over three structures,
-	// workers oversubscribing the slots, so the snapshot tracks the
-	// per-session admission + multi-owner routing cost alongside the fixed-N
-	// workloads. Both the paper's main baseline and NBR+ are recorded, each
-	// also in the adversarial interleaved-retire variant whose round-robin
-	// retire stream alternates owners perfectly — the dispatch-per-burst
-	// column on that cell is the hub's staging amortization under its worst
-	// case. The stall-injection cell is NBR+ with every stallEvery-th holder
-	// wedging lease-held and the runtime's watchdog reaping it mid-run, so
-	// the snapshot tracks reaped-slot recycling under load; the bound and
-	// drain-to-zero contracts must hold through holder deaths, and a stall
-	// cell that reaps nothing is itself a violation (the revocation path
-	// went dead).
-	for _, rc := range []struct {
-		scheme            string
-		interleave, stall bool
-	}{
-		{"debra", false, false},
-		{"debra", true, false},
-		{"nbr+", false, false},
-		{"nbr+", true, false},
-		{"nbr+", false, true},
-	} {
-		r, err := RunRuntime(RuntimeWorkload{
-			Structures: []string{"lazylist", "harris", "dgt"},
-			Scheme:     rc.scheme,
-			Slots:      snapshotThreads,
-			Workers:    snapshotThreads + snapshotThreads/2,
-			KeyRange:   20_000,
-			SessionOps: 64,
-			Duration:   duration,
-			Cfg:        cfg,
-			Interleave: rc.interleave,
-			Stall:      rc.stall,
-		})
-		if err != nil {
-			return fmt.Errorf("snapshot runtime cell %s: %w", rc.scheme, err)
-		}
-		snap.Runtime = append(snap.Runtime, r.RuntimePoint)
-		cell := r.Structures
-		if rc.interleave {
-			cell += "/interleaved"
-		}
-		if rc.stall {
-			cell += "/stall"
-		}
-		nviol := len(violations)
-		if r.BoundExceeded() {
-			violations = append(violations,
-				fmt.Sprintf("runtime %s/%s: garbage peak %d > declared bound %d",
-					cell, rc.scheme, r.GarbagePeak, r.Bound))
-		}
-		if !r.Drained {
-			violations = append(violations,
-				fmt.Sprintf("runtime %s/%s: drain left retired %d != freed %d (or staging non-empty)",
-					cell, rc.scheme, r.Stats.Retired, r.Stats.Freed))
-		}
-		if rc.stall && r.Reaped == 0 {
-			violations = append(violations,
-				fmt.Sprintf("runtime %s/%s: stall injection reaped nothing (revocation path dead)",
-					cell, rc.scheme))
-		}
-		if !rc.stall && r.Reaped != 0 {
-			violations = append(violations,
-				fmt.Sprintf("runtime %s/%s: %d holders reaped in a cell with no stall injection",
-					cell, rc.scheme, r.Reaped))
-		}
-		// Dump-on-violation: a runtime cell that broke its contract embeds
-		// its flight-recorder tail in the report, so `nbrbench -assert-bound`
-		// fails with a timeline that names the stalled thread and its open
-		// read phase rather than a bare counter mismatch.
-		if len(violations) > nviol && r.EventTail != "" {
-			violations = append(violations,
-				fmt.Sprintf("flight recorder tail for runtime %s/%s:\n%s",
-					cell, rc.scheme, indentLines(r.EventTail, "    ")))
-		}
-	}
-
-	// The resize-burst cells (schema v7): the segment-retirement A/B. The
-	// same insert-only storm runs under the flagship NBR+ integration
-	// (segment mode only — the per-node baseline skips per-record protection,
-	// which NBR cannot tolerate) and under IBR in both modes; the IBR pair is
-	// the asserted comparison, since only a grace-period scheme can run the
-	// dissolve baseline safely.
-	resizeCells := []struct {
-		scheme  string
-		perNode bool
-	}{
-		{"nbr+", false},
-		{"ibr", false},
-		{"ibr", true},
-	}
-	// The cells run at a fixed 512-record threshold regardless of the sweep
-	// config: the bag needs headroom for whole arrays, or every array is
-	// carved into many small pieces and the A/B measures the carve count.
-	rcfg := cfg
-	rcfg.Threshold = 512
-	perRecord := map[bool]float64{} // mode → stamps+scans per retired record (ibr pair)
-	for _, rc := range resizeCells {
-		r, err := RunResizeBurst(ResizeBurstWorkload{
-			Scheme: rc.scheme, Threads: snapshotThreads, KeysPerThread: 1500,
-			PerNode: rc.perNode, Cfg: rcfg,
-		})
-		if err != nil {
-			return fmt.Errorf("snapshot resize-burst cell %s: %w", rc.scheme, err)
-		}
-		mode := "segment"
-		if rc.perNode {
-			mode = "per-node"
-		}
-		snap.ResizeBurst = append(snap.ResizeBurst, ResizeBurstPoint{
-			Scheme: rc.scheme, Mode: mode, Threads: snapshotThreads,
-			Keys: r.Keys, Mops: r.Mops, Resizes: r.Resizes,
-			Retired: r.Stats.Retired, SegmentsRetired: r.Stats.Segments,
-			SegRecords: r.Stats.SegRecords, Scans: r.Stats.Scans,
-			StampsPerRecord: r.Stats.StampsPerRecord(),
-			ScansPerRecord:  r.Stats.ScansPerRecord(),
-			Bound:           r.Bound, GarbagePeak: r.GarbagePeak,
-			Drained: r.Drained,
-		})
-		if rc.scheme == "ibr" {
-			perRecord[rc.perNode] = r.Stats.StampsPerRecord() + r.Stats.ScansPerRecord()
-		}
-		if r.BoundExceeded() {
-			violations = append(violations,
-				fmt.Sprintf("resize-burst %s/%s: garbage peak %d > declared bound %d",
-					rc.scheme, mode, r.GarbagePeak, r.Bound))
-		}
-		if !r.Drained {
-			violations = append(violations,
-				fmt.Sprintf("resize-burst %s/%s: drain left retired %d != freed %d",
-					rc.scheme, mode, r.Stats.Retired, r.Stats.Freed))
-		}
-	}
-	// The fast-path claim itself, as a counter ratio: segment retirement must
-	// cut the scheme-side stamps+scans per retired record by at least 8× on
-	// the same burst under the same scheme.
-	if seg, pn := perRecord[false], perRecord[true]; seg > 0 && pn/seg < 8 {
-		violations = append(violations,
-			fmt.Sprintf("resize-burst ibr: segment mode reduced stamps+scans per record only %.1fx (per-node %.4f, segment %.4f); want >= 8x",
-				pn/seg, pn, seg))
-	}
-
-	// The width-comparison cells (schema v5): for structures at both ends of
-	// the declared-reservation range, the scan entries and ns/scan a Domain
-	// gets (exact declared widths) vs what a Runtime hosting only that
-	// structure builds. The gap must stay closed.
-	for _, name := range []string{"lazylist", "dgt"} {
-		wp, err := measureWidths(name, snapshotThreads)
-		if err != nil {
-			return fmt.Errorf("snapshot width cell %s: %w", name, err)
-		}
-		snap.Widths = append(snap.Widths, wp)
-	}
-
-	for _, dim := range []struct{ threads, slots int }{
-		{2, 4}, {8, 4}, {32, 4}, {64, 8}, {192, 4},
-	} {
-		snap.ScanCost = append(snap.ScanCost, measureScanCost(dim.threads, dim.slots))
-	}
-
-	for _, shards := range []int{1, 2, 4, 8} {
-		snap.FreeBurst = append(snap.FreeBurst, measureFreeBurst(shards, 8, 256))
-	}
-
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	if assertBound && len(violations) > 0 {
-		return fmt.Errorf("garbage-bound contract violated in %d cell(s):\n  %s",
-			len(violations), strings.Join(violations, "\n  "))
-	}
-	return nil
+func (f FreeBurstPoint) columns() []column {
+	return []column{col("ns_per_op", f.NsPerOp, true, timing)}
 }
 
-// indentLines prefixes every non-empty line of s, for embedding a
-// flight-recorder tail inside a violation report.
-func indentLines(s, prefix string) string {
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	for i, l := range lines {
-		if l != "" {
-			lines[i] = prefix + l
-		}
-	}
-	return strings.Join(lines, "\n")
-}
-
-// measureScanCost times the reclaim-path scan primitive: snapshot N·R
-// announcement slots into the flat sorted scratch, then probe it once per
-// bag record, exactly the work reclaimFreeable does per reclamation. Since
-// the dynamic-membership refactor the collection walks the active mask, so
-// the measurement runs with every slot active — the saturated fixed-N case
-// whose cost the mask must not tax.
-func measureScanCost(threads, slots int) ScanCostPoint {
-	const probes = 1024
-	announce := make([]smr.Pad64, threads*slots)
-	for i := range announce {
-		announce[i].Store(uint64(2*i + 2))
-	}
-	active := sigsim.FullActiveSet(threads)
-	set := smr.NewScanSet(len(announce))
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			set.CollectRows(announce, slots, active)
-			for k := 0; k < probes; k++ {
-				set.Contains(mem.Ptr(2*k + 1))
-			}
-		}
-	})
-	return ScanCostPoint{
-		Threads: threads, Slots: slots, Entries: len(announce), Probes: probes,
-		NsPerScan:   float64(r.NsPerOp()),
-		AllocsPerOp: r.AllocsPerOp(),
-	}
-}
-
-// measureWidths builds one width-comparison cell from real objects: the
-// Domain side is the reservation width nbr.New gives the structure, the
-// Runtime side the width of a NewRuntime hosting exactly that structure (plus
-// any kinds it pre-declares — none in the snapshot, where the gap must be 0).
-// Scan cost is measured at each side's threads × reservations entries.
-func measureWidths(name string, threads int, declared ...string) (WidthPoint, error) {
-	d, err := nbr.New(nbr.Options{Structure: name, MaxThreads: threads})
-	if err != nil {
-		return WidthPoint{}, err
-	}
-	rt, err := nbr.NewRuntime(nbr.RuntimeOptions{MaxThreads: threads, Structures: declared})
-	if err != nil {
-		return WidthPoint{}, err
-	}
-	if _, err := rt.NewSet(name); err != nil {
-		return WidthPoint{}, err
-	}
-	_, domainRes := d.Runtime().Widths()
-	_, runtimeRes := rt.Widths()
-	domain := measureScanCost(threads, domainRes)
-	shared := measureScanCost(threads, runtimeRes)
-	return WidthPoint{
-		DS: name, Threads: threads,
-		DomainEntries: domain.Entries, RuntimeEntries: shared.Entries,
-		DomainNsPerScan: domain.NsPerScan, RuntimeNsScan: shared.NsPerScan,
-	}, nil
-}
-
-type burstRec struct{ _ [4]uint64 }
-
-// measureFreeBurst times concurrent alloc-burst/FreeBatch cycles against a
-// pool with the given shard count; ns/op is one alloc+free pair. The loop
-// itself is mem.BurstChurn, shared with BenchmarkFreeBurst so snapshots and
-// `go test -bench FreeBurst` measure the same thing.
-func measureFreeBurst(shards, goroutines, burst int) FreeBurstPoint {
-	r := testing.Benchmark(func(b *testing.B) {
-		p := mem.NewPool[burstRec](mem.Config{MaxThreads: goroutines, CacheSize: 64, Shards: shards})
-		b.ResetTimer()
-		mem.BurstChurn(p, goroutines, burst, b.N)
-	})
-	ns := float64(r.NsPerOp())
-	point := FreeBurstPoint{Shards: shards, Goroutines: goroutines, Burst: burst, NsPerOp: ns}
-	if ns > 0 {
-		point.MopsPerSec = 1e3 / ns
-	}
-	return point
-}
+func (f FreeBurstPoint) Violations() []string { return nil }

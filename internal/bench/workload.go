@@ -5,6 +5,7 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"sync"
@@ -44,35 +45,25 @@ type Workload struct {
 	Seed       uint64
 }
 
-// Result is one measured cell.
+// Result is one measured cell: the snapshot point the run produces (Run fills
+// it directly — throughput, peak MB, the scheme's counters, latency and
+// batch-size quantiles, the declared garbage bound against the sampled peak,
+// which makes the bound a measured contract in every cell, not a doc comment)
+// plus what only the figures and tests read.
 type Result struct {
-	Workload
-	Ops       uint64
-	Elapsed   time.Duration
-	Mops      float64 // million operations per second
-	PeakBytes int64   // peak live allocator bytes (the E2 metric)
-	PeakLive  int64   // peak live records
-	Stats     smr.Stats
-	AllocOps  uint64 // shared-free-list lock acquisitions (burst contention)
-	// Bound is the scheme's declared garbage bound (smr.Unbounded for the
-	// epoch schemes and leaky) and GarbagePeak the largest Stats().Garbage()
-	// the sampler observed during the run — together they make the bound a
-	// measured contract in every cell, not a doc comment.
-	Bound       int
-	GarbagePeak uint64
+	WorkloadPoint
+	Ops      uint64
+	PeakLive int64 // peak live records
+	Stats    smr.Stats
 	// Sampled operation latency (every latencySample-th op): P1 is about
 	// latency as well as throughput, and reclamation bursts surface here.
 	LatP50, LatP99, LatMax time.Duration
 	// Series is the live-bytes timeline (one sample per 5ms tick): the
 	// sawtooth of bag growth and reclamation bursts, E2's figure over time.
 	Series []int64
-	// Retire handoff-size distribution, read from the scheme's own
-	// accounting (smr.Stats.BatchHist): every Retire counts as a handoff of
-	// 1, every RetireBatch as one handoff of its length. Shows how much of
-	// the retire traffic the RetireBatch seam actually amortizes.
-	Batches                      uint64
-	BatchP50, BatchP99, BatchMax int64
-	BatchHist                    []uint64
+	// StallNeutralized reports that the Stall thread woke up to a
+	// neutralization signal (NBR) rather than resuming as if nothing happened.
+	StallNeutralized bool
 }
 
 // latencySample is the per-thread operation sampling period.
@@ -101,9 +92,7 @@ func Run(w Workload) (Result, error) {
 	if w.Prefill < 0 {
 		w.Prefill = int64(w.KeyRange / 2)
 	}
-	if w.Seed == 0 {
-		w.Seed = 0x9e3779b97f4a7c15
-	}
+	w.Seed = cmp.Or(w.Seed, 0x9e3779b97f4a7c15)
 	if w.YieldEvery == 0 && w.Threads > runtime.GOMAXPROCS(0) {
 		w.YieldEvery = 16
 	}
@@ -122,45 +111,26 @@ func Run(w Workload) (Result, error) {
 
 	prefill(inst, sch, w)
 
-	var (
-		stop     atomic.Bool
-		started  sync.WaitGroup
-		done     sync.WaitGroup
-		opCounts = make([]uint64, w.Threads)
-		lats     = make([]hist.Histogram, w.Threads)
-	)
+	var stop atomic.Bool
+	lats := make([]hist.Histogram, w.Threads)
 
 	// Peak-memory sampler (the E2 metric), live-bytes timeline, and the
 	// garbage-bound probe: Stats().Garbage() is raced against the scheme's
 	// declared GarbageBound, so a bound violation that is only visible
 	// mid-run (an oversized splice transiting a bag) still gets caught.
-	var peakBytes, peakLive atomic.Int64
-	var peakGarbage atomic.Uint64
+	var peakBytes, peakLive int64
 	var series []int64
-	samplerDone := make(chan struct{})
-	go func() {
-		defer close(samplerDone)
-		tick := time.NewTicker(5 * time.Millisecond)
-		defer tick.Stop()
-		for !stop.Load() {
-			st := inst.MemStats()
-			if st.LiveBytes > peakBytes.Load() {
-				peakBytes.Store(st.LiveBytes)
-			}
-			if st.Live > peakLive.Load() {
-				peakLive.Store(st.Live)
-			}
-			if g := sch.Stats().Garbage(); g > peakGarbage.Load() {
-				peakGarbage.Store(g)
-			}
-			series = append(series, st.LiveBytes)
-			<-tick.C
-		}
-	}()
+	garbagePeak := watchGarbage(5*time.Millisecond, func() uint64 {
+		st := inst.MemStats()
+		peakBytes, peakLive = max(peakBytes, st.LiveBytes), max(peakLive, st.Live)
+		series = append(series, st.LiveBytes)
+		return sch.Stats().Garbage()
+	})
 
 	// Optional stalled thread: begins an operation mid-read-phase and
 	// sleeps until the measurement ends, exactly like E2's sleeping thread.
 	var stallWG sync.WaitGroup
+	var stallNeutralized bool
 	if w.Stall {
 		stallWG.Add(1)
 		go func() {
@@ -178,6 +148,7 @@ func Run(w Workload) (Result, error) {
 						if _, ok := r.(sigsim.Neutralized); !ok {
 							panic(r)
 						}
+						stallNeutralized = true
 					}
 				}()
 				g.EndRead()
@@ -186,102 +157,158 @@ func Run(w Workload) (Result, error) {
 		}()
 	}
 
-	for tid := 0; tid < w.Threads; tid++ {
-		started.Add(1)
-		done.Add(1)
-		go func(tid int) {
-			defer done.Done()
-			g := sch.Guard(tid)
-			rng := w.Seed + uint64(tid)*0x100000001b3
-			started.Done()
-			var ops uint64
-			lat := &lats[tid]
-			for !stop.Load() {
-				r := splitmix64(&rng)
-				key := r%w.KeyRange + 1
-				roll := int((r >> 32) % 100)
-				sampled := ops%latencySample == 0
-				var t0 time.Time
-				if sampled {
-					t0 = time.Now()
-				}
-				switch {
-				case roll < w.InsPct:
-					inst.Set.Insert(g, key)
-				case roll < w.InsPct+w.DelPct:
-					inst.Set.Delete(g, key)
-				default:
-					inst.Set.Contains(g, key)
-				}
-				if sampled {
-					lat.Record(int64(time.Since(t0)))
-				}
-				ops++
-				if w.YieldEvery > 0 && ops%uint64(w.YieldEvery) == 0 {
-					runtime.Gosched()
-				}
+	ops, elapsed := churn(w.Threads, w.Duration, &stop, func(tid int) (ops uint64) {
+		g := sch.Guard(tid)
+		rng := w.Seed + uint64(tid)*0x100000001b3
+		lat := &lats[tid]
+		for !stop.Load() {
+			r := splitmix64(&rng)
+			key := r%w.KeyRange + 1
+			roll := int((r >> 32) % 100)
+			sampled := ops%latencySample == 0
+			var t0 time.Time
+			if sampled {
+				t0 = time.Now()
 			}
-			opCounts[tid] = ops
-		}(tid)
-	}
-
-	started.Wait()
-	begin := time.Now()
-	time.Sleep(w.Duration)
-	stop.Store(true)
-	done.Wait()
-	elapsed := time.Since(begin)
+			switch {
+			case roll < w.InsPct:
+				inst.Set.Insert(g, key)
+			case roll < w.InsPct+w.DelPct:
+				inst.Set.Delete(g, key)
+			default:
+				inst.Set.Contains(g, key)
+			}
+			if sampled {
+				lat.Record(int64(time.Since(t0)))
+			}
+			ops++
+			if w.YieldEvery > 0 && ops%uint64(w.YieldEvery) == 0 {
+				runtime.Gosched()
+			}
+		}
+		return ops
+	})
 	stallWG.Wait()
-	<-samplerDone
-
-	// Final memory sample (bags may have peaked right at the end).
-	st := inst.MemStats()
-	if st.LiveBytes > peakBytes.Load() {
-		peakBytes.Store(st.LiveBytes)
-	}
-	if st.Live > peakLive.Load() {
-		peakLive.Store(st.Live)
-	}
-
-	res := Result{
-		Workload:  w,
-		Elapsed:   elapsed,
-		PeakBytes: peakBytes.Load(),
-		PeakLive:  peakLive.Load(),
-		Stats:     sch.Stats(),
-		AllocOps:  st.GlobalOps,
-		Series:    series, // sampler goroutine has exited; safe to hand off
-		Bound:     sch.GarbageBound(),
-	}
-	res.GarbagePeak = peakGarbage.Load()
-	if g := res.Stats.Garbage(); g > res.GarbagePeak {
-		res.GarbagePeak = g // bags may have peaked right at the end
-	}
-	for _, c := range opCounts {
-		res.Ops += c
-	}
-	res.Mops = float64(res.Ops) / elapsed.Seconds() / 1e6
+	peak := garbagePeak() // the sampler has exited: its variables are ours
 
 	var lat hist.Histogram
 	for i := range lats {
 		lat.Merge(&lats[i])
 	}
-	res.LatP50 = time.Duration(lat.Quantile(0.50))
-	res.LatP99 = time.Duration(lat.Quantile(0.99))
-	res.LatMax = time.Duration(lat.Max())
-
-	res.Batches = res.Stats.RetireCalls()
-	res.BatchP50 = res.Stats.BatchQuantile(0.50)
-	res.BatchP99 = res.Stats.BatchQuantile(0.99)
-	res.BatchMax = res.Stats.BatchMax()
-	res.BatchHist = trimBuckets(res.Stats.BatchHist)
+	st := sch.Stats()
+	res := Result{
+		Ops: ops, PeakLive: peakLive, Stats: st, Series: series, StallNeutralized: stallNeutralized,
+		LatP50: time.Duration(lat.Quantile(0.50)), LatP99: time.Duration(lat.Quantile(0.99)),
+		LatMax: time.Duration(lat.Max()),
+	}
+	res.WorkloadPoint = WorkloadPoint{
+		DS: w.DS, Scheme: w.Scheme, Threads: w.Threads, KeyRange: w.KeyRange,
+		Mops:    float64(res.Ops) / elapsed.Seconds() / 1e6,
+		PeakMB:  float64(peakBytes) / (1 << 20),
+		Signals: st.Signals, Freed: st.Freed, Garbage: st.Garbage(),
+		P50us: float64(res.LatP50) / 1e3, P99us: float64(res.LatP99) / 1e3,
+		Batches: st.RetireCalls(), BatchP50: st.BatchQuantile(0.50), BatchP99: st.BatchQuantile(0.99),
+		BatchMax: st.BatchMax(), BatchHist: trimBuckets(st.BatchHist),
+		BoundContract: BoundContract{Bound: sch.GarbageBound(), GarbagePeak: peak},
+	}
+	// Every cell is also a safety run: the structure must come out of the
+	// churn well-formed, and at this quiescent point Freed > Retired is a
+	// double-free-grade accounting bug, never a benign state.
+	if err := inst.Set.Validate(); err != nil {
+		return res, fmt.Errorf("bench: %s/%s invalid after the run: %w", w.DS, w.Scheme, err)
+	}
+	if st.Invalid() {
+		return res, fmt.Errorf("bench: %s/%s freed %d > retired %d", w.DS, w.Scheme, st.Freed, st.Retired)
+	}
 	return res, nil
 }
 
-// BoundExceeded reports whether the sampled garbage peak violated the
-// scheme's declared bound. Always false for unbounded schemes.
-func (r Result) BoundExceeded() bool {
-	return r.Bound != smr.Unbounded && r.GarbagePeak > uint64(r.Bound)
+// parallel runs body on n goroutines, one per thread id, and waits for them.
+func parallel(n int, body func(id int)) {
+	var wg sync.WaitGroup
+	for id := 0; id < n; id++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body(id)
+		}()
+	}
+	wg.Wait()
+}
+
+// churn is the timed worker loop of every duration-driven cell: body runs on
+// n goroutines until stop is raised, d after the last of them has started,
+// and returns its operation count. churn returns the total and the measured
+// window.
+func churn(n int, d time.Duration, stop *atomic.Bool, body func(id int) uint64) (ops uint64, elapsed time.Duration) {
+	counts := make([]uint64, n)
+	var started, done sync.WaitGroup
+	started.Add(n)
+	done.Add(n)
+	for id := 0; id < n; id++ {
+		go func() {
+			defer done.Done()
+			started.Done()
+			counts[id] = body(id)
+		}()
+	}
+	started.Wait()
+	begin := time.Now()
+	time.Sleep(d)
+	stop.Store(true)
+	done.Wait()
+	elapsed = time.Since(begin)
+	for _, c := range counts {
+		ops += c
+	}
+	return ops, elapsed
+}
+
+// watchGarbage is the one sampler behind every driver: it calls garbage — the
+// scheme's retired-but-unfreed count, read by a closure free to sample
+// whatever else the cell tracks on the same tick — once per period until the
+// returned stop is called. It is ticker-driven: a Gosched spin would burn a
+// core inside the measured window and deflate Mops. stop takes one last
+// sample after the sampler has exited (bags may peak right at the end) and
+// returns the largest garbage seen.
+func watchGarbage(period time.Duration, garbage func() uint64) (stop func() uint64) {
+	var peak uint64
+	sample := func() { peak = max(peak, garbage()) }
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(period)
+		defer tick.Stop()
+		for {
+			sample()
+			select {
+			case <-tick.C:
+			case <-quit:
+				return
+			}
+		}
+	}()
+	return func() uint64 {
+		close(quit)
+		<-done
+		sample()
+		return peak
+	}
+}
+
+// drainQuiet drives the scheme to quiescence and reports whether it ended
+// Retired == Freed. Fixed-N threads never leave the membership, so a
+// grace-period scheme needs every one of them to pass a quiescent state (a
+// Drain) before anybody's bag can empty: smr.DrainQuiet over the whole thread
+// set, for as many rounds as the grace periods take to walk.
+func drainQuiet(sch smr.Scheme, threads int) bool {
+	quiet := func() bool { st := sch.Stats(); return st.Retired == st.Freed }
+	for round := 0; round < 8 && !quiet(); round++ {
+		for tid := 0; tid < threads; tid++ {
+			smr.DrainQuiet(sch, tid)
+		}
+	}
+	return quiet()
 }
 
 // trimBuckets drops the empty tail of a bucket array for compact reports.
@@ -290,12 +317,7 @@ func trimBuckets(b [smr.BatchBuckets]uint64) []uint64 {
 	for n > 0 && b[n-1] == 0 {
 		n--
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]uint64, n)
-	copy(out, b[:n])
-	return out
+	return append([]uint64(nil), b[:n]...) // nil when every bucket is empty
 }
 
 // prefill populates the set to the target size using all worker threads,
@@ -305,30 +327,21 @@ func prefill(inst catalog.Instance, sch smr.Scheme, w Workload) {
 		return
 	}
 	var inserted atomic.Int64
-	var wg sync.WaitGroup
-	workers := w.Threads
-	if workers > 8 {
-		workers = 8 // prefill is setup, not measurement; cap the fan-out
-	}
-	for i := 0; i < workers; i++ {
+	workers := min(w.Threads, 8) // prefill is setup, not measurement; cap the fan-out
+	parallel(workers, func(i int) {
 		// Stride the prefill workers across the full thread-id range rather
 		// than packing them into 0..workers-1: together with the hashed
 		// tid→shard map in internal/mem this spreads the prefill burst's
 		// allocation and flush traffic over the free-list shards instead of
 		// convoying it on the ids (and shards) the first few workers own.
 		tid := i * w.Threads / workers
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			g := sch.Guard(tid)
-			rng := w.Seed ^ (uint64(tid+1) * 0x9e3779b97f4a7c15)
-			for inserted.Load() < w.Prefill {
-				key := splitmix64(&rng)%w.KeyRange + 1
-				if inst.Set.Insert(g, key) {
-					inserted.Add(1)
-				}
+		g := sch.Guard(tid)
+		rng := w.Seed ^ (uint64(tid+1) * 0x9e3779b97f4a7c15)
+		for inserted.Load() < w.Prefill {
+			key := splitmix64(&rng)%w.KeyRange + 1
+			if inst.Set.Insert(g, key) {
+				inserted.Add(1)
 			}
-		}(tid)
-	}
-	wg.Wait()
+		}
+	})
 }

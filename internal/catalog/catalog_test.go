@@ -1,0 +1,137 @@
+package catalog_test
+
+import (
+	"testing"
+
+	"nbr/internal/catalog"
+	"nbr/internal/ds"
+)
+
+func TestNewSchemeAllNames(t *testing.T) {
+	inst, err := catalog.NewDS("lazylist", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range catalog.SchemeNames {
+		s, err := catalog.NewScheme(name, inst.Arena, 2, catalog.DefaultSchemeConfig())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if s.Name() != name {
+			t.Fatalf("scheme %q reports name %q", name, s.Name())
+		}
+	}
+	if _, err := catalog.NewScheme("bogus", inst.Arena, 2, catalog.DefaultSchemeConfig()); err == nil {
+		t.Fatal("unknown scheme must error")
+	}
+}
+
+func TestNewDSAllNames(t *testing.T) {
+	for _, name := range catalog.DSNames {
+		inst, err := catalog.NewDS(name, 2)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if inst.Set == nil || inst.Arena == nil || inst.MemStats == nil {
+			t.Fatalf("%s: incomplete instance", name)
+		}
+		if err := inst.Set.Validate(); err != nil {
+			t.Fatalf("%s: fresh instance invalid: %v", name, err)
+		}
+	}
+	if _, err := catalog.NewDS("bogus", 2); err == nil {
+		t.Fatal("unknown structure must error")
+	}
+}
+
+func TestTable1Coverage(t *testing.T) {
+	for _, d := range catalog.DSNames {
+		for _, s := range catalog.SchemeNames {
+			if _, ok := catalog.Table1Verdict(d, s); !ok {
+				t.Fatalf("no Table 1 verdict for %s/%s", d, s)
+			}
+		}
+	}
+}
+
+func TestTable1KnownVerdicts(t *testing.T) {
+	cases := []struct {
+		ds, scheme string
+		ok         bool
+	}{
+		{"lazylist", "nbr+", true},
+		{"lazylist", "hp", false},
+		{"hmlist-norestart", "nbr", false},
+		{"hmlist", "nbr", true},
+		{"harris", "hp", true},
+		{"dgt", "ibr", false},
+		{"abtree", "he", false},
+		{"abtree", "debra", true},
+	}
+	for _, c := range cases {
+		v, ok := catalog.Table1Verdict(c.ds, c.scheme)
+		if !ok || v.OK != c.ok {
+			t.Fatalf("catalog.Table1Verdict(%s, %s) = %+v, want OK=%v", c.ds, c.scheme, v, c.ok)
+		}
+	}
+}
+
+func TestRunnableExceptions(t *testing.T) {
+	// The paper's E1 runs HP on the lazy list and DGT despite Table 1.
+	if !catalog.Runnable("lazylist", "hp") || !catalog.Runnable("dgt", "hp") {
+		t.Fatal("benchmark-mode exceptions missing")
+	}
+	if catalog.Runnable("hmlist-norestart", "nbr+") {
+		t.Fatal("hmlist-norestart must stay rejected for NBR")
+	}
+	if catalog.Runnable("abtree", "hp") {
+		t.Fatal("abtree has no benchmark-mode HP exception")
+	}
+}
+
+// TestDSRequirementsMatchInstances pins the width registry to the
+// structures' own declarations: every catalog.DSNames entry must be in the table,
+// and the table's widths must equal what a constructed instance declares —
+// a registry that drifts narrow would overrun reservation rows, one that
+// drifts wide would silently forfeit the narrow-scan fast path.
+func TestDSRequirementsMatchInstances(t *testing.T) {
+	for _, name := range catalog.DSNames {
+		req, err := catalog.DSRequirements(name)
+		if err != nil {
+			t.Fatalf("%s missing from the width registry: %v", name, err)
+		}
+		inst, err := catalog.NewDS(name, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if req != inst.Req {
+			t.Errorf("%s: registry declares %+v, instance declares %+v", name, req, inst.Req)
+		}
+	}
+	if _, err := catalog.DSRequirements("bogus"); err == nil {
+		t.Error("unknown structure must be rejected")
+	}
+}
+
+// TestMaxRequirements pins the fold: the result is the smallest widths every
+// named structure fits under, and an empty list is the zero value.
+func TestMaxRequirements(t *testing.T) {
+	got, err := catalog.MaxRequirements([]string{"lazylist", "harris", "abtree"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ds.Requirements{Slots: 3, Reservations: 3, Threshold: ds.DefaultThreshold}
+	if got != want {
+		t.Errorf("catalog.MaxRequirements = %+v, want %+v", got, want)
+	}
+	zero, err := catalog.MaxRequirements(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zero != (ds.Requirements{}) {
+		t.Errorf("catalog.MaxRequirements(nil) = %+v, want zero", zero)
+	}
+	if _, err := catalog.MaxRequirements([]string{"lazylist", "bogus"}); err == nil {
+		t.Error("unknown structure must propagate an error")
+	}
+}

@@ -139,17 +139,6 @@ func (h *Hub) Attach(tag int, a Arena) {
 // Arenas returns the number of attached pools.
 func (h *Hub) Arenas() int { return int(h.n.Load()) }
 
-// Sub returns the pool attached under tag (nil if none).
-func (h *Hub) Sub(tag int) Arena {
-	if tag < 0 || tag >= MaxTags {
-		return nil
-	}
-	if s := h.subs[tag].Load(); s != nil {
-		return s.a
-	}
-	return nil
-}
-
 // MaxThreads returns the number of thread slots the Hub stages frees for.
 func (h *Hub) MaxThreads() int { return len(h.threads) }
 

@@ -136,9 +136,6 @@ var histNames = [NumHists]string{
 	"reap_latency",
 }
 
-// HistName returns the snapshot key for histogram h.
-func HistName(h int) string { return histNames[h] }
-
 // RingSize is the per-ring event capacity. Power of two; overwrite wraps.
 const RingSize = 256
 

@@ -252,9 +252,6 @@ func (r *Registry) EndScan() {
 // (test hook; schemes use BeginScan/EndScan).
 func (r *Registry) NoteRound() { r.rounds.Add(1) }
 
-// Rounds returns the completed-scan-round counter (test hook).
-func (r *Registry) Rounds() uint64 { return r.rounds.Load() }
-
 // Acquire leases a dense slot: the slot's scheme and allocator state is
 // readied by the registered hooks, the slot is published in the active mask,
 // and the returned lease's Tid may be used with Scheme.Guard until Release.

@@ -41,9 +41,6 @@ type RuntimeOptions struct {
 	// structure: the most goroutines that can hold a lease at once. Default
 	// 2·GOMAXPROCS, at least 8.
 	MaxThreads int
-	// MaxStructures caps how many Sets can attach (the arena-tag space of a
-	// handle). Default — and maximum — mem.MaxTags.
-	MaxStructures int
 	// Structures pre-declares the structure kinds this runtime will host
 	// (see Structures() for the names). The scheme's announcement widths are
 	// sized to cover every declared kind from the width registry, so a
@@ -83,9 +80,6 @@ func (o RuntimeOptions) withDefaults() RuntimeOptions {
 		if o.MaxThreads < 8 {
 			o.MaxThreads = 8
 		}
-	}
-	if o.MaxStructures <= 0 || o.MaxStructures > mem.MaxTags {
-		o.MaxStructures = mem.MaxTags
 	}
 	return o
 }
@@ -234,7 +228,7 @@ func (rt *Runtime) NewSet(structure string) (*Set, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	tag := rt.hub.NextTag()
-	if tag >= rt.opts.MaxStructures {
+	if tag >= mem.MaxTags { // the arena-tag space of a handle
 		return nil, fmt.Errorf("nbr: runtime full (%d structures attached)", tag)
 	}
 	inst, err := catalog.NewDSArena(structure, mem.Config{MaxThreads: rt.opts.MaxThreads, Tag: tag})
@@ -388,12 +382,13 @@ func (rt *Runtime) unwatchLease(l *smr.Lease) {
 }
 
 // watchdog is the reaper loop: it sleeps until the earliest outstanding
-// deadline (or until watchLease registers an earlier one), revokes every over-deadline lease through the registry's shared
-// recovery path (Registry.Revoke — recovery runs HERE, on the reaper's
-// goroutine, including the allocator-cache drain), and exits when no
-// deadline remains (the next watchLease restarts it). A revoked slot's
-// after-release hook hands the admission baton to the longest AcquireCtx
-// waiter exactly like a voluntary release.
+// deadline (or until watchLease registers an earlier one), revokes every
+// over-deadline lease through the registry's shared recovery path
+// (Registry.Revoke — recovery runs HERE, on the reaper's goroutine, including
+// the allocator-cache drain), and exits when no deadline remains (the next
+// watchLease restarts it). A revoked slot's after-release hook hands the
+// admission baton to the longest AcquireCtx waiter exactly like a voluntary
+// release.
 func (rt *Runtime) watchdog() {
 	sleep := time.NewTimer(0)
 	defer sleep.Stop()
