@@ -21,12 +21,13 @@ var Analyzer = &framework.Analyzer{
 	Doc: `check that arena record pointers are obtained under protection
 
 Within functions that manage guard brackets, flags calls to the mem arena
-accessors (Raw, Slot, Get, MustGet, Hdr) on paths where no read phase can be
-open, unless the handle was reserved (passed to Guard.Reserve) in the same
-function — reservations are exactly the mechanism that keeps a record live
-past EndRead. Functions without brackets are out of scope: write-phase
-helpers hold locks or reservations their callers took. Separately, flags any
-use of a lease variable after a path may have Released it.`,
+accessors (Raw, Slot, Get, MustGet, MustSlot, Hdr) on paths where no read
+phase can be open, unless the handle was reserved (passed to Guard.Reserve)
+in the same function — reservations are exactly the mechanism that keeps a
+record live past EndRead. Functions without brackets are out of scope:
+write-phase helpers hold locks or reservations their callers took.
+Separately, flags any use of a lease variable after a path may have Released
+it.`,
 	Run: run,
 }
 
@@ -99,7 +100,7 @@ func accessorName(info *types.Info, call *ast.CallExpr) string {
 		return ""
 	}
 	switch fn.Name() {
-	case "Raw", "Slot", "Get", "MustGet", "Hdr":
+	case "Raw", "Slot", "Get", "MustGet", "MustSlot", "Hdr":
 		return fn.Name()
 	}
 	return ""

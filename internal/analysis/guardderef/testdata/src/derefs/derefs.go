@@ -45,6 +45,18 @@ func (s *store) slotAfterClose(g smr.Guard) uint64 {
 	return k
 }
 
+// lockAfterClose reaches for the header word of a record nothing keeps live:
+// MustSlot panics on a stale handle, but the record can be freed between its
+// check and the write through the word.
+func (s *store) lockAfterClose(g smr.Guard) {
+	g.BeginRead()
+	p := s.head
+	g.Protect(0, p)
+	g.EndRead()
+	_, hdr := s.pool.MustSlot(p) // want "MustSlot outside any read phase"
+	hdr.Word.Or(1)
+}
+
 // peekBetweenPhases pokes the arena on the gap between two brackets.
 func (s *store) peekBetweenPhases(g smr.Guard) uint64 {
 	g.BeginRead()
@@ -104,6 +116,17 @@ func (s *store) reservedPeek(g smr.Guard) uint64 {
 	g.Reserve(0, p)
 	g.EndRead()
 	return s.pool.Raw(p).key
+}
+
+// reservedLock is the write phase's shape: the handle was Reserved, so its
+// header word may be locked through after EndRead.
+func (s *store) reservedLock(g smr.Guard) {
+	g.BeginRead()
+	p := s.head
+	g.Reserve(0, p)
+	g.EndRead()
+	_, hdr := s.pool.MustSlot(p)
+	hdr.Word.Or(1)
 }
 
 // rebound is clean: the released variable is reassigned before reuse.

@@ -12,6 +12,12 @@
 // which is why Table 1 rules hazard pointers out (no reachability
 // validation); like the paper's benchmark we run HP anyway using child-link
 // re-reads plus the allocator's generation check.
+//
+// A record is its key and two child links, 24 bytes. The per-node ticket
+// lock and the removed flag are packed into the 32-bit record-owned word of
+// the slot header the allocator already puts in front of every record, so a
+// slot is 32 bytes — resident memory is records × bytes, and the descent's
+// cache misses are the same bytes (DESIGN.md §4).
 package dgtbst
 
 import (
@@ -26,13 +32,33 @@ import (
 )
 
 // node is both internal and leaf record; a node is a leaf iff left == Null.
+// Its ticket lock and removed flag live in the slot header's record-owned
+// word (mem.Gen.Word, laid out below), so a slot is 24 + 8 = 32 bytes: two
+// per cache line, none straddling.
 type node struct {
-	key     uint64
-	left    uint64 // mem.Ptr
-	right   uint64 // mem.Ptr
-	ticket  uint64 // ticket lock: [next:32 | owner:32]
-	removed uint32
+	key   uint64
+	left  uint64 // mem.Ptr
+	right uint64 // mem.Ptr
 }
+
+// Layout of a node's header word: [next:15 | unused:1 | owner:15 | removed:1].
+// next is the ticket dispenser and owner the ticket being served; the lock
+// is free iff they are equal. next sits at the top so its fetch-and-add
+// wraps off the end of the word; owner is only ever bumped by the lock's
+// holder, who knows its value and so wraps it without carrying (unlock).
+// FIFO order holds while fewer than 1<<ticketBits threads wait on one node,
+// which NewWith enforces.
+const (
+	removedBit = 1
+	ticketBits = 15
+	ticketMask = 1<<ticketBits - 1
+	ownerShift = 1
+	nextShift  = 32 - ticketBits
+	// ownerWrap, added to the word, subtracts ticketMask from the owner field.
+	ownerWrap = 1<<32 - ticketMask<<ownerShift
+)
+
+func owner(w uint32) uint32 { return w >> ownerShift & ticketMask }
 
 type view struct {
 	key   uint64
@@ -58,21 +84,33 @@ func New(threads int) *Tree {
 // NewWith creates a tree over a pool built from cfg — the constructor a
 // shared-arena runtime uses, stamping its assigned arena tag (cfg.Tag) into
 // every node handle so a mem.Hub can route frees back here.
+//
+// It panics if cfg.MaxThreads exceeds what a node's ticket lock can order
+// (1<<15 - 1 threads).
 func NewWith(cfg mem.Config) *Tree {
+	if cfg.MaxThreads > ticketMask {
+		panic(fmt.Sprintf("dgtbst: MaxThreads %d exceeds the %d threads a node's ticket lock can order", cfg.MaxThreads, ticketMask))
+	}
 	t := &Tree{
 		pool:      mem.NewPool[node](cfg),
 		retireBuf: ds.NewRetireScratch(cfg.MaxThreads),
 	}
-	l1, n1 := t.pool.Alloc(0) // left sentinel leaf: MaxKey-1
-	atomic.StoreUint64(&n1.key, ds.MaxKey-1)
-	l2, n2 := t.pool.Alloc(0) // right sentinel leaf: MaxKey
-	atomic.StoreUint64(&n2.key, ds.MaxKey)
-	rp, rn := t.pool.Alloc(0)
-	atomic.StoreUint64(&rn.key, ds.MaxKey-1)
-	atomic.StoreUint64(&rn.left, uint64(l1))
-	atomic.StoreUint64(&rn.right, uint64(l2))
-	t.root = rp
+	l1 := t.newNode(0, ds.MaxKey-1, mem.Null, mem.Null) // left sentinel leaf
+	l2 := t.newNode(0, ds.MaxKey, mem.Null, mem.Null)   // right sentinel leaf
+	t.root = t.newNode(0, ds.MaxKey-1, l1, l2)
 	return t
+}
+
+// newNode allocates a record and initialises every field and its header
+// word (lock free, not removed); the caller publishes the handle.
+func (t *Tree) newNode(tid int, key uint64, left, right mem.Ptr) mem.Ptr {
+	p, _ := t.pool.Alloc(tid)
+	n, hdr := t.pool.Slot(p)
+	atomic.StoreUint64(&n.key, key)
+	atomic.StoreUint64(&n.left, uint64(left))
+	atomic.StoreUint64(&n.right, uint64(right))
+	hdr.Word.Store(0)
+	return p
 }
 
 // Arena exposes the tree's allocator to reclamation schemes.
@@ -122,7 +160,7 @@ func (t *Tree) validateChild(g smr.Guard, par mem.Ptr, goLeft bool, next mem.Ptr
 	} else {
 		c = mem.Ptr(atomic.LoadUint64(&n.right))
 	}
-	rm := atomic.LoadUint32(&n.removed) != 0
+	rm := removed(gen)
 	if !gen.Is(par) {
 		g.OnStale(par)
 	}
@@ -161,24 +199,37 @@ retry:
 	return
 }
 
-// lock acquires a node's ticket lock (FAA for the ticket, spin on owner).
-// The node must be protected; MustGet asserts it.
-func (t *Tree) lock(p mem.Ptr) *node {
-	n := t.pool.MustGet(p)
-	ticket := (atomic.AddUint64(&n.ticket, 1<<32) >> 32) - 1
-	for i := 0; atomic.LoadUint64(&n.ticket)&0xffffffff != ticket; i++ {
+// lock acquires a node's ticket lock (FAA for the ticket, spin on owner) and
+// returns the node with its header. The node must be protected; MustSlot
+// asserts it.
+func (t *Tree) lock(p mem.Ptr) (*node, *mem.Gen) {
+	n, hdr := t.pool.MustSlot(p)
+	ticket := (hdr.Word.Add(1<<nextShift) - 1<<nextShift) >> nextShift
+	for i := 0; owner(hdr.Word.Load()) != ticket; i++ {
 		if i&15 == 15 {
 			runtime.Gosched()
 		}
 	}
-	return n
+	return n, hdr
 }
 
-func (t *Tree) unlock(n *node) {
-	atomic.AddUint64(&n.ticket, 1)
+// unlock serves the next ticket. Only the holder writes the owner field, so
+// the value read here is current: the bump is one add, and at the top of the
+// field the add is the subtraction that zeroes it instead — neither touches
+// a neighbouring bit.
+func unlock(hdr *mem.Gen) {
+	if owner(hdr.Word.Load()) == ticketMask {
+		hdr.Word.Add(ownerWrap)
+	} else {
+		hdr.Word.Add(1 << ownerShift)
+	}
 }
 
-func removed(n *node) bool { return atomic.LoadUint32(&n.removed) != 0 }
+func removed(hdr *mem.Gen) bool { return hdr.Word.Load()&removedBit != 0 }
+
+// setRemoved flags a node as unlinked; the flag is never cleared while the
+// record lives. The OR leaves waiters' tickets in the same word intact.
+func setRemoved(hdr *mem.Gen) { hdr.Word.Or(removedBit) }
 
 func childOf(n *node, goLeft bool) mem.Ptr {
 	if goLeft {
@@ -220,36 +271,24 @@ func (t *Tree) Insert(g smr.Guard, key uint64) bool {
 			g.Reserve(1, leaf)
 			g.EndRead()
 			goLeft := key < parV.key
-			pn := t.lock(par)
-			if removed(pn) || childOf(pn, goLeft) != leaf {
-				t.unlock(pn)
+			pn, ph := t.lock(par)
+			if removed(ph) || childOf(pn, goLeft) != leaf {
+				unlock(ph)
 				continue // fresh read phase from the root
 			}
 			// Build leaf' and the router in the write phase.
-			lp, ln := t.pool.Alloc(g.Tid())
-			atomic.StoreUint64(&ln.key, key)
-			atomic.StoreUint64(&ln.left, uint64(mem.Null))
-			atomic.StoreUint64(&ln.right, uint64(mem.Null))
-			atomic.StoreUint64(&ln.ticket, 0)
-			atomic.StoreUint32(&ln.removed, 0)
+			lp := t.newNode(g.Tid(), key, mem.Null, mem.Null)
 			g.OnAlloc(lp)
-
-			ip, in := t.pool.Alloc(g.Tid())
+			var ip mem.Ptr
 			if key < leafV.key {
-				atomic.StoreUint64(&in.key, leafV.key)
-				atomic.StoreUint64(&in.left, uint64(lp))
-				atomic.StoreUint64(&in.right, uint64(leaf))
+				ip = t.newNode(g.Tid(), leafV.key, lp, leaf)
 			} else {
-				atomic.StoreUint64(&in.key, key)
-				atomic.StoreUint64(&in.left, uint64(leaf))
-				atomic.StoreUint64(&in.right, uint64(lp))
+				ip = t.newNode(g.Tid(), key, leaf, lp)
 			}
-			atomic.StoreUint64(&in.ticket, 0)
-			atomic.StoreUint32(&in.removed, 0)
 			g.OnAlloc(ip)
 
 			setChild(pn, goLeft, ip)
-			t.unlock(pn)
+			unlock(ph)
 			return true
 		}
 	})
@@ -278,21 +317,21 @@ func (t *Tree) Delete(g smr.Guard, key uint64) bool {
 			g.EndRead()
 			gLeft := key < gparV.key
 			pLeft := key < parV.key
-			gn := t.lock(gpar)
-			pn := t.lock(par)
-			if removed(gn) || removed(pn) ||
+			gn, gh := t.lock(gpar)
+			pn, ph := t.lock(par)
+			if removed(gh) || removed(ph) ||
 				childOf(gn, gLeft) != par || childOf(pn, pLeft) != leaf {
-				t.unlock(pn)
-				t.unlock(gn)
+				unlock(ph)
+				unlock(gh)
 				continue
 			}
 			sibling := childOf(pn, !pLeft)
-			atomic.StoreUint32(&pn.removed, 1)
-			ln := t.pool.MustGet(leaf)
-			atomic.StoreUint32(&ln.removed, 1)
+			setRemoved(ph)
+			_, lh := t.pool.MustSlot(leaf)
+			setRemoved(lh)
 			setChild(gn, gLeft, sibling)
-			t.unlock(pn)
-			t.unlock(gn)
+			unlock(ph)
+			unlock(gh)
 			// The spliced-out subtree (router + leaf) goes to the scheme in
 			// one batch: one watermark check for the whole unlink (the
 			// scratch handoff is alloc-free — see ds.NewRetireScratch).
@@ -321,7 +360,9 @@ func (t *Tree) count(p mem.Ptr) int {
 }
 
 // Validate implements ds.Set (quiescent): external-tree shape, routing
-// invariants and handle liveness.
+// invariants, handle liveness, and every reachable node's header word at
+// rest — not removed, lock free — which also catches a recycled slot
+// published with its previous occupant's bits.
 func (t *Tree) Validate() error {
 	return t.validate(t.root, ds.MinKey, ds.MaxKey)
 }
@@ -330,16 +371,19 @@ func (t *Tree) validate(p mem.Ptr, lo, hi uint64) error {
 	if p.IsNull() {
 		return errors.New("dgtbst: nil child reachable")
 	}
-	n, ok := t.pool.Get(p)
-	if !ok {
+	n, hdr := t.pool.Slot(p)
+	if !hdr.Is(p) {
 		return fmt.Errorf("dgtbst: freed node %v reachable", p)
 	}
 	k := atomic.LoadUint64(&n.key)
 	if k < lo || k > hi {
 		return fmt.Errorf("dgtbst: key %d outside routing window [%d, %d]", k, lo, hi)
 	}
-	if removed(n) {
+	if removed(hdr) {
 		return fmt.Errorf("dgtbst: removed node %d still reachable", k)
+	}
+	if w := hdr.Word.Load(); w>>nextShift != owner(w) {
+		return fmt.Errorf("dgtbst: node %d's lock is held at quiescence (word %#x)", k, w)
 	}
 	l := mem.Ptr(atomic.LoadUint64(&n.left))
 	r := mem.Ptr(atomic.LoadUint64(&n.right))

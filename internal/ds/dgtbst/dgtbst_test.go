@@ -7,6 +7,7 @@ import (
 	"nbr/internal/catalog"
 	"nbr/internal/ds/dgtbst"
 	"nbr/internal/dstest"
+	"nbr/internal/mem"
 	"nbr/internal/smr"
 )
 
@@ -116,10 +117,21 @@ func TestRandomizedAgainstModel(t *testing.T) {
 	}
 }
 
-// TestSlotSize pins the tree's per-record footprint: a 40-byte node behind an
-// 8-byte generation word, no era header inline.
+// TestSlotSize pins the tree's per-record footprint: a 24-byte node behind
+// the 8-byte slot header that also carries its lock, no era header inline.
 func TestSlotSize(t *testing.T) {
-	if got := dgtbst.New(1).MemStats().SlotSize; got != 48 {
-		t.Fatalf("dgtbst slot is %d bytes, want 48", got)
+	if got := dgtbst.New(1).MemStats().SlotSize; got != 32 {
+		t.Fatalf("dgtbst slot is %d bytes, want 32", got)
 	}
+}
+
+// TestNewWithRefusesUnorderableThreads: a node's 15-bit ticket field keeps
+// FIFO order among at most 1<<15 - 1 threads.
+func TestNewWithRefusesUnorderableThreads(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewWith must refuse MaxThreads 1<<15")
+		}
+	}()
+	dgtbst.NewWith(mem.Config{MaxThreads: 1 << 15})
 }

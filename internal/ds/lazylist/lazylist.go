@@ -10,6 +10,11 @@
 // (validating each protection by re-reading the predecessor's link and
 // restarting from the head on failure) is implemented behind
 // Guard.NeedsValidation, at the documented cost of wait-freedom.
+//
+// A record is its key and its link, 16 bytes. The lock bit and the marked
+// flag share the 32-bit record-owned word of the slot header the allocator
+// already puts in front of every record, so a slot is 24 bytes (DESIGN.md
+// §4).
 package lazylist
 
 import (
@@ -25,13 +30,21 @@ import (
 
 // node is a list record. All fields are accessed atomically: records are
 // recycled by the pool while stale readers may still copy them, and the
-// copy-then-validate discipline requires data-race-free field access.
+// copy-then-validate discipline requires data-race-free field access. The
+// lock and the marked flag live in the slot header's record-owned word
+// (mem.Gen.Word: [marked | lock]), so a slot is 16 + 8 = 24 bytes.
 type node struct {
-	key    uint64
-	next   uint64 // mem.Ptr
-	marked uint32
-	lock   uint32
+	key  uint64
+	next uint64 // mem.Ptr
 }
+
+// Bits of a node's header word.
+const (
+	lockBit   = 1 << 0
+	markedBit = 1 << 1
+)
+
+func marked(hdr *mem.Gen) bool { return hdr.Word.Load()&markedBit != 0 }
 
 // view is a consistent-enough snapshot of a node taken during a read phase.
 type view struct {
@@ -57,14 +70,20 @@ func New(threads int) *List {
 // every node handle so a mem.Hub can route frees back here.
 func NewWith(cfg mem.Config) *List {
 	l := &List{pool: mem.NewPool[node](cfg)}
-	tp, tn := l.pool.Alloc(0)
-	atomic.StoreUint64(&tn.key, ds.MaxKey)
-	atomic.StoreUint64(&tn.next, uint64(mem.Null))
-	hp, hn := l.pool.Alloc(0)
-	atomic.StoreUint64(&hn.key, ds.MinKey)
-	atomic.StoreUint64(&hn.next, uint64(tp))
-	l.head, l.tail = hp, tp
+	l.tail = l.newNode(0, ds.MaxKey, mem.Null)
+	l.head = l.newNode(0, ds.MinKey, l.tail)
 	return l
+}
+
+// newNode allocates a record and initialises both fields and its header
+// word (unlocked, unmarked); the caller publishes the handle.
+func (l *List) newNode(tid int, key uint64, next mem.Ptr) mem.Ptr {
+	p, _ := l.pool.Alloc(tid)
+	n, hdr := l.pool.Slot(p)
+	atomic.StoreUint64(&n.key, key)
+	atomic.StoreUint64(&n.next, uint64(next))
+	hdr.Word.Store(0)
+	return p
 }
 
 // Arena exposes the list's allocator to reclamation schemes.
@@ -91,7 +110,7 @@ func (l *List) read(b *smr.Barrier, slot int, p mem.Ptr) (view, bool) {
 	var v view
 	v.key = atomic.LoadUint64(&n.key)
 	v.next = mem.Ptr(atomic.LoadUint64(&n.next))
-	v.marked = atomic.LoadUint32(&n.marked) != 0
+	v.marked = marked(gen)
 	if !gen.Is(p) {
 		return view{}, b.Stale(p)
 	}
@@ -105,11 +124,11 @@ func (l *List) read(b *smr.Barrier, slot int, p mem.Ptr) (view, bool) {
 func (l *List) validateLink(g smr.Guard, pred, curr mem.Ptr) bool {
 	n, gen := l.pool.Slot(pred)
 	link := mem.Ptr(atomic.LoadUint64(&n.next))
-	marked := atomic.LoadUint32(&n.marked) != 0
+	m := marked(gen)
 	if !gen.Is(pred) {
 		g.OnStale(pred)
 	}
-	return link == curr && !marked
+	return link == curr && !m
 }
 
 // search is the Φread: traverse from the head until curr.key ≥ key,
@@ -140,28 +159,29 @@ retry:
 	}
 }
 
-// lock spins on a record's lock word. The record must be protected (reserved
-// under NBR, hazard-validated, or inside an epoch section): MustGet asserts
-// that protection actually held.
-func (l *List) lock(p mem.Ptr) *node {
-	n := l.pool.MustGet(p)
-	for i := 0; !atomic.CompareAndSwapUint32(&n.lock, 0, 1); i++ {
+// lock spins on a record's lock bit and returns the record with its header.
+// The record must be protected (reserved under NBR, hazard-validated, or
+// inside an epoch section): MustSlot asserts that protection actually held.
+func (l *List) lock(p mem.Ptr) (*node, *mem.Gen) {
+	n, hdr := l.pool.MustSlot(p)
+	for i := 0; ; i++ {
+		if w := hdr.Word.Load(); w&lockBit == 0 && hdr.Word.CompareAndSwap(w, w|lockBit) {
+			return n, hdr
+		}
 		if i&15 == 15 {
 			runtime.Gosched()
 		}
 	}
-	return n
 }
 
-func (l *List) unlock(n *node) {
-	atomic.StoreUint32(&n.lock, 0)
-}
+// unlock clears the lock bit and nothing else: a mark set under the lock
+// outlives it.
+func unlock(hdr *mem.Gen) { hdr.Word.And(^uint32(lockBit)) }
 
 // validate is the lazy list's post-lock check: both nodes unmarked and still
 // adjacent.
-func validate(pred, curr *node, currPtr mem.Ptr) bool {
-	return atomic.LoadUint32(&pred.marked) == 0 &&
-		atomic.LoadUint32(&curr.marked) == 0 &&
+func validate(pred *node, predH, currH *mem.Gen, currPtr mem.Ptr) bool {
+	return !marked(predH) && !marked(currH) &&
 		mem.Ptr(atomic.LoadUint64(&pred.next)) == currPtr
 }
 
@@ -189,27 +209,23 @@ func (l *List) Insert(g smr.Guard, key uint64) bool {
 			g.Reserve(0, pred)
 			g.Reserve(1, curr)
 			g.EndRead()
-			pn := l.lock(pred)
-			cn := l.lock(curr)
-			if validate(pn, cn, curr) {
+			pn, ph := l.lock(pred)
+			_, ch := l.lock(curr)
+			if validate(pn, ph, ch, curr) {
 				if currV.key == key {
-					l.unlock(cn)
-					l.unlock(pn)
+					unlock(ch)
+					unlock(ph)
 					return false
 				}
-				np, nn := l.pool.Alloc(g.Tid())
-				atomic.StoreUint64(&nn.key, key)
-				atomic.StoreUint64(&nn.next, uint64(curr))
-				atomic.StoreUint32(&nn.marked, 0)
-				atomic.StoreUint32(&nn.lock, 0)
+				np := l.newNode(g.Tid(), key, curr)
 				g.OnAlloc(np)
 				atomic.StoreUint64(&pn.next, uint64(np))
-				l.unlock(cn)
-				l.unlock(pn)
+				unlock(ch)
+				unlock(ph)
 				return true
 			}
-			l.unlock(cn)
-			l.unlock(pn)
+			unlock(ch)
+			unlock(ph)
 			// Validation failed: start a fresh read phase from the root.
 		}
 	})
@@ -231,19 +247,19 @@ func (l *List) Delete(g smr.Guard, key uint64) bool {
 			g.Reserve(0, pred)
 			g.Reserve(1, curr)
 			g.EndRead()
-			pn := l.lock(pred)
-			cn := l.lock(curr)
-			if validate(pn, cn, curr) {
-				atomic.StoreUint32(&cn.marked, 1) // logical delete
+			pn, ph := l.lock(pred)
+			cn, ch := l.lock(curr)
+			if validate(pn, ph, ch, curr) {
+				ch.Word.Or(markedBit) // logical delete
 				succ := atomic.LoadUint64(&cn.next)
 				atomic.StoreUint64(&pn.next, succ) // physical unlink
-				l.unlock(cn)
-				l.unlock(pn)
+				unlock(ch)
+				unlock(ph)
 				g.Retire(curr)
 				return true
 			}
-			l.unlock(cn)
-			l.unlock(pn)
+			unlock(ch)
+			unlock(ph)
 		}
 	})
 }
@@ -261,8 +277,10 @@ func (l *List) rawNext(p mem.Ptr) mem.Ptr {
 	return mem.Ptr(atomic.LoadUint64(&l.pool.Raw(p).next))
 }
 
-// Validate implements ds.Set (quiescent): strictly sorted keys, no marked
-// nodes reachable, proper sentinels.
+// Validate implements ds.Set (quiescent): strictly sorted keys, proper
+// sentinels, and every linked node's header word at rest — unmarked,
+// unlocked — which also catches a recycled slot published with its previous
+// occupant's bits.
 func (l *List) Validate() error {
 	prev := ds.MinKey
 	p := l.rawNext(l.head)
@@ -270,16 +288,19 @@ func (l *List) Validate() error {
 		if p.IsNull() {
 			return errors.New("lazylist: reachable nil before tail sentinel")
 		}
-		n, ok := l.pool.Get(p)
-		if !ok {
+		n, hdr := l.pool.Slot(p)
+		if !hdr.Is(p) {
 			return fmt.Errorf("lazylist: freed node %v reachable", p)
 		}
 		k := atomic.LoadUint64(&n.key)
 		if k <= prev {
 			return fmt.Errorf("lazylist: keys not strictly increasing (%d after %d)", k, prev)
 		}
-		if atomic.LoadUint32(&n.marked) != 0 {
+		if marked(hdr) {
 			return fmt.Errorf("lazylist: marked node %d still linked", k)
+		}
+		if hdr.Word.Load()&lockBit != 0 {
+			return fmt.Errorf("lazylist: node %d's lock is held at quiescence", k)
 		}
 		prev = k
 		p = l.rawNext(p)

@@ -133,10 +133,10 @@ func TestQuickSetSemantics(t *testing.T) {
 	}
 }
 
-// TestSlotSize pins the list's per-record footprint: a 24-byte node behind an
-// 8-byte generation word, no era header inline.
+// TestSlotSize pins the list's per-record footprint: a 16-byte node behind
+// the 8-byte slot header that also carries its lock, no era header inline.
 func TestSlotSize(t *testing.T) {
-	if got := lazylist.New(1).MemStats().SlotSize; got != 32 {
-		t.Fatalf("lazylist slot is %d bytes, want 32", got)
+	if got := lazylist.New(1).MemStats().SlotSize; got != 24 {
+		t.Fatalf("lazylist slot is %d bytes, want 24", got)
 	}
 }

@@ -23,12 +23,18 @@ const (
 	refillBatch = 64
 )
 
-// Gen is a slot's generation word, the use-after-free detector: even while
-// the slot is free, odd while it is live, bumped by every Alloc and Free. It
-// is the only allocator metadata a record carries inline.
+// Gen is a slot's 8-byte header. Its first word is the generation, the
+// use-after-free detector: even while the slot is free, odd while it is
+// live, bumped by every Alloc and Free — the only allocator metadata a
+// record carries inline. The second word belongs to the record: the pool
+// never reads or writes it, so it holds whatever the slot's previous
+// occupant left, and the owning structure initialises it before publishing a
+// fresh record exactly as it initialises the record's own fields. The
+// lock-based structures keep their lock and deletion flag there (dgtbst,
+// lazylist); the others leave it alone.
 type Gen struct {
-	v atomic.Uint32
-	_ uint32
+	v    atomic.Uint32
+	Word atomic.Uint32
 }
 
 // Is reports whether q's generation is current, i.e. q still addresses the
@@ -169,7 +175,7 @@ type Pool[T any] struct {
 	nsegs atomic.Int32
 }
 
-// slot is one record and its generation word: 8 + sizeof(T) bytes.
+// slot is one record and its header: 8 + sizeof(T) bytes.
 type slot[T any] struct {
 	gen Gen
 	val T
@@ -374,16 +380,26 @@ func (p *Pool[T]) Get(q Ptr) (*T, bool) {
 // for records the caller has locked or reserved: staleness there is a bug in
 // the SMR scheme under test, not a benign race.
 func (p *Pool[T]) MustGet(q Ptr) *T {
-	v, ok := p.Get(q)
-	if !ok {
-		panic(fmt.Sprintf("mem: use after free through protected handle %v", q))
-	}
+	v, _ := p.MustSlot(q)
 	return v
 }
 
-// Alloc returns a fresh handle and its record. The record's fields hold
-// whatever the previous occupant left (slabs start zeroed); callers must
-// initialize every field, with atomic stores, before publishing the handle.
+// MustSlot is MustGet returning the record's header as well, from the one
+// slot resolution: how a write phase reaches the header's record-owned word
+// of a record it has locked, reserved or just allocated.
+func (p *Pool[T]) MustSlot(q Ptr) (*T, *Gen) {
+	if !q.IsNull() {
+		if s := p.slotAt(q.Idx()); s.gen.Is(q) {
+			return &s.val, &s.gen
+		}
+	}
+	panic(fmt.Sprintf("mem: use after free through protected handle %v", q))
+}
+
+// Alloc returns a fresh handle and its record. The record's fields and its
+// header's record-owned word (Gen.Word) hold whatever the previous occupant
+// left (slabs start zeroed); callers must initialize every field, and the
+// word if they use it, with atomic stores, before publishing the handle.
 func (p *Pool[T]) Alloc(tid int) (Ptr, *T) {
 	tc := &p.threads[tid]
 	if len(tc.free) == 0 {

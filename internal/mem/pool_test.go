@@ -213,29 +213,62 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-// TestSlotLayout pins the inline footprint of a record: an 8-byte generation
-// word and the record, no era header. The two shapes are the lazy list's and
-// the DGT tree's nodes — 32 and 48 bytes per slot.
+// TestSlotLayout pins the inline footprint of a record: an 8-byte header —
+// the generation word and the record-owned word, both addressable — and the
+// record, no era header. The two shapes are the lazy list's and the DGT
+// tree's nodes, whose lock and flag live in the header word: 24 and 32 bytes
+// per slot.
 func TestSlotLayout(t *testing.T) {
-	type listNode struct {
-		key, next    uint64
-		marked, lock uint32
+	type listNode struct{ key, next uint64 }
+	type treeNode struct{ key, left, right uint64 }
+	var g Gen
+	if unsafe.Sizeof(g) != 8 || unsafe.Offsetof(g.v) != 0 || unsafe.Offsetof(g.Word) != 4 {
+		t.Fatalf("Gen is %d bytes with the words at %d and %d, want 8 bytes, words at 0 and 4",
+			unsafe.Sizeof(g), unsafe.Offsetof(g.v), unsafe.Offsetof(g.Word))
 	}
-	type treeNode struct {
-		key, left, right, ticket uint64
-		removed                  uint32
+	if got := unsafe.Sizeof(slot[listNode]{}); got != 24 || got != 8+unsafe.Sizeof(listNode{}) {
+		t.Fatalf("slot[listNode] is %d bytes, want 8+%d = 24", got, unsafe.Sizeof(listNode{}))
 	}
-	if got := unsafe.Sizeof(slot[listNode]{}); got != 32 || got != 8+unsafe.Sizeof(listNode{}) {
-		t.Fatalf("slot[listNode] is %d bytes, want 8+%d = 32", got, unsafe.Sizeof(listNode{}))
-	}
-	if got := unsafe.Sizeof(slot[treeNode]{}); got != 48 || got != 8+unsafe.Sizeof(treeNode{}) {
-		t.Fatalf("slot[treeNode] is %d bytes, want 8+%d = 48", got, unsafe.Sizeof(treeNode{}))
+	if got := unsafe.Sizeof(slot[treeNode]{}); got != 32 || got != 8+unsafe.Sizeof(treeNode{}) {
+		t.Fatalf("slot[treeNode] is %d bytes, want 8+%d = 32", got, unsafe.Sizeof(treeNode{}))
 	}
 	if got := unsafe.Sizeof(slot[uint32]{}); got != 8+4 {
 		t.Fatalf("slot[uint32] is %d bytes, want 8+4", got)
 	}
 	if got := unsafe.Sizeof(Hdr{}); got != 16 {
 		t.Fatalf("Hdr is %d bytes, want 16", got)
+	}
+}
+
+// TestHeaderWordIsTheRecords checks the record-owned word's contract: the
+// pool never writes it (it survives the generation bumps of Free and Alloc,
+// so a structure must initialise it), MustSlot reaches it on a live handle,
+// and MustSlot keeps MustGet's panic on a stale or nil one.
+func TestHeaderWordIsTheRecords(t *testing.T) {
+	p := newTestPool(1)
+	h, v := p.Alloc(0)
+	n, hdr := p.MustSlot(h)
+	if n != v || !hdr.Is(h) {
+		t.Fatal("MustSlot must address the allocated record and its current header")
+	}
+	hdr.Word.Store(0xdeadbeef)
+	p.Free(0, h)
+	h2, _ := p.Alloc(0)
+	if h2.Idx() != h.Idx() {
+		t.Fatalf("expected the freed slot back, got idx %d after %d", h2.Idx(), h.Idx())
+	}
+	if _, hdr2 := p.MustSlot(h2); hdr2 != hdr || hdr2.Word.Load() != 0xdeadbeef {
+		t.Fatal("the pool must leave the record-owned word alone across Free and Alloc")
+	}
+	for _, stale := range []Ptr{h, Null} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("MustSlot(%v) must panic", stale)
+				}
+			}()
+			p.MustSlot(stale)
+		}()
 	}
 }
 

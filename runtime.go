@@ -630,9 +630,9 @@ func (rt *Runtime) MemStats() MemStats {
 		agg.LiveBytes += st.LiveBytes
 		agg.SlabBytes += st.SlabBytes
 		agg.GlobalOps += st.GlobalOps
-	}
-	if len(rt.sets) == 1 {
-		agg.SlotSize = rt.sets[0].inst.MemStats().SlotSize
+		if len(rt.sets) == 1 {
+			agg.SlotSize = st.SlotSize
+		}
 	}
 	return agg
 }
