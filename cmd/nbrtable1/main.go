@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"nbr/internal/bench"
+	"nbr/internal/catalog"
 )
 
 func main() {
@@ -27,21 +28,31 @@ func main() {
 
 	fmt.Println("\nSMR integration call sites per data structure (ease-of-use, §5.3):")
 	fmt.Println("  calls counted: BeginRead/EndRead/Reserve (NBR-specific) and Protect/NeedsValidation (HP-family-specific)")
-	dirs := map[string]string{
-		"lazylist": "internal/ds/lazylist",
-		"harris":   "internal/ds/harrislist",
-		"hmlist":   "internal/ds/hmlist",
-		"dgt":      "internal/ds/dgtbst",
-		"abtree":   "internal/ds/abtree",
-	}
-	for name, dir := range dirs {
-		nbrCalls, hpCalls, err := countCalls(dir)
+	// One row per catalog structure, in table order, from the directory the
+	// catalog row names; then the marked-link list the three Harris-style
+	// structures embed, whose Protect/NeedsValidation sites they share (the
+	// NBR-specific bracket calls stay in each structure).
+	for _, name := range catalog.DSNames {
+		dir, err := catalog.DSDir(name)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "nbrtable1:", err)
-			os.Exit(1)
+			fail(err)
 		}
-		fmt.Printf("  %-10s NBR-specific call sites: %2d   HP-family-specific: %2d\n", name, nbrCalls, hpCalls)
+		printCalls(name, dir)
 	}
+	printCalls("marklist", "internal/ds/marklist")
+}
+
+func printCalls(name, dir string) {
+	nbrCalls, hpCalls, err := countCalls(dir)
+	if err != nil {
+		fail(err)
+	}
+	fmt.Printf("  %-16s NBR-specific call sites: %2d   HP-family-specific: %2d\n", name, nbrCalls, hpCalls)
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "nbrtable1:", err)
+	os.Exit(1)
 }
 
 // countCalls scans non-test Go sources for guard call sites.

@@ -1,6 +1,8 @@
 package catalog_test
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"nbr/internal/catalog"
@@ -93,7 +95,9 @@ func TestRunnableExceptions(t *testing.T) {
 // structures' own declarations: every catalog.DSNames entry must be in the table,
 // and the table's widths must equal what a constructed instance declares —
 // a registry that drifts narrow would overrun reservation rows, one that
-// drifts wide would silently forfeit the narrow-scan fast path.
+// drifts wide would silently forfeit the narrow-scan fast path. Both sides
+// read the structure package's one exported Req, so what this catches is a
+// row wired to another package's value.
 func TestDSRequirementsMatchInstances(t *testing.T) {
 	for _, name := range catalog.DSNames {
 		req, err := catalog.DSRequirements(name)
@@ -109,6 +113,23 @@ func TestDSRequirementsMatchInstances(t *testing.T) {
 		}
 	}
 	if _, err := catalog.DSRequirements("bogus"); err == nil {
+		t.Error("unknown structure must be rejected")
+	}
+}
+
+// TestDSDirs: every row names the directory its constructor's package lives
+// in, which is what nbrtable1 -loc counts call sites under.
+func TestDSDirs(t *testing.T) {
+	for _, name := range catalog.DSNames {
+		dir, err := catalog.DSDir(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(filepath.Join("..", "..", dir, filepath.Base(dir)+".go")); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	if _, err := catalog.DSDir("bogus"); err == nil {
 		t.Error("unknown structure must be rejected")
 	}
 }

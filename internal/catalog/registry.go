@@ -22,17 +22,18 @@ type pooled interface {
 }
 
 // structure is one catalog row — everything the module knows about a
-// structure kind by name: its constructor, the announcement widths it
-// declares (available without constructing an instance, so a shared runtime
-// can size its scheme for kinds that attach later;
-// TestDSRequirementsMatchInstances pins each to the instance's own
-// Requirements()), and its row of the paper's Table 1. The EBR column is
+// structure kind by name: its constructor and source directory, the
+// announcement widths it declares (its package's Req, the value its
+// Requirements() method returns — available without constructing an instance,
+// so a shared runtime can size its scheme for kinds that attach later), and
+// its row of the paper's Table 1. The EBR column is
 // "yes" for every structure, so a row carries only the two columns that vary;
 // hpBench marks the rows Table 1 rejects for the HP family but the paper's
 // own benchmark runs anyway (link re-read validation, at the documented cost
 // of the structure's progress guarantee).
 type structure struct {
 	name    string
+	dir     string
 	build   func(mem.Config) pooled
 	req     ds.Requirements
 	nbr, hp Verdict
@@ -41,46 +42,53 @@ type structure struct {
 
 var structures = []structure{{
 	name:    "lazylist",
+	dir:     "internal/ds/lazylist",
 	build:   func(c mem.Config) pooled { return lazylist.NewWith(c) },
-	req:     ds.Requirements{Slots: 2, Reservations: 2, Threshold: ds.DefaultThreshold},
+	req:     lazylist.Req,
 	nbr:     Verdict{true, "single Φread then Φwrite; reserve pred and curr (2 reservations)"},
 	hp:      Verdict{false, "repeated protect failures on marked-but-linked nodes break wait-free searches (run in benchmark mode anyway, as the paper's E1 does)"},
 	hpBench: true,
 }, {
 	name:  "harris",
+	dir:   "internal/ds/harrislist",
 	build: func(c mem.Config) pooled { return harrislist.NewWith(c) },
-	req:   ds.Requirements{Slots: 3, Reservations: 2, Threshold: ds.DefaultThreshold},
+	req:   harrislist.Req,
 	nbr:   Verdict{true, "multiple read/write phases, every Φread restarts from the root (§5.2, Alg. 3); ≤3 reservations"},
 	hp:    Verdict{true, "validate via link re-read (HM04-style)"},
 }, {
 	name:  "hashmap",
+	dir:   "internal/ds/hashmap",
 	build: func(c mem.Config) pooled { return hashmap.NewWith(c) },
-	req:   ds.Requirements{Slots: 4, Reservations: 3, Threshold: ds.DefaultThreshold},
+	req:   hashmap.Req,
 	nbr:   Verdict{true, "split-ordered list; every Φread restarts from the root (table pointer and dummies are roots); ≤3 reservations, one of them the cell array's segment handle"},
 	hp:    Verdict{true, "validate via table re-read + link re-read (HM04-style); cells pinned through the array's segment handle"},
 }, {
 	name:  "hmlist",
+	dir:   "internal/ds/hmlist",
 	build: func(c mem.Config) pooled { return hmlist.NewWith(c, hmlist.Restart) },
-	req:   ds.Requirements{Slots: 2, Reservations: 2, Threshold: ds.DefaultThreshold},
+	req:   hmlist.Req,
 	nbr:   Verdict{true, "E4 modification: every Φread restarts from the root"},
 	hp:    Verdict{true, ""},
 }, {
 	name:  "hmlist-norestart",
+	dir:   "internal/ds/hmlist",
 	build: func(c mem.Config) pooled { return hmlist.NewWith(c, hmlist.NoRestart) },
-	req:   ds.Requirements{Slots: 2, Reservations: 2, Threshold: ds.DefaultThreshold},
+	req:   hmlist.Req,
 	nbr:   Verdict{false, "Φread after an auxiliary Φwrite resumes from pred, violating Requirement 12"},
 	hp:    Verdict{true, ""},
 }, {
 	name:    "dgt",
+	dir:     "internal/ds/dgtbst",
 	build:   func(c mem.Config) pooled { return dgtbst.NewWith(c) },
-	req:     ds.Requirements{Slots: 3, Reservations: 3, Threshold: ds.DefaultThreshold},
+	req:     dgtbst.Req,
 	nbr:     Verdict{true, "sync-free search then ticket-locked update; ≤3 reservations"},
 	hp:      Verdict{false, "no marks, so reachability of a protected node cannot be validated (run in benchmark mode anyway, as the paper's E1 does)"},
 	hpBench: true,
 }, {
 	name:  "abtree",
+	dir:   "internal/ds/abtree",
 	build: func(c mem.Config) pooled { return abtree.NewWith(c) },
-	req:   ds.Requirements{Slots: 2, Reservations: 3, Threshold: ds.DefaultThreshold},
+	req:   abtree.Req,
 	nbr:   Verdict{true, "auxiliary rebalancing steps restart from the root; ≤3 reservations"},
 	hp:    Verdict{false, "searches traverse nodes whose reachability cannot be validated without version support"},
 }}
@@ -130,6 +138,16 @@ func NewDSArena(name string, cfg mem.Config) (Instance, error) {
 	}
 	set := s.build(cfg)
 	return Instance{Set: set, Arena: set.Arena(), MemStats: set.MemStats, Req: set.Requirements()}, nil
+}
+
+// DSDir returns the directory (module-relative) holding the named structure
+// kind's source; two kinds that are variants of one implementation share it.
+func DSDir(name string) (string, error) {
+	s, err := lookup(name)
+	if err != nil {
+		return "", err
+	}
+	return s.dir, nil
 }
 
 // DSRequirements returns the announcement widths the named structure kind

@@ -127,14 +127,14 @@ func initNode(n *node, leaf bool) {
 // Arena exposes the tree's allocator to reclamation schemes.
 func (t *Tree) Arena() mem.Arena { return t.pool }
 
-// Requirements implements the per-DS width hook: descents alternate two
-// Protect slots (parent/child), and the widest write phase (fixUnderfull)
-// reserves parent, child and sibling. The retire threshold is declared
-// explicitly so the narrow slot width does not raise the hp/he scan
-// frequency.
-func (t *Tree) Requirements() ds.Requirements {
-	return ds.Requirements{Slots: 2, Reservations: 3, Threshold: ds.DefaultThreshold}
-}
+// Req is the width the tree declares: descents alternate two Protect slots
+// (parent/child), and the widest write phase (fixUnderfull) reserves parent,
+// child and sibling. The retire threshold is declared explicitly so the
+// narrow slot width does not raise the hp/he scan frequency.
+var Req = ds.Requirements{Slots: 2, Reservations: 3, Threshold: ds.DefaultThreshold}
+
+// Requirements implements the per-DS width hook.
+func (t *Tree) Requirements() ds.Requirements { return Req }
 
 // MemStats reports allocator statistics.
 func (t *Tree) MemStats() mem.Stats { return t.pool.Stats() }

@@ -116,14 +116,14 @@ func (t *Tree) newNode(tid int, key uint64, left, right mem.Ptr) mem.Ptr {
 // Arena exposes the tree's allocator to reclamation schemes.
 func (t *Tree) Arena() mem.Arena { return t.pool }
 
-// Requirements implements the per-DS width hook: the search keeps
-// grandparent, parent and leaf protected in three rotating slots, and a
-// delete reserves the same three records. The retire threshold is declared
-// explicitly so the narrow slot width does not raise the hp/he scan
-// frequency.
-func (t *Tree) Requirements() ds.Requirements {
-	return ds.Requirements{Slots: 3, Reservations: 3, Threshold: ds.DefaultThreshold}
-}
+// Req is the width the tree declares: the search keeps grandparent, parent
+// and leaf protected in three rotating slots, and a delete reserves the same
+// three records. The retire threshold is declared explicitly so the narrow
+// slot width does not raise the hp/he scan frequency.
+var Req = ds.Requirements{Slots: 3, Reservations: 3, Threshold: ds.DefaultThreshold}
+
+// Requirements implements the per-DS width hook.
+func (t *Tree) Requirements() ds.Requirements { return Req }
 
 // MemStats reports allocator statistics.
 func (t *Tree) MemStats() mem.Stats { return t.pool.Stats() }

@@ -6,11 +6,14 @@ import (
 
 	"nbr/internal/catalog"
 	"nbr/internal/ds/harrislist"
+	"nbr/internal/dstest"
 )
 
 // TestQuickSetSemantics drives random operation sequences against a map
 // model under aggressive reclamation (tiny bag), so logical results,
-// marking, chain splicing and reclamation all interleave.
+// marking, chain splicing and reclamation all interleave. One draw in four
+// comes from dstest.TopBitKeys: pairs differing only in bit 63 must stay two
+// keys under the shared list's (Key, Sub) order.
 func TestQuickSetSemantics(t *testing.T) {
 	l := harrislist.New(1)
 	cfg := catalog.DefaultSchemeConfig()
@@ -23,6 +26,9 @@ func TestQuickSetSemantics(t *testing.T) {
 	model := map[uint64]bool{}
 	f := func(key uint16, op uint8) bool {
 		k := uint64(key%48) + 1
+		if key%4 == 0 {
+			k = dstest.TopBitKeys[int(key/4)%len(dstest.TopBitKeys)]
+		}
 		switch op % 3 {
 		case 0:
 			ok := l.Insert(g, k) == !model[k]

@@ -25,12 +25,12 @@
 package hashmap
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 	"sync/atomic"
 
 	"nbr/internal/ds"
+	"nbr/internal/ds/marklist"
 	"nbr/internal/mem"
 	"nbr/internal/smr"
 )
@@ -44,25 +44,6 @@ const (
 	loadFactor = 3
 )
 
-// node is a list record. Data nodes carry skey = reverse(key)|1 (odd);
-// bucket dummies carry skey = reverse(bucket) (even) and key 0. The list is
-// sorted lexicographically by (skey, key); the key tiebreak separates the
-// two keys that differ only in their top bit and so share a reversed skey.
-// Bucket cells are node slots too: a cell's next field holds the mem.Ptr of
-// its dummy (Null while uninitialized), which lets a whole cell array be
-// carved from the node pool as one contiguous Run.
-type node struct {
-	skey uint64
-	key  uint64
-	next uint64 // mem.Ptr | mark (data/dummy) or dummy mem.Ptr (cell)
-}
-
-type view struct {
-	skey uint64
-	key  uint64
-	next mem.Ptr // raw: may carry the mark bit
-}
-
 // table is one installed bucket array. The descriptor itself is a GC-managed
 // Go value behind an atomic pointer — only the cells (pool slots) are
 // manually reclaimed, as the segment seg, which stands for the whole run.
@@ -73,14 +54,21 @@ type table struct {
 }
 
 // Map is a lock-free resizable hash set of uint64 keys.
+//
+// Its list is a marklist.List ordered by (skey, hi). A data node's Key is
+// skey = reverse(key)|1 (odd); the |1 overwrites reverse(key)'s bit 0, which
+// is key's top bit, so that one bit — hi — is kept in the node's Sub and the
+// user key is never stored: userKey rebuilds it. hi is also the tiebreak
+// between the two keys that differ only in their top bit and so share a
+// skey. A bucket dummy carries Key = reverse(bucket) (even) and Sub 0.
+// Bucket cells are node slots too: a cell's Next field holds the mem.Ptr of
+// its dummy (Null while uninitialized), which lets a whole cell array be
+// carved from the node pool as one contiguous Run.
 type Map struct {
-	pool    *mem.Pool[node]
-	tab     atomic.Pointer[table]
-	count   atomic.Int64
-	resizes atomic.Uint64
-	head    mem.Ptr // bucket-0 dummy; also every table's cell 0
-	tail    mem.Ptr
-	scratch [][]mem.Ptr // per-thread marked-chain collection buffers
+	marklist.List // Head is the bucket-0 dummy; also every table's cell 0
+	tab           atomic.Pointer[table]
+	count         atomic.Int64
+	resizes       atomic.Uint64
 	// perNode switches retireTable to the dissolve-and-retire-each-cell
 	// baseline the resize-burst benchmark compares against. It is only
 	// safe under interval/grace schemes (he, ibr, qsbr, rcu, debra,
@@ -109,41 +97,21 @@ func NewPerNodeWith(cfg mem.Config) *Map {
 }
 
 func newMap(cfg mem.Config, perNode bool) *Map {
-	m := &Map{
-		pool:    mem.NewPool[node](cfg),
-		scratch: ds.NewRetireScratch(cfg.MaxThreads),
-		perNode: perNode,
-	}
-	tp, tn := m.pool.Alloc(0)
-	atomic.StoreUint64(&tn.skey, ds.MaxKey)
-	atomic.StoreUint64(&tn.key, ds.MaxKey)
-	atomic.StoreUint64(&tn.next, uint64(mem.Null))
-	hp, hn := m.pool.Alloc(0)
-	atomic.StoreUint64(&hn.skey, 0) // bucket-0 dummy
-	atomic.StoreUint64(&hn.key, 0)
-	atomic.StoreUint64(&hn.next, uint64(tp))
-	m.head, m.tail = hp, tp
-
-	run := m.pool.AllocBatch(0, initialBuckets)
-	atomic.StoreUint64(&m.pool.Raw(run.At(0)).next, uint64(hp))
-	seg := m.pool.NewSegment(0, run)
+	m := &Map{List: marklist.New(cfg), perNode: perNode}
+	run := m.Pool.AllocBatch(0, initialBuckets)
+	atomic.StoreUint64(&m.Pool.Raw(run.At(0)).Next, uint64(m.Head))
+	seg := m.Pool.NewSegment(0, run)
 	m.tab.Store(&table{seg: seg, run: run, mask: initialBuckets - 1})
 	return m
 }
 
-// Arena exposes the map's allocator to reclamation schemes.
-func (m *Map) Arena() mem.Arena { return m.pool }
+// Req is the width the map declares: the traversal uses the Harris slots
+// (left in 0, cursor alternating 1 and 2) plus slot 3 for the current
+// table's segment handle; endΦread reserves left, right and the handle.
+var Req = ds.Requirements{Slots: 4, Reservations: 3, Threshold: ds.DefaultThreshold}
 
-// Requirements implements the per-DS width hook: the traversal uses the
-// Harris slots (left in 0, cursor alternating 1 and 2) plus slot 3 for the
-// current table's segment handle; endΦread reserves left, right and the
-// handle.
-func (m *Map) Requirements() ds.Requirements {
-	return ds.Requirements{Slots: 4, Reservations: 3, Threshold: ds.DefaultThreshold}
-}
-
-// MemStats reports allocator statistics.
-func (m *Map) MemStats() mem.Stats { return m.pool.Stats() }
+// Requirements implements the per-DS width hook.
+func (m *Map) Requirements() ds.Requirements { return Req }
 
 // Resizes reports how many tables have been installed over the initial one.
 func (m *Map) Resizes() uint64 { return m.resizes.Load() }
@@ -151,8 +119,16 @@ func (m *Map) Resizes() uint64 { return m.resizes.Load() }
 // Buckets reports the current table's cell count (racy snapshot).
 func (m *Map) Buckets() int { return int(m.tab.Load().mask) + 1 }
 
-// dataSkey is the split-order key of a data node: bit-reversed, odd.
-func dataSkey(key uint64) uint64 { return bits.Reverse64(key) | 1 }
+// split is a data node's place in split order: the bit-reversed key made
+// odd, and the top bit of key that the |1 overwrote.
+func split(key uint64) (skey uint64, hi uint32) {
+	return bits.Reverse64(key) | 1, uint32(key >> 63)
+}
+
+// userKey is split's inverse.
+func userKey(skey uint64, hi uint32) uint64 {
+	return bits.Reverse64(skey&^1) | uint64(hi)<<63
+}
 
 // dummySkey is the split-order key of bucket b's dummy: bit-reversed, even.
 func dummySkey(b uint64) uint64 { return bits.Reverse64(b) }
@@ -162,41 +138,6 @@ func dummySkey(b uint64) uint64 { return bits.Reverse64(b) }
 // list head, installed at construction).
 func parent(b uint64) uint64 { return b &^ (1 << (bits.Len64(b) - 1)) }
 
-// before reports (ask, akey) < (bsk, bkey) in split order.
-func before(ask, akey, bsk, bkey uint64) bool {
-	return ask < bsk || (ask == bsk && akey < bkey)
-}
-
-// read is the barriered copy (see lazylist.read for the protocol).
-func (m *Map) read(br *smr.Barrier, slot int, p mem.Ptr) (view, bool) {
-	br.Protect(slot, p)
-	n, gen := m.pool.Slot(p)
-	var v view
-	v.skey = atomic.LoadUint64(&n.skey)
-	v.key = atomic.LoadUint64(&n.key)
-	v.next = mem.Ptr(atomic.LoadUint64(&n.next))
-	if !gen.Is(p) {
-		return view{}, br.Stale(p)
-	}
-	return v, true
-}
-
-// rawNext re-reads a protected node's link (validation and write phases).
-func (m *Map) rawNext(g smr.Guard, p mem.Ptr) mem.Ptr {
-	n, gen := m.pool.Slot(p)
-	v := mem.Ptr(atomic.LoadUint64(&n.next))
-	if !gen.Is(p) {
-		g.OnStale(p)
-	}
-	return v
-}
-
-// casNext CASes a reserved/protected node's link.
-func (m *Map) casNext(p mem.Ptr, old, new mem.Ptr) bool {
-	n := m.pool.MustGet(p)
-	return atomic.CompareAndSwapUint64(&n.next, uint64(old), uint64(new))
-}
-
 // loadCell reads cell b of tab's array inside a read phase. The cell slot is
 // pinned by the array's segment handle (slot 3), not individually: Protect
 // on the member is hp-redundant but is NBR's access barrier (poll before
@@ -205,8 +146,8 @@ func (m *Map) casNext(p mem.Ptr, old, new mem.Ptr) bool {
 func (m *Map) loadCell(br *smr.Barrier, slot int, tab *table, b uint64) (mem.Ptr, bool) {
 	c := tab.run.At(int(b))
 	br.Protect(slot, c)
-	n, gen := m.pool.Slot(c)
-	v := mem.Ptr(atomic.LoadUint64(&n.next))
+	n, gen := m.Pool.Slot(c)
+	v := mem.Ptr(atomic.LoadUint64(&n.Next))
 	if !gen.Is(c) {
 		return mem.Null, br.Stale(c)
 	}
@@ -218,19 +159,9 @@ func (m *Map) loadCell(br *smr.Barrier, slot int, tab *table, b uint64) (mem.Ptr
 // Losing the race is fine — cells only ever go Null → dummy, and both racers
 // insert-or-find the same dummy before attempting the CAS.
 func (m *Map) casCell(tab *table, b uint64, dp mem.Ptr) {
-	n := m.pool.MustGet(tab.run.At(int(b)))
-	atomic.CompareAndSwapUint64(&n.next, uint64(mem.Null), uint64(dp))
+	n := m.Pool.MustGet(tab.run.At(int(b)))
+	atomic.CompareAndSwapUint64(&n.Next, uint64(mem.Null), uint64(dp))
 }
-
-// scratchReset empties the per-thread marked-chain buffer.
-//
-//nbr:restartable — the buffer is private to this Tid and a neutralization restart's first action is another reset, so a torn write is unobservable
-func scratchReset(s *[]mem.Ptr) { *s = (*s)[:0] }
-
-// scratchPush records one marked node for the post-phase RetireBatch.
-//
-//nbr:restartable — appends to Tid-private storage that the restart path resets; growth allocates, which is safe under the panic-based neutralization this repo simulates (no signal handler to longjmp over the allocator)
-func scratchPush(s *[]mem.Ptr, p mem.Ptr) { *s = append(*s, p) }
 
 // bucketStart resolves where bucket b's chain begins in tab: one read phase
 // walking b's ancestor cells toward bucket 0 (whose cell is always the list
@@ -280,122 +211,60 @@ searchAgain:
 func (m *Map) initBucket(g smr.Guard, br *smr.Barrier, tab *table, start mem.Ptr, b uint64) bool {
 	dsk := dummySkey(b)
 	for {
-		left, right, rightV, ok := m.listSearch(g, br, tab, start, dsk, 0)
+		left, right, found, ok := m.listSearch(g, br, tab, start, dsk, 0)
 		if !ok {
 			return false
 		}
 		dp := right
-		if right == m.tail || rightV.skey != dsk || rightV.key != 0 {
-			// Write phase: allocate and link the dummy (legal here — the
-			// thread is non-restartable after listSearch's endΦread).
-			np, nn := m.pool.Alloc(g.Tid())
-			atomic.StoreUint64(&nn.skey, dsk)
-			atomic.StoreUint64(&nn.key, 0)
-			atomic.StoreUint64(&nn.next, uint64(right))
-			g.OnAlloc(np)
-			if !m.casNext(left, right, np) {
-				// Lost the race: the private node is unpublished.
-				m.pool.Free(g.Tid(), np)
-				continue
+		if !found {
+			if dp = m.List.Insert(g, left, right, dsk, 0); dp == mem.Null {
+				continue // lost the link race; search again
 			}
-			dp = np
 		}
 		m.casCell(tab, b, dp)
 		return true
 	}
 }
 
-// listSearch finds the unmarked pair (left, right) bracketing (sk, key) in
+// listSearch finds the unmarked pair (left, right) bracketing (sk, hi) in
 // split order, starting from a dummy, splicing out any marked chain in
-// between (see harrislist.search; the slot discipline is identical with the
-// segment handle added: left in slot 0, cursor alternating 1 and 2, and the
-// handle re-announced in slot 3 at every phase start — BeginRead wipes the
-// reservation row, so the endΦread here must re-reserve the handle (slot 2)
-// for the caller's cell writes and array reads to stay covered). ok=false
-// means tab is no longer installed.
-func (m *Map) listSearch(g smr.Guard, br *smr.Barrier, tab *table, start mem.Ptr, sk, key uint64) (left, right mem.Ptr, rightV view, ok bool) {
-	scratch := &m.scratch[g.Tid()]
-searchAgain:
+// between, and returns it with whether right holds (sk, hi). It is
+// harrislist.search with the segment handle added: the handle is announced in
+// slot 3 at every phase start, ahead of the traversal's slots 0–2, and —
+// BeginRead wipes the reservation row — re-reserved (slot 2) at endΦread for
+// the caller's cell writes and array reads to stay covered. ok=false means
+// tab is no longer installed.
+func (m *Map) listSearch(g smr.Guard, br *smr.Barrier, tab *table, start mem.Ptr, sk uint64, hi uint32) (mem.Ptr, mem.Ptr, bool, bool) {
 	for {
 		g.BeginRead()
-		scratchReset(scratch)
 		br.Protect(3, tab.seg)
 		if m.tab.Load() != tab {
 			g.EndRead()
-			return mem.Null, mem.Null, view{}, false
+			return mem.Null, mem.Null, false, false
 		}
-
-		t := start
-		tV, _ := m.read(br, 0, t) // start is a dummy, never freed
-		left, right = t, mem.Null
-		leftNext := tV.next
-		slot := 1
-
-		// Traverse until an unmarked node at or past the target.
-		for {
-			if !tV.next.Marked() {
-				left = t
-				leftNext = tV.next
-				br.Protect(0, left) // left already covered; renew slot 0
-				scratchReset(scratch)
-			} else {
-				scratchPush(scratch, t)
-			}
-			next := tV.next.Unmarked()
-			if next == m.tail {
-				right = m.tail
-				rightV = view{skey: ds.MaxKey, key: ds.MaxKey, next: mem.Null}
-				break
-			}
-			nv, ok := m.read(br, slot, next)
-			if !ok {
-				continue searchAgain
-			}
-			if br.NeedsValidation() && m.rawNext(g, t).Unmarked() != next {
-				continue searchAgain
-			}
-			t, tV = next, nv
-			slot ^= 3 // alternate 1 <-> 2
-			if !tV.next.Marked() && !before(tV.skey, tV.key, sk, key) {
-				right = t
-				rightV = tV
-				break
-			}
+		left, leftNext, right, found, ok := m.Traverse(g, br, start, sk, hi)
+		if !ok {
+			continue
 		}
-
 		// endΦread(left, right, segment handle).
 		g.Reserve(0, left)
 		g.Reserve(1, right)
 		g.Reserve(2, tab.seg)
 		g.EndRead()
-
-		if leftNext == right {
-			// Adjacent already; restart if right got marked meanwhile.
-			if right != m.tail && m.rawNext(g, right).Marked() {
-				continue searchAgain
-			}
-			return left, right, rightV, true
-		}
-
-		// Splice out the marked chain [leftNext, right) — the auxiliary
-		// write phase. The winner retires the whole chain in one batch.
-		if m.casNext(left, leftNext, right) {
-			g.RetireBatch(*scratch)
-			if right != m.tail && m.rawNext(g, right).Marked() {
-				continue searchAgain
-			}
-			return left, right, rightV, true
+		if m.Splice(g, left, leftNext, right) {
+			return left, right, found, true
 		}
 	}
 }
 
 // locate brings bucket (key & mask) fully initialized and returns the
-// bracketing pair for (sk, key) under a table that was the installed one
-// when the final listSearch announced it; left, right and the table's
-// segment handle are reserved on return.
-func (m *Map) locate(g smr.Guard, br *smr.Barrier, sk, key uint64) (tab *table, left, right mem.Ptr, rightV view) {
+// bracketing pair for key's (sk, hi), with whether right holds it, under a
+// table that was the installed one when the final listSearch announced it;
+// left, right and the table's segment handle are reserved on return.
+func (m *Map) locate(g smr.Guard, br *smr.Barrier, key uint64) (*table, mem.Ptr, mem.Ptr, bool) {
+	sk, hi := split(key)
 	for {
-		tab = m.tab.Load()
+		tab := m.tab.Load()
 		start, initb, ok := m.bucketStart(g, br, tab, key&tab.mask)
 		if !ok {
 			continue
@@ -404,21 +273,18 @@ func (m *Map) locate(g smr.Guard, br *smr.Barrier, sk, key uint64) (tab *table, 
 			m.initBucket(g, br, tab, start, uint64(initb))
 			continue // re-resolve: deeper ancestors may still be missing
 		}
-		l, r, rv, ok := m.listSearch(g, br, tab, start, sk, key)
-		if !ok {
-			continue
+		if left, right, found, ok := m.listSearch(g, br, tab, start, sk, hi); ok {
+			return tab, left, right, found
 		}
-		return tab, l, r, rv
 	}
 }
 
 // Contains implements ds.Set via a full search (which may help unlink).
 func (m *Map) Contains(g smr.Guard, key uint64) bool {
-	sk := dataSkey(key)
 	br := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
-		_, _, right, rightV := m.locate(g, &br, sk, key)
-		return right != m.tail && rightV.skey == sk && rightV.key == key
+		_, _, _, found := m.locate(g, &br, key)
+		return found
 	})
 }
 
@@ -427,27 +293,19 @@ func (m *Map) Contains(g smr.Guard, key uint64) bool {
 // its final endΦread, which is what makes reading the old cells and CASing
 // the table pointer safe in its write phase.
 func (m *Map) Insert(g smr.Guard, key uint64) bool {
-	sk := dataSkey(key)
+	sk, hi := split(key)
 	br := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
 		for {
-			tab, left, right, rightV := m.locate(g, &br, sk, key)
-			if right != m.tail && rightV.skey == sk && rightV.key == key {
+			tab, left, right, found := m.locate(g, &br, key)
+			if found {
 				return false
 			}
-			np, nn := m.pool.Alloc(g.Tid())
-			atomic.StoreUint64(&nn.skey, sk)
-			atomic.StoreUint64(&nn.key, key)
-			atomic.StoreUint64(&nn.next, uint64(right))
-			g.OnAlloc(np)
-			if m.casNext(left, right, np) {
+			if m.List.Insert(g, left, right, sk, hi) != mem.Null {
 				m.count.Add(1)
 				m.maybeResize(g, tab)
 				return true
 			}
-			// Lost the race: the private node is unpublished, free it
-			// directly and start a fresh read phase.
-			m.pool.Free(g.Tid(), np)
 		}
 	})
 }
@@ -456,29 +314,17 @@ func (m *Map) Insert(g smr.Guard, key uint64) bool {
 // unlink; on failure the next search performs the unlink and retires.
 // Dummies are unreachable here — their skeys are even, data skeys odd.
 func (m *Map) Delete(g smr.Guard, key uint64) bool {
-	sk := dataSkey(key)
 	br := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
 		for {
-			_, left, right, rightV := m.locate(g, &br, sk, key)
-			if right == m.tail || rightV.skey != sk || rightV.key != key {
+			_, left, right, found := m.locate(g, &br, key)
+			if !found {
 				return false
 			}
-			succ := m.rawNext(g, right)
-			if succ.Marked() {
-				continue // another deleter got here first; help via search
+			if m.List.Delete(g, left, right) {
+				m.count.Add(-1)
+				return true
 			}
-			if !m.casNext(right, succ, succ.WithMark()) {
-				continue // link changed under us; retry from a fresh search
-			}
-			m.count.Add(-1)
-			// The mark CAS is the linearization point. Try the physical
-			// unlink once; on failure leave the node for a later search to
-			// splice and retire.
-			if m.casNext(left, right, succ) {
-				g.Retire(right)
-			}
-			return true
 		}
 	})
 }
@@ -506,19 +352,19 @@ func (m *Map) maybeResize(g smr.Guard, tab *table) {
 func (m *Map) resize(g smr.Guard, tab *table) {
 	tid := g.Tid()
 	n := int(tab.mask) + 1
-	run := m.pool.AllocBatch(tid, 2*n)
+	run := m.Pool.AllocBatch(tid, 2*n)
 	for i := 0; i < n; i++ {
-		c := atomic.LoadUint64(&m.pool.Raw(tab.run.At(i)).next)
-		atomic.StoreUint64(&m.pool.Raw(run.At(i)).next, c)
+		c := atomic.LoadUint64(&m.Pool.Raw(tab.run.At(i)).Next)
+		atomic.StoreUint64(&m.Pool.Raw(run.At(i)).Next, c)
 	}
-	seg := m.pool.NewSegment(tid, run)
+	seg := m.Pool.NewSegment(tid, run)
 	g.OnAlloc(seg)
 	nt := &table{seg: seg, run: run, mask: uint64(2*n) - 1}
 	if m.tab.CompareAndSwap(tab, nt) {
 		m.resizes.Add(1)
 		m.retireTable(g, tab)
 	} else {
-		m.pool.Free(tid, seg)
+		m.Pool.Free(tid, seg)
 	}
 }
 
@@ -527,12 +373,12 @@ func (m *Map) resize(g smr.Guard, tab *table) {
 // per-node baseline — a dissolve into K individual retires, which is the
 // scheme-side cost the segment path exists to collapse.
 func (m *Map) retireTable(g smr.Guard, tab *table) {
-	sa := mem.AsSegmentArena(m.pool)
+	sa := mem.AsSegmentArena(m.Pool)
 	if !m.perNode || sa == nil {
 		g.RetireSegment(tab.seg)
 		return
 	}
-	run, ok := m.pool.DissolveSegment(tab.seg)
+	run, ok := m.Pool.DissolveSegment(tab.seg)
 	if !ok {
 		g.RetireSegment(tab.seg)
 		return
@@ -558,37 +404,16 @@ func (m *Map) BuildMarkedChain(g smr.Guard, n int) int {
 	for i := 1; i <= n; i++ {
 		m.Insert(g, uint64(i)<<32)
 	}
-	marked := 0
-	for p := m.next(m.head); p != m.tail; p = m.next(p) {
-		nd := m.pool.Raw(p)
-		k := atomic.LoadUint64(&nd.key)
-		sk := atomic.LoadUint64(&nd.skey)
-		next := atomic.LoadUint64(&nd.next)
-		if sk&1 == 1 && k&(1<<32-1) == 0 && k>>32 >= 1 && k>>32 <= uint64(n) &&
-			!mem.Ptr(next).Marked() {
-			if atomic.CompareAndSwapUint64(&nd.next, next, uint64(mem.Ptr(next).WithMark())) {
-				marked++
-			}
-		}
-	}
-	return marked
+	return m.MarkWhere(func(sk uint64, hi uint32) bool {
+		k := userKey(sk, hi)
+		return sk&1 == 1 && k&(1<<32-1) == 0 && k>>32 >= 1 && k>>32 <= uint64(n)
+	})
 }
 
 // Len implements ds.Set (quiescent): counts unmarked data nodes.
-func (m *Map) Len() int {
-	n := 0
-	for p := m.next(m.head); p != m.tail; p = m.next(p) {
-		nd := m.pool.Raw(p)
-		if atomic.LoadUint64(&nd.skey)&1 == 1 &&
-			!mem.Ptr(atomic.LoadUint64(&nd.next)).Marked() {
-			n++
-		}
-	}
+func (m *Map) Len() (n int) {
+	m.Walk(func(_ mem.Ptr, v marklist.View) { n += int(v.Key & 1) })
 	return n
-}
-
-func (m *Map) next(p mem.Ptr) mem.Ptr {
-	return mem.Ptr(atomic.LoadUint64(&m.pool.Raw(p).next)).Unmarked()
 }
 
 // Validate implements ds.Set (quiescent): the list strictly sorted in split
@@ -598,30 +423,14 @@ func (m *Map) next(p mem.Ptr) mem.Ptr {
 // internal counter: a killed thread can die between its link CAS and the
 // counter update, a permanent but benign drift.
 func (m *Map) Validate() error {
-	dummies := map[mem.Ptr]uint64{m.head: 0}
-	prevSK, prevK := uint64(0), uint64(0)
-	p := m.next(m.head)
-	for p != m.tail {
-		if p.IsNull() {
-			return errors.New("hashmap: reachable nil before tail")
+	dummies := map[mem.Ptr]uint64{m.Head: 0}
+	err := m.Walk(func(p mem.Ptr, v marklist.View) {
+		if v.Key&1 == 0 {
+			dummies[p] = v.Key
 		}
-		n, ok := m.pool.Get(p)
-		if !ok {
-			return fmt.Errorf("hashmap: freed node %v reachable", p)
-		}
-		sk := atomic.LoadUint64(&n.skey)
-		k := atomic.LoadUint64(&n.key)
-		if !mem.Ptr(atomic.LoadUint64(&n.next)).Marked() {
-			if !before(prevSK, prevK, sk, k) {
-				return fmt.Errorf("hashmap: split order violated ((%d,%d) after (%d,%d))",
-					sk, k, prevSK, prevK)
-			}
-			prevSK, prevK = sk, k
-			if sk&1 == 0 {
-				dummies[p] = sk
-			}
-		}
-		p = m.next(p)
+	})
+	if err != nil {
+		return fmt.Errorf("hashmap: %w", err)
 	}
 	tab := m.tab.Load()
 	if tab.run.Len() != int(tab.mask)+1 {
@@ -629,14 +438,14 @@ func (m *Map) Validate() error {
 	}
 	for b := uint64(0); b <= tab.mask; b++ {
 		cell := tab.run.At(int(b))
-		if !m.pool.Valid(cell) {
+		if !m.Pool.Valid(cell) {
 			return fmt.Errorf("hashmap: cell %d of installed table freed", b)
 		}
-		dp := mem.Ptr(atomic.LoadUint64(&m.pool.Raw(cell).next))
+		dp := mem.Ptr(atomic.LoadUint64(&m.Pool.Raw(cell).Next))
 		if dp == mem.Null {
 			continue // lazily uninitialized
 		}
-		if b == 0 && dp != m.head {
+		if b == 0 && dp != m.Head {
 			return fmt.Errorf("hashmap: cell 0 is %v, not the head", dp)
 		}
 		sk, ok := dummies[dp]

@@ -109,6 +109,89 @@ func TestResizeGrowth(t *testing.T) {
 	}
 }
 
+// TestTopBitPairs pins the one bit of a key the node does not store in its
+// record: two keys that differ only in bit 63 share a split-order key and are
+// told apart by the header word alone. Each member of a pair must insert,
+// be found and delete independently of the other, across a resize, and a
+// slot recycled from a deleted k|1<<63 must not hand its header word to the
+// k inserted into it.
+func TestTopBitPairs(t *testing.T) {
+	m := hashmap.New(1)
+	cfg := catalog.DefaultSchemeConfig()
+	cfg.BagSize = 8
+	sch, err := catalog.NewSchemeFor("nbr+", m.Arena(), 1, cfg, m.Requirements())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := sch.Guard(0)
+	const top = uint64(1) << 63
+	in, filler := map[uint64]bool{}, 0 // the pair keys present; other keys present
+	check := func(when string) {
+		t.Helper()
+		for _, k := range dstest.TopBitKeys {
+			if m.Contains(g, k) != in[k] {
+				t.Fatalf("%s: Contains(%#x) = %v, want %v", when, k, !in[k], in[k])
+			}
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if got, want := m.Len(), len(in)+filler; got != want {
+			t.Fatalf("%s: Len = %d, want %d", when, got, want)
+		}
+	}
+
+	// Insert one key at a time: its pair partner must stay absent until its
+	// own insert, and a second insert of either must fail.
+	for _, k := range dstest.TopBitKeys {
+		if !m.Insert(g, k) {
+			t.Fatalf("Insert(%#x) failed", k)
+		}
+		in[k] = true
+		check("after insert")
+		if m.Insert(g, k) {
+			t.Fatalf("duplicate Insert(%#x) succeeded", k)
+		}
+	}
+	// Carry them through resizes.
+	for k := uint64(100); k < 200; k++ {
+		m.Insert(g, k)
+		filler++
+	}
+	if m.Resizes() == 0 {
+		t.Fatal("100 filler inserts over 8 buckets must resize")
+	}
+	check("after resize")
+
+	// Delete both members of a pair, top-bit one last, and let the scheme
+	// free their slots: the next allocations recycle them, the top-bit
+	// member's — header word still 1 — among them. Every key inserted into a
+	// recycled slot must come out as itself, not as its top-bit partner.
+	for _, k := range []uint64{1, 5} {
+		if !m.Delete(g, k) || m.Delete(g, k) {
+			t.Fatalf("Delete(%#x) semantics wrong", k)
+		}
+		delete(in, k)
+		check("after deleting the low member")
+		if !m.Delete(g, k|top) {
+			t.Fatalf("Delete(%#x) failed", k|top)
+		}
+		delete(in, k|top)
+		drainStorm(t, sch, m, 1, "nbr+")
+		for _, j := range []uint64{k, 1000 + k, 2000 + k} {
+			if !m.Insert(g, j) {
+				t.Fatalf("Insert(%#x) into a recycled slot failed", j)
+			}
+			if !m.Contains(g, j) || m.Contains(g, j|top) {
+				t.Fatalf("key %#x inserted into a recycled slot inherited its header word", j)
+			}
+		}
+		in[k] = true
+		filler += 2
+		check("after refilling the recycled slots")
+	}
+}
+
 // TestPerNodeBaseline exercises the benchmark's A/B seam: the per-node map
 // dissolves each old array and retires every cell individually, so the
 // scheme must see zero segments while the map still resizes correctly. Run

@@ -21,7 +21,7 @@ import (
 //nbr:allow readphase — the stalled reader IS the fixture: the test parks inside an open read phase on purpose, drives the writer and the assertions around it from the same goroutine, and only then closes the phase; nothing here is a library traversal the protocol could restart
 func TestMidResizeReader(t *testing.T) {
 	m := NewWith(mem.Config{MaxThreads: 2})
-	sch := hp.New(m.pool, 2, hp.Config{Slots: 4, Threshold: 16})
+	sch := hp.New(m.Pool, 2, hp.Config{Slots: 4, Threshold: 16})
 	w, r := sch.Guard(0), sch.Guard(1)
 
 	old := m.tab.Load()
@@ -71,11 +71,11 @@ func TestMidResizeReader(t *testing.T) {
 	// cell must still be valid — freeing any of them while the reader can
 	// still dereference the old table would be the use-after-free the
 	// segment protocol exists to prevent.
-	if !m.pool.Valid(old.seg) {
+	if !m.Pool.Valid(old.seg) {
 		t.Fatal("segment handle freed while a reader hazard names it")
 	}
 	for i := 0; i < old.run.Len(); i++ {
-		if !m.pool.Valid(old.run.At(i)) {
+		if !m.Pool.Valid(old.run.At(i)) {
 			t.Fatalf("cell %d freed under the reader (handle hazard must pin all members)", i)
 		}
 	}
@@ -92,15 +92,15 @@ func TestMidResizeReader(t *testing.T) {
 		if dp == mem.Null {
 			continue
 		}
-		n, live := m.pool.Get(dp)
+		n, live := m.Pool.Get(dp)
 		if !live {
 			t.Fatalf("cell %d points at a freed dummy", b)
 		}
-		if sk := n.skey; sk&1 != 0 {
+		if sk := n.Key; sk&1 != 0 {
 			t.Fatalf("cell %d points at a data node (skey %#x)", b, sk)
 		}
 	}
-	if dp, _ := m.loadCell(&rb, 0, old, 0); dp != m.head {
+	if dp, _ := m.loadCell(&rb, 0, old, 0); dp != m.Head {
 		t.Fatal("old cell 0 must still be the list head")
 	}
 
@@ -121,7 +121,7 @@ func TestMidResizeReader(t *testing.T) {
 		t.Fatalf("drain after reader exit stalled: retired %d, freed %d", st.Retired, st.Freed)
 	}
 	for i := 0; i < old.run.Len(); i++ {
-		if m.pool.Valid(old.run.At(i)) {
+		if m.Pool.Valid(old.run.At(i)) {
 			t.Fatalf("cell %d of the retired array survived the drain", i)
 		}
 	}
@@ -142,7 +142,7 @@ func TestMidResizeReader(t *testing.T) {
 //nbr:allow readphase — the stalled reader IS the fixture: the test parks inside an open read phase on purpose and drives the writer around it from the same goroutine
 func TestOversizedSegmentReaderHP(t *testing.T) {
 	m := NewWith(mem.Config{MaxThreads: 2})
-	sch := hp.New(m.pool, 2, hp.Config{Slots: 4, Threshold: 16})
+	sch := hp.New(m.Pool, 2, hp.Config{Slots: 4, Threshold: 16})
 	w, r := sch.Guard(0), sch.Guard(1)
 
 	// Grow the table past the threshold: after two resizes the installed
@@ -193,11 +193,11 @@ func TestOversizedSegmentReaderHP(t *testing.T) {
 			t.Fatalf("churn pair %d failed", i)
 		}
 	}
-	if !m.pool.Valid(old.seg) {
+	if !m.Pool.Valid(old.seg) {
 		t.Fatal("segment handle freed while a reader hazard names it")
 	}
 	for i := 0; i < old.run.Len(); i++ {
-		if !m.pool.Valid(old.run.At(i)) {
+		if !m.Pool.Valid(old.run.At(i)) {
 			t.Fatalf("cell %d freed under the reader (carving an announced handle?)", i)
 		}
 	}
@@ -216,7 +216,7 @@ func TestOversizedSegmentReaderHP(t *testing.T) {
 		t.Fatalf("drain after reader exit stalled: retired %d, freed %d", st.Retired, st.Freed)
 	}
 	for i := 0; i < old.run.Len(); i++ {
-		if m.pool.Valid(old.run.At(i)) {
+		if m.Pool.Valid(old.run.At(i)) {
 			t.Fatalf("cell %d of the retired array survived the drain", i)
 		}
 	}
@@ -231,7 +231,7 @@ func TestOversizedSegmentReaderHP(t *testing.T) {
 // cells out from under exactly this reservation.
 func TestOversizedSegmentReaderNBR(t *testing.T) {
 	m := NewWith(mem.Config{MaxThreads: 2})
-	sch := core.New(m.pool, 2, core.Config{BagSize: 16, Slots: 4})
+	sch := core.New(m.Pool, 2, core.Config{BagSize: 16, Slots: 4})
 	w, r := sch.Guard(0), sch.Guard(1)
 
 	k := uint64(0)
@@ -286,11 +286,11 @@ func TestOversizedSegmentReaderNBR(t *testing.T) {
 			t.Fatalf("churn pair %d failed", i)
 		}
 	}
-	if !m.pool.Valid(old.seg) {
+	if !m.Pool.Valid(old.seg) {
 		t.Fatal("segment handle freed while a peer reservation names it")
 	}
 	for i := 0; i < old.run.Len(); i++ {
-		if !m.pool.Valid(old.run.At(i)) {
+		if !m.Pool.Valid(old.run.At(i)) {
 			t.Fatalf("cell %d freed under the reservation (carving a reserved handle?)", i)
 		}
 	}
@@ -316,7 +316,7 @@ func TestOversizedSegmentReaderNBR(t *testing.T) {
 		t.Fatalf("drain after reader exit stalled: retired %d, freed %d", st.Retired, st.Freed)
 	}
 	for i := 0; i < old.run.Len(); i++ {
-		if m.pool.Valid(old.run.At(i)) {
+		if m.Pool.Valid(old.run.At(i)) {
 			t.Fatalf("cell %d of the retired array survived the drain", i)
 		}
 	}

@@ -15,11 +15,8 @@
 package hmlist
 
 import (
-	"errors"
-	"fmt"
-	"sync/atomic"
-
 	"nbr/internal/ds"
+	"nbr/internal/ds/marklist"
 	"nbr/internal/mem"
 	"nbr/internal/smr"
 )
@@ -36,16 +33,10 @@ const (
 	NoRestart
 )
 
-type node struct {
-	key  uint64
-	next uint64 // mem.Ptr | mark
-}
-
-// List is a Harris-Michael list set.
+// List is a Harris-Michael list set: the shared marked-link list (marklist:
+// record, write steps, Len and Validate) under Michael's find.
 type List struct {
-	pool    *mem.Pool[node]
-	head    mem.Ptr
-	tail    mem.Ptr
+	marklist.List
 	variant Variant
 }
 
@@ -58,99 +49,53 @@ func New(threads int, v Variant) *List {
 // shared-arena runtime uses, stamping its assigned arena tag (cfg.Tag) into
 // every node handle so a mem.Hub can route frees back here.
 func NewWith(cfg mem.Config, v Variant) *List {
-	l := &List{pool: mem.NewPool[node](cfg), variant: v}
-	tp, tn := l.pool.Alloc(0)
-	atomic.StoreUint64(&tn.key, ds.MaxKey)
-	atomic.StoreUint64(&tn.next, uint64(mem.Null))
-	hp, hn := l.pool.Alloc(0)
-	atomic.StoreUint64(&hn.key, ds.MinKey)
-	atomic.StoreUint64(&hn.next, uint64(tp))
-	l.head, l.tail = hp, tp
-	return l
+	return &List{List: marklist.New(cfg), variant: v}
 }
 
-// Arena exposes the list's allocator to reclamation schemes.
-func (l *List) Arena() mem.Arena { return l.pool }
+// Req is the width the list declares: find alternates two Protect slots
+// (prev/curr) and reserves the same pair. The retire threshold is declared
+// explicitly so the narrow slot width does not raise the hp/he scan
+// frequency.
+var Req = ds.Requirements{Slots: 2, Reservations: 2, Threshold: ds.DefaultThreshold}
 
-// Requirements implements the per-DS width hook: find alternates two
-// Protect slots (prev/curr) and reserves the same pair. The retire
-// threshold is declared explicitly so the narrow slot width does not raise
-// the hp/he scan frequency.
-func (l *List) Requirements() ds.Requirements {
-	return ds.Requirements{Slots: 2, Reservations: 2, Threshold: ds.DefaultThreshold}
-}
-
-// MemStats reports allocator statistics.
-func (l *List) MemStats() mem.Stats { return l.pool.Stats() }
-
-type view struct {
-	key  uint64
-	next mem.Ptr // raw, may carry the mark bit
-}
-
-// read is the barriered copy (see lazylist.read for the protocol).
-func (l *List) read(b *smr.Barrier, slot int, p mem.Ptr) (view, bool) {
-	b.Protect(slot, p)
-	n, gen := l.pool.Slot(p)
-	var v view
-	v.key = atomic.LoadUint64(&n.key)
-	v.next = mem.Ptr(atomic.LoadUint64(&n.next))
-	if !gen.Is(p) {
-		return view{}, b.Stale(p)
-	}
-	return v, true
-}
-
-func (l *List) rawNext(g smr.Guard, p mem.Ptr) mem.Ptr {
-	n, gen := l.pool.Slot(p)
-	v := mem.Ptr(atomic.LoadUint64(&n.next))
-	if !gen.Is(p) {
-		g.OnStale(p)
-	}
-	return v
-}
-
-func (l *List) casNext(p mem.Ptr, old, new mem.Ptr) bool {
-	n := l.pool.MustGet(p)
-	return atomic.CompareAndSwapUint64(&n.next, uint64(old), uint64(new))
-}
+// Requirements implements the per-DS width hook.
+func (l *List) Requirements() ds.Requirements { return Req }
 
 // find locates the unmarked (prev, curr) pair bracketing key, snipping
-// marked nodes it encounters. On return the read phase is closed with prev
-// and curr reserved, and found reports curr.key == key. curr may be the
-// tail sentinel.
-func (l *List) find(g smr.Guard, b *smr.Barrier, key uint64) (prev, curr mem.Ptr, currV view, found bool) {
+// marked nodes it encounters, and returns it with whether curr holds key. On
+// return the read phase is closed with prev and curr reserved. curr may be
+// the tail sentinel.
+func (l *List) find(g smr.Guard, b *smr.Barrier, key uint64) (mem.Ptr, mem.Ptr, bool) {
 tryAgain:
 	for {
 		g.BeginRead()
-		prev = l.head
-		prevV, _ := l.read(b, 0, prev)
-		curr = prevV.next.Unmarked()
+		prev := l.Head
+		prevV, _ := l.Read(b, 0, prev) // head sentinel, never freed
+		curr := prevV.Next.Unmarked()
 		prevSlot, currSlot := 0, 1
 		for {
-			if curr == l.tail {
+			if curr == l.Tail {
 				g.Reserve(0, prev)
 				g.Reserve(1, curr)
 				g.EndRead()
-				return prev, curr, view{key: ds.MaxKey}, false
+				return prev, curr, false
 			}
-			var ok bool
-			currV, ok = l.read(b, currSlot, curr)
+			currV, ok := l.Read(b, currSlot, curr)
 			if !ok {
 				continue tryAgain
 			}
 			// Michael's validation: prev must still point at curr,
 			// unmarked. Doubles as the HP/IBR reachability check, and is
 			// needed by all schemes for correctness of the snip CAS.
-			if l.rawNext(g, prev) != curr {
+			if l.Link(g, prev) != curr {
 				continue tryAgain
 			}
-			if currV.next.Marked() {
+			if currV.Next.Marked() {
 				// curr is logically deleted: snip it (auxiliary Φwrite).
 				g.Reserve(0, prev)
 				g.Reserve(1, curr)
 				g.EndRead()
-				if !l.casNext(prev, curr, currV.next.Unmarked()) {
+				if !l.CasLink(prev, curr, currV.Next.Unmarked()) {
 					continue tryAgain
 				}
 				g.Retire(curr)
@@ -161,18 +106,18 @@ tryAgain:
 				// schemes without read phases (the matrix rejects NBR).
 				g.BeginRead()
 				b.Protect(prevSlot, prev)
-				curr = l.rawNext(g, prev).Unmarked()
+				curr = l.Link(g, prev).Unmarked()
 				continue
 			}
-			if currV.key >= key {
+			if currV.Key >= key {
 				g.Reserve(0, prev)
 				g.Reserve(1, curr)
 				g.EndRead()
-				return prev, curr, currV, currV.key == key
+				return prev, curr, currV.Key == key
 			}
-			prev, prevV = curr, currV
+			prev = curr
 			prevSlot, currSlot = currSlot, prevSlot
-			curr = currV.next.Unmarked()
+			curr = currV.Next.Unmarked()
 		}
 	}
 }
@@ -181,89 +126,40 @@ tryAgain:
 func (l *List) Contains(g smr.Guard, key uint64) bool {
 	b := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
-		_, _, _, found := l.find(g, &b, key)
+		_, _, found := l.find(g, &b, key)
 		return found
 	})
 }
 
-// Insert implements ds.Set.
+// Insert implements ds.Set; a lost link CAS finds again.
 func (l *List) Insert(g smr.Guard, key uint64) bool {
 	b := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
 		for {
-			prev, curr, _, found := l.find(g, &b, key)
+			prev, curr, found := l.find(g, &b, key)
 			if found {
 				return false
 			}
-			np, nn := l.pool.Alloc(g.Tid()) // write phase: allocation legal
-			atomic.StoreUint64(&nn.key, key)
-			atomic.StoreUint64(&nn.next, uint64(curr))
-			g.OnAlloc(np)
-			if l.casNext(prev, curr, np) {
+			if l.List.Insert(g, prev, curr, key, 0) != mem.Null {
 				return true
 			}
-			l.pool.Free(g.Tid(), np) // unpublished; free directly
 		}
 	})
 }
 
-// Delete implements ds.Set: mark curr (linearization), then try one snip.
+// Delete implements ds.Set: mark curr (linearization), then try one snip; a
+// later find retires otherwise. A raced deleter or inserter finds again.
 func (l *List) Delete(g smr.Guard, key uint64) bool {
 	b := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
 		for {
-			prev, curr, currV, found := l.find(g, &b, key)
+			prev, curr, found := l.find(g, &b, key)
 			if !found {
 				return false
 			}
-			succ := currV.next // unmarked, else find would have snipped
-			if !l.casNext(curr, succ, succ.WithMark()) {
-				continue // raced another deleter or inserter; re-find
+			if l.List.Delete(g, prev, curr) {
+				return true
 			}
-			// Committed. One snip attempt; a later find retires otherwise.
-			if l.casNext(prev, curr, succ) {
-				g.Retire(curr)
-			}
-			return true
 		}
 	})
-}
-
-// Len implements ds.Set (quiescent).
-func (l *List) Len() int {
-	n := 0
-	for p := l.next(l.head); p != l.tail; p = l.next(p) {
-		if !mem.Ptr(atomic.LoadUint64(&l.pool.Raw(p).next)).Marked() {
-			n++
-		}
-	}
-	return n
-}
-
-func (l *List) next(p mem.Ptr) mem.Ptr {
-	return mem.Ptr(atomic.LoadUint64(&l.pool.Raw(p).next)).Unmarked()
-}
-
-// Validate implements ds.Set (quiescent).
-func (l *List) Validate() error {
-	prev := ds.MinKey
-	p := l.next(l.head)
-	for p != l.tail {
-		if p.IsNull() {
-			return errors.New("hmlist: reachable nil before tail")
-		}
-		n, ok := l.pool.Get(p)
-		if !ok {
-			return fmt.Errorf("hmlist: freed node %v reachable", p)
-		}
-		k := atomic.LoadUint64(&n.key)
-		if !mem.Ptr(atomic.LoadUint64(&n.next)).Marked() {
-			if k <= prev {
-				return fmt.Errorf("hmlist: keys not strictly increasing (%d after %d)", k, prev)
-			}
-			prev = k
-		}
-		p = l.next(p)
-	}
-	return nil
 }

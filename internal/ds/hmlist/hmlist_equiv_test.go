@@ -7,6 +7,7 @@ import (
 
 	"nbr/internal/catalog"
 	"nbr/internal/ds/hmlist"
+	"nbr/internal/dstest"
 )
 
 // TestVariantsEquivalent runs the identical operation sequence against both
@@ -55,6 +56,9 @@ func TestVariantsEquivalent(t *testing.T) {
 	}
 }
 
+// TestQuickSetSemantics checks random operation sequences against a map
+// model; one draw in four comes from dstest.TopBitKeys (pairs differing only
+// in bit 63 must stay two keys under the shared list's (Key, Sub) order).
 func TestQuickSetSemantics(t *testing.T) {
 	l := hmlist.New(1, hmlist.Restart)
 	s, err := catalog.NewScheme("nbr+", l.Arena(), 1, catalog.DefaultSchemeConfig())
@@ -65,6 +69,9 @@ func TestQuickSetSemantics(t *testing.T) {
 	model := map[uint64]bool{}
 	f := func(key uint16, op uint8) bool {
 		k := uint64(key%40) + 1
+		if key%4 == 0 {
+			k = dstest.TopBitKeys[int(key/4)%len(dstest.TopBitKeys)]
+		}
 		switch op % 3 {
 		case 0:
 			ok := l.Insert(g, k) == !model[k]

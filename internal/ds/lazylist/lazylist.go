@@ -89,13 +89,14 @@ func (l *List) newNode(tid int, key uint64, next mem.Ptr) mem.Ptr {
 // Arena exposes the list's allocator to reclamation schemes.
 func (l *List) Arena() mem.Arena { return l.pool }
 
-// Requirements implements the per-DS width hook: the search alternates
-// two Protect slots (pred/curr) and reserves the same pair. The retire
-// threshold is declared explicitly so the narrow slot width does not raise
-// the hp/he scan frequency.
-func (l *List) Requirements() ds.Requirements {
-	return ds.Requirements{Slots: 2, Reservations: 2, Threshold: ds.DefaultThreshold}
-}
+// Req is the width the list declares: the search alternates two Protect
+// slots (pred/curr) and reserves the same pair. The retire threshold is
+// declared explicitly so the narrow slot width does not raise the hp/he scan
+// frequency.
+var Req = ds.Requirements{Slots: 2, Reservations: 2, Threshold: ds.DefaultThreshold}
+
+// Requirements implements the per-DS width hook.
+func (l *List) Requirements() ds.Requirements { return Req }
 
 // MemStats reports allocator statistics (live records ≈ resident memory).
 func (l *List) MemStats() mem.Stats { return l.pool.Stats() }

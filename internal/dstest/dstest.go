@@ -65,6 +65,13 @@ type Factory struct {
 	Chain func(inst Instance, g smr.Guard, n int) int
 }
 
+// TopBitKeys is the key set the marked-link structures' own tests add to
+// their random traffic: pairs that differ only in bit 63 — which the hash
+// map keeps outside the record, in the header word, and which a list ordered
+// on a truncated or sign-confused compare would merge — and the top of the
+// key space. All lie strictly between the sentinels.
+var TopBitKeys = []uint64{1, 1 | 1<<63, 5, 5 | 1<<63, 1 << 63, 1<<63 - 1, 1<<64 - 2}
+
 // config returns aggressive-reclamation settings so the suites exercise
 // freeing and neutralization constantly rather than only at scale. Slots
 // stays 0 (auto) so the suites run the same narrow per-DS widths the
