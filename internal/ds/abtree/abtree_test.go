@@ -17,6 +17,7 @@ func factory() dstest.Factory {
 			tr := abtree.New(threads)
 			return dstest.Instance{Set: tr, Arena: tr.Arena()}
 		},
+		ShuffledFill: true,
 	}
 }
 

@@ -104,8 +104,7 @@ func NewWith(cfg mem.Config) *Tree {
 // newNode allocates a record and initialises every field and its header
 // word (lock free, not removed); the caller publishes the handle.
 func (t *Tree) newNode(tid int, key uint64, left, right mem.Ptr) mem.Ptr {
-	p, _ := t.pool.Alloc(tid)
-	n, hdr := t.pool.Slot(p)
+	p, n, hdr := t.pool.AllocSlot(tid)
 	atomic.StoreUint64(&n.key, key)
 	atomic.StoreUint64(&n.left, uint64(left))
 	atomic.StoreUint64(&n.right, uint64(right))

@@ -18,6 +18,7 @@ func factory() dstest.Factory {
 			tr := dgtbst.New(threads)
 			return dstest.Instance{Set: tr, Arena: tr.Arena()}
 		},
+		ShuffledFill: true,
 	}
 }
 

@@ -78,8 +78,7 @@ func NewWith(cfg mem.Config) *List {
 // newNode allocates a record and initialises both fields and its header
 // word (unlocked, unmarked); the caller publishes the handle.
 func (l *List) newNode(tid int, key uint64, next mem.Ptr) mem.Ptr {
-	p, _ := l.pool.Alloc(tid)
-	n, hdr := l.pool.Slot(p)
+	p, n, hdr := l.pool.AllocSlot(tid)
 	atomic.StoreUint64(&n.key, key)
 	atomic.StoreUint64(&n.next, uint64(next))
 	hdr.Word.Store(0)

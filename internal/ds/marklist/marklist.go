@@ -78,8 +78,7 @@ func (l *List) MemStats() mem.Stats { return l.Pool.Stats() }
 // word — for every record: the pool never writes that word, so a recycled
 // slot still holds its previous occupant's. The caller publishes the handle.
 func (l *List) NewNode(tid int, key uint64, sub uint32, next mem.Ptr) mem.Ptr {
-	p, _ := l.Pool.Alloc(tid)
-	n, hdr := l.Pool.Slot(p)
+	p, n, hdr := l.Pool.AllocSlot(tid)
 	atomic.StoreUint64(&n.Key, key)
 	atomic.StoreUint64(&n.Next, uint64(next))
 	hdr.Word.Store(sub)

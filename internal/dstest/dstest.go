@@ -26,7 +26,11 @@
 //     held, a reaper revokes the wedged ones through the shared recovery
 //     path from a foreign goroutine, and the registry must come back whole:
 //     every slot reusable, zombie releases counted as no-ops, drain to
-//     Retired == Freed, zero fallback reuses.
+//     Retired == Freed, zero fallback reuses;
+//   - grown: the pool's other mode — threads fill the structure until its
+//     pool outgrows the first extent mid-traffic, empty it, and run the churn
+//     suite on the grown pool, where every link resolves through the slab
+//     directory and recycled slots come from both sides of the boundary.
 package dstest
 
 import (
@@ -63,6 +67,12 @@ type Factory struct {
 	// uses to reproduce the garbage-bound violation on every run instead
 	// of relying on churn luck.
 	Chain func(inst Instance, g smr.Guard, n int) int
+	// ShuffledFill makes Grown fill the structure in large shuffled blocks
+	// instead of its near-sorted default, which is what a sorted list needs
+	// and a tree cannot take: one that never rebalances (dgt) grows as a
+	// single spine, and one that does (abtree) sees every thread's insert
+	// land in the same leaf.
+	ShuffledFill bool
 }
 
 // TopBitKeys is the key set the marked-link structures' own tests add to
@@ -187,6 +197,7 @@ func RunAll(t *testing.T, f Factory) {
 		if f.Chain != nil {
 			t.Run("boundchain/"+scheme, func(t *testing.T) { BoundChain(t, f, scheme) })
 		}
+		t.Run("grown/"+scheme, func(t *testing.T) { Grown(t, f, scheme) })
 		t.Run("eratable/"+scheme, func(t *testing.T) { eraTables(t, scheme, made, churned) })
 	}
 }
@@ -197,6 +208,15 @@ var stampingSchemes = map[string]bool{
 	"he": true, "ibr": true, "qsbr": true, "rcu": true,
 }
 
+// memStats returns the allocator statistics of the instance's pool.
+func memStats(t *testing.T, inst Instance) mem.Stats {
+	ms, ok := inst.Set.(interface{ MemStats() mem.Stats })
+	if !ok {
+		t.Fatalf("%T reports no MemStats", inst.Set)
+	}
+	return ms.MemStats()
+}
+
 // eraTables closes a scheme's run over every instance its suites built: a
 // scheme that stamps nothing must have left every pool's era side table
 // unmaterialized — its records cost their slot and nothing else — and a
@@ -204,11 +224,7 @@ var stampingSchemes = map[string]bool{
 func eraTables(t *testing.T, scheme string, made []Instance, churned bool) {
 	stamped := 0
 	for _, inst := range made {
-		ms, ok := inst.Set.(interface{ MemStats() mem.Stats })
-		if !ok {
-			t.Fatalf("%T reports no MemStats", inst.Set)
-		}
-		st := ms.MemStats()
+		st := memStats(t, inst)
 		if st.EraBytes == 0 {
 			continue
 		}
@@ -274,7 +290,12 @@ func Sequential(t *testing.T, f Factory, scheme string) {
 // conservation law plus structural invariants.
 func Concurrent(t *testing.T, f Factory, scheme string, threads int, keys int) {
 	inst := f.New(threads)
-	sch := newScheme(t, scheme, inst, threads)
+	churn(t, inst, newScheme(t, scheme, inst, threads), threads, keys)
+}
+
+// churn is Concurrent's body on a given instance and scheme; the structure
+// must be empty when it starts.
+func churn(t *testing.T, inst Instance, sch smr.Scheme, threads int, keys int) {
 	ops := 2500
 	if testing.Short() {
 		ops = 500

@@ -151,11 +151,25 @@ func ceilPow2(n int) int {
 // whose generation tags handles; see the package comment. Alloc and Free are
 // safe for concurrent use provided each goroutine uses its own thread id.
 type Pool[T any] struct {
-	cfg Config
+	// What every resolution, Alloc and Free loads, written once: cfg, first
+	// and the threads slice header by NewPool, grown by the one ensureSlabs
+	// that outgrows the first extent. The pad keeps these words a cache line
+	// away from the counters below, so a reader walking the structure never
+	// refetches them because an allocating thread bumped a counter (the
+	// tcache counters live in the threads array, padded per thread).
+	cfg   Config
+	first *[SlabSize]slot[T] // slab 0, there from construction
+	// grown is the *slabDir[T] of a pool that has carved past slab 0, nil
+	// until then: an atomic.Pointer in all but spelling (dir, ensureSlabs).
+	// Pointer.Load is this same LoadPointer behind a call, and the call's
+	// overhead in the inliner's accounting, 7, is more than slotAt has to
+	// spare under Slot (TestReadPathInlines, internal/ds).
+	grown   unsafe.Pointer
+	threads []tcache
+	_       [64]byte
 
-	// slab directory: published once under growMu, read lock-free.
-	slabs  [maxSlabs]atomic.Pointer[[SlabSize]slot[T]]
 	cursor atomic.Uint64 // next never-carved slot index
+	global globalFree
 	growMu sync.Mutex
 
 	// Era side table (see Hdr): a directory of per-slab header tables, both
@@ -163,9 +177,6 @@ type Pool[T any] struct {
 	// them and read lock-free. eraTabs counts the tables for Stats.
 	eras    atomic.Pointer[eraDir]
 	eraTabs atomic.Int64
-
-	global  globalFree
-	threads []tcache
 
 	// Segment directory (see segment.go): handle slot index → member run.
 	// nsegs gates the free path so pools without segments pay one atomic
@@ -181,12 +192,23 @@ type slot[T any] struct {
 	val T
 }
 
-// eraDir is the era side table's slab directory, parallel to Pool.slabs.
+// slabDir is the slab directory of a pool that has outgrown its first
+// extent: entry 0 is Pool.first, so no record moves when it is published, and
+// the others are published once each under growMu and read lock-free.
+type slabDir[T any] [maxSlabs]atomic.Pointer[[SlabSize]slot[T]]
+
+// eraDir is the era side table's slab directory, parallel to slabDir.
 type eraDir [maxSlabs]atomic.Pointer[[SlabSize]Hdr]
 
 // slabError is the panic value for a handle whose slab was never carved — a
-// corrupt handle. A typed value instead of a formatted string keeps slotAt
-// within the inlining budget of every read helper that resolves a slot.
+// corrupt handle — in a pool that has grown: the directory entry is nil. A
+// typed value instead of a formatted string keeps slotAt within the inlining
+// budget of every read helper that resolves a slot. A pool still on its first
+// extent has no entry to find nil: it indexes the extent, and the same handle
+// panics with the compiler's bounds check instead, a runtime.Error — as
+// deterministic, and free, where a second explicit panic site would cost
+// slotAt 7 of the 3 that Slot has left (TestCorruptHandlePanicsTyped pins
+// both).
 type slabError uint32
 
 func (e slabError) Error() string {
@@ -266,7 +288,7 @@ type tcache struct {
 
 // NewPool creates a pool. Slot 0 is reserved so that no live handle is Null.
 func NewPool[T any](cfg Config) *Pool[T] {
-	p := &Pool[T]{cfg: cfg.withDefaults()}
+	p := &Pool[T]{cfg: cfg.withDefaults(), first: new([SlabSize]slot[T])}
 	p.threads = make([]tcache, p.cfg.MaxThreads)
 	for i := range p.threads {
 		p.threads[i].limit.Store(int32(p.cfg.CacheSize))
@@ -297,8 +319,34 @@ func (p *Pool[T]) homeShard(tid int) *freeShard {
 // MaxThreads returns the number of thread ids the pool was sized for.
 func (p *Pool[T]) MaxThreads() int { return p.cfg.MaxThreads }
 
+// dir returns the slab directory, nil while the first extent is all there is.
+func (p *Pool[T]) dir() *slabDir[T] {
+	return (*slabDir[T])(atomic.LoadPointer(&p.grown))
+}
+
+// slotAt resolves a slot index, in one of two modes chosen by the pool's
+// state, never by the index. Until the pool outgrows its first extent a link
+// costs what it costs in the paper, the one load that fetches the record:
+// first is a word no one writes, so next → address arithmetic → record. A
+// pool that has grown pays the directory load between the two, exactly as
+// every pool used to, after the branch on grown that says so — taken the
+// same way on every call, where a test on idx would go either way on a
+// two-slab pool. (The directory load is spelled out, not p.dir(): see grown.)
+//
+// Why a nil grown is safe to act on: a handle with idx ≥ SlabSize cannot
+// exist before the directory is published. ensureSlabs stores grown (and the
+// slab) before it returns, refill and AllocBatch only then hand out the
+// indices they carved, and a handle reaches another thread through an atomic
+// link or a lock its reader acquires — so whoever holds such a handle also
+// sees grown non-nil. An idx below SlabSize resolves to the same address in
+// either mode (entry 0 is first), so which side of the publication a reader
+// falls on makes no difference to it.
 func (p *Pool[T]) slotAt(idx uint32) *slot[T] {
-	s := p.slabs[idx>>slabBits].Load()
+	d := (*slabDir[T])(atomic.LoadPointer(&p.grown))
+	if d == nil {
+		return &p.first[idx]
+	}
+	s := d[idx>>slabBits].Load()
 	if s == nil {
 		panic(slabError(idx))
 	}
@@ -340,9 +388,7 @@ func (p *Pool[T]) Hdr(q Ptr) *Hdr {
 // under growMu if this is the first touch; concurrent first touches agree on
 // one table.
 func (p *Pool[T]) eraTable(sb uint32) *[SlabSize]Hdr {
-	if p.slabs[sb].Load() == nil {
-		panic(slabError(sb << slabBits))
-	}
+	p.slotAt(sb << slabBits) // a slab never carved panics here, as on any accessor
 	p.growMu.Lock()
 	defer p.growMu.Unlock()
 	d := p.eras.Load()
@@ -401,6 +447,14 @@ func (p *Pool[T]) MustSlot(q Ptr) (*T, *Gen) {
 // left (slabs start zeroed); callers must initialize every field, and the
 // word if they use it, with atomic stores, before publishing the handle.
 func (p *Pool[T]) Alloc(tid int) (Ptr, *T) {
+	q, v, _ := p.AllocSlot(tid)
+	return q, v
+}
+
+// AllocSlot is Alloc returning the record's header as well, from the one
+// slot resolution allocation makes anyway: how a constructor that keeps
+// state in the header word initialises a fresh record.
+func (p *Pool[T]) AllocSlot(tid int) (Ptr, *T, *Gen) {
 	tc := &p.threads[tid]
 	if len(tc.free) == 0 {
 		p.refill(tc, tid)
@@ -411,7 +465,7 @@ func (p *Pool[T]) Alloc(tid int) (Ptr, *T) {
 	g := s.gen.v.Load() // even: slot is free
 	s.gen.v.Store(g + 1)
 	tc.allocs.Add(1)
-	return pack(idx, g+1, p.cfg.Tag), &s.val
+	return pack(idx, g+1, p.cfg.Tag), &s.val, &s.gen
 }
 
 // release CASes q's slot generation from live to free, panicking on double
@@ -520,15 +574,24 @@ func (p *Pool[T]) refill(tc *tcache, tid int) {
 	}
 }
 
+// ensureSlabs makes every slab the carved range [lo, hi] touches resolvable
+// before its caller hands out an index in it (slotAt's ordering argument
+// rests on that). Slab 0 always is; the first range past it publishes the
+// directory, with entry 0 the first extent.
 func (p *Pool[T]) ensureSlabs(lo, hi uint64) {
-	first, last := uint32(lo)>>slabBits, uint32(hi)>>slabBits
-	for sb := first; sb <= last; sb++ {
-		if p.slabs[sb].Load() != nil {
+	d := p.dir()
+	for sb := max(uint32(lo)>>slabBits, 1); sb <= uint32(hi)>>slabBits; sb++ {
+		if d != nil && d[sb].Load() != nil {
 			continue
 		}
 		p.growMu.Lock()
-		if p.slabs[sb].Load() == nil {
-			p.slabs[sb].Store(new([SlabSize]slot[T]))
+		if d = p.dir(); d == nil {
+			d = new(slabDir[T])
+			d[0].Store(p.first)
+			atomic.StorePointer(&p.grown, unsafe.Pointer(d))
+		}
+		if d[sb].Load() == nil {
+			d[sb].Store(new([SlabSize]slot[T]))
 		}
 		p.growMu.Unlock()
 	}

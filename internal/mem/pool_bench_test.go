@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -44,6 +45,44 @@ func BenchmarkGet(b *testing.B) {
 			b.Fatal("live handle failed")
 		}
 	}
+}
+
+// BenchmarkResolveChain measures what following a link costs at this layer: a
+// dependent chase, the read path's Slot-copy-validate per hop, through a
+// shuffled ring of 10 000 records (more than L1 holds, as a traversed
+// structure is). "single" runs on a pool still on its first extent — next →
+// arithmetic → record; "grown" runs the same ring, at the same addresses,
+// after the pool was pushed past it — next → directory entry → record. The
+// difference is the directory load on the dependent chain, and the pair says
+// whether a later change moved the resolution or something above it.
+func BenchmarkResolveChain(b *testing.B) {
+	const n = 10_000
+	p := NewPool[rec](Config{MaxThreads: 1})
+	hs := make([]Ptr, n)
+	for i := range hs {
+		hs[i], _ = p.Alloc(0)
+	}
+	perm := rand.New(rand.NewSource(1)).Perm(n)
+	for i, at := range perm {
+		p.Raw(hs[at]).next = uint64(hs[perm[(i+1)%n]])
+	}
+	chase := func(b *testing.B) {
+		h := hs[0]
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			v, g := p.Slot(h)
+			next := Ptr(v.next)
+			if !g.Is(h) {
+				b.Fatalf("hop %d: %v went stale", i, h)
+			}
+			h = next
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/hop")
+	}
+	b.Run("single", chase)
+	outgrow(p, 0)
+	b.Run("grown", chase)
 }
 
 // BenchmarkCrossThreadChurn measures contention on the shared free list —

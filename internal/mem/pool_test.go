@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -379,26 +380,43 @@ func TestEraTableFirstTouchRace(t *testing.T) {
 }
 
 // TestCorruptHandlePanicsTyped: a handle into a slab that was never carved
-// panics with the typed error on every accessor, the header's included.
+// panics on every accessor, the header's included, in both of slotAt's modes,
+// each with its own value. A pool that has grown looks the slab up and panics
+// with the typed slabError. A pool still on its first extent indexes that
+// extent directly, so the panic is the compiler's bounds check, a
+// runtime.Error: an explicit second panic site would cost slotAt 7 more of
+// the inliner's 80, Slot has 3 left, and Slot out of budget is Slot out of
+// every read helper (TestReadPathInlines).
 func TestCorruptHandlePanicsTyped(t *testing.T) {
-	p := newTestPool(1)
-	p.Alloc(0)
 	bad := pack(5*SlabSize+3, 1, 0)
-	for name, f := range map[string]func(){
-		"Raw":   func() { p.Raw(bad) },
-		"Slot":  func() { p.Slot(bad) },
-		"Valid": func() { p.Valid(bad) },
-		"Hdr":   func() { p.Hdr(bad) },
-	} {
-		func() {
-			defer func() {
-				err, ok := recover().(error)
-				if !ok || !strings.Contains(err.Error(), "unallocated slab") {
-					t.Fatalf("%s on a corrupt handle: recovered %v, want the slab error", name, err)
-				}
+	for _, grown := range []bool{false, true} {
+		p := newTestPool(1)
+		p.Alloc(0)
+		if grown {
+			outgrow(p, 0)
+		}
+		for name, f := range map[string]func(){
+			"Raw":      func() { p.Raw(bad) },
+			"Slot":     func() { p.Slot(bad) },
+			"Valid":    func() { p.Valid(bad) },
+			"MustSlot": func() { p.MustSlot(bad) },
+			"Hdr":      func() { p.Hdr(bad) },
+		} {
+			func() {
+				defer func() {
+					r := recover()
+					se, typed := r.(slabError)
+					rte, bounds := r.(runtime.Error)
+					if grown && (!typed || !strings.Contains(se.Error(), "unallocated slab")) {
+						t.Fatalf("%s on a corrupt handle, grown pool: recovered %v, want the slab error", name, r)
+					}
+					if !grown && (!bounds || !strings.Contains(rte.Error(), "index out of range")) {
+						t.Fatalf("%s on a corrupt handle, single extent: recovered %v, want the bounds check's runtime.Error", name, r)
+					}
+				}()
+				f()
 			}()
-			f()
-		}()
+		}
 	}
 }
 
