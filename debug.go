@@ -41,7 +41,6 @@ type DebugSnapshot struct {
 	Waiters         int          `json:"waiters"`
 	GarbageBound    int          `json:"garbage_bound"`
 	Garbage         int64        `json:"garbage"`
-	StagedFrees     int          `json:"staged_frees"`
 	HubBursts       uint64       `json:"hub_bursts"`
 	HubDispatches   uint64       `json:"hub_dispatches"`
 	ForcedRounds    uint64       `json:"forced_rounds"`
@@ -71,7 +70,6 @@ func (rt *Runtime) Snapshot(maxEvents int) DebugSnapshot {
 		Waiters:         rt.Waiters(),
 		GarbageBound:    rt.GarbageBound(),
 		Garbage:         int64(st.Retired) - int64(st.Freed),
-		StagedFrees:     int(hub.Staged),
 		HubBursts:       hub.Bursts,
 		HubDispatches:   hub.Dispatches,
 		ForcedRounds:    rt.ForcedRounds(),

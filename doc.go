@@ -14,10 +14,14 @@
 // it, exposed for services hosting several structures: one lease registry,
 // one scheme instance and one arena serve every Set attached via NewSet, so
 // a single Lease per request covers all of a handler's structures, the
-// garbage bound is declared once and aggregates across them, and
+// garbage bound is declared once and aggregates across them (the arena is a
+// stateless router: a reclamation burst is grouped by owning structure and
+// back with the pools when the scheme's free call returns, so Retired − Freed
+// is all the memory the allocator has not got back), and
 // AcquireCtx provides FIFO blocking admission with context cancellation
 // instead of spin-retry. A Domain is a thin attachment over a private
-// one-set Runtime. See examples/server for the runtime under real
+// one-set Runtime, and Options is RuntimeOptions under another name: one
+// struct, one set of defaults. See examples/server for the runtime under real
 // net/http traffic and DESIGN.md §10 for the layer's design.
 //
 // The paper's algorithms live in internal/core; the substrates that make

@@ -1,6 +1,7 @@
 package nbr
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"time"
@@ -55,61 +56,10 @@ func Schemes() []string { return append([]string(nil), catalog.SchemeNames...) }
 // Structures lists the concurrent ordered sets a Domain can host.
 func Structures() []string { return append([]string(nil), catalog.DSNames...) }
 
-// Options configures a Domain. The zero value selects the paper's defaults:
-// an NBR+-protected lazy list sized for a moderately parallel host.
-type Options struct {
-	// Structure names the concurrent ordered set (see Structures).
-	// Default "lazylist".
-	Structure string
-	// Scheme names the reclamation scheme (see Schemes). Default "nbr+".
-	Scheme string
-	// MaxThreads is the lease-registry capacity: the most goroutines that
-	// can hold a lease at once. Size it for peak concurrency, not for the
-	// total goroutine population — scans and signal broadcasts cost
-	// proportional to *live* leases, so over-provisioning is cheap.
-	// Default 2·GOMAXPROCS, at least 8.
-	MaxThreads int
-	// LeaseTimeout arms the lease watchdog (see RuntimeOptions.LeaseTimeout):
-	// a holder outstanding past Acquire + LeaseTimeout is reaped and its slot
-	// recovered. Zero disables reaping.
-	LeaseTimeout time.Duration
-
-	// The scheme knobs, as in the experiments (zero selects each scheme's
-	// default; see DESIGN.md §6 for the rationale behind the defaults).
-	BagSize    int     // NBR limbo-bag HiWatermark
-	LoFraction float64 // NBR+ LoWatermark position
-	ScanFreq   int     // NBR+ announceTS scan cadence
-	Threshold  int     // retire-buffer depth for hp/he/ibr/qsbr/rcu
-	EraFreq    int     // era-advance period for he/ibr
-	SendSpin   int     // simulated signal-send cost
-	HandleSpin int     // simulated signal-delivery cost
-}
-
-func (o Options) withDefaults() Options {
-	if o.Structure == "" {
-		o.Structure = "lazylist"
-	}
-	ro := o.runtime().withDefaults()
-	o.Scheme = ro.Scheme
-	o.MaxThreads = ro.MaxThreads
-	return o
-}
-
-// runtime maps the Domain options onto the shared-runtime options.
-func (o Options) runtime() RuntimeOptions {
-	return RuntimeOptions{
-		Scheme:       o.Scheme,
-		MaxThreads:   o.MaxThreads,
-		LeaseTimeout: o.LeaseTimeout,
-		BagSize:      o.BagSize,
-		LoFraction:   o.LoFraction,
-		ScanFreq:     o.ScanFreq,
-		Threshold:    o.Threshold,
-		EraFreq:      o.EraFreq,
-		SendSpin:     o.SendSpin,
-		HandleSpin:   o.HandleSpin,
-	}
-}
+// Options configures a Domain. It is RuntimeOptions under its older name —
+// an alias, so the two are one struct with one set of defaults; New reads
+// Structure, which NewRuntime rejects.
+type Options = RuntimeOptions
 
 // Domain is one reclamation-protected concurrent set with dynamic thread
 // membership. Goroutines call Acquire for a Lease, operate through it, and
@@ -128,12 +78,13 @@ type Domain struct {
 // known, its widths are final, and the domain is ready to serve its first
 // Acquire without a construction step on the lease path.
 func New(opts Options) (*Domain, error) {
-	opts = opts.withDefaults()
-	rt, err := NewRuntime(opts.runtime())
+	structure := cmp.Or(opts.Structure, "lazylist")
+	opts.Structure = ""
+	rt, err := NewRuntime(opts)
 	if err != nil {
 		return nil, err
 	}
-	set, err := rt.NewSet(opts.Structure)
+	set, err := rt.NewSet(structure)
 	if err != nil {
 		return nil, err
 	}
@@ -228,6 +179,10 @@ type Lease struct {
 	set *Set // the home set of a Domain-issued lease; nil for Runtime leases
 	l   *smr.Lease
 	g   smr.Guard
+	// watched records that a reap deadline was registered for this lease
+	// (LeaseTimeout at Acquire, or SetDeadline). Owner-written: the lease is
+	// goroutine-affine.
+	watched bool
 }
 
 // Tid returns the dense thread slot this lease occupies (diagnostic; slots
@@ -240,8 +195,16 @@ func (l *Lease) Tid() int { return l.l.Tid() }
 // was in. Releasing a lease the watchdog already reaped is a counted no-op
 // (see Runtime.RevokedReleases).
 func (l *Lease) Release() {
-	l.rt.unwatchLease(l.l)
+	l.unwatch()
 	l.l.Release()
+}
+
+// unwatch drops the lease's reap deadline, if it ever had one.
+func (l *Lease) unwatch() {
+	if l.watched {
+		l.watched = false
+		l.rt.unwatchLease(l.l)
+	}
 }
 
 // SetDeadline overrides this lease's reap deadline: the watchdog revokes the
@@ -250,9 +213,10 @@ func (l *Lease) Release() {
 // a runtime whose LeaseTimeout is tuned for request handlers).
 func (l *Lease) SetDeadline(t time.Time) {
 	if t.IsZero() {
-		l.rt.unwatchLease(l.l)
+		l.unwatch()
 		return
 	}
+	l.watched = true
 	l.rt.watchLease(l.l, t)
 }
 

@@ -53,8 +53,8 @@ var snapshotLineup = []snapshotCell{
 	// oversubscribing the slots, so the snapshot tracks per-session admission
 	// and multi-owner routing cost. Each scheme also runs the adversarial
 	// variant whose round-robin retire stream alternates owners perfectly —
-	// its dispatch-per-burst is the hub's staging amortization under its
-	// worst case. The stall cell wedges every stallEvery-th holder and has the
+	// its dispatch-per-burst is the hub's per-owner grouping under its worst
+	// case: exactly one dispatch per structure. The stall cell wedges every stallEvery-th holder and has the
 	// runtime's watchdog reap it mid-run: the bound and drain-to-zero
 	// contracts must hold through holder deaths.
 	{"runtime debra", RuntimeWorkload{Scheme: "debra"}},

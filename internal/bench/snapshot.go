@@ -206,11 +206,10 @@ func (w WorkloadPoint) Violations() []string { return violations(w.key(), w.exce
 // slots, one lease session covering every structure. Mops includes
 // acquire/release per session and Sessions counts the lease recycles.
 // Fallbacks must stay zero (forced rounds cover quarantine aging); Drained
-// reports Retired == Freed with the hub's free staging empty after the
-// post-run drain. Interleaved marks the adversarial round-robin retire cell;
+// reports Retired == Freed after the post-run drain. Interleaved marks the adversarial round-robin retire cell;
 // DispatchPerBurst is pool FreeBatch calls per reclamation burst the hub
-// received — ~1 is Domain-parity amortization, one-per-run degradation reads
-// as ≈ records/burst. ScanEntries is threads × reservations at the widths the
+// received — the distinct owners in an average burst, at most the number of
+// structures; one-per-run degradation reads as ≈ records/burst. ScanEntries is threads × reservations at the widths the
 // cell's scheme was built with. Stall marks the stall-injection cell, whose
 // wedged holders never release and are reaped by the runtime's watchdog
 // mid-run: there Reaped must be non-zero (the revocation path went dead
@@ -277,8 +276,8 @@ func (r RuntimePoint) columns() []column {
 		col("mops", r.Mops, false, timing),
 		col("sessions", float64(r.Sessions), false, info),
 		col("garbage_pk", float64(r.GarbagePeak), true, info).when(r.GarbagePeak > 0),
-		// Losing the hub's staging amortization shows up here as
-		// ~1 → ~records-per-burst.
+		// Losing the hub's per-owner grouping shows up here as
+		// ≤ structures → ~records-per-burst.
 		col("disp_burst", r.DispatchPerBurst, true, ratio).when(r.DispatchPerBurst > 0),
 		col("fallbacks", float64(r.Fallbacks), true, zero),
 		col("admit_p50", r.AdmitWaitP50us, true, info).when(admit),
@@ -291,7 +290,7 @@ func (r RuntimePoint) columns() []column {
 
 func (r RuntimePoint) Violations() []string {
 	out := violations(r.key(), r.exceeded(),
-		fails(!r.Drained, "drain left retired != freed (%d freed) or records stranded in the hub's free staging", r.Freed),
+		fails(!r.Drained, "drain left retired != freed (%d freed)", r.Freed),
 		fails(r.Stall && r.Reaped == 0, "stall injection reaped nothing (revocation path dead)"),
 		fails(!r.Stall && r.Reaped != 0, "%d holders reaped in a cell with no stall injection", r.Reaped),
 		fails(r.Fallbacks != 0, "unaged-slot fallback used %d times; forced rounds must cover the churn", r.Fallbacks))

@@ -48,7 +48,7 @@ func TestPointViolations(t *testing.T) {
 		{"bound exceeded", func(s *Snapshot) { s.Workloads[0].GarbagePeak = 1001 },
 			"workload dgt/nbr+ t=8 range=1000: garbage peak 1001 > declared bound 1000"},
 		{"not drained", func(s *Snapshot) { s.Runtime[0].Drained = false },
-			"runtime lazylist+dgt/nbr+ t=8 w=12: drain left retired != freed (0 freed) or records stranded in the hub's free staging"},
+			"runtime lazylist+dgt/nbr+ t=8 w=12: drain left retired != freed (0 freed)"},
 		{"reaps off stall", func(s *Snapshot) { s.Runtime[0].Reaped = 3 },
 			"runtime lazylist+dgt/nbr+ t=8 w=12: 3 holders reaped in a cell with no stall injection"},
 		{"no reaps under stall", func(s *Snapshot) { s.Runtime[1].Reaped = 0 },

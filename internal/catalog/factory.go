@@ -140,11 +140,10 @@ func newScheme(name string, arena mem.Arena, threads int, cfg SchemeConfig, req 
 }
 
 // BindLeases wires a scheme into a lease registry over the arena its records
-// are freed to. The order is a correctness condition: Bind registers the
-// scheme's quiesce hook first, so a departing thread's frees reach the
-// arena's caches (and a Hub's staging buffers) before the drain hook
-// registered after it flushes them; the acquire hook re-applies the
-// reclamation-burst cache sizing NewSchemeFor gave every slot up front.
+// are freed to: the release hook drains the departing slot's allocator
+// caches (recovery has quiesced the scheme by then, so the records it freed
+// are in them), and the acquire hook re-applies the reclamation-burst cache
+// sizing NewSchemeFor gave every slot up front.
 func BindLeases(reg *smr.Registry, sch smr.Scheme, arena mem.Arena) {
 	reg.Bind(sch)
 	if burst := sch.ReclaimBurst(); burst > 0 {

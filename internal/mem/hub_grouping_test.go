@@ -5,22 +5,23 @@ import (
 	"testing"
 )
 
-// This file is the staging equivalence property test: a Hub that stages
-// mixed bursts must be observably identical — allocator-stats-exact — to the
-// pre-staging behavior of splitting every burst into per-owner FreeBatch
-// calls, across adversarial tag interleavings and flush boundaries. Only the
-// *shared-shard traffic* (GlobalOps) may differ; Frees, Live, slab growth
-// and every handle's Valid flip must agree once the thread's staging is
-// drained.
+// This file is the grouping equivalence property test: a Hub that groups a
+// mixed burst by owner in place must be observably identical —
+// allocator-stats-exact — to a caller splitting every burst into per-owner
+// FreeBatch calls itself, across adversarial tag interleavings and burst
+// sizes. Only the order of the records within one owner's group may differ
+// from the caller's (the in-place swap permutes the groups after the first),
+// which no pool counter sees: Frees, Live, slab growth and every handle's
+// Valid flip must agree.
 
-// stagingPattern deterministically picks the owner of the i-th retired
+// groupingPattern deterministically picks the owner of the i-th retired
 // record: the interleavings that historically defeated run-splitting.
-type stagingPattern struct {
+type groupingPattern struct {
 	name string
 	tag  func(i, k int) int
 }
 
-var stagingPatterns = []stagingPattern{
+var groupingPatterns = []groupingPattern{
 	{"round-robin", func(i, k int) int { return i % k }},
 	{"runs-of-2", func(i, k int) int { return (i / 2) % k }},
 	{"one-owner", func(i, k int) int { return 0 }},
@@ -30,16 +31,16 @@ var stagingPatterns = []stagingPattern{
 	}},
 }
 
-// TestHubStagingEquivalence drives a staged Hub and a reference set of
-// standalone pools through identical logical free sequences and asserts the
+// TestHubGroupingEquivalence drives a Hub and a reference set of standalone
+// pools through identical logical free sequences and asserts the
 // pool-visible outcomes are exactly equal.
-func TestHubStagingEquivalence(t *testing.T) {
+func TestHubGroupingEquivalence(t *testing.T) {
 	const (
 		k       = 3
 		records = 240
-		burst   = 16 // declared reclamation burst (staging flush threshold)
+		burst   = 16 // declared reclamation burst
 	)
-	for _, pat := range stagingPatterns {
+	for _, pat := range groupingPatterns {
 		for _, batch := range []int{1, 3, 7, burst, 5 * burst} {
 			h := NewHub(1)
 			var hubPools, refPools [k]*Pool[recA]
@@ -65,8 +66,8 @@ func TestHubStagingEquivalence(t *testing.T) {
 			}
 
 			// Free in bursts of `batch`: the hub takes the mixed burst
-			// whole; the reference splits it per owner — the old behavior,
-			// which is the semantics staging must preserve.
+			// whole; the reference splits it per owner in the caller's
+			// order, which is the semantics grouping must preserve.
 			for lo := 0; lo < records; lo += batch {
 				hi := lo + batch
 				if hi > records {
@@ -87,12 +88,12 @@ func TestHubStagingEquivalence(t *testing.T) {
 			}
 
 			if h.Staged() != 0 {
-				t.Fatalf("%s/batch=%d: %d records stranded in staging", pat.name, batch, h.Staged())
+				t.Fatalf("%s/batch=%d: Staged() = %d, want the constant 0", pat.name, batch, h.Staged())
 			}
 			for tag := 0; tag < k; tag++ {
 				hs, rs := hubPools[tag].Stats(), refPools[tag].Stats()
 				if hs.Allocs != rs.Allocs || hs.Frees != rs.Frees || hs.Live != rs.Live || hs.SlabBytes != rs.SlabBytes {
-					t.Fatalf("%s/batch=%d tag %d: staged %+v != direct %+v", pat.name, batch, tag, hs, rs)
+					t.Fatalf("%s/batch=%d tag %d: grouped %+v != direct %+v", pat.name, batch, tag, hs, rs)
 				}
 				if hs.Live != 0 {
 					t.Fatalf("%s/batch=%d tag %d: %d live records after full free", pat.name, batch, tag, hs.Live)
@@ -110,11 +111,11 @@ func TestHubStagingEquivalence(t *testing.T) {
 	}
 }
 
-// TestHubStagingConcurrent exercises the staging seam under -race: several
-// owners stage and flush against the same pools concurrently, a pool
+// TestHubGroupingConcurrent exercises the free seam under -race: several
+// owners free mixed bursts into the same pools concurrently, a pool
 // attaches mid-run (its SizeCache replay racing the owners' traffic), and
 // the books must balance exactly after every owner drains.
-func TestHubStagingConcurrent(t *testing.T) {
+func TestHubGroupingConcurrent(t *testing.T) {
 	const (
 		tids   = 4
 		rounds = 50
@@ -163,7 +164,7 @@ func TestHubStagingConcurrent(t *testing.T) {
 	wg.Wait()
 
 	if h.Staged() != 0 {
-		t.Fatalf("%d records stranded in staging after all owners drained", h.Staged())
+		t.Fatalf("Staged() = %d after all owners drained, want the constant 0", h.Staged())
 	}
 	for _, st := range []Stats{pa.Stats(), pb.Stats()} {
 		if st.Allocs != st.Frees || st.Live != 0 {

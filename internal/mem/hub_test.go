@@ -95,74 +95,44 @@ func TestHubLateAttachSizesCache(t *testing.T) {
 	}
 }
 
-// TestHubStagingLifecycle pins the per-thread per-tag staging buffers: a
-// mixed burst below the declared reclamation burst stays staged (counted
-// freed by no pool, still Valid), crossing the threshold flushes one pool
-// FreeBatch per owner, and DrainCache empties every buffer.
-func TestHubStagingLifecycle(t *testing.T) {
-	const thresh = 4
+// TestHubFreesLandInTheCall pins the Hub's statelessness: with a reclamation
+// burst declared far above the burst's size, a mixed burst is still wholly
+// freed when FreeBatch returns — every record's generation flipped, both
+// pools' Frees counted, one dispatch per owner, nothing held back.
+func TestHubFreesLandInTheCall(t *testing.T) {
 	h := NewHub(1)
 	pa := NewPool[recA](Config{MaxThreads: 1, Tag: h.NextTag()})
 	h.Attach(0, pa)
 	pb := NewPool[recB](Config{MaxThreads: 1, Tag: h.NextTag()})
 	h.Attach(1, pb)
-	h.SizeCache(0, thresh)
+	h.SizeCache(0, 512)
 
-	alloc := func(p *Pool[recA], q *Pool[recB], n int) (as, bs []Ptr) {
-		for i := 0; i < n; i++ {
-			a, _ := p.Alloc(0)
-			b, _ := q.Alloc(0)
-			as, bs = append(as, a), append(bs, b)
-		}
-		return
+	var ps []Ptr
+	for i := 0; i < 3; i++ {
+		a, _ := pa.Alloc(0)
+		b, _ := pb.Alloc(0)
+		ps = append(ps, a, b)
 	}
-	as, bs := alloc(pa, pb, thresh)
+	h.FreeBatch(0, ps)
 
-	// Two mixed sub-threshold bursts: everything stages, nothing reaches a
-	// pool, handles still read valid (the generation flip is deferred).
-	h.FreeBatch(0, []Ptr{as[0], bs[0], as[1], bs[1]})
-	h.FreeBatch(0, []Ptr{as[2], bs[2]})
-	if st := h.Stats(); st.Staged != 6 || st.Dispatches != 0 || st.Bursts != 2 {
-		t.Fatalf("after sub-threshold bursts: %+v", st)
+	if frees := pa.Stats().Frees + pb.Stats().Frees; frees != 6 {
+		t.Fatalf("pools counted %d frees on return, want 6", frees)
 	}
-	if pa.Stats().Frees != 0 || pb.Stats().Frees != 0 {
-		t.Fatal("staged records must not reach the pools")
-	}
-	if !h.Valid(as[0]) || !h.Valid(bs[2]) {
-		t.Fatal("staged records must still read valid")
-	}
-
-	// The burst that fills both buffers to the threshold flushes each owner
-	// in exactly one pool FreeBatch.
-	h.FreeBatch(0, []Ptr{as[3], bs[3]})
-	if st := h.Stats(); st.Staged != 0 || st.Dispatches != 2 {
-		t.Fatalf("after threshold crossing: %+v", st)
-	}
-	if pa.Stats().Frees != thresh || pb.Stats().Frees != thresh {
-		t.Fatalf("frees: a=%d b=%d, want %d/%d", pa.Stats().Frees, pb.Stats().Frees, thresh, thresh)
-	}
-	for _, p := range append(as, bs...) {
+	for _, p := range ps {
 		if h.Valid(p) {
-			t.Fatalf("%v still valid after flush", p)
+			t.Fatalf("%v still valid after FreeBatch returned", p)
 		}
 	}
-
-	// DrainCache flushes a part-filled buffer: no record survives a lease
-	// release in staging.
-	as, bs = alloc(pa, pb, 1)
-	h.FreeBatch(0, []Ptr{as[0], bs[0]})
-	if h.Staged() != 2 {
-		t.Fatalf("Staged = %d, want 2", h.Staged())
+	if st := h.Stats(); st.Bursts != 1 || st.Dispatches != 2 {
+		t.Fatalf("want 1 burst, 2 dispatches (one per owner): %+v", st)
 	}
-	h.DrainCache(0)
-	if h.Staged() != 0 || h.Valid(as[0]) || h.Valid(bs[0]) {
-		t.Fatal("DrainCache must flush staged records to their pools")
+	if h.Staged() != 0 {
+		t.Fatalf("Staged = %d, want 0", h.Staged())
 	}
 }
 
-// TestHubUniformFastPath pins the single-structure path: a uniform burst
-// with nothing staged for its owner bypasses staging entirely — one direct
-// pool dispatch, nothing ever staged — so a Domain pays only a tag scan.
+// TestHubUniformFastPath pins the single-structure path: a uniform burst is
+// one group — one pool dispatch — so a Domain pays only a tag scan.
 func TestHubUniformFastPath(t *testing.T) {
 	h := NewHub(1)
 	pa := NewPool[recA](Config{MaxThreads: 1, Tag: h.NextTag()})
@@ -175,7 +145,7 @@ func TestHubUniformFastPath(t *testing.T) {
 	}
 	h.FreeBatch(0, ps)
 	st := h.Stats()
-	if st.Bursts != 1 || st.Dispatches != 1 || st.Staged != 0 {
+	if st.Bursts != 1 || st.Dispatches != 1 {
 		t.Fatalf("uniform burst must dispatch directly: %+v", st)
 	}
 	if pa.Stats().Frees != 8 {
@@ -214,4 +184,25 @@ func TestHubUnattachedTagPanics(t *testing.T) {
 		}
 	}()
 	h.Free(0, forged)
+}
+
+// TestHubUnattachedSecondGroupPanics: a burst is routed group by group, so a
+// never-attached tag in its second group panics after the first group was
+// freed.
+func TestHubUnattachedSecondGroupPanics(t *testing.T) {
+	h := NewHub(1)
+	pa := NewPool[recA](Config{MaxThreads: 1, Tag: 0})
+	h.Attach(0, pa)
+	p, _ := pa.Alloc(0)
+	q, _ := pa.Alloc(0)
+	forged := Ptr(uint64(q) | uint64(3)<<tagShift) // tag 3 never attached
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a never-attached tag in the second group must panic")
+		}
+		if pa.Valid(p) || pa.Stats().Frees != 1 {
+			t.Fatal("the first group must have been freed before the panic")
+		}
+	}()
+	h.FreeBatch(0, []Ptr{p, forged})
 }

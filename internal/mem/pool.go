@@ -75,7 +75,7 @@ type Arena interface {
 	// FreeBatch returns a whole reclamation burst at once: the same
 	// double-free checks as Free per record, but one thread-cache
 	// interaction and at most one shared-free-list interaction for the
-	// entire batch. The slice is not retained.
+	// entire batch. The slice is not retained and may be reordered.
 	FreeBatch(tid int, ps []Ptr)
 	// Hdr exposes the era header of a live or retired record, materializing
 	// the side table that holds it on first use.

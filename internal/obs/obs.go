@@ -70,8 +70,7 @@ const (
 	EvSegCarve  // retired segment carved           arg: records carved
 
 	// mem.Hub — the multi-structure free seam.
-	EvHubDispatch // uniform batch dispatched        arg: record count
-	EvStageFlush  // staged mixed batch flushed      arg: record count
+	EvHubDispatch // one owner's group of a burst    arg: record count
 
 	// Root runtime — FIFO admission.
 	EvAdmitEnqueue // AcquireCtx enqueued            arg: queue depth
@@ -103,7 +102,6 @@ var codeNames = [numCodes]string{
 	EvSegRetire:    "segment-retire",
 	EvSegCarve:     "segment-carve",
 	EvHubDispatch:  "hub-dispatch",
-	EvStageFlush:   "stage-flush",
 	EvAdmitEnqueue: "admit-enqueue",
 	EvAdmitBaton:   "admit-baton",
 	EvAdmitCancel:  "admit-cancel",
@@ -352,27 +350,21 @@ type Event struct {
 }
 
 // Events returns up to max merged events, oldest first, globally ordered by
-// timestamp. Per ring the surviving (not yet overwritten) entries are
-// extracted in cursor order and sorted — shared rings may commit slightly out
-// of cursor order under contention — then a K-way min merge across rings
-// yields a monotone timeline. Readers race writers benignly: an entry mid
-// overwrite may pair a fresh timestamp with a stale word; the sort keeps the
-// timeline monotone regardless. max <= 0 means all surviving events.
+// timestamp. The surviving (not yet overwritten) entries are collected ring
+// by ring in cursor order and stable-sorted by timestamp, so equal stamps
+// keep ring, then cursor order. Readers race writers benignly: shared rings
+// may commit slightly out of cursor order, and an entry mid overwrite may
+// pair a fresh timestamp with a stale word; the sort keeps the timeline
+// monotone regardless. max <= 0 means all surviving events.
 func (r *Recorder) Events(max int) []Event {
 	if r == nil {
 		return nil
 	}
-	perRing := make([][]Event, len(r.rings))
-	total := 0
+	var evs []Event
 	for ri := range r.rings {
 		rg := &r.rings[ri]
 		pos := rg.pos.Load()
-		n := pos
-		if n > RingSize {
-			n = RingSize
-		}
-		evs := make([]Event, 0, n)
-		for k := pos - n; k < pos; k++ {
+		for k := pos - min(pos, RingSize); k < pos; k++ {
 			s := &rg.ev[k&ringMask]
 			ts := s.ts.Load()
 			if ts == 0 {
@@ -381,33 +373,12 @@ func (r *Recorder) Events(max int) []Event {
 			w := s.word.Load()
 			evs = append(evs, Event{TS: ts, Ring: ri, Code: Code(w >> 56), Arg: w & argMask})
 		}
-		sort.SliceStable(evs, func(a, b int) bool { return evs[a].TS < evs[b].TS })
-		perRing[ri] = evs
-		total += len(evs)
 	}
-	// K-way min merge over the per-ring sorted runs.
-	merged := make([]Event, 0, total)
-	heads := make([]int, len(perRing))
-	for {
-		best := -1
-		for ri, h := range heads {
-			if h >= len(perRing[ri]) {
-				continue
-			}
-			if best < 0 || perRing[ri][h].TS < perRing[best][heads[best]].TS {
-				best = ri
-			}
-		}
-		if best < 0 {
-			break
-		}
-		merged = append(merged, perRing[best][heads[best]])
-		heads[best]++
+	sort.SliceStable(evs, func(a, b int) bool { return evs[a].TS < evs[b].TS })
+	if max > 0 && len(evs) > max {
+		evs = evs[len(evs)-max:]
 	}
-	if max > 0 && len(merged) > max {
-		merged = merged[len(merged)-max:]
-	}
-	return merged
+	return evs
 }
 
 // OpenReadPhases returns the rings (tids) whose most recent read-phase event

@@ -213,11 +213,12 @@ func (r *Registry) FallbackReuses() uint64 { return r.fallbacks.Load() }
 // Hooks must be registered before the registry is used concurrently.
 func (r *Registry) OnAcquire(f func(tid int)) { r.onAcquire = append(r.onAcquire, f) }
 
-// OnRelease registers a hook run on the releasing goroutine during
-// Lease.Release, after the slot is removed from the active mask. Hooks run
-// in registration order: a scheme's quiesce hook (registered by Bind) runs
-// before a later-registered allocator-cache drain, so records the quiesce
-// frees reach the thread cache before it is flushed.
+// OnRelease registers a hook run on the releasing goroutine during recovery
+// (a Release or a Revoke), after the slot has left the active mask and the
+// bound scheme has quiesced it (runRecovery) — so an allocator-cache drain
+// registered here sees the records the quiesce freed. Hooks run in
+// registration order and must be registered before the registry is used
+// concurrently.
 func (r *Registry) OnRelease(f func(tid int)) { r.onRelease = append(r.onRelease, f) }
 
 // AfterRelease registers a hook run on the releasing goroutine after the

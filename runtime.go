@@ -32,14 +32,21 @@ import (
 // Single-structure users keep the unchanged nbr.New Domain API, which is now
 // a thin wrapper over a one-set Runtime.
 
-// RuntimeOptions configures a Runtime. The zero value selects NBR+ sized
-// for a moderately parallel host, exactly like Options.
+// RuntimeOptions configures a Runtime or — as Options — a Domain. The zero
+// value selects the paper's defaults: NBR+ sized for a moderately parallel
+// host, and for a Domain a lazy list under it.
 type RuntimeOptions struct {
+	// Structure names the Domain's concurrent ordered set (see Structures):
+	// read by New, default "lazylist". NewRuntime rejects it — a Runtime's
+	// structures are attached with NewSet.
+	Structure string
 	// Scheme names the reclamation scheme (see Schemes). Default "nbr+".
 	Scheme string
 	// MaxThreads is the lease-registry capacity shared by every attached
-	// structure: the most goroutines that can hold a lease at once. Default
-	// 2·GOMAXPROCS, at least 8.
+	// structure: the most goroutines that can hold a lease at once. Size it
+	// for peak concurrency, not for the total goroutine population — scans
+	// and signal broadcasts cost proportional to *live* leases, so
+	// over-provisioning is cheap. Default 2·GOMAXPROCS, at least 8.
 	MaxThreads int
 	// Structures pre-declares the structure kinds this runtime will host
 	// (see Structures() for the names). The scheme's announcement widths are
@@ -61,7 +68,8 @@ type RuntimeOptions struct {
 	// behavior: a lost lease strands its slot).
 	LeaseTimeout time.Duration
 
-	// The scheme knobs, as in Options (zero selects each scheme's default).
+	// The scheme knobs, as in the experiments (zero selects each scheme's
+	// default; see DESIGN.md §6 for the rationale behind the defaults).
 	BagSize    int     // NBR limbo-bag HiWatermark
 	LoFraction float64 // NBR+ LoWatermark position
 	ScanFreq   int     // NBR+ announceTS scan cadence
@@ -144,6 +152,9 @@ type schemeBox struct {
 // (not-yet-built) scheme up front; unknown scheme or structure names are
 // rejected here, not at the first Acquire.
 func NewRuntime(opts RuntimeOptions) (*Runtime, error) {
+	if opts.Structure != "" {
+		return nil, fmt.Errorf("nbr: RuntimeOptions.Structure %q is read by New only; attach with NewSet", opts.Structure)
+	}
 	opts = opts.withDefaults()
 	if err := catalog.CheckScheme(opts.Scheme); err != nil {
 		return nil, fmt.Errorf("nbr: %w", err)
@@ -174,8 +185,7 @@ func NewRuntime(opts RuntimeOptions) (*Runtime, error) {
 
 // materialize builds the scheme at the widths grown so far and wires it into
 // the registry; idempotent, and a no-op once built. Every path that hands
-// out a guard (Acquire) or drives the scheme (Drain, ForceRound) goes
-// through it, so "materialized" and "a lease may exist" coincide — which is
+// out a guard (Acquire) or drives the scheme (Drain) goes through it, so "materialized" and "a lease may exist" coincide — which is
 // why NewSet can treat a materialized scheme as width-frozen.
 func (rt *Runtime) materialize() (smr.Scheme, error) {
 	if b := rt.sch.Load(); b != nil {
@@ -272,11 +282,11 @@ func (rt *Runtime) Widths() (protectSlots, reservations int) {
 	return req.Slots, req.Reservations
 }
 
-// StagedFrees returns the number of records currently sitting in the shared
-// arena's per-thread free-staging buffers: counted as freed by the scheme,
-// not yet released to their owning pools. Every lease release flushes its
-// slot's buffers, so this reads zero once all leases are released.
-func (rt *Runtime) StagedFrees() int { return int(rt.hub.Staged()) }
+// StagedFrees is always zero: the shared arena frees every record in the
+// call that reclaims it. The accessor remains because the frozen benchmark
+// oracle (benchmark/oracle.go) reads it; it goes when a benchmark issue
+// drops that read.
+func (rt *Runtime) StagedFrees() int { return 0 }
 
 // Acquire leases a thread slot valid across every Set attached to this
 // runtime. It fails fast with ErrNoLease when the registry is full; use
@@ -291,10 +301,11 @@ func (rt *Runtime) Acquire() (*Lease, error) {
 	if err != nil {
 		return nil, err
 	}
+	lease := &Lease{rt: rt, l: l, g: scheme.Guard(l.Tid())}
 	if d := rt.opts.LeaseTimeout; d > 0 {
-		rt.watchLease(l, time.Now().Add(d))
+		lease.SetDeadline(time.Now().Add(d))
 	}
-	return &Lease{rt: rt, l: l, g: scheme.Guard(l.Tid())}, nil
+	return lease, nil
 }
 
 // With runs fn under a freshly acquired lease and guarantees the lease is
@@ -374,7 +385,9 @@ func (rt *Runtime) watchLease(l *smr.Lease, at time.Time) {
 }
 
 // unwatchLease drops a lease from the watchdog (voluntary release, or a
-// deadline cleared with SetDeadline's zero time).
+// deadline cleared with SetDeadline's zero time). Lease.unwatch calls it
+// only for a lease that was registered, so a runtime nobody armed the
+// watchdog on never takes watchMu.
 func (rt *Runtime) unwatchLease(l *smr.Lease) {
 	rt.watchMu.Lock()
 	delete(rt.watched, l)
@@ -535,24 +548,6 @@ func (rt *Runtime) abandon(ch chan struct{}) {
 	if forward {
 		rt.admitNext()
 	}
-}
-
-// ForceRound drives one completed reclamation scan round through the
-// scheme — a bracketed collection over the active announcement state — so
-// slot-quarantine aging, which rides the scan-round clock, advances on
-// demand instead of waiting for organic reclamation cadence. The registry
-// calls this internally when an Acquire finds an un-aged quarantined slot;
-// it is exported for operators that want to age the quarantine ahead of a
-// known admission burst. Returns false if the scheme cannot force rounds.
-func (rt *Runtime) ForceRound() bool {
-	scheme, err := rt.materialize()
-	if err != nil {
-		return false
-	}
-	if f, ok := scheme.(smr.RoundForcer); ok {
-		return f.ForceRound()
-	}
-	return false
 }
 
 // ForcedRounds returns how many scan rounds lease admission forced to age

@@ -321,10 +321,20 @@ func TestRuntimeStructuresOption(t *testing.T) {
 	}
 }
 
-// TestRuntimeStagedFreesDrain pins the staging lifecycle through the public
-// API: interleaved retires across structures may sit in the hub's staging
-// buffers mid-lease, but a release flushes them — StagedFrees reads zero
-// with every lease released, and the books balance after Drain.
+// TestNewRuntimeRejectsStructure: Options and RuntimeOptions are one struct,
+// and the one field only New reads must not be silently ignored by
+// NewRuntime.
+func TestNewRuntimeRejectsStructure(t *testing.T) {
+	_, err := nbr.NewRuntime(nbr.RuntimeOptions{Structure: "dgt"})
+	if err == nil || !strings.Contains(err.Error(), "attach with NewSet") {
+		t.Fatalf("NewRuntime with Structure set: err = %v, want one that says \"attach with NewSet\"", err)
+	}
+}
+
+// TestRuntimeStagedFreesDrain pins through the public API that a record the
+// scheme counts freed is back with its pool in the same call, however the
+// retire stream interleaves structures: mid-lease the pools' Frees equal the
+// scheme's Freed, StagedFrees reads zero, and the books balance after Drain.
 func TestRuntimeStagedFreesDrain(t *testing.T) {
 	rt, err := nbr.NewRuntime(nbr.RuntimeOptions{MaxThreads: 2, BagSize: 64})
 	if err != nil {
@@ -342,12 +352,17 @@ func TestRuntimeStagedFreesDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Round-robin insert/delete pairs: the adversarially interleaved retire
-	// stream the staging buffers exist for.
+	// stream, every reclamation burst carrying all three owners.
 	for i := 0; i < 4000; i++ {
 		s := sets[i%len(sets)]
 		key := uint64(i%97) + 1
 		s.Insert(l, key)
 		s.Delete(l, key)
+	}
+	// One goroutine, so no structure freed a record privately: every pool
+	// free came through the scheme.
+	if frees, freed := rt.MemStats().Frees, rt.Stats().Freed; freed == 0 || frees != freed {
+		t.Fatalf("mid-lease the pools counted %d frees, the scheme %d freed: a reclaimed record is not back with its allocator", frees, freed)
 	}
 	l.Release()
 	if staged := rt.StagedFrees(); staged != 0 {
