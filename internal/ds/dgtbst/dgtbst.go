@@ -13,11 +13,15 @@
 // validation); like the paper's benchmark we run HP anyway using child-link
 // re-reads plus the allocator's generation check.
 //
-// A record is its key and two child links, 24 bytes. The per-node ticket
-// lock and the removed flag are packed into the 32-bit record-owned word of
-// the slot header the allocator already puts in front of every record, so a
-// slot is 32 bytes — resident memory is records × bytes, and the descent's
-// cache misses are the same bytes (DESIGN.md §4).
+// Records come in two kinds, each in its own pool: a router is its key and
+// two child links, 24 bytes, and a leaf is its key alone, 8 — a leaf never
+// has children, so it carries no links. The per-node ticket lock and the
+// removed flag are packed into the 32-bit record-owned word of the slot
+// header the allocator already puts in front of every record, so a router's
+// slot is 32 bytes and a leaf's 16 — resident memory is records × bytes, and
+// the descent's cache misses are the same bytes (DESIGN.md §4). The kind
+// travels in every handle (mem.Ptr.Kind), so the descent knows a child is a
+// leaf before it loads it.
 package dgtbst
 
 import (
@@ -31,15 +35,26 @@ import (
 	"nbr/internal/smr"
 )
 
-// node is both internal and leaf record; a node is a leaf iff left == Null.
-// Its ticket lock and removed flag live in the slot header's record-owned
-// word (mem.Gen.Word, laid out below), so a slot is 24 + 8 = 32 bytes: two
-// per cache line, none straddling.
-type node struct {
+// router is an internal record. Its ticket lock and removed flag live in the
+// slot header's record-owned word (mem.Gen.Word, laid out below), so a slot
+// is 24 + 8 = 32 bytes: two per cache line, none straddling.
+type router struct {
 	key   uint64
 	left  uint64 // mem.Ptr
 	right uint64 // mem.Ptr
 }
+
+// leafNode is a set member. Only its removed flag is ever set in its header
+// word (no operation locks a leaf), and its slot is 8 + 8 = 16 bytes.
+type leafNode struct {
+	key uint64
+}
+
+// leafKind is the record kind of a leaf's handle, the second of NewPair's
+// pools; a router's is 0.
+const leafKind = 1
+
+func isLeaf(p mem.Ptr) bool { return p.Kind() == leafKind }
 
 // Layout of a node's header word: [next:15 | unused:1 | owner:15 | removed:1].
 // next is the ticket dispenser and owner the ticket being served; the lock
@@ -60,19 +75,20 @@ const (
 
 func owner(w uint32) uint32 { return w >> ownerShift & ticketMask }
 
+// view is a router's copy, taken by read.
 type view struct {
 	key   uint64
 	left  mem.Ptr
 	right mem.Ptr
 }
 
-func (v view) leaf() bool { return v.left.IsNull() }
-
 // Tree is a DGT external BST set. Keys must stay below ds.MaxKey-1 (the two
 // largest values are the sentinel leaves).
 type Tree struct {
-	pool      *mem.Pool[node]
-	root      mem.Ptr     // sentinel internal node; never removed
+	routers   *mem.Pool[router]
+	leaves    *mem.Pool[leafNode]
+	arena     *mem.Pair   // routers and leaves as the one Arena schemes free into
+	root      mem.Ptr     // sentinel router; never removed
 	retireBuf [][]mem.Ptr // per-thread RetireBatch scratch, reused across deletes
 }
 
@@ -81,9 +97,10 @@ func New(threads int) *Tree {
 	return NewWith(mem.Config{MaxThreads: threads})
 }
 
-// NewWith creates a tree over a pool built from cfg — the constructor a
-// shared-arena runtime uses, stamping its assigned arena tag (cfg.Tag) into
-// every node handle so a mem.Hub can route frees back here.
+// NewWith creates a tree over two pools built from cfg, one per record kind
+// (mem.NewPair) — the constructor a shared-arena runtime uses,
+// stamping its assigned arena tag (cfg.Tag) into every node handle so a
+// mem.Hub can route frees back here.
 //
 // It panics if cfg.MaxThreads exceeds what a node's ticket lock can order
 // (1<<15 - 1 threads).
@@ -91,20 +108,18 @@ func NewWith(cfg mem.Config) *Tree {
 	if cfg.MaxThreads > ticketMask {
 		panic(fmt.Sprintf("dgtbst: MaxThreads %d exceeds the %d threads a node's ticket lock can order", cfg.MaxThreads, ticketMask))
 	}
-	t := &Tree{
-		pool:      mem.NewPool[node](cfg),
-		retireBuf: ds.NewRetireScratch(cfg.MaxThreads),
-	}
-	l1 := t.newNode(0, ds.MaxKey-1, mem.Null, mem.Null) // left sentinel leaf
-	l2 := t.newNode(0, ds.MaxKey, mem.Null, mem.Null)   // right sentinel leaf
-	t.root = t.newNode(0, ds.MaxKey-1, l1, l2)
+	t := &Tree{retireBuf: ds.NewRetireScratch(cfg.MaxThreads)}
+	t.arena, t.routers, t.leaves = mem.NewPair[router, leafNode](cfg)
+	l1 := t.newLeaf(0, ds.MaxKey-1) // left sentinel leaf
+	l2 := t.newLeaf(0, ds.MaxKey)   // right sentinel leaf
+	t.root = t.newRouter(0, ds.MaxKey-1, l1, l2)
 	return t
 }
 
-// newNode allocates a record and initialises every field and its header
+// newRouter allocates a router and initialises every field and its header
 // word (lock free, not removed); the caller publishes the handle.
-func (t *Tree) newNode(tid int, key uint64, left, right mem.Ptr) mem.Ptr {
-	p, n, hdr := t.pool.AllocSlot(tid)
+func (t *Tree) newRouter(tid int, key uint64, left, right mem.Ptr) mem.Ptr {
+	p, n, hdr := t.routers.AllocSlot(tid)
 	atomic.StoreUint64(&n.key, key)
 	atomic.StoreUint64(&n.left, uint64(left))
 	atomic.StoreUint64(&n.right, uint64(right))
@@ -112,8 +127,17 @@ func (t *Tree) newNode(tid int, key uint64, left, right mem.Ptr) mem.Ptr {
 	return p
 }
 
-// Arena exposes the tree's allocator to reclamation schemes.
-func (t *Tree) Arena() mem.Arena { return t.pool }
+// newLeaf is newRouter for a leaf.
+func (t *Tree) newLeaf(tid int, key uint64) mem.Ptr {
+	p, n, hdr := t.leaves.AllocSlot(tid)
+	atomic.StoreUint64(&n.key, key)
+	hdr.Word.Store(0)
+	return p
+}
+
+// Arena exposes the tree's allocator to reclamation schemes: one Arena over
+// both pools, routing on each handle's kind.
+func (t *Tree) Arena() mem.Arena { return t.arena }
 
 // Req is the width the tree declares: the search keeps grandparent, parent
 // and leaf protected in three rotating slots, and a delete reserves the same
@@ -124,16 +148,17 @@ var Req = ds.Requirements{Slots: 3, Reservations: 3, Threshold: ds.DefaultThresh
 // Requirements implements the per-DS width hook.
 func (t *Tree) Requirements() ds.Requirements { return Req }
 
-// MemStats reports allocator statistics.
-func (t *Tree) MemStats() mem.Stats { return t.pool.Stats() }
+// MemStats reports allocator statistics, both pools summed (mem.Stats.Plus):
+// SlotSize is 0, since routers and leaves have different ones.
+func (t *Tree) MemStats() mem.Stats { return t.routers.Stats().Plus(t.leaves.Stats()) }
 
-// read is the barriered copy of a record: Protect, copy every field, then
+// read is the barriered copy of a router: Protect, copy every field, then
 // re-validate the handle generation through the same slot resolution. A
 // failed check reports !ok under the validating schemes and does not return
 // under the others (smr.Barrier.Stale).
 func (t *Tree) read(b *smr.Barrier, slot int, p mem.Ptr) (view, bool) {
 	b.Protect(slot, p)
-	n, gen := t.pool.Slot(p)
+	n, gen := t.routers.Slot(p)
 	var v view
 	v.key = atomic.LoadUint64(&n.key)
 	v.left = mem.Ptr(atomic.LoadUint64(&n.left))
@@ -144,6 +169,18 @@ func (t *Tree) read(b *smr.Barrier, slot int, p mem.Ptr) (view, bool) {
 	return v, true
 }
 
+// readLeaf is read for a leaf, through the leaf pool: the same barriered
+// copy of its one field.
+func (t *Tree) readLeaf(b *smr.Barrier, slot int, p mem.Ptr) (uint64, bool) {
+	b.Protect(slot, p)
+	n, gen := t.leaves.Slot(p)
+	key := atomic.LoadUint64(&n.key)
+	if !gen.Is(p) {
+		return 0, b.Stale(p)
+	}
+	return key, true
+}
+
 // validateChild is the HP/IBR reachability validation: it proves `next` was
 // reachable through par (hence not yet retired) when the child link was
 // re-read. The removed flag is set before a node is unlinked and never
@@ -152,7 +189,7 @@ func (t *Tree) read(b *smr.Barrier, slot int, p mem.Ptr) (view, bool) {
 // parent's child is reachable. This flag is what stands in for the marks
 // DGT15 lacks (Table 1's objection) — see the package comment.
 func (t *Tree) validateChild(g smr.Guard, par mem.Ptr, goLeft bool, next mem.Ptr) bool {
-	n, gen := t.pool.Slot(par)
+	n, gen := t.routers.Slot(par)
 	var c mem.Ptr
 	if goLeft {
 		c = mem.Ptr(atomic.LoadUint64(&n.left))
@@ -168,15 +205,17 @@ func (t *Tree) validateChild(g smr.Guard, par mem.Ptr, goLeft bool, next mem.Ptr
 
 // search descends to a leaf, keeping the grandparent, parent and leaf
 // protected in slots 0, 1, 2 (rotating). On return the read phase is still
-// open. gpar is Null only when the leaf hangs directly off the root.
-func (t *Tree) search(g smr.Guard, b *smr.Barrier, key uint64) (gpar, par, leaf mem.Ptr, gparV, parV, leafV view) {
+// open. gpar is Null only when the leaf hangs directly off the root. A
+// child's kind is in its handle, so each one is read through its own pool's
+// barriered copy and the descent stops at the first leaf.
+func (t *Tree) search(g smr.Guard, b *smr.Barrier, key uint64) (gpar, par, leaf mem.Ptr, gparV, parV view, leafKey uint64) {
 retry:
 	g.BeginRead()
 	gpar, par = mem.Null, mem.Null
 	cur := t.root
 	curV, _ := t.read(b, 0, cur) // the root sentinel is never freed
 	slot := 0
-	for !curV.leaf() {
+	for {
 		gpar, gparV = par, parV
 		par, parV = cur, curV
 		goLeft := key < curV.key
@@ -185,24 +224,29 @@ retry:
 			next = curV.right
 		}
 		slot = (slot + 1) % 3
-		nv, ok := t.read(b, slot, next)
-		if !ok {
+		atLeaf := isLeaf(next)
+		var ok bool
+		if atLeaf {
+			leafKey, ok = t.readLeaf(b, slot, next)
+		} else {
+			curV, ok = t.read(b, slot, next)
+		}
+		if !ok || b.NeedsValidation() && !t.validateChild(g, par, goLeft, next) {
 			goto retry
 		}
-		if b.NeedsValidation() && !t.validateChild(g, par, goLeft, next) {
-			goto retry
+		if atLeaf {
+			leaf = next
+			return
 		}
-		cur, curV = next, nv
+		cur = next
 	}
-	leaf, leafV = cur, curV
-	return
 }
 
-// lock acquires a node's ticket lock (FAA for the ticket, spin on owner) and
-// returns the node with its header. The node must be protected; MustSlot
-// asserts it.
-func (t *Tree) lock(p mem.Ptr) (*node, *mem.Gen) {
-	n, hdr := t.pool.MustSlot(p)
+// lock acquires a router's ticket lock (FAA for the ticket, spin on owner)
+// and returns the router with its header. The router must be protected;
+// MustSlot asserts it.
+func (t *Tree) lock(p mem.Ptr) (*router, *mem.Gen) {
+	n, hdr := t.routers.MustSlot(p)
 	ticket := (hdr.Word.Add(1<<nextShift) - 1<<nextShift) >> nextShift
 	for i := 0; owner(hdr.Word.Load()) != ticket; i++ {
 		if i&15 == 15 {
@@ -230,14 +274,14 @@ func removed(hdr *mem.Gen) bool { return hdr.Word.Load()&removedBit != 0 }
 // record lives. The OR leaves waiters' tickets in the same word intact.
 func setRemoved(hdr *mem.Gen) { hdr.Word.Or(removedBit) }
 
-func childOf(n *node, goLeft bool) mem.Ptr {
+func childOf(n *router, goLeft bool) mem.Ptr {
 	if goLeft {
 		return mem.Ptr(atomic.LoadUint64(&n.left))
 	}
 	return mem.Ptr(atomic.LoadUint64(&n.right))
 }
 
-func setChild(n *node, goLeft bool, c mem.Ptr) {
+func setChild(n *router, goLeft bool, c mem.Ptr) {
 	if goLeft {
 		atomic.StoreUint64(&n.left, uint64(c))
 	} else {
@@ -249,9 +293,9 @@ func setChild(n *node, goLeft bool, c mem.Ptr) {
 func (t *Tree) Contains(g smr.Guard, key uint64) bool {
 	b := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
-		_, _, _, _, _, leafV := t.search(g, &b, key)
+		_, _, _, _, _, leafKey := t.search(g, &b, key)
 		g.EndRead()
-		return leafV.key == key
+		return leafKey == key
 	})
 }
 
@@ -261,8 +305,8 @@ func (t *Tree) Insert(g smr.Guard, key uint64) bool {
 	b := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
 		for {
-			_, par, leaf, _, parV, leafV := t.search(g, &b, key)
-			if leafV.key == key {
+			_, par, leaf, _, parV, leafKey := t.search(g, &b, key)
+			if leafKey == key {
 				g.EndRead()
 				return false
 			}
@@ -276,13 +320,13 @@ func (t *Tree) Insert(g smr.Guard, key uint64) bool {
 				continue // fresh read phase from the root
 			}
 			// Build leaf' and the router in the write phase.
-			lp := t.newNode(g.Tid(), key, mem.Null, mem.Null)
+			lp := t.newLeaf(g.Tid(), key)
 			g.OnAlloc(lp)
 			var ip mem.Ptr
-			if key < leafV.key {
-				ip = t.newNode(g.Tid(), leafV.key, lp, leaf)
+			if key < leafKey {
+				ip = t.newRouter(g.Tid(), leafKey, lp, leaf)
 			} else {
-				ip = t.newNode(g.Tid(), key, leaf, lp)
+				ip = t.newRouter(g.Tid(), key, leaf, lp)
 			}
 			g.OnAlloc(ip)
 
@@ -299,8 +343,8 @@ func (t *Tree) Delete(g smr.Guard, key uint64) bool {
 	b := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
 		for {
-			gpar, par, leaf, gparV, parV, leafV := t.search(g, &b, key)
-			if leafV.key != key {
+			gpar, par, leaf, gparV, parV, leafKey := t.search(g, &b, key)
+			if leafKey != key {
 				g.EndRead()
 				return false
 			}
@@ -326,7 +370,7 @@ func (t *Tree) Delete(g smr.Guard, key uint64) bool {
 			}
 			sibling := childOf(pn, !pLeft)
 			setRemoved(ph)
-			_, lh := t.pool.MustSlot(leaf)
+			_, lh := t.leaves.MustSlot(leaf)
 			setRemoved(lh)
 			setChild(gn, gLeft, sibling)
 			unlock(ph)
@@ -346,16 +390,14 @@ func (t *Tree) Len() int {
 }
 
 func (t *Tree) count(p mem.Ptr) int {
-	n := t.pool.Raw(p)
-	l := mem.Ptr(atomic.LoadUint64(&n.left))
-	if l.IsNull() {
-		if k := atomic.LoadUint64(&n.key); k < ds.MaxKey-1 {
+	if isLeaf(p) {
+		if k := atomic.LoadUint64(&t.leaves.Raw(p).key); k < ds.MaxKey-1 {
 			return 1
 		}
 		return 0
 	}
-	r := mem.Ptr(atomic.LoadUint64(&n.right))
-	return t.count(l) + t.count(r)
+	n := t.routers.Raw(p)
+	return t.count(mem.Ptr(atomic.LoadUint64(&n.left))) + t.count(mem.Ptr(atomic.LoadUint64(&n.right)))
 }
 
 // Validate implements ds.Set (quiescent): external-tree shape, routing
@@ -370,11 +412,20 @@ func (t *Tree) validate(p mem.Ptr, lo, hi uint64) error {
 	if p.IsNull() {
 		return errors.New("dgtbst: nil child reachable")
 	}
-	n, hdr := t.pool.Slot(p)
+	var n *router
+	var k uint64
+	var hdr *mem.Gen
+	if isLeaf(p) {
+		var l *leafNode
+		l, hdr = t.leaves.Slot(p)
+		k = atomic.LoadUint64(&l.key)
+	} else {
+		n, hdr = t.routers.Slot(p)
+		k = atomic.LoadUint64(&n.key)
+	}
 	if !hdr.Is(p) {
 		return fmt.Errorf("dgtbst: freed node %v reachable", p)
 	}
-	k := atomic.LoadUint64(&n.key)
 	if k < lo || k > hi {
 		return fmt.Errorf("dgtbst: key %d outside routing window [%d, %d]", k, lo, hi)
 	}
@@ -384,20 +435,15 @@ func (t *Tree) validate(p mem.Ptr, lo, hi uint64) error {
 	if w := hdr.Word.Load(); w>>nextShift != owner(w) {
 		return fmt.Errorf("dgtbst: node %d's lock is held at quiescence (word %#x)", k, w)
 	}
-	l := mem.Ptr(atomic.LoadUint64(&n.left))
-	r := mem.Ptr(atomic.LoadUint64(&n.right))
-	if l.IsNull() != r.IsNull() {
-		return fmt.Errorf("dgtbst: node %d has exactly one child (external tree)", k)
-	}
-	if l.IsNull() {
+	if n == nil {
 		return nil
 	}
 	// Routing: key < node.key goes left. Leaf keys left of k are strictly
 	// smaller, but router keys may equal k at the sentinel edge (the
 	// infinity router duplicates its key, as in NM14-style external BSTs),
 	// so the windows are inclusive on both boundaries.
-	if err := t.validate(l, lo, k); err != nil {
+	if err := t.validate(mem.Ptr(atomic.LoadUint64(&n.left)), lo, k); err != nil {
 		return err
 	}
-	return t.validate(r, k, hi)
+	return t.validate(mem.Ptr(atomic.LoadUint64(&n.right)), k, hi)
 }

@@ -118,11 +118,20 @@ func TestRandomizedAgainstModel(t *testing.T) {
 	}
 }
 
-// TestSlotSize pins the tree's per-record footprint: a 24-byte node behind
-// the 8-byte slot header that also carries its lock, no era header inline.
+// TestSlotSize pins the tree's per-record footprints, one per record kind: a
+// 24-byte router and an 8-byte leaf, each behind the 8-byte slot header that
+// also carries its lock and flag, no era header inline. The tree's summed
+// statistics report no one slot size.
 func TestSlotSize(t *testing.T) {
-	if got := dgtbst.New(1).MemStats().SlotSize; got != 32 {
-		t.Fatalf("dgtbst slot is %d bytes, want 32", got)
+	tr := dgtbst.New(1)
+	pair := tr.Arena().(*mem.Pair)
+	for kind, want := range []uintptr{32, 16} {
+		if got := pair.Stats(kind).SlotSize; got != want {
+			t.Fatalf("dgtbst kind-%d slot is %d bytes, want %d", kind, got, want)
+		}
+	}
+	if got := tr.MemStats().SlotSize; got != 0 {
+		t.Fatalf("summed SlotSize over routers and leaves is %d, want 0", got)
 	}
 }
 

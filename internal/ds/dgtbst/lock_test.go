@@ -24,7 +24,7 @@ func TestTicketLockWraps(t *testing.T) {
 		}
 		unlock(hdr)
 	}
-	_, hdr := tr.pool.MustSlot(tr.root)
+	_, hdr := tr.routers.MustSlot(tr.root)
 	w := hdr.Word.Load()
 	if want := uint32(cycles) & ticketMask; w>>nextShift != want || owner(w) != want || !removed(hdr) {
 		t.Fatalf("after %d cycles: next %d owner %d removed %v, want %d %d true",

@@ -201,22 +201,31 @@ func (l *List) Contains(g smr.Guard, key uint64) bool {
 // pred and curr, endΦread, then lock-validate-link (Φwrite). The new record
 // is allocated inside the write phase, where neutralization can no longer
 // strike, so restarts never leak memory.
+//
+// An Insert that finds its key present and unmarked writes nothing (ASCY3,
+// the rule dgtbst follows too): it ends the read phase and returns false
+// without locking. It linearizes where a Contains that finds the key does, at
+// the read of curr's unmarked flag: a node is marked before it is unlinked
+// and the mark is never cleared while the record lives, so a flag read clear
+// — and confirmed by Gen.Is to be this allocation's — means curr was
+// reachable and unmarked, its key in the set, at that read, which lies
+// inside the operation. A marked curr takes the locking path and fails its
+// validation, so a curr that validates never holds the key.
 func (l *List) Insert(g smr.Guard, key uint64) bool {
 	b := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
 		for {
 			pred, curr, _, currV := l.search(g, &b, key)
+			if currV.key == key && !currV.marked {
+				g.EndRead()
+				return false
+			}
 			g.Reserve(0, pred)
 			g.Reserve(1, curr)
 			g.EndRead()
 			pn, ph := l.lock(pred)
 			_, ch := l.lock(curr)
 			if validate(pn, ph, ch, curr) {
-				if currV.key == key {
-					unlock(ch)
-					unlock(ph)
-					return false
-				}
 				np := l.newNode(g.Tid(), key, curr)
 				g.OnAlloc(np)
 				atomic.StoreUint64(&pn.next, uint64(np))

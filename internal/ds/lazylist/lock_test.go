@@ -4,6 +4,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"nbr/internal/smr/debra"
 )
 
 // TestMarkSurvivesLock: the mark and the lock share a word; locking and
@@ -49,6 +52,31 @@ func TestLockExcludes(t *testing.T) {
 	wg.Wait()
 	if counter != 2*each {
 		t.Fatalf("counter = %d, want %d: the lock lost updates", counter, 2*each)
+	}
+}
+
+// TestDuplicateInsertTakesNoLock: an Insert of a present, unmarked key
+// answers from its read phase (ASCY3) — it must return false without
+// waiting for that node's lock, which the test holds.
+func TestDuplicateInsertTakesNoLock(t *testing.T) {
+	l := New(1)
+	g := debra.New(l.Arena(), 1).Guard(0)
+	if !l.Insert(g, 7) {
+		t.Fatal("Insert(7) into an empty list failed")
+	}
+	_, hdr := l.lock(l.rawNext(l.head))
+	done := make(chan bool)
+	go func() { done <- l.Insert(g, 7) }()
+	select {
+	case inserted := <-done:
+		unlock(hdr)
+		if inserted {
+			t.Fatal("a duplicate Insert(7) succeeded")
+		}
+	case <-time.After(2 * time.Second):
+		unlock(hdr)
+		<-done
+		t.Fatal("a duplicate Insert(7) waited on the present node's lock")
 	}
 }
 

@@ -17,9 +17,10 @@ import (
 )
 
 // structures are the four packages that own a barriered copy — the read
-// barrier every traversal pays per visited record — each in a method named
-// read (Read in marklist, which harrislist, hmlist and hashmap traverse
-// through), in the file named after the package.
+// barrier every traversal pays per visited record — each in the methods whose
+// names begin with read (read, and readLeaf for dgtbst's leaves; Read in
+// marklist, which harrislist, hmlist and hashmap traverse through), in the
+// file named after the package.
 var structures = []string{"abtree", "dgtbst", "lazylist", "marklist"}
 
 // inlined are the calls that must disappear into every read helper: the
@@ -32,25 +33,35 @@ var inlined = map[string]*regexp.Regexp{
 	"mem.(*Pool).slotAt":     regexp.MustCompile(`inlining call to mem\.\(\*Pool\[.*\]\)\.slotAt$`),
 }
 
-// readLines returns the line range of the structure's read method.
-func readLines(t *testing.T, file string) (first, last int) {
+// helper is one read helper: its name and line range.
+type helper struct {
+	name        string
+	first, last int
+}
+
+// readHelpers returns every method of the structure's file whose name begins
+// with read, in either case.
+func readHelpers(t *testing.T, file string) []helper {
 	t.Helper()
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var hs []helper
 	for _, d := range f.Decls {
-		if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil && strings.EqualFold(fn.Name.Name, "read") {
-			return fset.Position(fn.Pos()).Line, fset.Position(fn.End()).Line
+		if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil && strings.HasPrefix(strings.ToLower(fn.Name.Name), "read") {
+			hs = append(hs, helper{fn.Name.Name, fset.Position(fn.Pos()).Line, fset.Position(fn.End()).Line})
 		}
 	}
-	t.Fatalf("%s declares no read method", file)
-	return
+	if len(hs) == 0 {
+		t.Fatalf("%s declares no read method", file)
+	}
+	return hs
 }
 
 // TestReadPathInlines compiles the structures with the compiler's inlining
-// report on and requires each of the three calls inside each read helper.
+// report on and requires each of the three calls inside every read helper.
 func TestReadPathInlines(t *testing.T) {
 	out, err := exec.Command("go", "build", "-gcflags=-m", "./...").CombinedOutput()
 	if err != nil {
@@ -72,18 +83,19 @@ func TestReadPathInlines(t *testing.T) {
 		}
 	}
 	for _, pkg := range structures {
-		first, last := readLines(t, filepath.Join(pkg, pkg+".go"))
-		for name, re := range inlined {
-			found := false
-			for _, s := range sites {
-				if s.pkg == pkg && s.line >= first && s.line <= last && re.MatchString(s.msg) {
-					found = true
-					break
+		for _, h := range readHelpers(t, filepath.Join(pkg, pkg+".go")) {
+			for name, re := range inlined {
+				found := false
+				for _, s := range sites {
+					if s.pkg == pkg && s.line >= h.first && s.line <= h.last && re.MatchString(s.msg) {
+						found = true
+						break
+					}
 				}
-			}
-			if !found {
-				t.Errorf("%s: %s is not inlined into read (lines %d-%d); see `go build -gcflags=-m=2` for the cost that went over budget",
-					pkg, name, first, last)
+				if !found {
+					t.Errorf("%s: %s is not inlined into %s (lines %d-%d); see `go build -gcflags=-m=2` for the cost that went over budget",
+						pkg, name, h.name, h.first, h.last)
+				}
 			}
 		}
 	}

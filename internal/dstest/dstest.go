@@ -217,24 +217,35 @@ func memStats(t *testing.T, inst Instance) mem.Stats {
 	return ms.MemStats()
 }
 
+// poolStats returns the allocator statistics of each of the instance's
+// pools: one per record kind behind a mem.Pair, else the one pool's.
+func poolStats(t *testing.T, inst Instance) []mem.Stats {
+	if pair, ok := inst.Arena.(*mem.Pair); ok {
+		return []mem.Stats{pair.Stats(0), pair.Stats(1)}
+	}
+	return []mem.Stats{memStats(t, inst)}
+}
+
 // eraTables closes a scheme's run over every instance its suites built: a
 // scheme that stamps nothing must have left every pool's era side table
 // unmaterialized — its records cost their slot and nothing else — and a
-// stamping scheme must have materialized one wherever it churned.
+// stamping scheme must have materialized one wherever it churned, charging
+// every live record of that pool its slot and a header.
 func eraTables(t *testing.T, scheme string, made []Instance, churned bool) {
 	stamped := 0
 	for _, inst := range made {
-		st := memStats(t, inst)
-		if st.EraBytes == 0 {
-			continue
-		}
-		stamped++
-		if !stampingSchemes[scheme] {
-			t.Fatalf("%s materialized %d bytes of era tables; it writes no per-record stamps", scheme, st.EraBytes)
-		}
-		if want := st.Live * int64(st.SlotSize+unsafe.Sizeof(mem.Hdr{})); st.LiveBytes != want {
-			t.Fatalf("LiveBytes = %d for %d live records of a %d-byte slot and a header each, want %d",
-				st.LiveBytes, st.Live, st.SlotSize, want)
+		for _, st := range poolStats(t, inst) {
+			if st.EraBytes == 0 {
+				continue
+			}
+			stamped++
+			if !stampingSchemes[scheme] {
+				t.Fatalf("%s materialized %d bytes of era tables; it writes no per-record stamps", scheme, st.EraBytes)
+			}
+			if want := st.Live * int64(st.SlotSize+unsafe.Sizeof(mem.Hdr{})); st.LiveBytes != want {
+				t.Fatalf("LiveBytes = %d for %d live records of a %d-byte slot and a header each, want %d",
+					st.LiveBytes, st.Live, st.SlotSize, want)
+			}
 		}
 	}
 	if stampingSchemes[scheme] && churned && stamped == 0 {

@@ -2,6 +2,7 @@ package dstest
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,10 +10,18 @@ import (
 	"nbr/internal/mem"
 )
 
-// slabs returns how many slabs the instance's pool has carved.
-func slabs(t *testing.T, inst Instance) uint64 {
-	st := memStats(t, inst)
-	return (st.SlabBytes - st.EraBytes) / (mem.SlabSize * uint64(st.SlotSize))
+// slabs returns how many slabs each of the instance's pools has carved.
+func slabs(t *testing.T, inst Instance) []uint64 {
+	var n []uint64
+	for _, st := range poolStats(t, inst) {
+		n = append(n, (st.SlabBytes-st.EraBytes)/(mem.SlabSize*uint64(st.SlotSize)))
+	}
+	return n
+}
+
+// fewestSlabs returns the slab count of the instance's least-grown pool.
+func fewestSlabs(t *testing.T, inst Instance) uint64 {
+	return slices.Min(slabs(t, inst))
 }
 
 // Grown covers the half of mem.Pool's slot resolution the other suites never
@@ -21,8 +30,9 @@ func slabs(t *testing.T, inst Instance) uint64 {
 //
 // Fill, which crosses the boundary mid-traffic: every thread inserts keys of
 // its own — so each result is known — deleting every fourth again, next to
-// the other threads' keys, until the pool has outgrown its first extent; the
-// slab directory is published while the other threads are inside operations.
+// the other threads' keys, until every pool has outgrown its first extent;
+// the slab directory is published while the other threads are inside
+// operations.
 // Keys go in by descending blocks, shuffled within a block. Small blocks keep
 // every insert within a few dozen records of a sorted list's head, which is
 // what makes a slab's worth of them affordable under the race detector;
@@ -44,8 +54,10 @@ func Grown(t *testing.T, f Factory, scheme string) {
 	}
 	inst := f.New(threads)
 	sch := newScheme(t, scheme, inst, threads)
-	if n := slabs(t, inst); n != 1 {
-		t.Fatalf("a fresh structure's pool reports %d slabs, want its first extent", n)
+	for kind, n := range slabs(t, inst) {
+		if n != 1 {
+			t.Fatalf("a fresh structure's pool %d reports %d slabs, want its first extent", kind, n)
+		}
 	}
 
 	kept := make([][]uint64, threads)
@@ -65,7 +77,7 @@ func Grown(t *testing.T, f Factory, scheme string) {
 	each(func(tid int) {
 		g := sch.Guard(tid)
 		rng := rand.New(rand.NewSource(int64(tid) + 1))
-		for slabs(t, inst) < 2 {
+		for fewestSlabs(t, inst) < 2 {
 			base := top - blocks.Add(1)*block
 			for _, j := range rng.Perm(int(block)) {
 				key := base + uint64(j)
@@ -110,7 +122,7 @@ func Grown(t *testing.T, f Factory, scheme string) {
 	}
 
 	churn(t, inst, sch, threads, 8)
-	if n := slabs(t, inst); n < 2 {
-		t.Fatalf("the pool reports %d slabs after outgrowing its first", n)
+	if n := fewestSlabs(t, inst); n < 2 {
+		t.Fatalf("a pool reports %d slabs after every pool outgrew its first", n)
 	}
 }

@@ -127,7 +127,7 @@ func TestExtentTransitionConcurrent(t *testing.T) {
 	done.Wait()
 }
 
-// TestPoolFootprint: a pool that has not grown is a small object — the 128 KB
+// TestPoolFootprint: a pool that has not grown is a small object — the 64 KB
 // directory is behind the grown pointer, not in it — and the words every
 // resolution loads start at least a cache line before the first word an
 // allocating thread writes, so no alignment puts the two on one line.

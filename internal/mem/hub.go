@@ -13,7 +13,8 @@ import (
 // arena tag and stamps that tag into every handle it allocates (Config.Tag);
 // the Hub routes every Arena call to the pool the handle's tag names. The
 // scheme side needs no changes: its bags simply hold records whose owner
-// travels inside the Ptr.
+// travels inside the Ptr. What a tag names is one structure's Arena: its
+// Pool, or the Pair in front of its two pools when it has two record kinds.
 //
 // The Hub is a router and keeps no per-thread state. FreeBatch groups a
 // reclamation burst by owner in place and hands each owner its records in
@@ -147,18 +148,27 @@ func (h *Hub) FreeBatch(tid int, ps []Ptr) {
 	h.bursts.Add(1)
 	for len(ps) > 0 {
 		owner := h.route(ps[0])
-		tag, n := ps[0].ArenaTag(), 1
-		for i := 1; i < len(ps); i++ {
-			if ps[i].ArenaTag() == tag {
-				ps[n], ps[i] = ps[i], ps[n]
-				n++
-			}
-		}
+		n := group(ps, tagField)
 		h.dispatches.Add(1)
 		h.noteFrees(tid, ps[:n])
 		owner.FreeBatch(tid, ps[:n])
 		ps = ps[n:]
 	}
+}
+
+// group is the swap-forward pass a Hub groups a burst by tag with and a Pair
+// by kind: it moves every record of ps whose bits under field equal ps[0]'s
+// to the front, in one pass, and returns how many there are. ps must not be
+// empty.
+func group(ps []Ptr, field Ptr) int {
+	want, n := ps[0]&field, 1
+	for i := 1; i < len(ps); i++ {
+		if ps[i]&field == want {
+			ps[n], ps[i] = ps[i], ps[n]
+			n++
+		}
+	}
+	return n
 }
 
 // noteFrees records one group's dispatch and, while garbage-age samples are

@@ -6,10 +6,10 @@ import (
 )
 
 // This file is the grouping equivalence property test: a Hub that groups a
-// mixed burst by owner in place must be observably identical —
-// allocator-stats-exact — to a caller splitting every burst into per-owner
-// FreeBatch calls itself, across adversarial tag interleavings and burst
-// sizes. Only the order of the records within one owner's group may differ
+// mixed burst by owner in place — and a Pair that groups it by record kind —
+// must be observably identical — allocator-stats-exact — to a caller
+// splitting every burst into per-owner FreeBatch calls itself, across
+// adversarial interleavings and burst sizes. Only the order of the records within one owner's group may differ
 // from the caller's (the in-place swap permutes the groups after the first),
 // which no pool counter sees: Frees, Live, slab growth and every handle's
 // Valid flip must agree.
@@ -17,8 +17,8 @@ import (
 // groupingPattern deterministically picks the owner of the i-th retired
 // record: the interleavings that historically defeated run-splitting.
 type groupingPattern struct {
-	name string
-	tag  func(i, k int) int
+	name  string
+	owner func(i, k int) int
 }
 
 var groupingPatterns = []groupingPattern{
@@ -35,75 +35,92 @@ var groupingPatterns = []groupingPattern{
 // pools through identical logical free sequences and asserts the
 // pool-visible outcomes are exactly equal.
 func TestHubGroupingEquivalence(t *testing.T) {
+	const k = 3
+	groupingEquivalence(t, func() (Arena, []*Pool[recA], []*Pool[recA]) {
+		h := NewHub(1)
+		var pools, refs []*Pool[recA]
+		for tag := 0; tag < k; tag++ {
+			pools = append(pools, NewPool[recA](Config{MaxThreads: 1, Tag: h.NextTag()}))
+			h.Attach(tag, pools[tag])
+			refs = append(refs, NewPool[recA](Config{MaxThreads: 1, Tag: tag}))
+		}
+		return h, pools, refs
+	}, Ptr.ArenaTag)
+}
+
+// TestPairGroupingEquivalence is the same property one level down: a Pair
+// grouping a mixed burst by record kind against the two pools fed their
+// per-kind split directly.
+func TestPairGroupingEquivalence(t *testing.T) {
+	groupingEquivalence(t, func() (Arena, []*Pool[recA], []*Pool[recA]) {
+		pair, p0, p1 := NewPair[recA, recA](Config{MaxThreads: 1})
+		refs := []*Pool[recA]{NewPool[recA](Config{MaxThreads: 1}), NewPool[recA](Config{MaxThreads: 1, kind: 1})}
+		return pair, []*Pool[recA]{p0, p1}, refs
+	}, Ptr.Kind)
+}
+
+// groupingEquivalence runs every pattern × burst size through a fresh build:
+// front stands in front of pools, owner(p) names p's pool by index, and refs
+// are standalone pools of the same owners that the caller splits each burst
+// for itself.
+func groupingEquivalence(t *testing.T, build func() (front Arena, pools, refs []*Pool[recA]), owner func(Ptr) int) {
 	const (
-		k       = 3
 		records = 240
 		burst   = 16 // declared reclamation burst
 	)
 	for _, pat := range groupingPatterns {
 		for _, batch := range []int{1, 3, 7, burst, 5 * burst} {
-			h := NewHub(1)
-			var hubPools, refPools [k]*Pool[recA]
-			for tag := 0; tag < k; tag++ {
-				hubPools[tag] = NewPool[recA](Config{MaxThreads: 1, Tag: h.NextTag()})
-				h.Attach(tag, hubPools[tag])
-				refPools[tag] = NewPool[recA](Config{MaxThreads: 1, Tag: tag})
-			}
-			h.SizeCache(0, burst)
-			for _, p := range refPools {
+			front, pools, refs := build()
+			k := len(pools)
+			front.SizeCache(0, burst)
+			for _, p := range refs {
 				p.SizeCache(0, burst)
 			}
 
 			// Identical allocation order per owner on both sides.
-			hubPtrs := make([]Ptr, 0, records)
+			frontPtrs := make([]Ptr, 0, records)
 			refPtrs := make([]Ptr, 0, records)
 			for i := 0; i < records; i++ {
-				tag := pat.tag(i, k)
-				hp, _ := hubPools[tag].Alloc(0)
-				rp, _ := refPools[tag].Alloc(0)
-				hubPtrs = append(hubPtrs, hp)
+				o := pat.owner(i, k)
+				fp, _ := pools[o].Alloc(0)
+				rp, _ := refs[o].Alloc(0)
+				frontPtrs = append(frontPtrs, fp)
 				refPtrs = append(refPtrs, rp)
 			}
 
-			// Free in bursts of `batch`: the hub takes the mixed burst
+			// Free in bursts of `batch`: the front takes the mixed burst
 			// whole; the reference splits it per owner in the caller's
 			// order, which is the semantics grouping must preserve.
 			for lo := 0; lo < records; lo += batch {
-				hi := lo + batch
-				if hi > records {
-					hi = records
-				}
-				h.FreeBatch(0, hubPtrs[lo:hi])
-				var split [k][]Ptr
+				hi := min(lo+batch, records)
+				front.FreeBatch(0, frontPtrs[lo:hi])
+				split := make([][]Ptr, k)
 				for _, p := range refPtrs[lo:hi] {
-					split[p.ArenaTag()] = append(split[p.ArenaTag()], p)
+					split[owner(p)] = append(split[owner(p)], p)
 				}
-				for tag, ps := range split {
-					refPools[tag].FreeBatch(0, ps)
+				for o, ps := range split {
+					refs[o].FreeBatch(0, ps)
 				}
 			}
-			h.DrainCache(0)
-			for _, p := range refPools {
+			front.DrainCache(0)
+			for _, p := range refs {
 				p.DrainCache(0)
 			}
 
-			if h.Staged() != 0 {
-				t.Fatalf("%s/batch=%d: Staged() = %d, want the constant 0", pat.name, batch, h.Staged())
-			}
-			for tag := 0; tag < k; tag++ {
-				hs, rs := hubPools[tag].Stats(), refPools[tag].Stats()
-				if hs.Allocs != rs.Allocs || hs.Frees != rs.Frees || hs.Live != rs.Live || hs.SlabBytes != rs.SlabBytes {
-					t.Fatalf("%s/batch=%d tag %d: grouped %+v != direct %+v", pat.name, batch, tag, hs, rs)
+			for o := 0; o < k; o++ {
+				fs, rs := pools[o].Stats(), refs[o].Stats()
+				if fs.Allocs != rs.Allocs || fs.Frees != rs.Frees || fs.Live != rs.Live || fs.SlabBytes != rs.SlabBytes {
+					t.Fatalf("%s/batch=%d owner %d: grouped %+v != direct %+v", pat.name, batch, o, fs, rs)
 				}
-				if hs.Live != 0 {
-					t.Fatalf("%s/batch=%d tag %d: %d live records after full free", pat.name, batch, tag, hs.Live)
+				if fs.Live != 0 {
+					t.Fatalf("%s/batch=%d owner %d: %d live records after full free", pat.name, batch, o, fs.Live)
 				}
 			}
-			for i := range hubPtrs {
-				if h.Valid(hubPtrs[i]) {
-					t.Fatalf("%s/batch=%d: hub handle %v valid after drain", pat.name, batch, hubPtrs[i])
+			for i := range frontPtrs {
+				if front.Valid(frontPtrs[i]) {
+					t.Fatalf("%s/batch=%d: grouped handle %v valid after drain", pat.name, batch, frontPtrs[i])
 				}
-				if refPools[refPtrs[i].ArenaTag()].Valid(refPtrs[i]) {
+				if refs[owner(refPtrs[i])].Valid(refPtrs[i]) {
 					t.Fatalf("%s/batch=%d: reference handle %v valid after drain", pat.name, batch, refPtrs[i])
 				}
 			}

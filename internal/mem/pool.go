@@ -13,7 +13,9 @@ const (
 	slabBits = 14
 	// SlabSize is the number of slots carved per slab.
 	SlabSize = 1 << slabBits
-	maxSlabs = 1 << 14
+	// maxSlots spans a Ptr's index bits, 2^27 records per pool, so a grown
+	// pool's slab directory has 2^13 entries, 64 KB.
+	maxSlabs = 1 << (kindShift - slabBits)
 	maxSlots = maxSlabs * SlabSize
 
 	// carveBatch is how many never-used slots a thread claims from the bump
@@ -119,6 +121,10 @@ type Config struct {
 	// untagged handles a standalone pool always produced. Must be below
 	// MaxTags.
 	Tag int
+
+	// kind is the record kind stamped into every handle this pool returns
+	// (see Ptr): 0, or 1 for the second pool NewPair builds.
+	kind int
 }
 
 func (c Config) withDefaults() Config {
@@ -465,7 +471,12 @@ func (p *Pool[T]) AllocSlot(tid int) (Ptr, *T, *Gen) {
 	g := s.gen.v.Load() // even: slot is free
 	s.gen.v.Store(g + 1)
 	tc.allocs.Add(1)
-	return pack(idx, g+1, p.cfg.Tag), &s.val, &s.gen
+	return pack(idx, g+1, p.cfg.Tag, p.cfg.kind), &s.val, &s.gen
+}
+
+// owns reports whether q carries this pool's tag and kind.
+func (p *Pool[T]) owns(q Ptr) bool {
+	return q.ArenaTag() == p.cfg.Tag && q.Kind() == p.cfg.kind
 }
 
 // release CASes q's slot generation from live to free, panicking on double
@@ -474,8 +485,9 @@ func (p *Pool[T]) release(q Ptr) uint32 {
 	if q.IsNull() {
 		panic("mem: free of nil handle")
 	}
-	if q.ArenaTag() != p.cfg.Tag {
-		panic(fmt.Sprintf("mem: free of %v routed to pool with tag %d (Hub misroute or corrupt handle)", q, p.cfg.Tag))
+	if !p.owns(q) {
+		panic(fmt.Sprintf("mem: free of %v routed to pool with tag %d kind %d (Hub or Pair misroute, or corrupt handle)",
+			q, p.cfg.Tag, p.cfg.kind))
 	}
 	s := p.slotAt(q.Idx())
 	if !s.gen.v.CompareAndSwap(q.Gen(), q.Gen()+1) {
@@ -618,7 +630,8 @@ type Stats struct {
 	Frees  uint64
 	Live   int64
 	// SlotSize is the inline footprint of one record: its generation word
-	// plus the record itself. The era header is not part of it.
+	// plus the record itself. The era header is not part of it. Summed
+	// statistics (Plus) keep it only when every pool has the same one.
 	SlotSize uintptr
 	// EraBytes is the size of the materialized era side tables: 0 until a
 	// scheme asks for a header, then one header per slot of every slab it
@@ -654,4 +667,27 @@ func (p *Pool[T]) Stats() Stats {
 	st.SlabBytes = ((carved+SlabSize-1)>>slabBits)*SlabSize*uint64(st.SlotSize) + st.EraBytes
 	st.GlobalOps = p.global.ops.Load()
 	return st
+}
+
+// Plus returns the statistics of s's pools and o's taken together: every
+// count and byte total summed. SlotSize is kept only where both sides report
+// the same one — pools of different record sizes have no one slot size — so
+// it is 0 for a structure with two record kinds. The zero Stats is the empty
+// sum (no pool reports it: every pool has its first extent), so a fold from
+// Stats{} over one pool, or over pools of one size, keeps their SlotSize.
+func (s Stats) Plus(o Stats) Stats {
+	if s == (Stats{}) {
+		return o
+	}
+	if s.SlotSize != o.SlotSize {
+		s.SlotSize = 0
+	}
+	s.Allocs += o.Allocs
+	s.Frees += o.Frees
+	s.Live += o.Live
+	s.EraBytes += o.EraBytes
+	s.LiveBytes += o.LiveBytes
+	s.SlabBytes += o.SlabBytes
+	s.GlobalOps += o.GlobalOps
+	return s
 }

@@ -19,7 +19,7 @@ func newTestPool(threads int) *Pool[rec] {
 }
 
 func TestPtrPackRoundTrip(t *testing.T) {
-	p := pack(12345, 678, 0)
+	p := pack(12345, 678, 0, 0)
 	if p.Idx() != 12345 || p.Gen() != 678 {
 		t.Fatalf("roundtrip got idx=%d gen=%d", p.Idx(), p.Gen())
 	}
@@ -29,7 +29,7 @@ func TestPtrPackRoundTrip(t *testing.T) {
 }
 
 func TestPtrMarkBit(t *testing.T) {
-	p := pack(7, 3, 0)
+	p := pack(7, 3, 0, 0)
 	m := p.WithMark()
 	if !m.Marked() {
 		t.Fatal("WithMark did not set mark")
@@ -57,17 +57,32 @@ func TestNullHandle(t *testing.T) {
 	}
 }
 
+// TestPtrQuickPacking: index, generation, tag, kind and mark are independent
+// fields — each reads back what was packed, whatever the others hold, and
+// setting the mark disturbs none of them.
 func TestPtrQuickPacking(t *testing.T) {
-	f := func(idx uint32, gen uint32, tag uint8) bool {
+	f := func(idx uint32, gen uint32, tag uint8, kind bool) bool {
 		gen &= uint32(genMask)
 		idx &= slotIdxMask
-		tg := int(tag) % MaxTags
-		p := pack(idx, gen, tg)
-		return p.Idx() == idx && p.Gen() == gen && p.ArenaTag() == tg &&
-			p.WithMark().Unmarked() == p
+		tg, k := int(tag)%MaxTags, 0
+		if kind {
+			k = 1
+		}
+		p := pack(idx, gen, tg, k)
+		for _, q := range []Ptr{p, p.WithMark()} {
+			if q.Idx() != idx || q.Gen() != gen || q.ArenaTag() != tg || q.Kind() != k || q.Unmarked() != p {
+				return false
+			}
+		}
+		return !p.Marked() && p.WithMark().Marked()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+	if p := pack(slotIdxMask, uint32(genMask), MaxTags-1, 1).WithMark(); p.Idx() != slotIdxMask ||
+		p.Gen() != uint32(genMask) || p.ArenaTag() != MaxTags-1 || p.Kind() != 1 || uint64(p) != ^uint64(0) {
+		t.Fatalf("every field at its maximum reads back idx %d gen %d tag %d kind %d (%#x)",
+			p.Idx(), p.Gen(), p.ArenaTag(), p.Kind(), uint64(p))
 	}
 }
 
@@ -388,7 +403,7 @@ func TestEraTableFirstTouchRace(t *testing.T) {
 // the inliner's 80, Slot has 3 left, and Slot out of budget is Slot out of
 // every read helper (TestReadPathInlines).
 func TestCorruptHandlePanicsTyped(t *testing.T) {
-	bad := pack(5*SlabSize+3, 1, 0)
+	bad := pack(5*SlabSize+3, 1, 0, 0)
 	for _, grown := range []bool{false, true} {
 		p := newTestPool(1)
 		p.Alloc(0)

@@ -17,8 +17,9 @@ import "fmt"
 //
 //	bit  63     user mark bit (Harris-style marked pointers)
 //	bits 62..32 slot generation (odd = live)
-//	bits 31..28 arena tag (which pool behind a Hub owns the slot)
-//	bits 27..0  slot index
+//	bits 31..28 arena tag (which structure behind a Hub owns the slot)
+//	bit  27     record kind (which of its structure's pools owns the slot)
+//	bits 26..0  slot index
 //
 // The mark bit belongs to the data structure, not the allocator: two handles
 // that differ only in the mark bit address the same record. All Pool methods
@@ -28,9 +29,12 @@ import "fmt"
 // mem.Arena (a Hub): a pool constructed with Config.Tag k stamps k into
 // every handle it returns, so a reclamation scheme holding a mixed bag of
 // retired records from many structures can route each free back to the pool
-// that owns it without per-record bookkeeping. maxSlots is 2^28, so the tag
-// bits are free; a pool with Tag 0 (the default) produces exactly the
-// handles it always did.
+// that owns it without per-record bookkeeping. The record kind does the same
+// one level down, inside one structure: a structure with records of two
+// sizes keeps them in two pools, kinds 0 and 1 under one tag, and presents
+// them as one Arena (a Pair), so a reader tells a child's kind from the link
+// alone. maxSlots is 2^27, so both fields are free; a pool with Tag 0 (the
+// default) outside a Pair produces plain handles.
 type Ptr uint64
 
 // Null is the nil handle. Slot 0 is never allocated, so no live handle
@@ -47,21 +51,32 @@ const (
 
 	tagBits     = 4
 	tagShift    = 32 - tagBits
-	slotIdxMask = uint32(1)<<tagShift - 1
+	kindShift   = tagShift - 1
+	slotIdxMask = uint32(1)<<kindShift - 1
+
+	// tagField and kindField are the two routing fields, as the masks a
+	// burst is grouped on (group).
+	tagField  = Ptr(MaxTags-1) << tagShift
+	kindField = Ptr(1) << kindShift
 )
 
-// pack builds a handle from a slot index, generation and arena tag.
-func pack(idx uint32, gen uint32, tag int) Ptr {
-	return Ptr(uint64(idx) | uint64(tag)<<tagShift | (uint64(gen)&genMask)<<32)
+// pack builds a handle from a slot index, generation, arena tag and record
+// kind.
+func pack(idx uint32, gen uint32, tag, kind int) Ptr {
+	return Ptr(uint64(idx) | uint64(tag)<<tagShift | uint64(kind)<<kindShift | (uint64(gen)&genMask)<<32)
 }
 
-// Idx returns the slot index of p within its owning pool (the arena tag
+// Idx returns the slot index of p within its owning pool (tag and kind
 // stripped).
 func (p Ptr) Idx() uint32 { return uint32(p) & slotIdxMask }
 
 // ArenaTag returns which pool behind a Hub owns p's slot (0 for a pool
 // constructed without a tag).
 func (p Ptr) ArenaTag() int { return int(uint32(p) >> tagShift) }
+
+// Kind returns the record kind of p's slot: 0, or 1 for a record of the
+// second pool of a Pair (NewPair).
+func (p Ptr) Kind() int { return int(uint32(p) >> kindShift & 1) }
 
 // Gen returns the slot generation p was created with.
 func (p Ptr) Gen() uint32 { return uint32((uint64(p) >> 32) & genMask) }
@@ -83,12 +98,16 @@ func (p Ptr) String() string {
 	if p.IsNull() {
 		return "mem.Null"
 	}
-	m := ""
-	if p.Marked() {
-		m = "*"
-	}
+	s := "mem.Ptr{"
 	if t := p.ArenaTag(); t != 0 {
-		return fmt.Sprintf("mem.Ptr{arena:%d idx:%d gen:%d%s}", t, p.Idx(), p.Gen(), m)
+		s += fmt.Sprintf("arena:%d ", t)
 	}
-	return fmt.Sprintf("mem.Ptr{idx:%d gen:%d%s}", p.Idx(), p.Gen(), m)
+	if k := p.Kind(); k != 0 {
+		s += fmt.Sprintf("kind:%d ", k)
+	}
+	s += fmt.Sprintf("idx:%d gen:%d", p.Idx(), p.Gen())
+	if p.Marked() {
+		s += "*"
+	}
+	return s + "}"
 }

@@ -98,7 +98,7 @@ func (p *Pool[T]) AllocBatch(tid, n int) Run {
 		s.gen.v.Store(1)
 	}
 	p.threads[tid].allocs.Add(uint64(n))
-	return Run{first: pack(uint32(base), 1, p.cfg.Tag), n: n}
+	return Run{first: pack(uint32(base), 1, p.cfg.Tag, p.cfg.kind), n: n}
 }
 
 // NewSegment wraps run in a segment record: an ordinary slot (the value is
@@ -110,9 +110,8 @@ func (p *Pool[T]) NewSegment(tid int, run Run) Ptr {
 	if run.n <= 0 {
 		panic("mem: NewSegment of empty run")
 	}
-	if run.first.ArenaTag() != p.cfg.Tag {
-		panic(fmt.Sprintf("mem: NewSegment of run owned by tag %d in pool with tag %d",
-			run.first.ArenaTag(), p.cfg.Tag))
+	if !p.owns(run.first) {
+		panic(fmt.Sprintf("mem: NewSegment of run %v in pool with tag %d kind %d", run.first, p.cfg.Tag, p.cfg.kind))
 	}
 	q, _ := p.Alloc(tid)
 	p.segMu.Lock()

@@ -54,7 +54,9 @@ const (
 	postUnit       = uint64(4) // one signal in the count field
 )
 
-// state is one thread's signal state, padded to its own cache line.
+// state is one thread's signal state, padded to a whole number of cache
+// lines (two), so that delivery bookkeeping on one slot never shares a line
+// with a neighbour's word, which every BeginRead/EndRead CASes.
 type state struct {
 	word atomic.Uint64
 	// Owner-only fields (no atomics needed).
@@ -74,7 +76,7 @@ type state struct {
 	neutralized atomic.Uint64 // deliveries that restarted this thread
 	ignored     atomic.Uint64 // deliveries ignored (non-restartable)
 	revoked     atomic.Uint64 // deliveries that killed a revoked occupant
-	_           [32]byte
+	_           [56]byte
 }
 
 // Config sets the simulated costs, in spin iterations (~1ns each).

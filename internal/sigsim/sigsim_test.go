@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func neutralizes(f func()) (hit bool) {
@@ -17,6 +18,16 @@ func neutralizes(f func()) (hit bool) {
 	}()
 	f()
 	return false
+}
+
+// TestStateFillsWholeCacheLines: the per-slot states sit side by side in one
+// array, so a state that is not a whole number of cache lines puts one slot's
+// delivery counters on its neighbour's word line — and every BeginRead and
+// EndRead CASes that word.
+func TestStateFillsWholeCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(state{}); size%64 != 0 {
+		t.Fatalf("state is %d bytes, not a multiple of the 64-byte cache line", size)
+	}
 }
 
 func TestPollNoSignalNoop(t *testing.T) {

@@ -610,24 +610,16 @@ func (rt *Runtime) Stats() Stats {
 }
 
 // MemStats returns the allocator counters summed across every attached
-// structure's pool. SlotSize is reported only while exactly one structure
-// is attached (pools of different record types have different slot sizes).
+// structure's pools (mem.Stats.Plus). SlotSize is reported only while every
+// one of those pools has the same slot size, so it is 0 once two record
+// types are attached — and for a runtime holding only a dgt tree, whose
+// routers and leaves are two pools of different sizes.
 func (rt *Runtime) MemStats() MemStats {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	var agg MemStats
 	for _, s := range rt.sets {
-		st := s.inst.MemStats()
-		agg.Allocs += st.Allocs
-		agg.Frees += st.Frees
-		agg.Live += st.Live
-		agg.EraBytes += st.EraBytes
-		agg.LiveBytes += st.LiveBytes
-		agg.SlabBytes += st.SlabBytes
-		agg.GlobalOps += st.GlobalOps
-		if len(rt.sets) == 1 {
-			agg.SlotSize = st.SlotSize
-		}
+		agg = agg.Plus(s.inst.MemStats())
 	}
 	return agg
 }
