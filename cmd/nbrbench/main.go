@@ -67,8 +67,8 @@ func main() {
 	if *snapshot != "" {
 		// The snapshot suite is fixed (8 threads: the end-to-end workload
 		// cells, the shared-runtime cells — including the adversarial
-		// interleaved-retire variants — the Domain-vs-Runtime width cells,
-		// and the scan/burst microbenchmarks) so BENCH_<n>.json files are
+		// interleaved-retire variants — the declared-widths-vs-Runtime width
+		// cells, and the scan/burst microbenchmarks) so BENCH_<n>.json files are
 		// comparable across PRs; workload flags other than -duration and the
 		// scheme knobs do not apply to it.
 		if *experiment != "" || *custom || *threads != "" {

@@ -2,27 +2,25 @@
 // Based Reclamation" (Singh, Brown, Mashtizadeh; PPoPP 2021), and a usable
 // library around it.
 //
-// The public API has two entry points. The Domain (nbr.New) is one
-// reclamation-protected concurrent ordered set with dynamic thread
-// membership: handler goroutines Acquire a Lease, operate through it, and
+// The public API has one entry point, the Runtime (nbr.NewRuntime): one
+// lease registry, one reclamation scheme and one arena, with any number of
+// concurrent ordered sets attached to it by NewSet. Handler goroutines
+// Acquire a Lease, operate on sets under it (set.Insert(lease, key)), and
 // Release it on the way out — thread slots recycle across any number of
 // short-lived goroutines, departing threads leak nothing (their in-flight
 // reclamation state is adopted by later reclaimers), and the scheme's
-// declared garbage bound holds across the churn. See examples/quickstart.
+// declared garbage bound holds across the churn. See examples/quickstart
+// for the one-set case.
 //
-// The Runtime (nbr.NewRuntime) is the shared reclamation substrate behind
-// it, exposed for services hosting several structures: one lease registry,
-// one scheme instance and one arena serve every Set attached via NewSet, so
-// a single Lease per request covers all of a handler's structures, the
-// garbage bound is declared once and aggregates across them (the arena is a
-// stateless router: a reclamation burst is grouped by owning structure and
-// back with the pools when the scheme's free call returns, so Retired − Freed
-// is all the memory the allocator has not got back), and
-// AcquireCtx provides FIFO blocking admission with context cancellation
-// instead of spin-retry. A Domain is a thin attachment over a private
-// one-set Runtime, and Options is RuntimeOptions under another name: one
-// struct, one set of defaults. See examples/server for the runtime under real
-// net/http traffic and DESIGN.md §10 for the layer's design.
+// One Lease covers every Set of its Runtime, so a single lease per request
+// covers all of a handler's structures; the garbage bound is declared once
+// and aggregates across them (the arena is a stateless router: a
+// reclamation burst is grouped by owning structure and back with the pools
+// when the scheme's free call returns, so Retired − Freed is all the memory
+// the allocator has not got back); and AcquireCtx provides FIFO blocking
+// admission with context cancellation instead of spin-retry. See
+// examples/server for the runtime under real net/http traffic and DESIGN.md
+// §10 for the layer's design.
 //
 // The paper's algorithms live in internal/core; the substrates that make
 // them expressible under a garbage-collected runtime live in internal/mem

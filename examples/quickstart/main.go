@@ -1,19 +1,17 @@
 // Quickstart: protect a concurrent ordered set with NBR+ in three steps,
 // using only the public nbr package.
 //
-//  1. create a Domain (a data structure + reclamation scheme + thread-lease
-//     registry in one);
+//  1. create a Runtime (reclamation scheme + thread-lease registry + arena)
+//     and attach a data structure to it with NewSet;
 //  2. each worker goroutine acquires a Lease — no hand-managed thread ids;
-//  3. run operations through the lease and release it — retired records are
-//     reclaimed behind the scenes, with bounded garbage even if a thread
-//     stalls, and a departing thread leaks nothing.
+//  3. run operations on the set under the lease and release it — retired
+//     records are reclaimed behind the scenes, with bounded garbage even if
+//     a thread stalls, and a departing thread leaks nothing.
 //
-// Single-structure services need nothing beyond this: nbr.New is unchanged
-// since the shared-runtime layer landed (a Domain is now a one-structure
-// nbr.Runtime under the hood). A service hosting several structures over
-// one lease registry — one Lease covering all of them per request — starts
-// from nbr.NewRuntime and attaches structures with NewSet instead; see
-// examples/server for that regime over real HTTP.
+// A single-structure service needs nothing beyond this. A service hosting
+// several structures calls NewSet once per structure on the same runtime,
+// and one Lease covers all of them per request; see examples/server for
+// that regime over real HTTP.
 //
 // What nbrvet would catch here: the protocol mistakes this example is
 // careful not to make are all static findings — stashing the lease in a
@@ -35,12 +33,12 @@ import (
 func main() {
 	const workers = 4
 
-	// 1. The domain: an NBR+-protected lazy list.
-	domain, err := nbr.New(nbr.Options{
-		Structure: "lazylist",
-		Scheme:    "nbr+",
-		BagSize:   512,
-	})
+	// 1. The runtime, NBR+, and the lazy list it protects.
+	rt, err := nbr.NewRuntime(nbr.RuntimeOptions{Scheme: "nbr+", BagSize: 512})
+	if err != nil {
+		panic(err)
+	}
+	set, err := rt.NewSet("lazylist")
 	if err != nil {
 		panic(err)
 	}
@@ -51,7 +49,7 @@ func main() {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			lease, err := domain.Acquire()
+			lease, err := rt.Acquire()
 			if err != nil {
 				panic(err)
 			}
@@ -61,34 +59,34 @@ func main() {
 				if key == 0 {
 					key = 2
 				}
-				lease.Insert(key)
+				set.Insert(lease, key)
 				if i%3 == 0 {
-					lease.Delete(key)
+					set.Delete(lease, key)
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
 
-	probe, err := domain.Acquire()
+	probe, err := rt.Acquire()
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("set size after churn: %d\n", domain.Len())
-	fmt.Printf("contains(2)=%v contains(3)=%v\n", probe.Contains(2), probe.Contains(3))
+	fmt.Printf("set size after churn: %d\n", set.Len())
+	fmt.Printf("contains(2)=%v contains(3)=%v\n", set.Contains(probe, 2), set.Contains(probe, 3))
 	probe.Release()
 
-	if err := domain.Drain(); err != nil {
+	if err := rt.Drain(); err != nil {
 		panic(err)
 	}
-	st := domain.Stats()
-	ms := domain.MemStats()
+	st := rt.Stats()
+	ms := set.MemStats()
 	fmt.Printf("retired=%d freed=%d garbage=%d (declared bound: %d)\n",
-		st.Retired, st.Freed, st.Garbage(), domain.GarbageBound())
+		st.Retired, st.Freed, st.Garbage(), rt.GarbageBound())
 	fmt.Printf("signals sent=%d, read-phase restarts=%d\n", st.Signals, st.Neutralized)
 	fmt.Printf("live records=%d (%.1f KiB)\n", ms.Live, float64(ms.LiveBytes)/1024)
 
-	if err := domain.Validate(); err != nil {
+	if err := set.Validate(); err != nil {
 		panic(err)
 	}
 	fmt.Println("structure validated: ok")

@@ -15,12 +15,16 @@ import (
 var stashed *nbr.Lease
 
 func badMain() {
-	domain, err := nbr.New(nbr.Options{Structure: "lazylist", Scheme: "nbr+"})
+	rt, err := nbr.NewRuntime(nbr.RuntimeOptions{Scheme: "nbr+"})
+	if err != nil {
+		panic(err)
+	}
+	set, err := rt.NewSet("lazylist")
 	if err != nil {
 		panic(err)
 	}
 
-	lease, err := domain.Acquire()
+	lease, err := rt.Acquire()
 	if err != nil {
 		panic(err)
 	}
@@ -35,12 +39,12 @@ func badMain() {
 	// goroutine-affine; acquire inside the goroutine instead" (leaseescape)
 	go func() {
 		defer wg.Done()
-		lease.Insert(2)
+		set.Insert(lease, 2)
 	}()
 	wg.Wait()
 
 	lease.Release()
 	// nbrvet: "use of lease lease after Release: its guard slot may already
 	// belong to another goroutine" (guardderef)
-	lease.Insert(4)
+	set.Insert(lease, 4)
 }

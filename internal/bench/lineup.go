@@ -73,8 +73,8 @@ var snapshotLineup = []snapshotCell{
 	{"resize ibr/per-node", ResizeBurstWorkload{Scheme: "ibr", PerNode: true}},
 
 	// Width cells, for structures at both ends of the declared-reservation
-	// range: the scan entries and ns/scan a Domain gets (exact declared
-	// widths) against what a Runtime hosting only that structure builds.
+	// range: the scan entries and ns/scan at the structure's declared widths
+	// against what a Runtime hosting only that structure builds.
 	{"width lazylist", widthCell("lazylist")},
 	{"width dgt", widthCell("dgt")},
 
@@ -198,29 +198,31 @@ func measureScanCost(threads, slots int) ScanCostPoint {
 }
 
 // measureWidths builds one width-comparison cell from real objects: the
-// Domain side is the reservation width nbr.New gives the structure, the
-// Runtime side the width of a NewRuntime hosting exactly that structure (plus
-// any kinds it pre-declares — none in the snapshot, where the gap must be 0).
-// Scan cost is measured at each side's threads × reservations entries.
-func measureWidths(name string, threads int, declared ...string) (WidthPoint, error) {
-	d, err := nbr.New(nbr.Options{Structure: name, MaxThreads: threads})
+// declared side is the reservation width the structure's own instance
+// declares, the Runtime side the width of a NewRuntime hosting that structure
+// plus any others attached before its first lease (none in the snapshot,
+// where the gap must be 0). Scan cost is measured at each side's threads ×
+// reservations entries.
+func measureWidths(name string, threads int, others ...string) (WidthPoint, error) {
+	inst, err := catalog.NewDS(name, threads)
 	if err != nil {
 		return WidthPoint{}, err
 	}
-	rt, err := nbr.NewRuntime(nbr.RuntimeOptions{MaxThreads: threads, Structures: declared})
+	rt, err := nbr.NewRuntime(nbr.RuntimeOptions{MaxThreads: threads})
 	if err != nil {
 		return WidthPoint{}, err
 	}
-	if _, err := rt.NewSet(name); err != nil {
-		return WidthPoint{}, err
+	for _, n := range append([]string{name}, others...) {
+		if _, err := rt.NewSet(n); err != nil {
+			return WidthPoint{}, err
+		}
 	}
-	_, domainRes := d.Runtime().Widths()
 	_, runtimeRes := rt.Widths()
-	domain := measureScanCost(threads, domainRes)
+	declared := measureScanCost(threads, inst.Req.Reservations)
 	shared := measureScanCost(threads, runtimeRes)
 	return WidthPoint{
-		DS: name, Threads: threads, DomainEntries: domain.Entries, RuntimeEntries: shared.Entries,
-		DomainNsPerScan: domain.NsPerScan, RuntimeNsScan: shared.NsPerScan,
+		DS: name, Threads: threads, DeclaredEntries: declared.Entries, RuntimeEntries: shared.Entries,
+		DeclaredNsPerScan: declared.NsPerScan, RuntimeNsScan: shared.NsPerScan,
 	}, nil
 }
 

@@ -90,25 +90,26 @@ func TestRunRuntimeStallCell(t *testing.T) {
 }
 
 // TestWidthCellGapCanOpen pins both sides of the width cell to real objects:
-// a runtime hosting exactly the structure builds at the Domain's widths (gap
-// 0, the recorded invariant), and one that pre-declares a wider kind scans
-// wider rows than the Domain — the condition nbrtrend always flags.
+// a runtime hosting exactly the structure builds at its declared widths (gap
+// 0, the recorded invariant), and one that co-attaches a wider kind scans
+// wider rows than the structure declares — the condition nbrtrend always
+// flags.
 func TestWidthCellGapCanOpen(t *testing.T) {
 	same, err := measureWidths("lazylist", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if same.RuntimeEntries != same.DomainEntries {
-		t.Fatalf("runtime hosting only lazylist scans %d entries, domain %d; want no gap",
-			same.RuntimeEntries, same.DomainEntries)
+	if same.RuntimeEntries != same.DeclaredEntries {
+		t.Fatalf("runtime hosting only lazylist scans %d entries, lazylist declares %d; want no gap",
+			same.RuntimeEntries, same.DeclaredEntries)
 	}
 	wide, err := measureWidths("lazylist", 4, "hashmap")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wide.RuntimeEntries <= wide.DomainEntries {
-		t.Fatalf("runtime pre-declaring hashmap scans %d entries, domain %d; the gap must open",
-			wide.RuntimeEntries, wide.DomainEntries)
+	if wide.RuntimeEntries <= wide.DeclaredEntries {
+		t.Fatalf("runtime co-attaching hashmap scans %d entries, lazylist declares %d; the gap must open",
+			wide.RuntimeEntries, wide.DeclaredEntries)
 	}
 }
 

@@ -33,8 +33,8 @@ type Snapshot struct {
 // SnapshotSchema names the snapshot layout: six sections, one point type
 // each — end-to-end workload cells; shared-runtime cells measured on the
 // public nbr.Runtime (mixed, adversarially interleaved, stall-injection);
-// resize-burst cells; Domain-vs-Runtime width cells; and the reservation-scan
-// and free-burst microbenchmarks. Files written under older schema numbers
+// resize-burst cells; declared-widths-vs-Runtime width cells; and the
+// reservation-scan and free-burst microbenchmarks. Files written under older schema numbers
 // load as they are: a column they lack reads zero and is left out of the
 // comparison. The one boundary that matters is v8/v9 — up to v8 the runtime
 // cells came from a reconstruction inside the harness, so their timings do not
@@ -361,33 +361,35 @@ func (rb ResizeBurstPoint) Violations() []string {
 			cost, segmentAmortization))
 }
 
-// WidthPoint is one Domain-vs-Runtime width-comparison cell: the
-// announcement widths each construction path gives one structure, and the
-// measured reservation-scan cost at those widths. The runtime builds at the
-// structure's declared widths, so the entries gap is zero and ns/scan is at
-// parity; a reopened gap (RuntimeEntries > DomainEntries) means the runtime is
-// back to conservative global widths — a pure width count, wrong on any host.
+// WidthPoint is one declared-widths-vs-Runtime width-comparison cell: the
+// reservation width a structure declares, the width a Runtime hosting it
+// builds, and the measured reservation-scan cost at those widths. The
+// runtime builds at the structure's declared widths, so the entries gap is
+// zero and ns/scan is at parity; a reopened gap (RuntimeEntries >
+// DeclaredEntries) means the runtime is back to conservative global widths —
+// a pure width count, wrong on any host. The JSON names predate the field
+// names and are kept so nbrtrend pairs the cells of every committed snapshot.
 type WidthPoint struct {
-	DS              string  `json:"ds"`
-	Threads         int     `json:"threads"`
-	DomainEntries   int     `json:"domain_entries"`  // threads × declared reservations
-	RuntimeEntries  int     `json:"runtime_entries"` // threads × runtime-built reservations
-	DomainNsPerScan float64 `json:"domain_ns_per_scan"`
-	RuntimeNsScan   float64 `json:"runtime_ns_per_scan"`
+	DS                string  `json:"ds"`
+	Threads           int     `json:"threads"`
+	DeclaredEntries   int     `json:"domain_entries"`  // threads × declared reservations
+	RuntimeEntries    int     `json:"runtime_entries"` // threads × runtime-built reservations
+	DeclaredNsPerScan float64 `json:"domain_ns_per_scan"`
+	RuntimeNsScan     float64 `json:"runtime_ns_per_scan"`
 }
 
 func (wd WidthPoint) key() string { return fmt.Sprintf("width %s t=%d", wd.DS, wd.Threads) }
 
 func (wd WidthPoint) columns() []column {
 	return []column{
-		{name: "width_gap", v: float64(wd.RuntimeEntries - wd.DomainEntries), up: true, class: zero, exact: true},
+		{name: "width_gap", v: float64(wd.RuntimeEntries - wd.DeclaredEntries), up: true, class: zero, exact: true},
 		col("rt_ns_scan", wd.RuntimeNsScan, true, timing),
 	}
 }
 
 func (wd WidthPoint) Violations() []string {
-	return violations(wd.key(), fails(wd.RuntimeEntries > wd.DomainEntries,
-		"runtime scans %d announcement entries where a Domain scans %d", wd.RuntimeEntries, wd.DomainEntries))
+	return violations(wd.key(), fails(wd.RuntimeEntries > wd.DeclaredEntries,
+		"runtime scans %d announcement entries where the structure declares %d", wd.RuntimeEntries, wd.DeclaredEntries))
 }
 
 // ScanCostPoint measures one reservation scan (collect + sort + BagSize

@@ -26,7 +26,7 @@ func healthySnapshot() Snapshot {
 		},
 		ResizeBurst: []ResizeBurstPoint{{Scheme: "ibr", Mode: "segment", Threads: 8, Retired: 4088,
 			StampsPerRecord: 0.003, ScansPerRecord: 0.003, Drained: true, BoundContract: held}},
-		Widths:    []WidthPoint{{DS: "lazylist", Threads: 8, DomainEntries: 16, RuntimeEntries: 16}},
+		Widths:    []WidthPoint{{DS: "lazylist", Threads: 8, DeclaredEntries: 16, RuntimeEntries: 16}},
 		ScanCost:  []ScanCostPoint{{Threads: 8, Slots: 4, Entries: 32, NsPerScan: 1000}},
 		FreeBurst: []FreeBurstPoint{{Shards: 4, Goroutines: 8, Burst: 256, NsPerOp: 28}},
 	}
@@ -56,7 +56,7 @@ func TestPointViolations(t *testing.T) {
 		{"fallbacks", func(s *Snapshot) { s.Runtime[1].Fallbacks = 2 },
 			"runtime lazylist+dgt/nbr+ t=8 w=12 stall: unaged-slot fallback used 2 times; forced rounds must cover the churn"},
 		{"width gap", func(s *Snapshot) { s.Widths[0].RuntimeEntries = 24 },
-			"width lazylist t=8: runtime scans 24 announcement entries where a Domain scans 16"},
+			"width lazylist t=8: runtime scans 24 announcement entries where the structure declares 16"},
 		{"scan allocs", func(s *Snapshot) { s.ScanCost[0].AllocsPerOp = 1 },
 			"scan N=8 R=4: reservation scan allocates 1 times per scan; the flat scratch must not"},
 		{"segment amortization", func(s *Snapshot) { s.ResizeBurst[0].StampsPerRecord = 0.2 },

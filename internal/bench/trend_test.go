@@ -120,7 +120,7 @@ func TestCompareSnapshotsHostShapeMismatchUntrusted(t *testing.T) {
 
 // trendSnapV5 extends the synthetic snapshot with the schema v5 cells: an
 // interleaved runtime cell carrying the dispatch-per-burst amortization and
-// a width-comparison cell carrying the Domain-vs-Runtime entries gap.
+// a width-comparison cell carrying the declared-vs-Runtime entries gap.
 func trendSnapV5(dispatchPerBurst float64, runtimeEntries int) Snapshot {
 	s := trendSnap(2.0, 1000, 100, 0)
 	s.Runtime = []RuntimePoint{{
@@ -132,8 +132,8 @@ func trendSnapV5(dispatchPerBurst float64, runtimeEntries int) Snapshot {
 	}}
 	s.Widths = []WidthPoint{{
 		DS: "lazylist", Threads: 8,
-		DomainEntries: 16, RuntimeEntries: runtimeEntries,
-		DomainNsPerScan: 500, RuntimeNsScan: 500 * float64(runtimeEntries) / 16,
+		DeclaredEntries: 16, RuntimeEntries: runtimeEntries,
+		DeclaredNsPerScan: 500, RuntimeNsScan: 500 * float64(runtimeEntries) / 16,
 	}}
 	return s
 }

@@ -22,11 +22,9 @@ type pooled interface {
 }
 
 // structure is one catalog row — everything the module knows about a
-// structure kind by name: its constructor and source directory, the
-// announcement widths it declares (its package's Req, the value its
-// Requirements() method returns — available without constructing an instance,
-// so a shared runtime can size its scheme for kinds that attach later), and
-// its row of the paper's Table 1. The EBR column is
+// structure kind by name: its constructor and source directory, and its row
+// of the paper's Table 1 (the announcement widths it declares are its
+// instance's Requirements(), carried in Instance.Req). The EBR column is
 // "yes" for every structure, so a row carries only the two columns that vary;
 // hpBench marks the rows Table 1 rejects for the HP family but the paper's
 // own benchmark runs anyway (link re-read validation, at the documented cost
@@ -35,7 +33,6 @@ type structure struct {
 	name    string
 	dir     string
 	build   func(mem.Config) pooled
-	req     ds.Requirements
 	nbr, hp Verdict
 	hpBench bool
 }
@@ -44,7 +41,6 @@ var structures = []structure{{
 	name:    "lazylist",
 	dir:     "internal/ds/lazylist",
 	build:   func(c mem.Config) pooled { return lazylist.NewWith(c) },
-	req:     lazylist.Req,
 	nbr:     Verdict{true, "single Φread then Φwrite; reserve pred and curr (2 reservations)"},
 	hp:      Verdict{false, "repeated protect failures on marked-but-linked nodes break wait-free searches (run in benchmark mode anyway, as the paper's E1 does)"},
 	hpBench: true,
@@ -52,35 +48,30 @@ var structures = []structure{{
 	name:  "harris",
 	dir:   "internal/ds/harrislist",
 	build: func(c mem.Config) pooled { return harrislist.NewWith(c) },
-	req:   harrislist.Req,
 	nbr:   Verdict{true, "multiple read/write phases, every Φread restarts from the root (§5.2, Alg. 3); ≤3 reservations"},
 	hp:    Verdict{true, "validate via link re-read (HM04-style)"},
 }, {
 	name:  "hashmap",
 	dir:   "internal/ds/hashmap",
 	build: func(c mem.Config) pooled { return hashmap.NewWith(c) },
-	req:   hashmap.Req,
 	nbr:   Verdict{true, "split-ordered list; every Φread restarts from the root (table pointer and dummies are roots); ≤3 reservations, one of them the cell array's segment handle"},
 	hp:    Verdict{true, "validate via table re-read + link re-read (HM04-style); cells pinned through the array's segment handle"},
 }, {
 	name:  "hmlist",
 	dir:   "internal/ds/hmlist",
 	build: func(c mem.Config) pooled { return hmlist.NewWith(c, hmlist.Restart) },
-	req:   hmlist.Req,
 	nbr:   Verdict{true, "E4 modification: every Φread restarts from the root"},
 	hp:    Verdict{true, ""},
 }, {
 	name:  "hmlist-norestart",
 	dir:   "internal/ds/hmlist",
 	build: func(c mem.Config) pooled { return hmlist.NewWith(c, hmlist.NoRestart) },
-	req:   hmlist.Req,
 	nbr:   Verdict{false, "Φread after an auxiliary Φwrite resumes from pred, violating Requirement 12"},
 	hp:    Verdict{true, ""},
 }, {
 	name:    "dgt",
 	dir:     "internal/ds/dgtbst",
 	build:   func(c mem.Config) pooled { return dgtbst.NewWith(c) },
-	req:     dgtbst.Req,
 	nbr:     Verdict{true, "sync-free search then ticket-locked update; ≤3 reservations"},
 	hp:      Verdict{false, "no marks, so reachability of a protected node cannot be validated (run in benchmark mode anyway, as the paper's E1 does)"},
 	hpBench: true,
@@ -88,7 +79,6 @@ var structures = []structure{{
 	name:  "abtree",
 	dir:   "internal/ds/abtree",
 	build: func(c mem.Config) pooled { return abtree.NewWith(c) },
-	req:   abtree.Req,
 	nbr:   Verdict{true, "auxiliary rebalancing steps restart from the root; ≤3 reservations"},
 	hp:    Verdict{false, "searches traverse nodes whose reachability cannot be validated without version support"},
 }}
@@ -148,29 +138,4 @@ func DSDir(name string) (string, error) {
 		return "", err
 	}
 	return s.dir, nil
-}
-
-// DSRequirements returns the announcement widths the named structure kind
-// declares, without constructing it.
-func DSRequirements(name string) (ds.Requirements, error) {
-	s, err := lookup(name)
-	if err != nil {
-		return ds.Requirements{}, err
-	}
-	return s.req, nil
-}
-
-// MaxRequirements folds the declared widths over names: the smallest widths
-// every named structure kind fits under. An empty list yields the zero value
-// (callers grow it from actual attachments).
-func MaxRequirements(names []string) (ds.Requirements, error) {
-	var widest ds.Requirements
-	for _, name := range names {
-		req, err := DSRequirements(name)
-		if err != nil {
-			return ds.Requirements{}, err
-		}
-		widest.Widen(req)
-	}
-	return widest, nil
 }

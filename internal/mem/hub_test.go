@@ -132,7 +132,8 @@ func TestHubFreesLandInTheCall(t *testing.T) {
 }
 
 // TestHubUniformFastPath pins the single-structure path: a uniform burst is
-// one group — one pool dispatch — so a Domain pays only a tag scan.
+// one group — one pool dispatch — so a single-structure runtime pays only a
+// tag scan.
 func TestHubUniformFastPath(t *testing.T) {
 	h := NewHub(1)
 	pa := NewPool[recA](Config{MaxThreads: 1, Tag: h.NextTag()})

@@ -175,30 +175,6 @@ func TestRuntimeWithPanicReleases(t *testing.T) {
 	}
 }
 
-// TestDomainWith pins the Domain-flavored With: the lease carries the home
-// set, so handlers use the sugar methods directly.
-func TestDomainWith(t *testing.T) {
-	d, err := nbr.New(nbr.Options{MaxThreads: 2, BagSize: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.With(context.Background(), func(l *nbr.Lease) error {
-		if !l.Insert(11) {
-			t.Error("fresh key reported present")
-		}
-		if !l.Contains(11) {
-			t.Error("inserted key missing")
-		}
-		l.Delete(11)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Drain(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestLeaseSetDeadline pins the per-lease override: a zero SetDeadline opts a
 // lease out of a runtime-wide LeaseTimeout, and an explicit deadline arms the
 // watchdog on a runtime that has none.
@@ -379,4 +355,46 @@ func TestRuntimeCancelVsReapRace(t *testing.T) {
 	}
 	t.Logf("storm: %d admitted, %d cancelled, %d wedged, %d reaped, %d zombie releases",
 		admitted.Load(), cancelled.Load(), wedged.Load(), rt.ReapedLeases(), rt.RevokedReleases())
+}
+
+// BenchmarkLeaseSession times one Runtime.With envelope — AcquireCtx, a
+// single Contains on a 64-key lazylist, Release — from one goroutine, with
+// the watchdog unarmed (LeaseTimeout=0) and armed (LeaseTimeout=1s). The
+// difference is what an armed watchdog charges every lease: watchMu and a
+// map insert at acquire, watchMu and a map delete at release.
+func BenchmarkLeaseSession(b *testing.B) {
+	for _, timeout := range []time.Duration{0, time.Second} {
+		b.Run("LeaseTimeout="+timeout.String(), func(b *testing.B) {
+			rt, err := nbr.NewRuntime(nbr.RuntimeOptions{MaxThreads: 4, LeaseTimeout: timeout})
+			if err != nil {
+				b.Fatal(err)
+			}
+			set, err := rt.NewSet("lazylist")
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			if err := rt.With(ctx, func(l *nbr.Lease) error {
+				for k := uint64(1); k <= 64; k++ {
+					set.Insert(l, k)
+				}
+				return nil
+			}); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				key := uint64(i%64) + 1
+				if err := rt.With(ctx, func(l *nbr.Lease) error {
+					if !set.Contains(l, key) {
+						return errors.New("prefilled key missing")
+					}
+					return nil
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

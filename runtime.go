@@ -27,19 +27,13 @@ import (
 // handle), and hands out a single Lease valid across every Set attached to
 // it. One lease per request covers all of a handler's structures; the
 // garbage bound is declared once per runtime and covers every structure's
-// retired records, because they all live in the same per-thread bags.
-//
-// Single-structure users keep the unchanged nbr.New Domain API, which is now
-// a thin wrapper over a one-set Runtime.
+// retired records, because they all live in the same per-thread bags. A
+// single-structure service is the one-Set case of the same API.
 
-// RuntimeOptions configures a Runtime or — as Options — a Domain. The zero
-// value selects the paper's defaults: NBR+ sized for a moderately parallel
-// host, and for a Domain a lazy list under it.
+// RuntimeOptions configures a Runtime. The zero value selects the paper's
+// defaults: NBR+ sized for a moderately parallel host. Structures are not
+// options: they attach with NewSet.
 type RuntimeOptions struct {
-	// Structure names the Domain's concurrent ordered set (see Structures):
-	// read by New, default "lazylist". NewRuntime rejects it — a Runtime's
-	// structures are attached with NewSet.
-	Structure string
 	// Scheme names the reclamation scheme (see Schemes). Default "nbr+".
 	Scheme string
 	// MaxThreads is the lease-registry capacity shared by every attached
@@ -48,14 +42,6 @@ type RuntimeOptions struct {
 	// and signal broadcasts cost proportional to *live* leases, so
 	// over-provisioning is cheap. Default 2·GOMAXPROCS, at least 8.
 	MaxThreads int
-	// Structures pre-declares the structure kinds this runtime will host
-	// (see Structures() for the names). The scheme's announcement widths are
-	// sized to cover every declared kind from the width registry, so a
-	// structure named here can be attached with NewSet at any time — even
-	// after leases are held — without widening the scheme. Leaving it empty
-	// sizes the scheme to exactly the structures attached before the first
-	// lease (see NewRuntime).
-	Structures []string
 
 	// LeaseTimeout, when positive, arms the lease watchdog: every lease gets
 	// a reap deadline of Acquire time + LeaseTimeout (override per lease with
@@ -100,11 +86,12 @@ func (o RuntimeOptions) withDefaults() RuntimeOptions {
 // then NewSet grows the announcement widths monotonically to the maximum the
 // attached structures declare, so the scheme's reservation and hazard scans
 // run at the paper-exact narrow per-DS widths (≤3 reservations for every
-// structure in the harness) instead of a conservative global worst case —
-// the same widths a single-structure Domain gets. Once the scheme exists the
-// widths are frozen: a later NewSet whose structure fits still attaches (and
-// is cache-sized for every live slot), but one declaring wider needs is
-// rejected — pre-declare such structures via RuntimeOptions.Structures.
+// structure in the harness) instead of a conservative global worst case: a
+// runtime hosting one structure scans exactly the widths that structure
+// declares. Once the scheme exists the widths are frozen: a later NewSet
+// whose structure fits still attaches (and is cache-sized for every live
+// slot), but one declaring wider needs is rejected — attach it before the
+// first lease.
 type Runtime struct {
 	opts RuntimeOptions
 	hub  *mem.Hub
@@ -147,25 +134,15 @@ type schemeBox struct {
 	s smr.Scheme
 }
 
-// NewRuntime creates a Runtime with no structures attached. Structure kinds
-// named in opts.Structures are resolved through the catalog and widen the
-// (not-yet-built) scheme up front; unknown scheme or structure names are
-// rejected here, not at the first Acquire.
+// NewRuntime creates a Runtime with no structures attached; NewSet attaches
+// them. An unknown scheme name is rejected here, not at the first Acquire.
 func NewRuntime(opts RuntimeOptions) (*Runtime, error) {
-	if opts.Structure != "" {
-		return nil, fmt.Errorf("nbr: RuntimeOptions.Structure %q is read by New only; attach with NewSet", opts.Structure)
-	}
 	opts = opts.withDefaults()
 	if err := catalog.CheckScheme(opts.Scheme); err != nil {
 		return nil, fmt.Errorf("nbr: %w", err)
 	}
-	req, err := catalog.MaxRequirements(opts.Structures)
-	if err != nil {
-		return nil, fmt.Errorf("nbr: RuntimeOptions.Structures: %w", err)
-	}
 	rt := &Runtime{
 		opts: opts,
-		req:  req,
 		hub:  mem.NewHub(opts.MaxThreads),
 		reg:  smr.NewRegistry(opts.MaxThreads),
 		rec:  obs.NewRecorder(opts.MaxThreads),
@@ -183,10 +160,12 @@ func NewRuntime(opts RuntimeOptions) (*Runtime, error) {
 	return rt, nil
 }
 
-// materialize builds the scheme at the widths grown so far and wires it into
-// the registry; idempotent, and a no-op once built. Every path that hands
-// out a guard (Acquire) or drives the scheme (Drain) goes through it, so "materialized" and "a lease may exist" coincide — which is
-// why NewSet can treat a materialized scheme as width-frozen.
+// materialize builds the scheme at the widths the attached structures
+// declared and wires it into the registry; idempotent, and a no-op once
+// built. Every path that hands out a guard (Acquire) or drives the scheme
+// (Drain) goes through it, so "materialized" and "a lease may exist"
+// coincide — which is why NewSet can treat a materialized scheme as
+// width-frozen.
 func (rt *Runtime) materialize() (smr.Scheme, error) {
 	if b := rt.sch.Load(); b != nil {
 		return b.s, nil
@@ -229,8 +208,8 @@ func (rt *Runtime) materialize() (smr.Scheme, error) {
 // widths (they grow to the maximum any attached structure declares). After
 // the first lease the widths are frozen: a structure that fits them still
 // attaches — its pool is sized for every live slot exactly as if it had
-// been attached up front — but a wider one is rejected; pre-declare it in
-// RuntimeOptions.Structures to reserve its widths.
+// been attached up front — but a wider one is rejected: attach every
+// structure the runtime will need before its first lease.
 func (rt *Runtime) NewSet(structure string) (*Set, error) {
 	if err := catalog.Check(structure, rt.opts.Scheme); err != nil {
 		return nil, fmt.Errorf("nbr: %w", err)
@@ -249,7 +228,7 @@ func (rt *Runtime) NewSet(structure string) (*Set, error) {
 		// Width-frozen: the scheme exists, so its reservation rows and
 		// hazard arrays cannot grow under live guards.
 		if inst.Req.Slots > rt.req.Slots || inst.Req.Reservations > rt.req.Reservations {
-			return nil, fmt.Errorf("nbr: %s needs %d protect slots and %d reservations, but the runtime's scheme is already built at %d/%d; attach it before the first lease or pre-declare it in RuntimeOptions.Structures",
+			return nil, fmt.Errorf("nbr: %s needs %d protect slots and %d reservations, but the runtime's scheme is already built at %d/%d; attach it before the first lease",
 				structure, inst.Req.Slots, inst.Req.Reservations, rt.req.Slots, rt.req.Reservations)
 		}
 	} else {
@@ -264,8 +243,8 @@ func (rt *Runtime) NewSet(structure string) (*Set, error) {
 // Widths returns the announcement widths the runtime's scans run at: the
 // number of Protect slots and Reserve slots per thread. Before the first
 // lease they track the widest attached structure (every scan is N·width
-// entries, so narrow widths are the Domain-parity fast path); after it they
-// are frozen.
+// entries, so a runtime pays for exactly the widths its structures declare);
+// after it they are frozen.
 func (rt *Runtime) Widths() (protectSlots, reservations int) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -317,16 +296,11 @@ func (rt *Runtime) Acquire() (*Lease, error) {
 // With reports ErrLeaseReaped instead. This is the recommended way to write
 // request handlers: a handler that panics or overruns can never strand a
 // slot.
-func (rt *Runtime) With(ctx context.Context, fn func(*Lease) error) error {
-	return rt.with(ctx, nil, fn)
-}
-
-func (rt *Runtime) with(ctx context.Context, home *Set, fn func(*Lease) error) (err error) {
+func (rt *Runtime) With(ctx context.Context, fn func(*Lease) error) (err error) {
 	l, err := rt.AcquireCtx(ctx)
 	if err != nil {
 		return err
 	}
-	l.set = home
 	defer func() {
 		p := recover()
 		l.Release()
@@ -344,12 +318,8 @@ func (rt *Runtime) with(ctx context.Context, home *Set, fn func(*Lease) error) (
 	}()
 	// The lease session runs under pprof labels so CPU profiles attribute
 	// samples — including the reclamation work fn's retires trigger — to the
-	// scheme and structure doing it.
-	structure := "runtime"
-	if home != nil {
-		structure = home.name
-	}
-	pprof.Do(ctx, pprof.Labels("scheme", rt.Scheme(), "structure", structure), func(context.Context) {
+	// scheme doing it.
+	pprof.Do(ctx, pprof.Labels("scheme", rt.Scheme(), "structure", "runtime"), func(context.Context) {
 		err = fn(l)
 	})
 	return err

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"nbr"
+	"nbr/internal/catalog"
 	"nbr/internal/dstest"
 )
 
@@ -212,10 +213,10 @@ func TestRuntimeSharedLeaseAcrossSets(t *testing.T) {
 	}
 }
 
-// TestRuntimeWidthNarrowing pins the width-registry fast path: a runtime's
+// TestRuntimeWidthNarrowing pins the narrow-width fast path: a runtime's
 // scheme is built lazily at the widths its attached structures declare, not
 // at the conservative global defaults, so scans under Runtime visit exactly
-// as many announcement rows as under a single-structure Domain.
+// as many announcement rows as the widest attached structure declares.
 func TestRuntimeWidthNarrowing(t *testing.T) {
 	rt, err := nbr.NewRuntime(nbr.RuntimeOptions{MaxThreads: 2})
 	if err != nil {
@@ -235,14 +236,13 @@ func TestRuntimeWidthNarrowing(t *testing.T) {
 		t.Fatalf("lazylist+dgt runtime widths = %d/%d, want 3/3", s, r)
 	}
 
-	// The widths must match a Domain hosting the widest structure exactly.
-	d, err := nbr.New(nbr.Options{Structure: "dgt", MaxThreads: 2})
+	// The widths must match what the widest structure declares exactly.
+	dgt, err := catalog.NewDS("dgt", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, dr := d.Runtime().Widths()
-	if s, r := rt.Widths(); s != ds || r != dr {
-		t.Fatalf("Runtime widths %d/%d != Domain widths %d/%d", s, r, ds, dr)
+	if s, r := rt.Widths(); s != dgt.Req.Slots || r != dgt.Req.Reservations {
+		t.Fatalf("Runtime widths %d/%d != dgt's declared widths %d/%d", s, r, dgt.Req.Slots, dgt.Req.Reservations)
 	}
 
 	l, err := rt.Acquire() // freezes the widths
@@ -287,47 +287,6 @@ func TestRuntimePostLeaseWidening(t *testing.T) {
 	l.Release()
 	if err := rt.Drain(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestRuntimeStructuresOption pins pre-declaration: naming a structure kind
-// in RuntimeOptions.Structures reserves its widths from the registry, so it
-// can attach after leases exist even though nothing else declared its
-// widths; unknown names fail construction.
-func TestRuntimeStructuresOption(t *testing.T) {
-	rt, err := nbr.NewRuntime(nbr.RuntimeOptions{MaxThreads: 2, Structures: []string{"dgt"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.NewSet("lazylist"); err != nil {
-		t.Fatal(err)
-	}
-	l, err := rt.Acquire() // freezes at dgt's pre-declared 3/3, not lazylist's 2/2
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Release()
-	dgt, err := rt.NewSet("dgt")
-	if err != nil {
-		t.Fatalf("pre-declared structure rejected after lease: %v", err)
-	}
-	dgt.Insert(l, 3)
-	if !dgt.Contains(l, 3) {
-		t.Fatal("pre-declared late attachment unusable")
-	}
-
-	if _, err := nbr.NewRuntime(nbr.RuntimeOptions{Structures: []string{"bogus"}}); err == nil {
-		t.Fatal("unknown structure kind in Structures must fail construction")
-	}
-}
-
-// TestNewRuntimeRejectsStructure: Options and RuntimeOptions are one struct,
-// and the one field only New reads must not be silently ignored by
-// NewRuntime.
-func TestNewRuntimeRejectsStructure(t *testing.T) {
-	_, err := nbr.NewRuntime(nbr.RuntimeOptions{Structure: "dgt"})
-	if err == nil || !strings.Contains(err.Error(), "attach with NewSet") {
-		t.Fatalf("NewRuntime with Structure set: err = %v, want one that says \"attach with NewSet\"", err)
 	}
 }
 
@@ -425,83 +384,26 @@ func TestRuntimeRejectsBadAttachments(t *testing.T) {
 
 // TestRuntimeUnknownNames pins where and how a Runtime refuses names it does
 // not have: an unknown scheme fails NewRuntime itself (not the first Acquire,
-// deep inside a request), and neither that error nor the one for an unknown
-// pre-declared structure names the benchmark harness.
+// deep inside a request), an unknown structure fails NewSet, and each is
+// reported as unknown — not blamed on Table 1 — with no error naming the
+// benchmark harness.
 func TestRuntimeUnknownNames(t *testing.T) {
-	for _, c := range []struct {
-		opts nbr.RuntimeOptions
-		want string
-	}{
-		{nbr.RuntimeOptions{Scheme: "bogus"}, `unknown scheme "bogus"`},
-		{nbr.RuntimeOptions{Structures: []string{"bogus"}}, `unknown data structure "bogus"`},
-	} {
-		_, err := nbr.NewRuntime(c.opts)
+	check := func(call string, err error, want string) {
+		t.Helper()
 		if err == nil {
-			t.Fatalf("NewRuntime(%+v) succeeded; unknown names must fail construction", c.opts)
+			t.Fatalf("%s succeeded; unknown names must be refused", call)
 		}
-		if msg := err.Error(); !strings.HasPrefix(msg, "nbr: ") || !strings.Contains(msg, c.want) || strings.Contains(msg, "bench") {
-			t.Errorf("NewRuntime(%+v) = %q; want an nbr: error saying %s, with no mention of the harness", c.opts, msg, c.want)
+		if msg := err.Error(); !strings.HasPrefix(msg, "nbr: ") || !strings.Contains(msg, want) ||
+			strings.Contains(msg, "Table 1") || strings.Contains(msg, "bench") {
+			t.Errorf("%s = %q; want an nbr: error saying %s, with no mention of Table 1 or the harness", call, msg, want)
 		}
 	}
-}
-
-// TestRuntimeLeaseWithoutDomainPanics pins the Lease sugar contract: a
-// Runtime-issued lease has no home set, so the Domain-style convenience
-// methods must refuse loudly instead of guessing a structure.
-func TestRuntimeLeaseWithoutDomainPanics(t *testing.T) {
-	rt, _ := nbr.NewRuntime(nbr.RuntimeOptions{MaxThreads: 2})
-	if _, err := rt.NewSet("lazylist"); err != nil {
-		t.Fatal(err)
-	}
-	l, err := rt.Acquire()
+	_, err := nbr.NewRuntime(nbr.RuntimeOptions{Scheme: "bogus"})
+	check(`NewRuntime(Scheme: "bogus")`, err, `unknown scheme "bogus"`)
+	rt, err := nbr.NewRuntime(nbr.RuntimeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Release()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Lease.Insert on a Runtime lease must panic")
-		}
-	}()
-	l.Insert(1)
-}
-
-// TestDomainRuntimeAttachment pins the thin-attachment refactor: a Domain
-// exposes its runtime, further sets share the domain's slots and bound, and
-// the domain lease drives both the sugar methods and explicit sets.
-func TestDomainRuntimeAttachment(t *testing.T) {
-	d, err := nbr.New(nbr.Options{Structure: "lazylist", Scheme: "nbr+", MaxThreads: 4, BagSize: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := d.Runtime()
-	// A domain's scheme is sized to its own structure's announcement widths,
-	// so attachments must fit under them: hmlist (2 protect slots, 2
-	// reservations) fits a lazylist domain; harris (3 slots) must be
-	// refused rather than overrun the reservation rows.
-	if _, err := rt.NewSet("harris"); err == nil {
-		t.Fatal("harris must not fit a lazylist-width domain runtime")
-	}
-	extra, err := rt.NewSet("hmlist")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := d.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Insert(7)        // the domain's own set, via the sugar
-	extra.Insert(l, 7) // the attached set, via the same lease
-	if !l.Contains(7) || !extra.Contains(l, 7) {
-		t.Fatal("one lease must drive both the domain set and the attachment")
-	}
-	l.Delete(7)
-	extra.Delete(l, 7)
-	l.Release()
-	if err := rt.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if st := rt.Stats(); st.Retired != st.Freed {
-		t.Fatalf("retired %d != freed %d", st.Retired, st.Freed)
-	}
+	_, err = rt.NewSet("bogus")
+	check(`NewSet("bogus")`, err, `unknown data structure "bogus"`)
 }
