@@ -27,6 +27,7 @@ package dgtbst
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync/atomic"
 
@@ -74,13 +75,6 @@ const (
 )
 
 func owner(w uint32) uint32 { return w >> ownerShift & ticketMask }
-
-// view is a router's copy, taken by read.
-type view struct {
-	key   uint64
-	left  mem.Ptr
-	right mem.Ptr
-}
 
 // Tree is a DGT external BST set. Keys must stay below ds.MaxKey-1 (the two
 // largest values are the sentinel leaves).
@@ -152,35 +146,6 @@ func (t *Tree) Requirements() ds.Requirements { return Req }
 // SlotSize is 0, since routers and leaves have different ones.
 func (t *Tree) MemStats() mem.Stats { return t.routers.Stats().Plus(t.leaves.Stats()) }
 
-// read is the barriered copy of a router: Protect, copy every field, then
-// re-validate the handle generation through the same slot resolution. A
-// failed check reports !ok under the validating schemes and does not return
-// under the others (smr.Barrier.Stale).
-func (t *Tree) read(b *smr.Barrier, slot int, p mem.Ptr) (view, bool) {
-	b.Protect(slot, p)
-	n, gen := t.routers.Slot(p)
-	var v view
-	v.key = atomic.LoadUint64(&n.key)
-	v.left = mem.Ptr(atomic.LoadUint64(&n.left))
-	v.right = mem.Ptr(atomic.LoadUint64(&n.right))
-	if !gen.Is(p) {
-		return view{}, b.Stale(p)
-	}
-	return v, true
-}
-
-// readLeaf is read for a leaf, through the leaf pool: the same barriered
-// copy of its one field.
-func (t *Tree) readLeaf(b *smr.Barrier, slot int, p mem.Ptr) (uint64, bool) {
-	b.Protect(slot, p)
-	n, gen := t.leaves.Slot(p)
-	key := atomic.LoadUint64(&n.key)
-	if !gen.Is(p) {
-		return 0, b.Stale(p)
-	}
-	return key, true
-}
-
 // validateChild is the HP/IBR reachability validation: it proves `next` was
 // reachable through par (hence not yet retired) when the child link was
 // re-read. The removed flag is set before a node is unlinked and never
@@ -204,41 +169,61 @@ func (t *Tree) validateChild(g smr.Guard, par mem.Ptr, goLeft bool, next mem.Ptr
 }
 
 // search descends to a leaf, keeping the grandparent, parent and leaf
-// protected in slots 0, 1, 2 (rotating). On return the read phase is still
-// open. gpar is Null only when the leaf hangs directly off the root. A
-// child's kind is in its handle, so each one is read through its own pool's
-// barriered copy and the descent stops at the first leaf.
-func (t *Tree) search(g smr.Guard, b *smr.Barrier, key uint64) (gpar, par, leaf mem.Ptr, gparV, parV view, leafKey uint64) {
+// protected in slots 0, 1, 2 (rotating), and returns them with their keys.
+// On return the read phase is still open. gpar is Null only when the leaf
+// hangs directly off the root.
+//
+// Each visited record is copied in the loop itself, with no call per record:
+// Protect first, then the slot is resolved through the pool of the kind the
+// handle names and every field copied, and then the generation is
+// re-validated through the same slot. A failed check restarts the read phase
+// under the validating schemes and does not return under the others
+// (smr.Barrier.Stale). The descent stops at the first leaf. The root is the
+// first router the loop copies; it is never freed and has no parent, so only
+// its children are link-validated.
+//
+// The child select is branch-free: the borrow of key - k is 1 exactly when
+// key < k, and masks left over right. A descent's direction is a coin flip
+// the predictor cannot learn, so a select that compiles to a jump costs a
+// mispredict on about half the records of every search.
+func (t *Tree) search(g smr.Guard, b *smr.Barrier, key uint64) (gpar, par, leaf mem.Ptr, gparKey, parKey, leafKey uint64) {
 retry:
 	g.BeginRead()
 	gpar, par = mem.Null, mem.Null
 	cur := t.root
-	curV, _ := t.read(b, 0, cur) // the root sentinel is never freed
-	slot := 0
-	for {
-		gpar, gparV = par, parV
-		par, parV = cur, curV
-		goLeft := key < curV.key
-		next := curV.left
-		if !goLeft {
-			next = curV.right
+	var borrow uint64 // 1 iff cur is par's left child
+	for slot := 0; ; {
+		b.Protect(slot, cur)
+		if isLeaf(cur) {
+			n, gen := t.leaves.Slot(cur)
+			k := atomic.LoadUint64(&n.key)
+			if !gen.Is(cur) {
+				b.Stale(cur)
+				goto retry
+			}
+			if b.NeedsValidation() && !t.validateChild(g, par, borrow == 1, cur) {
+				goto retry
+			}
+			return gpar, par, cur, gparKey, parKey, k
 		}
-		slot = (slot + 1) % 3
-		atLeaf := isLeaf(next)
-		var ok bool
-		if atLeaf {
-			leafKey, ok = t.readLeaf(b, slot, next)
-		} else {
-			curV, ok = t.read(b, slot, next)
-		}
-		if !ok || b.NeedsValidation() && !t.validateChild(g, par, goLeft, next) {
+		n, gen := t.routers.Slot(cur)
+		k := atomic.LoadUint64(&n.key)
+		left := atomic.LoadUint64(&n.left)
+		right := atomic.LoadUint64(&n.right)
+		if !gen.Is(cur) {
+			b.Stale(cur)
 			goto retry
 		}
-		if atLeaf {
-			leaf = next
-			return
+		if b.NeedsValidation() && !par.IsNull() && !t.validateChild(g, par, borrow == 1, cur) {
+			goto retry
 		}
-		cur = next
+		gpar, gparKey = par, parKey
+		par, parKey = cur, k
+		_, borrow = bits.Sub64(key, k, 0)
+		cur = mem.Ptr(right ^ (left^right)&-borrow)
+		if slot++; slot == 3 {
+			slot = 0
+		}
 	}
 }
 
@@ -305,7 +290,7 @@ func (t *Tree) Insert(g smr.Guard, key uint64) bool {
 	b := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
 		for {
-			_, par, leaf, _, parV, leafKey := t.search(g, &b, key)
+			_, par, leaf, _, parKey, leafKey := t.search(g, &b, key)
 			if leafKey == key {
 				g.EndRead()
 				return false
@@ -313,7 +298,7 @@ func (t *Tree) Insert(g smr.Guard, key uint64) bool {
 			g.Reserve(0, par)
 			g.Reserve(1, leaf)
 			g.EndRead()
-			goLeft := key < parV.key
+			goLeft := key < parKey
 			pn, ph := t.lock(par)
 			if removed(ph) || childOf(pn, goLeft) != leaf {
 				unlock(ph)
@@ -343,7 +328,7 @@ func (t *Tree) Delete(g smr.Guard, key uint64) bool {
 	b := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
 		for {
-			gpar, par, leaf, gparV, parV, leafKey := t.search(g, &b, key)
+			gpar, par, leaf, gparKey, parKey, leafKey := t.search(g, &b, key)
 			if leafKey != key {
 				g.EndRead()
 				return false
@@ -358,8 +343,8 @@ func (t *Tree) Delete(g smr.Guard, key uint64) bool {
 			g.Reserve(1, par)
 			g.Reserve(2, leaf)
 			g.EndRead()
-			gLeft := key < gparV.key
-			pLeft := key < parV.key
+			gLeft := key < gparKey
+			pLeft := key < parKey
 			gn, gh := t.lock(gpar)
 			pn, ph := t.lock(par)
 			if removed(gh) || removed(ph) ||

@@ -46,10 +46,10 @@ const (
 
 func marked(hdr *mem.Gen) bool { return hdr.Word.Load()&markedBit != 0 }
 
-// view is a consistent-enough snapshot of a node taken during a read phase.
+// view is what a search reports of the node it stops at: its key and its
+// marked flag, copied inside the read phase before the generation check.
 type view struct {
 	key    uint64
-	next   mem.Ptr
 	marked bool
 }
 
@@ -100,23 +100,6 @@ func (l *List) Requirements() ds.Requirements { return Req }
 // MemStats reports allocator statistics (live records ≈ resident memory).
 func (l *List) MemStats() mem.Stats { return l.pool.Stats() }
 
-// read is the barriered copy of a record: Protect (announce/poll) first,
-// copy every field, then re-validate the handle generation through the same
-// slot resolution. A failed check reports !ok under the validating schemes
-// and does not return under the others (smr.Barrier.Stale).
-func (l *List) read(b *smr.Barrier, slot int, p mem.Ptr) (view, bool) {
-	b.Protect(slot, p)
-	n, gen := l.pool.Slot(p)
-	var v view
-	v.key = atomic.LoadUint64(&n.key)
-	v.next = mem.Ptr(atomic.LoadUint64(&n.next))
-	v.marked = marked(gen)
-	if !gen.Is(p) {
-		return view{}, b.Stale(p)
-	}
-	return v, true
-}
-
 // validateLink is the HP/IBR reachability validation: it proves curr was
 // reachable (hence not yet retired) at the moment pred.next was re-read.
 // The marked flag is loaded *after* the link: marking is monotone, so
@@ -132,30 +115,43 @@ func (l *List) validateLink(g smr.Guard, pred, curr mem.Ptr) bool {
 }
 
 // search is the Φread: traverse from the head until curr.key ≥ key,
-// returning the protected (pred, curr) pair and their snapshots. On return
+// returning the protected (pred, curr) pair and curr's snapshot. On return
 // the read phase is still open; the caller decides what to reserve.
-func (l *List) search(g smr.Guard, b *smr.Barrier, key uint64) (pred, curr mem.Ptr, predV, currV view) {
+//
+// Each visited record is copied in the loop itself, with no call per record:
+// Protect (announce/poll) first, then the slot is resolved and every field
+// copied — the header word included, decoded only for the node returned —
+// and then the handle generation is re-validated through the same slot. A
+// failed check restarts the read phase under the validating schemes and does
+// not return under the others (smr.Barrier.Stale). The head sentinel is
+// never freed, so its link is read without a generation check, before the
+// loop: in the loop its key, MinKey, would end a search for 0 at the head.
+// It is still protected, so a traced guard sees one Protect per visited
+// record, slots alternating 0, 1.
+func (l *List) search(g smr.Guard, b *smr.Barrier, key uint64) (pred, curr mem.Ptr, currV view) {
 retry:
 	g.BeginRead()
 	pred = l.head
-	predV, _ = l.read(b, 0, pred) // the head sentinel is never freed
-	curr = predV.next
-	predSlot, currSlot := 0, 1
-	for {
-		var ok bool
-		currV, ok = l.read(b, currSlot, curr)
-		if !ok {
+	b.Protect(0, pred)
+	h, _ := l.pool.Slot(pred)
+	curr = mem.Ptr(atomic.LoadUint64(&h.next))
+	for slot := 1; ; slot ^= 1 {
+		b.Protect(slot, curr)
+		n, gen := l.pool.Slot(curr)
+		k := atomic.LoadUint64(&n.key)
+		next := mem.Ptr(atomic.LoadUint64(&n.next))
+		w := gen.Word.Load()
+		if !gen.Is(curr) {
+			b.Stale(curr)
 			goto retry // freed before the announcement took effect
 		}
 		if b.NeedsValidation() && !l.validateLink(g, pred, curr) {
 			goto retry // curr was not provably reachable when protected
 		}
-		if currV.key >= key {
-			return
+		if k >= key {
+			return pred, curr, view{k, w&markedBit != 0}
 		}
-		pred, predV = curr, currV
-		predSlot, currSlot = currSlot, predSlot
-		curr = currV.next
+		pred, curr = curr, next
 	}
 }
 
@@ -191,7 +187,7 @@ func validate(pred *node, predH, currH *mem.Gen, currPtr mem.Ptr) bool {
 func (l *List) Contains(g smr.Guard, key uint64) bool {
 	b := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
-		_, _, _, currV := l.search(g, &b, key)
+		_, _, currV := l.search(g, &b, key)
 		g.EndRead()
 		return currV.key == key && !currV.marked
 	})
@@ -215,7 +211,7 @@ func (l *List) Insert(g smr.Guard, key uint64) bool {
 	b := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
 		for {
-			pred, curr, _, currV := l.search(g, &b, key)
+			pred, curr, currV := l.search(g, &b, key)
 			if currV.key == key && !currV.marked {
 				g.EndRead()
 				return false
@@ -248,7 +244,7 @@ func (l *List) Delete(g smr.Guard, key uint64) bool {
 	b := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
 		for {
-			pred, curr, _, currV := l.search(g, &b, key)
+			pred, curr, currV := l.search(g, &b, key)
 			if currV.key != key {
 				g.EndRead()
 				return false

@@ -7,42 +7,55 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
-	"nbr/internal/catalog"
 	"nbr/internal/ds"
+	"nbr/internal/ds/dgtbst"
 	"nbr/internal/ds/lazylist"
 )
 
 // structures are the four packages that own a barriered copy — the read
-// barrier every traversal pays per visited record — each in the methods whose
-// names begin with read (read, and readLeaf for dgtbst's leaves; Read in
-// marklist, which harrislist, hmlist and hashmap traverse through), in the
-// file named after the package.
+// barrier every traversal pays per visited record — in the file named after
+// the package: abtree in read and marklist in Read (which harrislist, hmlist
+// and hashmap traverse through), each a method whose name begins with read;
+// lazylist and dgtbst inside search's own loop, with no call per record.
 var structures = []string{"abtree", "dgtbst", "lazylist", "marklist"}
 
-// inlined are the calls that must disappear into every read helper: the
+// fused are the structures whose search loop does its own barriered copy.
+var fused = map[string]bool{"dgtbst": true, "lazylist": true}
+
+// inlined are the calls that must disappear into every barriered copy: the
 // barrier's load-and-compare, the one-lookup slot accessor, and the slab
-// resolution under it. The read path's speed is these three inlining
-// decisions, and nothing else in the suite notices when one is lost.
-var inlined = map[string]*regexp.Regexp{
-	"smr.(*Barrier).Protect": regexp.MustCompile(`inlining call to smr\.\(\*Barrier\)\.Protect$`),
-	"mem.(*Pool).Slot":       regexp.MustCompile(`inlining call to mem\.\(\*Pool\[.*\]\)\.Slot$`),
-	"mem.(*Pool).slotAt":     regexp.MustCompile(`inlining call to mem\.\(\*Pool\[.*\]\)\.slotAt$`),
+// resolution under it, each with the call whose line the compiler reports it
+// at. The read path's speed is these three inlining decisions, and nothing
+// else in the suite notices when one is lost.
+var inlined = []struct {
+	name, at string
+	re       *regexp.Regexp
+}{
+	{"smr.(*Barrier).Protect", "Protect", regexp.MustCompile(`inlining call to smr\.\(\*Barrier\)\.Protect$`)},
+	{"mem.(*Pool).Slot", "Slot", regexp.MustCompile(`inlining call to mem\.\(\*Pool\[.*\]\)\.Slot$`)},
+	{"mem.(*Pool).slotAt", "Slot", regexp.MustCompile(`inlining call to mem\.\(\*Pool\[.*\]\)\.slotAt$`)},
 }
 
-// helper is one read helper: its name and line range.
+// helper is one method holding a barriered copy: its name and the lines of
+// its method calls, by method name — a fused DGT search has two Slot calls,
+// one per record kind, and each must inline.
 type helper struct {
-	name        string
-	first, last int
+	name  string
+	calls map[string][]int
 }
 
-// readHelpers returns every method of the structure's file whose name begins
-// with read, in either case.
-func readHelpers(t *testing.T, file string) []helper {
+// copyHelpers returns the methods of the structure's file that hold a
+// barriered copy: every one whose name begins with read, in either case, and
+// search where the structure fuses the copy into its loop. For a fused
+// structure it also fails if a loop in search still calls a read* method.
+func copyHelpers(t *testing.T, pkg string) []helper {
 	t.Helper()
+	file := filepath.Join(pkg, pkg+".go")
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
 	if err != nil {
@@ -50,18 +63,63 @@ func readHelpers(t *testing.T, file string) []helper {
 	}
 	var hs []helper
 	for _, d := range f.Decls {
-		if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil && strings.HasPrefix(strings.ToLower(fn.Name.Name), "read") {
-			hs = append(hs, helper{fn.Name.Name, fset.Position(fn.Pos()).Line, fset.Position(fn.End()).Line})
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok || fn.Recv == nil {
+			continue
+		}
+		isSearch := fused[pkg] && fn.Name.Name == "search"
+		if isSearch {
+			loopCallsRead(t, fset, fn)
+		}
+		if isSearch || strings.HasPrefix(strings.ToLower(fn.Name.Name), "read") {
+			h := helper{fn.Name.Name, map[string][]int{}}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+						h.calls[sel.Sel.Name] = append(h.calls[sel.Sel.Name], fset.Position(call.Pos()).Line)
+					}
+				}
+				return true
+			})
+			hs = append(hs, h)
 		}
 	}
 	if len(hs) == 0 {
-		t.Fatalf("%s declares no read method", file)
+		t.Fatalf("%s declares no barriered copy", file)
 	}
 	return hs
 }
 
+// loopCallsRead fails the test for every call to a read* method inside a
+// loop of fn: a fused search copies each record in the loop itself.
+func loopCallsRead(t *testing.T, fset *token.FileSet, fn *ast.FuncDecl) {
+	t.Helper()
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		var body *ast.BlockStmt
+		switch loop := n.(type) {
+		case *ast.ForStmt:
+			body = loop.Body
+		case *ast.RangeStmt:
+			body = loop.Body
+		default:
+			return true
+		}
+		ast.Inspect(body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && strings.HasPrefix(strings.ToLower(sel.Sel.Name), "read") {
+					t.Errorf("%s: the loop in %s calls %s; the barriered copy belongs inline in the loop",
+						fset.Position(call.Pos()), fn.Name.Name, sel.Sel.Name)
+				}
+			}
+			return true
+		})
+		return false
+	})
+}
+
 // TestReadPathInlines compiles the structures with the compiler's inlining
-// report on and requires each of the three calls inside every read helper.
+// report on and requires each of the three calls to inline at every Protect
+// and Slot call of every method holding a barriered copy.
 func TestReadPathInlines(t *testing.T) {
 	out, err := exec.Command("go", "build", "-gcflags=-m", "./...").CombinedOutput()
 	if err != nil {
@@ -73,50 +131,48 @@ func TestReadPathInlines(t *testing.T) {
 	type site struct {
 		pkg  string
 		line int
-		msg  string
 	}
-	var sites []site
+	msgs := map[site][]string{}
 	for _, ln := range strings.Split(string(out), "\n") {
 		if m := diag.FindStringSubmatch(ln); m != nil && m[1] == m[2] {
 			n, _ := strconv.Atoi(m[3])
-			sites = append(sites, site{m[1], n, m[4]})
+			msgs[site{m[1], n}] = append(msgs[site{m[1], n}], m[4])
 		}
 	}
 	for _, pkg := range structures {
-		for _, h := range readHelpers(t, filepath.Join(pkg, pkg+".go")) {
-			for name, re := range inlined {
-				found := false
-				for _, s := range sites {
-					if s.pkg == pkg && s.line >= h.first && s.line <= h.last && re.MatchString(s.msg) {
-						found = true
-						break
-					}
+		for _, h := range copyHelpers(t, pkg) {
+			for _, in := range inlined {
+				lines := h.calls[in.at]
+				if len(lines) == 0 {
+					t.Errorf("%s: %s makes no %s call", pkg, h.name, in.at)
 				}
-				if !found {
-					t.Errorf("%s: %s is not inlined into %s (lines %d-%d); see `go build -gcflags=-m=2` for the cost that went over budget",
-						pkg, name, h.name, h.first, h.last)
+				for _, line := range lines {
+					if !slices.ContainsFunc(msgs[site{pkg, line}], in.re.MatchString) {
+						t.Errorf("%s: %s is not inlined into %s at line %d; see `go build -gcflags=-m=2` for the cost that went over budget",
+							pkg, in.name, h.name, line)
+					}
 				}
 			}
 		}
 	}
 }
 
-// BenchmarkReadBarrier measures the read path per visited record: a Contains
-// that walks a whole 1024-key lazy list, under a fast-path scheme with
-// signals (nbr+), one without (debra) and an announcing one that always
-// falls through (hp). ns/record is the number to watch; allocs/op must be 0.
+// BenchmarkReadBarrier measures the read path per visited record under a
+// fast-path scheme with signals (nbr+), one without (debra) and an announcing
+// one that always falls through (hp): a Contains that walks a whole 1024-key
+// lazy list, and (dgt/<scheme>) DGT descents to each key of a 1024-key tree
+// built by shuffled inserts, whose records per descent are counted once
+// through a wrapper that sees every Protect. ns/record is the number to
+// watch; allocs/op must be 0.
 func BenchmarkReadBarrier(b *testing.B) {
 	const keys = 1024
-	for _, scheme := range []string{"nbr+", "debra", "hp"} {
+	schemes := []string{"nbr+", "debra", "hp"}
+	for _, scheme := range schemes {
 		b.Run(scheme, func(b *testing.B) {
 			l := lazylist.New(1)
-			sch, err := catalog.NewSchemeFor(scheme, l.Arena(), 1, catalog.DefaultSchemeConfig(), l.Requirements())
-			if err != nil {
-				b.Fatal(err)
-			}
 			// Through the interface, as every harness calls a structure.
 			var set ds.Set = l
-			g := sch.Guard(0)
+			g := newSchemeFor(b, scheme, set, l.Arena(), 1).Guard(0)
 			for k := uint64(1); k <= keys; k++ {
 				set.Insert(g, k)
 			}
@@ -128,6 +184,39 @@ func BenchmarkReadBarrier(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(keys+1), "ns/record")
+		})
+	}
+	for _, scheme := range schemes {
+		b.Run("dgt/"+scheme, func(b *testing.B) {
+			t := dgtbst.New(1)
+			var set ds.Set = t
+			g := newSchemeFor(b, scheme, set, t.Arena(), 1).Guard(0)
+			order := shuffled(keys)
+			for _, k := range order {
+				set.Insert(g, k)
+			}
+			// records[i] is how many records the descent to order[i] visits.
+			records := make([]int, keys)
+			w := &tracingGuard{Guard: g}
+			total := 0
+			for i, k := range order {
+				w.reset()
+				set.Contains(w, k)
+				records[i] = len(w.slots)
+				total += records[i]
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if k := order[i%keys]; !set.Contains(g, k) {
+					b.Fatalf("key %d missing", k)
+				}
+			}
+			visited := b.N / keys * total
+			for _, r := range records[:b.N%keys] {
+				visited += r
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(visited), "ns/record")
 		})
 	}
 }

@@ -209,9 +209,9 @@ type eraDir [maxSlabs]atomic.Pointer[[SlabSize]Hdr]
 // slabError is the panic value for a handle whose slab was never carved — a
 // corrupt handle — in a pool that has grown: the directory entry is nil. A
 // typed value instead of a formatted string keeps slotAt within the inlining
-// budget of every read helper that resolves a slot. A pool still on its first
-// extent has no entry to find nil: it indexes the extent, and the same handle
-// panics with the compiler's bounds check instead, a runtime.Error — as
+// budget of every barriered copy that resolves a slot. A pool still on its
+// first extent has no entry to find nil: it indexes the extent, and the same
+// handle panics with the compiler's bounds check instead, a runtime.Error — as
 // deterministic, and free, where a second explicit panic site would cost
 // slotAt 7 of the 3 that Slot has left (TestCorruptHandlePanicsTyped pins
 // both).

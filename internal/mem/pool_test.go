@@ -401,7 +401,7 @@ func TestEraTableFirstTouchRace(t *testing.T) {
 // extent directly, so the panic is the compiler's bounds check, a
 // runtime.Error: an explicit second panic site would cost slotAt 7 more of
 // the inliner's 80, Slot has 3 left, and Slot out of budget is Slot out of
-// every read helper (TestReadPathInlines).
+// every barriered copy (TestReadPathInlines).
 func TestCorruptHandlePanicsTyped(t *testing.T) {
 	bad := pack(5*SlabSize+3, 1, 0, 0)
 	for _, grown := range []bool{false, true} {

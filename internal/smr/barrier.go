@@ -12,7 +12,7 @@ import (
 // one compare. Reaching it through Guard.Protect costs two interface
 // dispatches per record, which is more than the poll itself; a Barrier
 // resolves the guard's poll words once per operation so the per-record price
-// is the load and the compare, inlined into the structure's read helper.
+// is the load and the compare, inlined into the structure's barriered copy.
 
 // FastProtect is the optional interface of a guard whose Protect does
 // nothing while a word it can name stays at or below a ceiling only its own
@@ -74,7 +74,7 @@ func BarrierOf(g Guard) Barrier {
 // Protect is Guard.Protect: skipped while the guard's word is at or below
 // its ceiling, forwarded otherwise — always, for a guard without the pair.
 // The body is kept to one load, one compare and the call so that it inlines
-// into every read helper (TestReadPathInlines pins that).
+// into every barriered copy (TestReadPathInlines pins that).
 func (b *Barrier) Protect(slot int, p mem.Ptr) {
 	if b.word.Load() > *b.quiet {
 		b.g.Protect(slot, p)
