@@ -1,13 +1,16 @@
 // Boundedmemory demonstrates the paper's E2 result at example scale: when a
 // thread stalls in the middle of an operation, epoch-based schemes (DEBRA)
 // accumulate garbage without bound, while NBR+ neutralizes the stalled
-// thread and keeps unreclaimed memory bounded by its watermarks.
+// thread and keeps unreclaimed memory bounded by its watermarks. It exits 1
+// if a cell breaks its declared garbage bound.
 //
 // Run with: go run ./examples/boundedmemory
 package main
 
 import (
 	"fmt"
+	"os"
+	"strings"
 	"time"
 
 	"nbr/internal/bench"
@@ -34,6 +37,11 @@ func main() {
 		}
 		fmt.Printf("%-6s retired=%-8d unreclaimed=%-8d (%.0f%% of retired still resident)\n",
 			scheme, r.Stats.Retired, r.Stats.Garbage(), 100*float64(r.Stats.Garbage())/float64(r.Stats.Retired))
+		// DEBRA declares no bound, so only the NBR+ cell can break one.
+		if v := r.Violations(); len(v) > 0 {
+			fmt.Println(strings.Join(v, "\n"))
+			os.Exit(1)
+		}
 	}
 	fmt.Println("\nDEBRA cannot advance its epoch past the sleeping thread; NBR+ signals")
 	fmt.Println("it, reclaims everything unreserved, and neutralizes it when it wakes.")

@@ -10,10 +10,21 @@ import (
 )
 
 func TestRunRejectsIncompatible(t *testing.T) {
-	_, err := Run(Workload{DS: "hmlist-norestart", Scheme: "nbr+", Threads: 1,
-		KeyRange: 100, Duration: 10 * time.Millisecond})
-	if err == nil {
-		t.Fatal("Run must enforce the applicability matrix")
+	for _, tc := range []struct {
+		name string
+		w    Workload
+	}{
+		{"table1", Workload{DS: "hmlist-norestart", Scheme: "nbr+", Threads: 1, KeyRange: 100}},
+		{"keyrange1", Workload{DS: "lazylist", Scheme: "nbr+", Threads: 1, KeyRange: 1}},
+		{"threads0", Workload{DS: "lazylist", Scheme: "nbr+", Threads: 0, KeyRange: 100}},
+		{"threads-1", Workload{DS: "lazylist", Scheme: "nbr+", Threads: -1, KeyRange: 100}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.w.Duration = 10 * time.Millisecond
+			if _, err := Run(tc.w); err == nil {
+				t.Fatalf("Run accepted %+v", tc.w)
+			}
+		})
 	}
 }
 

@@ -3,10 +3,12 @@ package bench
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"testing"
 
 	"nbr/internal/catalog"
+	"nbr/internal/hist"
 	"nbr/internal/mem"
 	"nbr/internal/smr"
 )
@@ -35,7 +37,7 @@ func retireCfg() catalog.SchemeConfig {
 // check batch retire strips marks exactly like Retire does.
 func TestRetireBatchEquivalence(t *testing.T) {
 	const total, threads = 192, 2
-	run := func(t *testing.T, scheme string, batch int, batched bool) (smr.Stats, mem.Stats) {
+	run := func(t *testing.T, scheme string, batch int, batched bool) (smr.Stats, mem.Stats, []uint64) {
 		pool := mem.NewPool[retireRec](mem.Config{MaxThreads: threads})
 		sch, err := catalog.NewScheme(scheme, pool, threads, retireCfg())
 		if err != nil {
@@ -59,18 +61,14 @@ func TestRetireBatchEquivalence(t *testing.T) {
 				buf = buf[:0]
 			}
 		}
-		return sch.Stats(), pool.Stats()
+		h := sch.Handoffs()
+		return sch.Stats(), pool.Stats(), h.Counts()
 	}
 	for _, scheme := range catalog.SchemeNames {
 		for _, batch := range []int{2, 8, 16} {
 			t.Run(fmt.Sprintf("%s/batch%d", scheme, batch), func(t *testing.T) {
-				loopS, loopM := run(t, scheme, batch, false)
-				batchS, batchM := run(t, scheme, batch, true)
-				// The handoff histogram is the one stat that must differ:
-				// the loop records `total` handoffs of size 1, the batched
-				// run total/batch handoffs of size `batch`.
-				wantLoop, wantBatch := loopS.BatchHist, batchS.BatchHist
-				loopS.BatchHist, batchS.BatchHist = [smr.BatchBuckets]uint64{}, [smr.BatchBuckets]uint64{}
+				loopS, loopM, loopH := run(t, scheme, batch, false)
+				batchS, batchM, batchH := run(t, scheme, batch, true)
 				if loopS != batchS {
 					t.Fatalf("stats diverge:\n  loop  %+v\n  batch %+v", loopS, batchS)
 				}
@@ -78,15 +76,17 @@ func TestRetireBatchEquivalence(t *testing.T) {
 					t.Fatalf("allocator accounting diverges:\n  loop  allocs=%d frees=%d\n  batch allocs=%d frees=%d",
 						loopM.Allocs, loopM.Frees, batchM.Allocs, batchM.Frees)
 				}
-				var expLoop, expBatch [smr.BatchBuckets]uint64
-				expLoop[1] = total // bitlen(1) == 1
+				// The handoff histogram is what must differ: the loop
+				// records `total` handoffs of size 1, the batched run
+				// total/batch handoffs of size `batch`.
+				expLoop := []uint64{0, total} // bitlen(1) == 1
+				expBatch := make([]uint64, bits.Len(uint(batch))+1)
 				expBatch[bits.Len(uint(batch))] = total / uint64(batch)
-				if wantLoop != expLoop {
-					t.Fatalf("loop handoff histogram = %v", wantLoop)
+				if !slices.Equal(loopH, expLoop) {
+					t.Fatalf("loop handoff histogram = %v, want %v", loopH, expLoop)
 				}
-				if wantBatch != expBatch {
-					t.Fatalf("batch handoff histogram = %v, want bucket %d = %d",
-						wantBatch, bits.Len(uint(batch)), total/uint64(batch))
+				if !slices.Equal(batchH, expBatch) {
+					t.Fatalf("batch handoff histogram = %v, want %v", batchH, expBatch)
 				}
 			})
 		}
@@ -104,7 +104,7 @@ func TestRetireBatchEquivalence(t *testing.T) {
 // real handoffs do); misaligned shapes are exercised for the rest.
 func TestRetireSplitEquivalence(t *testing.T) {
 	const total, threads = 300, 2
-	run := func(t *testing.T, scheme string, batch int) (smr.Stats, mem.Stats) {
+	run := func(t *testing.T, scheme string, batch int) (smr.Stats, mem.Stats, hist.Histogram) {
 		pool := mem.NewPool[retireRec](mem.Config{MaxThreads: threads})
 		sch, err := catalog.NewScheme(scheme, pool, threads, retireCfg())
 		if err != nil {
@@ -128,7 +128,7 @@ func TestRetireSplitEquivalence(t *testing.T) {
 				buf = buf[:0]
 			}
 		}
-		return sch.Stats(), pool.Stats()
+		return sch.Stats(), pool.Stats(), sch.Handoffs()
 	}
 	shapes := map[string][]int{
 		// Misaligned chunks and one whole-splice handoff: exactness must
@@ -143,15 +143,17 @@ func TestRetireSplitEquivalence(t *testing.T) {
 			sizes = shapes["default"]
 		}
 		t.Run(scheme, func(t *testing.T) {
-			loopS, loopM := run(t, scheme, 1)
+			loopS, loopM, _ := run(t, scheme, 1)
 			for _, batch := range sizes {
-				gotS, gotM := run(t, scheme, batch)
-				// Handoff histograms legitimately differ; everything else
-				// must be identical.
-				loopCmp, gotCmp := loopS, gotS
-				loopCmp.BatchHist, gotCmp.BatchHist = [smr.BatchBuckets]uint64{}, [smr.BatchBuckets]uint64{}
-				if loopCmp != gotCmp {
-					t.Fatalf("batch %d: stats diverge\n  loop  %+v\n  batch %+v", batch, loopCmp, gotCmp)
+				gotS, gotM, gotH := run(t, scheme, batch)
+				if loopS != gotS {
+					t.Fatalf("batch %d: stats diverge\n  loop  %+v\n  batch %+v", batch, loopS, gotS)
+				}
+				// Only the handoff shape differs: ⌈total/batch⌉ handoffs,
+				// none longer than the batch.
+				wantN, wantMax := (total+batch-1)/batch, min(batch, total)
+				if n, m := gotH.Count(), gotH.Max(); n != uint64(wantN) || m != int64(wantMax) {
+					t.Fatalf("batch %d: %d handoffs, largest %d; want %d, largest %d", batch, n, m, wantN, wantMax)
 				}
 				if loopM.Allocs != gotM.Allocs || loopM.Frees != gotM.Frees {
 					t.Fatalf("batch %d: allocator accounting diverges: loop frees=%d batch frees=%d",

@@ -86,6 +86,9 @@ func Run(w Workload) (Result, error) {
 	if w.KeyRange < 2 {
 		return Result{}, fmt.Errorf("bench: key range %d too small", w.KeyRange)
 	}
+	if w.Threads < 1 {
+		return Result{}, fmt.Errorf("bench: thread count %d, want at least 1", w.Threads)
+	}
 	if w.Duration <= 0 {
 		w.Duration = time.Second
 	}
@@ -195,7 +198,7 @@ func Run(w Workload) (Result, error) {
 	for i := range lats {
 		lat.Merge(&lats[i])
 	}
-	st := sch.Stats()
+	st, handoffs := sch.Stats(), sch.Handoffs()
 	res := Result{
 		Ops: ops, PeakLive: peakLive, Stats: st, Series: series, StallNeutralized: stallNeutralized,
 		LatP50: time.Duration(lat.Quantile(0.50)), LatP99: time.Duration(lat.Quantile(0.99)),
@@ -207,8 +210,8 @@ func Run(w Workload) (Result, error) {
 		PeakMB:  float64(peakBytes) / (1 << 20),
 		Signals: st.Signals, Freed: st.Freed, Garbage: st.Garbage(),
 		P50us: float64(res.LatP50) / 1e3, P99us: float64(res.LatP99) / 1e3,
-		Batches: st.RetireCalls(), BatchP50: st.BatchQuantile(0.50), BatchP99: st.BatchQuantile(0.99),
-		BatchMax: st.BatchMax(), BatchHist: trimBuckets(st.BatchHist),
+		Batches: handoffs.Count(), BatchP50: handoffs.Quantile(0.50), BatchP99: handoffs.Quantile(0.99),
+		BatchMax: handoffs.Max(), BatchHist: handoffs.Counts(),
 		BoundContract: BoundContract{Bound: sch.GarbageBound(), GarbagePeak: peak},
 	}
 	// Every cell is also a safety run: the structure must come out of the
@@ -309,15 +312,6 @@ func drainQuiet(sch smr.Scheme, threads int) bool {
 		}
 	}
 	return quiet()
-}
-
-// trimBuckets drops the empty tail of a bucket array for compact reports.
-func trimBuckets(b [smr.BatchBuckets]uint64) []uint64 {
-	n := len(b)
-	for n > 0 && b[n-1] == 0 {
-		n--
-	}
-	return append([]uint64(nil), b[:n]...) // nil when every bucket is empty
 }
 
 // prefill populates the set to the target size using all worker threads,

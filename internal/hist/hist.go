@@ -1,82 +1,96 @@
-// Package hist provides a tiny power-of-two latency histogram for the
-// benchmark harness. The paper's P1 property is about both throughput and
-// latency; reclamation bursts (DEBRA's failure mode) show up as tail
-// latency rather than in the mean, so the harness samples operation
-// latencies into per-thread histograms and reports quantiles.
+// Package hist is the repo's one histogram: power-of-two buckets and an exact
+// maximum, behind the benchmark's operation latencies, the flight recorder's
+// latency histograms and every guard's retire handoff sizes. The paper's P1
+// property is about both throughput and latency; reclamation bursts (DEBRA's
+// failure mode) show up as tail latency rather than in the mean, so the
+// harness samples latencies into histograms and reports quantiles.
 //
-// A histogram is owner-written (no atomics) and merged after the run, so
-// recording costs a handful of instructions.
+// Every write goes through sync/atomic, so any goroutine may Record while
+// others read Count, Max or Quantile; a single-writer Record costs one atomic
+// add and a load of the max. The fields are plain words, so a Histogram is
+// copied by value and per-thread copies are folded with Merge.
 package hist
 
 import (
 	"math"
 	"math/bits"
+	"sync/atomic"
 )
 
 // Buckets is the number of power-of-two buckets: bucket i counts values v
 // with bitlen(v) == i, i.e. v in [2^(i-1), 2^i).
 const Buckets = 64
 
-// Histogram counts values in power-of-two buckets. The zero value is ready
-// to use.
+// Histogram counts values in power-of-two buckets. The count is the sum of
+// the buckets. The zero value is ready to use.
 type Histogram struct {
 	counts [Buckets]uint64
-	total  uint64
 	max    int64
 }
 
-// Record adds one value (typically nanoseconds). Negative values count into
-// bucket 0.
+// Record adds one value (a duration in nanoseconds, a batch length).
+// Negative values count as 0.
 func (h *Histogram) Record(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	h.counts[bits.Len64(uint64(v))%Buckets]++
-	h.total++
-	if v > h.max {
-		h.max = v
+	v = max(v, 0)
+	atomic.AddUint64(&h.counts[bits.Len64(uint64(v))%Buckets], 1)
+	h.raise(v)
+}
+
+// raise lifts the maximum to v if v is larger.
+func (h *Histogram) raise(v int64) {
+	for m := atomic.LoadInt64(&h.max); v > m; m = atomic.LoadInt64(&h.max) {
+		if atomic.CompareAndSwapInt64(&h.max, m, v) {
+			return
+		}
 	}
 }
 
 // Merge folds other into h.
 func (h *Histogram) Merge(other *Histogram) {
 	for i := range h.counts {
-		h.counts[i] += other.counts[i]
+		if c := atomic.LoadUint64(&other.counts[i]); c != 0 {
+			atomic.AddUint64(&h.counts[i], c)
+		}
 	}
-	h.total += other.total
-	if other.max > h.max {
-		h.max = other.max
+	h.raise(atomic.LoadInt64(&other.max))
+}
+
+// load returns a snapshot of the buckets and their sum.
+func (h *Histogram) load() (counts [Buckets]uint64, total uint64) {
+	for i := range counts {
+		counts[i] = atomic.LoadUint64(&h.counts[i])
+		total += counts[i]
 	}
+	return counts, total
 }
 
 // Count returns the number of recorded values.
-func (h *Histogram) Count() uint64 { return h.total }
-
-// Max returns the largest recorded value.
-func (h *Histogram) Max() int64 { return h.max }
-
-// Quantile returns an upper bound for the q-quantile (0 ≤ q ≤ 1); see the
-// package-level Quantile for the contract. Returns 0 for an empty histogram.
-func (h *Histogram) Quantile(q float64) int64 {
-	return Quantile(h.counts[:], h.max, q)
+func (h *Histogram) Count() uint64 {
+	_, total := h.load()
+	return total
 }
 
-// Upper is the largest value power-of-two bucket i can hold: bitlen(v) == i
-// means v ≤ 2^i − 1, and bucket 0 holds only 0.
-func Upper(i int) int64 { return int64(1)<<uint(i) - 1 }
+// Max returns the largest recorded value, 0 when none was recorded.
+func (h *Histogram) Max() int64 { return atomic.LoadInt64(&h.max) }
 
-// Quantile is the one bucket walk behind every power-of-two histogram in the
-// repo (Histogram, obs.Hist, smr.Stats.BatchHist). counts[i] counts the
-// recorded values of bit length i and max is the largest recorded value (or
-// any upper bound for it). The result is an upper bound for the nearest-rank
-// q-quantile — the smallest recorded value with at least ⌈q·n⌉ values at or
-// below it: Upper of the bucket holding it, tightened to max in the final
-// bucket. q is clamped to [0, 1]; an empty histogram reports 0.
-func Quantile(counts []uint64, max int64, q float64) int64 {
-	var total uint64
-	for _, c := range counts {
-		total += c
+// Counts returns the bucket counts up to the last non-empty bucket, nil when
+// nothing was recorded.
+func (h *Histogram) Counts() []uint64 {
+	counts, _ := h.load()
+	n := len(counts)
+	for n > 0 && counts[n-1] == 0 {
+		n--
 	}
+	return append([]uint64(nil), counts[:n]...)
+}
+
+// Quantile returns an upper bound for the nearest-rank q-quantile, the
+// smallest recorded value with at least ⌈q·n⌉ values at or below it: the
+// largest value its bucket can hold (2^i − 1 for bucket i), tightened to the
+// recorded maximum. q is clamped to [0, 1]; an empty histogram reports 0.
+func (h *Histogram) Quantile(q float64) int64 {
+	counts, total := h.load()
+	m := h.Max()
 	if total == 0 {
 		return 0
 	}
@@ -87,8 +101,8 @@ func Quantile(counts []uint64, max int64, q float64) int64 {
 	var seen uint64
 	for i, c := range counts {
 		if seen += c; seen >= rank {
-			return min(Upper(i), max)
+			return min(int64(1)<<i-1, m)
 		}
 	}
-	return max
+	return m
 }

@@ -18,16 +18,15 @@
 //
 // Timestamps are nanoseconds on the monotonic clock since the recorder's
 // creation, so merged timelines are globally ordered across rings. The
-// histograms use the same power-of-two bucket idiom as internal/hist and
-// smr.Stats.BatchHist, made atomic so cross-thread writers and concurrent
-// snapshot readers stay race-clean; bucket shape (which powers of two hold
-// the mass) is comparable across hosts even when absolute latencies are not.
+// histograms are internal/hist's, whose atomic writes keep cross-thread
+// writers and concurrent snapshot readers race-clean; bucket shape (which
+// powers of two hold the mass) is comparable across hosts even when absolute
+// latencies are not.
 package obs
 
 import (
 	"fmt"
 	"io"
-	"math/bits"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -171,7 +170,7 @@ type Recorder struct {
 	on      atomic.Bool
 	base    time.Time // monotonic origin for all timestamps
 	rings   []ring    // one per registry slot, then admission, then system
-	hists   [NumHists]Hist
+	hists   [NumHists]hist.Histogram
 	sampled atomic.Int32 // outstanding garbage-age samples (fast NoteFree gate)
 	samples [gaSamples]gaSample
 }
@@ -287,8 +286,8 @@ func (r *Recorder) ObserveSince(h int, t0 int64) {
 	r.hists[h].Record(r.clock() - t0)
 }
 
-// Hist exposes histogram h for snapshots and tests.
-func (r *Recorder) Hist(h int) *Hist {
+// Hist exposes histogram h for snapshots and tests; nil for a nil recorder.
+func (r *Recorder) Hist(h int) *hist.Histogram {
 	if r == nil {
 		return nil
 	}
@@ -472,14 +471,14 @@ func (r *Recorder) Snapshot(maxEvents int) Snapshot {
 	}
 	snap := Snapshot{Enabled: r.on.Load(), Hists: make([]HistSnapshot, 0, NumHists)}
 	for h := 0; h < NumHists; h++ {
-		hist := &r.hists[h]
+		hg := &r.hists[h]
 		snap.Hists = append(snap.Hists, HistSnapshot{
 			Name:  histNames[h],
-			Count: hist.Count(),
-			P50ns: hist.Quantile(0.50),
-			P90ns: hist.Quantile(0.90),
-			P99ns: hist.Quantile(0.99),
-			Maxns: hist.Max(),
+			Count: hg.Count(),
+			P50ns: hg.Quantile(0.50),
+			P90ns: hg.Quantile(0.90),
+			P99ns: hg.Quantile(0.99),
+			Maxns: hg.Max(),
 		})
 	}
 	for _, e := range r.Events(maxEvents) {
@@ -488,59 +487,4 @@ func (r *Recorder) Snapshot(maxEvents int) Snapshot {
 		})
 	}
 	return snap
-}
-
-// Hist is an atomic power-of-two histogram: bucket i counts values whose
-// bit length is i, i.e. [2^(i-1), 2^i). Same shape as internal/hist and
-// smr.Stats.BatchHist (and the same quantile walk), but writable from many
-// threads and snapshotable concurrently. The zero value is ready to use.
-type Hist struct {
-	counts [64]atomic.Uint64
-	total  atomic.Uint64
-	max    atomic.Int64
-}
-
-// Record adds value v (negative values clamp to zero).
-func (h *Hist) Record(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	h.counts[bits.Len64(uint64(v))%64].Add(1)
-	h.total.Add(1)
-	for {
-		m := h.max.Load()
-		if v <= m || h.max.CompareAndSwap(m, v) {
-			return
-		}
-	}
-}
-
-// Count returns the number of recorded values.
-func (h *Hist) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.total.Load()
-}
-
-// Max returns the largest recorded value.
-func (h *Hist) Max() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.max.Load()
-}
-
-// Quantile returns an upper bound for the q-quantile over a concurrent
-// snapshot of the buckets: hist.Quantile, the walk internal/hist.Histogram
-// and smr.Stats.BatchQuantile share.
-func (h *Hist) Quantile(q float64) int64 {
-	if h == nil {
-		return 0
-	}
-	var counts [64]uint64
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-	}
-	return hist.Quantile(counts[:], h.max.Load(), q)
 }

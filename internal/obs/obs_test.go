@@ -182,19 +182,22 @@ func TestGarbageAgeSampling(t *testing.T) {
 	}
 }
 
-// TestHistQuantile: power-of-two bucket edges, max-tightening, and the
-// count/max accessors — the same contract as internal/hist (whose walk it
-// shares; smr's TestQuantileWalkShared pins the agreement).
+// TestHistQuantile: a recorder histogram keeps the internal/hist contract
+// through Observe — power-of-two bucket edges, max-tightening, the count/max
+// accessors and the negative clamp (smr's TestQuantileWalkShared pins the
+// agreement with the handoff histogram).
 func TestHistQuantile(t *testing.T) {
-	var h Hist
+	r := NewRecorder(1)
+	r.Enable()
+	h := r.Hist(HistReadPhase)
 	if h.Quantile(0.5) != 0 {
 		t.Fatal("empty histogram quantile must be 0")
 	}
 	for i := 0; i < 90; i++ {
-		h.Record(100) // bucket [64,128)
+		r.Observe(HistReadPhase, 100) // bucket [64,128)
 	}
 	for i := 0; i < 10; i++ {
-		h.Record(5000) // bucket [4096,8192)
+		r.Observe(HistReadPhase, 5000) // bucket [4096,8192)
 	}
 	if got := h.Quantile(0.5); got != 127 {
 		t.Fatalf("p50 = %d, want 127, the largest value the bucket holds", got)
@@ -205,8 +208,8 @@ func TestHistQuantile(t *testing.T) {
 	if h.Count() != 100 || h.Max() != 5000 {
 		t.Fatalf("count=%d max=%d", h.Count(), h.Max())
 	}
-	h.Record(-5) // clamps, does not panic or wrap
-	if h.Count() != 101 {
+	r.Observe(HistReadPhase, -5) // clamps, does not panic or wrap
+	if h.Count() != 101 || h.Max() != 5000 {
 		t.Fatal("negative value not recorded as zero")
 	}
 }

@@ -5,6 +5,7 @@
 package leaky
 
 import (
+	"nbr/internal/hist"
 	"nbr/internal/mem"
 	"nbr/internal/smr"
 )
@@ -38,6 +39,9 @@ func (s *Scheme) Guard(tid int) smr.Guard { return s.gs[tid] }
 
 // Stats implements smr.Scheme.
 func (s *Scheme) Stats() smr.Stats { return s.k.Stats() }
+
+// Handoffs implements smr.Scheme.
+func (s *Scheme) Handoffs() hist.Histogram { return s.k.Handoffs() }
 
 // GarbageBound implements smr.Scheme: leaky never frees, so garbage is
 // unbounded by construction (the memory-usage worst case in every figure).

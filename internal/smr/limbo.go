@@ -3,6 +3,7 @@ package smr
 import (
 	"sync"
 
+	"nbr/internal/hist"
 	"nbr/internal/mem"
 	"nbr/internal/obs"
 	"nbr/internal/sigsim"
@@ -12,11 +13,12 @@ import (
 // until they may be freed that does not depend on *why* they may be freed.
 // A scheme is its announcement layout, its trigger, its keep test and its
 // bound formula (DESIGN.md §16); the weighted bag, the counters and their
-// Stats fold, segment accounting and carving, batch chunking, orphan
-// hand-off and adoption, the recovery body, the scan bracket and the sweep
-// exist here once. The kernel never asks which scheme it serves: differences
-// enter through Spec (burst, carve bit, attach and round collection), the
-// Policy hooks, and the collect/keep functions a scheme hands to Scan.
+// Stats fold, the handoff histogram, segment accounting and carving, batch
+// chunking, orphan hand-off and adoption, the recovery body, the scan bracket
+// and the sweep exist here once. The kernel never asks which scheme it
+// serves: differences enter through Spec (burst, carve bit, attach and round
+// collection), the Policy hooks, and the collect/keep functions a scheme
+// hands to Scan.
 
 // Spec is what a scheme declares to the kernel at construction.
 type Spec struct {
@@ -128,9 +130,17 @@ func (k *Kernel) Stats() Stats {
 		st.Advances += l.Advances.Load()
 		st.Segments += l.Segments.Load()
 		st.SegRecords += l.SegRecords.Load()
-		l.batches.AddTo(&st.BatchHist)
 	}
 	return st
+}
+
+// Handoffs implements Scheme: the per-guard handoff histograms, merged.
+func (k *Kernel) Handoffs() hist.Histogram {
+	var h hist.Histogram
+	for _, l := range k.limbos {
+		h.Merge(&l.batches)
+	}
+	return h
 }
 
 // AttachRegistry implements Member: the scheme adopts the registry's active
@@ -220,8 +230,8 @@ func (k *Kernel) weigh(ps []mem.Ptr) int {
 
 // Limbo is the guard-level half of the kernel, embedded by every guard: the
 // weighted bag, the counter block, and the smr.Guard methods a scheme does
-// not override. Owner-only except the counters, which Stats reads
-// concurrently.
+// not override. Owner-only except the counters and batches, which Stats and
+// Handoffs read concurrently.
 type Limbo struct {
 	k      *Kernel
 	tid    int
@@ -244,7 +254,8 @@ type Limbo struct {
 	Advances   Counter
 	Segments   Counter // segment handles bagged (RetireSegment pieces)
 	SegRecords Counter // member records those handles stood for
-	batches    BatchHist
+	// batches counts retire handoffs by size; Kernel.Handoffs merges them.
+	batches hist.Histogram
 	// pinnedPeak is the largest survivor weight any sweep of this bag kept.
 	pinnedPeak Watermark
 }
@@ -274,14 +285,14 @@ func (l *Limbo) BeforeSegment(_, _ mem.Ptr, _ int) {}
 func (l *Limbo) Landed(int)                        {}
 
 // Handoff counts one retire handoff of n records in the size histogram.
-func (l *Limbo) Handoff(n int) { l.batches.Record(n) }
+func (l *Limbo) Handoff(n int) { l.batches.Record(int64(n)) }
 
 // Push bags one retired record: a handoff of size 1.
 func (l *Limbo) Push(p mem.Ptr) {
 	l.Bag = append(l.Bag, p.Unmarked())
 	l.BagW++
 	l.Retired.Inc()
-	l.batches.Record(1)
+	l.Handoff(1)
 }
 
 // PushChunk bags one chunk of a RetireBatch. Retired is counted per chunk,
@@ -335,7 +346,7 @@ func (l *Limbo) RetireSegment(p mem.Ptr) {
 		l.policy.Retire(p)
 		return
 	}
-	l.batches.Record(total)
+	l.Handoff(total)
 	from := p.Unmarked()
 	for rest := from; rest != mem.Null; {
 		q, w := rest, k.segs.SegmentWeight(rest)

@@ -1,9 +1,6 @@
 package smr
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Pad64 is an atomic uint64 padded to a cache line, used for per-thread
 // announcement slots (epochs, eras, hazard pointers, reservations) so that
@@ -48,33 +45,3 @@ func (w *Watermark) Raise(v uint64) {
 
 // Load returns the current watermark.
 func (w *Watermark) Load() uint64 { return w.v.Load() }
-
-// BatchBuckets is the number of power-of-two buckets in the retire
-// handoff-size histogram (Stats.BatchHist); the top bucket absorbs any
-// batch of 2^(BatchBuckets-1) records or more.
-const BatchBuckets = 17
-
-// BatchHist counts a guard's retire handoffs by size: Retire records size 1,
-// RetireBatch its batch length. Written only by the owning thread, read
-// concurrently by Stats aggregation — the same discipline as Counter. The
-// cost sits on the retire path only (one increment per handoff), never on
-// the read path.
-type BatchHist struct {
-	b [BatchBuckets]Counter
-}
-
-// Record counts one handoff of n records.
-func (h *BatchHist) Record(n int) {
-	i := bits.Len(uint(n))
-	if i >= BatchBuckets {
-		i = BatchBuckets - 1
-	}
-	h.b[i].Inc()
-}
-
-// AddTo folds the histogram into a Stats bucket array.
-func (h *BatchHist) AddTo(agg *[BatchBuckets]uint64) {
-	for i := range h.b {
-		agg[i] += h.b[i].Load()
-	}
-}

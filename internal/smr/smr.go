@@ -119,6 +119,12 @@ type Scheme interface {
 	Guard(tid int) Guard
 	// Stats returns aggregate reclamation counters.
 	Stats() Stats
+	// Handoffs returns the retire handoff sizes merged across guards: a
+	// Retire call is one handoff of size 1, a RetireBatch or RetireSegment
+	// call one of its record count. Retired over the handoff count is the
+	// amortization the RetireBatch seam achieves. It stays out of Stats, so
+	// the counter fold a garbage sampler runs reads no histogram.
+	Handoffs() hist.Histogram
 	// GarbageBound returns the scheme's declared worst-case number of
 	// retired-but-unfreed records across all threads, or Unbounded. The
 	// bound is a live contract, not documentation: the dstest and bench
@@ -165,41 +171,6 @@ type Stats struct {
 	Advances    uint64 // epoch or era advances
 	Segments    uint64 // segment handles retired (RetireSegment pieces)
 	SegRecords  uint64 // member records those segments stood for
-	// BatchHist is the retire handoff-size distribution: bucket i counts
-	// handoffs of size s with bitlen(s) == i, i.e. s in [2^(i-1), 2^i).
-	// A Retire call is one handoff of size 1; a RetireBatch call is one
-	// handoff of its batch length. Retired divided by the handoff count is
-	// the average amortization the RetireBatch seam achieves.
-	BatchHist [BatchBuckets]uint64
-}
-
-// RetireCalls returns the number of retire handoffs (Retire calls plus
-// non-empty RetireBatch calls).
-func (s Stats) RetireCalls() uint64 {
-	var n uint64
-	for _, c := range s.BatchHist {
-		n += c
-	}
-	return n
-}
-
-// BatchQuantile returns an upper bound for the q-quantile handoff size
-// (hist.Quantile over BatchHist). Returns 0 when no handoffs were recorded.
-func (s Stats) BatchQuantile(q float64) int64 {
-	return hist.Quantile(s.BatchHist[:], s.BatchMax(), q)
-}
-
-// BatchMax returns an upper bound for the largest handoff recorded (the
-// upper edge of the top non-empty bucket), or 0 if none. The top bucket is
-// open-ended (Record saturates batches of 2^(BatchBuckets-1) or more into
-// it), so for it the value is a saturation cap, not a true upper bound.
-func (s Stats) BatchMax() int64 {
-	for i := BatchBuckets - 1; i >= 0; i-- {
-		if s.BatchHist[i] != 0 {
-			return hist.Upper(i)
-		}
-	}
-	return 0
 }
 
 // Stamps returns the number of scheme-side per-retirement bookkeeping events
