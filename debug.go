@@ -62,21 +62,24 @@ const debugEvents = 128
 // read path for harnesses and operators alike.
 func (rt *Runtime) Snapshot(maxEvents int) DebugSnapshot {
 	st, hub := rt.Stats(), rt.hub.Stats()
+	rt.admitMu.Lock()
+	waiters := len(rt.waiters)
+	rt.admitMu.Unlock()
 	return DebugSnapshot{
 		Scheme:          rt.Scheme(),
 		Structures:      rt.Structures(),
 		MaxThreads:      rt.MaxThreads(),
-		ActiveThreads:   rt.ActiveThreads(),
-		Waiters:         rt.Waiters(),
+		ActiveThreads:   rt.reg.Active().Count(),
+		Waiters:         waiters,
 		GarbageBound:    rt.GarbageBound(),
 		Garbage:         int64(st.Retired) - int64(st.Freed),
 		HubBursts:       hub.Bursts,
 		HubDispatches:   hub.Dispatches,
-		ForcedRounds:    rt.ForcedRounds(),
-		FallbackReuses:  rt.FallbackReuses(),
-		ReapedLeases:    rt.ReapedLeases(),
-		RevokedReleases: rt.RevokedReleases(),
-		OrphansAdopted:  rt.OrphansAdopted(),
+		ForcedRounds:    rt.reg.ForcedRounds(),
+		FallbackReuses:  rt.reg.FallbackReuses(),
+		ReapedLeases:    rt.reg.ReapedLeases(),
+		RevokedReleases: rt.reg.RevokedReleases(),
+		OrphansAdopted:  rt.reg.OrphansAdopted(),
 		Stats:           st,
 		Mem:             rt.MemStats(),
 		Recorder:        rt.rec.Snapshot(maxEvents),

@@ -86,7 +86,7 @@ func wedgedHolder() {
 	wedgedAt := time.Now()
 	l.SetDeadline(wedgedAt.Add(deadline))
 
-	for rt.ReapedLeases() == 0 {
+	for rt.Snapshot(0).ReapedLeases == 0 {
 		if time.Since(wedgedAt) > 2*deadline {
 			fmt.Fprintf(os.Stderr, "oversubscribe: wedged holder NOT reaped within %v (reaps=0): the watchdog is broken\n", 2*deadline)
 			os.Exit(1)
@@ -110,8 +110,9 @@ func wedgedHolder() {
 	})
 	check(err)
 	check(rt.Drain())
+	snap := rt.Snapshot(0)
 	fmt.Printf("recovered: %d reap, %d zombie release (counted no-op), slot reusable, drained clean\n",
-		rt.ReapedLeases(), rt.RevokedReleases())
+		snap.ReapedLeases, snap.RevokedReleases)
 }
 
 func check(err error) {

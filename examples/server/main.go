@@ -348,8 +348,9 @@ func main() {
 	}
 	fmt.Printf("retired=%d freed=%d garbage=%d (peak sampled %d, bound %d)\n",
 		st.Retired, st.Freed, st.Garbage(), peak.Load(), rt.GarbageBound())
+	snap := rt.Snapshot(0)
 	fmt.Printf("forced scan rounds=%d, unaged-slot fallbacks=%d\n",
-		rt.ForcedRounds(), rt.FallbackReuses())
+		snap.ForcedRounds, snap.FallbackReuses)
 	fmt.Printf("sessions size=%d, catalog size=%d, live records=%d (%.1f KiB)\n",
 		svc.sessions.Len(), svc.catalog.Len(), ms.Live, float64(ms.LiveBytes)/1024)
 

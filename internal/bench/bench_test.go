@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -18,6 +19,9 @@ func TestRunRejectsIncompatible(t *testing.T) {
 		{"keyrange1", Workload{DS: "lazylist", Scheme: "nbr+", Threads: 1, KeyRange: 1}},
 		{"threads0", Workload{DS: "lazylist", Scheme: "nbr+", Threads: 0, KeyRange: 100}},
 		{"threads-1", Workload{DS: "lazylist", Scheme: "nbr+", Threads: -1, KeyRange: 100}},
+		{"ins-10", Workload{DS: "lazylist", Scheme: "nbr+", Threads: 1, KeyRange: 100, InsPct: -10, DelPct: 50}},
+		{"del-10", Workload{DS: "lazylist", Scheme: "nbr+", Threads: 1, KeyRange: 100, InsPct: 50, DelPct: -10}},
+		{"mix130", Workload{DS: "lazylist", Scheme: "nbr+", Threads: 1, KeyRange: 100, InsPct: 80, DelPct: 50}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.w.Duration = 10 * time.Millisecond
@@ -25,6 +29,21 @@ func TestRunRejectsIncompatible(t *testing.T) {
 				t.Fatalf("Run accepted %+v", tc.w)
 			}
 		})
+	}
+}
+
+// TestExperimentRejectsZeroTrials: a cell averaged over no trials is a NaN
+// table, so the runner refuses it before measuring anything.
+func TestExperimentRejectsZeroTrials(t *testing.T) {
+	e, ok := Lookup("fig3a")
+	if !ok {
+		t.Fatal("fig3a preset missing")
+	}
+	for _, trials := range []int{0, -1} {
+		o := Options{Threads: []int{1}, Duration: time.Millisecond, Trials: trials, Cfg: catalog.DefaultSchemeConfig(), Out: io.Discard}
+		if err := e.Run(o); err == nil {
+			t.Fatalf("fig3a ran with %d trials", trials)
+		}
 	}
 }
 

@@ -194,6 +194,9 @@ func Lookup(name string) (Experiment, bool) {
 
 // runCell measures one workload cell, averaged over Trials.
 func runCell(o Options, w Workload) (Result, error) {
+	if o.Trials < 1 {
+		return Result{}, fmt.Errorf("bench: trial count %d, want at least 1", o.Trials)
+	}
 	var acc Result
 	for trial := 0; trial < o.Trials; trial++ {
 		w.Seed = uint64(trial+1) * 0x9e3779b97f4a7c15

@@ -52,58 +52,46 @@ func TestSchemeSeams(t *testing.T) {
 	}
 }
 
-// carveArena is a counting fake mem.SegmentArena: handles are small even
-// integers, a segment is a directory entry, and every carve and free is
-// recorded.
-type carveArena struct {
+// segArena is a recording fake mem.SegmentArena: handles are small
+// integers, a segment is a directory entry, and every free is recorded.
+type segArena struct {
 	weight map[mem.Ptr]int
 	hdrs   map[mem.Ptr]*mem.Hdr
-	next   mem.Ptr
-	carves int
 	freed  []mem.Ptr
 }
 
-func (a *carveArena) Free(tid int, p mem.Ptr) { a.FreeBatch(tid, []mem.Ptr{p}) }
-func (a *carveArena) FreeBatch(_ int, ps []mem.Ptr) {
+func (a *segArena) Free(tid int, p mem.Ptr) { a.FreeBatch(tid, []mem.Ptr{p}) }
+func (a *segArena) FreeBatch(_ int, ps []mem.Ptr) {
 	for _, p := range ps {
 		a.freed = append(a.freed, p)
 		delete(a.weight, p)
 	}
 }
-func (a *carveArena) Hdr(p mem.Ptr) *mem.Hdr {
+func (a *segArena) Hdr(p mem.Ptr) *mem.Hdr {
 	if a.hdrs[p] == nil {
 		a.hdrs[p] = &mem.Hdr{}
 	}
 	return a.hdrs[p]
 }
-func (a *carveArena) Valid(mem.Ptr) bool          { return true }
-func (a *carveArena) SizeCache(int, int)          {}
-func (a *carveArena) DrainCache(int)              {}
-func (a *carveArena) SegmentWeight(p mem.Ptr) int { return a.weight[p] }
-func (a *carveArena) CarveSegment(_ int, p mem.Ptr, take int) (head, rest mem.Ptr) {
-	if take >= a.weight[p] {
-		return p, mem.Null
-	}
-	a.carves++
-	a.next += 2
-	a.weight[a.next] = take
-	a.weight[p] -= take
-	return a.next, p
-}
+func (a *segArena) Valid(mem.Ptr) bool          { return true }
+func (a *segArena) SizeCache(int, int)          {}
+func (a *segArena) DrainCache(int)              {}
+func (a *segArena) SegmentWeight(p mem.Ptr) int { return a.weight[p] }
 
-// TestCarvePolicy states PR 9's rule directly: only the era-interval schemes
-// may carve a retired segment. he/ibr split a run of weight 3×threshold into
-// ceil(w/threshold) pieces that inherit its birth era; every other scheme
-// never calls CarveSegment and bags the original handle whole — identity-based
-// protection names that handle, which a carved piece's fresh head never is.
-func TestCarvePolicy(t *testing.T) {
-	const threads, pieces = 2, 3
+// TestSegmentLandsWhole states the one segment rule directly: every scheme
+// bags a retired segment as the original handle, at full weight, however far
+// the run overshoots the scheme's burst, and frees it as that one handle.
+// hp and nbr readers protect the run by naming the handle, so no piece of it
+// may stand under another name; he and ibr keep the birth era stamped at
+// allocation.
+func TestSegmentLandsWhole(t *testing.T) {
+	const threads = 2
 	cfg := retireCfg()
-	weight := pieces * cfg.Threshold
+	weight := 3 * cfg.Threshold
 	for _, name := range catalog.SchemeNames {
 		t.Run(name, func(t *testing.T) {
 			const seg = mem.Ptr(2)
-			arena := &carveArena{weight: map[mem.Ptr]int{seg: weight}, hdrs: map[mem.Ptr]*mem.Hdr{}, next: seg}
+			arena := &segArena{weight: map[mem.Ptr]int{seg: weight}, hdrs: map[mem.Ptr]*mem.Hdr{}}
 			sch, err := catalog.NewScheme(name, arena, threads, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -113,44 +101,41 @@ func TestCarvePolicy(t *testing.T) {
 			birth := arena.Hdr(seg).Birth()
 			g.RetireSegment(seg)
 
-			wantPieces := 1
-			if name == "he" || name == "ibr" {
-				wantPieces = pieces
-				if birth == 0 {
-					t.Fatal("era scheme did not stamp a birth era")
-				}
-			}
-			if arena.carves != wantPieces-1 {
-				t.Fatalf("CarveSegment calls = %d, want %d", arena.carves, wantPieces-1)
+			if (name == "he" || name == "ibr") && birth == 0 {
+				t.Fatal("era scheme did not stamp a birth era")
 			}
 			st := sch.Stats()
-			if st.Segments != uint64(wantPieces) || st.SegRecords != uint64(weight) || st.Retired != uint64(weight) {
-				t.Fatalf("segments=%d segRecords=%d retired=%d, want %d pieces standing for %d records",
-					st.Segments, st.SegRecords, st.Retired, wantPieces, weight)
+			if st.Segments != 1 || st.SegRecords != uint64(weight) || st.Retired != uint64(weight) {
+				t.Fatalf("segments=%d segRecords=%d retired=%d, want 1 piece standing for %d records",
+					st.Segments, st.SegRecords, st.Retired, weight)
 			}
 			for p, hdr := range arena.hdrs {
+				if p != seg {
+					t.Errorf("scheme stamped a header of %v, a handle it was never given", p)
+				}
 				if hdr.Birth() != birth {
-					t.Errorf("piece %v has birth era %d, want the run's %d", p, hdr.Birth(), birth)
+					t.Errorf("handle %v has birth era %d, want the run's %d", p, hdr.Birth(), birth)
 				}
 			}
 
-			// Nothing protects the run, so draining frees every piece: the
-			// handles the arena sees are what the scheme bagged.
+			// Nothing protects the run, so draining frees it: the handle the
+			// arena sees is what the scheme bagged.
 			for round := 0; round < 4; round++ {
 				for tid := 0; tid < threads; tid++ {
 					sch.(smr.Drainer).Drain(tid)
 				}
 			}
+			want := 1
 			if name == "none" {
-				wantPieces = 0
+				want = 0
 			}
-			if len(arena.freed) != wantPieces {
-				t.Fatalf("arena saw %v freed, want %d handle(s)", arena.freed, wantPieces)
+			if len(arena.freed) != want {
+				t.Fatalf("arena saw %v freed, want %d handle(s)", arena.freed, want)
 			}
-			if wantPieces == 1 && arena.freed[0] != seg {
+			if want == 1 && arena.freed[0] != seg {
 				t.Fatalf("freed %v, want the original handle %v", arena.freed[0], seg)
 			}
-			if st := sch.Stats(); wantPieces > 0 && st.Freed != uint64(weight) {
+			if st := sch.Stats(); want > 0 && st.Freed != uint64(weight) {
 				t.Fatalf("freed weight = %d, want %d", st.Freed, weight)
 			}
 		})

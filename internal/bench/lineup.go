@@ -109,9 +109,9 @@ func (w RuntimeWorkload) measure(s *Snapshot, d time.Duration, cfg catalog.Schem
 }
 
 func (w ResizeBurstWorkload) measure(s *Snapshot, _ time.Duration, cfg catalog.SchemeConfig) error {
-	// A fixed 512-record threshold regardless of the sweep config: the bag
-	// needs headroom for whole arrays, or every array is carved into many
-	// small pieces and the A/B measures the carve count.
+	// A fixed 512-record threshold regardless of the sweep config: arrays
+	// lighter than it share a sweep, so the segment mode's scans are not one
+	// per array; heavier ones land whole one append past it.
 	cfg.Threshold = 512
 	w.Threads, w.KeysPerThread, w.Cfg = snapshotThreads, 1500, cfg
 	r, err := RunResizeBurst(w)

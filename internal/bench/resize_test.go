@@ -13,10 +13,9 @@ import (
 // retiring its cells individually. Counter ratios only — no timing.
 func TestResizeBurstSegmentAmortization(t *testing.T) {
 	cfg := catalog.DefaultSchemeConfig()
-	// The threshold must leave the bag headroom for whole arrays: under a
-	// small one every array is carved into many threshold-weight pieces
-	// (DESIGN.md §16), which drifts toward per-node retirement with extra
-	// steps (and is exactly what the stamps_per_record column would expose).
+	// The same fixed threshold the snapshot cell uses: arrays lighter than
+	// it share a sweep, so the scans are not one per array. Every array
+	// lands whole whatever the threshold (DESIGN.md §16), one stamp each.
 	cfg.Threshold = 512
 	base := ResizeBurstWorkload{
 		Scheme: "ibr", Threads: 4, KeysPerThread: 800, Cfg: cfg,

@@ -89,6 +89,9 @@ func Run(w Workload) (Result, error) {
 	if w.Threads < 1 {
 		return Result{}, fmt.Errorf("bench: thread count %d, want at least 1", w.Threads)
 	}
+	if w.InsPct < 0 || w.DelPct < 0 || w.InsPct+w.DelPct > 100 {
+		return Result{}, fmt.Errorf("bench: mix %di-%dd, want non-negative percentages summing to at most 100", w.InsPct, w.DelPct)
+	}
 	if w.Duration <= 0 {
 		w.Duration = time.Second
 	}

@@ -162,9 +162,8 @@ func (s *Scheme) Stats() smr.Stats {
 // watermark — 2·BagSize total for the watermark terms. The segW terms cover
 // segment handles, each pinning up to MaxWeight member records: the N·R
 // survivors a scan can find reserved, plus the one in-flight RetireSegment
-// append — identity-based reservations forbid carving a reserved handle
-// (see RetireSegment), so a whole segment can land in one append after the
-// watermark check.
+// append — a segment lands whole (smr.Limbo.RetireSegment), so up to SegW
+// records can land in one append after the watermark check.
 func (s *Scheme) ThreadBound() int {
 	return 2*s.cfg.BagSize + (len(s.gs)*s.cfg.Slots+1)*s.SegW()
 }
@@ -359,10 +358,10 @@ func (g *guard) RetireBatch(ps []mem.Ptr) {
 
 // BeforeSegment implements smr.Policy: a segment handle lands whole (NBR
 // reservations name the retired handle itself and the sweep matches bag
-// entries against them by identity, so the kernel never carves for NBR) and
-// the watermark bookkeeping runs once for its full weight — a one-append
-// overshoot the bound's segment-weight term absorbs (see ThreadBound).
-func (g *guard) BeforeSegment(_, _ mem.Ptr, w int) { g.beforeRetire(w) }
+// entries against them by identity) and the watermark bookkeeping runs once
+// for its full weight — a one-append overshoot the bound's segment-weight
+// term absorbs (see ThreadBound).
+func (g *guard) BeforeSegment(_ mem.Ptr, w int) { g.beforeRetire(w) }
 
 // beforeRetire runs the watermark bookkeeping for the next chunk of records
 // about to land in the bag (avail record-weight is ready) and returns how

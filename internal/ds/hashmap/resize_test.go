@@ -6,6 +6,7 @@ import (
 	"nbr/internal/core"
 	"nbr/internal/mem"
 	"nbr/internal/smr"
+	"nbr/internal/smr/era"
 	"nbr/internal/smr/hp"
 )
 
@@ -130,95 +131,107 @@ func TestMidResizeReader(t *testing.T) {
 	}
 }
 
-// TestOversizedSegmentReaderHP is the carve-safety regression for
-// identity-based hazards: the retired array's weight EXCEEDS the scan
-// threshold, the configuration where hp used to split the handle with
-// CarveSegment. A carved prefix rides a fresh head handle that no reader
-// ever announced, so its member cells were freed under the reader's single
-// handle hazard — use-after-free. The fix bags the handle whole, so every
-// cell must survive the scan storm until the reader leaves, and the
-// handle must land as exactly one bag entry (Segments +1, no pieces).
+// TestOversizedSegmentReader is the one-segment-rule regression for the
+// schemes whose readers announce before a scan: the retired array's weight
+// EXCEEDS the scan threshold, and the handle must still land as exactly one
+// bag entry (Segments +1, no pieces) and every cell must survive the scan
+// storm until the reader leaves. Under hp a piece split off the run would
+// ride a fresh head handle that no reader ever announced, so its cells
+// would be freed under the reader's single handle hazard — use-after-free.
+// he and ibr announce eras, not handles, and run the same protocol: the
+// handle's lifetime covers the reader's era, so the sweep pins it whole.
 //
 //nbr:allow readphase — the stalled reader IS the fixture: the test parks inside an open read phase on purpose and drives the writer around it from the same goroutine
-func TestOversizedSegmentReaderHP(t *testing.T) {
-	m := NewWith(mem.Config{MaxThreads: 2})
-	sch := hp.New(m.Pool, 2, hp.Config{Slots: 4, Threshold: 16})
-	w, r := sch.Guard(0), sch.Guard(1)
+func TestOversizedSegmentReader(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		scheme func(mem.Arena) smr.Scheme
+	}{
+		{"hp", func(a mem.Arena) smr.Scheme { return hp.New(a, 2, hp.Config{Slots: 4, Threshold: 16}) }},
+		{"he", func(a mem.Arena) smr.Scheme { return era.NewHE(a, 2, era.Config{Slots: 4, Threshold: 16}) }},
+		{"ibr", func(a mem.Arena) smr.Scheme { return era.NewIBR(a, 2, era.Config{Threshold: 16}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewWith(mem.Config{MaxThreads: 2})
+			sch := tc.scheme(m.Pool)
+			w, r := sch.Guard(0), sch.Guard(1)
 
-	// Grow the table past the threshold: after two resizes the installed
-	// array has 32 cells > Threshold 16, so retiring it is the oversized
-	// case the old code carved.
-	k := uint64(0)
-	for m.Resizes() < 2 {
-		k++
-		if k > 10_000 {
-			t.Fatal("10k inserts without two resizes")
-		}
-		m.Insert(w, k)
-	}
-	old := m.tab.Load()
-	if old.run.Len() <= 16 {
-		t.Fatalf("fixture: pinned array weighs %d, need > Threshold 16", old.run.Len())
-	}
+			// Grow the table past the threshold: after two resizes the
+			// installed array has 32 cells > Threshold 16, so retiring it
+			// lands one append past the trigger.
+			k := uint64(0)
+			for m.Resizes() < 2 {
+				k++
+				if k > 10_000 {
+					t.Fatal("10k inserts without two resizes")
+				}
+				m.Insert(w, k)
+			}
+			old := m.tab.Load()
+			if old.run.Len() <= 16 {
+				t.Fatalf("fixture: pinned array weighs %d, need > Threshold 16", old.run.Len())
+			}
 
-	r.BeginOp()
-	r.BeginRead()
-	r.Protect(3, old.seg)
-	if m.tab.Load() != old {
-		t.Fatal("table swapped between load and hazard; fixture broken")
-	}
+			r.BeginOp()
+			r.BeginRead()
+			r.Protect(3, old.seg)
+			if m.tab.Load() != old {
+				t.Fatal("table swapped between load and hazard; fixture broken")
+			}
 
-	seg0 := sch.Stats()
-	for m.Resizes() < 3 {
-		k++
-		if k > 100_000 {
-			t.Fatal("100k inserts without the third resize")
-		}
-		m.Insert(w, k)
-	}
-	st := sch.Stats()
-	if got := st.Segments - seg0.Segments; got != 1 {
-		t.Fatalf("oversized array must land as ONE uncarved handle, got %d pieces", got)
-	}
-	if got := st.SegRecords - seg0.SegRecords; got != uint64(old.run.Len()) {
-		t.Fatalf("segment records: got %d, want %d", got, old.run.Len())
-	}
+			seg0 := sch.Stats()
+			for m.Resizes() < 3 {
+				k++
+				if k > 100_000 {
+					t.Fatal("100k inserts without the third resize")
+				}
+				m.Insert(w, k)
+			}
+			st := sch.Stats()
+			if got := st.Segments - seg0.Segments; got != 1 {
+				t.Fatalf("oversized array must land as ONE uncarved handle, got %d pieces", got)
+			}
+			if got := st.SegRecords - seg0.SegRecords; got != uint64(old.run.Len()) {
+				t.Fatalf("segment records: got %d, want %d", got, old.run.Len())
+			}
 
-	// Scan storm: the bag is pinned over threshold by the 32-weight
-	// survivor, so every churn pair forces scans that all see the reader's
-	// handle hazard and must skip the whole run.
-	for i := 0; i < 200; i++ {
-		key := uint64(1)<<40 + uint64(i) // well away from the fixture keys
-		if !m.Insert(w, key) || !m.Delete(w, key) {
-			t.Fatalf("churn pair %d failed", i)
-		}
-	}
-	if !m.Pool.Valid(old.seg) {
-		t.Fatal("segment handle freed while a reader hazard names it")
-	}
-	for i := 0; i < old.run.Len(); i++ {
-		if !m.Pool.Valid(old.run.At(i)) {
-			t.Fatalf("cell %d freed under the reader (carving an announced handle?)", i)
-		}
-	}
+			// Scan storm: the bag is pinned over threshold by the 32-weight
+			// survivor, so every churn pair forces scans that all see the
+			// reader's announcement and must skip the whole run.
+			for i := 0; i < 200; i++ {
+				key := uint64(1)<<40 + uint64(i) // well away from the fixture keys
+				if !m.Insert(w, key) || !m.Delete(w, key) {
+					t.Fatalf("churn pair %d failed", i)
+				}
+			}
+			if !m.Pool.Valid(old.seg) {
+				t.Fatal("segment handle freed while a reader announcement covers it")
+			}
+			for i := 0; i < old.run.Len(); i++ {
+				if !m.Pool.Valid(old.run.At(i)) {
+					t.Fatalf("cell %d freed under the reader (a piece under another name?)", i)
+				}
+			}
 
-	r.EndRead()
-	r.EndOp()
-	for round := 0; round < 200; round++ {
-		if st := sch.Stats(); st.Retired == st.Freed {
-			break
-		}
-		sch.Drain(0)
-		sch.Drain(1)
-	}
-	st = sch.Stats()
-	if st.Retired != st.Freed {
-		t.Fatalf("drain after reader exit stalled: retired %d, freed %d", st.Retired, st.Freed)
-	}
-	for i := 0; i < old.run.Len(); i++ {
-		if m.Pool.Valid(old.run.At(i)) {
-			t.Fatalf("cell %d of the retired array survived the drain", i)
-		}
+			r.EndRead()
+			r.EndOp()
+			for round := 0; round < 200; round++ {
+				if st := sch.Stats(); st.Retired == st.Freed {
+					break
+				}
+				sch.(smr.Drainer).Drain(0)
+				sch.(smr.Drainer).Drain(1)
+			}
+			st = sch.Stats()
+			if st.Retired != st.Freed {
+				t.Fatalf("drain after reader exit stalled: retired %d, freed %d", st.Retired, st.Freed)
+			}
+			for i := 0; i < old.run.Len(); i++ {
+				if m.Pool.Valid(old.run.At(i)) {
+					t.Fatalf("cell %d of the retired array survived the drain", i)
+				}
+			}
+		})
 	}
 }
 

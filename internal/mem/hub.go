@@ -200,16 +200,6 @@ func (h *Hub) SegmentWeight(p Ptr) int {
 	return 0
 }
 
-// CarveSegment implements SegmentArena by routing to the owning pool.
-func (h *Hub) CarveSegment(tid int, p Ptr, take int) (Ptr, Ptr) {
-	sa, ok := h.route(p).(SegmentArena)
-	if !ok {
-		panic(fmt.Sprintf("mem: CarveSegment of %v routed to arena without segment support", p))
-	}
-	h.rec.Rec(tid, obs.EvSegCarve, uint64(take))
-	return sa.CarveSegment(tid, p, take)
-}
-
 // Valid implements Arena by routing to the owning pool.
 func (h *Hub) Valid(p Ptr) bool { return h.route(p).Valid(p) }
 

@@ -35,11 +35,6 @@ func (r Run) At(i int) Ptr {
 	return r.first + Ptr(i)
 }
 
-// sub returns the subrange [from, from+n) of the run.
-func (r Run) sub(from, n int) Run {
-	return Run{first: r.At(from), n: n}
-}
-
 // SegmentArena is implemented by arenas that support segment records: Pool
 // directly, and Hub by routing on the handle's arena tag. Schemes resolve it
 // once (AsSegmentArena) and treat a nil result as "no segments can exist
@@ -49,13 +44,6 @@ type SegmentArena interface {
 	// SegmentWeight returns the member count of the run p stands for, or 0
 	// when p is not a live segment handle.
 	SegmentWeight(p Ptr) int
-	// CarveSegment splits the first take members off segment p into a new
-	// segment and returns (head, rest): head covers the carved prefix and
-	// rest is p itself, shrunk to the remainder. When take covers the whole
-	// run it returns (p, Null) and allocates nothing. Schemes use it to
-	// split an oversized segment at their watermark, the same contract
-	// RetireBatch honours per record.
-	CarveSegment(tid int, p Ptr, take int) (head, rest Ptr)
 }
 
 // AsSegmentArena returns a's segment interface, or nil when the arena cannot
@@ -136,35 +124,6 @@ func (p *Pool[T]) SegmentWeight(q Ptr) int {
 		return 0
 	}
 	return r.n
-}
-
-// CarveSegment implements SegmentArena. The new head handle is allocated
-// outside the directory lock; q keeps its identity and shrinks to the
-// remainder, so a scheme can keep carving watermark-sized prefixes off the
-// same handle until it fits.
-func (p *Pool[T]) CarveSegment(tid int, q Ptr, take int) (Ptr, Ptr) {
-	if take <= 0 {
-		panic(fmt.Sprintf("mem: CarveSegment take %d", take))
-	}
-	q = q.Unmarked()
-	if w := p.SegmentWeight(q); w == 0 {
-		panic(fmt.Sprintf("mem: CarveSegment of non-segment handle %v", q))
-	} else if take >= w {
-		return q, Null
-	}
-	head, _ := p.Alloc(tid)
-	p.segMu.Lock()
-	r := p.segs[q.Idx()]
-	if take >= r.n { // lost a race with a concurrent carve; fold back
-		p.segMu.Unlock()
-		p.Free(tid, head)
-		return q, Null
-	}
-	p.segs[head.Idx()] = r.sub(0, take)
-	p.segs[q.Idx()] = r.sub(take, r.n-take)
-	p.nsegs.Add(1)
-	p.segMu.Unlock()
-	return head, q
 }
 
 // DissolveSegment unwraps segment handle q back into its run, removing it

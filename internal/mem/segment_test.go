@@ -117,54 +117,6 @@ func TestFreeBatchFansOutSegments(t *testing.T) {
 	}
 }
 
-// TestCarveSegment splits watermark-sized prefixes off a segment and checks
-// both pieces stay live, correctly sized, and independently freeable.
-func TestCarveSegment(t *testing.T) {
-	p := newTestPool(1)
-	const n = 16
-	run := p.AllocBatch(0, n)
-	seg := p.NewSegment(0, run)
-
-	head, rest := p.CarveSegment(0, seg, 5)
-	if rest != seg {
-		t.Fatalf("rest must keep the original handle identity, got %v want %v", rest, seg)
-	}
-	if w := p.SegmentWeight(head); w != 5 {
-		t.Fatalf("head weight = %d, want 5", w)
-	}
-	if w := p.SegmentWeight(rest); w != n-5 {
-		t.Fatalf("rest weight = %d, want %d", w, n-5)
-	}
-
-	// take >= weight returns the segment unsplit and allocates nothing.
-	allocs := p.Stats().Allocs
-	same, none := p.CarveSegment(0, rest, n-5)
-	if same != rest || none != Null {
-		t.Fatalf("full-width carve = (%v, %v), want (%v, Null)", same, none, rest)
-	}
-	if p.Stats().Allocs != allocs {
-		t.Fatal("full-width carve must not allocate")
-	}
-
-	p.Free(0, head)
-	for i := 0; i < 5; i++ {
-		if p.Valid(run.At(i)) {
-			t.Fatalf("carved member %d survived its piece's free", i)
-		}
-	}
-	for i := 5; i < n; i++ {
-		if !p.Valid(run.At(i)) {
-			t.Fatalf("member %d of the remainder freed early", i)
-		}
-	}
-	p.Free(0, rest)
-	for i := 5; i < n; i++ {
-		if p.Valid(run.At(i)) {
-			t.Fatalf("remainder member %d survived the final free", i)
-		}
-	}
-}
-
 // TestDissolveSegment checks the per-record baseline seam: after dissolving,
 // the handle is an ordinary slot, the members are individually owned, and
 // the directory entry is gone.

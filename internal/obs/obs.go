@@ -66,7 +66,6 @@ const (
 	EvReadBegin // BeginRead: row cleared, restartable set
 	EvReadEnd   // EndRead: restartable cleared
 	EvSegRetire // segment handle bagged            arg: segment weight
-	EvSegCarve  // retired segment carved           arg: records carved
 
 	// mem.Hub — the multi-structure free seam.
 	EvHubDispatch // one owner's group of a burst    arg: record count
@@ -99,7 +98,6 @@ var codeNames = [numCodes]string{
 	EvReadBegin:    "read-begin",
 	EvReadEnd:      "read-end",
 	EvSegRetire:    "segment-retire",
-	EvSegCarve:     "segment-carve",
 	EvHubDispatch:  "hub-dispatch",
 	EvAdmitEnqueue: "admit-enqueue",
 	EvAdmitBaton:   "admit-baton",

@@ -164,7 +164,7 @@ func (g *guard) RetireBatch(ps []mem.Ptr) {
 
 // BeforeSegment implements smr.Policy: one epoch check covers all members of
 // the handle; the rotation burst frees them through the arena's fan-out.
-func (g *guard) BeforeSegment(_, _ mem.Ptr, _ int) { g.catchUp() }
+func (g *guard) BeforeSegment(mem.Ptr, int) { g.catchUp() }
 
 // catchUp pulls every orphaned record into the bag, then adopts the current
 // epoch (rotating if it moved) with the orphans filed at the current epoch's

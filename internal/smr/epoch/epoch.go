@@ -166,8 +166,8 @@ func (g *guard) RetireBatch(ps []mem.Ptr) {
 }
 
 // BeforeSegment implements smr.Policy: one epoch stamp covers all members.
-func (g *guard) BeforeSegment(q, _ mem.Ptr, _ int) {
-	g.s.Arena.Hdr(q).SetRetire(g.s.epoch.Load())
+func (g *guard) BeforeSegment(p mem.Ptr, _ int) {
+	g.s.Arena.Hdr(p).SetRetire(g.s.epoch.Load())
 }
 
 // Landed implements smr.Policy, the trigger after every append. Amortized:

@@ -18,9 +18,8 @@
 //     current era at every record access.
 //
 // Everything else — the bag, the threshold trigger, batch chunking, segment
-// carving (pieces inherit the run's birth era, so interval protection covers
-// them: these are the only schemes that may carve), recovery — is the limbo
-// kernel's (smr.Kernel).
+// accounting (a retired segment lands whole, as in every scheme), recovery —
+// is the limbo kernel's (smr.Kernel).
 package era
 
 import (
@@ -92,7 +91,7 @@ func newScheme(name string, arena mem.Arena, threads int, cfg Config, interval b
 	}
 	s.era.Store(1)
 	s.Init(smr.Spec{
-		Name: name, Arena: arena, Threads: threads, Burst: cfg.Threshold, Carve: true,
+		Name: name, Arena: arena, Threads: threads, Burst: cfg.Threshold,
 		Attach:  s.ResetSlot,
 		Collect: func() { s.collect(&s.forced) },
 	})
@@ -113,7 +112,16 @@ func (s *Scheme) Guard(tid int) smr.Guard { return s.gs[tid] }
 //   - buffered records: each thread's bag sweeps at the threshold (measured
 //     in record weight, so it needs no scaling), and a sweep pass can
 //     transiently hold one adopted-orphan batch on top, counted in entries
-//     each worth up to SegW records — a static term;
+//     each worth up to SegW records — a static term. Before the append that
+//     triggers a sweep, the bag beyond the last sweep's survivors (the
+//     pinned term below) weighs under the threshold; a Retire or a
+//     RetireBatch chunk then adds at most the records that reach it, but a
+//     RetireSegment lands its run whole, up to SegW records in one append,
+//     and the sweep follows it. So a thread buffers at most Threshold + SegW
+//     records beyond its survivors, plus the adopted batch of at most
+//     Threshold entries: Threshold + (Threshold+1)·SegW, which the declared
+//     (Threshold+2)·SegW term covers with one SegW to spare. That in-flight
+//     whole segment is the +SegW term hp and core carry too;
 //   - pinned records: sweep survivors are exactly the records whose
 //     lifetime intersects an announced interval. That set is measured, not
 //     guessed: the kernel records every sweep's survivor weight, and the
@@ -257,15 +265,13 @@ func (g *guard) RetireBatch(ps []mem.Ptr) {
 	}
 }
 
-// BeforeSegment implements smr.Policy: one birth/retire stamp covers all w
-// members of the piece — the era schemes' whole win over RetireBatch's
-// per-record header writes. A carved piece inherits the run's birth era (it
-// stands for members allocated then), so readers protecting any member hold
-// an era inside its lifetime and the sweep pins or frees the piece whole.
-func (g *guard) BeforeSegment(q, from mem.Ptr, _ int) {
-	hdr := g.s.Arena.Hdr(q)
-	hdr.SetBirth(g.s.Arena.Hdr(from).Birth())
-	hdr.SetRetire(g.s.era.Load())
+// BeforeSegment implements smr.Policy: one retire stamp covers all w members
+// of the segment — the era schemes' whole win over RetireBatch's per-record
+// header writes. The handle's birth era was stamped (OnAlloc) before the run
+// was published, so a reader that reaches any member announces an era inside
+// the handle's lifetime, and the sweep pins or frees the run whole.
+func (g *guard) BeforeSegment(p mem.Ptr, _ int) {
+	g.s.Arena.Hdr(p).SetRetire(g.s.era.Load())
 }
 
 // Landed implements smr.Policy, the trigger after every append: tick the

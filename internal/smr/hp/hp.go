@@ -83,9 +83,9 @@ func (s *Scheme) Guard(tid int) smr.Guard { return s.gs[tid] }
 // whole member run) and a scan leaves at most N·K protected survivors, so
 // the system-wide garbage never exceeds N·(Threshold + (N·K+1)·SegW) — the
 // Θ(N²K) bound property P2 charges hazard pointers for. The +1 is the one
-// in-flight RetireSegment append per thread: identity-based hazards forbid
-// carving an announced handle (smr.Spec.Carve), so a whole segment of up to
-// SegW records can land in one append before the post-append scan fires.
+// in-flight RetireSegment append per thread: a segment lands whole
+// (smr.Limbo.RetireSegment), so up to SegW records can land in one append
+// before the post-append scan fires.
 // Added on top is the orphan allowance: up to N concurrently departing
 // threads can each strand one protected survivor set (≤ N·K entries, each
 // worth up to SegW records) on the orphan list before the next scan adopts

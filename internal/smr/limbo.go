@@ -13,12 +13,11 @@ import (
 // until they may be freed that does not depend on *why* they may be freed.
 // A scheme is its announcement layout, its trigger, its keep test and its
 // bound formula (DESIGN.md §16); the weighted bag, the counters and their
-// Stats fold, the handoff histogram, segment accounting and carving, batch
-// chunking, orphan hand-off and adoption, the recovery body, the scan bracket
-// and the sweep exist here once. The kernel never asks which scheme it
-// serves: differences enter through Spec (burst, carve bit, attach and round
-// collection), the Policy hooks, and the collect/keep functions a scheme
-// hands to Scan.
+// Stats fold, the handoff histogram, segment accounting, batch chunking,
+// orphan hand-off and adoption, the recovery body, the scan bracket and the
+// sweep exist here once. The kernel never asks which scheme it serves:
+// differences enter through Spec (burst, attach and round collection), the
+// Policy hooks, and the collect/keep functions a scheme hands to Scan.
 
 // Spec is what a scheme declares to the kernel at construction.
 type Spec struct {
@@ -29,14 +28,8 @@ type Spec struct {
 	// Burst is the scheme's reclamation burst in records — the bag weight at
 	// which a threshold-triggered scheme passes, NBR's HiWatermark — or 0
 	// when it has none. ReclaimBurst reports it, the FreeBatch scratch is
-	// pre-sized to it, and Chunk and the carve rule cut at it.
+	// pre-sized to it, and Chunk cuts at it.
 	Burst int
-	// Carve permits splitting an oversized segment into Burst-weight pieces.
-	// Sound only for the era-interval schemes, whose pieces inherit the run's
-	// birth era; identity-based schemes (hp, nbr) protect a run by announcing
-	// the original handle, which a carved piece's fresh head handle never
-	// appears as, so they bag handles whole at full weight.
-	Carve bool
 	// Attach readies slot tid's announcement state for a new leaseholder
 	// (the registry's acquire hook).
 	Attach func(tid int)
@@ -48,7 +41,7 @@ type Spec struct {
 
 // Policy is the guard-side half of what a scheme supplies: the hooks the
 // kernel's recovery and segment paths call back through, one indirect call
-// per pass or per segment piece, never per retired record. Limbo provides
+// per pass or per segment, never per retired record. Limbo provides
 // no-op segment hooks, so a guard embedding it overrides only what it needs.
 type Policy interface {
 	// Retire is Guard.Retire: where RetireSegment sends a handle that is not
@@ -58,11 +51,10 @@ type Policy interface {
 	// reclamation pass over the bag (signal+scan, hazard scan, epoch
 	// advance+sweep), on behalf of a guard the caller owns.
 	FullPass()
-	// BeforeSegment sees each piece q of a retiring segment — carved from
-	// the handle from, or from itself when uncarved — before its w records
+	// BeforeSegment sees a retiring segment handle p before its w records
 	// land in the bag: pre-append triggers and per-entry stamps.
-	BeforeSegment(q, from mem.Ptr, w int)
-	// Landed runs once the piece's w records are bagged: the scheme's
+	BeforeSegment(p mem.Ptr, w int)
+	// Landed runs once the segment's w records are bagged: the scheme's
 	// post-append trigger, which its own Retire paths call too.
 	Landed(w int)
 }
@@ -252,7 +244,7 @@ type Limbo struct {
 	Freed      Counter
 	Scans      Counter
 	Advances   Counter
-	Segments   Counter // segment handles bagged (RetireSegment pieces)
+	Segments   Counter // segment handles bagged (RetireSegment calls)
 	SegRecords Counter // member records those handles stood for
 	// batches counts retire handoffs by size; Kernel.Handoffs merges them.
 	batches hist.Histogram
@@ -281,8 +273,8 @@ func (l *Limbo) OnStale(p mem.Ptr) {
 }
 
 // BeforeSegment and Landed are Policy's no-op defaults.
-func (l *Limbo) BeforeSegment(_, _ mem.Ptr, _ int) {}
-func (l *Limbo) Landed(int)                        {}
+func (l *Limbo) BeforeSegment(mem.Ptr, int) {}
+func (l *Limbo) Landed(int)                 {}
 
 // Handoff counts one retire handoff of n records in the size histogram.
 func (l *Limbo) Handoff(n int) { l.batches.Record(int64(n)) }
@@ -329,48 +321,38 @@ func (l *Limbo) Chunk(avail int) int {
 }
 
 // RetireSegment implements Guard for every scheme: the handle lands in the
-// bag as a single entry standing for its whole member run — one stamp, one
-// append and one scan participation for K records — while triggers and
-// bounds run on record weight. With Spec.Carve an oversized run is split
-// into whole Burst-weight pieces independent of the bag fill: filling to the
-// threshold instead would, once survivors pin the bag there, degrade to
-// single-record carves, each paying a directory split. Whole pieces keep the
-// carve count at ceil(weight/Burst) and cap every piece's weight, so the
-// segment term of GarbageBound never grows past Burst. Without Carve the
-// handle lands whole, a one-append overshoot the scheme's bound absorbs. A
-// handle that is not a live segment degrades to Retire.
+// bag whole, as a single entry standing for its whole member run — one
+// stamp, one append and one scan participation for K records — while
+// triggers and bounds run on record weight. A segment is never split: a
+// reader protects the run by naming the handle (an NBR reservation, a
+// hazard pointer) or by an interval covering its eras, and one handle
+// freed as one unit keeps both true. An oversized run is a one-append
+// overshoot past the scheme's trigger, which every finite GarbageBound
+// charges as one SegW per thread. A handle that is not a live segment
+// degrades to Retire.
 func (l *Limbo) RetireSegment(p mem.Ptr) {
 	k := l.k
-	total := mem.SegWeight(k.segs, p)
-	if total <= 1 {
+	w := mem.SegWeight(k.segs, p)
+	if w <= 1 {
 		l.policy.Retire(p)
 		return
 	}
-	l.Handoff(total)
-	from := p.Unmarked()
-	for rest := from; rest != mem.Null; {
-		q, w := rest, k.segs.SegmentWeight(rest)
-		rest = mem.Null
-		if k.spec.Carve && w > k.spec.Burst {
-			if q, rest = k.segs.CarveSegment(l.tid, q, k.spec.Burst); rest != mem.Null {
-				w = k.spec.Burst
-			}
-		}
-		l.policy.BeforeSegment(q, from, w)
-		// Noted before bagging: a concurrent GarbageBound reader must never
-		// see segment garbage under a pre-segment (or lighter) bound.
-		k.maxW.Raise(uint64(w))
-		l.Bag = append(l.Bag, q)
-		l.BagW += w
-		l.Retired.Add(uint64(w))
-		l.Segments.Inc()
-		l.SegRecords.Add(uint64(w))
-		if k.Rec.Enabled() {
-			k.Rec.Rec(l.tid, obs.EvSegRetire, uint64(w))
-			k.Rec.SampleRetire(uint64(q))
-		}
-		l.policy.Landed(w)
+	l.Handoff(w)
+	p = p.Unmarked()
+	l.policy.BeforeSegment(p, w)
+	// Noted before bagging: a concurrent GarbageBound reader must never see
+	// segment garbage under a pre-segment (or lighter) bound.
+	k.maxW.Raise(uint64(w))
+	l.Bag = append(l.Bag, p)
+	l.BagW += w
+	l.Retired.Add(uint64(w))
+	l.Segments.Inc()
+	l.SegRecords.Add(uint64(w))
+	if k.Rec.Enabled() {
+		k.Rec.Rec(l.tid, obs.EvSegRetire, uint64(w))
+		k.Rec.SampleRetire(uint64(p))
 	}
+	l.policy.Landed(w)
 }
 
 // Adopt pulls up to max (all when max <= 0) orphaned records into the bag,

@@ -87,14 +87,13 @@ type Guard interface {
 	// bags and scans the handle once — its garbage accounting counts all K
 	// member records — but the per-record fan-out happens inside the arena
 	// at free time, so the scheme-side cost of a bulk retirement is O(1)
-	// however large the run. Era-interval schemes (he, ibr) split an
-	// oversized segment at their watermark (mem.SegmentArena.CarveSegment,
-	// pieces inheriting the run's birth era), the same contract RetireBatch
-	// honours; identity-based schemes (hp, nbr) must NOT carve — readers
-	// protect the run by announcing/reserving the original handle, which a
-	// carved piece's fresh head handle never appears as — so they bag the
-	// handle whole at full weight, an overshoot their declared bounds
-	// account for. Calling it with a non-segment handle degrades to Retire.
+	// however large the run. Every scheme bags the handle whole at full
+	// weight and frees it as one unit: readers of hp and nbr protect the run
+	// by announcing or reserving that handle, so no piece of it may ever
+	// stand under another name. A run larger than the scheme's burst is one
+	// append past its trigger, an overshoot every declared bound charges
+	// (SegW per thread). Calling it with a non-segment handle degrades to
+	// Retire.
 	RetireSegment(p mem.Ptr)
 	// OnAlloc is invoked right after allocating a record (era schemes stamp
 	// the birth era).

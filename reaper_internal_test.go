@@ -34,7 +34,7 @@ func TestReleaseUnwatchedSkipsWatchdog(t *testing.T) {
 	armed.SetDeadline(time.Now().Add(20 * time.Millisecond))
 	armed.Release()
 	time.Sleep(60 * time.Millisecond)
-	if r, z := rt.ReapedLeases(), rt.RevokedReleases(); r != 0 || z != 0 {
-		t.Fatalf("a lease released before its deadline was reaped: ReapedLeases=%d RevokedReleases=%d", r, z)
+	if snap := rt.Snapshot(0); snap.ReapedLeases != 0 || snap.RevokedReleases != 0 {
+		t.Fatalf("a lease released before its deadline was reaped: ReapedLeases=%d RevokedReleases=%d", snap.ReapedLeases, snap.RevokedReleases)
 	}
 }

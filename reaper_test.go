@@ -43,19 +43,19 @@ func TestRuntimeWatchdogReap(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The holder wedges: never releases. The watchdog must reap it.
-	if !waitUntil(func() bool { return rt.ReapedLeases() == 1 }) {
-		t.Fatalf("holder not reaped: ReapedLeases = %d", rt.ReapedLeases())
+	if !waitUntil(func() bool { return rt.Snapshot(0).ReapedLeases == 1 }) {
+		t.Fatalf("holder not reaped: ReapedLeases = %d", rt.Snapshot(0).ReapedLeases)
 	}
 	if !l.Revoked() {
 		t.Fatal("reaped lease does not report Revoked")
 	}
-	if got := rt.ActiveThreads(); got != 0 {
+	if got := rt.Snapshot(0).ActiveThreads; got != 0 {
 		t.Fatalf("reaped holder still active: ActiveThreads = %d", got)
 	}
 
 	// The zombie wakes up and releases late: a counted no-op.
 	l.Release()
-	if got := rt.RevokedReleases(); got != 1 {
+	if got := rt.Snapshot(0).RevokedReleases; got != 1 {
 		t.Fatalf("RevokedReleases = %d, want 1", got)
 	}
 
@@ -75,7 +75,7 @@ func TestRuntimeWatchdogReap(t *testing.T) {
 	// No further reaps: the new holders released before their deadlines...
 	// unless the scheduler stalled this test past 10ms, which Revoke then
 	// handles identically — so only the zombie accounting is asserted.
-	if got, want := rt.RevokedReleases(), uint64(1); got != want {
+	if got, want := rt.Snapshot(0).RevokedReleases, uint64(1); got != want {
 		t.Fatalf("voluntary releases counted as revoked: %d, want %d", got, want)
 	}
 }
@@ -194,8 +194,8 @@ func TestLeaseSetDeadline(t *testing.T) {
 	}
 	l.SetDeadline(time.Time{}) // opt out: a long-running maintenance task
 	time.Sleep(60 * time.Millisecond)
-	if l.Revoked() || rt.ReapedLeases() != 0 {
-		t.Fatalf("deadline-cleared lease was reaped (reaps = %d)", rt.ReapedLeases())
+	if l.Revoked() || rt.Snapshot(0).ReapedLeases != 0 {
+		t.Fatalf("deadline-cleared lease was reaped (reaps = %d)", rt.Snapshot(0).ReapedLeases)
 	}
 	l.Release()
 
@@ -212,11 +212,11 @@ func TestLeaseSetDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	l2.SetDeadline(time.Now().Add(5 * time.Millisecond))
-	if !waitUntil(func() bool { return rtBare.ReapedLeases() == 1 }) {
+	if !waitUntil(func() bool { return rtBare.Snapshot(0).ReapedLeases == 1 }) {
 		t.Fatal("explicit SetDeadline did not arm the watchdog")
 	}
 	l2.Release()
-	if got := rtBare.RevokedReleases(); got != 1 {
+	if got := rtBare.Snapshot(0).RevokedReleases; got != 1 {
 		t.Fatalf("RevokedReleases = %d, want 1", got)
 	}
 }
@@ -248,7 +248,7 @@ func TestLeaseSetDeadlineWakesWatchdog(t *testing.T) {
 	}
 	start := time.Now()
 	wedged.SetDeadline(start.Add(deadline))
-	for rt.ReapedLeases() == 0 {
+	for rt.Snapshot(0).ReapedLeases == 0 {
 		if time.Since(start) > 2*deadline {
 			t.Fatalf("lease with a %v deadline not reaped within %v: the watchdog slept through it", deadline, 2*deadline)
 		}
@@ -286,8 +286,8 @@ func TestLeaseSetDeadlineMoves(t *testing.T) {
 	l.SetDeadline(time.Now().Add(10 * time.Millisecond))
 	l.SetDeadline(time.Now().Add(time.Hour)) // moved before it fires
 	time.Sleep(60 * time.Millisecond)
-	if l.Revoked() || rt.ReapedLeases() != 0 {
-		t.Fatalf("lease reaped at its old deadline after it was moved later (reaps = %d)", rt.ReapedLeases())
+	if l.Revoked() || rt.Snapshot(0).ReapedLeases != 0 {
+		t.Fatalf("lease reaped at its old deadline after it was moved later (reaps = %d)", rt.Snapshot(0).ReapedLeases)
 	}
 
 	start := time.Now()
@@ -298,12 +298,12 @@ func TestLeaseSetDeadlineMoves(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if bystander.Revoked() || rt.ReapedLeases() != 1 {
+	if reaps := rt.Snapshot(0).ReapedLeases; bystander.Revoked() || reaps != 1 {
 		t.Fatalf("moving one lease's deadline reaped another: bystander=%v reaps=%d",
-			bystander.Revoked(), rt.ReapedLeases())
+			bystander.Revoked(), reaps)
 	}
 	l.Release()
-	if got := rt.RevokedReleases(); got != 1 {
+	if got := rt.Snapshot(0).RevokedReleases; got != 1 {
 		t.Fatalf("RevokedReleases = %d, want 1", got)
 	}
 }
@@ -371,8 +371,8 @@ func TestRuntimeCancelVsReapRace(t *testing.T) {
 	// Every wedged holder must eventually be reaped (reaps can exceed the
 	// wedge count: slow case-2 holders crossing their deadline are reaped
 	// too, and their late Release is the counted no-op — by design).
-	if !waitUntil(func() bool { return rt.ReapedLeases() >= wedged.Load() }) {
-		t.Fatalf("reaps stalled: %d reaped of %d wedged", rt.ReapedLeases(), wedged.Load())
+	if !waitUntil(func() bool { return rt.Snapshot(0).ReapedLeases >= wedged.Load() }) {
+		t.Fatalf("reaps stalled: %d reaped of %d wedged", rt.Snapshot(0).ReapedLeases, wedged.Load())
 	}
 
 	// The verdict: after the storm, patient waiters get every slot. A lost
@@ -386,7 +386,7 @@ func TestRuntimeCancelVsReapRace(t *testing.T) {
 		}
 		held[i].SetDeadline(time.Time{}) // don't reap the verdict holders
 	}
-	if w := rt.Waiters(); w != 0 {
+	if w := rt.Snapshot(0).Waiters; w != 0 {
 		t.Fatalf("waiter queue not empty after storm: %d", w)
 	}
 	for _, l := range held {
@@ -401,8 +401,9 @@ func TestRuntimeCancelVsReapRace(t *testing.T) {
 	if fb := rt.FallbackReuses(); fb != 0 {
 		t.Fatalf("FallbackReuses = %d, want 0", fb)
 	}
+	snap := rt.Snapshot(0)
 	t.Logf("storm: %d admitted, %d cancelled, %d wedged, %d reaped, %d zombie releases",
-		admitted.Load(), cancelled.Load(), wedged.Load(), rt.ReapedLeases(), rt.RevokedReleases())
+		admitted.Load(), cancelled.Load(), wedged.Load(), snap.ReapedLeases, snap.RevokedReleases)
 }
 
 // BenchmarkLeaseSession times one Runtime.With envelope — AcquireCtx, a

@@ -62,8 +62,14 @@ type RuntimeOptions struct {
 	ScanFreq   int     // NBR+ announceTS scan cadence
 	Threshold  int     // retire-buffer depth for hp/he/ibr/qsbr/rcu
 	EraFreq    int     // era-advance period for he/ibr
-	SendSpin   int     // simulated signal-send cost
-	HandleSpin int     // simulated signal-delivery cost
+
+	// The simulated signal's price, in spin-loop iterations: SendSpin per
+	// signalled peer on the sender, HandleSpin per delivery on the receiver.
+	// Unlike the knobs above, zero has no default behind it: it makes a
+	// signal free. The harness's workload cells charge 600 and 300
+	// (catalog.DefaultSchemeConfig); a Runtime pays that only when set here.
+	SendSpin   int
+	HandleSpin int
 }
 
 func (o RuntimeOptions) withDefaults() RuntimeOptions {
@@ -343,19 +349,6 @@ func (rt *Runtime) reap(l *smr.Lease, at time.Time) {
 	})
 }
 
-// ReapedLeases returns how many leases the watchdog has revoked from
-// over-deadline holders.
-func (rt *Runtime) ReapedLeases() uint64 { return rt.reg.ReapedLeases() }
-
-// RevokedReleases returns how many Release calls arrived on an
-// already-reaped lease — each one a zombie holder waking up late, made
-// harmless by the distinct-lease-value guard.
-func (rt *Runtime) RevokedReleases() uint64 { return rt.reg.RevokedReleases() }
-
-// OrphansAdopted returns how many orphaned records reclaimers have adopted
-// from the runtime's shared orphan list.
-func (rt *Runtime) OrphansAdopted() uint64 { return rt.reg.OrphansAdopted() }
-
 // AcquireCtx leases a thread slot, blocking while the registry is full
 // until a slot frees up or ctx is done. Blocked callers are admitted in
 // FIFO order — each lease release hands the longest waiter a baton — so an
@@ -446,10 +439,6 @@ func (rt *Runtime) abandon(ch chan struct{}) {
 	}
 }
 
-// ForcedRounds returns how many scan rounds lease admission forced to age
-// quarantined slots (operational diagnostic).
-func (rt *Runtime) ForcedRounds() uint64 { return rt.reg.ForcedRounds() }
-
 // FallbackReuses returns how many times a quarantined slot was reused on
 // the no-scanner proof instead of the two-round aging guarantee. With every
 // scheme in the harness this stays zero: the runtime forces the missing
@@ -458,17 +447,6 @@ func (rt *Runtime) FallbackReuses() uint64 { return rt.reg.FallbackReuses() }
 
 // MaxThreads returns the registry capacity shared by all attached sets.
 func (rt *Runtime) MaxThreads() int { return rt.opts.MaxThreads }
-
-// ActiveThreads returns the number of currently held leases (approximate
-// under churn).
-func (rt *Runtime) ActiveThreads() int { return rt.reg.Active().Count() }
-
-// Waiters returns the number of AcquireCtx callers currently queued.
-func (rt *Runtime) Waiters() int {
-	rt.admitMu.Lock()
-	defer rt.admitMu.Unlock()
-	return len(rt.waiters)
-}
 
 // Scheme returns the reclamation scheme's name. Before the first lease this
 // is the configured name (the scheme is built lazily); note the leaky scheme

@@ -52,7 +52,7 @@ func TestRuntimeAcquireCtxCancellation(t *testing.T) {
 	if _, err := rt.AcquireCtx(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("AcquireCtx under a full registry: got %v, want DeadlineExceeded", err)
 	}
-	if w := rt.Waiters(); w != 0 {
+	if w := rt.Snapshot(0).Waiters; w != 0 {
 		t.Fatalf("cancelled waiter still queued: %d", w)
 	}
 
@@ -74,7 +74,7 @@ func TestRuntimeAcquireCtxCancellation(t *testing.T) {
 		}
 		got <- err
 	}()
-	for i := 0; rt.Waiters() == 0 && i < 1000; i++ {
+	for i := 0; rt.Snapshot(0).Waiters == 0 && i < 1000; i++ {
 		time.Sleep(time.Millisecond)
 	}
 	a.Release()
@@ -125,15 +125,15 @@ func TestRuntimeAcquireCtxFIFO(t *testing.T) {
 	// the next step).
 	wg.Add(2)
 	go waiter(1)
-	for i := 0; rt.Waiters() < 1 && i < 1000; i++ {
+	for i := 0; rt.Snapshot(0).Waiters < 1 && i < 1000; i++ {
 		time.Sleep(time.Millisecond)
 	}
 	go waiter(2)
-	for i := 0; rt.Waiters() < 2 && i < 1000; i++ {
+	for i := 0; rt.Snapshot(0).Waiters < 2 && i < 1000; i++ {
 		time.Sleep(time.Millisecond)
 	}
-	if rt.Waiters() != 2 {
-		t.Fatalf("waiters = %d, want 2", rt.Waiters())
+	if rt.Snapshot(0).Waiters != 2 {
+		t.Fatalf("waiters = %d, want 2", rt.Snapshot(0).Waiters)
 	}
 
 	// One release, one admission — the head of the queue.
