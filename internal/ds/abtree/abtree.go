@@ -336,9 +336,9 @@ func (t *Tree) Delete(g smr.Guard, key uint64) bool {
 	})
 }
 
-// validateLink re-checks, under the parent's lock, that the parent is live
+// linksTo re-checks, under the parent's lock, that the parent is live
 // and still points at child through slot i.
-func validateLink(pn *node, i int, child mem.Ptr) bool {
+func linksTo(pn *node, i int, child mem.Ptr) bool {
 	return !dead(pn) && i < int(atomic.LoadUint32(&pn.size)) && childAt(pn, i) == child
 }
 
@@ -347,7 +347,7 @@ func validateLink(pn *node, i int, child mem.Ptr) bool {
 // the snapshot is current.
 func (t *Tree) insertLeaf(g smr.Guard, parent, leaf mem.Ptr, i int, key uint64, lv *view) bool {
 	pn := t.lock(parent)
-	if !validateLink(pn, i, leaf) {
+	if !linksTo(pn, i, leaf) {
 		unlock(pn)
 		return false
 	}
@@ -378,7 +378,7 @@ func (t *Tree) insertLeaf(g smr.Guard, parent, leaf mem.Ptr, i int, key uint64, 
 // deleteLeaf replaces leaf with a copy lacking key.
 func (t *Tree) deleteLeaf(g smr.Guard, parent, leaf mem.Ptr, i int, key uint64, lv *view) bool {
 	pn := t.lock(parent)
-	if !validateLink(pn, i, leaf) {
+	if !linksTo(pn, i, leaf) {
 		unlock(pn)
 		return false
 	}
@@ -433,7 +433,7 @@ func (t *Tree) writeNode(g smr.Guard, v *view) mem.Ptr {
 // sentinel, growing a new root. Restart-from-root follows in the caller.
 func (t *Tree) splitChild(g smr.Guard, parent, child mem.Ptr, i int) {
 	pn := t.lock(parent)
-	if !validateLink(pn, i, child) {
+	if !linksTo(pn, i, child) {
 		unlock(pn)
 		return
 	}
@@ -506,7 +506,7 @@ func (t *Tree) splitChild(g smr.Guard, parent, child mem.Ptr, i int) {
 // (both replaced copy-on-write), shrinking or rewriting the parent in place.
 func (t *Tree) fixUnderfull(g smr.Guard, parent, child mem.Ptr, i int, sib mem.Ptr, j int) {
 	pn := t.lock(parent)
-	if !validateLink(pn, i, child) || !validateLink(pn, j, sib) {
+	if !linksTo(pn, i, child) || !linksTo(pn, j, sib) {
 		unlock(pn)
 		return
 	}

@@ -12,19 +12,25 @@ import (
 	"strings"
 	"testing"
 
+	"nbr/internal/catalog"
 	"nbr/internal/ds"
+	"nbr/internal/ds/abtree"
 	"nbr/internal/ds/dgtbst"
+	"nbr/internal/ds/harrislist"
 	"nbr/internal/ds/lazylist"
+	"nbr/internal/mem"
 )
 
 // structures are the four packages that own a barriered copy — the read
 // barrier every traversal pays per visited record — in the file named after
 // the package: abtree in read and marklist in Read (which harrislist, hmlist
 // and hashmap traverse through), each a method whose name begins with read;
-// lazylist and dgtbst inside search's own loop, with no call per record.
+// lazylist and dgtbst inside search's own loop, with no call per record —
+// neither for the copy nor for the hazard-pointer link validation.
 var structures = []string{"abtree", "dgtbst", "lazylist", "marklist"}
 
-// fused are the structures whose search loop does its own barriered copy.
+// fused are the structures whose search loop does its own barriered copy and
+// its own link validation, against the parent slot it already holds.
 var fused = map[string]bool{"dgtbst": true, "lazylist": true}
 
 // inlined are the calls that must disappear into every barriered copy: the
@@ -52,7 +58,8 @@ type helper struct {
 // copyHelpers returns the methods of the structure's file that hold a
 // barriered copy: every one whose name begins with read, in either case, and
 // search where the structure fuses the copy into its loop. For a fused
-// structure it also fails if a loop in search still calls a read* method.
+// structure it also fails if a loop in search still calls a read* or
+// validate* method.
 func copyHelpers(t *testing.T, pkg string) []helper {
 	t.Helper()
 	file := filepath.Join(pkg, pkg+".go")
@@ -90,8 +97,9 @@ func copyHelpers(t *testing.T, pkg string) []helper {
 	return hs
 }
 
-// loopCallsRead fails the test for every call to a read* method inside a
-// loop of fn: a fused search copies each record in the loop itself.
+// loopCallsRead fails the test for every call to a read* or validate*
+// method inside a loop of fn: a fused search copies each record, and
+// validates the link that led to it, in the loop itself.
 func loopCallsRead(t *testing.T, fset *token.FileSet, fn *ast.FuncDecl) {
 	t.Helper()
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -106,9 +114,15 @@ func loopCallsRead(t *testing.T, fset *token.FileSet, fn *ast.FuncDecl) {
 		}
 		ast.Inspect(body, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
-				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && strings.HasPrefix(strings.ToLower(sel.Sel.Name), "read") {
-					t.Errorf("%s: the loop in %s calls %s; the barriered copy belongs inline in the loop",
-						fset.Position(call.Pos()), fn.Name.Name, sel.Sel.Name)
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+					switch name := strings.ToLower(sel.Sel.Name); {
+					case strings.HasPrefix(name, "read"):
+						t.Errorf("%s: the loop in %s calls %s; the barriered copy belongs inline in the loop",
+							fset.Position(call.Pos()), fn.Name.Name, sel.Sel.Name)
+					case strings.HasPrefix(name, "validate"):
+						t.Errorf("%s: the loop in %s calls %s; the link validation belongs inline in the loop, against the parent slot it holds",
+							fset.Position(call.Pos()), fn.Name.Name, sel.Sel.Name)
+					}
 				}
 			}
 			return true
@@ -159,64 +173,76 @@ func TestReadPathInlines(t *testing.T) {
 
 // BenchmarkReadBarrier measures the read path per visited record under a
 // fast-path scheme with signals (nbr+), one without (debra) and an announcing
-// one that always falls through (hp): a Contains that walks a whole 1024-key
-// lazy list, and (dgt/<scheme>) DGT descents to each key of a 1024-key tree
-// built by shuffled inserts, whose records per descent are counted once
-// through a wrapper that sees every Protect. ns/record is the number to
-// watch; allocs/op must be 0.
+// one that always falls through (hp), wherever the catalog runs the
+// structure under the scheme (abtree has no hp row). The lists — lazylist,
+// whose rows carry the bare scheme name, and harris/<scheme>, which walks
+// through marklist.Traverse — run a Contains over the whole 1024-key list,
+// head and 1024 records. The trees — dgt/<scheme>, whose search copies each
+// record in its own loop, and abtree/<scheme>, which calls read per record —
+// descend to each key of a 1024-key tree built by shuffled inserts, their
+// records per descent counted once through a wrapper that sees every
+// Protect. ns/record is the number to watch; allocs/op must be 0.
 func BenchmarkReadBarrier(b *testing.B) {
 	const keys = 1024
-	schemes := []string{"nbr+", "debra", "hp"}
-	for _, scheme := range schemes {
-		b.Run(scheme, func(b *testing.B) {
-			l := lazylist.New(1)
-			// Through the interface, as every harness calls a structure.
-			var set ds.Set = l
-			g := newSchemeFor(b, scheme, set, l.Arena(), 1).Guard(0)
-			for k := uint64(1); k <= keys; k++ {
-				set.Insert(g, k)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if !set.Contains(g, keys) {
-					b.Fatalf("key %d missing", keys)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(keys+1), "ns/record")
-		})
+	ascending := make([]uint64, keys)
+	for i := range ascending {
+		ascending[i] = uint64(i + 1)
 	}
-	for _, scheme := range schemes {
-		b.Run("dgt/"+scheme, func(b *testing.B) {
-			t := dgtbst.New(1)
-			var set ds.Set = t
-			g := newSchemeFor(b, scheme, set, t.Arena(), 1).Guard(0)
-			order := shuffled(keys)
-			for _, k := range order {
-				set.Insert(g, k)
+	rows := []struct {
+		prefix, ds string
+		build      func() (ds.Set, mem.Arena)
+		tree       bool // descend to every key; a list walks to the last one
+	}{
+		{"", "lazylist", func() (ds.Set, mem.Arena) { l := lazylist.New(1); return l, l.Arena() }, false},
+		{"dgt/", "dgt", func() (ds.Set, mem.Arena) { t := dgtbst.New(1); return t, t.Arena() }, true},
+		{"harris/", "harris", func() (ds.Set, mem.Arena) { l := harrislist.New(1); return l, l.Arena() }, false},
+		{"abtree/", "abtree", func() (ds.Set, mem.Arena) { t := abtree.New(1); return t, t.Arena() }, true},
+	}
+	for _, row := range rows {
+		for _, scheme := range []string{"nbr+", "debra", "hp"} {
+			if !catalog.Runnable(row.ds, scheme) {
+				continue
 			}
-			// records[i] is how many records the descent to order[i] visits.
-			records := make([]int, keys)
-			w := &tracingGuard{Guard: g}
-			total := 0
-			for i, k := range order {
-				w.reset()
-				set.Contains(w, k)
-				records[i] = len(w.slots)
-				total += records[i]
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if k := order[i%keys]; !set.Contains(g, k) {
-					b.Fatalf("key %d missing", k)
+			b.Run(row.prefix+scheme, func(b *testing.B) {
+				// Through the interface, as every harness calls a structure.
+				set, arena := row.build()
+				g := newSchemeFor(b, scheme, set, arena, 1).Guard(0)
+				fill, probe := ascending, ascending[keys-1:]
+				if row.tree {
+					fill = shuffled(keys)
+					probe = fill
 				}
-			}
-			visited := b.N / keys * total
-			for _, r := range records[:b.N%keys] {
-				visited += r
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(visited), "ns/record")
-		})
+				for _, k := range fill {
+					set.Insert(g, k)
+				}
+				// records[i] is how many records the search for probe[i] visits.
+				records := []int{keys + 1}
+				if row.tree {
+					records = make([]int, len(probe))
+					w := &tracingGuard{Guard: g}
+					for i, k := range probe {
+						w.reset()
+						set.Contains(w, k)
+						records[i] = len(w.slots)
+					}
+				}
+				total := 0
+				for _, r := range records {
+					total += r
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if k := probe[i%len(probe)]; !set.Contains(g, k) {
+						b.Fatalf("key %d missing", k)
+					}
+				}
+				visited := b.N / len(probe) * total
+				for _, r := range records[:b.N%len(probe)] {
+					visited += r
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(visited), "ns/record")
+			})
+		}
 	}
 }

@@ -2,6 +2,7 @@ package ds_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"nbr/internal/catalog"
@@ -249,4 +250,125 @@ func TestSearchRestartsOnStale(t *testing.T) {
 			})
 		}
 	}
+}
+
+// pick is one case of TestSearchRestartsOnUnlink.
+type pick struct {
+	target, victim uint64  // the key searched for, the key deleted
+	record         mem.Ptr // the record whose Protect triggers the delete
+}
+
+// TestSearchRestartsOnUnlink pins the reachability validation a search runs
+// under hp. On the reader's Protect of a chosen record, the wrapper first
+// deletes a key through a second guard, and that delete unlinks the record's
+// parent while the record itself stays live and reachable: in the lazy list
+// it deletes pred's key, so pred is marked and unlinked; in DGT it deletes
+// the record's sibling leaf, so the parent router is flagged removed and
+// spliced out, the record moving up to the grandparent. The record's own
+// generation check passes, so only the validation against the parent — its
+// link re-read, then its marked or removed flag — sees that the record was
+// not provably reachable when protected. The search must restart exactly
+// once, which shows as a second BeginRead, and still find its key. dgt/leaf
+// unlinks the parent of the leaf the descent ends at, dgt/router the parent
+// of a router on the way, so both of the descent's checks are pinned.
+func TestSearchRestartsOnUnlink(t *testing.T) {
+	const n = 32
+	// path returns the handles a search for k protects, root or head first.
+	path := func(set ds.Set, w *tracingGuard, k uint64) []mem.Ptr {
+		w.reset()
+		set.Contains(w, k)
+		return slices.Clone(w.handles)
+	}
+	cases := []struct {
+		name  string
+		build func(threads int) (ds.Set, mem.Arena)
+		keys  []uint64
+		pick  func(set ds.Set, w *tracingGuard) (pick, bool)
+	}{
+		{"lazylist", searchCases[0].build, shuffled(n), func(set ds.Set, w *tracingGuard) (pick, bool) {
+			// The node holding n/2; its pred holds n/2-1.
+			p := path(set, w, n/2)
+			return pick{n / 2, n/2 - 1, p[len(p)-1]}, true
+		}},
+		{"dgt/leaf", searchCases[1].build, shuffled(n), func(set ds.Set, w *tracingGuard) (pick, bool) {
+			return dgtSibling(n, func(k uint64) []mem.Ptr { return path(set, w, k) }, true)
+		}},
+		{"dgt/router", searchCases[1].build, shuffled(n), func(set ds.Set, w *tracingGuard) (pick, bool) {
+			return dgtSibling(n, func(k uint64) []mem.Ptr { return path(set, w, k) }, false)
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			set, arena := c.build(2)
+			sch := newSchemeFor(t, "hp", set, arena, 2)
+			reader, writer := sch.Guard(0), sch.Guard(1)
+			for _, k := range c.keys {
+				set.Insert(writer, k)
+			}
+			w := &tracingGuard{Guard: reader}
+			pk, ok := c.pick(set, w)
+			if !ok {
+				t.Fatalf("no record of the wanted shape among %d keys", n)
+			}
+			fired := false
+			w.onProtect = func(q mem.Ptr) {
+				if q != pk.record || fired {
+					return
+				}
+				fired = true
+				if !set.Delete(writer, pk.victim) {
+					t.Fatalf("Delete(%d) through the second guard failed", pk.victim)
+				}
+			}
+			w.reset()
+			got := set.Contains(w, pk.target)
+			w.onProtect = nil
+			if !fired {
+				t.Fatalf("Contains(%d) never protected %v", pk.target, pk.record)
+			}
+			if !got {
+				t.Fatalf("Contains(%d) = false; only %d was deleted", pk.target, pk.victim)
+			}
+			if restarts := w.reads - 1; restarts != 1 {
+				t.Fatalf("Contains(%d) restarted %d times after Delete(%d) unlinked the parent of %v, want 1",
+					pk.target, restarts, pk.victim, pk.record)
+			}
+			if !arena.Valid(pk.record) {
+				t.Fatalf("%v was freed; the delete should only have moved it", pk.record)
+			}
+			if set.Contains(reader, pk.victim) {
+				t.Fatalf("Contains(%d) = true after its delete", pk.victim)
+			}
+			if err := set.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if got := set.Len(); got != n-1 {
+				t.Fatalf("Len = %d, want %d", got, n-1)
+			}
+		})
+	}
+}
+
+// dgtSibling finds, among the keys 1…n of a DGT tree whose search paths
+// path returns, a victim leaf whose parent is not the root, and a target key
+// whose descent passes that parent into the victim's sibling: a leaf when
+// leaf is set (the target's own), a router otherwise.
+func dgtSibling(n uint64, path func(k uint64) []mem.Ptr, leaf bool) (pick, bool) {
+	for victim := uint64(1); victim <= n; victim++ {
+		vp := path(victim)
+		i := len(vp) - 2 // the parent's index on both paths
+		if i < 1 {
+			continue
+		}
+		for target := uint64(1); target <= n; target++ {
+			tp := path(target)
+			if target == victim || len(tp) <= i+1 || tp[i] != vp[i] || tp[i+1] == vp[i+1] {
+				continue
+			}
+			if (i+1 == len(tp)-1) == leaf {
+				return pick{target, victim, tp[i+1]}, true
+			}
+		}
+	}
+	return pick{}, false
 }
