@@ -62,15 +62,12 @@ const debugEvents = 128
 // read path for harnesses and operators alike.
 func (rt *Runtime) Snapshot(maxEvents int) DebugSnapshot {
 	st, hub := rt.Stats(), rt.hub.Stats()
-	rt.admitMu.Lock()
-	waiters := len(rt.waiters)
-	rt.admitMu.Unlock()
 	return DebugSnapshot{
 		Scheme:          rt.Scheme(),
 		Structures:      rt.Structures(),
 		MaxThreads:      rt.MaxThreads(),
 		ActiveThreads:   rt.reg.Active().Count(),
-		Waiters:         waiters,
+		Waiters:         rt.reg.Waiters(),
 		GarbageBound:    rt.GarbageBound(),
 		Garbage:         int64(st.Retired) - int64(st.Freed),
 		HubBursts:       hub.Bursts,

@@ -70,8 +70,8 @@ func (s *store) peekBetweenPhases(g smr.Guard) uint64 {
 	return v.key
 }
 
-// useAfterRelease touches the lease after giving its guard slot back.
-func useAfterRelease(r *smr.Registry) int {
+// useReleased touches the lease after giving its guard slot back.
+func useReleased(r *smr.Registry) int {
 	l, _ := r.Acquire()
 	l.Release()
 	return l.Tid() // want "use of lease l after Release"

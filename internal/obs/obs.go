@@ -70,9 +70,9 @@ const (
 	// mem.Hub — the multi-structure free seam.
 	EvHubDispatch // one owner's group of a burst    arg: record count
 
-	// Root runtime — FIFO admission.
+	// smr.Registry.AcquireCtx — FIFO admission.
 	EvAdmitEnqueue // AcquireCtx enqueued            arg: queue depth
-	EvAdmitBaton   // baton received, slot acquired
+	EvAdmitted     // queued waiter got its slot
 	EvAdmitCancel  // waiter cancelled by its context
 
 	numCodes
@@ -100,7 +100,7 @@ var codeNames = [numCodes]string{
 	EvSegRetire:    "segment-retire",
 	EvHubDispatch:  "hub-dispatch",
 	EvAdmitEnqueue: "admit-enqueue",
-	EvAdmitBaton:   "admit-baton",
+	EvAdmitted:     "admitted",
 	EvAdmitCancel:  "admit-cancel",
 }
 
@@ -113,7 +113,7 @@ func (c Code) String() string {
 
 // Histogram identifiers. Each is a duration distribution in nanoseconds.
 const (
-	HistAdmissionWait = iota // AcquireCtx first enqueue → admitted
+	HistAdmissionWait = iota // first enqueue → admitted
 	HistLeaseHold            // registry Acquire → Release/Revoke
 	HistReadPhase            // BeginRead → EndRead
 	HistSignalLatency        // SignalAll post → victim's restarted read phase

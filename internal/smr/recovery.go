@@ -60,15 +60,15 @@ func (r *Registry) runRecovery(tid int) {
 	}
 }
 
-// finishRelease quarantines the slot and fires the after-release hooks (the
-// admission baton). Shared tail of Release and Revoke.
+// finishRelease quarantines the slot, then receives the lease's admission
+// token: with a waiter queued, that receive moves the head waiter's token
+// into the buffer, so the slot goes to the longest AcquireCtx waiter. Shared
+// tail of Release and Revoke.
 func (r *Registry) finishRelease(tid int) {
 	r.mu.Lock()
 	r.quarantine = append(r.quarantine, quarSlot{tid: tid, round: r.rounds.Load()})
 	r.mu.Unlock()
-	for _, f := range r.afterRelease {
-		f()
-	}
+	<-r.admit
 }
 
 // Revoke forcibly releases a lease the holder will never return — the
@@ -76,8 +76,8 @@ func (r *Registry) finishRelease(tid int) {
 // already released or revoked. On success the slot leaves the active mask, a
 // sticky revocation is posted through the scheme's signal machinery when it
 // has one (SlotRevoker), the shared recovery path runs on the CALLER's
-// goroutine, and the slot enters quarantine, handing the admission baton to
-// the next waiter.
+// goroutine, and the slot enters quarantine and passes to the next
+// AcquireCtx waiter, as on a voluntary Release.
 //
 // Safety of reaping a holder that may still be running: (1) the lease value
 // is revoked first, so the zombie's own late Release is a counted no-op and

@@ -1,7 +1,9 @@
 package smr
 
 import (
+	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -16,7 +18,7 @@ import (
 type ActiveSet = sigsim.ActiveSet
 
 // ErrRegistryFull is returned by Acquire when every slot is leased or still
-// quarantined and no slot can be handed out.
+// quarantined, or an AcquireCtx waiter is queued for the next free one.
 var ErrRegistryFull = errors.New("smr: registry full (every slot leased or quarantined)")
 
 // Member is implemented by schemes that participate in dynamic thread
@@ -66,7 +68,9 @@ func DrainQuiet(s Scheme, tid int) {
 //   - the quarantine: released slots age one full scan round before reuse,
 //     so a recycled tid is never confused with its predecessor by an
 //     in-flight scan or bookmark snapshot taken while the predecessor was
-//     live.
+//     live;
+//   - the admission channel: one token per leased slot, which is the only
+//     place that decides who gets a freed slot (see AcquireCtx).
 //
 // A Registry serves one Scheme (Bind) plus any number of side hooks (the
 // mem thread-cache drain). Acquire/Release are goroutine-safe; each Lease is
@@ -108,11 +112,13 @@ type Registry struct {
 
 	onAcquire []func(tid int)
 	onRelease []func(tid int)
-	// afterRelease runs once the released slot has fully entered quarantine
-	// — i.e. once a subsequent Acquire can actually be served by it. This is
-	// the notification admission queues need; an OnRelease hook runs too
-	// early (the slot is not yet reusable when it fires).
-	afterRelease []func()
+
+	// admit holds one token per leased slot. A token is sent before its slot
+	// is taken and received only after the slot has entered quarantine
+	// (finishRelease), so every token holder is backed by a fresh or
+	// quarantined slot. waiting counts AcquireCtx callers blocked on the send.
+	admit   chan struct{}
+	waiting atomic.Int64
 
 	orphans struct {
 		mu      sync.Mutex
@@ -137,7 +143,7 @@ const quarantineRounds = 2
 // NewRegistry creates a lease registry for max dense slots. The active mask
 // starts empty: nothing is a member until Acquire.
 func NewRegistry(max int) *Registry {
-	r := &Registry{max: max, active: sigsim.NewActiveSet(max)}
+	r := &Registry{max: max, active: sigsim.NewActiveSet(max), admit: make(chan struct{}, max)}
 	r.fresh = make([]int, 0, max)
 	for tid := max - 1; tid >= 0; tid-- {
 		r.fresh = append(r.fresh, tid) // LIFO pops slot 0 first
@@ -221,11 +227,8 @@ func (r *Registry) OnAcquire(f func(tid int)) { r.onAcquire = append(r.onAcquire
 // concurrently.
 func (r *Registry) OnRelease(f func(tid int)) { r.onRelease = append(r.onRelease, f) }
 
-// AfterRelease registers a hook run on the releasing goroutine after the
-// slot has entered quarantine, so an Acquire attempted from the hook (or a
-// goroutine it wakes) can be served by the freed slot. Hooks must be
-// registered before the registry is used concurrently.
-func (r *Registry) AfterRelease(f func()) { r.afterRelease = append(r.afterRelease, f) }
+// Waiters returns how many AcquireCtx callers are queued for a slot.
+func (r *Registry) Waiters() int { return int(r.waiting.Load()) }
 
 // BeginScan marks a reclamation scan (a reservation/hazard/era collection
 // and its sweep) as in flight. Schemes bound to the registry bracket every
@@ -253,10 +256,68 @@ func (r *Registry) EndScan() {
 // (test hook; schemes use BeginScan/EndScan).
 func (r *Registry) NoteRound() { r.rounds.Add(1) }
 
-// Acquire leases a dense slot: the slot's scheme and allocator state is
-// readied by the registered hooks, the slot is published in the active mask,
-// and the returned lease's Tid may be used with Scheme.Guard until Release.
-// Slot preference: never-yet-quarantined (fresh) slots first, then the
+// Acquire leases a dense slot without waiting: the slot's scheme and
+// allocator state is readied by the registered hooks, the slot is published
+// in the active mask, and the returned lease's Tid may be used with
+// Scheme.Guard until Release. Its admission token is a non-blocking send, so
+// it fails with ErrRegistryFull while every slot is leased or an AcquireCtx
+// waiter is queued; if the take fails (see take), the token goes back.
+func (r *Registry) Acquire() (*Lease, error) {
+	select {
+	case r.admit <- struct{}{}:
+	default:
+		return nil, ErrRegistryFull
+	}
+	if l := r.take(); l != nil {
+		return l, nil
+	}
+	<-r.admit
+	return nil, ErrRegistryFull
+}
+
+// AcquireCtx leases a dense slot like Acquire, but blocks while the registry
+// is full until a release frees a slot or ctx is done. Blocked callers are
+// admitted in FIFO order: Go queues the senders blocked on a channel first
+// in, first out, and the release that receives a token moves the head
+// sender's token into the buffer, which stays full to everyone else. A
+// token is backed by a fresh or quarantined slot, so a failed take is a
+// short race (a peer took the aged head, or a scan is in flight with no
+// forcer): it retries until it gets a slot, or gives the token back when
+// ctx ends.
+func (r *Registry) AcquireCtx(ctx context.Context) (*Lease, error) {
+	var t0 int64 // first enqueue; 0 when not queued or the recorder is off
+	select {
+	case r.admit <- struct{}{}:
+	default:
+		t0 = r.rec.Clock()
+		r.rec.Adm(obs.EvAdmitEnqueue, uint64(r.waiting.Add(1)))
+		select {
+		case r.admit <- struct{}{}:
+			r.waiting.Add(-1)
+		case <-ctx.Done():
+			r.waiting.Add(-1)
+			r.rec.Adm(obs.EvAdmitCancel, 0)
+			return nil, ctx.Err()
+		}
+	}
+	for {
+		if l := r.take(); l != nil {
+			if t0 != 0 {
+				r.rec.ObserveSince(obs.HistAdmissionWait, t0)
+				r.rec.Adm(obs.EvAdmitted, 0)
+			}
+			return l, nil
+		}
+		if err := ctx.Err(); err != nil {
+			<-r.admit
+			return nil, err
+		}
+		runtime.Gosched()
+	}
+}
+
+// take hands out a slot to a caller holding an admission token, or returns
+// nil. Slot preference: never-yet-quarantined (fresh) slots first, then the
 // oldest quarantined slot — served only once it is safe from tid-reuse
 // aliasing. Safety holds on one of three proofs, tried in order:
 //
@@ -264,7 +325,7 @@ func (r *Registry) NoteRound() { r.rounds.Add(1) }
 //     release, so any scan that could have captured the predecessor has
 //     long finished;
 //   - forced: when the head has not aged organically and the bound scheme
-//     is a RoundForcer, Acquire drives the missing rounds itself — a real
+//     is a RoundForcer, take drives the missing rounds itself — a real
 //     bracketed collection per round — so lease churn outrunning the
 //     reclamation cadence no longer voids the round guarantee;
 //   - no scanner (fallback): the in-flight scan count is zero right now, so
@@ -274,10 +335,9 @@ func (r *Registry) NoteRound() { r.rounds.Add(1) }
 //     cannot complete a round, and counted in FallbackReuses.
 //
 // When none holds — a scan is mid-flight with no working forcer, or forced
-// rounds completed but a racing acquirer took the aged head — Acquire
-// refuses with ErrRegistryFull; the window is one scan's (or one race's)
-// duration, so a retrying caller succeeds promptly.
-func (r *Registry) Acquire() (*Lease, error) {
+// rounds completed but a racing token holder took the aged head — take
+// fails; the window is one scan's (or one race's) duration.
+func (r *Registry) take() *Lease {
 	r.mu.Lock()
 	tid, ok, waiting := r.takeSlotLocked()
 	r.mu.Unlock()
@@ -285,7 +345,7 @@ func (r *Registry) Acquire() (*Lease, error) {
 	if !ok && waiting && r.force != nil {
 		// Age the quarantine head with forced rounds, outside the lock: a
 		// round is a scheme-side collection that never touches the
-		// registry's mutex, but Release and other Acquires must not block
+		// registry's mutex, but Release and other takes must not block
 		// behind it.
 		for i := 0; i < quarantineRounds && !ok; i++ {
 			if !r.force() {
@@ -303,8 +363,8 @@ func (r *Registry) Acquire() (*Lease, error) {
 		// Fallback: the no-scanner proof (see above), reached only when no
 		// forcer is bound or it could not complete a round. When forced
 		// rounds DID complete but the slot still was not served — a racing
-		// acquirer took the aged head and a fresh release replaced it — the
-		// refusal below stands instead: the caller retries, and the round
+		// token holder took the aged head and a fresh release replaced it —
+		// the refusal below stands instead: the caller retries, and the round
 		// guarantee is never traded away while a working forcer exists.
 		// The re-check and the pop happen under one lock hold; a scan
 		// beginning right after the load is the same benign race the
@@ -320,7 +380,7 @@ func (r *Registry) Acquire() (*Lease, error) {
 		r.mu.Unlock()
 	}
 	if !ok {
-		return nil, ErrRegistryFull
+		return nil
 	}
 	for _, f := range r.onAcquire {
 		f(tid)
@@ -331,7 +391,7 @@ func (r *Registry) Acquire() (*Lease, error) {
 		r.rec.Rec(tid, obs.EvAcquire, uint64(tid))
 	}
 	r.active.Set(tid)
-	return l, nil
+	return l
 }
 
 // takeSlotLocked pops a fresh slot, else the quarantine head when aged.

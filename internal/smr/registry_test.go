@@ -1,10 +1,14 @@
 package smr
 
 import (
+	"context"
 	"errors"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"nbr/internal/mem"
 )
@@ -170,5 +174,108 @@ func TestRegistryNoAliasingUnderChurn(t *testing.T) {
 	}
 	if got := r.Active().Count(); got != 0 {
 		t.Fatalf("active count = %d at quiescence", got)
+	}
+}
+
+// waitQueued waits until n AcquireCtx callers are parked on the admission
+// channel. The waiting count rises just before the blocking send, so only
+// the goroutine dump proves each send is queued.
+func waitQueued(t *testing.T, r *Registry, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for i := 0; i < 5000; i++ {
+		parked := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, ".(*Registry).AcquireCtx(") && strings.Contains(g, "[select") {
+				parked++
+			}
+		}
+		if parked == n && r.Waiters() == n {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("%d AcquireCtx callers never queued (Waiters = %d)", n, r.Waiters())
+}
+
+// TestRegistryAdmissionHandsSlotToWaiter pins FIFO admission at its source:
+// with every slot leased and one AcquireCtx caller queued, a release passes
+// the freed slot to the waiter, so a bare Acquire arriving after it fails.
+func TestRegistryAdmissionHandsSlotToWaiter(t *testing.T) {
+	r := NewRegistry(2)
+	a, _ := r.Acquire()
+	b, _ := r.Acquire()
+	got := make(chan *Lease)
+	go func() {
+		l, err := r.AcquireCtx(context.Background())
+		if err != nil {
+			t.Error(err)
+		}
+		got <- l
+	}()
+	waitQueued(t, r, 1)
+	a.Release()
+	if _, err := r.Acquire(); !errors.Is(err, ErrRegistryFull) {
+		t.Fatalf("bare Acquire overtook a queued waiter: %v", err)
+	}
+	l := <-got
+	if l == nil || l.Tid() != a.Tid() {
+		t.Fatalf("waiter got %v, want the freed slot %d", l, a.Tid())
+	}
+	if r.Waiters() != 0 {
+		t.Fatalf("Waiters = %d after admission", r.Waiters())
+	}
+	l.Release()
+	b.Release()
+}
+
+// TestRegistryAcquireCtxCancelKeepsCapacity pins that a waiter leaving
+// without a slot takes no capacity with it: neither one cancelled while
+// queued nor one whose context ends after it was admitted but before a slot
+// could be proved safe.
+func TestRegistryAcquireCtxCancelKeepsCapacity(t *testing.T) {
+	r := NewRegistry(2)
+	a, _ := r.Acquire()
+	b, _ := r.Acquire()
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error)
+	go func() {
+		_, err := r.AcquireCtx(ctx)
+		errc <- err
+	}()
+	waitQueued(t, r, 1)
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter: got %v, want Canceled", err)
+	}
+	if r.Waiters() != 0 {
+		t.Fatalf("Waiters = %d after cancellation", r.Waiters())
+	}
+
+	// Admitted, but a scan is in flight and no forcer is bound, so the
+	// quarantined slot cannot be proved safe before the deadline.
+	a.Release()
+	r.BeginScan()
+	short, cancelShort := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancelShort()
+	if _, err := r.AcquireCtx(short); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("admitted waiter with no provable slot: got %v, want DeadlineExceeded", err)
+	}
+	r.EndScan()
+	b.Release()
+
+	held := make([]*Lease, r.MaxThreads())
+	for i := range held {
+		l, err := r.Acquire()
+		if err != nil {
+			t.Fatalf("Acquire %d of %d after the waiters left: %v", i+1, len(held), err)
+		}
+		held[i] = l
+	}
+	if _, err := r.Acquire(); !errors.Is(err, ErrRegistryFull) {
+		t.Fatalf("Acquire past capacity: %v", err)
+	}
+	for _, l := range held {
+		l.Release()
 	}
 }

@@ -23,9 +23,9 @@ type MemStats = mem.Stats
 // without limit.
 const Unbounded = smr.Unbounded
 
-// ErrNoLease is returned by Acquire when every thread slot is held.
-// Callers back off and retry, use AcquireCtx to wait with a deadline, or
-// treat it as admission control.
+// ErrNoLease is returned by Acquire when every thread slot is held or an
+// AcquireCtx waiter is queued. Callers back off and retry, use AcquireCtx to
+// wait with a deadline, or treat it as admission control.
 var ErrNoLease = smr.ErrRegistryFull
 
 // ErrLeaseReaped is returned by With when the lease it was running under
@@ -70,7 +70,7 @@ func (l *Lease) Tid() int { return l.l.Tid() }
 // path. The departing thread's unreclaimed records are reclaimed or handed
 // to the runtime's orphan list — nothing leaks, whatever state the protocol
 // was in. Releasing a lease the watchdog already reaped is a counted no-op
-// (see Runtime.RevokedReleases).
+// (see Snapshot(0).RevokedReleases).
 func (l *Lease) Release() {
 	if l.reap != nil {
 		l.reap.Stop()

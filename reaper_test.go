@@ -310,11 +310,12 @@ func TestLeaseSetDeadlineMoves(t *testing.T) {
 
 // TestRuntimeCancelVsReapRace is the regression stress for the AcquireCtx
 // admission queue under concurrent cancellation and reaping: a waiter whose
-// context fires while a baton (from a voluntary release OR a reap on the
-// watchdog's goroutine) is already in its buffer must re-forward it, or the
-// admission chain breaks and a later waiter starves. The storm drives all
-// three events — cancel, release, reap — through the queue at once; the
-// verdict is that a patient waiter is always admitted afterwards.
+// context fires just as a release (voluntary OR a reap on the watchdog's
+// goroutine) hands it a slot's admission token must either keep the slot or
+// give the token back, or capacity leaks and a later waiter starves. The
+// storm drives all three events — cancel, release, reap — through the queue
+// at once; the verdict is that a patient waiter is always admitted
+// afterwards.
 func TestRuntimeCancelVsReapRace(t *testing.T) {
 	rt, err := nbr.NewRuntime(nbr.RuntimeOptions{
 		MaxThreads: 2, BagSize: 128, ScanFreq: 4,

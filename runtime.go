@@ -2,7 +2,6 @@ package nbr
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/pprof"
@@ -113,11 +112,6 @@ type Runtime struct {
 	// once materialized; materialization itself serializes under mu.
 	sch atomic.Pointer[schemeBox]
 
-	// Admission control: AcquireCtx callers blocked on a full registry wait
-	// here in FIFO order; every lease release hands the head a baton.
-	admitMu sync.Mutex
-	waiters []chan struct{}
-
 	// rec is the flight recorder shared by the whole pipeline (registry,
 	// scheme, signal group, hub, admission). Created disabled — every
 	// instrumented hot path costs one predictable branch — and switched on
@@ -151,10 +145,6 @@ func NewRuntime(opts RuntimeOptions) (*Runtime, error) {
 	// same timeline when it is built.
 	rt.reg.SetRecorder(rt.rec)
 	rt.hub.SetRecorder(rt.rec)
-	// The admission baton is handed only after the slot has fully entered
-	// quarantine (AfterRelease, not OnRelease): the woken waiter's Acquire
-	// must be servable by the slot that was just freed.
-	rt.reg.AfterRelease(rt.admitNext)
 	return rt, nil
 }
 
@@ -270,19 +260,38 @@ func (rt *Runtime) Widths() (protectSlots, reservations int) {
 func (rt *Runtime) StagedFrees() int { return 0 }
 
 // Acquire leases a thread slot valid across every Set attached to this
-// runtime. It fails fast with ErrNoLease when the registry is full; use
+// runtime. It fails fast with ErrNoLease when every slot is held or an
+// AcquireCtx waiter is queued (a freed slot goes to the longest waiter); use
 // AcquireCtx to wait instead. The first Acquire freezes the scheme's
 // announcement widths (see NewSet).
 func (rt *Runtime) Acquire() (*Lease, error) {
-	scheme, err := rt.materialize()
+	if _, err := rt.materialize(); err != nil {
+		return nil, err
+	}
+	return rt.wrap(rt.reg.Acquire())
+}
+
+// AcquireCtx leases a thread slot, blocking while the registry is full
+// until a slot frees up or ctx is done. Blocked callers are admitted in
+// FIFO order — each release passes its slot to the longest waiter, and
+// Acquire fails while anyone is queued (smr.Registry.AcquireCtx) — so an
+// oversubscribed server degrades to an orderly queue with deadlines instead
+// of a spin-retry storm.
+func (rt *Runtime) AcquireCtx(ctx context.Context) (*Lease, error) {
+	if _, err := rt.materialize(); err != nil {
+		return nil, err
+	}
+	return rt.wrap(rt.reg.AcquireCtx(ctx))
+}
+
+// wrap turns a registry lease into the public Lease: the scheme's guard for
+// its slot and, under LeaseTimeout, its reap deadline. The caller has
+// materialized the scheme, so its box is set.
+func (rt *Runtime) wrap(l *smr.Lease, err error) (*Lease, error) {
 	if err != nil {
 		return nil, err
 	}
-	l, err := rt.reg.Acquire()
-	if err != nil {
-		return nil, err
-	}
-	lease := &Lease{rt: rt, l: l, g: scheme.Guard(l.Tid())}
+	lease := &Lease{rt: rt, l: l, g: rt.sch.Load().s.Guard(l.Tid())}
 	if d := rt.opts.LeaseTimeout; d > 0 {
 		lease.SetDeadline(time.Now().Add(d))
 	}
@@ -347,96 +356,6 @@ func (rt *Runtime) reap(l *smr.Lease, at time.Time) {
 			rt.rec.Sys(obs.EvReap, uint64(l.Tid()))
 		}
 	})
-}
-
-// AcquireCtx leases a thread slot, blocking while the registry is full
-// until a slot frees up or ctx is done. Blocked callers are admitted in
-// FIFO order — each lease release hands the longest waiter a baton — so an
-// oversubscribed server degrades to an orderly queue with deadlines instead
-// of a spin-retry storm. (A concurrent non-blocking Acquire can still take
-// a freed slot before the woken waiter retries; the waiter then rejoins at
-// the tail. Fairness is among waiters, not against barging.)
-func (rt *Runtime) AcquireCtx(ctx context.Context) (*Lease, error) {
-	if l, err := rt.Acquire(); err == nil || !errors.Is(err, ErrNoLease) {
-		return l, err
-	}
-	// Admission wait runs first enqueue → admitted, spanning any barge-forced
-	// re-queues; 0 means the recorder was off when the wait began.
-	t0 := rt.rec.Clock()
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ch := make(chan struct{}, 1)
-		rt.admitMu.Lock()
-		rt.waiters = append(rt.waiters, ch)
-		depth := len(rt.waiters)
-		rt.admitMu.Unlock()
-		rt.rec.Adm(obs.EvAdmitEnqueue, uint64(depth))
-		// A release that landed between the failed Acquire and the enqueue
-		// had no waiter to wake; re-try once now that we are visible.
-		if l, err := rt.Acquire(); err == nil || !errors.Is(err, ErrNoLease) {
-			rt.abandon(ch)
-			if err == nil {
-				rt.rec.ObserveSince(obs.HistAdmissionWait, t0)
-			}
-			return l, err
-		}
-		select {
-		case <-ctx.Done():
-			rt.abandon(ch)
-			rt.rec.Adm(obs.EvAdmitCancel, 0)
-			return nil, ctx.Err()
-		case <-ch:
-			if l, err := rt.Acquire(); err == nil || !errors.Is(err, ErrNoLease) {
-				if err == nil {
-					rt.rec.ObserveSince(obs.HistAdmissionWait, t0)
-					rt.rec.Adm(obs.EvAdmitBaton, 0)
-				}
-				return l, err
-			}
-			// A barger took the slot; rejoin the queue at the tail.
-		}
-	}
-}
-
-// admitNext hands the release baton to the longest-waiting AcquireCtx
-// caller. The send happens under admitMu, which is what lets abandon
-// distinguish "still queued" from "baton already handed" without a race.
-func (rt *Runtime) admitNext() {
-	rt.admitMu.Lock()
-	defer rt.admitMu.Unlock()
-	if len(rt.waiters) > 0 {
-		ch := rt.waiters[0]
-		rt.waiters = rt.waiters[1:]
-		ch <- struct{}{} // buffered, waiter enqueued once: never blocks
-	}
-}
-
-// abandon removes a waiter from the queue (context cancelled, or admitted
-// through a side door). If the waiter had already been handed the baton,
-// the baton is forwarded so the wakeup is not lost.
-func (rt *Runtime) abandon(ch chan struct{}) {
-	rt.admitMu.Lock()
-	for i := range rt.waiters {
-		if rt.waiters[i] == ch {
-			rt.waiters = append(rt.waiters[:i], rt.waiters[i+1:]...)
-			rt.admitMu.Unlock()
-			return
-		}
-	}
-	// Not queued: admitNext dequeued us, and its send completed under
-	// admitMu, so the baton is in the buffer. Pass it on.
-	var forward bool
-	select {
-	case <-ch:
-		forward = true
-	default:
-	}
-	rt.admitMu.Unlock()
-	if forward {
-		rt.admitNext()
-	}
 }
 
 // FallbackReuses returns how many times a quarantined slot was reused on
@@ -513,9 +432,11 @@ func (rt *Runtime) GarbageBound() int {
 }
 
 // Drain adopts any orphaned records and reclaims everything reclaimable
-// across all attached structures, using a temporary lease. At quiescence it
-// runs until every retired record is freed; under concurrent traffic it is
-// a best-effort pass. Use it before reading final Stats or shutting down.
+// across all attached structures, using a temporary lease. That lease takes
+// a slot like Acquire, so Drain fails with ErrNoLease while every slot is
+// held or an AcquireCtx waiter is queued. At quiescence it runs until every
+// retired record is freed; under concurrent traffic it is a best-effort
+// pass. Use it before reading final Stats or shutting down.
 func (rt *Runtime) Drain() error {
 	scheme, err := rt.materialize()
 	if err != nil {

@@ -3,6 +3,7 @@ package nbr_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -155,6 +156,68 @@ func TestRuntimeAcquireCtxFIFO(t *testing.T) {
 	}
 	close(releaseMe)
 	wg.Wait()
+}
+
+// TestRuntimeAdmissionNoStarvation pins FIFO admission in a closed loop: 12
+// workers share 8 slots, each looping With over CPU-bound sessions of about
+// a millisecond. A worker that releases and calls With again must queue
+// behind the waiters already there. When it could retake its own freed slot
+// first, the woken head went back to the tail, and a third of the workers
+// finished one session in the whole window.
+func TestRuntimeAdmissionNoStarvation(t *testing.T) {
+	const workers, slots, window = 12, 8, 300 * time.Millisecond
+	for _, scheme := range []string{"nbr+", "debra", "hp"} {
+		t.Run(scheme, func(t *testing.T) {
+			rt, err := nbr.NewRuntime(nbr.RuntimeOptions{Scheme: scheme, MaxThreads: slots})
+			if err != nil {
+				t.Fatal(err)
+			}
+			set, err := rt.NewSet("lazylist")
+			if err != nil {
+				t.Fatal(err)
+			}
+			session := func(l *nbr.Lease, w int) error {
+				// Time-bounded, so a -race build keeps the same session
+				// length. The yield between chunks sends the holder through
+				// the scheduler's FIFO global queue: without it a holder
+				// preempted mid-session can sit there while the admission
+				// handoffs keep every P busy, which is scheduler starvation,
+				// not admission starvation.
+				for begin := time.Now(); time.Since(begin) < time.Millisecond; runtime.Gosched() {
+					for i := 0; i < 64; i++ {
+						k := uint64(w*64+i) + 1
+						set.Insert(l, k)
+						set.Delete(l, k)
+					}
+				}
+				return nil
+			}
+			sessions := make([]int, workers)
+			stop := time.Now().Add(window)
+			var wg sync.WaitGroup
+			for w := range sessions {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for time.Now().Before(stop) {
+						err := rt.With(context.Background(), func(l *nbr.Lease) error { return session(l, w) })
+						if err != nil {
+							t.Errorf("worker %d: %v", w, err)
+							return
+						}
+						sessions[w]++
+					}
+				}(w)
+			}
+			wg.Wait()
+			t.Logf("sessions per worker: %v", sessions)
+			for _, n := range sessions {
+				if n < 2 {
+					t.Fatalf("a worker finished under 2 sessions in %v", window)
+				}
+			}
+		})
+	}
 }
 
 // TestRuntimeSharedLeaseAcrossSets pins the tentpole contract: one lease
