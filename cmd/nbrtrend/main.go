@@ -5,9 +5,9 @@
 // free-burst microbenchmarks. Counter columns are flagged host-independently,
 // because they are not timings: a counter ratio (the hub's dispatch-per-burst
 // amortization, the segment cells' stamps and scans per record) worsening past
-// the threshold, and a count that must stay zero (fallbacks, reaps outside the
-// stall cell, the declared-widths-vs-Runtime width gap, scan allocations)
-// leaving it.
+// the threshold, and a count that must stay zero (reaps outside the stall
+// cell, the declared-widths-vs-Runtime width gap, scan allocations) leaving
+// it.
 // After each pair it also lists the invariants the newer snapshot breaks on
 // its own (the same check `nbrbench -snapshot -assert-bound` blocks on).
 //

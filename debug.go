@@ -44,7 +44,6 @@ type DebugSnapshot struct {
 	HubBursts       uint64       `json:"hub_bursts"`
 	HubDispatches   uint64       `json:"hub_dispatches"`
 	ForcedRounds    uint64       `json:"forced_rounds"`
-	FallbackReuses  uint64       `json:"fallback_reuses"`
 	ReapedLeases    uint64       `json:"reaped_leases"`
 	RevokedReleases uint64       `json:"revoked_releases"`
 	OrphansAdopted  uint64       `json:"orphans_adopted"`
@@ -73,7 +72,6 @@ func (rt *Runtime) Snapshot(maxEvents int) DebugSnapshot {
 		HubBursts:       hub.Bursts,
 		HubDispatches:   hub.Dispatches,
 		ForcedRounds:    rt.reg.ForcedRounds(),
-		FallbackReuses:  rt.reg.FallbackReuses(),
 		ReapedLeases:    rt.reg.ReapedLeases(),
 		RevokedReleases: rt.reg.RevokedReleases(),
 		OrphansAdopted:  rt.reg.OrphansAdopted(),

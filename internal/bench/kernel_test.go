@@ -9,17 +9,17 @@ import (
 	"nbr/internal/smr"
 )
 
-// TestSchemeSeams pins which optional seams every scheme implements.
-// Registry.Bind discovers Quiescer, SlotRevoker and RoundForcer by silent
-// type assertion, so a scheme that loses a kernel method to an embedding
-// slip would "recover trivially" like leaky and just leak.
+// TestSchemeSeams pins which seams every scheme implements. Every scheme is
+// a full registry Member through the embedded kernel; Registry.Bind
+// discovers SlotRevoker by type assertion and the harnesses Recordable, so a
+// signal-capable scheme losing either to an embedding slip would go
+// unnoticed.
 func TestSchemeSeams(t *testing.T) {
-	reclaiming := []string{"Member", "Quiescer", "Drainer", "RoundForcer"}
-	signalling := append([]string{"SlotRevoker", "Recordable"}, reclaiming...)
+	every := []string{"Member", "Drainer"}
+	signalling := append([]string{"SlotRevoker", "Recordable"}, every...)
 	want := map[string][]string{
-		"none": {"Member", "Drainer"},
-		"qsbr": reclaiming, "rcu": reclaiming, "debra": reclaiming,
-		"ibr": reclaiming, "hp": reclaiming, "he": reclaiming,
+		"none": every, "qsbr": every, "rcu": every, "debra": every,
+		"ibr": every, "hp": every, "he": every,
 		"nbr": signalling, "nbr+": signalling,
 	}
 	for _, name := range catalog.SchemeNames {
@@ -29,14 +29,11 @@ func TestSchemeSeams(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, member := sch.(smr.Member)
-		_, quiescer := sch.(smr.Quiescer)
 		_, drainer := sch.(smr.Drainer)
-		_, forcer := sch.(smr.RoundForcer)
 		_, revoker := sch.(smr.SlotRevoker)
 		_, recordable := sch.(smr.Recordable)
 		got := map[string]bool{
-			"Member": member, "Quiescer": quiescer, "Drainer": drainer,
-			"RoundForcer": forcer, "SlotRevoker": revoker, "Recordable": recordable,
+			"Member": member, "Drainer": drainer, "SlotRevoker": revoker, "Recordable": recordable,
 		}
 		for _, seam := range want[name] {
 			if !got[seam] {
@@ -199,11 +196,11 @@ func TestSchemeAllocs(t *testing.T) {
 
 			// (b) The peer pins every record the worker is about to retire, by
 			// whatever its scheme calls protection, and stays inside its
-			// operation.
-			q, ok := sch.(smr.Quiescer)
-			if !ok {
-				return // leaky: no recovery path
+			// operation. leaky keeps nothing a peer could pin.
+			if name == "none" {
+				return
 			}
+			q := sch.(smr.Member)
 			peer, err := reg.Acquire()
 			if err != nil {
 				t.Fatal(err)

@@ -210,9 +210,9 @@ func RunRuntime(w RuntimeWorkload) (RuntimeResult, error) {
 		Interleaved: w.Interleave, Stall: w.Stall,
 		Sessions: sessions.Load(), Freed: doc.Stats.Freed,
 		BoundContract: BoundContract{Bound: doc.GarbageBound, GarbagePeak: peak},
-		ForcedRounds:  doc.ForcedRounds, Fallbacks: doc.FallbackReuses,
-		Drained:   doc.Stats.Retired == doc.Stats.Freed,
-		HubBursts: doc.HubBursts, HubDispatches: doc.HubDispatches,
+		ForcedRounds:  doc.ForcedRounds,
+		Drained:       doc.Stats.Retired == doc.Stats.Freed,
+		HubBursts:     doc.HubBursts, HubDispatches: doc.HubDispatches,
 		ScanEntries: w.Slots * reservations,
 		Reaped:      doc.ReapedLeases, RevokedReleases: doc.RevokedReleases,
 		OrphansAdopted: doc.OrphansAdopted,

@@ -39,7 +39,7 @@ type Snapshot struct {
 // comparison. The one boundary that matters is v8/v9 — up to v8 the runtime
 // cells came from a reconstruction inside the harness, so their timings do not
 // compare across it (nbrtrend marks them untrusted); their counters do.
-const SnapshotSchema = "nbr-perf-snapshot/v9"
+const SnapshotSchema = "nbr-perf-snapshot/v10"
 
 // point is one snapshot row. Every point type says three things about itself,
 // each exactly once (DESIGN.md §5): which cell it is, which of its columns
@@ -205,8 +205,8 @@ func (w WorkloadPoint) Violations() []string { return violations(w.key(), w.exce
 // structures attached to one nbr.Runtime, workers oversubscribing its lease
 // slots, one lease session covering every structure. Mops includes
 // acquire/release per session and Sessions counts the lease recycles.
-// Fallbacks must stay zero (forced rounds cover quarantine aging); Drained
-// reports Retired == Freed after the post-run drain. Interleaved marks the adversarial round-robin retire cell;
+// Drained reports Retired == Freed after the post-run drain. Interleaved
+// marks the adversarial round-robin retire cell;
 // DispatchPerBurst is pool FreeBatch calls per reclamation burst the hub
 // received — the distinct owners in an average burst, at most the number of
 // structures; one-per-run degradation reads as ≈ records/burst. ScanEntries is threads × reservations at the widths the
@@ -230,7 +230,6 @@ type RuntimePoint struct {
 	Freed      uint64  `json:"freed"`
 	BoundContract
 	ForcedRounds     uint64  `json:"forced_rounds"`
-	Fallbacks        uint64  `json:"fallbacks"`
 	Drained          bool    `json:"drained"`
 	Interleaved      bool    `json:"interleaved,omitempty"`
 	HubBursts        uint64  `json:"hub_bursts,omitempty"`
@@ -279,7 +278,6 @@ func (r RuntimePoint) columns() []column {
 		// Losing the hub's per-owner grouping shows up here as
 		// ≤ structures → ~records-per-burst.
 		col("disp_burst", r.DispatchPerBurst, true, ratio).when(r.DispatchPerBurst > 0),
-		col("fallbacks", float64(r.Fallbacks), true, zero),
 		col("admit_p50", r.AdmitWaitP50us, true, info).when(admit),
 		col("admit_p99", r.AdmitWaitP99us, true, info).when(admit),
 		col("gage_p50", r.GarbageAgeP50us, true, info).when(age),
@@ -292,8 +290,7 @@ func (r RuntimePoint) Violations() []string {
 	out := violations(r.key(), r.exceeded(),
 		fails(!r.Drained, "drain left retired != freed (%d freed)", r.Freed),
 		fails(r.Stall && r.Reaped == 0, "stall injection reaped nothing (revocation path dead)"),
-		fails(!r.Stall && r.Reaped != 0, "%d holders reaped in a cell with no stall injection", r.Reaped),
-		fails(r.Fallbacks != 0, "unaged-slot fallback used %d times; forced rounds must cover the churn", r.Fallbacks))
+		fails(!r.Stall && r.Reaped != 0, "%d holders reaped in a cell with no stall injection", r.Reaped))
 	if len(out) > 0 && r.EventTail != "" {
 		tail := strings.ReplaceAll(strings.TrimRight(r.EventTail, "\n"), "\n", "\n    ")
 		out = append(out, "flight recorder tail for "+r.key()+":\n    "+tail)

@@ -34,8 +34,8 @@ func healthySnapshot() Snapshot {
 
 // TestPointViolations doctors a healthy snapshot once per invariant and
 // requires exactly that one violation — the contract `nbrbench -snapshot
-// -assert-bound` blocks on. Fallbacks, the width gap and scan allocations had
-// no blocking check before Violations existed.
+// -assert-bound` blocks on. The width gap and scan allocations had no
+// blocking check before Violations existed.
 func TestPointViolations(t *testing.T) {
 	if v := healthySnapshot().Violations(); len(v) != 0 {
 		t.Fatalf("healthy snapshot reports violations: %q", v)
@@ -53,8 +53,6 @@ func TestPointViolations(t *testing.T) {
 			"runtime lazylist+dgt/nbr+ t=8 w=12: 3 holders reaped in a cell with no stall injection"},
 		{"no reaps under stall", func(s *Snapshot) { s.Runtime[1].Reaped = 0 },
 			"runtime lazylist+dgt/nbr+ t=8 w=12 stall: stall injection reaped nothing (revocation path dead)"},
-		{"fallbacks", func(s *Snapshot) { s.Runtime[1].Fallbacks = 2 },
-			"runtime lazylist+dgt/nbr+ t=8 w=12 stall: unaged-slot fallback used 2 times; forced rounds must cover the churn"},
 		{"width gap", func(s *Snapshot) { s.Widths[0].RuntimeEntries = 24 },
 			"width lazylist t=8: runtime scans 24 announcement entries where the structure declares 16"},
 		{"scan allocs", func(s *Snapshot) { s.ScanCost[0].AllocsPerOp = 1 },
@@ -154,12 +152,12 @@ func populate(v reflect.Value) {
 	}
 }
 
-// TestSnapshotLayoutV9 pins the on-disk layout without running the suite: a
+// TestSnapshotLayoutV10 pins the on-disk layout without running the suite: a
 // marshalled Snapshot holding one fully populated point per section has
-// exactly BENCH_9.json's keys, at the top level and section by section (the
+// exactly BENCH_18.json's keys, at the top level and section by section (the
 // union over a section's cells, since omitempty columns appear only where
 // they are set).
-func TestSnapshotLayoutV9(t *testing.T) {
+func TestSnapshotLayoutV10(t *testing.T) {
 	keys := func(data []byte) map[string][]string {
 		var doc map[string]json.RawMessage
 		if err := json.Unmarshal(data, &doc); err != nil {
@@ -185,7 +183,7 @@ func TestSnapshotLayoutV9(t *testing.T) {
 		}
 		return out
 	}
-	committed, err := os.ReadFile(filepath.Join("..", "..", "BENCH_9.json"))
+	committed, err := os.ReadFile(filepath.Join("..", "..", "BENCH_18.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,6 +203,6 @@ func TestSnapshotLayoutV9(t *testing.T) {
 				t.Errorf("section %q keys:\n got %v\nwant %v", section, got[section], want[section])
 			}
 		}
-		t.Fatalf("layout differs from BENCH_9.json (sections: got %v, want %v)", got[""], want[""])
+		t.Fatalf("layout differs from BENCH_18.json (sections: got %v, want %v)", got[""], want[""])
 	}
 }

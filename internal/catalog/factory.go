@@ -1,10 +1,9 @@
 // Package catalog is the module's table of contents: it constructs every
 // reclamation scheme and data structure by name, declares each structure's
-// announcement widths, encodes the paper's applicability matrix (Table 1) and
-// owns the one function that wires a scheme into a lease registry. It is a
-// leaf — it imports only ds/*, smr/*, core, mem and sigsim — so the public nbr
-// package, the correctness suites and the benchmark harness all sit above it
-// (DESIGN.md §1).
+// announcement widths and encodes the paper's applicability matrix (Table 1).
+// It is a leaf — it imports only ds/*, smr/*, core, mem and sigsim — so the
+// public nbr package, the correctness suites and the benchmark harness all
+// sit above it (DESIGN.md §1).
 package catalog
 
 import (
@@ -103,8 +102,8 @@ func NewSchemeFor(name string, arena mem.Arena, threads int, cfg SchemeConfig, r
 	// pointer/era schemes), so one reclamation amortizes to at most one
 	// shared-shard interaction and the recycled slots stay local for the
 	// allocations that refill the structure (ROADMAP item from PR 1).
-	// Lease-managed callers re-apply the same sizing per slot at acquire
-	// time (BindLeases).
+	// SizeCache only ever raises a target, and a Hub replays it onto pools
+	// attached later, so this one pass covers every slot for good.
 	if burst := sch.ReclaimBurst(); burst > 0 {
 		for tid := 0; tid < threads; tid++ {
 			arena.SizeCache(tid, burst)
@@ -137,17 +136,4 @@ func newScheme(name string, arena mem.Arena, threads int, cfg SchemeConfig, req 
 		}), nil
 	}
 	return nil, CheckScheme(name)
-}
-
-// BindLeases wires a scheme into a lease registry over the arena its records
-// are freed to: the release hook drains the departing slot's allocator
-// caches (recovery has quiesced the scheme by then, so the records it freed
-// are in them), and the acquire hook re-applies the reclamation-burst cache
-// sizing NewSchemeFor gave every slot up front.
-func BindLeases(reg *smr.Registry, sch smr.Scheme, arena mem.Arena) {
-	reg.Bind(sch)
-	if burst := sch.ReclaimBurst(); burst > 0 {
-		reg.OnAcquire(func(tid int) { arena.SizeCache(tid, burst) })
-	}
-	reg.OnRelease(func(tid int) { arena.DrainCache(tid) })
 }

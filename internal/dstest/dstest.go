@@ -22,11 +22,11 @@
 //   - lease: dynamic-membership churn — more workers than slots, each
 //     session acquiring and releasing mid-traffic, with a recycled-tid
 //     aliasing detector and a drain to zero orphans;
-//   - kill: the holder-death suite — holders panic or wedge with the lease
-//     held, a reaper revokes the wedged ones through the shared recovery
-//     path from a foreign goroutine, and the registry must come back whole:
-//     every slot reusable, zombie releases counted as no-ops, drain to
-//     Retired == Freed, zero fallback reuses;
+//   - kill: the same driver with holder deaths — holders panic or wedge
+//     with the lease held, a reaper revokes the wedged ones through the
+//     shared recovery path from a foreign goroutine, and the registry must
+//     come back whole: every slot reusable, zombie releases counted as
+//     no-ops, drain to Retired == Freed;
 //   - grown: the pool's other mode — threads fill the structure until its
 //     pool outgrows the first extent mid-traffic, empty it, and run the churn
 //     suite on the grown pool, where every link resolves through the slab
@@ -410,18 +410,7 @@ func Bound(t *testing.T, f Factory, scheme string) {
 		t.Fatalf("%s must declare smr.Unbounded, got %d", scheme, bound)
 	}
 
-	var stop atomic.Bool
-	var peak atomic.Uint64
-	samplerDone := make(chan struct{})
-	go func() {
-		defer close(samplerDone)
-		for !stop.Load() {
-			if g := sch.Stats().Garbage(); g > peak.Load() {
-				peak.Store(g)
-			}
-			runtime.Gosched()
-		}
-	}()
+	stopWatch := watchBound(func() uint64 { return sch.Stats().Garbage() }, sch.GarbageBound)
 
 	ops := 4000
 	if testing.Short() {
@@ -447,24 +436,21 @@ func Bound(t *testing.T, f Factory, scheme string) {
 		}(tid)
 	}
 	wg.Wait()
-	stop.Store(true)
-	<-samplerDone
+	if g, b, violated := stopWatch(); violated {
+		dumpRecorder(t, rec)
+		t.Fatalf("garbage-bound contract violated: sampled %d > declared bound %d", g, b)
+	}
 
 	st := sch.Stats()
 	if st.Invalid() {
 		t.Fatalf("stats invalid at quiescence (double-free accounting): freed %d > retired %d",
 			st.Freed, st.Retired)
 	}
-	if g := st.Garbage(); g > peak.Load() {
-		peak.Store(g) // final quiescent sample
-	}
-	// GarbageBound is monotone non-decreasing (era schemes raise it as
-	// their measured pinned set grows), so the final reading dominates the
-	// bound at every moment a garbage sample was taken.
-	if bound = sch.GarbageBound(); bound != smr.Unbounded && peak.Load() > uint64(bound) {
+	// The final quiescent sample.
+	if bound = sch.GarbageBound(); bound != smr.Unbounded && st.Garbage() > uint64(bound) {
 		dumpRecorder(t, rec)
-		t.Fatalf("garbage-bound contract violated: sampled peak %d > declared bound %d",
-			peak.Load(), bound)
+		t.Fatalf("garbage-bound contract violated at quiescence: %d > declared bound %d",
+			st.Garbage(), bound)
 	}
 	if err := inst.Set.Validate(); err != nil {
 		t.Fatal(err)

@@ -13,30 +13,42 @@ import (
 	"nbr/internal/smr"
 )
 
+// Lease is Kill with only clean sessions: the dynamic-membership stress.
+// More worker goroutines than registry slots acquire a lease, run a burst of
+// operations, release, and loop — so slots are constantly recycled
+// mid-traffic, departing threads orphan mid-protocol bags, and reclaimers
+// adopt them, all under the live GarbageBound contract.
+func Lease(t *testing.T, f Factory, scheme string) { churnLeases(t, f, scheme, false) }
+
 // Kill is the holder-death suite: lease holders that never release. Workers
 // churn sessions as in Lease, but a third of the sessions end badly — the
 // holder either panics mid-burst (the panic-unwind release path must still
 // quiesce the slot) or wedges with the lease held (the reaper revokes it
 // through Registry.Revoke, running the shared recovery path from a foreign
-// goroutine). A final deterministic scenario freezes a holder mid-read-phase
-// and revokes it, asserting that on a signal-capable scheme the zombie is
-// killed (sigsim.Revoked) the moment it resumes. The suite then demands full
-// recovery: every killed holder's slot reaped and reusable, drain to
-// Retired == Freed with an empty orphan list, zero fallback reuses, the
-// declared GarbageBound held throughout, and every zombie's late Release a
-// counted no-op.
+// goroutine).
+func Kill(t *testing.T, f Factory, scheme string) { churnLeases(t, f, scheme, true) }
+
+// churnLeases is the one lease-churn driver behind Lease and Kill (kills
+// selects the holder deaths). After the churn a deterministic scenario
+// freezes a holder mid-read-phase and revokes it, asserting that on a
+// signal-capable scheme the zombie is killed (sigsim.Revoked) the moment it
+// resumes. Both suites then demand full recovery: no tid ever leased to two
+// goroutines at once (recycled-slot aliasing), every slot — reaped ones
+// included — reusable, drain to Retired == Freed with an empty orphan list,
+// the declared GarbageBound held throughout, and every zombie's late
+// Release a counted no-op.
 //
 //nbr:allow readphase — this harness manufactures protocol violations on purpose: holders freeze inside read phases so the watchdog/revocation machinery has something to kill; the orchestrating goroutine is never neutralized itself
 //nbr:allow leaseescape — wedged holders hand their lease to the reaper over a channel precisely to exercise cross-goroutine revocation recovery
-func Kill(t *testing.T, f Factory, scheme string) {
+func churnLeases(t *testing.T, f Factory, scheme string, kills bool) {
 	const (
-		maxThreads = 6
-		workers    = 10 // > maxThreads: reaped slots must recycle to finish
-		sessionOps = 40
+		maxThreads = 8
+		workers    = 12 // > maxThreads: acquires contend and slots recycle
+		sessionOps = 60
 	)
-	sessions := 24
+	sessions := 40
 	if testing.Short() {
-		sessions = 6
+		sessions = 8
 	}
 
 	inst := f.New(maxThreads)
@@ -45,9 +57,10 @@ func Kill(t *testing.T, f Factory, scheme string) {
 		t.Fatal(err)
 	}
 	reg := smr.NewRegistry(maxThreads)
-	catalog.BindLeases(reg, sch, inst.Arena)
+	reg.Bind(sch)
 
-	// owners is the recycled-tid aliasing detector, as in Lease. A wedged
+	// owners counts concurrent lease holders per tid: two at once is the
+	// recycled-tid aliasing the quarantine exists to prevent. A wedged
 	// holder gives up its count before handing the lease to the reaper: its
 	// ownership truly ends at Revoke, and the slot cannot be re-served
 	// before that.
@@ -99,7 +112,10 @@ func Kill(t *testing.T, f Factory, scheme string) {
 					l.Release()
 					return
 				}
-				mode := s % 3 // 0: clean, 1: panic mid-burst, 2: wedge
+				mode := 0 // 0: clean, 1: panic mid-burst, 2: wedge
+				if kills {
+					mode = s % 3
+				}
 				func() {
 					defer func() {
 						if r := recover(); r != nil {
@@ -121,7 +137,7 @@ func Kill(t *testing.T, f Factory, scheme string) {
 						if rng.Intn(3) == 0 {
 							inst.Set.Insert(g, key)
 						} else {
-							inst.Set.Delete(g, key)
+							inst.Set.Delete(g, key) // delete-heavy: retire traffic
 						}
 					}
 					owners[tid].Add(-1)
@@ -175,7 +191,7 @@ func Kill(t *testing.T, f Factory, scheme string) {
 	close(reap)
 	<-reaperDone
 	if g, b, violated := stopWatch(); violated {
-		t.Fatalf("garbage-bound contract violated under holder kills: sampled %d > declared bound %d", g, b)
+		t.Fatalf("garbage-bound contract violated under lease churn: sampled %d > declared bound %d", g, b)
 	}
 
 	if got := reg.ReapedLeases(); got != reaped.Load() {
@@ -187,8 +203,8 @@ func Kill(t *testing.T, f Factory, scheme string) {
 	}
 
 	// Zero stranded slots: every slot — reaped ones included — must be
-	// acquirable again. Acquire retries ride the bound RoundForcer, so aging
-	// needs no manual NoteRound here.
+	// acquirable again. Acquire forces the missing rounds through the bound
+	// scheme, so aging needs no manual NoteRound here.
 	held := make([]*smr.Lease, 0, maxThreads)
 	for len(held) < maxThreads {
 		l, err := acquireRetry(reg)
@@ -218,11 +234,6 @@ func Kill(t *testing.T, f Factory, scheme string) {
 	}
 	for _, l := range held {
 		l.Release()
-	}
-	// Every scheme except the leaky baseline can force the missing rounds
-	// (leaky never scans, so its fallback reuse is trivially safe).
-	if got := reg.FallbackReuses(); scheme != "none" && got != 0 {
-		t.Fatalf("FallbackReuses = %d, want 0 (reaped slots must age through forced rounds)", got)
 	}
 	if err := inst.Set.Validate(); err != nil {
 		t.Fatal(err)

@@ -49,10 +49,9 @@ const (
 	EvRevoke      // involuntary revocation           arg: tid
 	EvReap        // watchdog reaped past deadline    arg: tid
 	EvQuarRecycle // quarantined slot recycled        arg: age in scan rounds
-	EvFallback    // no-scanner fallback reuse        arg: tid
 	EvForcedRound // admission forced a scan round    arg: completed rounds
 	EvOrphanAdopt // orphaned garbage adopted         arg: record count
-	EvScanBegin   // reclamation scan begin           arg: scans in flight
+	EvScanBegin   // reclamation scan begin           arg: completed rounds
 	EvScanEnd     // reclamation scan end             arg: completed rounds
 
 	// sigsim — the POSIX-signal simulation.
@@ -85,7 +84,6 @@ var codeNames = [numCodes]string{
 	EvRevoke:       "revoke",
 	EvReap:         "reap",
 	EvQuarRecycle:  "quarantine-recycle",
-	EvFallback:     "fallback-reuse",
 	EvForcedRound:  "forced-round",
 	EvOrphanAdopt:  "orphan-adopt",
 	EvScanBegin:    "scan-begin",

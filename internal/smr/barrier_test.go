@@ -196,7 +196,7 @@ func TestBarrierQuietAfterAttach(t *testing.T) {
 	pool := mem.NewPool[rec](mem.Config{MaxThreads: 1})
 	sch := core.New(pool, 1, core.Config{})
 	reg := smr.NewRegistry(1)
-	catalog.BindLeases(reg, sch, pool)
+	reg.Bind(sch)
 
 	old, err := reg.Acquire()
 	if err != nil {

@@ -5,58 +5,43 @@
 package leaky
 
 import (
-	"nbr/internal/hist"
 	"nbr/internal/mem"
 	"nbr/internal/smr"
 )
 
-// Scheme is the leaky (no reclamation) scheme. It uses the limbo kernel for
-// its counters only — the kernel is a field, not embedded, so none of the
-// recovery seams (Quiescer, RoundForcer) exist: retired records are dropped
-// on the floor whether or not the retiring thread stays.
+// Scheme is the leaky (no reclamation) scheme. It embeds the limbo kernel
+// like every other scheme, so it is a full registry member: a forced round
+// is an empty bracketed collection, recovery finds every bag already empty,
+// and retired records are dropped on the floor whether or not the retiring
+// thread stays.
 type Scheme struct {
-	k  smr.Kernel
+	smr.Kernel
 	gs []*guard
 }
 
 // New creates a leaky scheme for the given number of threads. The arena is
-// only consulted to weigh retired segment handles; nothing is ever freed.
+// only consulted to weigh retired segment handles and to drain a departing
+// slot's caches; nothing is ever freed.
 func New(arena mem.Arena, threads int) *Scheme {
 	s := &Scheme{gs: make([]*guard, threads)}
-	s.k.Init(smr.Spec{Name: "none", Arena: arena, Threads: threads})
+	s.Init(smr.Spec{Name: "none", Arena: arena, Threads: threads, Attach: s.ResetSlot, Collect: func() {}})
 	for i := range s.gs {
 		s.gs[i] = &guard{}
-		s.k.Bind(i, &s.gs[i].Limbo, s.gs[i])
+		s.Bind(i, &s.gs[i].Limbo, s.gs[i])
 	}
 	return s
 }
 
-// Name implements smr.Scheme.
-func (s *Scheme) Name() string { return s.k.Name() }
-
 // Guard implements smr.Scheme.
 func (s *Scheme) Guard(tid int) smr.Guard { return s.gs[tid] }
-
-// Stats implements smr.Scheme.
-func (s *Scheme) Stats() smr.Stats { return s.k.Stats() }
-
-// Handoffs implements smr.Scheme.
-func (s *Scheme) Handoffs() hist.Histogram { return s.k.Handoffs() }
 
 // GarbageBound implements smr.Scheme: leaky never frees, so garbage is
 // unbounded by construction (the memory-usage worst case in every figure).
 func (s *Scheme) GarbageBound() int { return smr.Unbounded }
 
-// ReclaimBurst implements smr.Scheme: leaky never frees, so there is no
-// burst to size caches for.
-func (s *Scheme) ReclaimBurst() int { return 0 }
-
-// AttachRegistry implements smr.Member: leaky holds no per-thread
-// reclamation state, so membership churn needs no hooks.
-func (s *Scheme) AttachRegistry(*smr.Registry) {}
-
-// Drain implements smr.Drainer as a no-op: there is nothing to reclaim.
-func (s *Scheme) Drain(int) {}
+// ResetSlot implements smr.Quiescer: leaky announces nothing, so a slot has
+// no state to clear.
+func (s *Scheme) ResetSlot(int) {}
 
 // guard counts what is retired and forgets it: every landing empties the
 // bag without freeing.
@@ -83,6 +68,6 @@ func (g *guard) RetireBatch(ps []mem.Ptr) {
 // member records by the kernel, then dropped like every other retire.
 func (g *guard) Landed(int) { g.Forget() }
 
-// FullPass implements smr.Policy; never reached (the kernel's Drain is not
-// exposed).
+// FullPass implements smr.Policy: every landing already emptied the bag, so
+// a Drain has nothing to free.
 func (g *guard) FullPass() {}

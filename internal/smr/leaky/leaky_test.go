@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nbr/internal/mem"
+	"nbr/internal/smr"
 	"nbr/internal/smr/leaky"
 )
 
@@ -76,4 +77,32 @@ func TestName(t *testing.T) {
 	if s.Name() != "none" {
 		t.Fatalf("name = %q", s.Name())
 	}
+}
+
+// TestLeaseReuse binds leaky to a registry like any other scheme: a released
+// slot is served again after the registry forces its quarantine rounds (two),
+// each an empty collection, and recovery finds nothing to free.
+func TestLeaseReuse(t *testing.T) {
+	pool := mem.NewPool[rec](mem.Config{MaxThreads: 1})
+	s := leaky.New(pool, 1)
+	reg := smr.NewRegistry(1)
+	reg.Bind(s)
+	l, err := reg.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, _ := pool.Alloc(l.Tid())
+	s.Guard(l.Tid()).Retire(h)
+	l.Release()
+	if !pool.Valid(h) {
+		t.Fatal("leaky freed a record on release")
+	}
+	l2, err := reg.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.ForcedRounds(); got != 2 {
+		t.Fatalf("ForcedRounds = %d, want 2", got)
+	}
+	l2.Release()
 }

@@ -60,8 +60,8 @@ type Policy interface {
 }
 
 // Kernel is the scheme-level half of the limbo kernel, embedded by every
-// scheme. It implements Scheme (except Guard and GarbageBound), Member,
-// Drainer, RoundForcer and — with the scheme's own ResetSlot — Quiescer.
+// scheme. It implements Scheme (except Guard and GarbageBound), Drainer and
+// — with the scheme's own ResetSlot — Quiescer and Member.
 type Kernel struct {
 	spec Spec
 	// Arena is the arena retired records are freed to.
@@ -147,20 +147,16 @@ func (k *Kernel) AttachRegistry(r *Registry) {
 	r.OnAcquire(k.spec.Attach)
 }
 
-// ForceRound implements RoundForcer: Spec.Collect as one completed scan
-// round, bracketed so it counts toward quarantine aging. The round counter
+// ForceRound implements Member: Spec.Collect as one completed scan round,
+// bracketed so it counts toward quarantine aging. The round counter
 // certifies "a collection that began after a release has completed", nothing
-// about sweeping. False in fixed-N mode, where there is no quarantine to age.
-func (k *Kernel) ForceRound() bool {
-	if k.Reg == nil {
-		return false
-	}
+// about sweeping. Only the bound registry calls it.
+func (k *Kernel) ForceRound() {
 	k.forceMu.Lock()
 	defer k.forceMu.Unlock()
 	k.Reg.BeginScan()
 	k.spec.Collect()
 	k.Reg.EndScan()
-	return true
 }
 
 // Drain implements Drainer: one full-strength pass on behalf of tid, which
@@ -169,8 +165,13 @@ func (k *Kernel) Drain(tid int) { k.limbos[tid].policy.FullPass() }
 
 // ReclaimAll implements Quiescer: the recovery path's reclamation attempt is
 // a Drain, run by whichever goroutine recovers the slot (owner or reaper)
-// after it left the active mask.
-func (k *Kernel) ReclaimAll(tid int) { k.Drain(tid) }
+// after it left the active mask, and then the slot's allocator caches go to
+// the shared shards — the records the Drain freed among them — so nothing
+// recyclable is stranded while the slot sits unleased.
+func (k *Kernel) ReclaimAll(tid int) {
+	k.Drain(tid)
+	k.Arena.DrainCache(tid)
+}
 
 // OrphanSurvivors implements Quiescer: hand whatever ReclaimAll could not
 // free to the registry's orphan list, bag slice and all, for the next
@@ -368,10 +369,9 @@ func (l *Limbo) Adopt(max int) {
 }
 
 // Scan is one bracketed reclamation pass: counted, inside the registry's
-// BeginScan/EndScan so Acquire can prove no scan still holds a snapshot of a
-// quarantined slot's previous occupant. collect snapshots the scheme's
-// announcement state; the sweep then frees every entry of Bag[:upto] that
-// keep rejects against that snapshot.
+// BeginScan/EndScan so it completes a round toward quarantine aging.
+// collect snapshots the scheme's announcement state; the sweep then frees
+// every entry of Bag[:upto] that keep rejects against that snapshot.
 func (l *Limbo) Scan(upto int, collect func(), keep func(mem.Ptr) bool) {
 	l.Scans.Inc()
 	if r := l.k.Reg; r != nil {

@@ -4,24 +4,24 @@ import "nbr/internal/obs"
 
 // This file is the shared quiesce/recovery path. Before it existed, every
 // scheme re-implemented the same release choreography in a private detach
-// hook: adopt the orphan list, run one full reclamation attempt, orphan the
-// survivors, clear the slot's announcements — and the allocator-cache drain
-// rode behind it on a second hook. Voluntary Release, panic-unwind release
-// and involuntary revocation (the lease watchdog reaping a wedged holder)
-// all need exactly that sequence, so it lives here once, owned by the
-// Registry, and schemes keep only the scheme-specific residue behind the
-// Quiescer interface.
+// hook: adopt the orphan list, run one full reclamation attempt, drain the
+// slot's allocator caches, orphan the survivors, clear the slot's
+// announcements. Voluntary Release, panic-unwind release and involuntary
+// revocation (the lease watchdog reaping a wedged holder) all need exactly
+// that sequence, so it lives here once, owned by the Registry, and schemes
+// keep only the scheme-specific residue behind the Quiescer interface.
 
 // Quiescer is the scheme-side residue of the recovery path: the three steps
 // whose *content* differs per scheme while their order and surroundings are
-// protocol. Bind captures it from the bound scheme; a scheme without one
-// (leaky) recovers trivially. All three are called with the slot already out
-// of the active mask, by whichever goroutine runs the recovery — the owner
-// on a voluntary Release, the reaper on a revocation.
+// protocol. Every Member is one. All three are called with the slot already
+// out of the active mask, by whichever goroutine runs the recovery — the
+// owner on a voluntary Release, the reaper on a revocation.
 type Quiescer interface {
-	// ReclaimAll adopts any orphaned records into tid's bags and runs one
-	// full reclamation attempt on them (signal+scan, hazard scan, epoch
-	// advance+sweep — whatever the scheme's full-strength pass is).
+	// ReclaimAll adopts any orphaned records into tid's bags, runs one full
+	// reclamation attempt on them (signal+scan, hazard scan, epoch
+	// advance+sweep — whatever the scheme's full-strength pass is), and
+	// drains tid's allocator caches to the shared shards so the freed
+	// records are not stranded while the slot sits unleased.
 	ReclaimAll(tid int)
 	// OrphanSurvivors hands whatever ReclaimAll could not free to the
 	// registry's orphan list and empties tid's bags: the records were
@@ -44,17 +44,15 @@ type SlotRevoker interface {
 }
 
 // runRecovery is the one quiesce path every release flavor converges on:
-// the Quiescer residue in protocol order, then the registered side hooks
-// (the allocator thread-cache drain), on the calling goroutine. The caller
-// has already removed tid from the active mask and owns the slot's
-// guard-local state — as the lease holder, or as the reaper of a holder
-// that is presumed wedged (see Registry.Revoke for why that is sound).
+// the bound member's Quiescer steps in protocol order, then any registered
+// release hooks, on the calling goroutine. The caller has already removed
+// tid from the active mask and owns the slot's guard-local state — as the
+// lease holder, or as the reaper of a holder that is presumed wedged (see
+// Registry.Revoke for why that is sound).
 func (r *Registry) runRecovery(tid int) {
-	if q := r.quiescer; q != nil {
-		q.ReclaimAll(tid)
-		q.OrphanSurvivors(tid)
-		q.ResetSlot(tid)
-	}
+	r.member.ReclaimAll(tid)
+	r.member.OrphanSurvivors(tid)
+	r.member.ResetSlot(tid)
 	for _, f := range r.onRelease {
 		f(tid)
 	}

@@ -21,15 +21,24 @@ type ActiveSet = sigsim.ActiveSet
 // quarantined, or an AcquireCtx waiter is queued for the next free one.
 var ErrRegistryFull = errors.New("smr: registry full (every slot leased or quarantined)")
 
-// Member is implemented by schemes that participate in dynamic thread
-// membership (Kernel.AttachRegistry, for every scheme that reclaims).
-// AttachRegistry must be called exactly once, after construction and before
-// any guard is used: the scheme adopts the registry's active mask for its
-// scans and signals, registers its acquire hook, and starts adopting the
-// registry's orphan list during reclamation.
+// Member is what a scheme must be to serve a Registry; every scheme is one,
+// through the embedded Kernel. AttachRegistry must be called exactly once,
+// after construction and before any guard is used: the scheme adopts the
+// registry's active mask for its scans and signals, registers its acquire
+// hook, and starts adopting the registry's orphan list during reclamation.
+// The Quiescer steps are the scheme's half of the shared recovery path
+// (recovery.go). ForceRound completes one scan round on demand, without
+// owning a thread slot: one bracketed (BeginScan/EndScan) collection over
+// the scheme's announcement state under the active mask, freeing nothing.
+// It advances the quarantine-aging clock exactly as an organic round from a
+// peer would — the round counter certifies "a collection that began after
+// the release has completed", nothing about sweeping — and must be safe for
+// concurrent use: any acquirer may force a round.
 type Member interface {
 	Scheme
+	Quiescer
 	AttachRegistry(r *Registry)
+	ForceRound()
 }
 
 // Drainer is implemented by schemes that can make reclamation progress on
@@ -65,36 +74,29 @@ func DrainQuiet(s Scheme, tid int) {
 //     way out (they were reserved/pinned by peers mid-release), adopted into
 //     the next reclaimer's bag DEBRA-style so nothing leaks across
 //     membership churn;
-//   - the quarantine: released slots age one full scan round before reuse,
-//     so a recycled tid is never confused with its predecessor by an
-//     in-flight scan or bookmark snapshot taken while the predecessor was
-//     live;
+//   - the quarantine: released slots age quarantineRounds scan rounds
+//     before reuse, forced by the bound scheme when organic reclamation has
+//     not completed them, so a recycled tid is never confused with its
+//     predecessor by an in-flight scan or bookmark snapshot taken while the
+//     predecessor was live;
 //   - the admission channel: one token per leased slot, which is the only
 //     place that decides who gets a freed slot (see AcquireCtx).
 //
-// A Registry serves one Scheme (Bind) plus any number of side hooks (the
-// mem thread-cache drain). Acquire/Release are goroutine-safe; each Lease is
-// owned by one goroutine at a time.
+// A Registry serves one Scheme, which must be bound (Bind) before the first
+// Acquire. Acquire/Release are goroutine-safe; each Lease is owned by one
+// goroutine at a time.
 type Registry struct {
 	max    int
 	active *ActiveSet
 	rounds atomic.Uint64 // completed reclamation scan rounds (EndScan/NoteRound)
-	scans  atomic.Int64  // reclamation scans currently in flight (BeginScan)
 
-	// force is the bound scheme's on-demand round driver (RoundForcer, wired
-	// by Bind): when the oldest quarantined slot has not aged, Acquire forces
-	// the missing rounds itself instead of leaning on the no-scanner
-	// fallback, so the two-round reuse guarantee holds whatever the organic
-	// reclamation cadence. forced and fallbacks count the two paths.
-	force     func() bool
-	forced    atomic.Uint64
-	fallbacks atomic.Uint64
-
-	// quiescer is the bound scheme's recovery residue and revoker its
-	// sticky-revocation channel (both wired by Bind, both optional); see
-	// recovery.go for the shared release/revocation path built on them.
-	quiescer Quiescer
-	revoker  SlotRevoker
+	// member is the bound scheme: the recovery residue of the shared
+	// release/revocation path (recovery.go) and the forced-round driver of
+	// quarantine aging. forced counts the rounds take forced. revoker is the
+	// scheme's sticky-revocation channel, when it has one.
+	member  Member
+	forced  atomic.Uint64
+	revoker SlotRevoker
 	// Crash-safety counters: reaped counts successful Revokes,
 	// revokedReleases counts a zombie's late Release arriving after its
 	// lease was revoked (the counted no-op).
@@ -159,28 +161,19 @@ func (r *Registry) MaxThreads() int { return r.max }
 func (r *Registry) Active() *ActiveSet { return r.active }
 
 // Bind wires a scheme into the registry: the scheme adopts the active mask
-// and registers its membership hooks; the registry captures the scheme's
-// recovery residue (Quiescer) for the shared release/revocation path, its
-// sticky-revocation channel (SlotRevoker) when it has one, and — when the
-// scheme can force scan rounds (RoundForcer) — its forced-round driver for
-// quarantine aging. It must run after the scheme is constructed and before
-// any guard is used. Bind panics if the scheme does not participate in
-// dynamic membership.
+// and registers its membership hooks, and the registry keeps it as the
+// member whose recovery steps and forced rounds the lease paths call, plus
+// its sticky-revocation channel (SlotRevoker) when it has one. It must run
+// after the scheme is constructed and before any guard is used. Bind panics
+// if the scheme is not a Member.
 func (r *Registry) Bind(s Scheme) {
 	m, ok := s.(Member)
 	if !ok {
 		panic("smr: scheme does not implement smr.Member; cannot Bind")
 	}
 	m.AttachRegistry(r)
-	if q, ok := s.(Quiescer); ok {
-		r.quiescer = q
-	}
-	if rv, ok := s.(SlotRevoker); ok {
-		r.revoker = rv
-	}
-	if f, ok := s.(RoundForcer); ok {
-		r.force = f.ForceRound
-	}
+	r.member = m
+	r.revoker, _ = s.(SlotRevoker)
 }
 
 // Recordable is implemented by schemes (and other pipeline components) that
@@ -200,19 +193,15 @@ func (r *Registry) SetRecorder(rec *obs.Recorder) { r.rec = rec }
 // read it during AttachRegistry.
 func (r *Registry) Recorder() *obs.Recorder { return r.rec }
 
-// SetForceRound installs the forced-round driver directly (test hook; Bind
-// wires it from the scheme). Pass nil to disable forced aging.
-func (r *Registry) SetForceRound(f func() bool) { r.force = f }
-
 // ForcedRounds returns how many scan rounds Acquire forced to age a
 // quarantined slot.
 func (r *Registry) ForcedRounds() uint64 { return r.forced.Load() }
 
-// FallbackReuses returns how many times Acquire served a quarantined slot
-// on the no-scanner proof instead of the two-round aging guarantee. With a
-// RoundForcer bound this stays zero under any churn: the missing rounds are
-// forced instead.
-func (r *Registry) FallbackReuses() uint64 { return r.fallbacks.Load() }
+// FallbackReuses is always zero: a quarantined slot is reused only once it
+// has aged, with the missing rounds forced (take). The accessor remains
+// because the frozen benchmark's traced twin (benchmark/traced.go) reads it;
+// it goes when a benchmark issue drops that read.
+func (r *Registry) FallbackReuses() uint64 { return 0 }
 
 // OnAcquire registers a hook run on the acquiring goroutine each time a slot
 // is handed out, after the slot is assigned and before it is marked active.
@@ -221,31 +210,26 @@ func (r *Registry) OnAcquire(f func(tid int)) { r.onAcquire = append(r.onAcquire
 
 // OnRelease registers a hook run on the releasing goroutine during recovery
 // (a Release or a Revoke), after the slot has left the active mask and the
-// bound scheme has quiesced it (runRecovery) — so an allocator-cache drain
-// registered here sees the records the quiesce freed. Hooks run in
-// registration order and must be registered before the registry is used
-// concurrently.
+// bound scheme has quiesced it and drained its allocator caches
+// (runRecovery). Hooks run in registration order and must be registered
+// before the registry is used concurrently.
 func (r *Registry) OnRelease(f func(tid int)) { r.onRelease = append(r.onRelease, f) }
 
 // Waiters returns how many AcquireCtx callers are queued for a slot.
 func (r *Registry) Waiters() int { return int(r.waiting.Load()) }
 
-// BeginScan marks a reclamation scan (a reservation/hazard/era collection
-// and its sweep) as in flight. Schemes bound to the registry bracket every
-// scan with BeginScan/EndScan; the in-flight count is what lets Acquire
-// prove that no scan can still hold a snapshot of a quarantined slot's
-// previous occupant.
+// BeginScan marks the start of a reclamation scan (a reservation/hazard/era
+// collection and its sweep). Schemes bound to the registry bracket every
+// scan with BeginScan/EndScan; only the end counts, toward quarantine aging.
 func (r *Registry) BeginScan() {
-	n := r.scans.Add(1)
 	if r.rec.Enabled() {
-		r.rec.Sys(obs.EvScanBegin, uint64(n))
+		r.rec.Sys(obs.EvScanBegin, r.rounds.Load())
 	}
 }
 
 // EndScan marks the scan complete, counting one finished round toward
 // quarantine aging.
 func (r *Registry) EndScan() {
-	r.scans.Add(-1)
 	rounds := r.rounds.Add(1)
 	if r.rec.Enabled() {
 		r.rec.Sys(obs.EvScanEnd, rounds)
@@ -281,9 +265,8 @@ func (r *Registry) Acquire() (*Lease, error) {
 // in, first out, and the release that receives a token moves the head
 // sender's token into the buffer, which stays full to everyone else. A
 // token is backed by a fresh or quarantined slot, so a failed take is a
-// short race (a peer took the aged head, or a scan is in flight with no
-// forcer): it retries until it gets a slot, or gives the token back when
-// ctx ends.
+// short race (a peer took the aged head): it retries until it gets a slot,
+// or gives the token back when ctx ends.
 func (r *Registry) AcquireCtx(ctx context.Context) (*Lease, error) {
 	var t0 int64 // first enqueue; 0 when not queued or the recorder is off
 	select {
@@ -318,65 +301,27 @@ func (r *Registry) AcquireCtx(ctx context.Context) (*Lease, error) {
 
 // take hands out a slot to a caller holding an admission token, or returns
 // nil. Slot preference: never-yet-quarantined (fresh) slots first, then the
-// oldest quarantined slot — served only once it is safe from tid-reuse
-// aliasing. Safety holds on one of three proofs, tried in order:
-//
-//   - aged: at least quarantineRounds scan rounds completed since the
-//     release, so any scan that could have captured the predecessor has
-//     long finished;
-//   - forced: when the head has not aged organically and the bound scheme
-//     is a RoundForcer, take drives the missing rounds itself — a real
-//     bracketed collection per round — so lease churn outrunning the
-//     reclamation cadence no longer voids the round guarantee;
-//   - no scanner (fallback): the in-flight scan count is zero right now, so
-//     no snapshot of the predecessor can exist at all (scans that begin
-//     after this check see the slot's current mask state, which is the
-//     normal protocol). Reached only when no RoundForcer is bound or it
-//     cannot complete a round, and counted in FallbackReuses.
-//
-// When none holds — a scan is mid-flight with no working forcer, or forced
-// rounds completed but a racing token holder took the aged head — take
-// fails; the window is one scan's (or one race's) duration.
+// oldest quarantined slot once it has aged — at least quarantineRounds scan
+// rounds completed since its release, so any scan that could have captured
+// the predecessor has long finished. When the head has not aged
+// organically, take forces the missing rounds through the bound scheme — a
+// real bracketed collection per round — so lease churn outrunning the
+// reclamation cadence never voids the round guarantee. That is the whole
+// reuse rule. take fails only when a racing token holder took the aged head
+// and a fresh release replaced it; the caller retries.
 func (r *Registry) take() *Lease {
 	r.mu.Lock()
 	tid, ok, waiting := r.takeSlotLocked()
 	r.mu.Unlock()
-	forcedOK := false
-	if !ok && waiting && r.force != nil {
-		// Age the quarantine head with forced rounds, outside the lock: a
-		// round is a scheme-side collection that never touches the
-		// registry's mutex, but Release and other takes must not block
-		// behind it.
-		for i := 0; i < quarantineRounds && !ok; i++ {
-			if !r.force() {
-				break
-			}
-			forcedOK = true
-			r.forced.Add(1)
-			r.rec.Sys(obs.EvForcedRound, r.rounds.Load())
-			r.mu.Lock()
-			tid, ok, waiting = r.takeSlotLocked()
-			r.mu.Unlock()
-		}
-	}
-	if !ok && waiting && !forcedOK {
-		// Fallback: the no-scanner proof (see above), reached only when no
-		// forcer is bound or it could not complete a round. When forced
-		// rounds DID complete but the slot still was not served — a racing
-		// token holder took the aged head and a fresh release replaced it —
-		// the refusal below stands instead: the caller retries, and the round
-		// guarantee is never traded away while a working forcer exists.
-		// The re-check and the pop happen under one lock hold; a scan
-		// beginning right after the load is the same benign race the
-		// original protocol documented.
+	// Forced rounds run outside the lock: a round is a scheme-side
+	// collection that never touches the registry's mutex, but Release and
+	// other takes must not block behind it.
+	for i := 0; !ok && waiting && i < quarantineRounds; i++ {
+		r.member.ForceRound()
+		r.forced.Add(1)
+		r.rec.Sys(obs.EvForcedRound, r.rounds.Load())
 		r.mu.Lock()
-		if len(r.quarantine) > 0 && r.scans.Load() == 0 {
-			tid = r.quarantine[0].tid
-			r.quarantine = r.quarantine[1:]
-			ok = true
-			r.fallbacks.Add(1)
-			r.rec.Rec(tid, obs.EvFallback, uint64(tid))
-		}
+		tid, ok, waiting = r.takeSlotLocked()
 		r.mu.Unlock()
 	}
 	if !ok {
@@ -396,7 +341,7 @@ func (r *Registry) take() *Lease {
 
 // takeSlotLocked pops a fresh slot, else the quarantine head when aged.
 // waiting reports that a quarantined slot exists but has not aged — the
-// caller may force rounds or fall back to the no-scanner proof.
+// caller forces the missing rounds.
 func (r *Registry) takeSlotLocked() (tid int, ok, waiting bool) {
 	if n := len(r.fresh); n > 0 {
 		tid := r.fresh[n-1]

@@ -2,120 +2,114 @@ package smr
 
 import (
 	"errors"
-	"sync"
+	"sync/atomic"
 	"testing"
+
+	"nbr/internal/hist"
 )
 
-// fakeForcer stands in for a scheme's RoundForcer: each forced round is a
-// bracketed no-op collection, exactly what Kernel.ForceRound produces.
-type fakeForcer struct {
-	r     *Registry
-	mu    sync.Mutex
-	calls int
+// testMember is the smallest registry member, shaped like leaky: a forced
+// round is an empty bracketed collection, and a departing slot has nothing
+// to quiesce.
+type testMember struct {
+	r      *Registry
+	forces atomic.Int64
 }
 
-func (f *fakeForcer) force() bool {
-	f.mu.Lock()
-	f.calls++
-	f.mu.Unlock()
-	f.r.BeginScan()
-	f.r.EndScan()
-	return true
+func (m *testMember) Name() string               { return "test" }
+func (m *testMember) Guard(int) Guard            { return nil }
+func (m *testMember) Stats() Stats               { return Stats{} }
+func (m *testMember) Handoffs() hist.Histogram   { return hist.Histogram{} }
+func (m *testMember) GarbageBound() int          { return Unbounded }
+func (m *testMember) ReclaimBurst() int          { return 0 }
+func (m *testMember) AttachRegistry(r *Registry) { m.r = r }
+func (m *testMember) ReclaimAll(int)             {}
+func (m *testMember) OrphanSurvivors(int)        {}
+func (m *testMember) ResetSlot(int)              {}
+
+func (m *testMember) ForceRound() {
+	m.forces.Add(1)
+	m.r.BeginScan()
+	m.r.EndScan()
 }
 
-// TestRegistryFallbackWithoutForcer pins the pre-forced-round behaviour the
-// regression fixes: with no RoundForcer bound and churn outrunning scan
-// rounds, the registry reuses the oldest quarantined slot on the no-scanner
-// proof — safe, but the two-round guarantee lapses, which FallbackReuses
-// now makes observable.
-func TestRegistryFallbackWithoutForcer(t *testing.T) {
-	r := NewRegistry(1)
+// stuckMember's forced rounds never complete: it stands in for a collection
+// that cannot finish before a waiter's deadline, so the round counter does
+// not move however often take forces.
+type stuckMember struct{ testMember }
+
+func (m *stuckMember) ForceRound() { m.forces.Add(1) }
+
+// boundRegistry returns a registry of max slots bound to m.
+func boundRegistry(max int, m Member) *Registry {
+	r := NewRegistry(max)
+	r.Bind(m)
+	return r
+}
+
+// TestRegistryLeakyShapedMemberForcesRounds pins the reuse rule where churn
+// outran scan rounds and the scheme's own rounds are empty: a released slot
+// is served to the next Acquire after exactly quarantineRounds forced
+// rounds.
+func TestRegistryLeakyShapedMemberForcesRounds(t *testing.T) {
+	m := &testMember{}
+	r := boundRegistry(1, m)
 	l, _ := r.Acquire()
 	l.Release()
-	// No rounds have completed: the quarantine head has not aged, no scan is
-	// in flight, no forcer is bound → the fallback path must serve it.
 	l2, err := r.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.FallbackReuses(); got != 1 {
-		t.Fatalf("FallbackReuses = %d, want 1 (the un-aged head was served on the no-scanner proof)", got)
+	if l2.Tid() != l.Tid() {
+		t.Fatalf("acquire handed tid %d, want the released %d", l2.Tid(), l.Tid())
 	}
-	if r.ForcedRounds() != 0 {
-		t.Fatalf("ForcedRounds = %d with no forcer bound", r.ForcedRounds())
+	if got := r.ForcedRounds(); got != quarantineRounds || m.forces.Load() != quarantineRounds {
+		t.Fatalf("ForcedRounds = %d (member forced %d), want %d", got, m.forces.Load(), quarantineRounds)
 	}
 	l2.Release()
 }
 
-// TestRegistryForcedRoundsAgeQuarantine is the regression test for the
-// quarantine fallback: with a RoundForcer bound, an Acquire that finds the
-// quarantine head un-aged forces the missing rounds itself and never
-// reaches the fallback — the round guarantee holds unconditionally, even
-// with another scan mid-flight (the case that used to return
-// ErrRegistryFull until the scan finished).
+// TestRegistryForcedRoundsAgeQuarantine pins that forced rounds age the
+// quarantine head whatever else is in flight: with another scan mid-flight
+// and the head freshly quarantined, the acquire forces the missing rounds
+// and succeeds without waiting for that scan.
 func TestRegistryForcedRoundsAgeQuarantine(t *testing.T) {
-	r := NewRegistry(1)
-	f := &fakeForcer{r: r}
-	r.SetForceRound(f.force)
-
+	r := boundRegistry(1, &testMember{})
 	l, _ := r.Acquire()
 	l.Release()
-
-	// Case 1: churn outran scans (no rounds since release, no scan in
-	// flight). Previously the fallback served this; now forced rounds age
-	// the head first.
+	r.BeginScan()
 	l2, err := r.Acquire()
 	if err != nil {
-		t.Fatal(err)
-	}
-	if r.FallbackReuses() != 0 {
-		t.Fatalf("FallbackReuses = %d, want 0 (forced rounds must preempt the fallback)", r.FallbackReuses())
+		t.Fatalf("acquire under a live scanner: %v", err)
 	}
 	if got := r.ForcedRounds(); got != quarantineRounds {
 		t.Fatalf("ForcedRounds = %d, want %d", got, quarantineRounds)
 	}
-	l2.Release()
-
-	// Case 2: a scan is mid-flight and the head is freshly quarantined —
-	// the configuration that used to refuse with ErrRegistryFull outright.
-	// Forced rounds complete independently of the stalled scan, so the
-	// head ages and the acquire succeeds without the fallback.
-	r.BeginScan()
-	l3, err := r.Acquire()
-	if err != nil {
-		t.Fatalf("acquire under a live scanner with a forcer bound: %v", err)
-	}
-	if r.FallbackReuses() != 0 {
-		t.Fatalf("FallbackReuses = %d, want 0", r.FallbackReuses())
-	}
 	r.EndScan()
-	l3.Release()
+	l2.Release()
 }
 
-// TestRegistryForcerFailureFallsBack pins the "only fall back if ForceRound
-// cannot complete" ordering: a forcer that reports failure (e.g. fixed-N
-// mode) must not mask the no-scanner fallback, and the scan-in-flight
-// refusal must survive it.
-func TestRegistryForcerFailureFallsBack(t *testing.T) {
-	r := NewRegistry(1)
-	r.SetForceRound(func() bool { return false })
-
+// TestRegistryStuckForcerRefuses pins that the round guarantee is never
+// traded away: when forced rounds do not complete, the un-aged head is not
+// served — Acquire refuses after quarantineRounds attempts — and once the
+// rounds do complete it is.
+func TestRegistryStuckForcerRefuses(t *testing.T) {
+	m := &stuckMember{}
+	r := boundRegistry(1, m)
 	l, _ := r.Acquire()
 	l.Release()
-	// Forcer fails, but no scan is in flight: the fallback serves the head.
+	if _, err := r.Acquire(); !errors.Is(err, ErrRegistryFull) {
+		t.Fatalf("un-aged slot served with no completed round: %v", err)
+	}
+	if got := m.forces.Load(); got != quarantineRounds {
+		t.Fatalf("member forced %d rounds, want %d", got, quarantineRounds)
+	}
+	for i := 0; i < quarantineRounds; i++ {
+		r.NoteRound()
+	}
 	l2, err := r.Acquire()
 	if err != nil {
-		t.Fatal(err)
-	}
-	if r.FallbackReuses() != 1 {
-		t.Fatalf("FallbackReuses = %d, want 1", r.FallbackReuses())
+		t.Fatalf("aged slot refused: %v", err)
 	}
 	l2.Release()
-
-	// Forcer fails and a scan is in flight: nothing can prove the head safe.
-	r.BeginScan()
-	if _, err := r.Acquire(); !errors.Is(err, ErrRegistryFull) {
-		t.Fatalf("want ErrRegistryFull, got %v", err)
-	}
-	r.EndScan()
 }

@@ -14,7 +14,7 @@ import (
 )
 
 func TestRegistryAcquireRelease(t *testing.T) {
-	r := NewRegistry(4)
+	r := boundRegistry(4, &testMember{})
 	if r.MaxThreads() != 4 {
 		t.Fatalf("MaxThreads = %d", r.MaxThreads())
 	}
@@ -39,7 +39,7 @@ func TestRegistryAcquireRelease(t *testing.T) {
 }
 
 func TestRegistryExhaustionAndQuarantineAging(t *testing.T) {
-	r := NewRegistry(2)
+	r := boundRegistry(2, &testMember{})
 	a, _ := r.Acquire()
 	b, _ := r.Acquire()
 	if _, err := r.Acquire(); !errors.Is(err, ErrRegistryFull) {
@@ -47,8 +47,8 @@ func TestRegistryExhaustionAndQuarantineAging(t *testing.T) {
 	}
 	a.Release()
 
-	// With no scan in flight there can be no snapshot of the slot's
-	// previous occupant, so the quarantined slot is served immediately.
+	// No round has completed since the release: the acquire forces the
+	// missing ones and is served the quarantined slot.
 	c, err := r.Acquire()
 	if err != nil {
 		t.Fatal(err)
@@ -56,16 +56,14 @@ func TestRegistryExhaustionAndQuarantineAging(t *testing.T) {
 	if c.Tid() != a.Tid() {
 		t.Fatalf("acquire reused tid %d, want quarantined %d", c.Tid(), a.Tid())
 	}
+	if got := r.ForcedRounds(); got != quarantineRounds {
+		t.Fatalf("ForcedRounds = %d, want %d", got, quarantineRounds)
+	}
 	c.Release()
 
-	// A mid-flight scan blocks reuse of an un-aged slot: the scan could
-	// still hold the predecessor's state.
+	// Once enough rounds complete organically the slot is aged and served
+	// as it is, even with a scanner still running.
 	r.BeginScan()
-	if _, err := r.Acquire(); !errors.Is(err, ErrRegistryFull) {
-		t.Fatalf("un-aged slot served under a live scanner: %v", err)
-	}
-	// Once enough rounds complete the slot is aged and reusable even with
-	// a scanner still running.
 	for i := 0; i < quarantineRounds; i++ {
 		r.NoteRound()
 	}
@@ -76,6 +74,9 @@ func TestRegistryExhaustionAndQuarantineAging(t *testing.T) {
 	if d.Tid() != c.Tid() {
 		t.Fatalf("aged acquire handed tid %d, want oldest quarantined %d", d.Tid(), c.Tid())
 	}
+	if got := r.ForcedRounds(); got != quarantineRounds {
+		t.Fatalf("ForcedRounds = %d after an aged acquire, want still %d", got, quarantineRounds)
+	}
 	r.EndScan()
 	d.Release()
 	b.Release()
@@ -85,7 +86,7 @@ func TestRegistryExhaustionAndQuarantineAging(t *testing.T) {
 // lease identity: a stale duplicate Release from a previous holder must not
 // deactivate the slot's next occupant.
 func TestRegistryDuplicateReleaseCannotRevokeSuccessor(t *testing.T) {
-	r := NewRegistry(1)
+	r := boundRegistry(1, &testMember{})
 	old, _ := r.Acquire()
 	old.Release()
 	cur, err := r.Acquire()
@@ -103,7 +104,7 @@ func TestRegistryDuplicateReleaseCannotRevokeSuccessor(t *testing.T) {
 }
 
 func TestRegistryHookOrderAndThreading(t *testing.T) {
-	r := NewRegistry(1)
+	r := boundRegistry(1, &testMember{})
 	var order []string
 	r.OnAcquire(func(tid int) { order = append(order, "acquire") })
 	r.OnRelease(func(tid int) { order = append(order, "release-a") })
@@ -122,7 +123,7 @@ func TestRegistryHookOrderAndThreading(t *testing.T) {
 }
 
 func TestRegistryOrphans(t *testing.T) {
-	r := NewRegistry(2)
+	r := boundRegistry(2, &testMember{})
 	ps := []mem.Ptr{2, 4, 6, 8, 10}
 	r.AddOrphans(ps)
 	if r.OrphanCount() != 5 {
@@ -146,7 +147,7 @@ func TestRegistryOrphans(t *testing.T) {
 // asserts no tid is ever held by two goroutines at once.
 func TestRegistryNoAliasingUnderChurn(t *testing.T) {
 	const slots, workers, rounds = 4, 16, 300
-	r := NewRegistry(slots)
+	r := boundRegistry(slots, &testMember{})
 	var owners [slots]atomic.Int32
 	var aliased atomic.Bool
 	var wg sync.WaitGroup
@@ -202,7 +203,7 @@ func waitQueued(t *testing.T, r *Registry, n int) {
 // with every slot leased and one AcquireCtx caller queued, a release passes
 // the freed slot to the waiter, so a bare Acquire arriving after it fails.
 func TestRegistryAdmissionHandsSlotToWaiter(t *testing.T) {
-	r := NewRegistry(2)
+	r := boundRegistry(2, &testMember{})
 	a, _ := r.Acquire()
 	b, _ := r.Acquire()
 	got := make(chan *Lease)
@@ -234,7 +235,7 @@ func TestRegistryAdmissionHandsSlotToWaiter(t *testing.T) {
 // queued nor one whose context ends after it was admitted but before a slot
 // could be proved safe.
 func TestRegistryAcquireCtxCancelKeepsCapacity(t *testing.T) {
-	r := NewRegistry(2)
+	r := boundRegistry(2, &stuckMember{})
 	a, _ := r.Acquire()
 	b, _ := r.Acquire()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -252,17 +253,18 @@ func TestRegistryAcquireCtxCancelKeepsCapacity(t *testing.T) {
 		t.Fatalf("Waiters = %d after cancellation", r.Waiters())
 	}
 
-	// Admitted, but a scan is in flight and no forcer is bound, so the
+	// Admitted, but the member's forced rounds never complete, so the
 	// quarantined slot cannot be proved safe before the deadline.
 	a.Release()
-	r.BeginScan()
 	short, cancelShort := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancelShort()
 	if _, err := r.AcquireCtx(short); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("admitted waiter with no provable slot: got %v, want DeadlineExceeded", err)
 	}
-	r.EndScan()
 	b.Release()
+	for i := 0; i < quarantineRounds; i++ {
+		r.NoteRound() // both releases age
+	}
 
 	held := make([]*Lease, r.MaxThreads())
 	for i := range held {

