@@ -157,7 +157,7 @@ func (s *Scheme) Stats() smr.Stats {
 // ThreadBound returns the worst-case number of unreclaimed records one
 // thread can hold: Lemma 10's HiWatermark + R·(N−1), with the batch-split
 // overshoot folded in. RetireBatch appends at most one bag-weight's worth of
-// records between watermark checks (the chunk cap in beforeRetire), so a
+// records between watermark checks (the chunk cap in Before), so a
 // splice of any length stretches the bag by at most BagSize beyond the
 // watermark — 2·BagSize total for the watermark terms. The segW terms cover
 // segment handles, each pinning up to MaxWeight member records: the N·R
@@ -181,14 +181,12 @@ func (s *Scheme) GarbageBound() int {
 }
 
 // AttachRegistry implements smr.Member: on top of the kernel's wiring the
-// signal group adopts the registry's active mask and the scheme joins the
-// registry's flight recorder. Must be called before any guard is used.
+// signal group adopts the registry's active mask and the scheme's flight
+// recorder. Must be called before any guard is used.
 func (s *Scheme) AttachRegistry(r *smr.Registry) {
 	s.Kernel.AttachRegistry(r)
 	s.group.SetActive(s.ActiveMask)
-	if rec := r.Recorder(); rec != nil {
-		s.SetRecorder(rec)
-	}
+	s.group.SetRecorder(s.Rec)
 }
 
 // SetRecorder implements smr.Recordable: the scheme and its signal group
@@ -324,58 +322,24 @@ func (g *guard) OnStale(p mem.Ptr) {
 	panic("core: use-after-free not explained by a pending signal: " + p.String())
 }
 
-// Retire implements Algorithm 1 lines 14–20 (NBR) or Algorithm 2 lines 5–26
-// (NBR+).
-func (g *guard) Retire(p mem.Ptr) {
-	g.beforeRetire(1)
-	g.Push(p)
-	// Garbage-age sampling: stamp the handle so the hub's free seam can
-	// measure its retire→free residence. One branch when the recorder is off.
-	g.s.Rec.SampleRetire(uint64(p.Unmarked()))
-}
-
-// RetireBatch implements smr.Guard: the batch lands in the bag in chunks of
-// at most one bag's worth of records, with the watermark bookkeeping running
-// once per chunk instead of once per record — still O(1) amortized shared
-// interactions per unlink, but the HiWatermark check can never be outrun by
-// a single oversized splice. The trigger points are exactly the ones a
-// per-record Retire loop would hit (the chunk boundary lands on the record
-// that fills the bag), so splitting is observationally equivalent to the
-// loop while restoring Lemma 10's bound: the bag holds at most BagSize
-// records plus the one in-flight chunk (see Scheme.ThreadBound).
-func (g *guard) RetireBatch(ps []mem.Ptr) {
-	if len(ps) == 0 {
-		return
-	}
-	g.Handoff(len(ps))
-	g.s.Rec.SampleRetire(uint64(ps[0].Unmarked())) // age-sample one record per splice
-	for len(ps) > 0 {
-		take := g.beforeRetire(len(ps))
-		g.PushChunk(ps[:take])
-		ps = ps[take:]
-	}
-}
-
-// BeforeSegment implements smr.Policy: a segment handle lands whole (NBR
+// Before implements smr.Policy: Algorithm 1 lines 14–20 (NBR) or Algorithm
+// 2 lines 5–26 (NBR+), the watermark bookkeeping for the next chunk of a
+// retire handoff (avail record-weight is ready), once per chunk instead of
+// once per record. It returns how much weight may be appended before the
+// next check. All comparisons run on BagW, the bag's record weight, so a
+// segment handle counts its whole member run; a segment lands whole (NBR
 // reservations name the retired handle itself and the sweep matches bag
-// entries against them by identity) and the watermark bookkeeping runs once
-// for its full weight — a one-append overshoot the bound's segment-weight
-// term absorbs (see ThreadBound).
-func (g *guard) BeforeSegment(_ mem.Ptr, w int) { g.beforeRetire(w) }
-
-// beforeRetire runs the watermark bookkeeping for the next chunk of records
-// about to land in the bag (avail record-weight is ready) and returns how
-// much weight may be appended before the next check. All comparisons run on
-// BagW, the bag's record weight, so a segment handle counts its whole
-// member run. Chunks are capped so that every trigger the per-record loop
-// would hit lands exactly on a chunk boundary:
+// entries against them by identity), a one-append overshoot the bound's
+// segment-weight term absorbs (see ThreadBound). Chunks are capped so that
+// every trigger the per-record loop would hit lands exactly on a chunk
+// boundary, which restores Lemma 10's bound for a splice of any length:
 // the HiWatermark (reclamation), and under NBR+ also the LoWatermark (the
 // bookmark must be taken at lo, not skipped by a chunk that jumps straight
 // to hi — otherwise batch-heavy traffic never enters the passive RGP path
 // and pays the full signalAll cost) and the remaining ScanFreq budget (so
 // announceTS scans fire at the same record counts as the loop, with no
 // overshoot discarded).
-func (g *guard) beforeRetire(avail int) int {
+func (g *guard) Before(_ []mem.Ptr, avail int) int {
 	if g.s.cfg.Plus {
 		g.checkPlus()
 	} else if g.BagW >= g.s.cfg.BagSize {

@@ -137,34 +137,21 @@ func (g *guard) EndOp() {
 	g.s.announce[g.Tid()].Store(g.localE << 1)
 }
 
-// Retire appends to the bag of the epoch current *now* (not at operation
-// start): the global epoch may have advanced once mid-operation, and a
-// record unlinked under the newer epoch can be held by readers that adopted
-// it, so filing it under the stale epoch would shrink the two-epoch safety
-// margin to one. Freeing happens wholesale at rotation, which is what makes
-// DEBRA fast and its reclamation bursty.
-func (g *guard) Retire(p mem.Ptr) {
+// Before implements smr.Policy: a retire handoff is filed into the bag of
+// the epoch current *now* (not at operation start), after one epoch check
+// and at most one rotation. The global epoch may have advanced once
+// mid-operation, and a record unlinked under the newer epoch can be held by
+// readers that adopted it, so filing it under the stale epoch would shrink
+// the two-epoch safety margin to one; the epoch is read after every record
+// in the handoff was unlinked, so none is filed under an epoch older than a
+// per-record Retire loop would have used. Garbage is unbounded regardless,
+// so nothing is split, and a segment's members ride the rotation burst
+// through the arena's fan-out. Freeing happens wholesale at rotation, which
+// is what makes DEBRA fast and its reclamation bursty.
+func (g *guard) Before(ps []mem.Ptr, _ int) int {
 	g.catchUp()
-	g.Push(p)
+	return len(ps)
 }
-
-// RetireBatch implements smr.Guard: one epoch check (and at most one
-// rotation) files the whole batch into the current bag. The epoch is read
-// after every record in the batch was unlinked, so no record is filed under
-// an epoch older than a per-record Retire loop would have used. Garbage is
-// unbounded regardless, so nothing is split.
-func (g *guard) RetireBatch(ps []mem.Ptr) {
-	if len(ps) == 0 {
-		return
-	}
-	g.catchUp()
-	g.Handoff(len(ps))
-	g.PushChunk(ps)
-}
-
-// BeforeSegment implements smr.Policy: one epoch check covers all members of
-// the handle; the rotation burst frees them through the arena's fan-out.
-func (g *guard) BeforeSegment(mem.Ptr, int) { g.catchUp() }
 
 // catchUp pulls every orphaned record into the bag, then adopts the current
 // epoch (rotating if it moved) with the orphans filed at the current epoch's

@@ -141,33 +141,17 @@ func (g *guard) BeginOp() {
 // state under QSBR, leaving the critical section under RCU.
 func (g *guard) EndOp() { g.s.ResetSlot(g.Tid()) }
 
-// Retire stamps the record with the current epoch and bags it.
-func (g *guard) Retire(p mem.Ptr) {
-	g.s.Arena.Hdr(p.Unmarked()).SetRetire(g.s.epoch.Load())
-	g.Push(p)
-	g.Landed(1)
-}
-
-// RetireBatch implements smr.Guard: one epoch load stamps the whole batch
-// (read after every record was unlinked, so no stamp is older than a
-// per-record loop would have written) and the amortized sweep check runs
-// once for the batch. Garbage is unbounded regardless, so nothing is split.
-func (g *guard) RetireBatch(ps []mem.Ptr) {
-	if len(ps) == 0 {
-		return
-	}
+// Before implements smr.Policy: one epoch load stamps the whole handoff —
+// a segment handle stamps for all its members — read after every record was
+// unlinked, so no stamp is older than a per-record loop would have written,
+// and the amortized sweep check in Landed runs once for it. Garbage is
+// unbounded regardless, so nothing is split.
+func (g *guard) Before(ps []mem.Ptr, _ int) int {
 	e := g.s.epoch.Load()
 	for _, p := range ps {
 		g.s.Arena.Hdr(p.Unmarked()).SetRetire(e)
 	}
-	g.Handoff(len(ps))
-	g.PushChunk(ps)
-	g.Landed(len(ps))
-}
-
-// BeforeSegment implements smr.Policy: one epoch stamp covers all members.
-func (g *guard) BeforeSegment(p mem.Ptr, _ int) {
-	g.s.Arena.Hdr(p).SetRetire(g.s.epoch.Load())
+	return len(ps)
 }
 
 // Landed implements smr.Policy, the trigger after every append. Amortized:

@@ -234,44 +234,24 @@ func (g *guard) OnAlloc(p mem.Ptr) {
 	g.tick(1)
 }
 
-// Retire stamps the record's retire era and sweeps when the bag is full.
-func (g *guard) Retire(p mem.Ptr) {
-	g.s.Arena.Hdr(p.Unmarked()).SetRetire(g.s.era.Load())
-	g.Push(p)
-	g.Landed(1)
-}
-
-// RetireBatch implements smr.Guard: the batch lands in the bag in chunks
-// that fill it exactly to the sweep threshold — one era load stamps each
-// chunk (read after every record in the batch was unlinked, so no stamp is
-// older than a single-record Retire would have written), the event clock
-// ticks once per chunk, and the sweep triggers at exactly the bag lengths a
-// per-record Retire loop would hit, so one oversized splice can never
-// stretch the bag beyond the threshold plus its pinned survivors.
-func (g *guard) RetireBatch(ps []mem.Ptr) {
-	if len(ps) == 0 {
-		return
+// Before implements smr.Policy: the next chunk is the records that fill the
+// bag exactly to the sweep threshold, so the sweep triggers at the bag
+// lengths a per-record Retire loop would hit and one oversized splice can
+// never stretch the bag beyond the threshold plus its pinned survivors. One
+// era load stamps the whole chunk, read after every record in the handoff
+// was unlinked, so no stamp is older than a single-record Retire would have
+// written. A segment is one handle whose one stamp covers all w members —
+// the era schemes' whole win over per-record header writes; its birth era
+// was stamped (OnAlloc) before the run was published, so a reader that
+// reaches any member announces an era inside the handle's lifetime, and the
+// sweep pins or frees the run whole.
+func (g *guard) Before(ps []mem.Ptr, _ int) int {
+	take := g.Chunk(len(ps))
+	e := g.s.era.Load()
+	for _, p := range ps[:take] {
+		g.s.Arena.Hdr(p.Unmarked()).SetRetire(e)
 	}
-	g.Handoff(len(ps))
-	for len(ps) > 0 {
-		take := g.Chunk(len(ps))
-		e := g.s.era.Load()
-		for _, p := range ps[:take] {
-			g.s.Arena.Hdr(p.Unmarked()).SetRetire(e)
-		}
-		g.PushChunk(ps[:take])
-		ps = ps[take:]
-		g.Landed(take)
-	}
-}
-
-// BeforeSegment implements smr.Policy: one retire stamp covers all w members
-// of the segment — the era schemes' whole win over RetireBatch's per-record
-// header writes. The handle's birth era was stamped (OnAlloc) before the run
-// was published, so a reader that reaches any member announces an era inside
-// the handle's lifetime, and the sweep pins or frees the run whole.
-func (g *guard) BeforeSegment(p mem.Ptr, _ int) {
-	g.s.Arena.Hdr(p).SetRetire(g.s.era.Load())
+	return take
 }
 
 // Landed implements smr.Policy, the trigger after every append: tick the

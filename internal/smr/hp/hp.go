@@ -138,30 +138,13 @@ func (g *guard) Protect(slot int, p mem.Ptr) {
 
 func (g *guard) NeedsValidation() bool { return true }
 
-func (g *guard) Retire(p mem.Ptr) {
-	g.Push(p)
-	g.Landed(1)
-}
-
-// RetireBatch implements smr.Guard: the batch lands in the buffer in chunks
-// that fill it exactly to the scan threshold, so the whole unlink pays one
+// Before implements smr.Policy: the next chunk is the records that fill the
+// buffer exactly to the scan threshold, so the whole unlink pays one
 // threshold check per threshold's worth of records (not one per record) and
 // a single splice can never stretch the buffer — and the garbage bound —
 // beyond Threshold plus the protected survivors. The scan trigger points
-// are exactly the ones a per-record Retire loop would hit, so splitting is
-// observationally equivalent to the loop.
-func (g *guard) RetireBatch(ps []mem.Ptr) {
-	if len(ps) == 0 {
-		return
-	}
-	g.Handoff(len(ps))
-	for len(ps) > 0 {
-		take := g.Chunk(len(ps))
-		g.PushChunk(ps[:take])
-		ps = ps[take:]
-		g.Landed(take)
-	}
-}
+// are exactly the ones a per-record Retire loop would hit.
+func (g *guard) Before(ps []mem.Ptr, _ int) int { return g.Chunk(len(ps)) }
 
 // Landed implements smr.Policy, the trigger after every append: scan once the
 // buffer's record weight reaches the threshold. A segment handle lands whole

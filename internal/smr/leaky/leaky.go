@@ -50,22 +50,8 @@ type guard struct {
 	smr.NoProtect // nothing is ever freed, so nothing needs a barrier
 }
 
-func (g *guard) Retire(p mem.Ptr) {
-	g.Push(p)
-	g.Forget()
-}
-
-func (g *guard) RetireBatch(ps []mem.Ptr) {
-	if len(ps) == 0 {
-		return
-	}
-	g.Handoff(len(ps))
-	g.PushChunk(ps)
-	g.Forget()
-}
-
-// Landed implements smr.Policy: a retired segment handle is counted for its
-// member records by the kernel, then dropped like every other retire.
+// Landed implements smr.Policy: whatever landed — records or a segment
+// handle — was counted by the kernel and is dropped.
 func (g *guard) Landed(int) { g.Forget() }
 
 // FullPass implements smr.Policy: every landing already emptied the bag, so

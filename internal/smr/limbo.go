@@ -12,8 +12,9 @@ import (
 // This file is the limbo kernel: everything about holding retired records
 // until they may be freed that does not depend on *why* they may be freed.
 // A scheme is its announcement layout, its trigger, its keep test and its
-// bound formula (DESIGN.md §16); the weighted bag, the counters and their
-// Stats fold, the handoff histogram, segment accounting, batch chunking,
+// bound formula (DESIGN.md §16); the retire path (Retire, RetireBatch and
+// RetireSegment), the weighted bag, the counters and their Stats fold, the
+// handoff histogram, the garbage-age sample, segment accounting, chunking,
 // orphan hand-off and adoption, the recovery body, the scan bracket and the
 // sweep exist here once. The kernel never asks which scheme it serves:
 // differences enter through Spec (burst, attach and round collection), the
@@ -40,22 +41,24 @@ type Spec struct {
 }
 
 // Policy is the guard-side half of what a scheme supplies: the hooks the
-// kernel's recovery and segment paths call back through, one indirect call
-// per pass or per segment, never per retired record. Limbo provides
-// no-op segment hooks, so a guard embedding it overrides only what it needs.
+// kernel's retire, recovery and segment paths call back through, one
+// indirect call per pass, per chunk or per segment, never per retired
+// record. Limbo provides Before and Landed defaults, so a guard embedding it
+// overrides only what it needs.
 type Policy interface {
-	// Retire is Guard.Retire: where RetireSegment sends a handle that is not
-	// a live segment.
-	Retire(p mem.Ptr)
 	// FullPass adopts every orphan and runs the scheme's full-strength
 	// reclamation pass over the bag (signal+scan, hazard scan, epoch
 	// advance+sweep), on behalf of a guard the caller owns.
 	FullPass()
-	// BeforeSegment sees a retiring segment handle p before its w records
-	// land in the bag: pre-append triggers and per-entry stamps.
-	BeforeSegment(p mem.Ptr, w int)
-	// Landed runs once the segment's w records are bagged: the scheme's
-	// post-append trigger, which its own Retire paths call too.
+	// Before sees the next records of a retire handoff before they land in
+	// the bag — ps, w record-weight in all — runs the scheme's pre-append
+	// trigger and per-entry stamps, and returns how many of ps land next.
+	// A RetireBatch chunk is ps[:take] with w = len(ps); a segment is the
+	// one handle ps[0] at its full weight w, and lands whole whatever the
+	// hook returns.
+	Before(ps []mem.Ptr, w int) int
+	// Landed runs once w record-weight is bagged: the scheme's post-append
+	// trigger.
 	Landed(w int)
 }
 
@@ -136,14 +139,18 @@ func (k *Kernel) Handoffs() hist.Histogram {
 }
 
 // AttachRegistry implements Member: the scheme adopts the registry's active
-// mask for its scans and registers its acquire hook. The release side is the
-// shared recovery path, which calls back through Quiescer. Must run after
-// construction and before any guard is used.
+// mask for its scans and its flight recorder, if any, for the retire path's
+// garbage-age samples, and registers its acquire hook. The release side is
+// the shared recovery path, which calls back through Quiescer. Must run
+// after construction and before any guard is used.
 func (k *Kernel) AttachRegistry(r *Registry) {
 	if r.MaxThreads() != len(k.limbos) {
 		panic(k.spec.Name + ": registry capacity does not match scheme thread count")
 	}
 	k.Reg, k.ActiveMask = r, r.Active()
+	if rec := r.Recorder(); rec != nil {
+		k.Rec = rec
+	}
 	r.OnAcquire(k.spec.Attach)
 }
 
@@ -236,8 +243,10 @@ type Limbo struct {
 	// count every member record behind one entry.
 	Bag  []mem.Ptr
 	BagW int
-	// batch is the sweep's FreeBatch scratch.
+	// batch is the sweep's FreeBatch scratch; one is Retire's one-record
+	// handoff and RetireSegment's handle, passed to Before without allocating.
 	batch []mem.Ptr
+	one   [1]mem.Ptr
 
 	// The counter block Stats folds. Schemes bump only Advances (epoch or
 	// era advances); the kernel maintains the rest.
@@ -273,30 +282,45 @@ func (l *Limbo) OnStale(p mem.Ptr) {
 	panic(l.k.spec.Name + ": use-after-free detected: " + p.String())
 }
 
-// BeforeSegment and Landed are Policy's no-op defaults.
-func (l *Limbo) BeforeSegment(mem.Ptr, int) {}
-func (l *Limbo) Landed(int)                 {}
+// Before and Landed are Policy's defaults: the whole handoff lands at
+// once, and nothing triggers after it.
+func (l *Limbo) Before(ps []mem.Ptr, _ int) int { return len(ps) }
+func (l *Limbo) Landed(int)                     {}
 
-// Handoff counts one retire handoff of n records in the size histogram.
-func (l *Limbo) Handoff(n int) { l.batches.Record(int64(n)) }
-
-// Push bags one retired record: a handoff of size 1.
-func (l *Limbo) Push(p mem.Ptr) {
-	l.Bag = append(l.Bag, p.Unmarked())
-	l.BagW++
-	l.Retired.Inc()
-	l.Handoff(1)
+// Retire implements Guard for every scheme: a RetireBatch of one record,
+// through a one-element array the Limbo holds so it does not allocate.
+func (l *Limbo) Retire(p mem.Ptr) {
+	l.one[0] = p
+	l.RetireBatch(l.one[:])
 }
 
-// PushChunk bags one chunk of a RetireBatch. Retired is counted per chunk,
-// not per handoff: a concurrent Stats sampler must never see a whole splice
-// as garbage before the split has had a chance to reclaim between chunks.
-func (l *Limbo) PushChunk(ps []mem.Ptr) {
-	for _, p := range ps {
-		l.Bag = append(l.Bag, p.Unmarked())
+// RetireBatch implements Guard for every scheme: one handoff, sampled once
+// for the garbage-age histogram, landed in the chunks the scheme's Before
+// sizes. A threshold-triggered scheme cuts each chunk where it fills the bag
+// to its trigger (Chunk), so the triggers fire at the bag weights a
+// per-record Retire loop would hit and one oversized splice never outruns
+// them; a scheme whose garbage is unbounded takes the whole batch with one
+// stamp or epoch check. Retired is counted per chunk, not per handoff: a
+// concurrent Stats sampler must never see a whole splice as garbage before
+// the split has had a chance to reclaim between chunks.
+func (l *Limbo) RetireBatch(ps []mem.Ptr) {
+	if len(ps) == 0 {
+		return
 	}
-	l.BagW += len(ps)
-	l.Retired.Add(uint64(len(ps)))
+	l.batches.Record(int64(len(ps)))
+	if rec := l.k.Rec; rec.Enabled() { // inlined: one branch while disabled
+		rec.SampleRetire(uint64(ps[0].Unmarked()))
+	}
+	for len(ps) > 0 {
+		take := l.policy.Before(ps, len(ps))
+		for _, p := range ps[:take] {
+			l.Bag = append(l.Bag, p.Unmarked())
+		}
+		l.BagW += take
+		l.Retired.Add(uint64(take))
+		ps = ps[take:]
+		l.policy.Landed(take)
+	}
 }
 
 // Forget empties the bag without freeing: the leaky baseline's whole pass.
@@ -335,24 +359,24 @@ func (l *Limbo) RetireSegment(p mem.Ptr) {
 	k := l.k
 	w := mem.SegWeight(k.segs, p)
 	if w <= 1 {
-		l.policy.Retire(p)
+		l.Retire(p)
 		return
 	}
-	l.Handoff(w)
-	p = p.Unmarked()
-	l.policy.BeforeSegment(p, w)
+	l.batches.Record(int64(w))
+	l.one[0] = p.Unmarked()
+	if k.Rec.Enabled() {
+		k.Rec.Rec(l.tid, obs.EvSegRetire, uint64(w))
+		k.Rec.SampleRetire(uint64(l.one[0]))
+	}
+	l.policy.Before(l.one[:], w)
 	// Noted before bagging: a concurrent GarbageBound reader must never see
 	// segment garbage under a pre-segment (or lighter) bound.
 	k.maxW.Raise(uint64(w))
-	l.Bag = append(l.Bag, p)
+	l.Bag = append(l.Bag, l.one[0])
 	l.BagW += w
 	l.Retired.Add(uint64(w))
 	l.Segments.Inc()
 	l.SegRecords.Add(uint64(w))
-	if k.Rec.Enabled() {
-		k.Rec.Rec(l.tid, obs.EvSegRetire, uint64(w))
-		k.Rec.SampleRetire(uint64(p))
-	}
 	l.policy.Landed(w)
 }
 

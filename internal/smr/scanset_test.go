@@ -23,12 +23,11 @@ func (a *countingArena) Valid(mem.Ptr) bool   { return true }
 func (a *countingArena) SizeCache(int, int)   {}
 func (a *countingArena) DrainCache(int)       {}
 
-// bareGuard is the least a guard supplies: the kernel's Limbo plus the two
-// Policy methods without defaults.
+// bareGuard is the least a guard supplies: the kernel's Limbo plus the one
+// Policy method without a default.
 type bareGuard struct{ Limbo }
 
-func (g *bareGuard) Retire(p mem.Ptr) { g.Push(p) }
-func (g *bareGuard) FullPass()        {}
+func (g *bareGuard) FullPass() {}
 
 // TestSweepBagFruitlessScanSkipsArena pins the empty-batch fix: a sweep in
 // which every bag record is reserved must not touch the arena at all — the

@@ -470,3 +470,58 @@ func TestRuntimeUnknownNames(t *testing.T) {
 	_, err = rt.NewSet("bogus")
 	check(`NewSet("bogus")`, err, `unknown data structure "bogus"`)
 }
+
+// TestRuntimeGarbageAgeEveryScheme pins that the flight recorder's
+// garbage_age histogram fills under every scheme that frees records: the
+// retire path samples one record per handoff in the limbo kernel, which
+// every scheme shares, and the bound registry hands every scheme its
+// recorder. Sessions churn a list under With, then Drain frees what is left,
+// so every sampled record reaches the hub's free seam.
+func TestRuntimeGarbageAgeEveryScheme(t *testing.T) {
+	for _, scheme := range nbr.Schemes() {
+		if scheme == "none" {
+			continue // never frees: no record has an age to measure
+		}
+		t.Run(scheme, func(t *testing.T) {
+			rt, err := nbr.NewRuntime(nbr.RuntimeOptions{Scheme: scheme, MaxThreads: 4, BagSize: 64, Threshold: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt.Observe(true)
+			set, err := rt.NewSet("lazylist")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			for s := uint64(0); s < 200; s++ {
+				if err := rt.With(ctx, func(l *nbr.Lease) error {
+					for k := s * 8; k < s*8+8; k++ {
+						set.Insert(l, k)
+					}
+					for k := s * 8; k < s*8+8; k++ {
+						set.Delete(l, k)
+					}
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := rt.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			snap := rt.Snapshot(0)
+			if snap.Stats.Freed == 0 {
+				t.Fatal("nothing was freed; the churn did not exercise reclamation")
+			}
+			age := -1
+			for _, h := range snap.Recorder.Hists {
+				if h.Name == "garbage_age" {
+					age = int(h.Count)
+				}
+			}
+			if age <= 0 {
+				t.Fatalf("garbage_age holds %d samples after %d records were freed", age, snap.Stats.Freed)
+			}
+		})
+	}
+}
