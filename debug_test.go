@@ -10,8 +10,22 @@ import (
 )
 
 // TestRuntimeDebugHandler: /debug/nbr serves a parseable JSON snapshot whose
-// counters, quantiles and event tail reflect real traffic.
+// counters, quantiles and event tail reflect real traffic. Its two inputs
+// differ in one lease: with a second lease held through the retire burst,
+// every reclamation signals that peer, and the signal group's posts must
+// reach the timeline (the recorder Bind hands the scheme must reach its
+// signal group too); alone, there is nobody to signal and no post.
 func TestRuntimeDebugHandler(t *testing.T) {
+	for _, peer := range []bool{false, true} {
+		name := "alone"
+		if peer {
+			name = "peer-held"
+		}
+		t.Run(name, func(t *testing.T) { debugHandlerRun(t, peer) })
+	}
+}
+
+func debugHandlerRun(t *testing.T, peer bool) {
 	rt, err := NewRuntime(RuntimeOptions{Scheme: "nbr+", MaxThreads: 4, BagSize: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -20,6 +34,13 @@ func TestRuntimeDebugHandler(t *testing.T) {
 	set, err := rt.NewSet("harris")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if peer {
+		held, err := rt.Acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer held.Release()
 	}
 	ctx := context.Background()
 	if err := rt.With(ctx, func(l *Lease) error {
@@ -94,6 +115,13 @@ func TestRuntimeDebugHandler(t *testing.T) {
 	}
 	if len(snap.Recorder.Events) == 0 {
 		t.Fatal("event tail empty")
+	}
+	posted := false
+	for _, e := range snap.Recorder.Events {
+		posted = posted || e.Code == "signal-post"
+	}
+	if posted != peer {
+		t.Fatalf("signal-post on the timeline = %v with a peer held = %v", posted, peer)
 	}
 
 	// The dump surface renders the same timeline as text.

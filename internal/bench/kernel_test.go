@@ -9,46 +9,6 @@ import (
 	"nbr/internal/smr"
 )
 
-// TestSchemeSeams pins which seams every scheme implements. Every scheme is
-// a full registry Member through the embedded kernel; Registry.Bind
-// discovers SlotRevoker by type assertion and the harnesses Recordable, so a
-// signal-capable scheme losing either to an embedding slip would go
-// unnoticed.
-func TestSchemeSeams(t *testing.T) {
-	every := []string{"Member", "Drainer"}
-	signalling := append([]string{"SlotRevoker", "Recordable"}, every...)
-	want := map[string][]string{
-		"none": every, "qsbr": every, "rcu": every, "debra": every,
-		"ibr": every, "hp": every, "he": every,
-		"nbr": signalling, "nbr+": signalling,
-	}
-	for _, name := range catalog.SchemeNames {
-		pool := mem.NewPool[retireRec](mem.Config{MaxThreads: 2})
-		sch, err := catalog.NewScheme(name, pool, 2, retireCfg())
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, member := sch.(smr.Member)
-		_, drainer := sch.(smr.Drainer)
-		_, revoker := sch.(smr.SlotRevoker)
-		_, recordable := sch.(smr.Recordable)
-		got := map[string]bool{
-			"Member": member, "Drainer": drainer, "SlotRevoker": revoker, "Recordable": recordable,
-		}
-		for _, seam := range want[name] {
-			if !got[seam] {
-				t.Errorf("%s: lost smr.%s", name, seam)
-			}
-			delete(got, seam)
-		}
-		for seam, has := range got {
-			if has {
-				t.Errorf("%s: implements undeclared smr.%s", name, seam)
-			}
-		}
-	}
-}
-
 // segArena is a recording fake mem.SegmentArena: handles are small
 // integers, a segment is a directory entry, and every free is recorded.
 type segArena struct {
@@ -119,7 +79,7 @@ func TestSegmentLandsWhole(t *testing.T) {
 			// arena sees is what the scheme bagged.
 			for round := 0; round < 4; round++ {
 				for tid := 0; tid < threads; tid++ {
-					sch.(smr.Drainer).Drain(tid)
+					sch.Drain(tid)
 				}
 			}
 			want := 1
@@ -141,7 +101,7 @@ func TestSegmentLandsWhole(t *testing.T) {
 
 // TestSchemeAllocs pins "0 allocs/op" for every scheme's two reclamation
 // paths once warm: (a) a retire→pass cycle, and (b) the recovery path a
-// lease release runs (the three Quiescer calls of Registry.runRecovery)
+// lease release runs (Registry.runRecovery's Recover and ResetSlot)
 // while a peer pins the survivors, so they travel to the orphan list and
 // back on every run.
 func TestSchemeAllocs(t *testing.T) {
@@ -200,7 +160,6 @@ func TestSchemeAllocs(t *testing.T) {
 			if name == "none" {
 				return
 			}
-			q := sch.(smr.Member)
 			peer, err := reg.Acquire()
 			if err != nil {
 				t.Fatal(err)
@@ -219,9 +178,8 @@ func TestSchemeAllocs(t *testing.T) {
 			release := func() {
 				retire(pinned[0])
 				pinned = pinned[1:]
-				q.ReclaimAll(worker.Tid())
-				q.OrphanSurvivors(worker.Tid())
-				q.ResetSlot(worker.Tid())
+				sch.Recover(worker.Tid())
+				sch.ResetSlot(worker.Tid())
 			}
 			pin()
 			for i := 0; i < rehearsal; i++ {
@@ -237,8 +195,8 @@ func TestSchemeAllocs(t *testing.T) {
 			pg.EndRead()
 			pg.EndOp()
 			for round := 0; round < 4; round++ {
-				sch.(smr.Drainer).Drain(worker.Tid())
-				sch.(smr.Drainer).Drain(peer.Tid())
+				sch.Drain(worker.Tid())
+				sch.Drain(peer.Tid())
 			}
 			pin()
 			if got := testing.AllocsPerRun(runs, release); got != 0 {

@@ -73,9 +73,10 @@ func (c Config) withDefaults() Config {
 // Scheme is an NBR or NBR+ instance bound to one arena.
 type Scheme struct {
 	// Kernel owns the limbo bags, counters, segment accounting, membership
-	// (the active mask every reservation scan and signal broadcast iterates)
-	// and the recovery path; this type adds NBR's announcement layout,
-	// watermark trigger and reservation keep test.
+	// (the active mask every reservation scan and signal broadcast iterates),
+	// the recovery path, and the signal group's wiring (Spec.Signals); this
+	// type adds NBR's announcement layout, watermark trigger and reservation
+	// keep test.
 	smr.Kernel
 	cfg   Config
 	group *sigsim.Group
@@ -124,8 +125,8 @@ func New(arena mem.Arena, threads int, cfg Config) *Scheme {
 		Collect: func() {
 			s.forceScan.CollectRows(s.reservations, cfg.Slots, s.ActiveMask)
 		},
+		Signals: s.group,
 	})
-	s.group.SetActive(s.ActiveMask)
 	s.gs = make([]*guard, threads)
 	for i := range s.gs {
 		g := &guard{
@@ -142,17 +143,6 @@ func New(arena mem.Arena, threads int, cfg Config) *Scheme {
 
 // Guard implements smr.Scheme.
 func (s *Scheme) Guard(tid int) smr.Guard { return s.gs[tid] }
-
-// Stats implements smr.Scheme: the kernel's counter fold plus the signal
-// group's counters.
-func (s *Scheme) Stats() smr.Stats {
-	st := s.Kernel.Stats()
-	gs := s.group.Stats()
-	st.Signals = gs.Sent
-	st.Neutralized = gs.Neutralized
-	st.Ignored = gs.Ignored
-	return st
-}
 
 // ThreadBound returns the worst-case number of unreclaimed records one
 // thread can hold: Lemma 10's HiWatermark + R·(N−1), with the batch-split
@@ -180,23 +170,6 @@ func (s *Scheme) GarbageBound() int {
 	return n*s.ThreadBound() + n*n*s.cfg.Slots*s.SegW()
 }
 
-// AttachRegistry implements smr.Member: on top of the kernel's wiring the
-// signal group adopts the registry's active mask and the scheme's flight
-// recorder. Must be called before any guard is used.
-func (s *Scheme) AttachRegistry(r *smr.Registry) {
-	s.Kernel.AttachRegistry(r)
-	s.group.SetActive(s.ActiveMask)
-	s.group.SetRecorder(s.Rec)
-}
-
-// SetRecorder implements smr.Recordable: the scheme and its signal group
-// join the recorder's timeline. Bind wires it from the registry; fixed-N
-// harnesses (dstest) call it directly. Construction-time wiring only.
-func (s *Scheme) SetRecorder(rec *obs.Recorder) {
-	s.Rec = rec
-	s.group.SetRecorder(rec)
-}
-
 // attachThread readies slot tid for a new leaseholder: stale signal posts
 // aimed at the predecessor are absorbed, the reservation row is cleared, and
 // the NBR+ lease-local watermark state is reset. announceTS is deliberately
@@ -209,7 +182,7 @@ func (s *Scheme) attachThread(tid int) {
 	s.gs[tid].bookmark = 0
 }
 
-// ResetSlot implements smr.Quiescer: neutralize tid's announcement state.
+// ResetSlot implements smr.Scheme: neutralize tid's announcement state.
 // announceTS stays monotone across occupants (see attachThread).
 func (s *Scheme) ResetSlot(tid int) {
 	g := s.gs[tid]
@@ -218,12 +191,6 @@ func (s *Scheme) ResetSlot(tid int) {
 	}
 	g.cleanUp()
 }
-
-// RevokeSlot implements smr.SlotRevoker: post a sticky revocation so a
-// zombie occupant still running on tid is killed (sigsim.Revoked) at its
-// next delivery point — the same channel neutralization uses, aimed at one
-// slot.
-func (s *Scheme) RevokeSlot(tid int) { s.group.Revoke(tid) }
 
 // LimboLen reports thread tid's current limbo-bag population (test hook;
 // call only from tid or while tid is quiescent).
@@ -463,8 +430,13 @@ func (g *guard) signalAll() {
 
 // FullPass implements smr.Policy: adopt all orphans and run one full
 // signal-and-scan reclamation over everything the bag holds. Records reserved
-// by concurrently active peers survive in the bag.
+// by concurrently active peers survive in the bag. The caller owns this
+// thread between operations, so its own row reserves nothing the thread
+// still uses: clearing it lets the pass free what the last delete retired.
 func (g *guard) FullPass() {
+	for i := range g.row {
+		g.row[i].Store(0)
+	}
 	g.Adopt(0)
 	if len(g.Bag) == 0 {
 		return

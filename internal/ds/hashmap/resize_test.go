@@ -219,8 +219,8 @@ func TestOversizedSegmentReader(t *testing.T) {
 				if st := sch.Stats(); st.Retired == st.Freed {
 					break
 				}
-				sch.(smr.Drainer).Drain(0)
-				sch.(smr.Drainer).Drain(1)
+				sch.Drain(0)
+				sch.Drain(1)
 			}
 			st = sch.Stats()
 			if st.Retired != st.Freed {

@@ -107,17 +107,14 @@ func newScheme(t *testing.T, name string, inst Instance, threads int) smr.Scheme
 	return s
 }
 
-// observe wires an enabled flight recorder into a freshly built scheme when
-// the scheme supports one (the NBR family implements smr.Recordable); the
-// rest return a recorder that stays empty but is still nil-safe to dump. The
-// suites run with the recorder always on: the one-branch cost is irrelevant
-// at test scale, and every bound violation then fails with a timeline.
+// observe wires an enabled flight recorder into a freshly built scheme and
+// its signal group, if any. The suites run with the recorder always on: the
+// one-branch cost is irrelevant at test scale, and every bound violation
+// then fails with a timeline.
 func observe(sch smr.Scheme, threads int) *obs.Recorder {
 	rec := obs.NewRecorder(threads)
 	rec.Enable()
-	if r, ok := sch.(smr.Recordable); ok {
-		r.SetRecorder(rec)
-	}
+	sch.SetRecorder(rec)
 	return rec
 }
 

@@ -96,12 +96,8 @@ func FuzzSetOps(f *testing.F) {
 		if err := set.Validate(); err != nil {
 			t.Fatalf("%s/%s: %v", structure, scheme, err)
 		}
-		// The last operation's announcements (an NBR reservation, a hazard)
-		// stand until the thread's next operation; clearing them is what a
-		// lease release does before its recovery drains.
-		sch.(smr.Quiescer).ResetSlot(0)
 		for round := 0; round < 4; round++ {
-			sch.(smr.Drainer).Drain(0)
+			sch.Drain(0)
 		}
 		st := sch.Stats()
 		if st.Invalid() {

@@ -204,7 +204,7 @@ func churnLeases(t *testing.T, f Factory, scheme string, kills bool) {
 
 	// Zero stranded slots: every slot — reaped ones included — must be
 	// acquirable again. Acquire forces the missing rounds through the bound
-	// scheme, so aging needs no manual NoteRound here.
+	// scheme, so aging needs no manual round here.
 	held := make([]*smr.Lease, 0, maxThreads)
 	for len(held) < maxThreads {
 		l, err := acquireRetry(reg)

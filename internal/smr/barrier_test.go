@@ -90,12 +90,12 @@ func TestBarrierAnnouncesUnderHP(t *testing.T) {
 	reader.BeginOp()
 	b.Protect(0, p)
 	writer.Retire(p)
-	sch.(smr.Drainer).Drain(1)
+	sch.Drain(1)
 	if !pool.Valid(p) {
 		t.Fatal("record freed under a hazard published through the barrier")
 	}
 	reader.EndOp()
-	sch.(smr.Drainer).Drain(1)
+	sch.Drain(1)
 	if pool.Valid(p) {
 		t.Fatal("record survived the drain after its hazard was cleared")
 	}

@@ -74,7 +74,7 @@ func (s *Scheme) attachThread(tid int) {
 	s.ResetSlot(tid)
 }
 
-// ResetSlot implements smr.Quiescer: announce tid quiescent at its last
+// ResetSlot implements smr.Scheme: announce tid quiescent at its last
 // local epoch so a vacant slot cannot pin the epoch. Recovery has emptied
 // the bag, so the rotation mark restarts with it.
 func (s *Scheme) ResetSlot(tid int) {

@@ -93,7 +93,7 @@ func (s *Scheme) Guard(tid int) smr.Guard { return s.gs[tid] }
 // GarbageBound implements smr.Scheme: neither discipline bounds garbage.
 func (s *Scheme) GarbageBound() int { return smr.Unbounded }
 
-// ResetSlot implements smr.Quiescer, and readies the slot for a new
+// ResetSlot implements smr.Scheme, and readies the slot for a new
 // leaseholder: announce that tid holds no record pointers — the current
 // epoch under QSBR, so a predecessor's ancient announcement can never stall
 // the epoch the moment the slot re-activates; the idle sentinel under RCU.

@@ -138,7 +138,7 @@ func (s *Scheme) GarbageBound() int {
 	return len(s.gs)*(t+(t+2)*s.SegW()) + s.Pinned()
 }
 
-// ResetSlot implements smr.Quiescer, and readies the slot for a new
+// ResetSlot implements smr.Scheme, and readies the slot for a new
 // leaseholder: clear tid's announcements.
 func (s *Scheme) ResetSlot(tid int) {
 	g := s.gs[tid]

@@ -95,7 +95,7 @@ func (s *Scheme) GarbageBound() int {
 	return n*(s.cfg.Threshold+(n*s.cfg.Slots+1)*segW) + n*n*s.cfg.Slots*segW
 }
 
-// ResetSlot implements smr.Quiescer, and readies the slot for a new
+// ResetSlot implements smr.Scheme, and readies the slot for a new
 // leaseholder: clear tid's hazard announcements.
 func (s *Scheme) ResetSlot(tid int) {
 	g := s.gs[tid]

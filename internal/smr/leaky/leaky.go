@@ -39,7 +39,7 @@ func (s *Scheme) Guard(tid int) smr.Guard { return s.gs[tid] }
 // unbounded by construction (the memory-usage worst case in every figure).
 func (s *Scheme) GarbageBound() int { return smr.Unbounded }
 
-// ResetSlot implements smr.Quiescer: leaky announces nothing, so a slot has
+// ResetSlot implements smr.Scheme: leaky announces nothing, so a slot has
 // no state to clear.
 func (s *Scheme) ResetSlot(int) {}
 

@@ -17,8 +17,9 @@ import (
 // handoff histogram, the garbage-age sample, segment accounting, chunking,
 // orphan hand-off and adoption, the recovery body, the scan bracket and the
 // sweep exist here once. The kernel never asks which scheme it serves:
-// differences enter through Spec (burst, attach and round collection), the
-// Policy hooks, and the collect/keep functions a scheme hands to Scan.
+// differences enter through Spec (burst, attach, round collection and signal
+// group), the Policy hooks, and the collect/keep functions a scheme hands to
+// Scan.
 
 // Spec is what a scheme declares to the kernel at construction.
 type Spec struct {
@@ -38,6 +39,11 @@ type Spec struct {
 	// active mask that frees nothing: the body of a forced round. The kernel
 	// serializes calls, so it may use scheme-level scratch.
 	Collect func()
+	// Signals is the scheme's neutralization signal group, nil for every
+	// scheme but the NBR family. The kernel keeps it on the membership mask
+	// and the recorder, folds its counters into Stats, and posts RevokeSlot
+	// through it.
+	Signals *sigsim.Group
 }
 
 // Policy is the guard-side half of what a scheme supplies: the hooks the
@@ -63,8 +69,7 @@ type Policy interface {
 }
 
 // Kernel is the scheme-level half of the limbo kernel, embedded by every
-// scheme. It implements Scheme (except Guard and GarbageBound), Drainer and
-// — with the scheme's own ResetSlot — Quiescer and Member.
+// scheme. It implements Scheme except Guard, GarbageBound and ResetSlot.
 type Kernel struct {
 	spec Spec
 	// Arena is the arena retired records are freed to.
@@ -100,6 +105,9 @@ func (k *Kernel) Init(spec Spec) {
 	k.segs = mem.AsSegmentArena(spec.Arena)
 	k.ActiveMask = sigsim.FullActiveSet(spec.Threads)
 	k.limbos = make([]*Limbo, spec.Threads)
+	if g := spec.Signals; g != nil {
+		g.SetActive(k.ActiveMask)
+	}
 }
 
 // Bind wires guard tid's Limbo into the kernel; p is the guard itself.
@@ -115,7 +123,8 @@ func (k *Kernel) Name() string { return k.spec.Name }
 // ReclaimBurst implements Scheme.
 func (k *Kernel) ReclaimBurst() int { return k.spec.Burst }
 
-// Stats implements Scheme: the one fold over the per-guard counter blocks.
+// Stats implements Scheme: the one fold over the per-guard counter blocks
+// and the signal group's counters.
 func (k *Kernel) Stats() Stats {
 	var st Stats
 	for _, l := range k.limbos {
@@ -125,6 +134,10 @@ func (k *Kernel) Stats() Stats {
 		st.Advances += l.Advances.Load()
 		st.Segments += l.Segments.Load()
 		st.SegRecords += l.SegRecords.Load()
+	}
+	if g := k.spec.Signals; g != nil {
+		gs := g.Stats()
+		st.Signals, st.Neutralized, st.Ignored = gs.Sent, gs.Neutralized, gs.Ignored
 	}
 	return st
 }
@@ -138,23 +151,37 @@ func (k *Kernel) Handoffs() hist.Histogram {
 	return h
 }
 
-// AttachRegistry implements Member: the scheme adopts the registry's active
-// mask for its scans and its flight recorder, if any, for the retire path's
-// garbage-age samples, and registers its acquire hook. The release side is
-// the shared recovery path, which calls back through Quiescer. Must run
-// after construction and before any guard is used.
+// AttachRegistry implements Scheme: the scheme and its signal group adopt
+// the registry's active mask, and the scheme registers its acquire hook.
 func (k *Kernel) AttachRegistry(r *Registry) {
 	if r.MaxThreads() != len(k.limbos) {
 		panic(k.spec.Name + ": registry capacity does not match scheme thread count")
 	}
 	k.Reg, k.ActiveMask = r, r.Active()
-	if rec := r.Recorder(); rec != nil {
-		k.Rec = rec
+	if g := k.spec.Signals; g != nil {
+		g.SetActive(k.ActiveMask)
 	}
 	r.OnAcquire(k.spec.Attach)
 }
 
-// ForceRound implements Member: Spec.Collect as one completed scan round,
+// SetRecorder implements Scheme: the retire path's garbage-age samples and
+// the signal group's events join rec's timeline.
+func (k *Kernel) SetRecorder(rec *obs.Recorder) {
+	k.Rec = rec
+	if g := k.spec.Signals; g != nil {
+		g.SetRecorder(rec)
+	}
+}
+
+// RevokeSlot implements Scheme: a sticky revocation through the signal
+// group — the channel neutralization uses, aimed at one slot.
+func (k *Kernel) RevokeSlot(tid int) {
+	if g := k.spec.Signals; g != nil {
+		g.Revoke(tid)
+	}
+}
+
+// ForceRound implements Scheme: Spec.Collect as one completed scan round,
 // bracketed so it counts toward quarantine aging. The round counter
 // certifies "a collection that began after a release has completed", nothing
 // about sweeping. Only the bound registry calls it.
@@ -166,24 +193,20 @@ func (k *Kernel) ForceRound() {
 	k.Reg.EndScan()
 }
 
-// Drain implements Drainer: one full-strength pass on behalf of tid, which
+// Drain implements Scheme: one full-strength pass on behalf of tid, which
 // the caller must own. Records peers still protect survive in the bag.
 func (k *Kernel) Drain(tid int) { k.limbos[tid].policy.FullPass() }
 
-// ReclaimAll implements Quiescer: the recovery path's reclamation attempt is
-// a Drain, run by whichever goroutine recovers the slot (owner or reaper)
-// after it left the active mask, and then the slot's allocator caches go to
-// the shared shards — the records the Drain freed among them — so nothing
-// recyclable is stranded while the slot sits unleased.
-func (k *Kernel) ReclaimAll(tid int) {
+// Recover implements Scheme, run by whichever goroutine recovers the slot
+// (owner or reaper) after it left the active mask: a Drain; then the slot's
+// allocator caches go to the shared shards — the records the Drain freed
+// among them — so nothing recyclable is stranded while the slot sits
+// unleased; then whatever the Drain could not free goes to the registry's
+// orphan list, bag slice and all, for the next reclaimer to adopt. Header
+// stamps (eras, epochs) travel with the records.
+func (k *Kernel) Recover(tid int) {
 	k.Drain(tid)
 	k.Arena.DrainCache(tid)
-}
-
-// OrphanSurvivors implements Quiescer: hand whatever ReclaimAll could not
-// free to the registry's orphan list, bag slice and all, for the next
-// reclaimer to adopt. Header stamps (eras, epochs) travel with the records.
-func (k *Kernel) OrphanSurvivors(tid int) {
 	l := k.limbos[tid]
 	if len(l.Bag) == 0 {
 		return

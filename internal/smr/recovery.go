@@ -2,57 +2,23 @@ package smr
 
 import "nbr/internal/obs"
 
-// This file is the shared quiesce/recovery path. Before it existed, every
-// scheme re-implemented the same release choreography in a private detach
-// hook: adopt the orphan list, run one full reclamation attempt, drain the
-// slot's allocator caches, orphan the survivors, clear the slot's
-// announcements. Voluntary Release, panic-unwind release and involuntary
-// revocation (the lease watchdog reaping a wedged holder) all need exactly
-// that sequence, so it lives here once, owned by the Registry, and schemes
-// keep only the scheme-specific residue behind the Quiescer interface.
-
-// Quiescer is the scheme-side residue of the recovery path: the three steps
-// whose *content* differs per scheme while their order and surroundings are
-// protocol. Every Member is one. All three are called with the slot already
-// out of the active mask, by whichever goroutine runs the recovery — the
-// owner on a voluntary Release, the reaper on a revocation.
-type Quiescer interface {
-	// ReclaimAll adopts any orphaned records into tid's bags, runs one full
-	// reclamation attempt on them (signal+scan, hazard scan, epoch
-	// advance+sweep — whatever the scheme's full-strength pass is), and
-	// drains tid's allocator caches to the shared shards so the freed
-	// records are not stranded while the slot sits unleased.
-	ReclaimAll(tid int)
-	// OrphanSurvivors hands whatever ReclaimAll could not free to the
-	// registry's orphan list and empties tid's bags: the records were
-	// reserved or pinned by peers mid-release and will be adopted by the
-	// next reclaimer DEBRA-style.
-	OrphanSurvivors(tid int)
-	// ResetSlot clears tid's announcement and guard-local state for the next
-	// occupant (the scheme-specific half; signal-state absorption happens in
-	// the scheme's acquire hook).
-	ResetSlot(tid int)
-}
-
-// SlotRevoker is implemented by schemes with a signal channel to a running
-// occupant (the NBR family): RevokeSlot posts a sticky revocation so a
-// zombie still executing on the slot is killed at its next delivery point
-// (sigsim.Revoked) instead of racing its successor. Schemes without delivery
-// points rely on the lease-value guard at the public operation layer.
-type SlotRevoker interface {
-	RevokeSlot(tid int)
-}
+// This file is the shared quiesce/recovery path. Voluntary Release,
+// panic-unwind release and involuntary revocation (the lease watchdog
+// reaping a wedged holder) all need the same sequence — adopt the orphan
+// list, run one full reclamation attempt, drain the slot's allocator caches,
+// orphan the survivors, clear the slot's announcements — so it lives here
+// once, owned by the Registry. The scheme's half is two calls: the kernel's
+// Recover, the same body for every scheme, and the scheme's own ResetSlot.
 
 // runRecovery is the one quiesce path every release flavor converges on:
-// the bound member's Quiescer steps in protocol order, then any registered
-// release hooks, on the calling goroutine. The caller has already removed
-// tid from the active mask and owns the slot's guard-local state — as the
-// lease holder, or as the reaper of a holder that is presumed wedged (see
+// the bound scheme's Recover and ResetSlot, then any registered release
+// hooks, on the calling goroutine. The caller has already removed tid from
+// the active mask and owns the slot's guard-local state — as the lease
+// holder, or as the reaper of a holder that is presumed wedged (see
 // Registry.Revoke for why that is sound).
 func (r *Registry) runRecovery(tid int) {
-	r.member.ReclaimAll(tid)
-	r.member.OrphanSurvivors(tid)
-	r.member.ResetSlot(tid)
+	r.scheme.Recover(tid)
+	r.scheme.ResetSlot(tid)
 	for _, f := range r.onRelease {
 		f(tid)
 	}
@@ -72,8 +38,8 @@ func (r *Registry) finishRelease(tid int) {
 // Revoke forcibly releases a lease the holder will never return — the
 // watchdog's reap path. It returns false (and does nothing) if the lease was
 // already released or revoked. On success the slot leaves the active mask, a
-// sticky revocation is posted through the scheme's signal machinery when it
-// has one (SlotRevoker), the shared recovery path runs on the CALLER's
+// sticky revocation is posted through the scheme's signal group when it has
+// one (RevokeSlot), the shared recovery path runs on the CALLER's
 // goroutine, and the slot enters quarantine and passes to the next
 // AcquireCtx waiter, as on a voluntary Release.
 //
@@ -103,9 +69,7 @@ func (r *Registry) Revoke(l *Lease) bool {
 		r.rec.ObserveSince(obs.HistLeaseHold, l.start)
 		r.rec.Sys(obs.EvRevoke, uint64(l.tid))
 	}
-	if rv := r.revoker; rv != nil {
-		rv.RevokeSlot(l.tid)
-	}
+	r.scheme.RevokeSlot(l.tid)
 	r.runRecovery(l.tid)
 	r.reaped.Add(1)
 	r.finishRelease(l.tid)

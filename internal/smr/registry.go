@@ -21,46 +21,16 @@ type ActiveSet = sigsim.ActiveSet
 // quarantined, or an AcquireCtx waiter is queued for the next free one.
 var ErrRegistryFull = errors.New("smr: registry full (every slot leased or quarantined)")
 
-// Member is what a scheme must be to serve a Registry; every scheme is one,
-// through the embedded Kernel. AttachRegistry must be called exactly once,
-// after construction and before any guard is used: the scheme adopts the
-// registry's active mask for its scans and signals, registers its acquire
-// hook, and starts adopting the registry's orphan list during reclamation.
-// The Quiescer steps are the scheme's half of the shared recovery path
-// (recovery.go). ForceRound completes one scan round on demand, without
-// owning a thread slot: one bracketed (BeginScan/EndScan) collection over
-// the scheme's announcement state under the active mask, freeing nothing.
-// It advances the quarantine-aging clock exactly as an organic round from a
-// peer would — the round counter certifies "a collection that began after
-// the release has completed", nothing about sweeping — and must be safe for
-// concurrent use: any acquirer may force a round.
-type Member interface {
-	Scheme
-	Quiescer
-	AttachRegistry(r *Registry)
-	ForceRound()
-}
-
-// Drainer is implemented by schemes that can make reclamation progress on
-// demand: adopt any orphaned records and run a full scan/sweep on behalf of
-// thread tid (which the caller must own, via a lease or fixed-N convention).
-// One call makes one pass; epoch-based schemes need a few consecutive calls
-// at quiescence to walk their grace periods forward.
-type Drainer interface {
-	Drain(tid int)
-}
-
 // DrainQuiet makes Drain passes on behalf of tid until every retired record
 // is freed. At quiescence that takes a few passes (64 is far past any
 // scheme's grace-period walk); under concurrent traffic it is a best-effort
-// burst. A scheme that is no Drainer is left alone.
+// burst.
 func DrainQuiet(s Scheme, tid int) {
-	d, ok := s.(Drainer)
-	for i := 0; ok && i < 64; i++ {
+	for i := 0; i < 64; i++ {
 		if st := s.Stats(); st.Retired == st.Freed {
 			return
 		}
-		d.Drain(tid)
+		s.Drain(tid)
 	}
 }
 
@@ -88,15 +58,13 @@ func DrainQuiet(s Scheme, tid int) {
 type Registry struct {
 	max    int
 	active *ActiveSet
-	rounds atomic.Uint64 // completed reclamation scan rounds (EndScan/NoteRound)
+	rounds atomic.Uint64 // completed reclamation scan rounds (EndScan)
 
-	// member is the bound scheme: the recovery residue of the shared
-	// release/revocation path (recovery.go) and the forced-round driver of
-	// quarantine aging. forced counts the rounds take forced. revoker is the
-	// scheme's sticky-revocation channel, when it has one.
-	member  Member
-	forced  atomic.Uint64
-	revoker SlotRevoker
+	// scheme is the bound scheme: its half of the shared release and
+	// revocation path (recovery.go) and the forced-round driver of
+	// quarantine aging. forced counts the rounds take forced.
+	scheme Scheme
+	forced atomic.Uint64
 	// Crash-safety counters: reaped counts successful Revokes,
 	// revokedReleases counts a zombie's late Release arriving after its
 	// lease was revoked (the counted no-op).
@@ -104,8 +72,8 @@ type Registry struct {
 	revokedReleases atomic.Uint64
 
 	// rec is the flight recorder (nil or disabled: one branch per event
-	// site). Schemes bound to this registry pull it via Recorder() so the
-	// whole pipeline shares one timeline.
+	// site). Bind hands it to the scheme so the whole pipeline shares one
+	// timeline.
 	rec *obs.Recorder
 
 	mu         sync.Mutex
@@ -160,38 +128,23 @@ func (r *Registry) MaxThreads() int { return r.max }
 // at AttachRegistry time; it must not be mutated except through leases.
 func (r *Registry) Active() *ActiveSet { return r.active }
 
-// Bind wires a scheme into the registry: the scheme adopts the active mask
-// and registers its membership hooks, and the registry keeps it as the
-// member whose recovery steps and forced rounds the lease paths call, plus
-// its sticky-revocation channel (SlotRevoker) when it has one. It must run
-// after the scheme is constructed and before any guard is used. Bind panics
-// if the scheme is not a Member.
+// Bind wires a scheme into the registry: the scheme adopts the active mask,
+// registers its membership hooks and, when the registry has one, the flight
+// recorder; the registry keeps it as the scheme whose recovery steps, forced
+// rounds and revocations the lease paths call. It must run after the scheme
+// is constructed and before any guard is used.
 func (r *Registry) Bind(s Scheme) {
-	m, ok := s.(Member)
-	if !ok {
-		panic("smr: scheme does not implement smr.Member; cannot Bind")
+	s.AttachRegistry(r)
+	if r.rec != nil {
+		s.SetRecorder(r.rec)
 	}
-	m.AttachRegistry(r)
-	r.member = m
-	r.revoker, _ = s.(SlotRevoker)
-}
-
-// Recordable is implemented by schemes (and other pipeline components) that
-// can attach a flight recorder. core.Scheme implements it; harnesses that
-// run schemes without a registry (dstest's fixed-N suites) wire the recorder
-// through this instead of Bind.
-type Recordable interface {
-	SetRecorder(*obs.Recorder)
+	r.scheme = s
 }
 
 // SetRecorder attaches a flight recorder to the registry. It must be wired
-// before the registry is used concurrently and before Bind, so the bound
-// scheme adopts the same recorder (see Recorder).
+// before the registry is used concurrently and before Bind, which hands the
+// same recorder to the scheme.
 func (r *Registry) SetRecorder(rec *obs.Recorder) { r.rec = rec }
-
-// Recorder returns the attached flight recorder (nil when none). Schemes
-// read it during AttachRegistry.
-func (r *Registry) Recorder() *obs.Recorder { return r.rec }
 
 // ForcedRounds returns how many scan rounds Acquire forced to age a
 // quarantined slot.
@@ -235,10 +188,6 @@ func (r *Registry) EndScan() {
 		r.rec.Sys(obs.EvScanEnd, rounds)
 	}
 }
-
-// NoteRound records one completed scan round without an in-flight bracket
-// (test hook; schemes use BeginScan/EndScan).
-func (r *Registry) NoteRound() { r.rounds.Add(1) }
 
 // Acquire leases a dense slot without waiting: the slot's scheme and
 // allocator state is readied by the registered hooks, the slot is published
@@ -317,7 +266,7 @@ func (r *Registry) take() *Lease {
 	// collection that never touches the registry's mutex, but Release and
 	// other takes must not block behind it.
 	for i := 0; !ok && waiting && i < quarantineRounds; i++ {
-		r.member.ForceRound()
+		r.scheme.ForceRound()
 		r.forced.Add(1)
 		r.rec.Sys(obs.EvForcedRound, r.rounds.Load())
 		r.mu.Lock()

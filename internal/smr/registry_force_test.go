@@ -6,42 +6,45 @@ import (
 	"testing"
 
 	"nbr/internal/hist"
+	"nbr/internal/obs"
 )
 
-// testMember is the smallest registry member, shaped like leaky: a forced
-// round is an empty bracketed collection, and a departing slot has nothing
-// to quiesce.
-type testMember struct {
+// testScheme is the smallest scheme a registry can bind, shaped like leaky:
+// a forced round is an empty bracketed collection, and a departing slot has
+// nothing to quiesce.
+type testScheme struct {
 	r      *Registry
 	forces atomic.Int64
 }
 
-func (m *testMember) Name() string               { return "test" }
-func (m *testMember) Guard(int) Guard            { return nil }
-func (m *testMember) Stats() Stats               { return Stats{} }
-func (m *testMember) Handoffs() hist.Histogram   { return hist.Histogram{} }
-func (m *testMember) GarbageBound() int          { return Unbounded }
-func (m *testMember) ReclaimBurst() int          { return 0 }
-func (m *testMember) AttachRegistry(r *Registry) { m.r = r }
-func (m *testMember) ReclaimAll(int)             {}
-func (m *testMember) OrphanSurvivors(int)        {}
-func (m *testMember) ResetSlot(int)              {}
+func (m *testScheme) Name() string               { return "test" }
+func (m *testScheme) Guard(int) Guard            { return nil }
+func (m *testScheme) Stats() Stats               { return Stats{} }
+func (m *testScheme) Handoffs() hist.Histogram   { return hist.Histogram{} }
+func (m *testScheme) GarbageBound() int          { return Unbounded }
+func (m *testScheme) ReclaimBurst() int          { return 0 }
+func (m *testScheme) Drain(int)                  {}
+func (m *testScheme) AttachRegistry(r *Registry) { m.r = r }
+func (m *testScheme) Recover(int)                {}
+func (m *testScheme) ResetSlot(int)              {}
+func (m *testScheme) RevokeSlot(int)             {}
+func (m *testScheme) SetRecorder(*obs.Recorder)  {}
 
-func (m *testMember) ForceRound() {
+func (m *testScheme) ForceRound() {
 	m.forces.Add(1)
 	m.r.BeginScan()
 	m.r.EndScan()
 }
 
-// stuckMember's forced rounds never complete: it stands in for a collection
+// stuckScheme's forced rounds never complete: it stands in for a collection
 // that cannot finish before a waiter's deadline, so the round counter does
 // not move however often take forces.
-type stuckMember struct{ testMember }
+type stuckScheme struct{ testScheme }
 
-func (m *stuckMember) ForceRound() { m.forces.Add(1) }
+func (m *stuckScheme) ForceRound() { m.forces.Add(1) }
 
 // boundRegistry returns a registry of max slots bound to m.
-func boundRegistry(max int, m Member) *Registry {
+func boundRegistry(max int, m Scheme) *Registry {
 	r := NewRegistry(max)
 	r.Bind(m)
 	return r
@@ -52,7 +55,7 @@ func boundRegistry(max int, m Member) *Registry {
 // is served to the next Acquire after exactly quarantineRounds forced
 // rounds.
 func TestRegistryLeakyShapedMemberForcesRounds(t *testing.T) {
-	m := &testMember{}
+	m := &testScheme{}
 	r := boundRegistry(1, m)
 	l, _ := r.Acquire()
 	l.Release()
@@ -64,7 +67,7 @@ func TestRegistryLeakyShapedMemberForcesRounds(t *testing.T) {
 		t.Fatalf("acquire handed tid %d, want the released %d", l2.Tid(), l.Tid())
 	}
 	if got := r.ForcedRounds(); got != quarantineRounds || m.forces.Load() != quarantineRounds {
-		t.Fatalf("ForcedRounds = %d (member forced %d), want %d", got, m.forces.Load(), quarantineRounds)
+		t.Fatalf("ForcedRounds = %d (scheme forced %d), want %d", got, m.forces.Load(), quarantineRounds)
 	}
 	l2.Release()
 }
@@ -74,7 +77,7 @@ func TestRegistryLeakyShapedMemberForcesRounds(t *testing.T) {
 // and the head freshly quarantined, the acquire forces the missing rounds
 // and succeeds without waiting for that scan.
 func TestRegistryForcedRoundsAgeQuarantine(t *testing.T) {
-	r := boundRegistry(1, &testMember{})
+	r := boundRegistry(1, &testScheme{})
 	l, _ := r.Acquire()
 	l.Release()
 	r.BeginScan()
@@ -94,7 +97,7 @@ func TestRegistryForcedRoundsAgeQuarantine(t *testing.T) {
 // served — Acquire refuses after quarantineRounds attempts — and once the
 // rounds do complete it is.
 func TestRegistryStuckForcerRefuses(t *testing.T) {
-	m := &stuckMember{}
+	m := &stuckScheme{}
 	r := boundRegistry(1, m)
 	l, _ := r.Acquire()
 	l.Release()
@@ -102,10 +105,10 @@ func TestRegistryStuckForcerRefuses(t *testing.T) {
 		t.Fatalf("un-aged slot served with no completed round: %v", err)
 	}
 	if got := m.forces.Load(); got != quarantineRounds {
-		t.Fatalf("member forced %d rounds, want %d", got, quarantineRounds)
+		t.Fatalf("scheme forced %d rounds, want %d", got, quarantineRounds)
 	}
 	for i := 0; i < quarantineRounds; i++ {
-		r.NoteRound()
+		r.EndScan()
 	}
 	l2, err := r.Acquire()
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 )
 
 func TestRegistryAcquireRelease(t *testing.T) {
-	r := boundRegistry(4, &testMember{})
+	r := boundRegistry(4, &testScheme{})
 	if r.MaxThreads() != 4 {
 		t.Fatalf("MaxThreads = %d", r.MaxThreads())
 	}
@@ -39,7 +39,7 @@ func TestRegistryAcquireRelease(t *testing.T) {
 }
 
 func TestRegistryExhaustionAndQuarantineAging(t *testing.T) {
-	r := boundRegistry(2, &testMember{})
+	r := boundRegistry(2, &testScheme{})
 	a, _ := r.Acquire()
 	b, _ := r.Acquire()
 	if _, err := r.Acquire(); !errors.Is(err, ErrRegistryFull) {
@@ -65,7 +65,7 @@ func TestRegistryExhaustionAndQuarantineAging(t *testing.T) {
 	// as it is, even with a scanner still running.
 	r.BeginScan()
 	for i := 0; i < quarantineRounds; i++ {
-		r.NoteRound()
+		r.EndScan()
 	}
 	d, err := r.Acquire()
 	if err != nil {
@@ -86,7 +86,7 @@ func TestRegistryExhaustionAndQuarantineAging(t *testing.T) {
 // lease identity: a stale duplicate Release from a previous holder must not
 // deactivate the slot's next occupant.
 func TestRegistryDuplicateReleaseCannotRevokeSuccessor(t *testing.T) {
-	r := boundRegistry(1, &testMember{})
+	r := boundRegistry(1, &testScheme{})
 	old, _ := r.Acquire()
 	old.Release()
 	cur, err := r.Acquire()
@@ -104,7 +104,7 @@ func TestRegistryDuplicateReleaseCannotRevokeSuccessor(t *testing.T) {
 }
 
 func TestRegistryHookOrderAndThreading(t *testing.T) {
-	r := boundRegistry(1, &testMember{})
+	r := boundRegistry(1, &testScheme{})
 	var order []string
 	r.OnAcquire(func(tid int) { order = append(order, "acquire") })
 	r.OnRelease(func(tid int) { order = append(order, "release-a") })
@@ -123,7 +123,7 @@ func TestRegistryHookOrderAndThreading(t *testing.T) {
 }
 
 func TestRegistryOrphans(t *testing.T) {
-	r := boundRegistry(2, &testMember{})
+	r := boundRegistry(2, &testScheme{})
 	ps := []mem.Ptr{2, 4, 6, 8, 10}
 	r.AddOrphans(ps)
 	if r.OrphanCount() != 5 {
@@ -147,7 +147,7 @@ func TestRegistryOrphans(t *testing.T) {
 // asserts no tid is ever held by two goroutines at once.
 func TestRegistryNoAliasingUnderChurn(t *testing.T) {
 	const slots, workers, rounds = 4, 16, 300
-	r := boundRegistry(slots, &testMember{})
+	r := boundRegistry(slots, &testScheme{})
 	var owners [slots]atomic.Int32
 	var aliased atomic.Bool
 	var wg sync.WaitGroup
@@ -158,7 +158,7 @@ func TestRegistryNoAliasingUnderChurn(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				l, err := r.Acquire()
 				if err != nil {
-					r.NoteRound() // stand in for reclaim traffic aging slots
+					r.EndScan() // stand in for reclaim traffic aging slots
 					continue
 				}
 				if owners[l.Tid()].Add(1) != 1 {
@@ -203,7 +203,7 @@ func waitQueued(t *testing.T, r *Registry, n int) {
 // with every slot leased and one AcquireCtx caller queued, a release passes
 // the freed slot to the waiter, so a bare Acquire arriving after it fails.
 func TestRegistryAdmissionHandsSlotToWaiter(t *testing.T) {
-	r := boundRegistry(2, &testMember{})
+	r := boundRegistry(2, &testScheme{})
 	a, _ := r.Acquire()
 	b, _ := r.Acquire()
 	got := make(chan *Lease)
@@ -235,7 +235,7 @@ func TestRegistryAdmissionHandsSlotToWaiter(t *testing.T) {
 // queued nor one whose context ends after it was admitted but before a slot
 // could be proved safe.
 func TestRegistryAcquireCtxCancelKeepsCapacity(t *testing.T) {
-	r := boundRegistry(2, &stuckMember{})
+	r := boundRegistry(2, &stuckScheme{})
 	a, _ := r.Acquire()
 	b, _ := r.Acquire()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -253,7 +253,7 @@ func TestRegistryAcquireCtxCancelKeepsCapacity(t *testing.T) {
 		t.Fatalf("Waiters = %d after cancellation", r.Waiters())
 	}
 
-	// Admitted, but the member's forced rounds never complete, so the
+	// Admitted, but the scheme's forced rounds never complete, so the
 	// quarantined slot cannot be proved safe before the deadline.
 	a.Release()
 	short, cancelShort := context.WithTimeout(context.Background(), 10*time.Millisecond)
@@ -263,7 +263,7 @@ func TestRegistryAcquireCtxCancelKeepsCapacity(t *testing.T) {
 	}
 	b.Release()
 	for i := 0; i < quarantineRounds; i++ {
-		r.NoteRound() // both releases age
+		r.EndScan() // both releases age
 	}
 
 	held := make([]*Lease, r.MaxThreads())

@@ -38,6 +38,7 @@ package smr
 import (
 	"nbr/internal/hist"
 	"nbr/internal/mem"
+	"nbr/internal/obs"
 	"nbr/internal/sigsim"
 )
 
@@ -110,7 +111,9 @@ type Guard interface {
 const Unbounded = -1
 
 // Scheme is a reclamation algorithm instance bound to one data structure's
-// arena.
+// arena, and all a Registry needs of it. Every scheme embeds the limbo
+// Kernel, which implements everything here but Guard, GarbageBound and
+// ResetSlot.
 type Scheme interface {
 	// Name returns the scheme's short name as used in the paper's figures.
 	Name() string
@@ -141,6 +144,47 @@ type Scheme interface {
 	// per-thread caches from it so a burst amortizes to one shared-shard
 	// interaction (DESIGN.md §6).
 	ReclaimBurst() int
+
+	// Drain makes one full-strength reclamation pass on behalf of thread
+	// tid, which the caller must own between operations (a lease or the
+	// fixed-N convention): adopt any orphaned records, then signal+scan,
+	// hazard scan or epoch advance+sweep. Records peers still protect
+	// survive; epoch-based schemes need a few calls at quiescence to walk
+	// their grace periods forward (DrainQuiet).
+	Drain(tid int)
+	// AttachRegistry adopts the registry's active mask for the scheme's
+	// scans and signals, registers its acquire hook, and starts adopting
+	// the registry's orphan list. Registry.Bind calls it exactly once,
+	// after construction and before any guard is used.
+	AttachRegistry(r *Registry)
+	// ForceRound completes one scan round on demand without owning a
+	// thread slot: one bracketed (BeginScan/EndScan) collection over the
+	// announcement state under the active mask, freeing nothing. It ages
+	// the quarantine exactly as an organic round from a peer would, and is
+	// safe for concurrent use: any acquirer may force a round.
+	ForceRound()
+	// Recover is the recovery body for slot tid, which has left the active
+	// mask (recovery.go): drain, hand the slot's allocator caches to the
+	// shared shards, orphan what peers still protect.
+	Recover(tid int)
+	// ResetSlot clears tid's announcements and guard-local state for the
+	// next occupant.
+	ResetSlot(tid int)
+	// RevokeSlot posts a sticky revocation to a zombie still running on
+	// tid, killing it at its next delivery point (sigsim.Revoked), through
+	// the scheme's signal group; a no-op for schemes without one, which
+	// rely on the lease's revoked flag at the public operation layer.
+	RevokeSlot(tid int)
+	// SetRecorder attaches a flight recorder to the scheme and its signal
+	// group. Construction-time wiring only: Registry.Bind calls it when the
+	// registry has a recorder; fixed-N harnesses call it directly.
+	SetRecorder(rec *obs.Recorder)
+}
+
+// Drainer is the one-method view of Scheme.Drain that the benchmark's traced
+// twin asserts; every Scheme is one.
+type Drainer interface {
+	Drain(tid int)
 }
 
 // Stats aggregates reclamation activity across all threads of a scheme.
