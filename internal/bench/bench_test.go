@@ -70,7 +70,7 @@ func TestRunWithStalledThread(t *testing.T) {
 			DS: "lazylist", Scheme: scheme, Threads: 2, KeyRange: 256,
 			InsPct: 50, DelPct: 50, Duration: 60 * time.Millisecond,
 			Prefill: -1, Stall: true,
-			Cfg: catalog.SchemeConfig{BagSize: 64, LoFraction: 0.5, ScanFreq: 4, Slots: 4, Threshold: 32},
+			Cfg: catalog.SchemeConfig{BagSize: 64, LoFraction: 0.5, ScanFreq: 4, Threshold: 32},
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)

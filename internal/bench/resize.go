@@ -78,13 +78,6 @@ func RunResizeBurst(w ResizeBurstWorkload) (ResizeBurstResult, error) {
 	elapsed := time.Since(start)
 	peak := garbagePeak()
 
-	// Drain to quiescence. NBR reservation rows persist past EndOp, so each
-	// thread first runs one search on the current table, re-pointing its rows
-	// at live records (the installed array's handle and unmarked dummies) and
-	// unpinning every array the storm retired.
-	for tid := 0; tid < w.Threads; tid++ {
-		m.Contains(sch.Guard(tid), 1<<40)
-	}
 	drained := drainQuiet(sch, w.Threads)
 
 	st := sch.Stats()

@@ -32,8 +32,8 @@ type RuntimeWorkload struct {
 	KeyRange   uint64
 	SessionOps int // operations per lease session, spread across structures
 	Duration   time.Duration
-	// Cfg carries the scheme knobs RuntimeOptions has; Cfg.Slots is not
-	// consulted — a Runtime always sizes its scheme to the attached structures.
+	// Cfg carries the scheme knobs RuntimeOptions has; a Runtime sizes its
+	// scheme's widths to the attached structures.
 	Cfg catalog.SchemeConfig
 	// Interleave selects the adversarial retire pattern: each session walks
 	// the structures round-robin doing insert-then-delete pairs, so the

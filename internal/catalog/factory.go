@@ -31,10 +31,6 @@ type SchemeConfig struct {
 	LoFraction float64
 	// ScanFreq amortizes the NBR+ announceTS scan.
 	ScanFreq int
-	// Slots is the NBR reservation capacity per thread; 0 (the default)
-	// adopts the data structure's declared width (ds.Requirements), so the
-	// N·R scan shrinks to what the structure actually reserves.
-	Slots int
 	// SendSpin and HandleSpin are the simulated signal costs.
 	SendSpin, HandleSpin int
 	// Threshold is the bag limit of the epoch/pointer schemes
@@ -47,8 +43,6 @@ type SchemeConfig struct {
 }
 
 // DefaultSchemeConfig returns the defaults documented in DESIGN.md §6.
-// Slots is left at 0 (auto) so the per-data-structure reservation width
-// applies unless an experiment pins it.
 func DefaultSchemeConfig() SchemeConfig {
 	return SchemeConfig{
 		BagSize:    1024,
@@ -68,23 +62,20 @@ func NewScheme(name string, arena mem.Arena, threads int, cfg SchemeConfig) (smr
 }
 
 // NewSchemeFor constructs the named scheme sized to a data structure's
-// declared widths: req.Reservations becomes NBR's R when cfg.Slots is 0
-// (auto), and req.Slots sizes the hazard-pointer/era announcement arrays —
-// every reservation or hazard scan then walks N·width entries for the width
-// the structure actually uses instead of a global worst case. req.Threshold
-// (per peer thread) sizes the threshold-triggered schemes' retire buffers
-// when cfg.Threshold is 0 (auto), decoupling their scan frequency from the
-// narrow per-DS Slots that would otherwise drag hp's 2·N·Slots default down
-// with it; the 64-record floor matches the schemes' own minimum.
+// declared widths: req.Reservations becomes NBR's R, and req.Slots sizes the
+// hazard-pointer/era announcement arrays — every reservation or hazard scan
+// then walks N·width entries for the width the structure actually uses
+// instead of a global worst case. req.Threshold (per peer thread) sizes the
+// threshold-triggered schemes' retire buffers when cfg.Threshold is 0
+// (auto), decoupling their scan frequency from the narrow per-DS Slots that
+// would otherwise drag hp's 2·N·Slots default down with it; the 64-record
+// floor matches the schemes' own minimum.
 func NewSchemeFor(name string, arena mem.Arena, threads int, cfg SchemeConfig, req ds.Requirements) (smr.Scheme, error) {
 	if req.Slots <= 0 {
 		req.Slots = ds.DefaultRequirements.Slots
 	}
 	if req.Reservations <= 0 {
 		req.Reservations = ds.DefaultRequirements.Reservations
-	}
-	if cfg.Slots == 0 {
-		cfg.Slots = req.Reservations
 	}
 	if cfg.Threshold == 0 && req.Threshold > 0 {
 		cfg.Threshold = threads * req.Threshold
@@ -132,7 +123,7 @@ func newScheme(name string, arena mem.Arena, threads int, cfg SchemeConfig, req 
 		return core.New(arena, threads, core.Config{
 			Plus:    name == "nbr+",
 			BagSize: cfg.BagSize, LoFraction: cfg.LoFraction,
-			ScanFreq: cfg.ScanFreq, Slots: cfg.Slots, Signals: sig,
+			ScanFreq: cfg.ScanFreq, Slots: req.Reservations, Signals: sig,
 		}), nil
 	}
 	return nil, CheckScheme(name)

@@ -49,7 +49,7 @@ var structures = []structure{{
 	dir:   "internal/ds/harrislist",
 	build: func(c mem.Config) pooled { return harrislist.NewWith(c) },
 	nbr:   Verdict{true, "multiple read/write phases, every Φread restarts from the root (§5.2, Alg. 3); ≤3 reservations"},
-	hp:    Verdict{true, "validate via link re-read (HM04-style)"},
+	hp:    Verdict{true, "validate each record through the last unmarked node's link (HM04-style); a marked or moved link restarts"},
 }, {
 	name:  "hashmap",
 	dir:   "internal/ds/hashmap",

@@ -148,13 +148,7 @@ func (t *Tree) read(b *smr.Barrier, slot int, p mem.Ptr) (view, bool) {
 	for i := 0; ; i++ {
 		v1 := atomic.LoadUint64(&n.lock)
 		if v1&1 == 0 {
-			var v view
-			v.leaf = atomic.LoadUint32(&n.leaf) != 0
-			v.size = int(atomic.LoadUint32(&n.size))
-			for j := 0; j < B; j++ {
-				v.keys[j] = atomic.LoadUint64(&n.keys[j])
-				v.children[j] = mem.Ptr(atomic.LoadUint64(&n.children[j]))
-			}
+			v := copyNode(n)
 			if !gen.Is(p) {
 				break
 			}
@@ -176,6 +170,20 @@ func (t *Tree) read(b *smr.Barrier, slot int, p mem.Ptr) (view, bool) {
 	}
 	// The handle went stale while reading.
 	return view{}, b.Stale(p)
+}
+
+// copyNode loads every field of a node into a view: read validates the copy
+// against the seqlock, the write phases take it under the node's lock
+// (internal nodes mutate in place, so a descent-time view may be stale by
+// lock time).
+func copyNode(n *node) (v view) {
+	v.leaf = atomic.LoadUint32(&n.leaf) != 0
+	v.size = int(atomic.LoadUint32(&n.size))
+	for j := 0; j < B; j++ {
+		v.keys[j] = atomic.LoadUint64(&n.keys[j])
+		v.children[j] = mem.Ptr(atomic.LoadUint64(&n.children[j]))
+	}
+	return v
 }
 
 // lock acquires a node's seqlock write side.
@@ -207,131 +215,90 @@ func (t *Tree) Contains(g smr.Guard, key uint64) bool {
 	return smr.Execute(g, func() bool {
 	retry:
 		g.BeginRead()
-		cur := t.entry
-		curV, _ := t.read(&b, 0, cur) // the entry sentinel is never freed
-		slot := 0
-		for !curV.leaf {
-			next := curV.children[curV.route(key)]
-			slot = (slot + 1) & 1
-			nv, ok := t.read(&b, slot, next)
-			if !ok {
+		v, _ := t.read(&b, 0, t.entry) // the entry sentinel is never freed
+		for slot := 1; !v.leaf; slot ^= 1 {
+			var ok bool
+			if v, ok = t.read(&b, slot, v.children[v.route(key)]); !ok {
 				goto retry
 			}
-			cur, curV = next, nv
 		}
-		_ = cur
 		g.EndRead()
-		return curV.find(key)
+		return v.find(key)
 	})
 }
 
-// Insert implements ds.Set. The descent splits any full child it meets
-// (auxiliary write phase + restart from root), so when the leaf is reached
-// its parent always has room for a split — though the leaf itself is
-// replaced copy-on-write, never split in place.
-func (t *Tree) Insert(g smr.Guard, key uint64) bool {
-	b := smr.BarrierOf(g)
-	return smr.Execute(g, func() bool {
-		for {
-			g.BeginRead()
-			parent := t.entry
-			parentV, _ := t.read(&b, 0, parent)
-			pSlot, cSlot := 0, 1
-			for {
-				i := parentV.route(key)
-				child := parentV.children[i]
-				childV, ok := t.read(&b, cSlot, child)
-				if !ok {
-					break // stale under a validating scheme: restart
-				}
-				if childV.size == B {
-					// Preemptive split, then restart from the root.
-					g.Reserve(0, parent)
-					g.Reserve(1, child)
-					g.EndRead()
-					t.splitChild(g, parent, child, i)
-					break
-				}
-				if childV.leaf {
-					if childV.find(key) {
-						g.EndRead()
-						return false
-					}
-					g.Reserve(0, parent)
-					g.Reserve(1, child)
-					g.EndRead()
-					if t.insertLeaf(g, parent, child, i, key, &childV) {
-						return true
-					}
-					break // validation failed: restart from the root
-				}
-				parent, parentV = child, childV
-				pSlot, cSlot = cSlot, pSlot
-			}
-		}
-	})
-}
+// Insert implements ds.Set.
+func (t *Tree) Insert(g smr.Guard, key uint64) bool { return t.update(g, key, true) }
 
-// Delete implements ds.Set. The descent fixes any minimum-degree child
-// (merge/borrow with a sibling) and collapses a unary root, restarting from
-// the root after each auxiliary write phase.
-func (t *Tree) Delete(g smr.Guard, key uint64) bool {
+// Delete implements ds.Set.
+func (t *Tree) Delete(g smr.Guard, key uint64) bool { return t.update(g, key, false) }
+
+// The auxiliary write phases update's descent can stop at.
+const (
+	split    = iota + 1 // a full child before an insert
+	collapse            // a unary root before a delete
+	fix                 // a minimum-degree child before a delete
+)
+
+// update is Insert's and Delete's one descent. It fixes the first child in
+// its way — splitting a full one before an insert; collapsing a unary root,
+// or merging or borrowing for a minimum-degree child, before a delete — as
+// an auxiliary write phase and restarts from the root, so when the leaf is
+// reached its parent has room for the change. The leaf is replaced
+// copy-on-write, never changed in place.
+func (t *Tree) update(g smr.Guard, key uint64, ins bool) bool {
 	b := smr.BarrierOf(g)
 	return smr.Execute(g, func() bool {
-		for {
-			g.BeginRead()
-			parent := t.entry
-			parentV, _ := t.read(&b, 0, parent)
-			pSlot, cSlot := 0, 1
-			for {
-				i := parentV.route(key)
-				child := parentV.children[i]
-				childV, ok := t.read(&b, cSlot, child)
-				if !ok {
-					break
-				}
-				atEntry := parent == t.entry
-				if atEntry && !childV.leaf && childV.size == 1 {
-					// Unary root: collapse it.
-					g.Reserve(0, parent)
-					g.Reserve(1, child)
-					g.EndRead()
-					t.collapseRoot(g, child)
-					break
-				}
-				if !atEntry && childV.size <= A {
-					// Preemptive merge/borrow with a sibling.
-					j := i - 1
-					if i == 0 {
-						j = 1
-					}
-					if j >= parentV.size {
-						break // parent snapshot inconsistent: restart
-					}
-					sib := parentV.children[j]
-					g.Reserve(0, parent)
-					g.Reserve(1, child)
-					g.Reserve(2, sib)
-					g.EndRead()
-					t.fixUnderfull(g, parent, child, i, sib, j)
-					break
-				}
-				if childV.leaf {
-					if !childV.find(key) {
-						g.EndRead()
-						return false
-					}
-					g.Reserve(0, parent)
-					g.Reserve(1, child)
-					g.EndRead()
-					if t.deleteLeaf(g, parent, child, i, key, &childV) {
-						return true
-					}
-					break
-				}
-				parent, parentV = child, childV
-				pSlot, cSlot = cSlot, pSlot
+	retry:
+		g.BeginRead()
+		parent := t.entry
+		pv, _ := t.read(&b, 0, parent) // the entry sentinel is never freed
+		for slot := 1; ; slot ^= 1 {
+			i := pv.route(key)
+			child := pv.children[i]
+			cv, ok := t.read(&b, slot, child)
+			if !ok {
+				goto retry // stale under a validating scheme
 			}
+			atEntry := parent == t.entry
+			op, j := 0, 0
+			switch {
+			case ins && cv.size == B:
+				op = split
+			case !ins && atEntry && !cv.leaf && cv.size == 1:
+				op = collapse
+			case !ins && !atEntry && cv.size <= A:
+				op, j = fix, i-1
+				if i == 0 {
+					j = 1
+				}
+				if j >= pv.size {
+					goto retry // parent snapshot inconsistent
+				}
+				g.Reserve(2, pv.children[j])
+			case !cv.leaf:
+				parent, pv = child, cv
+				continue
+			case cv.find(key) == ins:
+				g.EndRead()
+				return false
+			}
+			g.Reserve(0, parent)
+			g.Reserve(1, child)
+			g.EndRead()
+			switch op {
+			case split:
+				t.splitChild(g, parent, child, i)
+			case collapse:
+				t.collapseRoot(g, child)
+			case fix:
+				t.fixUnderfull(g, parent, child, i, pv.children[j], j)
+			default:
+				if r := cv.with(key, ins); t.replaceLeaf(g, parent, child, i, &r) {
+					return true
+				}
+			}
+			goto retry
 		}
 	})
 }
@@ -342,88 +309,98 @@ func linksTo(pn *node, i int, child mem.Ptr) bool {
 	return !dead(pn) && i < int(atomic.LoadUint32(&pn.size)) && childAt(pn, i) == child
 }
 
-// insertLeaf replaces leaf with a copy containing key. Only the parent is
+// replaceLeaf swaps leaf for a fresh node holding r. Only the parent is
 // locked: leaves are immutable after publication, so the link check proves
-// the snapshot is current.
-func (t *Tree) insertLeaf(g smr.Guard, parent, leaf mem.Ptr, i int, key uint64, lv *view) bool {
+// the view r was built from is current.
+func (t *Tree) replaceLeaf(g smr.Guard, parent, leaf mem.Ptr, i int, r *run) bool {
 	pn := t.lock(parent)
 	if !linksTo(pn, i, leaf) {
 		unlock(pn)
 		return false
 	}
-	np, nn := t.pool.Alloc(g.Tid())
-	initNode(nn, true)
-	pos := 0
-	for pos < lv.size && lv.keys[pos] < key {
-		pos++
-	}
-	for j := 0; j < pos; j++ {
-		atomic.StoreUint64(&nn.keys[j], lv.keys[j])
-	}
-	atomic.StoreUint64(&nn.keys[pos], key)
-	for j := pos; j < lv.size; j++ {
-		atomic.StoreUint64(&nn.keys[j+1], lv.keys[j])
-	}
-	atomic.StoreUint32(&nn.size, uint32(lv.size+1))
-	g.OnAlloc(np)
-
-	ln := t.pool.MustGet(leaf)
-	kill(ln)
+	np := t.writeNode(g, r)
+	kill(t.pool.MustGet(leaf))
 	atomic.StoreUint64(&pn.children[i], uint64(np))
 	unlock(pn)
 	g.Retire(leaf)
 	return true
 }
 
-// deleteLeaf replaces leaf with a copy lacking key.
-func (t *Tree) deleteLeaf(g smr.Guard, parent, leaf mem.Ptr, i int, key uint64, lv *view) bool {
-	pn := t.lock(parent)
-	if !linksTo(pn, i, leaf) {
-		unlock(pn)
-		return false
-	}
-	np, nn := t.pool.Alloc(g.Tid())
-	initNode(nn, true)
-	w := 0
-	for j := 0; j < lv.size; j++ {
-		if lv.keys[j] != key {
-			atomic.StoreUint64(&nn.keys[w], lv.keys[j])
-			w++
+// run is a node laid flat with room for two: what the write phases build
+// before writing it out as one node (a merge, a leaf replacement) or cutting
+// it into two (a split, a borrow). Like a node, an internal run holds size
+// children and size−1 routers; a leaf run holds size keys.
+type run struct {
+	leaf     bool
+	size     int
+	keys     [2 * B]uint64
+	children [2 * B]mem.Ptr
+}
+
+// push appends a key to a leaf run.
+func (r *run) push(key uint64) {
+	r.keys[r.size] = key
+	r.size++
+}
+
+// with returns a leaf view's keys with key added (ins) or removed, in order.
+func (v *view) with(key uint64, ins bool) run {
+	r := run{leaf: true}
+	for _, k := range v.keys[:v.size] {
+		if ins && key < k {
+			r.push(key)
+			ins = false
+		}
+		if k != key {
+			r.push(k)
 		}
 	}
-	atomic.StoreUint32(&nn.size, uint32(w))
-	g.OnAlloc(np)
-
-	ln := t.pool.MustGet(leaf)
-	kill(ln)
-	atomic.StoreUint64(&pn.children[i], uint64(np))
-	unlock(pn)
-	g.Retire(leaf)
-	return true
-}
-
-// snapshotLocked copies a locked node's content (internal nodes mutate in
-// place, so descent-time views may be stale by lock time).
-func snapshotLocked(n *node) view {
-	var v view
-	v.leaf = atomic.LoadUint32(&n.leaf) != 0
-	v.size = int(atomic.LoadUint32(&n.size))
-	for j := 0; j < B; j++ {
-		v.keys[j] = atomic.LoadUint64(&n.keys[j])
-		v.children[j] = mem.Ptr(atomic.LoadUint64(&n.children[j]))
+	if ins {
+		r.push(key)
 	}
-	return v
+	return r
 }
 
-// writeNode fills a fresh node from a view.
-func (t *Tree) writeNode(g smr.Guard, v *view) mem.Ptr {
+// join lays two adjacent siblings out as one run; sep, the parent's router
+// between them, becomes the router between their children (a leaf run has
+// no routers and drops it).
+func join(lv, hv *view, sep uint64) run {
+	r := run{leaf: lv.leaf, size: lv.size + hv.size}
+	copy(r.keys[:], lv.keys[:lv.size])
+	copy(r.children[:], lv.children[:lv.size])
+	if !r.leaf {
+		r.keys[lv.size-1] = sep
+	}
+	copy(r.keys[lv.size:], hv.keys[:hv.size])
+	copy(r.children[lv.size:], hv.children[:hv.size])
+	return r
+}
+
+// cut halves r after its first h entries and returns the router the parent
+// keeps between the halves: an internal run gives up its router h−1, a leaf
+// run copies the right half's first key.
+func (r *run) cut(h int) (lo, hi run, sep uint64) {
+	lo = run{leaf: r.leaf, size: h}
+	hi = run{leaf: r.leaf, size: r.size - h}
+	copy(lo.keys[:], r.keys[:h])
+	copy(lo.children[:], r.children[:h])
+	copy(hi.keys[:], r.keys[h:r.size])
+	copy(hi.children[:], r.children[h:r.size])
+	if sep = r.keys[h-1]; r.leaf {
+		sep = r.keys[h]
+	}
+	return lo, hi, sep
+}
+
+// writeNode allocates a fresh node holding r.
+func (t *Tree) writeNode(g smr.Guard, r *run) mem.Ptr {
 	p, n := t.pool.Alloc(g.Tid())
-	initNode(n, v.leaf)
-	for j := 0; j < v.size; j++ {
-		atomic.StoreUint64(&n.keys[j], v.keys[j])
-		atomic.StoreUint64(&n.children[j], uint64(v.children[j]))
+	initNode(n, r.leaf)
+	for j := 0; j < r.size; j++ {
+		atomic.StoreUint64(&n.keys[j], r.keys[j])
+		atomic.StoreUint64(&n.children[j], uint64(r.children[j]))
 	}
-	atomic.StoreUint32(&n.size, uint32(v.size))
+	atomic.StoreUint32(&n.size, uint32(r.size))
 	g.OnAlloc(p)
 	return p
 }
@@ -445,43 +422,20 @@ func (t *Tree) splitChild(g smr.Guard, parent, child mem.Ptr, i int) {
 		return
 	}
 	cn := t.lock(child)
-	cv := snapshotLocked(cn)
+	cv := copyNode(cn)
 	if dead(cn) || cv.size != B {
 		unlock(cn)
 		unlock(pn)
 		return
 	}
-
-	var left, right view
-	var sep uint64
-	h := B / 2
-	if cv.leaf {
-		left = view{leaf: true, size: h}
-		copy(left.keys[:], cv.keys[:h])
-		right = view{leaf: true, size: B - h}
-		copy(right.keys[:], cv.keys[h:])
-		sep = right.keys[0]
-	} else {
-		left = view{size: h}
-		copy(left.keys[:], cv.keys[:h-1])
-		copy(left.children[:], cv.children[:h])
-		right = view{size: B - h}
-		copy(right.keys[:], cv.keys[h:])
-		copy(right.children[:], cv.children[h:])
-		sep = cv.keys[h-1]
-	}
-	lp := t.writeNode(g, &left)
-	rp := t.writeNode(g, &right)
-
+	whole := join(&cv, &view{leaf: cv.leaf}, 0) // widened to a run
+	left, right, sep := whole.cut(B / 2)
+	lp, rp := t.writeNode(g, &left), t.writeNode(g, &right)
 	if atEntry {
 		// Grow a new root above the split halves.
-		var root view
-		root.size = 2
-		root.keys[0] = sep
-		root.children[0] = lp
-		root.children[1] = rp
-		newRoot := t.writeNode(g, &root)
-		atomic.StoreUint64(&pn.children[0], uint64(newRoot))
+		root := run{size: 2}
+		root.keys[0], root.children[0], root.children[1] = sep, lp, rp
+		atomic.StoreUint64(&pn.children[0], uint64(t.writeNode(g, &root)))
 	} else {
 		// Shift parent arrays right of i and splice in the halves.
 		psize := int(atomic.LoadUint32(&pn.size))
@@ -519,8 +473,7 @@ func (t *Tree) fixUnderfull(g smr.Guard, parent, child mem.Ptr, i int, sib mem.P
 	}
 	ln := t.lock(loPtr)
 	hn := t.lock(hiPtr)
-	lv := snapshotLocked(ln)
-	hv := snapshotLocked(hn)
+	lv, hv := copyNode(ln), copyNode(hn)
 	release := func() {
 		unlock(hn)
 		unlock(ln)
@@ -539,27 +492,12 @@ func (t *Tree) fixUnderfull(g smr.Guard, parent, child mem.Ptr, i int, sib mem.P
 		release()
 		return
 	}
-	sep := atomic.LoadUint64(&pn.keys[lo]) // router between lo and hi
-
-	if lv.size+hv.size <= B {
-		// Merge into one node.
-		var m view
-		m.leaf = lv.leaf
-		m.size = lv.size + hv.size
-		if lv.leaf {
-			copy(m.keys[:], lv.keys[:lv.size])
-			copy(m.keys[lv.size:], hv.keys[:hv.size])
-		} else {
-			copy(m.keys[:], lv.keys[:lv.size-1])
-			m.keys[lv.size-1] = sep
-			copy(m.keys[lv.size:], hv.keys[:hv.size-1])
-			copy(m.children[:], lv.children[:lv.size])
-			copy(m.children[lv.size:], hv.children[:hv.size])
-		}
-		mp := t.writeNode(g, &m)
-		// Parent: children[lo] = merged; remove children[hi] and keys[lo].
+	// keys[lo] is the router between lo and hi.
+	r := join(&lv, &hv, atomic.LoadUint64(&pn.keys[lo]))
+	if r.size <= B {
+		// Merge: children[lo] = merged; remove children[hi] and keys[lo].
 		psize := int(atomic.LoadUint32(&pn.size))
-		atomic.StoreUint64(&pn.children[lo], uint64(mp))
+		atomic.StoreUint64(&pn.children[lo], uint64(t.writeNode(g, &r)))
 		for k := hi; k < psize-1; k++ {
 			atomic.StoreUint64(&pn.children[k], atomic.LoadUint64(&pn.children[k+1]))
 		}
@@ -568,42 +506,11 @@ func (t *Tree) fixUnderfull(g smr.Guard, parent, child mem.Ptr, i int, sib mem.P
 		}
 		atomic.StoreUint32(&pn.size, uint32(psize-1))
 	} else {
-		// Borrow: redistribute into two fresh halves. The combined content
-		// can exceed one node (that is why we borrow), so use 2B scratch.
-		total := lv.size + hv.size
-		var keys [2 * B]uint64
-		var children [2 * B]mem.Ptr
-		if lv.leaf {
-			copy(keys[:], lv.keys[:lv.size])
-			copy(keys[lv.size:], hv.keys[:hv.size])
-		} else {
-			copy(keys[:], lv.keys[:lv.size-1])
-			keys[lv.size-1] = sep
-			copy(keys[lv.size:], hv.keys[:hv.size-1])
-			copy(children[:], lv.children[:lv.size])
-			copy(children[lv.size:], hv.children[:hv.size])
-		}
-		h := total / 2
-		var nl, nr view
-		var newSep uint64
-		nl.leaf, nr.leaf = lv.leaf, lv.leaf
-		nl.size, nr.size = h, total-h
-		if lv.leaf {
-			copy(nl.keys[:], keys[:h])
-			copy(nr.keys[:], keys[h:total])
-			newSep = nr.keys[0]
-		} else {
-			copy(nl.keys[:], keys[:h-1])
-			copy(nl.children[:], children[:h])
-			copy(nr.keys[:], keys[h:total-1])
-			copy(nr.children[:], children[h:total])
-			newSep = keys[h-1]
-		}
-		nlp := t.writeNode(g, &nl)
-		nrp := t.writeNode(g, &nr)
-		atomic.StoreUint64(&pn.children[lo], uint64(nlp))
-		atomic.StoreUint64(&pn.children[hi], uint64(nrp))
-		atomic.StoreUint64(&pn.keys[lo], newSep)
+		// Borrow: the pair is more than one node holds, so halve it.
+		left, right, sep := r.cut(r.size / 2)
+		atomic.StoreUint64(&pn.children[lo], uint64(t.writeNode(g, &left)))
+		atomic.StoreUint64(&pn.children[hi], uint64(t.writeNode(g, &right)))
+		atomic.StoreUint64(&pn.keys[lo], sep)
 	}
 	kill(ln)
 	kill(hn)

@@ -151,8 +151,12 @@ func (l *List) Traverse(g smr.Guard, b *smr.Barrier, start mem.Ptr, key uint64, 
 		if next == l.Tail {
 			return left, leftNext, next, false, true
 		}
+		// Validate through left, not t: a marked t's link is frozen, so it
+		// still names next after the chain is spliced out and retired. Every
+		// record between left and next is marked, so an unchanged link on
+		// left proves next was reachable after its Protect.
 		nV, live := l.Read(b, slot, next)
-		if !live || (b.NeedsValidation() && l.Link(g, t).Unmarked() != next) {
+		if !live || (b.NeedsValidation() && l.Link(g, left) != leftNext) {
 			return mem.Null, mem.Null, mem.Null, false, false
 		}
 		t, tV = next, nV

@@ -8,7 +8,9 @@ import (
 	"nbr/internal/catalog"
 	"nbr/internal/ds"
 	"nbr/internal/ds/dgtbst"
+	"nbr/internal/ds/harrislist"
 	"nbr/internal/ds/lazylist"
+	"nbr/internal/ds/marklist"
 	"nbr/internal/mem"
 	"nbr/internal/smr"
 )
@@ -368,4 +370,64 @@ func dgtSibling(n uint64, path func(k uint64) []mem.Ptr, leaf bool) (pick, bool)
 		}
 	}
 	return pick{}, false
+}
+
+// TestTraverseRestartsOnSplicedChain pins the reachability check of the
+// marked-link traversal (marklist.Traverse) under the validating schemes. A
+// Harris list holds 1…8 with 3 and 4 marked; a reader looks for 6. On the
+// reader's Protect of 4 — reached through the marked 3, whose frozen link
+// still names 4 — a second guard searches for 5, which splices the chain
+// [3, 4] out and retires it. 4 is still allocated, so only the re-read of
+// the last unmarked node's link (2 → 5, no longer 2 → 3) shows that 4 was
+// not reachable when protected: the reader must open a second read phase
+// and still find 6. A check through the marked 3 passes here, and a scan
+// by the retirer would then free 4 under the reader.
+func TestTraverseRestartsOnSplicedChain(t *testing.T) {
+	for _, scheme := range []string{"hp", "he", "ibr"} {
+		t.Run(scheme, func(t *testing.T) {
+			l := harrislist.New(2)
+			sch := newSchemeFor(t, scheme, l, l.Arena(), 2)
+			reader, writer := sch.Guard(0), sch.Guard(1)
+			for k := uint64(1); k <= 8; k++ {
+				l.Insert(writer, k)
+			}
+			var four mem.Ptr
+			l.Walk(func(p mem.Ptr, v marklist.View) {
+				if v.Key == 4 {
+					four = p
+				}
+			})
+			if got := l.MarkWhere(func(k uint64, _ uint32) bool { return k == 3 || k == 4 }); got != 2 {
+				t.Fatalf("MarkWhere marked %d nodes, want 2", got)
+			}
+			w := &tracingGuard{Guard: reader}
+			fired := false
+			w.onProtect = func(q mem.Ptr) {
+				if q != four || fired {
+					return
+				}
+				fired = true
+				if !l.Contains(writer, 5) {
+					t.Fatal("Contains(5) through the second guard = false")
+				}
+			}
+			got := l.Contains(w, 6)
+			w.onProtect = nil
+			if !fired {
+				t.Fatalf("Contains(6) never protected %v", four)
+			}
+			if !got {
+				t.Fatal("Contains(6) = false; nothing deleted it")
+			}
+			if w.reads != 2 {
+				t.Fatalf("Contains(6) opened %d read phases after its chain was spliced out, want 2", w.reads)
+			}
+			if err := l.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if got := l.Len(); got != 6 {
+				t.Fatalf("Len = %d, want 6", got)
+			}
+		})
+	}
 }
