@@ -1,7 +1,8 @@
 // Command nbrvet statically enforces the NBR usage protocol over a Go
 // package tree: restartable read phases (readphase), guard-bracket ordering
-// (bracket), lease goroutine-affinity (leaseescape), and protected record
-// access (guardderef). See DESIGN.md §13 for the enforced rules and the
+// (bracket), lease goroutine-affinity (leaseescape), protected record
+// access (guardderef), and atomic-only access to pool record fields
+// (recordatomic). See DESIGN.md §13 for the enforced rules and the
 // //nbr:restartable and //nbr:allow annotation grammar.
 //
 // Usage:
@@ -24,6 +25,7 @@ import (
 	"nbr/internal/analysis/leaseescape"
 	"nbr/internal/analysis/protocol"
 	"nbr/internal/analysis/readphase"
+	"nbr/internal/analysis/recordatomic"
 )
 
 var analyzers = []*framework.Analyzer{
@@ -31,6 +33,7 @@ var analyzers = []*framework.Analyzer{
 	bracket.Analyzer,
 	leaseescape.Analyzer,
 	guardderef.Analyzer,
+	recordatomic.Analyzer,
 }
 
 func main() {

@@ -21,10 +21,13 @@ import (
 //   - HasBrackets, for the analyzers that scope themselves to
 //     bracket-managing functions.
 //
+// It also marks the package's pool record types (markRecords).
+//
 // Cross-package facts need no iteration: packages are processed in
 // dependency order and the session shares one types universe, so a
 // dependency's final facts are already in the store.
 func ComputeFacts(pass *framework.Pass) error {
+	markRecords(pass)
 	type fnode struct {
 		decl *ast.FuncDecl
 		fn   *types.Func

@@ -93,8 +93,13 @@ func (c *Checker) Check(n ast.Node, report func(Violation)) {
 
 // checkCall classifies one call expression.
 func (c *Checker) checkCall(call *ast.CallExpr, report func(Violation)) {
-	// Builtins.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+	// Builtins, the unsafe package's (unsafe.Add, unsafe.Slice, ...) included:
+	// those are address arithmetic, as pure as a conversion.
+	id, _ := ast.Unparen(call.Fun).(*ast.Ident)
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		id = sel.Sel
+	}
+	if id != nil {
 		if b, ok := c.Info.Uses[id].(*types.Builtin); ok {
 			switch b.Name() {
 			case "new", "make":

@@ -8,6 +8,7 @@ package phases
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"nbr/internal/mem"
 	"nbr/internal/smr"
@@ -191,4 +192,17 @@ func (l *list) searchScratch(g smr.Guard, p mem.Ptr) {
 //nbr:restartable — stale on purpose: the corpus wants the redundancy diagnosed.
 func (l *list) keyOf(p mem.Ptr) uint64 { // want "redundant //nbr:restartable: keyOf is provably restartable"
 	return l.pool.Raw(p).key
+}
+
+// searchStride walks words laid out at a fixed stride, as a pool resolves a
+// slot: unsafe.Add is address arithmetic, as pure in a read phase as a
+// conversion.
+func (l *list) searchStride(g smr.Guard, base unsafe.Pointer, n int) uint64 {
+	g.BeginRead()
+	var sum uint64
+	for i := 0; i < n; i++ {
+		sum += atomic.LoadUint64((*uint64)(unsafe.Add(base, i*8)))
+	}
+	g.EndRead()
+	return sum
 }

@@ -2,6 +2,7 @@ package dgtbst
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -35,29 +36,42 @@ func TestTicketLockWraps(t *testing.T) {
 	}
 }
 
-// TestTicketLockExcludes: two goroutines bump a plain counter under one
-// node's lock, across the field wrap; a lost update (or the race detector)
-// shows a broken lock.
+// TestTicketLockExcludes: two goroutines take one node's ticket lock in turn,
+// across the field wrap. The lock word lives in the slot's header, outside
+// the Go heap, where the race detector does not see it, so the test is its
+// own oracle: an atomic count of the goroutines inside the critical section
+// must read 1 on every entry, and a plain counter in the locked record
+// itself — the router's key, restored afterwards — must lose no update.
 func TestTicketLockExcludes(t *testing.T) {
 	tr := New(2)
 	const each = 40000
-	counter := 0
+	n, _ := tr.routers.MustSlot(tr.root)
+	start := n.key
+	var inside, overlaps atomic.Int32
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				_, hdr := tr.lock(tr.root)
-				counter++
+				n, hdr := tr.lock(tr.root)
+				if inside.Add(1) != 1 {
+					overlaps.Add(1)
+				}
+				n.key++
+				inside.Add(-1)
 				unlock(hdr)
 			}
 		}()
 	}
 	wg.Wait()
-	if counter != 2*each {
-		t.Fatalf("counter = %d, want %d: the lock lost updates", counter, 2*each)
+	if got := overlaps.Load(); got != 0 {
+		t.Errorf("%d of %d entries found the other goroutine inside: the lock does not exclude", got, 2*each)
 	}
+	if got := n.key - start; got != 2*each {
+		t.Errorf("the locked record's counter moved %d, want %d: the lock lost updates", got, 2*each)
+	}
+	n.key = start
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}

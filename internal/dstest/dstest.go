@@ -27,10 +27,9 @@
 //     shared recovery path from a foreign goroutine, and the registry must
 //     come back whole: every slot reusable, zombie releases counted as
 //     no-ops, drain to Retired == Freed;
-//   - grown: the pool's other mode — threads fill the structure until its
-//     pool outgrows the first extent mid-traffic, empty it, and run the churn
-//     suite on the grown pool, where every link resolves through the slab
-//     directory and recycled slots come from both sides of the boundary.
+//   - grown: threads fill the structure until its pool commits a second
+//     slab mid-traffic, empty it, and run the churn suite on the grown pool,
+//     where recycled slots come from both sides of the slab boundary.
 package dstest
 
 import (

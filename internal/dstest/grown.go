@@ -24,15 +24,14 @@ func fewestSlabs(t *testing.T, inst Instance) uint64 {
 	return slices.Min(slabs(t, inst))
 }
 
-// Grown covers the half of mem.Pool's slot resolution the other suites never
-// reach: none of them carves a slab's worth of records, so all of them run on
-// a pool that resolves a handle off its first extent. It has three steps.
+// Grown covers the growth of a mem.Pool the other suites never reach: none of
+// them carves a slab's worth of records, so all of them run on a pool's first
+// slab. It has three steps.
 //
 // Fill, which crosses the boundary mid-traffic: every thread inserts keys of
 // its own — so each result is known — deleting every fourth again, next to
-// the other threads' keys, until every pool has outgrown its first extent;
-// the slab directory is published while the other threads are inside
-// operations.
+// the other threads' keys, until every pool has committed a second slab; the
+// slab is committed while the other threads are inside operations.
 // Keys go in by descending blocks, shuffled within a block. Small blocks keep
 // every insert within a few dozen records of a sorted list's head, which is
 // what makes a slab's worth of them affordable under the race detector;
@@ -56,7 +55,7 @@ func Grown(t *testing.T, f Factory, scheme string) {
 	sch := newScheme(t, scheme, inst, threads)
 	for kind, n := range slabs(t, inst) {
 		if n != 1 {
-			t.Fatalf("a fresh structure's pool %d reports %d slabs, want its first extent", kind, n)
+			t.Fatalf("a fresh structure's pool %d reports %d slabs, want its first one", kind, n)
 		}
 	}
 

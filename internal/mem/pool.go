@@ -3,18 +3,21 @@ package mem
 import (
 	"fmt"
 	"math/bits"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"unsafe"
 )
 
 const (
 	slabBits = 14
-	// SlabSize is the number of slots carved per slab.
+	// SlabSize is the number of slots committed per slab.
 	SlabSize = 1 << slabBits
-	// maxSlots spans a Ptr's index bits, 2^27 records per pool, so a grown
-	// pool's slab directory has 2^13 entries, 64 KB.
+	// maxSlots spans a Ptr's index bits, 2^27 records per pool: the slots a
+	// pool's reservation covers.
 	maxSlabs = 1 << (kindShift - slabBits)
 	maxSlots = maxSlabs * SlabSize
 
@@ -156,23 +159,20 @@ func ceilPow2(n int) int {
 // Pool is a slab allocator for records of type T. Each slot carries a Gen
 // whose generation tags handles; see the package comment. Alloc and Free are
 // safe for concurrent use provided each goroutine uses its own thread id.
+// The slots are outside the Go heap (DESIGN.md §4 "Resolving a handle"), and
+// no record pointer may outlive its Pool.
 type Pool[T any] struct {
-	// What every resolution, Alloc and Free loads, written once: cfg, first
-	// and the threads slice header by NewPool, grown by the one ensureSlabs
-	// that outgrows the first extent. The pad keeps these words a cache line
+	// What every resolution, Alloc and Free loads: cfg, region and the
+	// threads slice header, written once by NewPool, and committed, stored
+	// once per slab by ensureSlabs. The pad keeps these words a cache line
 	// away from the counters below, so a reader walking the structure never
 	// refetches them because an allocating thread bumped a counter (the
 	// tcache counters live in the threads array, padded per thread).
-	cfg   Config
-	first *[SlabSize]slot[T] // slab 0, there from construction
-	// grown is the *slabDir[T] of a pool that has carved past slab 0, nil
-	// until then: an atomic.Pointer in all but spelling (dir, ensureSlabs).
-	// Pointer.Load is this same LoadPointer behind a call, and the call's
-	// overhead in the inliner's accounting, 7, is more than slotAt has to
-	// spare under Slot (TestReadPathInlines, internal/ds).
-	grown   unsafe.Pointer
-	threads []tcache
-	_       [64]byte
+	cfg       Config
+	region    []byte // the reservation of every slot, as syscall.Mmap returned it
+	committed uint32 // slots readable in region, whole slabs; stored under growMu
+	threads   []tcache
+	_         [64]byte
 
 	cursor atomic.Uint64 // next never-carved slot index
 	global globalFree
@@ -198,23 +198,13 @@ type slot[T any] struct {
 	val T
 }
 
-// slabDir is the slab directory of a pool that has outgrown its first
-// extent: entry 0 is Pool.first, so no record moves when it is published, and
-// the others are published once each under growMu and read lock-free.
-type slabDir[T any] [maxSlabs]atomic.Pointer[[SlabSize]slot[T]]
-
-// eraDir is the era side table's slab directory, parallel to slabDir.
+// eraDir is the era side table's slab directory: one header table per slab.
 type eraDir [maxSlabs]atomic.Pointer[[SlabSize]Hdr]
 
-// slabError is the panic value for a handle whose slab was never carved — a
-// corrupt handle — in a pool that has grown: the directory entry is nil. A
-// typed value instead of a formatted string keeps slotAt within the inlining
-// budget of every barriered copy that resolves a slot. A pool still on its
-// first extent has no entry to find nil: it indexes the extent, and the same
-// handle panics with the compiler's bounds check instead, a runtime.Error — as
-// deterministic, and free, where a second explicit panic site would cost
-// slotAt 7 of the 3 that Slot has left (TestCorruptHandlePanicsTyped pins
-// both).
+// slabError is the panic value for a handle into a slab never committed — a
+// corrupt handle, whose PROT_NONE slot would fault fatally if read. A typed
+// value instead of a formatted string keeps slotAt within the inlining
+// budget of every barriered copy that resolves a slot.
 type slabError uint32
 
 func (e slabError) Error() string {
@@ -292,9 +282,18 @@ type tcache struct {
 	_      [64]byte
 }
 
-// NewPool creates a pool. Slot 0 is reserved so that no live handle is Null.
+// NewPool creates a pool: it reserves address space for every slot a handle
+// can name, unmapped again once the Pool is unreachable, and commits the
+// first slab. Slot 0 is reserved so that no live handle is Null. T must hold
+// no Go pointers: the garbage collector never scans the reservation.
 func NewPool[T any](cfg Config) *Pool[T] {
-	p := &Pool[T]{cfg: cfg.withDefaults(), first: new([SlabSize]slot[T])}
+	if t := reflect.TypeFor[T](); hasPointers(t) {
+		panic(fmt.Sprintf("mem: record type %v holds Go pointers, which the collector would not see in a pool", t))
+	}
+	region := reserve(maxSlots * unsafe.Sizeof(slot[T]{}))
+	p := &Pool[T]{cfg: cfg.withDefaults(), region: region}
+	runtime.AddCleanup(p, unreserve, region)
+	p.ensureSlabs(0)
 	p.threads = make([]tcache, p.cfg.MaxThreads)
 	for i := range p.threads {
 		p.threads[i].limit.Store(int32(p.cfg.CacheSize))
@@ -304,6 +303,17 @@ func NewPool[T any](cfg Config) *Pool[T] {
 	p.global.shift = 64 - uint(bits.Len(uint(p.global.mask)))
 	p.cursor.Store(1) // reserve slot 0
 	return p
+}
+
+// hasPointers reports whether a value of type t holds a Go pointer.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		return slices.ContainsFunc(reflect.VisibleFields(t), func(f reflect.StructField) bool { return hasPointers(f.Type) })
+	}
+	return t.Kind() > reflect.Complex128 // every kind after the numbers holds or is a pointer
 }
 
 // shardOf maps a thread id onto a shard index. Callers number threads
@@ -325,45 +335,30 @@ func (p *Pool[T]) homeShard(tid int) *freeShard {
 // MaxThreads returns the number of thread ids the pool was sized for.
 func (p *Pool[T]) MaxThreads() int { return p.cfg.MaxThreads }
 
-// dir returns the slab directory, nil while the first extent is all there is.
-func (p *Pool[T]) dir() *slabDir[T] {
-	return (*slabDir[T])(atomic.LoadPointer(&p.grown))
-}
-
-// slotAt resolves a slot index, in one of two modes chosen by the pool's
-// state, never by the index. Until the pool outgrows its first extent a link
-// costs what it costs in the paper, the one load that fetches the record:
-// first is a word no one writes, so next → address arithmetic → record. A
-// pool that has grown pays the directory load between the two, exactly as
-// every pool used to, after the branch on grown that says so — taken the
-// same way on every call, where a test on idx would go either way on a
-// two-slab pool. (The directory load is spelled out, not p.dir(): see grown.)
+// slotAt resolves a slot index: one bounds check against the committed
+// count, then base + idx·size — next → address arithmetic → record, the one
+// load a link costs in the paper, grown or not. A handle reaches another
+// thread only through an atomic link or a lock its reader acquires, after the
+// ensureSlabs that committed its slab, so its holder sees a count above it.
 //
-// Why a nil grown is safe to act on: a handle with idx ≥ SlabSize cannot
-// exist before the directory is published. ensureSlabs stores grown (and the
-// slab) before it returns, refill and AllocBatch only then hand out the
-// indices they carved, and a handle reaches another thread through an atomic
-// link or a lock its reader acquires — so whoever holds such a handle also
-// sees grown non-nil. An idx below SlabSize resolves to the same address in
-// either mode (entry 0 is first), so which side of the publication a reader
-// falls on makes no difference to it.
+// The shape is for the compiler (DESIGN.md §4 "Resolving a handle"): the two
+// paths meet in s before the panic, so each field load keeps its offset as a
+// displacement, and base is loaded before the test, into a register.
 func (p *Pool[T]) slotAt(idx uint32) *slot[T] {
-	d := (*slabDir[T])(atomic.LoadPointer(&p.grown))
-	if d == nil {
-		return &p.first[idx]
+	var s *slot[T]
+	if base := unsafe.SliceData(p.region); idx < atomic.LoadUint32(&p.committed) {
+		s = (*slot[T])(unsafe.Add(unsafe.Pointer(base), uintptr(idx)*unsafe.Sizeof(slot[T]{})))
 	}
-	s := d[idx>>slabBits].Load()
 	if s == nil {
 		panic(slabError(idx))
 	}
-	return &s[idx&(SlabSize-1)]
+	return s
 }
 
 // Slot returns the record for q together with its generation word, from one
 // slot resolution: the copy-then-validate read copies the fields through the
 // first and then asks the second whether q is still current (Gen.Is), with
-// no second trip through the slab directory. The record pointer is
-// unvalidated, exactly as Raw's.
+// no second resolution. The record pointer is unvalidated, exactly as Raw's.
 func (p *Pool[T]) Slot(q Ptr) (*T, *Gen) {
 	s := p.slotAt(q.Idx())
 	return &s.val, &s.gen
@@ -387,14 +382,15 @@ func (p *Pool[T]) Hdr(q Ptr) *Hdr {
 			return &tab[idx&(SlabSize-1)]
 		}
 	}
-	return &p.eraTable(idx >> slabBits)[idx&(SlabSize-1)]
+	return &p.eraTable(idx)[idx&(SlabSize-1)]
 }
 
-// eraTable returns slab sb's header table, publishing it (and the directory)
-// under growMu if this is the first touch; concurrent first touches agree on
-// one table.
-func (p *Pool[T]) eraTable(sb uint32) *[SlabSize]Hdr {
-	p.slotAt(sb << slabBits) // a slab never carved panics here, as on any accessor
+// eraTable returns the header table of idx's slab, publishing it (and the
+// directory) under growMu if this is the first touch; concurrent first
+// touches agree on one table.
+func (p *Pool[T]) eraTable(idx uint32) *[SlabSize]Hdr {
+	p.slotAt(idx) // a slab never committed panics here, as on any accessor
+	sb := idx >> slabBits
 	p.growMu.Lock()
 	defer p.growMu.Unlock()
 	d := p.eras.Load()
@@ -577,35 +573,31 @@ func (p *Pool[T]) refill(tc *tcache, tid int) {
 	}
 
 	base := p.cursor.Add(carveBatch) - carveBatch
-	if base+carveBatch > maxSlots {
-		panic("mem: pool exhausted (maxSlots)")
-	}
-	p.ensureSlabs(base, base+carveBatch-1)
+	p.ensureSlabs(base + carveBatch - 1)
 	for i := uint64(0); i < carveBatch; i++ {
 		tc.free = append(tc.free, uint32(base+i))
 	}
 }
 
-// ensureSlabs makes every slab the carved range [lo, hi] touches resolvable
-// before its caller hands out an index in it (slotAt's ordering argument
-// rests on that). Slab 0 always is; the first range past it publishes the
-// directory, with entry 0 the first extent.
-func (p *Pool[T]) ensureSlabs(lo, hi uint64) {
-	d := p.dir()
-	for sb := max(uint32(lo)>>slabBits, 1); sb <= uint32(hi)>>slabBits; sb++ {
-		if d != nil && d[sb].Load() != nil {
-			continue
+// ensureSlabs commits, in place, every slab up to the one holding slot hi,
+// the last of a carved range, before its caller hands out an index in the
+// range (slotAt's ordering argument rests on that), and then publishes the
+// new committed count.
+func (p *Pool[T]) ensureSlabs(hi uint64) {
+	if hi < uint64(atomic.LoadUint32(&p.committed)) {
+		return
+	}
+	if hi >= maxSlots {
+		panic("mem: pool exhausted (maxSlots)")
+	}
+	p.growMu.Lock()
+	defer p.growMu.Unlock()
+	size, from, to := uint64(unsafe.Sizeof(slot[T]{})), uint64(p.committed), (hi>>slabBits+1)<<slabBits
+	if from < to {
+		if err := syscall.Mprotect(p.region[from*size:to*size], syscall.PROT_READ|syscall.PROT_WRITE); err != nil {
+			panic(fmt.Sprintf("mem: committing slots [%d, %d): %v", from, to, err))
 		}
-		p.growMu.Lock()
-		if d = p.dir(); d == nil {
-			d = new(slabDir[T])
-			d[0].Store(p.first)
-			atomic.StorePointer(&p.grown, unsafe.Pointer(d))
-		}
-		if d[sb].Load() == nil {
-			d[sb].Store(new([SlabSize]slot[T]))
-		}
-		p.growMu.Unlock()
+		atomic.StoreUint32(&p.committed, uint32(to))
 	}
 }
 
@@ -641,7 +633,7 @@ type Stats struct {
 	// once any side table exists — what a record costs under the scheme
 	// that is actually running.
 	LiveBytes int64
-	// SlabBytes is the carved slabs plus EraBytes.
+	// SlabBytes is the committed slabs plus EraBytes.
 	SlabBytes uint64
 	GlobalOps uint64
 }
@@ -663,8 +655,7 @@ func (p *Pool[T]) Stats() Stats {
 		perRecord += int64(unsafe.Sizeof(Hdr{}))
 	}
 	st.LiveBytes = st.Live * perRecord
-	carved := p.cursor.Load()
-	st.SlabBytes = ((carved+SlabSize-1)>>slabBits)*SlabSize*uint64(st.SlotSize) + st.EraBytes
+	st.SlabBytes = uint64(atomic.LoadUint32(&p.committed))*uint64(st.SlotSize) + st.EraBytes
 	st.GlobalOps = p.global.ops.Load()
 	return st
 }
@@ -673,7 +664,7 @@ func (p *Pool[T]) Stats() Stats {
 // count and byte total summed. SlotSize is kept only where both sides report
 // the same one — pools of different record sizes have no one slot size — so
 // it is 0 for a structure with two record kinds. The zero Stats is the empty
-// sum (no pool reports it: every pool has its first extent), so a fold from
+// sum (no pool reports it: every pool has its first slab), so a fold from
 // Stats{} over one pool, or over pools of one size, keeps their SlotSize.
 func (s Stats) Plus(o Stats) Stats {
 	if s == (Stats{}) {

@@ -50,11 +50,11 @@ func BenchmarkGet(b *testing.B) {
 // BenchmarkResolveChain measures what following a link costs at this layer: a
 // dependent chase, the read path's Slot-copy-validate per hop, through a
 // shuffled ring of 10 000 records (more than L1 holds, as a traversed
-// structure is). "single" runs on a pool still on its first extent — next →
-// arithmetic → record; "grown" runs the same ring, at the same addresses,
-// after the pool was pushed past it — next → directory entry → record. The
-// difference is the directory load on the dependent chain, and the pair says
-// whether a later change moved the resolution or something above it.
+// structure is). "single" runs on a pool still on its first slab; "grown"
+// runs the same ring, at the same addresses, after the pool committed a
+// second one. Both resolve next → address arithmetic → record, so the two
+// rows should read alike: a gap between them is a cost growth added to the
+// resolution, and a move in both is a change to the resolution itself.
 func BenchmarkResolveChain(b *testing.B) {
 	const n = 10_000
 	p := NewPool[rec](Config{MaxThreads: 1})

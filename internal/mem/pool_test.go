@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -394,43 +393,42 @@ func TestEraTableFirstTouchRace(t *testing.T) {
 	}
 }
 
-// TestCorruptHandlePanicsTyped: a handle into a slab that was never carved
-// panics on every accessor, the header's included, in both of slotAt's modes,
-// each with its own value. A pool that has grown looks the slab up and panics
-// with the typed slabError. A pool still on its first extent indexes that
-// extent directly, so the panic is the compiler's bounds check, a
-// runtime.Error: an explicit second panic site would cost slotAt 7 more of
-// the inliner's 80, Slot has 3 left, and Slot out of budget is Slot out of
-// every barriered copy (TestReadPathInlines).
+// TestCorruptHandlePanicsTyped: a handle into a slab that was never committed
+// panics on every accessor, the header's and the free path's included, with
+// the typed slabError — on a pool on its first slab and on one that has grown
+// alike, for the first slot past the committed count as for the last slot a
+// handle can name. Reading such a slot would fault on PROT_NONE memory, a
+// fatal error rather than a panic, so the count is checked first.
 func TestCorruptHandlePanicsTyped(t *testing.T) {
-	bad := pack(5*SlabSize+3, 1, 0, 0)
 	for _, grown := range []bool{false, true} {
 		p := newTestPool(1)
 		p.Alloc(0)
 		if grown {
 			outgrow(p, 0)
 		}
-		for name, f := range map[string]func(){
-			"Raw":      func() { p.Raw(bad) },
-			"Slot":     func() { p.Slot(bad) },
-			"Valid":    func() { p.Valid(bad) },
-			"MustSlot": func() { p.MustSlot(bad) },
-			"Hdr":      func() { p.Hdr(bad) },
-		} {
-			func() {
-				defer func() {
-					r := recover()
-					se, typed := r.(slabError)
-					rte, bounds := r.(runtime.Error)
-					if grown && (!typed || !strings.Contains(se.Error(), "unallocated slab")) {
-						t.Fatalf("%s on a corrupt handle, grown pool: recovered %v, want the slab error", name, r)
-					}
-					if !grown && (!bounds || !strings.Contains(rte.Error(), "index out of range")) {
-						t.Fatalf("%s on a corrupt handle, single extent: recovered %v, want the bounds check's runtime.Error", name, r)
-					}
+		for _, idx := range []uint32{p.committed, 5*SlabSize + 3, maxSlots - 1} {
+			bad := pack(idx, 1, 0, 0)
+			for name, f := range map[string]func(){
+				"Raw":      func() { p.Raw(bad) },
+				"Slot":     func() { p.Slot(bad) },
+				"Valid":    func() { p.Valid(bad) },
+				"Get":      func() { p.Get(bad) },
+				"MustGet":  func() { p.MustGet(bad) },
+				"MustSlot": func() { p.MustSlot(bad) },
+				"Hdr":      func() { p.Hdr(bad) },
+				"Free":     func() { p.Free(0, bad) },
+			} {
+				func() {
+					defer func() {
+						r := recover()
+						se, typed := r.(slabError)
+						if !typed || uint32(se) != idx || !strings.Contains(se.Error(), "unallocated slab") {
+							t.Fatalf("%s on a handle to slot %d (grown %v): recovered %v, want the slab error", name, idx, grown, r)
+						}
+					}()
+					f()
 				}()
-				f()
-			}()
+			}
 		}
 	}
 }

@@ -2,7 +2,8 @@
 //
 // The paper's SMR algorithms assume records are malloc'd and free'd; Go's
 // garbage collector offers neither. This package restores explicit
-// allocate/free semantics with a slab pool: records live in slabs, are
+// allocate/free semantics with a slab pool: records live in slabs committed
+// in one address-space reservation per pool, outside the Go heap, are
 // addressed by generation-tagged 64-bit handles (Ptr), and are recycled
 // through per-thread caches backed by a shared free list. Freeing a record
 // bumps its slot generation, so any later dereference through a stale handle

@@ -68,18 +68,15 @@ func SegWeight(sa SegmentArena, p Ptr) int {
 
 // AllocBatch carves n fresh contiguous slots in one bump-cursor claim and
 // returns them as a Run, live (generation 1) and zeroed: batch carving only
-// ever uses never-recycled address space, so unlike Alloc the records are
-// guaranteed zero — callers may initialize with plain stores before
-// publishing. Statistics account exactly as n Alloc calls would.
+// ever uses never-recycled address space, which the kernel zero-fills, so
+// unlike Alloc the records are guaranteed zero and a caller stores only the
+// fields it wants non-zero. Statistics account exactly as n Alloc calls would.
 func (p *Pool[T]) AllocBatch(tid, n int) Run {
 	if n <= 0 {
 		panic(fmt.Sprintf("mem: AllocBatch of %d slots", n))
 	}
 	base := p.cursor.Add(uint64(n)) - uint64(n)
-	if base+uint64(n) > maxSlots {
-		panic("mem: pool exhausted (maxSlots)")
-	}
-	p.ensureSlabs(base, base+uint64(n)-1)
+	p.ensureSlabs(base + uint64(n) - 1)
 	for i := uint64(0); i < uint64(n); i++ {
 		s := p.slotAt(uint32(base + i))
 		// Fresh-carved slots are on generation 0 (free); flip to 1 (live).
