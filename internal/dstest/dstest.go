@@ -199,7 +199,7 @@ func RunAll(t *testing.T, f Factory) {
 }
 
 // stampingSchemes lists the schemes that keep per-record era or epoch stamps
-// (mem.Hdr): the only ones allowed to materialize a pool's era side table.
+// (mem.Hdr): the only ones allowed to commit a pool's era headers.
 var stampingSchemes = map[string]bool{
 	"he": true, "ibr": true, "qsbr": true, "rcu": true,
 }
@@ -223,9 +223,9 @@ func poolStats(t *testing.T, inst Instance) []mem.Stats {
 }
 
 // eraTables closes a scheme's run over every instance its suites built: a
-// scheme that stamps nothing must have left every pool's era side table
-// unmaterialized — its records cost their slot and nothing else — and a
-// stamping scheme must have materialized one wherever it churned, charging
+// scheme that stamps nothing must have left every pool's era headers
+// uncommitted — its records cost their slot and nothing else — and a
+// stamping scheme must have committed them wherever it churned, charging
 // every live record of that pool its slot and a header.
 func eraTables(t *testing.T, scheme string, made []Instance, churned bool) {
 	stamped := 0
@@ -236,7 +236,7 @@ func eraTables(t *testing.T, scheme string, made []Instance, churned bool) {
 			}
 			stamped++
 			if !stampingSchemes[scheme] {
-				t.Fatalf("%s materialized %d bytes of era tables; it writes no per-record stamps", scheme, st.EraBytes)
+				t.Fatalf("%s committed %d bytes of era headers; it writes no per-record stamps", scheme, st.EraBytes)
 			}
 			if want := st.Live * int64(st.SlotSize+unsafe.Sizeof(mem.Hdr{})); st.LiveBytes != want {
 				t.Fatalf("LiveBytes = %d for %d live records of a %d-byte slot and a header each, want %d",
@@ -245,7 +245,7 @@ func eraTables(t *testing.T, scheme string, made []Instance, churned bool) {
 		}
 	}
 	if stampingSchemes[scheme] && churned && stamped == 0 {
-		t.Fatalf("%s ran the concurrent suite without materializing an era table", scheme)
+		t.Fatalf("%s ran the concurrent suite without committing era headers", scheme)
 	}
 }
 

@@ -205,7 +205,7 @@ type wide struct{ _ [36]uint64 }
 // address space between them; after they are dropped and collected, VmSize
 // must be back within one reservation of where it started.
 func TestPoolReleasesReservation(t *testing.T) {
-	reservation := uint64(maxSlots * unsafe.Sizeof(slot[wide]{}))
+	reservation := uint64(maxSlots * (unsafe.Sizeof(slot[wide]{}) + unsafe.Sizeof(Hdr{})))
 	runtime.GC()
 	start := vmSize(t)
 	for i := 0; i < 256; i++ {
@@ -232,7 +232,7 @@ func TestPoolReleasesReservation(t *testing.T) {
 // would not start a collection in time: 1 200 dropped pools of a 288-byte
 // record, 46 TB of address space, grow the heap by about a megabyte.
 func TestReservationsPaced(t *testing.T) {
-	size := int64(maxSlots * unsafe.Sizeof(slot[wide]{}))
+	size := int64(maxSlots * (unsafe.Sizeof(slot[wide]{}) + unsafe.Sizeof(Hdr{})))
 	for i := int64(0); i < 3*reserveBytes/size; i++ {
 		NewPool[wide](Config{MaxThreads: 1, Shards: 1})
 		if live := liveReserved.Load(); live > reserveBytes {

@@ -48,10 +48,11 @@ func (g *Gen) Is(q Ptr) bool { return g.v.Load() == q.Gen() }
 
 // Hdr is a record's era header: the birth and retire stamps the era and
 // epoch schemes keep per record (the per-record metadata the paper notes IBR
-// and hazard eras require). It lives in a per-slab side table that Arena.Hdr
-// materializes on first use, so a pool whose scheme never asks for a header
-// never pays for one. A slot's header outlives its occupants: a fresh table
-// reads zero, exactly as a fresh slab does.
+// and hazard eras require). It is not in the slot. The pool's reservation
+// holds every slot and then every slot's header, 16 bytes at a fixed stride,
+// and only a pool's first Arena.Hdr commits the headers: a pool whose scheme
+// never asks for one never commits a page of them. A slot's header outlives
+// its occupants: a fresh header reads zero, exactly as a fresh slot does.
 type Hdr struct {
 	birth  atomic.Uint64
 	retire atomic.Uint64
@@ -82,8 +83,8 @@ type Arena interface {
 	// interaction and at most one shared-free-list interaction for the
 	// entire batch. The slice is not retained and may be reordered.
 	FreeBatch(tid int, ps []Ptr)
-	// Hdr exposes the era header of a live or retired record, materializing
-	// the side table that holds it on first use.
+	// Hdr exposes the era header of a live or retired record; a pool's first
+	// call commits its headers.
 	Hdr(p Ptr) *Hdr
 	// Valid reports whether p still addresses the allocation it was created
 	// by (i.e. the record has not been freed).
@@ -163,26 +164,23 @@ func ceilPow2(n int) int {
 // no record pointer may outlive its Pool.
 type Pool[T any] struct {
 	// What every resolution, Alloc and Free loads: cfg, region and the
-	// threads slice header, written once by NewPool, and committed, stored
-	// once per slab by ensureSlabs. The pad keeps these words a cache line
-	// away from the counters below, so a reader walking the structure never
-	// refetches them because an allocating thread bumped a counter (the
-	// tcache counters live in the threads array, padded per thread).
+	// threads slice header, written once by NewPool, committed, stored once
+	// per slab by ensureSlabs, and stamped, stored once by the first Hdr
+	// (from then on ensureSlabs commits each slab's headers with its slots).
+	// The pad keeps these words a cache line away from the counters below,
+	// so a reader walking the structure never refetches them because an
+	// allocating thread bumped a counter (the tcache counters live in the
+	// threads array, padded per thread).
 	cfg       Config
-	region    []byte // the reservation of every slot, as syscall.Mmap returned it
+	region    []byte // the reservation of every slot and header, as syscall.Mmap returned it
 	committed uint32 // slots readable in region, whole slabs; stored under growMu
+	stamped   atomic.Bool
 	threads   []tcache
 	_         [64]byte
 
 	cursor atomic.Uint64 // next never-carved slot index
 	global globalFree
 	growMu sync.Mutex
-
-	// Era side table (see Hdr): a directory of per-slab header tables, both
-	// levels published once under growMu on the first Hdr call that needs
-	// them and read lock-free. eraTabs counts the tables for Stats.
-	eras    atomic.Pointer[eraDir]
-	eraTabs atomic.Int64
 
 	// Segment directory (see segment.go): handle slot index → member run.
 	// nsegs gates the free path so pools without segments pay one atomic
@@ -197,9 +195,6 @@ type slot[T any] struct {
 	gen Gen
 	val T
 }
-
-// eraDir is the era side table's slab directory: one header table per slab.
-type eraDir [maxSlabs]atomic.Pointer[[SlabSize]Hdr]
 
 // slabError is the panic value for a handle into a slab never committed — a
 // corrupt handle, whose PROT_NONE slot would fault fatally if read. A typed
@@ -283,14 +278,15 @@ type tcache struct {
 }
 
 // NewPool creates a pool: it reserves address space for every slot a handle
-// can name, unmapped again once the Pool is unreachable, and commits the
-// first slab. Slot 0 is reserved so that no live handle is Null. T must hold
-// no Go pointers: the garbage collector never scans the reservation.
+// can name and for its header, unmapped again once the Pool is unreachable,
+// and commits the first slab. Slot 0 is reserved so that no live handle is
+// Null. T must hold no Go pointers: the garbage collector never scans the
+// reservation.
 func NewPool[T any](cfg Config) *Pool[T] {
 	if t := reflect.TypeFor[T](); hasPointers(t) {
 		panic(fmt.Sprintf("mem: record type %v holds Go pointers, which the collector would not see in a pool", t))
 	}
-	region := reserve(maxSlots * unsafe.Sizeof(slot[T]{}))
+	region := reserve(maxSlots * (unsafe.Sizeof(slot[T]{}) + unsafe.Sizeof(Hdr{})))
 	p := &Pool[T]{cfg: cfg.withDefaults(), region: region}
 	runtime.AddCleanup(p, unreserve, region)
 	p.ensureSlabs(0)
@@ -371,40 +367,34 @@ func (p *Pool[T]) Raw(q Ptr) *T {
 	return &p.slotAt(q.Idx()).val
 }
 
-// Hdr implements Arena. The common case is two lock-free loads; the first
-// call into a slab materializes its header table (and the very first the
-// directory), so pools under schemes that keep no per-record stamps never
-// allocate either.
+// Hdr implements Arena. A pool's first call commits the headers (stamp);
+// every call is then slotAt's bounds check and one address, the header range
+// starting after the last slot the reservation holds.
 func (p *Pool[T]) Hdr(q Ptr) *Hdr {
-	idx := q.Idx()
-	if d := p.eras.Load(); d != nil {
-		if tab := d[idx>>slabBits].Load(); tab != nil {
-			return &tab[idx&(SlabSize-1)]
-		}
+	if !p.stamped.Load() {
+		p.stamp()
 	}
-	return &p.eraTable(idx)[idx&(SlabSize-1)]
+	idx := q.Idx()
+	p.slotAt(idx) // a slab never committed panics here, as on any accessor
+	return (*Hdr)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(p.region)), p.hdrOff(uint64(idx))))
 }
 
-// eraTable returns the header table of idx's slab, publishing it (and the
-// directory) under growMu if this is the first touch; concurrent first
-// touches agree on one table.
-func (p *Pool[T]) eraTable(idx uint32) *[SlabSize]Hdr {
-	p.slotAt(idx) // a slab never committed panics here, as on any accessor
-	sb := idx >> slabBits
+// hdrOff is the offset of slot idx's header in the reservation.
+func (p *Pool[T]) hdrOff(idx uint64) uint64 {
+	return maxSlots*uint64(unsafe.Sizeof(slot[T]{})) + idx*uint64(unsafe.Sizeof(Hdr{}))
+}
+
+// stamp commits the headers of every slab committed so far, then sets
+// stamped, both under growMu: every count ensureSlabs publishes after that
+// covers its slabs' headers too, so a reader that saw stamped set finds a
+// committed header below any count it then loads.
+func (p *Pool[T]) stamp() {
 	p.growMu.Lock()
 	defer p.growMu.Unlock()
-	d := p.eras.Load()
-	if d == nil {
-		d = new(eraDir)
-		p.eras.Store(d)
+	if !p.stamped.Load() {
+		p.commit(p.hdrOff(0), p.hdrOff(uint64(p.committed)))
+		p.stamped.Store(true)
 	}
-	tab := d[sb].Load()
-	if tab == nil {
-		tab = new([SlabSize]Hdr)
-		d[sb].Store(tab)
-		p.eraTabs.Add(1)
-	}
-	return tab
 }
 
 // Valid implements Arena: it reports whether q's generation is current.
@@ -580,9 +570,10 @@ func (p *Pool[T]) refill(tc *tcache, tid int) {
 }
 
 // ensureSlabs commits, in place, every slab up to the one holding slot hi,
-// the last of a carved range, before its caller hands out an index in the
-// range (slotAt's ordering argument rests on that), and then publishes the
-// new committed count.
+// the last of a carved range, and the slabs' headers once the pool is
+// stamped, before its caller hands out an index in the range (slotAt's
+// ordering argument rests on that), and then publishes the new committed
+// count.
 func (p *Pool[T]) ensureSlabs(hi uint64) {
 	if hi < uint64(atomic.LoadUint32(&p.committed)) {
 		return
@@ -594,10 +585,18 @@ func (p *Pool[T]) ensureSlabs(hi uint64) {
 	defer p.growMu.Unlock()
 	size, from, to := uint64(unsafe.Sizeof(slot[T]{})), uint64(p.committed), (hi>>slabBits+1)<<slabBits
 	if from < to {
-		if err := syscall.Mprotect(p.region[from*size:to*size], syscall.PROT_READ|syscall.PROT_WRITE); err != nil {
-			panic(fmt.Sprintf("mem: committing slots [%d, %d): %v", from, to, err))
+		p.commit(from*size, to*size)
+		if p.stamped.Load() {
+			p.commit(p.hdrOff(from), p.hdrOff(to))
 		}
 		atomic.StoreUint32(&p.committed, uint32(to))
+	}
+}
+
+// commit makes bytes [lo, hi) of the reservation readable and writable.
+func (p *Pool[T]) commit(lo, hi uint64) {
+	if err := syscall.Mprotect(p.region[lo:hi], syscall.PROT_READ|syscall.PROT_WRITE); err != nil {
+		panic(fmt.Sprintf("mem: committing reservation bytes [%d, %d): %v", lo, hi, err))
 	}
 }
 
@@ -625,12 +624,11 @@ type Stats struct {
 	// plus the record itself. The era header is not part of it. Summed
 	// statistics (Plus) keep it only when every pool has the same one.
 	SlotSize uintptr
-	// EraBytes is the size of the materialized era side tables: 0 until a
-	// scheme asks for a header, then one header per slot of every slab it
-	// touched.
+	// EraBytes is the committed era headers: 0 until a scheme asks for a
+	// header, then one header per slot of every committed slab.
 	EraBytes uint64
 	// LiveBytes is Live records at SlotSize each, plus one era header each
-	// once any side table exists — what a record costs under the scheme
+	// once the headers are committed — what a record costs under the scheme
 	// that is actually running.
 	LiveBytes int64
 	// SlabBytes is the committed slabs plus EraBytes.
@@ -649,13 +647,13 @@ func (p *Pool[T]) Stats() Stats {
 	}
 	st.Live = int64(st.Allocs) - int64(st.Frees)
 	st.SlotSize = unsafe.Sizeof(slot[T]{})
-	st.EraBytes = uint64(p.eraTabs.Load()) * SlabSize * uint64(unsafe.Sizeof(Hdr{}))
-	perRecord := int64(st.SlotSize)
-	if st.EraBytes != 0 {
+	slots, perRecord := uint64(atomic.LoadUint32(&p.committed)), int64(st.SlotSize)
+	if p.stamped.Load() {
+		st.EraBytes = slots * uint64(unsafe.Sizeof(Hdr{}))
 		perRecord += int64(unsafe.Sizeof(Hdr{}))
 	}
 	st.LiveBytes = st.Live * perRecord
-	st.SlabBytes = uint64(atomic.LoadUint32(&p.committed))*uint64(st.SlotSize) + st.EraBytes
+	st.SlabBytes = slots*uint64(st.SlotSize) + st.EraBytes
 	st.GlobalOps = p.global.ops.Load()
 	return st
 }

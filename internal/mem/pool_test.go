@@ -3,6 +3,7 @@ package mem
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -213,18 +214,18 @@ func TestStatsAccounting(t *testing.T) {
 	if st.SlabBytes != SlabSize*uint64(st.SlotSize) {
 		t.Fatalf("SlabBytes = %d, want one slab of %d-byte slots", st.SlabBytes, st.SlotSize)
 	}
-	// The first header materializes the slab's side table, and every live
-	// record is then charged its 16-byte header.
+	// The first header commits the headers of the pool's slab, and every
+	// live record is then charged its 16-byte header.
 	p.Hdr(hs[99]).SetBirth(1)
 	era := p.Stats()
 	if era.EraBytes != SlabSize*16 {
-		t.Fatalf("EraBytes = %d, want one table of %d headers", era.EraBytes, SlabSize)
+		t.Fatalf("EraBytes = %d, want one slab of %d headers", era.EraBytes, SlabSize)
 	}
 	if era.LiveBytes != 60*int64(st.SlotSize+16) {
-		t.Fatalf("LiveBytes = %d with era tables, want 60 records of %d+16 bytes", era.LiveBytes, st.SlotSize)
+		t.Fatalf("LiveBytes = %d with headers, want 60 records of %d+16 bytes", era.LiveBytes, st.SlotSize)
 	}
 	if era.SlabBytes != st.SlabBytes+era.EraBytes {
-		t.Fatalf("SlabBytes = %d, want slabs %d + era tables %d", era.SlabBytes, st.SlabBytes, era.EraBytes)
+		t.Fatalf("SlabBytes = %d, want slabs %d + headers %d", era.SlabBytes, st.SlabBytes, era.EraBytes)
 	}
 }
 
@@ -314,39 +315,51 @@ func TestSlotOneResolution(t *testing.T) {
 	}
 }
 
-// TestEraTableLazy: nothing on the allocate/read/free path materializes the
-// era side table; the first Hdr of a slab does, for that slab only; and a
-// slot's header outlives its occupants, as the inline header did.
-func TestEraTableLazy(t *testing.T) {
+// hdrAddr is where slot idx's header must sit: after every slot of the
+// reservation, at one 16-byte stride.
+func hdrAddr(p *Pool[rec], idx uint32) uintptr {
+	return uintptr(unsafe.Pointer(&p.region[0])) + maxSlots*unsafe.Sizeof(slot[rec]{}) + uintptr(idx)*16
+}
+
+// TestHeaderLayout: nothing on the allocate/read/free path commits a header;
+// the first Hdr commits those of every committed slab, and ensureSlabs those
+// of every slab after it; the headers on both sides of a slab boundary sit at
+// one stride in the reservation; and a slot's header outlives its occupants.
+func TestHeaderLayout(t *testing.T) {
 	p := newTestPool(1)
-	var hs []Ptr
+	byIdx := map[uint32]Ptr{}
 	for i := 0; i < SlabSize+8; i++ { // spills into a second slab
 		h, _ := p.Alloc(0)
-		hs = append(hs, h)
+		byIdx[h.Idx()] = h
 	}
-	for _, h := range hs {
+	for _, h := range byIdx {
 		if _, ok := p.Get(h); !ok || !p.Valid(h) {
 			t.Fatalf("fresh handle %v not live", h)
 		}
 	}
-	p.Free(0, hs[1])
-	if p.eras.Load() != nil || p.Stats().EraBytes != 0 {
-		t.Fatal("alloc, read and free must not materialize era tables")
+	p.Free(0, byIdx[2])
+	if p.stamped.Load() || p.Stats().EraBytes != 0 {
+		t.Fatal("alloc, read and free must not commit headers")
 	}
 
-	first, last := hs[0], hs[len(hs)-1]
+	first, edge, past := byIdx[1], byIdx[SlabSize-1], byIdx[SlabSize]
+	if first.IsNull() || edge.IsNull() || past.IsNull() {
+		t.Fatal("the allocations must cover slots 1, SlabSize-1 and SlabSize")
+	}
 	p.Hdr(first).SetBirth(7)
-	if got := p.eraTabs.Load(); got != 1 {
-		t.Fatalf("%d era tables after touching one slab, want 1", got)
+	if got, want := p.Stats().EraBytes, 2*SlabSize*uint64(16); got != want {
+		t.Fatalf("EraBytes = %d after the first header of a two-slab pool, want %d", got, want)
 	}
-	if p.Hdr(hs[2]).Birth() != 0 {
-		t.Fatal("a fresh table must read zero")
+	for _, h := range []Ptr{first, edge, past, byIdx[3]} {
+		if got, want := uintptr(unsafe.Pointer(p.Hdr(h))), hdrAddr(p, h.Idx()); got != want {
+			t.Fatalf("header of slot %d at %#x, want %#x: the headers are not one array after the slots", h.Idx(), got, want)
+		}
 	}
-	p.Hdr(last).SetRetire(11)
-	if got := p.eraTabs.Load(); got != 2 {
-		t.Fatalf("%d era tables after touching the second slab, want 2", got)
+	if p.Hdr(edge).Birth() != 0 || p.Hdr(past).Retire() != 0 {
+		t.Fatal("a fresh header must read zero")
 	}
-	if p.Hdr(first.WithMark()).Birth() != 7 || p.Hdr(last).Retire() != 11 {
+	p.Hdr(past).SetRetire(11)
+	if p.Hdr(first.WithMark()).Birth() != 7 || p.Hdr(past).Retire() != 11 {
 		t.Fatal("headers lost their stamps")
 	}
 
@@ -358,15 +371,48 @@ func TestEraTableLazy(t *testing.T) {
 	if p.Hdr(again).Birth() != 7 {
 		t.Fatal("a slot's header must outlive its occupants")
 	}
+
+	// A slab committed after the first stamp brings its headers with it.
+	for atomic.LoadUint32(&p.committed) <= 2*SlabSize {
+		h, _ := p.Alloc(0)
+		if p.Hdr(h).SetRetire(uint64(h.Idx())); p.Hdr(h).Retire() != uint64(h.Idx()) {
+			t.Fatalf("header of slot %d lost its stamp", h.Idx())
+		}
+	}
+	if got, want := p.Stats().EraBytes, 3*SlabSize*uint64(16); got != want {
+		t.Fatalf("EraBytes = %d after a third slab, want %d", got, want)
+	}
 }
 
-// TestEraTableFirstTouchRace has many goroutines take the first header of one
-// slab at once: they must all land in one table.
-func TestEraTableFirstTouchRace(t *testing.T) {
-	const n = 16
-	p := newTestPool(n)
+// TestHdrAllocatesNothing: a header lives in the pool's reservation, so a
+// pool's first Hdr, and the first into its second slab, allocate nothing.
+func TestHdrAllocatesNothing(t *testing.T) {
+	const runs = 3
+	var pools []*Pool[rec]
+	var firsts, pasts []Ptr
+	for range runs + 1 { // AllocsPerRun calls once more to warm up
+		p := newTestPool(1)
+		hs := outgrow(p, 0)
+		pools, firsts, pasts = append(pools, p), append(firsts, hs[0]), append(pasts, hs[len(hs)-1])
+	}
+	i := 0
+	if avg := testing.AllocsPerRun(runs, func() {
+		pools[i].Hdr(firsts[i]).SetBirth(1)
+		pools[i].Hdr(pasts[i]).SetBirth(1)
+		i++
+	}); avg != 0 {
+		t.Fatalf("first Hdr calls into two fresh slabs allocate %.1f times", avg)
+	}
+}
+
+// TestFirstStampConcurrent has goroutines take their pool's first header at
+// once while another commits a second slab: each finds the header at its
+// fixed address, and a slab committed however the two interleave has its
+// headers committed with it.
+func TestFirstStampConcurrent(t *testing.T) {
+	const n = 8
+	p := newTestPool(n + 1)
 	h, _ := p.Alloc(0)
-	hdrs := make([]*Hdr, n)
 	var start, done sync.WaitGroup
 	start.Add(1)
 	for i := 0; i < n; i++ {
@@ -374,22 +420,28 @@ func TestEraTableFirstTouchRace(t *testing.T) {
 		go func(i int) {
 			defer done.Done()
 			start.Wait()
-			hdrs[i] = p.Hdr(h)
-			hdrs[i].SetRetire(uint64(i + 1))
+			if got := uintptr(unsafe.Pointer(p.Hdr(h))); got != hdrAddr(p, h.Idx()) {
+				t.Errorf("goroutine %d: header at %#x, want %#x", i, got, hdrAddr(p, h.Idx()))
+			}
+			p.Hdr(h).SetRetire(uint64(i + 1))
 		}(i)
 	}
+	done.Add(1)
+	go func() {
+		defer done.Done()
+		start.Wait()
+		for atomic.LoadUint32(&p.committed) <= SlabSize {
+			q, _ := p.Alloc(n)
+			p.Hdr(q).SetBirth(uint64(q.Idx()))
+		}
+	}()
 	start.Done()
 	done.Wait()
-	for i, hd := range hdrs {
-		if hd != hdrs[0] {
-			t.Fatalf("goroutine %d got a different header than goroutine 0", i)
-		}
-	}
-	if got := p.eraTabs.Load(); got != 1 {
-		t.Fatalf("%d era tables materialized, want 1", got)
-	}
 	if p.Hdr(h).Retire() == 0 {
 		t.Fatal("no stamp reached the shared header")
+	}
+	if st := p.Stats(); st.EraBytes != uint64(atomic.LoadUint32(&p.committed))*16 {
+		t.Fatalf("EraBytes = %d, want a header for each of the %d committed slots", st.EraBytes, p.committed)
 	}
 }
 

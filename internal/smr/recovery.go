@@ -63,6 +63,10 @@ func (r *Registry) Revoke(l *Lease) bool {
 		// owns the slot's recovery; nothing to do.
 		return false
 	}
+	// The reap is counted before revoked is published: a zombie's Release
+	// counts itself as soon as it sees revoked, so a snapshot never reads
+	// more zombie releases than reaps.
+	r.reaped.Add(1)
 	l.revoked.Store(true)
 	r.active.Clear(l.tid)
 	if r.rec.Enabled() {
@@ -71,7 +75,6 @@ func (r *Registry) Revoke(l *Lease) bool {
 	}
 	r.scheme.RevokeSlot(l.tid)
 	r.runRecovery(l.tid)
-	r.reaped.Add(1)
 	r.finishRelease(l.tid)
 	return true
 }

@@ -103,6 +103,30 @@ func TestRegistryDuplicateReleaseCannotRevokeSuccessor(t *testing.T) {
 	}
 }
 
+// TestRegistryRevokeCountsReapFirst pins the order of Revoke's counters: the
+// zombie's late Release lands while the reap's recovery is still running (a
+// release hook calls it), and by then the reap must already be counted, so no
+// snapshot reads more zombie releases than reaps.
+func TestRegistryRevokeCountsReapFirst(t *testing.T) {
+	r := boundRegistry(1, &testScheme{})
+	l, err := r.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reaped, zombies uint64
+	r.OnRelease(func(int) {
+		l.Release() // the zombie wakes mid-reap
+		reaped, zombies = r.ReapedLeases(), r.RevokedReleases()
+	})
+	if !r.Revoke(l) {
+		t.Fatal("Revoke of a held lease must succeed")
+	}
+	if zombies != 1 || reaped < zombies {
+		t.Fatalf("inside the reap's recovery: %d reaps counted against %d zombie releases, want at least as many reaps as the 1 release",
+			reaped, zombies)
+	}
+}
+
 func TestRegistryHookOrderAndThreading(t *testing.T) {
 	r := boundRegistry(1, &testScheme{})
 	var order []string
