@@ -106,7 +106,7 @@ func BenchmarkAblateSignals(b *testing.B) {
 		b.Run(s, func(b *testing.B) {
 			w := bench.Workload{DS: "dgt", Scheme: s, Threads: benchThreads,
 				KeyRange: treeRange, InsPct: 50, DelPct: 50,
-				Duration: benchDuration, Prefill: -1, Cfg: catalog.DefaultSchemeConfig()}
+				Duration: benchDuration, Cfg: catalog.DefaultSchemeConfig()}
 			var signalsPerKop float64
 			for i := 0; i < b.N; i++ {
 				r, err := bench.Run(w)

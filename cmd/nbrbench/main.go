@@ -85,7 +85,7 @@ func main() {
 		w := bench.Workload{
 			DS: *dsName, Scheme: *scheme, Threads: *threadCount,
 			KeyRange: *keyRange, InsPct: *ins, DelPct: *del,
-			Duration: *duration, Prefill: -1, Stall: *stall, Cfg: cfg,
+			Duration: *duration, Stall: *stall, Cfg: cfg,
 		}
 		r, err := bench.Run(w)
 		if err != nil {

@@ -40,7 +40,7 @@ func main() {
 			// A third each of inserts, deletes and searches over a tiny range.
 			_, err := bench.Run(bench.Workload{
 				DS: dsName, Scheme: scheme, Threads: *threads, KeyRange: *keys,
-				InsPct: 33, DelPct: 33, Prefill: -1, Cfg: cfg,
+				InsPct: 33, DelPct: 33, Cfg: cfg,
 				Duration: time.Duration(*seconds * float64(time.Second)),
 			})
 			if err != nil {

@@ -26,7 +26,7 @@ func main() {
 		// inside an open read phase (Stall); it is woken when the churn ends.
 		r, err := bench.Run(bench.Workload{
 			DS: "dgt", Scheme: scheme, Threads: 3, KeyRange: 5_000,
-			InsPct: 50, DelPct: 50, Duration: time.Second, Prefill: -1,
+			InsPct: 50, DelPct: 50, Duration: time.Second,
 			Stall: true, Cfg: cfg,
 		})
 		if err != nil {

@@ -44,7 +44,6 @@ func main() {
 			InsPct:   50,
 			DelPct:   50,
 			Duration: 600 * time.Millisecond,
-			Prefill:  -1,
 			Cfg:      catalog.DefaultSchemeConfig(),
 		})
 		if err != nil {

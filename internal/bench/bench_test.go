@@ -51,7 +51,7 @@ func TestRunSmoke(t *testing.T) {
 	r, err := Run(Workload{
 		DS: "lazylist", Scheme: "nbr+", Threads: 2, KeyRange: 256,
 		InsPct: 50, DelPct: 50, Duration: 50 * time.Millisecond,
-		Prefill: -1, Cfg: catalog.DefaultSchemeConfig(),
+		Cfg: catalog.DefaultSchemeConfig(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,8 +69,8 @@ func TestRunWithStalledThread(t *testing.T) {
 		r, err := Run(Workload{
 			DS: "lazylist", Scheme: scheme, Threads: 2, KeyRange: 256,
 			InsPct: 50, DelPct: 50, Duration: 60 * time.Millisecond,
-			Prefill: -1, Stall: true,
-			Cfg: catalog.SchemeConfig{BagSize: 64, LoFraction: 0.5, ScanFreq: 4, Threshold: 32},
+			Stall: true,
+			Cfg:   catalog.SchemeConfig{BagSize: 64, LoFraction: 0.5, ScanFreq: 4, Threshold: 32},
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)
@@ -93,7 +93,7 @@ func TestRunPrefillsToHalfRange(t *testing.T) {
 	r, err := Run(Workload{
 		DS: "lazylist", Scheme: "none", Threads: 1, KeyRange: 200,
 		InsPct: 0, DelPct: 0, Duration: 20 * time.Millisecond,
-		Prefill: -1, Cfg: catalog.DefaultSchemeConfig(),
+		Cfg: catalog.DefaultSchemeConfig(),
 	})
 	if err != nil {
 		t.Fatal(err)

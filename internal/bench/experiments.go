@@ -103,7 +103,7 @@ func (g Grid) threads(o Options) []int {
 func (g Grid) workload(o Options, m mix, threads int, s series) Workload {
 	return Workload{
 		DS: s.ds, Scheme: s.scheme, Threads: threads, KeyRange: scaleRange(o, g.PaperRange),
-		InsPct: m.ins, DelPct: m.del, Duration: o.Duration, Prefill: -1, Stall: g.Stall, Cfg: o.Cfg,
+		InsPct: m.ins, DelPct: m.del, Duration: o.Duration, Stall: g.Stall, Cfg: o.Cfg,
 	}
 }
 
@@ -275,7 +275,7 @@ func memoryFigure(o Options, g Grid) error {
 func topCell(o Options, ds, scheme string, keyRange uint64, cfg catalog.SchemeConfig, stall bool) (Result, error) {
 	return runCell(o, Workload{
 		DS: ds, Scheme: scheme, Threads: o.Threads[len(o.Threads)-1], KeyRange: keyRange,
-		InsPct: 50, DelPct: 50, Duration: o.Duration, Prefill: -1, Stall: stall, Cfg: cfg,
+		InsPct: 50, DelPct: 50, Duration: o.Duration, Stall: stall, Cfg: cfg,
 	})
 }
 

@@ -48,6 +48,9 @@ var snapshotLineup = []snapshotCell{
 	{"workload lazylist/hp", Workload{DS: "lazylist", Scheme: "hp", KeyRange: 20_000}},
 	{"workload lazylist/nbr+", Workload{DS: "lazylist", Scheme: "nbr+", KeyRange: 20_000}},
 	{"workload abtree/nbr+", Workload{DS: "abtree", Scheme: "nbr+", KeyRange: 100_000}},
+	// One stamping scheme, so a change to the era headers or the interval
+	// schemes has a peak_mb and mops of its own.
+	{"workload dgt/ibr", Workload{DS: "dgt", Scheme: "ibr", KeyRange: 200_000}},
 
 	// Shared-runtime cells: one nbr.Runtime over three structures, workers
 	// oversubscribing the slots, so the snapshot tracks per-session admission
@@ -63,14 +66,11 @@ var snapshotLineup = []snapshotCell{
 	{"runtime nbr+ interleaved", RuntimeWorkload{Scheme: "nbr+", Interleave: true}},
 	{"runtime nbr+ stall", RuntimeWorkload{Scheme: "nbr+", Stall: true}},
 
-	// Resize-burst cells, the segment-retirement A/B: the same insert-only
-	// storm under the flagship NBR+ integration (segment mode only — the
-	// per-node baseline skips per-record protection, which NBR cannot
-	// tolerate) and under IBR in both modes, since only a grace-period scheme
-	// can run the dissolve baseline safely.
+	// Resize-burst cells: the same insert-only storm, every old bucket array
+	// retired as one segment, under the flagship NBR+ integration and under
+	// IBR, whose per-record stamps are what the segment path collapses.
 	{"resize nbr+/segment", ResizeBurstWorkload{Scheme: "nbr+"}},
 	{"resize ibr/segment", ResizeBurstWorkload{Scheme: "ibr"}},
-	{"resize ibr/per-node", ResizeBurstWorkload{Scheme: "ibr", PerNode: true}},
 
 	// Width cells, for structures at both ends of the declared-reservation
 	// range: the scan entries and ns/scan at the structure's declared widths
@@ -93,7 +93,7 @@ var snapshotLineup = []snapshotCell{
 }
 
 func (w Workload) measure(s *Snapshot, d time.Duration, cfg catalog.SchemeConfig) error {
-	w.Threads, w.InsPct, w.DelPct, w.Duration, w.Prefill, w.Cfg = snapshotThreads, 50, 50, d, -1, cfg
+	w.Threads, w.InsPct, w.DelPct, w.Duration, w.Cfg = snapshotThreads, 50, 50, d, cfg
 	r, err := Run(w)
 	s.Workloads = append(s.Workloads, r.WorkloadPoint)
 	return err

@@ -299,19 +299,19 @@ func (r RuntimePoint) Violations() []string {
 }
 
 // ResizeBurstPoint is one resize-burst cell: an insert-only storm on the
-// resizable hash map whose retire stream is purely whole bucket arrays, run
-// in `segment` mode (one RetireSegment handle per array) or in `per-node`
-// mode (the array dissolved and every cell retired individually). The ratio
-// columns are pure counters — stamps_per_record is scheme-side bookkeeping
-// events per retired record and scans_per_record is reclamation scans per
-// retired record — so the A/B comparison holds on any host. Per-node mode
-// stamps every record, so its stamps_per_record is exactly 1.0 and its
-// stamps+scans per record at least that; a segment cell that pays more than
-// 1/segmentAmortization per record has therefore lost the 8× the fast path
-// claims, whatever the per-node cell beside it measured.
+// resizable hash map whose retire stream is purely whole bucket arrays, each
+// retired as one RetireSegment handle (`segment` mode). The ratio columns are
+// pure counters — stamps_per_record is scheme-side bookkeeping events per
+// retired record and scans_per_record is reclamation scans per retired record
+// — so they hold on any host. Retiring every cell individually stamps every
+// record, a floor of exactly 1.0 stamps per record; a segment cell that pays
+// more than 1/segmentAmortization stamps+scans per record has therefore lost
+// the 8× the segment path claims. BENCH_7…19 also hold `per-node` cells (the
+// array dissolved and each cell retired, measured at that floor); Mode stays
+// in the key so a loaded per-node cell never pairs with its segment sibling.
 type ResizeBurstPoint struct {
 	Scheme          string  `json:"scheme"`
-	Mode            string  `json:"mode"` // "segment" or "per-node"
+	Mode            string  `json:"mode"` // "segment"; "per-node" in BENCH_7…19
 	Threads         int     `json:"threads"`
 	Keys            uint64  `json:"keys"`
 	Mops            float64 `json:"mops"`
@@ -327,7 +327,7 @@ type ResizeBurstPoint struct {
 }
 
 // segmentAmortization is the factor by which segment retirement must undercut
-// the per-node floor of one stamp per retired record.
+// the per-record floor of one stamp per retired record.
 const segmentAmortization = 8
 
 func (rb ResizeBurstPoint) key() string {
@@ -336,8 +336,8 @@ func (rb ResizeBurstPoint) key() string {
 
 func (rb ResizeBurstPoint) columns() []column {
 	// Only the segment mode's ratios are guarantees: one regressing toward
-	// 1.0 means retired arrays stopped riding their segment handles. The
-	// per-node baseline sits at the floor by construction and is context.
+	// 1.0 means retired arrays stopped riding their segment handles. A
+	// recorded per-node cell sits at the floor by construction and is context.
 	guarantee := info
 	if rb.Mode == "segment" {
 		guarantee = ratio

@@ -91,6 +91,38 @@ func TestPointViolations(t *testing.T) {
 	}
 }
 
+// TestCommittedSnapshotsJudgeClean reads the committed history as it was
+// recorded: every root BENCH_*.json loads, its cells keep distinct keys (two
+// cells sharing one would make CompareSnapshots diff the wrong pair — the
+// per-node resize cells of BENCH_7…19 are told from their segment siblings
+// only by Mode), and no cell breaks an invariant under today's Violations.
+func TestCommittedSnapshotsJudgeClean(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) < 19 {
+		t.Fatalf("found %d committed snapshots, want at least 19", len(paths))
+	}
+	for _, path := range paths {
+		s, err := ReadSnapshot(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		for _, p := range s.points() {
+			if k := p.key(); seen[k] {
+				t.Errorf("%s: two cells share the key %q", filepath.Base(path), k)
+			} else {
+				seen[k] = true
+			}
+		}
+		if v := s.Violations(); len(v) != 0 {
+			t.Errorf("%s: %d violations:\n  %s", filepath.Base(path), len(v), strings.Join(v, "\n  "))
+		}
+	}
+}
+
 // TestTrendCommittedGolden is the oracle for the one-loop diff: the report
 // over the committed BENCH_1…9 trajectory, captured from the six-copy
 // CompareSnapshots this loop replaced, must come out byte for byte — cells,

@@ -28,21 +28,11 @@ type Workload struct {
 	InsPct   int // percentage of inserts
 	DelPct   int // percentage of deletes; the rest are searches
 	Duration time.Duration
-	// Prefill is the initial set size; -1 selects KeyRange/2 (the paper's
-	// protocol).
-	Prefill int64
 	// Stall runs one extra thread that begins an operation and sleeps for
 	// the whole measurement (E2's delayed-thread scenario).
 	Stall bool
-	// YieldEvery makes each worker yield the processor every N operations.
-	// When goroutines outnumber GOMAXPROCS the Go scheduler otherwise runs
-	// each worker in ~10ms slices, which serializes the fine-grained
-	// interleaving the paper's 192-hardware-thread machine provides (and
-	// NBR+'s passive RGP detection depends on). 0 selects the default: 16
-	// when oversubscribed, off otherwise. Negative disables.
-	YieldEvery int
-	Cfg        catalog.SchemeConfig
-	Seed       uint64
+	Cfg   catalog.SchemeConfig
+	Seed  uint64
 }
 
 // Result is one measured cell: the snapshot point the run produces (Run fills
@@ -68,6 +58,13 @@ type Result struct {
 
 // latencySample is the per-thread operation sampling period.
 const latencySample = 32
+
+// yieldEvery is how many operations an oversubscribed worker runs between
+// yields of the processor. When goroutines outnumber GOMAXPROCS the Go
+// scheduler otherwise runs each worker in ~10ms slices, which serializes the
+// fine-grained interleaving the paper's 192-hardware-thread machine provides
+// (and NBR+'s passive RGP detection depends on).
+const yieldEvery = 16
 
 // splitmix64 is the per-worker key generator (cheap, race-free).
 func splitmix64(s *uint64) uint64 {
@@ -95,13 +92,8 @@ func Run(w Workload) (Result, error) {
 	if w.Duration <= 0 {
 		w.Duration = time.Second
 	}
-	if w.Prefill < 0 {
-		w.Prefill = int64(w.KeyRange / 2)
-	}
 	w.Seed = cmp.Or(w.Seed, 0x9e3779b97f4a7c15)
-	if w.YieldEvery == 0 && w.Threads > runtime.GOMAXPROCS(0) {
-		w.YieldEvery = 16
-	}
+	yield := w.Threads > runtime.GOMAXPROCS(0)
 	total := w.Threads
 	if w.Stall {
 		total++
@@ -188,7 +180,7 @@ func Run(w Workload) (Result, error) {
 				lat.Record(int64(time.Since(t0)))
 			}
 			ops++
-			if w.YieldEvery > 0 && ops%uint64(w.YieldEvery) == 0 {
+			if yield && ops%yieldEvery == 0 {
 				runtime.Gosched()
 			}
 		}
@@ -317,12 +309,11 @@ func drainQuiet(sch smr.Scheme, threads int) bool {
 	return quiet()
 }
 
-// prefill populates the set to the target size using all worker threads,
-// inserting uniformly random keys as the paper's harness does.
+// prefill populates the set to half the key range (the paper's protocol)
+// using all worker threads, inserting uniformly random keys as the paper's
+// harness does.
 func prefill(inst catalog.Instance, sch smr.Scheme, w Workload) {
-	if w.Prefill == 0 {
-		return
-	}
+	target := int64(w.KeyRange / 2)
 	var inserted atomic.Int64
 	workers := min(w.Threads, 8) // prefill is setup, not measurement; cap the fan-out
 	parallel(workers, func(i int) {
@@ -334,7 +325,7 @@ func prefill(inst catalog.Instance, sch smr.Scheme, w Workload) {
 		tid := i * w.Threads / workers
 		g := sch.Guard(tid)
 		rng := w.Seed ^ (uint64(tid+1) * 0x9e3779b97f4a7c15)
-		for inserted.Load() < w.Prefill {
+		for inserted.Load() < target {
 			key := splitmix64(&rng)%w.KeyRange + 1
 			if inst.Set.Insert(g, key) {
 				inserted.Add(1)

@@ -69,12 +69,6 @@ type Map struct {
 	tab           atomic.Pointer[table]
 	count         atomic.Int64
 	resizes       atomic.Uint64
-	// perNode switches retireTable to the dissolve-and-retire-each-cell
-	// baseline the resize-burst benchmark compares against. It is only
-	// safe under interval/grace schemes (he, ibr, qsbr, rcu, debra,
-	// leaky): hp and nbr readers pin the array through its segment handle,
-	// which individually retired cells do not honour.
-	perNode bool
 }
 
 // New creates a map sized for the given number of threads.
@@ -86,18 +80,7 @@ func New(threads int) *Map {
 // shared-arena runtime uses, stamping its assigned arena tag into every
 // handle so a mem.Hub can route frees back here.
 func NewWith(cfg mem.Config) *Map {
-	return newMap(cfg, false)
-}
-
-// NewPerNodeWith is the benchmark baseline constructor: resizes dissolve the
-// old array's segment and retire every cell individually. See Map.perNode
-// for the scheme-safety caveat; the correctness suites never use it.
-func NewPerNodeWith(cfg mem.Config) *Map {
-	return newMap(cfg, true)
-}
-
-func newMap(cfg mem.Config, perNode bool) *Map {
-	m := &Map{List: marklist.New(cfg), perNode: perNode}
+	m := &Map{List: marklist.New(cfg)}
 	run := m.Pool.AllocBatch(0, initialBuckets)
 	atomic.StoreUint64(&m.Pool.Raw(run.At(0)).Next, uint64(m.Head))
 	seg := m.Pool.NewSegment(0, run)
@@ -362,33 +345,10 @@ func (m *Map) resize(g smr.Guard, tab *table) {
 	nt := &table{seg: seg, run: run, mask: uint64(2*n) - 1}
 	if m.tab.CompareAndSwap(tab, nt) {
 		m.resizes.Add(1)
-		m.retireTable(g, tab)
+		g.RetireSegment(tab.seg)
 	} else {
 		m.Pool.Free(tid, seg)
 	}
-}
-
-// retireTable hands the replaced array to the reclamation scheme: one
-// RetireSegment of the handle on the fast path, or — in the benchmark's
-// per-node baseline — a dissolve into K individual retires, which is the
-// scheme-side cost the segment path exists to collapse.
-func (m *Map) retireTable(g smr.Guard, tab *table) {
-	sa := mem.AsSegmentArena(m.Pool)
-	if !m.perNode || sa == nil {
-		g.RetireSegment(tab.seg)
-		return
-	}
-	run, ok := m.Pool.DissolveSegment(tab.seg)
-	if !ok {
-		g.RetireSegment(tab.seg)
-		return
-	}
-	buf := make([]mem.Ptr, 0, run.Len())
-	for i := 0; i < run.Len(); i++ {
-		buf = append(buf, run.At(i))
-	}
-	g.RetireBatch(buf)
-	g.Retire(tab.seg)
 }
 
 // BuildMarkedChain deterministically prepares an oversized-splice input for

@@ -9,7 +9,6 @@ import (
 	"nbr/internal/catalog"
 	"nbr/internal/ds/hashmap"
 	"nbr/internal/dstest"
-	"nbr/internal/mem"
 	"nbr/internal/smr"
 )
 
@@ -189,43 +188,6 @@ func TestTopBitPairs(t *testing.T) {
 		in[k] = true
 		filler += 2
 		check("after refilling the recycled slots")
-	}
-}
-
-// TestPerNodeBaseline exercises the benchmark's A/B seam: the per-node map
-// dissolves each old array and retires every cell individually, so the
-// scheme must see zero segments while the map still resizes correctly. Run
-// under a grace-period scheme (the only family the baseline is safe under).
-func TestPerNodeBaseline(t *testing.T) {
-	m := hashmap.NewPerNodeWith(mem.Config{MaxThreads: 1})
-	sch, err := catalog.NewSchemeFor("ibr", m.Arena(), 1, catalog.DefaultSchemeConfig(), m.Requirements())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := sch.Guard(0)
-	const keys = 200
-	for k := uint64(1); k <= keys; k++ {
-		if !m.Insert(g, k) {
-			t.Fatalf("Insert(%d) failed", k)
-		}
-	}
-	if m.Resizes() == 0 {
-		t.Fatal("baseline map must still resize")
-	}
-	st := sch.Stats()
-	if st.Segments != 0 || st.SegRecords != 0 {
-		t.Fatalf("per-node baseline retired segments: %d handles, %d members", st.Segments, st.SegRecords)
-	}
-	if st.Retired < 8 {
-		t.Fatalf("retired %d records; the first old array alone has 8 cells", st.Retired)
-	}
-	for k := uint64(1); k <= keys; k++ {
-		if !m.Contains(g, k) {
-			t.Fatalf("key %d lost across baseline resizes", k)
-		}
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 

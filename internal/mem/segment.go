@@ -123,16 +123,6 @@ func (p *Pool[T]) SegmentWeight(q Ptr) int {
 	return r.n
 }
 
-// DissolveSegment unwraps segment handle q back into its run, removing it
-// from the directory: q becomes an ordinary slot the caller still owns and
-// must free, and the members revert to individually-owned records. It is the
-// per-record baseline seam — a caller that dissolves and then retires every
-// member one by one pays exactly the scheme-side cost RetireSegment exists
-// to avoid, which is what the resize-burst benchmark's A/B cell measures.
-func (p *Pool[T]) DissolveSegment(q Ptr) (Run, bool) {
-	return p.takeSeg(q)
-}
-
 // takeSeg removes q from the segment directory, returning its run. The
 // read-locked existence probe keeps the common non-segment free at shared
 // cost; only an actual segment free pays the exclusive lock.

@@ -117,39 +117,6 @@ func TestFreeBatchFansOutSegments(t *testing.T) {
 	}
 }
 
-// TestDissolveSegment checks the per-record baseline seam: after dissolving,
-// the handle is an ordinary slot, the members are individually owned, and
-// the directory entry is gone.
-func TestDissolveSegment(t *testing.T) {
-	p := newTestPool(1)
-	const n = 8
-	run := p.AllocBatch(0, n)
-	seg := p.NewSegment(0, run)
-
-	got, ok := p.DissolveSegment(seg)
-	if !ok || got.Len() != n || got.First() != run.First() {
-		t.Fatalf("DissolveSegment = (%v, %v)", got, ok)
-	}
-	if w := p.SegmentWeight(seg); w != 0 {
-		t.Fatalf("dissolved handle still weighs %d", w)
-	}
-	if _, ok := p.DissolveSegment(seg); ok {
-		t.Fatal("second dissolve must fail")
-	}
-
-	// Freeing the handle now releases only the handle slot.
-	p.Free(0, seg)
-	for i := 0; i < n; i++ {
-		if !p.Valid(run.At(i)) {
-			t.Fatalf("member %d freed by a dissolved handle", i)
-		}
-		p.Free(0, run.At(i))
-	}
-	if st := p.Stats(); st.Live != 0 {
-		t.Fatalf("Live = %d after freeing everything", st.Live)
-	}
-}
-
 // TestNewSegmentWrongTagPanics pins the tag ownership check.
 func TestNewSegmentWrongTagPanics(t *testing.T) {
 	p := NewPool[rec](Config{MaxThreads: 1, Tag: 1})
