@@ -77,11 +77,7 @@ func TestSegmentLandsWhole(t *testing.T) {
 
 			// Nothing protects the run, so draining frees it: the handle the
 			// arena sees is what the scheme bagged.
-			for round := 0; round < 4; round++ {
-				for tid := 0; tid < threads; tid++ {
-					sch.Drain(tid)
-				}
-			}
+			sch.Quiesce(0, 1)
 			want := 1
 			if name == "none" {
 				want = 0
@@ -194,10 +190,7 @@ func TestSchemeAllocs(t *testing.T) {
 			pg.BeginRead()
 			pg.EndRead()
 			pg.EndOp()
-			for round := 0; round < 4; round++ {
-				sch.Drain(worker.Tid())
-				sch.Drain(peer.Tid())
-			}
+			sch.Quiesce(worker.Tid(), peer.Tid())
 			pin()
 			if got := testing.AllocsPerRun(runs, release); got != 0 {
 				t.Errorf("recovery with pinned survivors: %v allocs/run, want 0", got)

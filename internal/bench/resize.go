@@ -57,7 +57,14 @@ func RunResizeBurst(w ResizeBurstWorkload) (ResizeBurstResult, error) {
 	elapsed := time.Since(start)
 	peak := garbagePeak()
 
-	drained := drainQuiet(sch, w.Threads)
+	// Fixed-N threads never leave the membership, so every one of them
+	// drains: a grace period needs each to pass a quiescent state, and an
+	// NBR reservation row clears only in its own thread's pass.
+	tids := make([]int, w.Threads)
+	for tid := range tids {
+		tids[tid] = tid
+	}
+	drained := sch.Quiesce(tids...)
 
 	st := sch.Stats()
 	res := ResizeBurstResult{Stats: st, ResizeBurstPoint: ResizeBurstPoint{

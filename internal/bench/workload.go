@@ -294,21 +294,6 @@ func watchGarbage(period time.Duration, garbage func() uint64) (stop func() uint
 	}
 }
 
-// drainQuiet drives the scheme to quiescence and reports whether it ended
-// Retired == Freed. Fixed-N threads never leave the membership, so a
-// grace-period scheme needs every one of them to pass a quiescent state (a
-// Drain) before anybody's bag can empty: smr.DrainQuiet over the whole thread
-// set, for as many rounds as the grace periods take to walk.
-func drainQuiet(sch smr.Scheme, threads int) bool {
-	quiet := func() bool { st := sch.Stats(); return st.Retired == st.Freed }
-	for round := 0; round < 8 && !quiet(); round++ {
-		for tid := 0; tid < threads; tid++ {
-			smr.DrainQuiet(sch, tid)
-		}
-	}
-	return quiet()
-}
-
 // prefill populates the set to half the key range (the paper's protocol)
 // using all worker threads, inserting uniformly random keys as the paper's
 // harness does.

@@ -136,6 +136,35 @@ func TestReservationSurvivesReclaim(t *testing.T) {
 	}
 }
 
+// TestQuiesceClearsPeerRow pins a drain against a peer's stale row: thread
+// 1's last operation reserved a record and ended, and its row still names
+// it; thread 0 retired that record. Thread 0's passes cannot free it until
+// thread 1's own pass clears the row, so a drain over both threads frees it
+// in its second round: two scans and two signals, both thread 0's.
+func TestQuiesceClearsPeerRow(t *testing.T) {
+	for _, plus := range []bool{false, true} {
+		s, pool := newScheme(t, 2, Config{Plus: plus, BagSize: 64})
+		g0, g1 := s.Guard(0), s.Guard(1)
+		target, _ := pool.Alloc(1)
+		g1.BeginOp()
+		g1.BeginRead()
+		g1.Reserve(0, target)
+		g1.EndRead()
+		g1.EndOp()
+		g0.Retire(target)
+
+		if !s.Quiesce(0, 1) {
+			t.Fatalf("%s: drain left %d records unfreed", s.Name(), s.Stats().Garbage())
+		}
+		if pool.Valid(target) {
+			t.Fatalf("%s: drained record still allocated", s.Name())
+		}
+		if st := s.Stats(); st.Scans != 2 || st.Signals != 2 {
+			t.Fatalf("%s: drain took %d scans and %d signals, want 2 and 2", s.Name(), st.Scans, st.Signals)
+		}
+	}
+}
+
 func TestMarkedReservationProtectsRecord(t *testing.T) {
 	// Harris-style code may reserve and retire marked handles; reclamation
 	// must match them by record, not by bit pattern.

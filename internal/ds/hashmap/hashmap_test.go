@@ -289,20 +289,19 @@ func resizeStorm(t *testing.T, scheme string) {
 
 // drainStorm drives the scheme to full reclamation: Retired == Freed with
 // every retired bucket array fanned out. NBR reservation rows persist past
-// EndOp; each thread's Drain clears its own row, so once every thread has
+// EndOp; each thread's pass clears its own row, so once every thread has
 // drained, nothing retired during the storm stays reserved.
 func drainStorm(t *testing.T, sch smr.Scheme, threads int, scheme string) {
 	t.Helper()
 	if scheme == "none" {
 		return // leaky never frees; Retired == Freed is unreachable
 	}
-	for round := 0; round < 500; round++ {
-		if st := sch.Stats(); st.Retired == st.Freed {
-			return
-		}
-		for tid := 0; tid < threads; tid++ {
-			sch.Drain(tid)
-		}
+	tids := make([]int, threads)
+	for tid := range tids {
+		tids[tid] = tid
+	}
+	if sch.Quiesce(tids...) {
+		return
 	}
 	st := sch.Stats()
 	t.Fatalf("drain stalled: retired %d, freed %d (%d stranded)",

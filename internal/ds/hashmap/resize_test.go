@@ -110,15 +110,8 @@ func TestMidResizeReader(t *testing.T) {
 	// early frees to compensate for.
 	r.EndRead()
 	r.EndOp()
-	for round := 0; round < 200; round++ {
-		if st := sch.Stats(); st.Retired == st.Freed {
-			break
-		}
-		sch.Drain(0)
-		sch.Drain(1)
-	}
-	st = sch.Stats()
-	if st.Retired != st.Freed {
+	if !sch.Quiesce(0, 1) {
+		st = sch.Stats()
 		t.Fatalf("drain after reader exit stalled: retired %d, freed %d", st.Retired, st.Freed)
 	}
 	for i := 0; i < old.run.Len(); i++ {
@@ -215,15 +208,8 @@ func TestOversizedSegmentReader(t *testing.T) {
 
 			r.EndRead()
 			r.EndOp()
-			for round := 0; round < 200; round++ {
-				if st := sch.Stats(); st.Retired == st.Freed {
-					break
-				}
-				sch.Drain(0)
-				sch.Drain(1)
-			}
-			st = sch.Stats()
-			if st.Retired != st.Freed {
+			if !sch.Quiesce(0, 1) {
+				st = sch.Stats()
 				t.Fatalf("drain after reader exit stalled: retired %d, freed %d", st.Retired, st.Freed)
 			}
 			for i := 0; i < old.run.Len(); i++ {
@@ -317,15 +303,8 @@ func TestOversizedSegmentReaderNBR(t *testing.T) {
 	r.EndOp()
 	w.BeginRead()
 	w.EndRead()
-	for round := 0; round < 200; round++ {
-		if st := sch.Stats(); st.Retired == st.Freed {
-			break
-		}
-		sch.Drain(0)
-		sch.Drain(1)
-	}
-	st = sch.Stats()
-	if st.Retired != st.Freed {
+	if !sch.Quiesce(0, 1) {
+		st = sch.Stats()
 		t.Fatalf("drain after reader exit stalled: retired %d, freed %d", st.Retired, st.Freed)
 	}
 	for i := 0; i < old.run.Len(); i++ {

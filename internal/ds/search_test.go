@@ -212,7 +212,7 @@ func TestSearchRestartsOnStale(t *testing.T) {
 							t.Fatalf("Delete(%d) through the second guard failed", target)
 						}
 						delete(oracle, target)
-						sch.Drain(1)
+						sch.Quiesce(1)
 						if arena.Valid(p) {
 							t.Fatalf("the drain left %v allocated", p)
 						}

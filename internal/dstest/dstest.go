@@ -367,10 +367,20 @@ func churn(t *testing.T, inst Instance, sch smr.Scheme, threads int, keys int) {
 	if err := inst.Set.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// Drain to zero: with every thread draining, each scheme that frees at
+	// all frees everything at this quiescent point.
+	tids := make([]int, threads)
+	for tid := range tids {
+		tids[tid] = tid
+	}
+	drained := sch.Quiesce(tids...)
 	st := sch.Stats()
 	if st.Invalid() {
 		t.Fatalf("stats invalid at quiescence (double-free accounting): freed %d > retired %d",
 			st.Freed, st.Retired)
+	}
+	if !drained && sch.Name() != "none" {
+		t.Fatalf("drain over all %d threads left %d of %d retired records unfreed", threads, st.Garbage(), st.Retired)
 	}
 }
 

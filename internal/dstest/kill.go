@@ -223,8 +223,8 @@ func churnLeases(t *testing.T, f Factory, scheme string, kills bool) {
 			st.Freed, st.Retired)
 	}
 	if scheme != "none" {
-		smr.DrainQuiet(sch, held[0].Tid())
-		if st = sch.Stats(); st.Retired != st.Freed {
+		if !sch.Quiesce(held[0].Tid()) {
+			st = sch.Stats()
 			t.Fatalf("drain left stranded records after holder kills: retired %d, freed %d (%d leaked)",
 				st.Retired, st.Freed, st.Retired-st.Freed)
 		}

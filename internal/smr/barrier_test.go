@@ -90,12 +90,12 @@ func TestBarrierAnnouncesUnderHP(t *testing.T) {
 	reader.BeginOp()
 	b.Protect(0, p)
 	writer.Retire(p)
-	sch.Drain(1)
+	sch.Quiesce(1)
 	if !pool.Valid(p) {
 		t.Fatal("record freed under a hazard published through the barrier")
 	}
 	reader.EndOp()
-	sch.Drain(1)
+	sch.Quiesce(1)
 	if pool.Valid(p) {
 		t.Fatal("record survived the drain after its hazard was cleared")
 	}
@@ -142,7 +142,7 @@ func TestBarrierDeliversLikeProtect(t *testing.T) {
 				signal := func() {
 					q, _ := pool.Alloc(1)
 					peer.Retire(q)
-					sch.Drain(1)
+					sch.Quiesce(1)
 				}
 				p, _ := pool.Alloc(0)
 				var out []outcome

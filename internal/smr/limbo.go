@@ -193,9 +193,42 @@ func (k *Kernel) ForceRound() {
 	k.Reg.EndScan()
 }
 
-// Drain implements Scheme: one full-strength pass on behalf of tid, which
-// the caller must own. Records peers still protect survive in the bag.
+// Drain is one full-strength pass on behalf of tid, which the caller must
+// own: Recover's first step, and the Drainer the benchmark's traced twin
+// asserts. Records peers still protect survive in the bag.
 func (k *Kernel) Drain(tid int) { k.limbos[tid].policy.FullPass() }
+
+// quiesceRounds caps Quiesce so a drain under live traffic ends. At
+// quiescence the deepest drain measured took 4 rounds (qsbr, 6 threads).
+const quiesceRounds = 8
+
+// Quiesce implements Scheme: rounds of one Drain per listed tid until
+// Retired == Freed, the listed bags are empty, a round after the first frees
+// and advances nothing, or quiesceRounds rounds ran. The first round never
+// stops on no progress: its passes clear the listed guards' own
+// announcements, which unpin records only for later passes. Progress is the
+// listed guards' own Freed and Advances, not Stats, which traffic on other
+// slots moves.
+func (k *Kernel) Quiesce(tids ...int) bool {
+	settled := func() bool { st := k.Stats(); return st.Retired == st.Freed }
+	progress := func() (n uint64) {
+		for _, tid := range tids {
+			n += k.limbos[tid].Freed.Load() + k.limbos[tid].Advances.Load()
+		}
+		return n
+	}
+	for round := 0; round < quiesceRounds && !settled(); round++ {
+		before, empty := progress(), true
+		for _, tid := range tids {
+			k.Drain(tid)
+			empty = empty && len(k.limbos[tid].Bag) == 0
+		}
+		if empty || (round > 0 && progress() == before) {
+			break
+		}
+	}
+	return settled()
+}
 
 // Recover implements Scheme, run by whichever goroutine recovers the slot
 // (owner or reaper) after it left the active mask: a Drain; then the slot's

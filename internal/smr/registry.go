@@ -21,22 +21,9 @@ type ActiveSet = sigsim.ActiveSet
 // quarantined, or an AcquireCtx waiter is queued for the next free one.
 var ErrRegistryFull = errors.New("smr: registry full (every slot leased or quarantined)")
 
-// DrainQuiet makes Drain passes on behalf of tid until every retired record
-// is freed. At quiescence that takes a few passes (64 is far past any
-// scheme's grace-period walk); under concurrent traffic it is a best-effort
-// burst.
-func DrainQuiet(s Scheme, tid int) {
-	for i := 0; i < 64; i++ {
-		if st := s.Stats(); st.Retired == st.Freed {
-			return
-		}
-		s.Drain(tid)
-	}
-}
-
 // Registry hands out dense thread slots as revocable leases, so
 // goroutine-pool services can run reclamation-protected operations without a
-// fixed thread set. It owns three pieces of shared state:
+// fixed thread set. It owns four pieces of shared state:
 //
 //   - the active mask: the published set of live slots every scan and signal
 //     broadcast iterates (cost tracks live threads, not MaxThreads);

@@ -23,7 +23,7 @@ func (m *testScheme) Stats() Stats               { return Stats{} }
 func (m *testScheme) Handoffs() hist.Histogram   { return hist.Histogram{} }
 func (m *testScheme) GarbageBound() int          { return Unbounded }
 func (m *testScheme) ReclaimBurst() int          { return 0 }
-func (m *testScheme) Drain(int)                  {}
+func (m *testScheme) Quiesce(...int) bool        { return true }
 func (m *testScheme) AttachRegistry(r *Registry) { m.r = r }
 func (m *testScheme) Recover(int)                {}
 func (m *testScheme) ResetSlot(int)              {}

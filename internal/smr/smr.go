@@ -111,9 +111,9 @@ type Guard interface {
 const Unbounded = -1
 
 // Scheme is a reclamation algorithm instance bound to one data structure's
-// arena, and all a Registry needs of it. Every scheme embeds the limbo
-// Kernel, which implements everything here but Guard, GarbageBound and
-// ResetSlot.
+// arena: all a Registry needs of it, and Quiesce, the one drain every driver
+// runs. Every scheme embeds the limbo Kernel, which implements everything
+// here but Guard, GarbageBound and ResetSlot.
 type Scheme interface {
 	// Name returns the scheme's short name as used in the paper's figures.
 	Name() string
@@ -145,13 +145,17 @@ type Scheme interface {
 	// interaction (DESIGN.md §6).
 	ReclaimBurst() int
 
-	// Drain makes one full-strength reclamation pass on behalf of thread
-	// tid, which the caller must own between operations (a lease or the
-	// fixed-N convention): adopt any orphaned records, then signal+scan,
-	// hazard scan or epoch advance+sweep. Records peers still protect
-	// survive; epoch-based schemes need a few calls at quiescence to walk
-	// their grace periods forward (DrainQuiet).
-	Drain(tid int)
+	// Quiesce drains on behalf of threads tids, which the caller must own
+	// between operations (leases or the fixed-N convention): rounds of one
+	// full-strength pass per tid — adopt any orphaned records, then
+	// signal+scan, hazard scan or epoch advance+sweep — until every retired
+	// record is freed or a round after the first frees and advances
+	// nothing. It reports Retired == Freed. At quiescence a drain over every
+	// thread holding garbage ends true within a few rounds (epoch-based
+	// schemes walk their grace periods forward one round at a time); records
+	// peers still protect survive, and under concurrent traffic it is a
+	// capped best effort.
+	Quiesce(tids ...int) bool
 	// AttachRegistry adopts the registry's active mask for the scheme's
 	// scans and signals, registers its acquire hook, and starts adopting
 	// the registry's orphan list. Registry.Bind calls it exactly once,
@@ -181,7 +185,7 @@ type Scheme interface {
 	SetRecorder(rec *obs.Recorder)
 }
 
-// Drainer is the one-method view of Scheme.Drain that the benchmark's traced
+// Drainer is the one-method view of Kernel.Drain that the benchmark's traced
 // twin asserts; every Scheme is one.
 type Drainer interface {
 	Drain(tid int)
@@ -196,7 +200,7 @@ type Stats struct {
 	Ignored     uint64 // signals delivered to non-restartable threads
 	Scans       uint64 // reservation/hazard/era scans performed
 	Advances    uint64 // epoch or era advances
-	Segments    uint64 // segment handles retired (RetireSegment pieces)
+	Segments    uint64 // segment handles retired (RetireSegment calls)
 	SegRecords  uint64 // member records those segments stood for
 }
 

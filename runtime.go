@@ -431,11 +431,13 @@ func (rt *Runtime) GarbageBound() int {
 }
 
 // Drain adopts any orphaned records and reclaims everything reclaimable
-// across all attached structures, using a temporary lease. That lease takes
-// a slot like Acquire, so Drain fails with ErrNoLease while every slot is
-// held or an AcquireCtx waiter is queued. At quiescence it runs until every
-// retired record is freed; under concurrent traffic it is a best-effort
-// pass. Use it before reading final Stats or shutting down.
+// across all attached structures: the scheme's Quiesce under a temporary
+// lease. That lease takes a slot like Acquire, so Drain fails with
+// ErrNoLease while every slot is held or an AcquireCtx waiter is queued. At
+// quiescence every retired record is freed when it returns (departed slots'
+// leftovers are orphans, which the drain adopts); under concurrent traffic
+// it is a capped best effort that returns even while epochs keep advancing.
+// Use it before reading final Stats or shutting down.
 func (rt *Runtime) Drain() error {
 	scheme, err := rt.materialize()
 	if err != nil {
@@ -446,7 +448,7 @@ func (rt *Runtime) Drain() error {
 		return err
 	}
 	defer l.Release()
-	smr.DrainQuiet(scheme, l.Tid())
+	scheme.Quiesce(l.Tid())
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -398,6 +399,66 @@ func TestRuntimeStagedFreesDrain(t *testing.T) {
 	}
 	if staged := rt.StagedFrees(); staged != 0 {
 		t.Fatalf("StagedFrees = %d after drain, want 0", staged)
+	}
+}
+
+// TestRuntimeDrainUnderTraffic calls Drain while With sessions churn a list
+// under qsbr: a drain under traffic is a capped best effort, so each call
+// must return. Once the sessions stop, one more Drain must free every
+// retired record.
+func TestRuntimeDrainUnderTraffic(t *testing.T) {
+	rt, err := nbr.NewRuntime(nbr.RuntimeOptions{Scheme: "qsbr", MaxThreads: 8, Threshold: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := rt.NewSet("lazylist")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sessions atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := uint64(0); w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := uint64(0); ; s++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := rt.With(context.Background(), func(l *nbr.Lease) error {
+					set.Insert(l, w<<32|s%64)
+					set.Delete(l, w<<32|s%64)
+					return nil
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+				sessions.Add(1)
+			}
+		}()
+	}
+	// Drain only while sessions run: from their 100th until 100 more. A
+	// drain that finds a waiter queued fails fast, as documented.
+	for sessions.Load() < 100 {
+		time.Sleep(time.Millisecond)
+	}
+	drains := 0
+	for until := sessions.Load() + 100; sessions.Load() < until; drains++ {
+		if err := rt.Drain(); err != nil && !errors.Is(err, nbr.ErrNoLease) {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if err := rt.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if st := rt.Stats(); st.Freed == 0 || st.Retired != st.Freed {
+		t.Fatalf("quiescent drain after %d under traffic left retired %d, freed %d", drains, st.Retired, st.Freed)
 	}
 }
 
