@@ -22,8 +22,14 @@ func TestNewSchemeAllNames(t *testing.T) {
 			t.Fatalf("scheme %q reports name %q", name, s.Name())
 		}
 	}
-	if _, err := catalog.NewScheme("bogus", inst.Arena, 2, catalog.DefaultSchemeConfig()); err == nil {
-		t.Fatal("unknown scheme must error")
+	// "leaky" is the none baseline's package, not a scheme name.
+	for _, name := range []string{"bogus", "leaky"} {
+		if _, err := catalog.NewScheme(name, inst.Arena, 2, catalog.DefaultSchemeConfig()); err == nil {
+			t.Fatalf("unknown scheme %q must error", name)
+		}
+		if catalog.CheckScheme(name) == nil {
+			t.Fatalf("CheckScheme accepted unknown scheme %q", name)
+		}
 	}
 }
 

@@ -27,8 +27,8 @@ func family(scheme string) string {
 	switch scheme {
 	case "nbr", "nbr+":
 		return "NBR"
-	case "qsbr", "rcu", "debra", "none", "leaky":
-		return "EBR" // leaky trivially applies everywhere; grouped for lookup
+	case "qsbr", "rcu", "debra", "none":
+		return "EBR" // none trivially applies everywhere; grouped for lookup
 	case "hp", "ibr", "he":
 		return "HP"
 	}
@@ -52,7 +52,7 @@ func (s *structure) verdict(scheme string) (Verdict, bool) {
 	case "HP":
 		return s.hp, true
 	case "EBR":
-		if scheme == "none" || scheme == "leaky" {
+		if scheme == "none" {
 			return Verdict{true, "leaky baseline applies everywhere"}, true
 		}
 		return Verdict{OK: true}, true

@@ -105,7 +105,7 @@ func NewSchemeFor(name string, arena mem.Arena, threads int, cfg SchemeConfig, r
 
 func newScheme(name string, arena mem.Arena, threads int, cfg SchemeConfig, req ds.Requirements, sig sigsim.Config) (smr.Scheme, error) {
 	switch name {
-	case "none", "leaky":
+	case "none":
 		return leaky.New(arena, threads), nil
 	case "qsbr":
 		return epoch.NewQSBR(arena, threads, epoch.Config{Threshold: cfg.Threshold}), nil

@@ -1,12 +1,13 @@
 package dstest
 
 import (
+	"context"
 	"errors"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"nbr/internal/catalog"
 	"nbr/internal/sigsim"
@@ -14,10 +15,11 @@ import (
 )
 
 // Lease is Kill with only clean sessions: the dynamic-membership stress.
-// More worker goroutines than registry slots acquire a lease, run a burst of
-// operations, release, and loop — so slots are constantly recycled
-// mid-traffic, departing threads orphan mid-protocol bags, and reclaimers
-// adopt them, all under the live GarbageBound contract.
+// More worker goroutines than registry slots wait for a lease (AcquireCtx,
+// the blocking admission path), run a burst of operations, release, and
+// loop — so slots are constantly recycled mid-traffic, departing threads
+// orphan mid-protocol bags, and reclaimers adopt them, all under the live
+// GarbageBound contract.
 func Lease(t *testing.T, f Factory, scheme string) { churnLeases(t, f, scheme, false) }
 
 // Kill is the holder-death suite: lease holders that never release. Workers
@@ -45,6 +47,9 @@ func churnLeases(t *testing.T, f Factory, scheme string, kills bool) {
 		maxThreads = 8
 		workers    = 12 // > maxThreads: acquires contend and slots recycle
 		sessionOps = 60
+		// acquireWait bounds every lease wait: a registry still full after
+		// it has stranded a slot.
+		acquireWait = 30 * time.Second
 	)
 	sessions := 40
 	if testing.Short() {
@@ -58,6 +63,11 @@ func churnLeases(t *testing.T, f Factory, scheme string, kills bool) {
 	}
 	reg := smr.NewRegistry(maxThreads)
 	reg.Bind(sch)
+	acquire := func() (*smr.Lease, error) {
+		ctx, cancel := context.WithTimeout(context.Background(), acquireWait)
+		defer cancel()
+		return reg.AcquireCtx(ctx)
+	}
 
 	// owners counts concurrent lease holders per tid: two at once is the
 	// recycled-tid aliasing the quarantine exists to prevent. A wedged
@@ -95,12 +105,7 @@ func churnLeases(t *testing.T, f Factory, scheme string, kills bool) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)*6364136223846793005 + 11))
 			for s := 0; s < sessions; s++ {
-				l, err := reg.Acquire()
-				if errors.Is(err, smr.ErrRegistryFull) {
-					runtime.Gosched()
-					s--
-					continue
-				}
+				l, err := acquire()
 				if err != nil {
 					t.Error(err)
 					return
@@ -156,7 +161,7 @@ func churnLeases(t *testing.T, f Factory, scheme string, kills bool) {
 	// stops; the reaper revokes it. On a signal-capable scheme the zombie
 	// must be killed the moment it resumes — terminally (Revoked), not
 	// restarted (Neutralized) onto a slot that may have a successor.
-	if l, err := acquireRetry(reg); err == nil {
+	if l, err := acquire(); err == nil {
 		fg := sch.Guard(l.Tid())
 		fg.BeginOp()
 		fg.BeginRead()
@@ -203,11 +208,11 @@ func churnLeases(t *testing.T, f Factory, scheme string, kills bool) {
 	}
 
 	// Zero stranded slots: every slot — reaped ones included — must be
-	// acquirable again. Acquire forces the missing rounds through the bound
+	// acquirable again. Admission forces the missing rounds through the bound
 	// scheme, so aging needs no manual round here.
 	held := make([]*smr.Lease, 0, maxThreads)
 	for len(held) < maxThreads {
-		l, err := acquireRetry(reg)
+		l, err := acquire()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,22 +243,4 @@ func churnLeases(t *testing.T, f Factory, scheme string, kills bool) {
 	if err := inst.Set.Validate(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// acquireRetry rides out transient registry-full refusals (an un-aged
-// quarantine head racing the forcer); it gives up only if the registry
-// stays full long past any transient window — a genuinely stranded slot.
-func acquireRetry(reg *smr.Registry) (*smr.Lease, error) {
-	var err error
-	for i := 0; i < 1<<16; i++ {
-		var l *smr.Lease
-		if l, err = reg.Acquire(); err == nil {
-			return l, nil
-		}
-		if !errors.Is(err, smr.ErrRegistryFull) {
-			return nil, err
-		}
-		runtime.Gosched()
-	}
-	return nil, err
 }

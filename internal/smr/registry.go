@@ -3,7 +3,6 @@ package smr
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -17,9 +16,10 @@ import (
 // signalability is its strictest consumer).
 type ActiveSet = sigsim.ActiveSet
 
-// ErrRegistryFull is returned by Acquire when every slot is leased or still
-// quarantined, or an AcquireCtx waiter is queued for the next free one.
-var ErrRegistryFull = errors.New("smr: registry full (every slot leased or quarantined)")
+// ErrRegistryFull is returned by Acquire when every slot is leased or an
+// AcquireCtx waiter is queued for the next free one. A quarantined slot is
+// admissible: its acquirer waits out the slot's rounds (see take).
+var ErrRegistryFull = errors.New("smr: registry full (every slot leased or a waiter queued)")
 
 // Registry hands out dense thread slots as revocable leases, so
 // goroutine-pool services can run reclamation-protected operations without a
@@ -32,8 +32,7 @@ var ErrRegistryFull = errors.New("smr: registry full (every slot leased or quara
 //     the next reclaimer's bag DEBRA-style so nothing leaks across
 //     membership churn;
 //   - the quarantine: released slots age quarantineRounds scan rounds
-//     before reuse, forced by the bound scheme when organic reclamation has
-//     not completed them, so a recycled tid is never confused with its
+//     before reuse (see take), so a recycled tid is never confused with its
 //     predecessor by an in-flight scan or bookmark snapshot taken while the
 //     predecessor was live;
 //   - the admission channel: one token per leased slot, which is the only
@@ -70,10 +69,9 @@ type Registry struct {
 	onAcquire []func(tid int)
 	onRelease []func(tid int)
 
-	// admit holds one token per leased slot. A token is sent before its slot
-	// is taken and received only after the slot has entered quarantine
-	// (finishRelease), so every token holder is backed by a fresh or
-	// quarantined slot. waiting counts AcquireCtx callers blocked on the send.
+	// admit holds one token per leased slot, sent before take and received
+	// once the slot is back in quarantine (finishRelease), so every token
+	// names a free slot. waiting counts AcquireCtx callers blocked on a send.
 	admit   chan struct{}
 	waiting atomic.Int64
 
@@ -133,8 +131,7 @@ func (r *Registry) Bind(s Scheme) {
 // same recorder to the scheme.
 func (r *Registry) SetRecorder(rec *obs.Recorder) { r.rec = rec }
 
-// ForcedRounds returns how many scan rounds Acquire forced to age a
-// quarantined slot.
+// ForcedRounds returns how many scan rounds take forced to age a slot.
 func (r *Registry) ForcedRounds() uint64 { return r.forced.Load() }
 
 // FallbackReuses is always zero: a quarantined slot is reused only once it
@@ -180,31 +177,25 @@ func (r *Registry) EndScan() {
 // allocator state is readied by the registered hooks, the slot is published
 // in the active mask, and the returned lease's Tid may be used with
 // Scheme.Guard until Release. Its admission token is a non-blocking send, so
-// it fails with ErrRegistryFull while every slot is leased or an AcquireCtx
-// waiter is queued; if the take fails (see take), the token goes back.
+// it fails with ErrRegistryFull exactly while every slot is leased or an
+// AcquireCtx waiter is queued; once the token is sent it cannot fail.
 func (r *Registry) Acquire() (*Lease, error) {
 	select {
 	case r.admit <- struct{}{}:
+		return r.take(), nil
 	default:
 		return nil, ErrRegistryFull
 	}
-	if l := r.take(); l != nil {
-		return l, nil
-	}
-	<-r.admit
-	return nil, ErrRegistryFull
 }
 
 // AcquireCtx leases a dense slot like Acquire, but blocks while the registry
 // is full until a release frees a slot or ctx is done. Blocked callers are
 // admitted in FIFO order: Go queues the senders blocked on a channel first
 // in, first out, and the release that receives a token moves the head
-// sender's token into the buffer, which stays full to everyone else. A
-// token is backed by a fresh or quarantined slot, so a failed take is a
-// short race (a peer took the aged head): it retries until it gets a slot,
-// or gives the token back when ctx ends.
+// sender's token into the buffer, which stays full to everyone else. Once
+// admitted it cannot fail: the token names a slot (see take).
 func (r *Registry) AcquireCtx(ctx context.Context) (*Lease, error) {
-	var t0 int64 // first enqueue; 0 when not queued or the recorder is off
+	var t0 int64 // enqueue time; 0 when not queued or the recorder is off
 	select {
 	case r.admit <- struct{}{}:
 	default:
@@ -219,49 +210,48 @@ func (r *Registry) AcquireCtx(ctx context.Context) (*Lease, error) {
 			return nil, ctx.Err()
 		}
 	}
-	for {
-		if l := r.take(); l != nil {
-			if t0 != 0 {
-				r.rec.ObserveSince(obs.HistAdmissionWait, t0)
-				r.rec.Adm(obs.EvAdmitted, 0)
-			}
-			return l, nil
-		}
-		if err := ctx.Err(); err != nil {
-			<-r.admit
-			return nil, err
-		}
-		runtime.Gosched()
+	l := r.take()
+	if t0 != 0 {
+		r.rec.ObserveSince(obs.HistAdmissionWait, t0)
+		r.rec.Adm(obs.EvAdmitted, 0)
 	}
+	return l, nil
 }
 
-// take hands out a slot to a caller holding an admission token, or returns
-// nil. Slot preference: never-yet-quarantined (fresh) slots first, then the
-// oldest quarantined slot once it has aged — at least quarantineRounds scan
-// rounds completed since its release, so any scan that could have captured
-// the predecessor has long finished. When the head has not aged
-// organically, take forces the missing rounds through the bound scheme — a
-// real bracketed collection per round — so lease churn outrunning the
-// reclamation cadence never voids the round guarantee. That is the whole
-// reuse rule. take fails only when a racing token holder took the aged head
-// and a fresh release replaced it; the caller retries.
+// take hands a token holder its slot; it cannot fail. Under the lock it pops
+// a fresh (never-yet-quarantined) slot, else the quarantine head. The pop
+// always finds one: finishRelease quarantines a slot before it receives its
+// lease's token, so callers in take never outnumber free slots. The popped
+// slot is the caller's alone, so off the lock take waits out its round
+// guarantee — quarantineRounds scan rounds completed since its release, so
+// no scan that could have captured the predecessor still runs — forcing each
+// missing round through the bound scheme. A forced round is a bracketed
+// collection that completes one round, so there are at most quarantineRounds
+// of them, and none once the slot has aged organically.
 func (r *Registry) take() *Lease {
 	r.mu.Lock()
-	tid, ok, waiting := r.takeSlotLocked()
+	var tid int
+	var due uint64 // the round count that ages the slot; 0 when fresh
+	if n := len(r.fresh); n > 0 {
+		tid = r.fresh[n-1]
+		r.fresh = r.fresh[:n-1]
+	} else if len(r.quarantine) > 0 {
+		head := r.quarantine[0]
+		r.quarantine = r.quarantine[1:]
+		tid, due = head.tid, head.round+quarantineRounds
+	} else {
+		r.mu.Unlock()
+		panic("smr: admission token with no free slot")
+	}
 	r.mu.Unlock()
-	// Forced rounds run outside the lock: a round is a scheme-side
-	// collection that never touches the registry's mutex, but Release and
-	// other takes must not block behind it.
-	for i := 0; !ok && waiting && i < quarantineRounds; i++ {
+	// Off the lock: Release and other takes must not wait behind a round.
+	for r.rounds.Load() < due {
 		r.scheme.ForceRound()
 		r.forced.Add(1)
 		r.rec.Sys(obs.EvForcedRound, r.rounds.Load())
-		r.mu.Lock()
-		tid, ok, waiting = r.takeSlotLocked()
-		r.mu.Unlock()
 	}
-	if !ok {
-		return nil
+	if due != 0 {
+		r.rec.Rec(tid, obs.EvQuarRecycle, r.rounds.Load()+quarantineRounds-due)
 	}
 	for _, f := range r.onAcquire {
 		f(tid)
@@ -275,34 +265,10 @@ func (r *Registry) take() *Lease {
 	return l
 }
 
-// takeSlotLocked pops a fresh slot, else the quarantine head when aged.
-// waiting reports that a quarantined slot exists but has not aged — the
-// caller forces the missing rounds.
-func (r *Registry) takeSlotLocked() (tid int, ok, waiting bool) {
-	if n := len(r.fresh); n > 0 {
-		tid := r.fresh[n-1]
-		r.fresh = r.fresh[:n-1]
-		return tid, true, false
-	}
-	if len(r.quarantine) == 0 {
-		return 0, false, false
-	}
-	// Rounds are monotone, so the FIFO head is always the most-aged entry:
-	// if it cannot be served, nothing behind it can.
-	head := r.quarantine[0]
-	rounds := r.rounds.Load()
-	if head.round+quarantineRounds > rounds {
-		return 0, false, true
-	}
-	r.quarantine = r.quarantine[1:]
-	r.rec.Rec(head.tid, obs.EvQuarRecycle, rounds-head.round)
-	return head.tid, true, false
-}
-
 // Release returns the lease's slot: the slot leaves the active mask, the
 // shared recovery path quiesces its scheme and allocator state (reclaiming
 // what it can, orphaning the rest — see recovery.go), and the slot enters
-// quarantine (see Acquire for when it becomes reusable). Release is
+// quarantine (see take for when it becomes reusable). Release is
 // idempotent per lease and must be called by the goroutine that owns it;
 // each Acquire returns a distinct Lease, so a duplicate Release of an old
 // lease can never revoke the slot's next occupant. A Release arriving after

@@ -1,7 +1,6 @@
 package smr
 
 import (
-	"errors"
 	"sync/atomic"
 	"testing"
 
@@ -36,12 +35,30 @@ func (m *testScheme) ForceRound() {
 	m.r.EndScan()
 }
 
-// stuckScheme's forced rounds never complete: it stands in for a collection
-// that cannot finish before a waiter's deadline, so the round counter does
-// not move however often take forces.
-type stuckScheme struct{ testScheme }
+// halfScheme completes a forced round only on every second call: a slow
+// collector, which take must keep forcing until the slot it serves has aged.
+type halfScheme struct{ testScheme }
 
-func (m *stuckScheme) ForceRound() { m.forces.Add(1) }
+func (m *halfScheme) ForceRound() {
+	if m.forces.Add(1)%2 == 0 {
+		m.r.BeginScan()
+		m.r.EndScan()
+	}
+}
+
+// stealScheme runs steal inside its second forced round, once the round has
+// completed: a peer acting while take is off the lock.
+type stealScheme struct {
+	testScheme
+	steal func()
+}
+
+func (m *stealScheme) ForceRound() {
+	m.testScheme.ForceRound()
+	if m.forces.Load() == 2 {
+		m.steal()
+	}
+}
 
 // boundRegistry returns a registry of max slots bound to m.
 func boundRegistry(max int, m Scheme) *Registry {
@@ -92,27 +109,57 @@ func TestRegistryForcedRoundsAgeQuarantine(t *testing.T) {
 	l2.Release()
 }
 
-// TestRegistryStuckForcerRefuses pins that the round guarantee is never
-// traded away: when forced rounds do not complete, the un-aged head is not
-// served — Acquire refuses after quarantineRounds attempts — and once the
-// rounds do complete it is.
-func TestRegistryStuckForcerRefuses(t *testing.T) {
-	m := &stuckScheme{}
+// TestRegistrySlowForcerAgesSlot pins that the round guarantee is never
+// traded away: when only every second forced round completes, take keeps
+// forcing, and the slot is served only once quarantineRounds rounds have
+// completed since its release.
+func TestRegistrySlowForcerAgesSlot(t *testing.T) {
+	m := &halfScheme{}
 	r := boundRegistry(1, m)
+	var served uint64
+	r.OnAcquire(func(int) { served = r.rounds.Load() })
 	l, _ := r.Acquire()
 	l.Release()
-	if _, err := r.Acquire(); !errors.Is(err, ErrRegistryFull) {
-		t.Fatalf("un-aged slot served with no completed round: %v", err)
-	}
-	if got := m.forces.Load(); got != quarantineRounds {
-		t.Fatalf("scheme forced %d rounds, want %d", got, quarantineRounds)
-	}
-	for i := 0; i < quarantineRounds; i++ {
-		r.EndScan()
-	}
+	released := r.quarantine[0].round
 	l2, err := r.Acquire()
 	if err != nil {
-		t.Fatalf("aged slot refused: %v", err)
+		t.Fatal(err)
+	}
+	if served < released+quarantineRounds {
+		t.Fatalf("slot released at round %d served at round %d, want at least %d",
+			released, served, released+quarantineRounds)
+	}
+	if got := m.forces.Load(); got != 2*quarantineRounds {
+		t.Fatalf("scheme forced %d rounds, want %d", got, 2*quarantineRounds)
 	}
 	l2.Release()
+}
+
+// TestRegistryAcquireSurvivesStolenHead pins that a token names its slot:
+// while an Acquire forces rounds for the quarantined slot it popped, a peer
+// releases the other slot and a competing Acquire runs. Both must be served,
+// on different slots.
+func TestRegistryAcquireSurvivesStolenHead(t *testing.T) {
+	m := &stealScheme{}
+	r := boundRegistry(2, m)
+	a, _ := r.Acquire()
+	b, _ := r.Acquire()
+	var peer *Lease
+	m.steal = func() {
+		b.Release()
+		var err error
+		if peer, err = r.Acquire(); err != nil {
+			t.Errorf("competing Acquire: %v", err)
+		}
+	}
+	a.Release()
+	l, err := r.Acquire()
+	if err != nil {
+		t.Fatalf("Acquire lost its slot to a competing one: %v", err)
+	}
+	if peer == nil || peer.Tid() == l.Tid() {
+		t.Fatalf("outer lease on tid %d, competing lease %v: want two distinct slots", l.Tid(), peer)
+	}
+	l.Release()
+	peer.Release()
 }

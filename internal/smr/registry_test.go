@@ -254,12 +254,10 @@ func TestRegistryAdmissionHandsSlotToWaiter(t *testing.T) {
 	b.Release()
 }
 
-// TestRegistryAcquireCtxCancelKeepsCapacity pins that a waiter leaving
-// without a slot takes no capacity with it: neither one cancelled while
-// queued nor one whose context ends after it was admitted but before a slot
-// could be proved safe.
+// TestRegistryAcquireCtxCancelKeepsCapacity pins that a waiter cancelled
+// while queued takes no capacity with it.
 func TestRegistryAcquireCtxCancelKeepsCapacity(t *testing.T) {
-	r := boundRegistry(2, &stuckScheme{})
+	r := boundRegistry(2, &testScheme{})
 	a, _ := r.Acquire()
 	b, _ := r.Acquire()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -276,25 +274,14 @@ func TestRegistryAcquireCtxCancelKeepsCapacity(t *testing.T) {
 	if r.Waiters() != 0 {
 		t.Fatalf("Waiters = %d after cancellation", r.Waiters())
 	}
-
-	// Admitted, but the scheme's forced rounds never complete, so the
-	// quarantined slot cannot be proved safe before the deadline.
 	a.Release()
-	short, cancelShort := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancelShort()
-	if _, err := r.AcquireCtx(short); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("admitted waiter with no provable slot: got %v, want DeadlineExceeded", err)
-	}
 	b.Release()
-	for i := 0; i < quarantineRounds; i++ {
-		r.EndScan() // both releases age
-	}
 
 	held := make([]*Lease, r.MaxThreads())
 	for i := range held {
 		l, err := r.Acquire()
 		if err != nil {
-			t.Fatalf("Acquire %d of %d after the waiters left: %v", i+1, len(held), err)
+			t.Fatalf("Acquire %d of %d after the waiter left: %v", i+1, len(held), err)
 		}
 		held[i] = l
 	}

@@ -367,14 +367,10 @@ func (rt *Runtime) FallbackReuses() uint64 { return 0 }
 func (rt *Runtime) MaxThreads() int { return rt.opts.MaxThreads }
 
 // Scheme returns the reclamation scheme's name. Before the first lease this
-// is the configured name (the scheme is built lazily); note the leaky scheme
-// reports itself as "none" once built, matching its config alias.
+// is the configured name (the scheme is built lazily).
 func (rt *Runtime) Scheme() string {
 	if b := rt.sch.Load(); b != nil {
 		return b.s.Name()
-	}
-	if rt.opts.Scheme == "leaky" {
-		return "none"
 	}
 	return rt.opts.Scheme
 }

@@ -404,10 +404,11 @@ func TestRuntimeStagedFreesDrain(t *testing.T) {
 
 // TestRuntimeDrainUnderTraffic calls Drain while With sessions churn a list
 // under qsbr: a drain under traffic is a capped best effort, so each call
-// must return. Once the sessions stop, one more Drain must free every
+// must return, and with two workers on four slots nobody can queue, so each
+// must succeed. Once the sessions stop, one more Drain must free every
 // retired record.
 func TestRuntimeDrainUnderTraffic(t *testing.T) {
-	rt, err := nbr.NewRuntime(nbr.RuntimeOptions{Scheme: "qsbr", MaxThreads: 8, Threshold: 64})
+	rt, err := nbr.NewRuntime(nbr.RuntimeOptions{Scheme: "qsbr", MaxThreads: 4, Threshold: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,14 +441,13 @@ func TestRuntimeDrainUnderTraffic(t *testing.T) {
 			}
 		}()
 	}
-	// Drain only while sessions run: from their 100th until 100 more. A
-	// drain that finds a waiter queued fails fast, as documented.
+	// Drain only while sessions run: from their 100th until 100 more.
 	for sessions.Load() < 100 {
 		time.Sleep(time.Millisecond)
 	}
 	drains := 0
 	for until := sessions.Load() + 100; sessions.Load() < until; drains++ {
-		if err := rt.Drain(); err != nil && !errors.Is(err, nbr.ErrNoLease) {
+		if err := rt.Drain(); err != nil {
 			t.Error(err)
 			break
 		}
