@@ -24,6 +24,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"nbr/internal/mem"
@@ -70,6 +71,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// maxSlots is the largest R a guard's dirty mask can track.
+const maxSlots = 64
+
 // Scheme is an NBR or NBR+ instance bound to one arena.
 type Scheme struct {
 	// Kernel owns the limbo bags, counters, segment accounting, membership
@@ -103,6 +107,9 @@ type Scheme struct {
 // New creates an NBR/NBR+ scheme for the given arena and thread count.
 func New(arena mem.Arena, threads int, cfg Config) *Scheme {
 	cfg = cfg.withDefaults()
+	if cfg.Slots > maxSlots {
+		panic(fmt.Sprintf("core: Config.Slots (%d) above %d", cfg.Slots, maxSlots))
+	}
 	if threads*cfg.Slots >= cfg.BagSize {
 		panic(fmt.Sprintf("core: N·R (%d) must be below BagSize (%d) or reclamation cannot progress",
 			threads*cfg.Slots, cfg.BagSize))
@@ -210,6 +217,11 @@ type guard struct {
 	// once at construction so Reserve/BeginRead never multiply tid·R.
 	row  []smr.Pad64
 	scan smr.ScanSet // reclaim scratch, reused across scans
+	// dirty has bit i set when row[i] may hold a reservation: Reserve sets
+	// it, BeginRead clears the slots it names and then the mask. Owner-only.
+	// FullPass and ResetSlot zero the whole row and leave the mask alone, so
+	// a bit may be stale; that costs BeginRead one redundant store.
+	dirty uint64
 
 	// NBR+ LoWatermark state (Algorithm 2 lines 1–3). atLoWm is the
 	// inverse of the paper's firstLoWmEntryFlag.
@@ -228,13 +240,17 @@ type guard struct {
 // BeginRead is beginΦread (Algorithm 1 lines 6–9): clear the reservation
 // row, then become restartable. The order matters — a reclaimer scanning
 // after a signal must not see reservations from a previous operation once
-// this thread can be neutralized. SetRestartable is also the sigsetjmp
-// point: neutralization unwinds to smr.Execute, which re-runs the operation
-// body, landing here again.
+// this thread can be neutralized. Only the slots Reserve wrote since the last
+// BeginRead can be non-zero, so only those are stored to: an operation that
+// reserved nothing (a Contains) pays no store here. Afterwards the whole row
+// reads zero. SetRestartable is also the sigsetjmp point: neutralization
+// unwinds to smr.Execute, which re-runs the operation body, landing here
+// again.
 func (g *guard) BeginRead() {
-	for i := range g.row {
-		g.row[i].Store(0)
+	for d := g.dirty; d != 0; d &= d - 1 {
+		g.row[bits.TrailingZeros64(d)].Store(0)
 	}
+	g.dirty = 0
 	if g.s.Rec.Enabled() {
 		g.readFrom = g.s.Rec.Clock()
 		g.s.Rec.Rec(g.Tid(), obs.EvReadBegin, 0)
@@ -243,20 +259,21 @@ func (g *guard) BeginRead() {
 }
 
 // Reserve announces a record the upcoming write phase will access
-// (Algorithm 1 line 11). It must be followed by EndRead before the record
-// is written.
+// (Algorithm 1 line 11) with one sequentially consistent store, and marks
+// the slot for the next BeginRead to clear. It must be followed by EndRead
+// before the record is written.
 func (g *guard) Reserve(i int, p mem.Ptr) {
 	if i >= len(g.row) {
 		panic("core: reservation slot out of range; raise Config.Slots")
 	}
 	g.row[i].Store(uint64(p.Unmarked()))
+	g.dirty |= 1 << i
 }
 
-// EndRead is endΦread's CAS on restartable (Algorithm 1 line 12). Under
-// sequentially consistent atomics the successful transition orders every
-// Reserve store before any reclaimer's reservation scan that follows a
-// signal to this thread; if a signal already arrived, the transition
-// neutralizes instead (see sigsim.ClearRestartable).
+// EndRead is endΦread (Algorithm 1 line 12): one load of the signal word in
+// place of the paper's CAS on restartable. sigsim.ClearRestartable argues
+// why that load still orders every Reserve store before the scan of any
+// reclaimer whose signal it does not see.
 func (g *guard) EndRead() {
 	g.s.group.ClearRestartable(g.Tid())
 	if from := g.readFrom; from != 0 {

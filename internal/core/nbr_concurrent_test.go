@@ -162,6 +162,83 @@ func TestConcurrentNeutralizationStorm(t *testing.T) {
 	}
 }
 
+// TestEndReadPublishesReservations pins the ordering endΦread must give
+// (sigsim.ClearRestartable): a reclaimer that posts to a reader inside its
+// read phase and then collects the reservation rows either neutralizes that
+// read phase or finds the reservation the reader made before EndRead. The
+// reader spins a varying while between announcing its phase and reserving,
+// so on many rounds both the post and the scan land before the reservation
+// store; only EndRead's pending check then keeps the reader out of a write
+// phase the scan did not see.
+func TestEndReadPublishesReservations(t *testing.T) {
+	const rounds = 4000
+	s, pool := newScheme(t, 2, Config{})
+	hs := make([]mem.Ptr, rounds+1)
+	for r := 1; r <= rounds; r++ {
+		hs[r], _ = pool.Alloc(0)
+	}
+	// Round numbers: inPhase and done are the reader's, scanned the
+	// reclaimer's. restarted[r] is written before done reaches r.
+	var inPhase, done, scanned atomic.Int64
+	restarted := make([]bool, rounds+1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		g := s.Guard(0)
+		for r := 1; r <= rounds; r++ {
+			restarted[r] = neutralized(func() {
+				g.BeginRead()
+				inPhase.Store(int64(r))
+				acc := uint64(0)
+				for i := 0; i < r%16*256; i++ {
+					acc = acc*31 + uint64(i)
+				}
+				spinSink = acc
+				g.Reserve(0, hs[r])
+				g.EndRead()
+			})
+			done.Store(int64(r))
+			spinUntil(&scanned, r)
+		}
+	}()
+	rg := s.gs[1]
+	misses, restarts := 0, 0
+	for r := 1; r <= rounds; r++ {
+		spinUntil(&inPhase, r)
+		s.group.SignalAll(1)
+		rg.collect()
+		found := rg.scan.Contains(hs[r])
+		spinUntil(&done, r)
+		if restarted[r] {
+			restarts++
+		} else if !found {
+			misses++
+		}
+		scanned.Store(int64(r))
+	}
+	wg.Wait()
+	if misses > 0 {
+		t.Fatalf("%d of %d rounds left the read phase unneutralized with a reservation the scan missed", misses, rounds)
+	}
+	t.Logf("%d of %d rounds neutralized", restarts, rounds)
+}
+
+// spinSink keeps TestEndReadPublishesReservations' spin from being optimized
+// away.
+var spinSink uint64
+
+// spinUntil busy-waits for v to reach r. A yield on every check costs a
+// scheduler round trip far longer than the windows the test aims at, so it
+// yields only after a long stretch, which keeps one-P runs progressing.
+func spinUntil(v *atomic.Int64, r int) {
+	for i := 1; v.Load() < int64(r); i++ {
+		if i%(1<<16) == 0 {
+			runtime.Gosched()
+		}
+	}
+}
+
 // TestPlusConcurrentPassiveReclaim: a LoWatermark thread must piggyback on
 // other threads' RGPs concurrently (not just in the deterministic unit
 // test).

@@ -51,6 +51,18 @@ func TestConfigRejectsTinyBag(t *testing.T) {
 	New(pool, 8, Config{BagSize: 16, Slots: 4})
 }
 
+// TestConfigRejectsWideRow: a guard's dirty mask has one bit per
+// reservation slot, so a wider row would leave slots BeginRead never clears.
+func TestConfigRejectsWideRow(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("Slots above %d must be rejected", maxSlots)
+		}
+	}()
+	pool := mem.NewPool[rec](mem.Config{MaxThreads: 1})
+	New(pool, 1, Config{BagSize: 1024, Slots: maxSlots + 1})
+}
+
 func TestReserveSlotRangePanics(t *testing.T) {
 	s, pool := newScheme(t, 2, Config{Slots: 2})
 	g := s.Guard(0)
@@ -238,6 +250,52 @@ func TestBeginReadClearsReservations(t *testing.T) {
 	fill(g0, pool, 0, bag+1)
 	if pool.Valid(stale) {
 		t.Fatal("reservation from a previous operation blocked reclamation")
+	}
+
+	// BeginRead stores only to the slots Reserve marked dirty, yet the row
+	// must read zero after it whatever the last operation reserved: one slot
+	// of three, nothing (a Contains), or anything before a FullPass, which
+	// clears the row and leaves the mask stale.
+	s3, pool3 := newScheme(t, 2, Config{BagSize: bag, Slots: 3})
+	peer, r := s3.gs[0], s3.gs[1]
+	h := func() mem.Ptr { p, _ := pool3.Alloc(1); return p }
+	reserved := h()
+	steps := []struct {
+		name string
+		op   func()
+	}{
+		{"reserves slot 2 of 3", func() {
+			r.BeginRead()
+			r.Reserve(2, reserved)
+			r.EndRead()
+		}},
+		{"reserves nothing", func() {
+			r.BeginRead()
+			r.EndRead()
+		}},
+		{"full pass", r.FullPass},
+	}
+	for _, step := range steps {
+		step.op()
+		r.BeginRead()
+		for i := range r.row {
+			if v := r.row[i].Load(); v != 0 {
+				t.Fatalf("after %s: BeginRead left slot %d = %#x", step.name, i, v)
+			}
+		}
+		retired := []mem.Ptr{h()}
+		if step.name == "reserves slot 2 of 3" {
+			retired = append(retired, reserved)
+		}
+		for _, p := range retired {
+			peer.Retire(p)
+		}
+		peer.FullPass()
+		for _, p := range retired {
+			if pool3.Valid(p) {
+				t.Fatalf("after %s: a record the peer retired was not freed", step.name)
+			}
+		}
 	}
 }
 

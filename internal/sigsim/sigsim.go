@@ -2,11 +2,16 @@
 // (pthread_kill, sigsetjmp/siglongjmp) on top of the Go runtime, which owns
 // real signals and offers no asynchronous goroutine interruption.
 //
-// Each participating thread owns a 64-bit state word:
+// Each participating thread owns a 64-bit state word that senders update:
 //
-//	bits 63..2  count of neutralization signals posted to the thread
-//	bit  1      revoked flag (sticky: the slot's lease was reaped)
-//	bit  0      restartable flag (the paper's per-thread `restartable` var)
+//	bits 63..1  count of neutralization signals posted to the thread
+//	bit  0      revoked flag (sticky: the slot's lease was reaped)
+//
+// The paper's per-thread `restartable` variable is not in the word: only the
+// owner reads it (the handler runs at the owner's own delivery points) and
+// senders only add posts, so it is an owner-local flag beside the owner's
+// quiet ceiling. Entering and leaving a read phase therefore costs one atomic
+// load each and no read-modify-write.
 //
 // SignalAll posts a signal by atomically incrementing every peer's count.
 // Delivery is enforced at the points the paper's Assumption 4 needs it:
@@ -16,13 +21,12 @@
 //     handler: restartable threads longjmp (here: panic with Neutralized,
 //     recovered by the operation wrapper), non-restartable threads ignore.
 //   - ClearRestartable, the restartable→non-restartable transition performed
-//     by NBR's endΦread, is a CAS on the same word. A post that lands before
-//     the transition makes the CAS re-check fail and neutralizes the thread,
-//     which is exactly the store-buffer race the paper closes with its CAS on
-//     `restartable` (§4.3): a thread can only become non-restartable if no
-//     signal arrived during its read phase, and then its reservations are
-//     already visible (sequentially consistent atomics) to the reclaimer's
-//     subsequent scan.
+//     by NBR's endΦread, is a load of the word, not a CAS. A post that the
+//     load sees neutralizes the thread, which is the store-buffer race the
+//     paper closes with its CAS on `restartable` (§4.3). A post the load does
+//     not see comes after it in the total order of Go's sequentially
+//     consistent atomics, and so after every reservation store that precedes
+//     the load: the reclaimer's scan, which follows its post, sees them.
 //
 // Because real signal sends cost a syscall (~µs) and handlers cost a kernel
 // round trip, the group charges configurable spin cycles per send and per
@@ -49,22 +53,26 @@ type Neutralized struct{}
 type Revoked struct{}
 
 const (
-	restartableBit = uint64(1)
-	revokedBit     = uint64(2)
-	postUnit       = uint64(4) // one signal in the count field
+	revokedBit = uint64(1)
+	postUnit   = uint64(2) // one signal in the count field
 )
 
 // state is one thread's signal state, padded to a whole number of cache
 // lines (two), so that delivery bookkeeping on one slot never shares a line
-// with a neighbour's word, which every BeginRead/EndRead CASes.
+// with a neighbour's word, which senders add to and every BeginRead/EndRead
+// loads.
 type state struct {
 	word atomic.Uint64
 	// Owner-only fields (no atomics needed).
 	// quiet is the largest value word can hold with nothing left for the
 	// owner to handle: every post up to the last delivery or absorption
-	// counted, the restartable bit set, the revoked bit clear (quietAt).
-	// Anything pending — a later post, a revocation — puts word above it.
-	quiet       uint64
+	// counted, the revoked bit clear (quietAt). Anything pending — a later
+	// post, a revocation — puts word above it.
+	quiet uint64
+	// restartable is the paper's per-thread `restartable` flag. The handler
+	// (deliver) runs only at the owner's own delivery points, so nobody else
+	// ever reads it.
+	restartable bool
 	sink        uint64 // spin-cost accumulator, defeats dead-code elimination
 	restartFrom int64  // post timestamp carried from a neutralizing delivery
 	// lastPost is the recorder timestamp of the most recent SignalAll post
@@ -76,7 +84,7 @@ type state struct {
 	neutralized atomic.Uint64 // deliveries that restarted this thread
 	ignored     atomic.Uint64 // deliveries ignored (non-restartable)
 	revoked     atomic.Uint64 // deliveries that killed a revoked occupant
-	_           [56]byte
+	_           [48]byte
 }
 
 // Config sets the simulated costs, in spin iterations (~1ns each).
@@ -126,8 +134,8 @@ func (g *Group) Attach(tid int) {
 	s := &g.states[tid]
 	for {
 		old := s.word.Load()
-		if s.word.CompareAndSwap(old, old&^(restartableBit|revokedBit)) {
-			s.quiet = quietAt(old)
+		if s.word.CompareAndSwap(old, old&^revokedBit) {
+			s.quiet, s.restartable = quietAt(old), false
 			s.restartFrom = 0 // a stale predecessor latency must not be measured
 			return
 		}
@@ -171,54 +179,50 @@ func (g *Group) SignalAll(self int) {
 // was quiescent or writing (their handlers would have been no-ops) or that
 // caused the jump here (the restart consumed them). A revoked occupant is
 // killed instead: a zombie must not start a new read phase on a slot that may
-// already have a successor.
+// already have a successor. A post that lands after the load is not absorbed:
+// it is delivered at the next Poll or at ClearRestartable.
 func (g *Group) SetRestartable(tid int) {
 	s := &g.states[tid]
-	for {
-		old := s.word.Load()
-		if old&revokedBit != 0 {
-			g.deliver(tid, s, old)
-		}
-		if s.word.CompareAndSwap(old, old|restartableBit) {
-			s.quiet = quietAt(old)
-			if from := s.restartFrom; from != 0 {
-				// This setjmp is the restart of a neutralized read phase:
-				// close the post→restart latency opened at the delivery.
-				s.restartFrom = 0
-				g.rec.ObserveSince(obs.HistSignalLatency, from)
-				g.rec.Rec(tid, obs.EvSigRestart, 0)
-			}
-			return
-		}
+	old := s.word.Load()
+	if old&revokedBit != 0 {
+		g.deliver(tid, s, old)
+	}
+	s.quiet, s.restartable = quietAt(old), true
+	if from := s.restartFrom; from != 0 {
+		// This setjmp is the restart of a neutralized read phase: close the
+		// post→restart latency opened at the delivery.
+		s.restartFrom = 0
+		g.rec.ObserveSince(obs.HistSignalLatency, from)
+		g.rec.Rec(tid, obs.EvSigRestart, 0)
 	}
 }
 
 // ClearRestartable is the read→write transition (endΦread's CAS on
-// `restartable`). If a signal arrived since the thread became restartable,
-// the transition fails and the thread is neutralized instead — it must not
-// enter its write phase, because the reclaimer that signalled it will not
-// see its reservations. On success the thread is non-restartable and every
-// store it made before the call (its reservations) is visible to any
-// reclaimer that signals it afterwards.
+// `restartable`, Algorithm 1 line 12). If a signal arrived since the thread
+// became restartable, the transition fails and the thread is neutralized
+// instead — it must not enter its write phase, because the reclaimer that
+// signalled it may not see its reservations.
+//
+// One sequentially consistent load stands in for the paper's CAS. Every
+// reservation store the caller made is an SC store that precedes this load,
+// and a reclaimer's post precedes its reservation scan. In the single total
+// order of SC operations either the post comes before the load, which then
+// sees it and neutralizes, or the load comes before the post, and then the
+// reservation stores come before the scan's loads, which see them. That is
+// the guarantee the CAS gave, without writing a line a sender also writes.
 func (g *Group) ClearRestartable(tid int) {
 	s := &g.states[tid]
-	for {
-		old := s.word.Load()
-		if old > s.quiet {
-			g.deliver(tid, s, old)
-			// deliver panics (restartable is still set); not reached.
-		}
-		if s.word.CompareAndSwap(old, old&^restartableBit) {
-			return
-		}
+	if old := s.word.Load(); old > s.quiet {
+		g.deliver(tid, s, old) // panics while restartable
 	}
+	s.restartable = false
 }
 
 // quietAt returns the quiet ceiling of a thread that has handled or absorbed
 // everything in old. With the revoked bit clear, word ≤ quietAt(old) exactly
 // when no post followed old's; with it set, word is above every ceiling.
 func quietAt(old uint64) uint64 {
-	return old&^revokedBit | restartableBit
+	return old &^ revokedBit
 }
 
 // Poll is the delivery barrier: it must be invoked before every access to a
@@ -255,7 +259,7 @@ func (g *Group) deliver(tid int, s *state, old uint64) {
 		g.rec.Rec(tid, obs.EvSigKill, pending)
 		panic(Revoked{})
 	}
-	if old&restartableBit != 0 {
+	if s.restartable {
 		s.neutralized.Add(1)
 		if g.rec.Enabled() {
 			// Carry the post timestamp across the longjmp: the latency is
@@ -290,9 +294,11 @@ func (g *Group) IsRevoked(tid int) bool {
 	return g.states[tid].word.Load()&revokedBit != 0
 }
 
-// Restartable reports the thread's restartable flag (for tests and asserts).
+// Restartable reports the thread's restartable flag. The flag is
+// owner-local: only tid itself may call this (tests use it to check a
+// transition).
 func (g *Group) Restartable(tid int) bool {
-	return g.states[tid].word.Load()&restartableBit != 0
+	return g.states[tid].restartable
 }
 
 // Posted returns how many signals have been posted to tid so far.

@@ -12,8 +12,8 @@ func BenchmarkPollQuiet(b *testing.B) {
 	}
 }
 
-// BenchmarkPhaseCycle measures beginΦread + endΦread (two CAS transitions),
-// the per-operation fixed cost of NBR.
+// BenchmarkPhaseCycle measures beginΦread + endΦread (one atomic load
+// each, no read-modify-write), the per-operation fixed cost of NBR.
 func BenchmarkPhaseCycle(b *testing.B) {
 	g := NewGroup(8, Config{})
 	for i := 0; i < b.N; i++ {

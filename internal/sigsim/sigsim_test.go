@@ -22,8 +22,8 @@ func neutralizes(f func()) (hit bool) {
 
 // TestStateFillsWholeCacheLines: the per-slot states sit side by side in one
 // array, so a state that is not a whole number of cache lines puts one slot's
-// delivery counters on its neighbour's word line — and every BeginRead and
-// EndRead CASes that word.
+// delivery counters on its neighbour's word line — and senders add to that
+// word while every BeginRead and EndRead loads it.
 func TestStateFillsWholeCacheLines(t *testing.T) {
 	if size := unsafe.Sizeof(state{}); size%64 != 0 {
 		t.Fatalf("state is %d bytes, not a multiple of the 64-byte cache line", size)
