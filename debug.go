@@ -16,9 +16,11 @@ import (
 // disabled path) lives in internal/obs; see DESIGN.md §15.
 
 // Observe switches the runtime's flight recorder on or off. The runtime is
-// created with the recorder wired but disabled, so every instrumented hot
-// path costs exactly one predictable branch until Observe(true); enabling is
-// safe at any time, including under live traffic.
+// created with the recorder wired but disabled: every instrumented hot path
+// costs one predictable branch, and the recorder holds no event rings, until
+// the first Observe(true) builds them. Enabling is safe at any time,
+// including under live traffic; disabling keeps the rings for the next
+// Observe(true).
 func (rt *Runtime) Observe(on bool) {
 	if on {
 		rt.rec.Enable()

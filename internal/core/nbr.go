@@ -137,10 +137,9 @@ func New(arena mem.Arena, threads int, cfg Config) *Scheme {
 	s.gs = make([]*guard, threads)
 	for i := range s.gs {
 		g := &guard{
-			s:      s,
-			row:    s.reservations[i*cfg.Slots : (i+1)*cfg.Slots],
-			scan:   smr.NewScanSet(threads * cfg.Slots),
-			scanTS: make([]uint64, threads),
+			s:    s,
+			row:  s.reservations[i*cfg.Slots : (i+1)*cfg.Slots],
+			scan: smr.NewScanSet(threads * cfg.Slots),
 		}
 		s.Bind(i, &g.Limbo, g)
 		s.gs[i] = g
@@ -225,8 +224,10 @@ type guard struct {
 
 	// NBR+ LoWatermark state (Algorithm 2 lines 1–3). atLoWm is the
 	// inverse of the paper's firstLoWmEntryFlag.
-	atLoWm    bool
-	bookmark  int // bag index corresponding to bookmarkTail
+	atLoWm   bool
+	bookmark int // bag index corresponding to bookmarkTail
+	// scanTS is the announceTS snapshot taken at the bookmark, built on the
+	// guard's first LoWatermark entry (plain NBR never takes one).
 	scanTS    []uint64
 	sinceScan int
 
@@ -380,6 +381,9 @@ func (g *guard) checkPlus() {
 		if !g.atLoWm {
 			g.atLoWm = true
 			g.bookmark = len(g.Bag)
+			if g.scanTS == nil {
+				g.scanTS = make([]uint64, len(g.s.announceTS))
+			}
 			for i := range g.s.announceTS {
 				g.scanTS[i] = g.s.announceTS[i].Load()
 			}

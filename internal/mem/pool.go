@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"reflect"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -307,7 +306,14 @@ func hasPointers(t reflect.Type) bool {
 	case reflect.Array:
 		return t.Len() > 0 && hasPointers(t.Elem())
 	case reflect.Struct:
-		return slices.ContainsFunc(reflect.VisibleFields(t), func(f reflect.StructField) bool { return hasPointers(f.Type) })
+		// An embedded struct is a field like any other, so walking the
+		// direct fields reaches every promoted one; Field allocates nothing.
+		for i := range t.NumField() {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
 	}
 	return t.Kind() > reflect.Complex128 // every kind after the numbers holds or is a pointer
 }

@@ -7,8 +7,10 @@
 // The recorder is wired into the hot paths permanently and gated behind a
 // single atomic enabled-check: every instrumented site does one predictable
 // load+branch when the recorder is disabled (or nil — all methods are
-// nil-safe), and nothing else. When enabled, an event write is one atomic
-// fetch-add on the ring cursor plus two atomic stores; no path allocates.
+// nil-safe), and nothing else. The rings are built on the first Enable, so a
+// recorder that is never switched on holds no ring memory either. When
+// enabled, an event write is one atomic fetch-add on the ring cursor plus two
+// atomic stores; no path allocates.
 //
 // Rings are indexed by registry slot (tid), plus two extra rings for
 // goroutines that have no slot: the admission ring (AcquireCtx waiters) and
@@ -163,28 +165,41 @@ const claimSentinel = ^uint64(0)
 // permanently disabled recorder: every method is nil-safe, so instrumented
 // code holds a plain *Recorder field and never checks for wiring.
 type Recorder struct {
-	on      atomic.Bool
-	base    time.Time // monotonic origin for all timestamps
-	rings   []ring    // one per registry slot, then admission, then system
+	on   atomic.Bool
+	base time.Time // monotonic origin for all timestamps
+	// rings holds one ring per registry slot, then admission, then system:
+	// nrings of them, nil until the first Enable builds them. It is
+	// published before on is first set, so a writer that saw on sees them;
+	// a reader racing the first Enable sees nil or the whole array.
+	rings   atomic.Pointer[[]ring]
+	nrings  int
 	hists   [NumHists]hist.Histogram
 	sampled atomic.Int32 // outstanding garbage-age samples (fast NoteFree gate)
 	samples [gaSamples]gaSample
 }
 
-// NewRecorder builds a disabled recorder with one ring per registry slot
-// plus the admission and system rings. Call Enable to start recording.
+// NewRecorder builds a disabled recorder for one ring per registry slot plus
+// the admission and system rings. Call Enable to start recording; the rings
+// are built then.
 func NewRecorder(slots int) *Recorder {
 	if slots < 1 {
 		slots = 1
 	}
-	return &Recorder{base: time.Now(), rings: make([]ring, slots+2)}
+	return &Recorder{base: time.Now(), nrings: slots + 2}
 }
 
-// Enable turns recording on. Safe to call concurrently with writers.
+// Enable turns recording on, building the rings the first time. Safe to call
+// concurrently with writers, readers and other Enables: one array wins the
+// publication and every Enable turns recording on only after it is visible.
 func (r *Recorder) Enable() {
-	if r != nil {
-		r.on.Store(true)
+	if r == nil {
+		return
 	}
+	if r.rings.Load() == nil {
+		rs := make([]ring, r.nrings)
+		r.rings.CompareAndSwap(nil, &rs)
+	}
+	r.on.Store(true)
 }
 
 // Disable turns recording off. In-flight writes may still land.
@@ -203,7 +218,7 @@ func (r *Recorder) AdmissionRing() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.rings) - 2
+	return r.nrings - 2
 }
 
 // SystemRing is the ring index for slotless system work (scans, watchdog).
@@ -211,17 +226,17 @@ func (r *Recorder) SystemRing() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.rings) - 1
+	return r.nrings - 1
 }
 
 // RingName names ring i for dumps: "t3" for slot rings, "adm", "sys".
 func (r *Recorder) RingName(i int) string {
 	switch {
-	case r == nil || i < 0 || i >= len(r.rings):
+	case r == nil || i < 0 || i >= r.nrings:
 		return fmt.Sprintf("r%d", i)
-	case i == len(r.rings)-2:
+	case i == r.nrings-2:
 		return "adm"
-	case i == len(r.rings)-1:
+	case i == r.nrings-1:
 		return "sys"
 	default:
 		return fmt.Sprintf("t%d", i)
@@ -252,10 +267,11 @@ func (r *Recorder) Rec(i int, c Code, arg uint64) {
 	if r == nil || !r.on.Load() {
 		return
 	}
-	if i < 0 || i >= len(r.rings) {
-		i = len(r.rings) - 1
+	rs := r.rings.Load() // non-nil: Enable publishes the rings before on
+	if i < 0 || i >= len(*rs) {
+		i = len(*rs) - 1
 	}
-	rg := &r.rings[i]
+	rg := &(*rs)[i]
 	s := &rg.ev[(rg.pos.Add(1)-1)&ringMask]
 	s.ts.Store(r.clock())
 	s.word.Store(uint64(c)<<56 | arg&argMask)
@@ -355,9 +371,13 @@ func (r *Recorder) Events(max int) []Event {
 	if r == nil {
 		return nil
 	}
+	rs := r.rings.Load()
+	if rs == nil { // never enabled: no events
+		return nil
+	}
 	var evs []Event
-	for ri := range r.rings {
-		rg := &r.rings[ri]
+	for ri := range *rs {
+		rg := &(*rs)[ri]
 		pos := rg.pos.Load()
 		for k := pos - min(pos, RingSize); k < pos; k++ {
 			s := &rg.ev[k&ringMask]

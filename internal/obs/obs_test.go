@@ -234,3 +234,83 @@ func TestWriteTailNamesOpenReadPhase(t *testing.T) {
 		t.Fatalf("OpenReadPhases = %v, want [4]", open)
 	}
 }
+
+// TestNeverEnabledHoldsNoRings: a recorder that was never switched on has
+// built no rings and reports no events through any read path, while its ring
+// numbering is already fixed for the writers that hold it.
+func TestNeverEnabledHoldsNoRings(t *testing.T) {
+	r := NewRecorder(4)
+	r.Rec(2, EvReadBegin, 0) // disabled: dropped before any ring is needed
+	if r.rings.Load() != nil {
+		t.Fatal("a never-enabled recorder built its rings")
+	}
+	if evs := r.Events(0); evs != nil {
+		t.Fatalf("Events = %v, want none", evs)
+	}
+	if open := r.OpenReadPhases(); open != nil {
+		t.Fatalf("OpenReadPhases = %v, want none", open)
+	}
+	if s := r.Snapshot(16); s.Enabled || len(s.Events) != 0 || len(s.Hists) != NumHists {
+		t.Fatalf("Snapshot = %+v, want disabled, no events, %d histograms", s, NumHists)
+	}
+	var sb strings.Builder
+	r.WriteTail(&sb, 16)
+	if got := sb.String(); !strings.HasPrefix(got, "flight recorder: no events") {
+		t.Fatalf("WriteTail = %q", got)
+	}
+	if r.AdmissionRing() != 4 || r.SystemRing() != 5 || r.RingName(5) != "sys" || r.RingName(3) != "t3" {
+		t.Fatalf("ring numbering: adm %d sys %d", r.AdmissionRing(), r.SystemRing())
+	}
+	r.Enable()
+	r.Rec(2, EvReadBegin, 0)
+	if open := r.OpenReadPhases(); len(open) != 1 || open[0] != 2 {
+		t.Fatalf("after Enable: OpenReadPhases = %v, want [2]", open)
+	}
+}
+
+// TestFirstEnableRace is the -race test of the lazy rings: several first
+// Enables race writers and readers. Every writer that sees the recorder on
+// must find whole rings, every reader sees none or all of them, and once
+// everyone is done the rings hold what was written after the Enables.
+func TestFirstEnableRace(t *testing.T) {
+	const writers, perWriter = 4, 512
+	for round := 0; round < 20; round++ {
+		r := NewRecorder(writers)
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for w := 0; w < writers; w++ {
+			wg.Add(3)
+			go func() {
+				defer wg.Done()
+				<-start
+				r.Enable()
+			}()
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < perWriter; i++ {
+					r.Rec(w, EvReadBegin, uint64(i))
+					r.Sys(EvScanEnd, uint64(i))
+				}
+			}(w)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < 16; i++ {
+					for _, e := range r.Events(0) {
+						if e.Ring < 0 || e.Ring > r.SystemRing() || e.TS <= 0 {
+							t.Errorf("torn event %+v", e)
+							return
+						}
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		r.Rec(0, EvReadEnd, 0)
+		if evs := r.Events(1); len(evs) != 1 || evs[0].Code != EvReadEnd {
+			t.Fatalf("round %d: last event %v, want read-end on t0", round, evs)
+		}
+	}
+}

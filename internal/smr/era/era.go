@@ -85,9 +85,8 @@ func NewIBR(arena mem.Arena, threads int, cfg Config) *Scheme {
 func newScheme(name string, arena mem.Arena, threads int, cfg Config, interval bool, width int) *Scheme {
 	s := &Scheme{
 		cfg: cfg, interval: interval, width: width,
-		slots:  make([]smr.Pad64, threads*width),
-		gs:     make([]*guard, threads),
-		forced: newIntervals(threads * width),
+		slots: make([]smr.Pad64, threads*width),
+		gs:    make([]*guard, threads),
 	}
 	s.era.Store(1)
 	s.Init(smr.Spec{
@@ -96,7 +95,7 @@ func newScheme(name string, arena mem.Arena, threads int, cfg Config, interval b
 		Collect: func() { s.collect(&s.forced) },
 	})
 	for i := range s.gs {
-		g := &guard{s: s, hiSlot: -1, row: s.slots[i*width : (i+1)*width], pins: newIntervals(threads * width)}
+		g := &guard{s: s, hiSlot: -1, row: s.slots[i*width : (i+1)*width]}
 		s.Bind(i, &g.Limbo, g)
 		s.gs[i] = g
 	}
@@ -152,12 +151,15 @@ func (s *Scheme) ResetSlot(tid int) {
 // intervals: a hazard era e is [e, e], an IBR reservation [lo, hi].
 type intervals struct{ lo, hi []uint64 }
 
-func newIntervals(n int) intervals {
-	return intervals{lo: make([]uint64, 0, n), hi: make([]uint64, 0, n)}
-}
-
-// collect snapshots every active thread's announcements into iv.
+// collect snapshots every active thread's announcements into iv. The first
+// collection into iv builds its arrays at the N·width announcements a
+// snapshot can hold, so scratch that is never collected into costs nothing
+// and later collections never grow it.
 func (s *Scheme) collect(iv *intervals) {
+	if iv.lo == nil {
+		n := len(s.slots)
+		iv.lo, iv.hi = make([]uint64, 0, n), make([]uint64, 0, n)
+	}
 	iv.lo, iv.hi = iv.lo[:0], iv.hi[:0]
 	s.ActiveMask.Range(func(tid int) {
 		row := s.slots[tid*s.width : (tid+1)*s.width]

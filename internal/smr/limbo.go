@@ -29,8 +29,8 @@ type Spec struct {
 	Threads int
 	// Burst is the scheme's reclamation burst in records — the bag weight at
 	// which a threshold-triggered scheme passes, NBR's HiWatermark — or 0
-	// when it has none. ReclaimBurst reports it, the FreeBatch scratch is
-	// pre-sized to it, and Chunk cuts at it.
+	// when it has none. ReclaimBurst reports it, a guard's FreeBatch scratch
+	// is built at that size on its first sweep, and Chunk cuts at it.
 	Burst int
 	// Attach readies slot tid's announcement state for a new leaseholder
 	// (the registry's acquire hook).
@@ -113,7 +113,6 @@ func (k *Kernel) Init(spec Spec) {
 // Bind wires guard tid's Limbo into the kernel; p is the guard itself.
 func (k *Kernel) Bind(tid int, l *Limbo, p Policy) {
 	l.k, l.tid, l.policy = k, tid, p
-	l.batch = make([]mem.Ptr, 0, k.spec.Burst)
 	k.limbos[tid] = l
 }
 
@@ -299,8 +298,10 @@ type Limbo struct {
 	// count every member record behind one entry.
 	Bag  []mem.Ptr
 	BagW int
-	// batch is the sweep's FreeBatch scratch; one is Retire's one-record
-	// handoff and RetireSegment's handle, passed to Before without allocating.
+	// batch is the sweep's FreeBatch scratch, nil until the first Sweep
+	// builds it at Burst capacity, so a slot that never sweeps never pays
+	// for it; one is Retire's one-record handoff and RetireSegment's handle,
+	// passed to Before without allocating.
 	batch []mem.Ptr
 	one   [1]mem.Ptr
 
@@ -464,8 +465,12 @@ func (l *Limbo) Scan(upto int, collect func(), keep func(mem.Ptr) bool) {
 
 // Sweep partitions Bag[:upto] into survivors (keep reports true) and a batch
 // freed through one FreeBatch call — one free-list interaction per pass, no
-// heap allocation — compacting the bag in place and re-weighing it.
+// heap allocation after the guard's first sweep builds the scratch —
+// compacting the bag in place and re-weighing it.
 func (l *Limbo) Sweep(upto int, keep func(mem.Ptr) bool) {
+	if l.batch == nil {
+		l.batch = make([]mem.Ptr, 0, l.k.spec.Burst)
+	}
 	weighted := l.k.maxW.Load() != 0
 	kept, batch := l.Bag[:0], l.batch[:0]
 	keptW, freedW := 0, 0

@@ -235,9 +235,13 @@ func (r *Registry) take() *Lease {
 	if n := len(r.fresh); n > 0 {
 		tid = r.fresh[n-1]
 		r.fresh = r.fresh[:n-1]
-	} else if len(r.quarantine) > 0 {
+	} else if n := len(r.quarantine); n > 0 {
+		// Pop by copying the queue down (it holds at most max slots), so
+		// its capacity stays whole and finishRelease's append never
+		// reallocates.
 		head := r.quarantine[0]
-		r.quarantine = r.quarantine[1:]
+		copy(r.quarantine, r.quarantine[1:])
+		r.quarantine = r.quarantine[:n-1]
 		tid, due = head.tid, head.round+quarantineRounds
 	} else {
 		r.mu.Unlock()

@@ -20,12 +20,14 @@ import (
 // version performed.
 type ScanSet struct {
 	vals []uint64
+	n    int // the capacity the first collection builds vals at
 }
 
-// NewScanSet returns a set pre-sized for capacity entries, so that steady
-// state scans never grow the backing array.
+// NewScanSet returns an empty set sized for capacity entries. The first
+// CollectRows builds the backing array at that capacity, so a guard that
+// never scans never pays for it and steady state scans never grow it.
 func NewScanSet(capacity int) ScanSet {
-	return ScanSet{vals: make([]uint64, 0, capacity)}
+	return ScanSet{n: capacity}
 }
 
 // CollectRows snapshots the announcement rows of every *active* thread —
@@ -36,6 +38,9 @@ func NewScanSet(capacity int) ScanSet {
 // and a thread that activates after this snapshot cannot reach records that
 // were unlinked before it activated.
 func (s *ScanSet) CollectRows(slots []Pad64, width int, active *sigsim.ActiveSet) {
+	if s.vals == nil {
+		s.vals = make([]uint64, 0, s.n)
+	}
 	s.vals = s.vals[:0]
 	active.Range(func(tid int) {
 		row := slots[tid*width : (tid+1)*width]

@@ -114,3 +114,40 @@ func TestDomainLeaseExhaustion(t *testing.T) {
 		l.Release()
 	}
 }
+
+// TestLeaseRoundTripAllocs: an Acquire+Release round trip allocates the
+// public Lease and the registry's smr.Lease and nothing else, however many
+// leases churn through the quarantine queue: a pop that gave up the queue's
+// capacity would make a later release's append reallocate it.
+func TestLeaseRoundTripAllocs(t *testing.T) {
+	const slots, trips, perTrip = 12, 10_000, 2
+	rt, err := nbr.NewRuntime(nbr.RuntimeOptions{MaxThreads: slots})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.NewSet("lazylist"); err != nil {
+		t.Fatal(err)
+	}
+	trip := func() {
+		l, err := rt.Acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Release()
+	}
+	// Warm up: every slot through the quarantine, every lazily built
+	// scratch built.
+	for range 4 * slots {
+		trip()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range trips {
+		trip()
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got > perTrip*trips {
+		t.Fatalf("%d round trips allocated %d times (%.4f each), want at most %d each",
+			trips, got, float64(got)/trips, perTrip)
+	}
+}
