@@ -33,9 +33,9 @@ func main() {
 		trials     = flag.Int("trials", 1, "trials per cell, averaged (paper: 3)")
 		full       = flag.Bool("full", false, "use the paper's full key ranges (2M/20M)")
 
-		bag     = flag.Int("bag", 1024, "NBR limbo-bag HiWatermark (paper: 32k at 192 threads)")
-		lowm    = flag.Float64("lowm", 0.5, "NBR+ LoWatermark fraction")
-		sigspin = flag.Int("sigspin", 600, "simulated pthread_kill cost, spin iterations per signal")
+		bag     = flag.Int("bag", 0, "NBR limbo-bag HiWatermark; 0 keeps the scheme's default (paper: 32k at 192 threads)")
+		lowm    = flag.Float64("lowm", 0, "NBR+ LoWatermark fraction; 0 keeps the scheme's default")
+		sigspin = flag.Int("sigspin", 600, "simulated pthread_kill cost, spin iterations per signal, charged in the fixed-N cells only (a runtime cell's signal is free)")
 
 		snapshot = flag.String("snapshot", "", "write a machine-readable perf snapshot JSON to this path (e.g. BENCH_1.json) and exit")
 
@@ -60,9 +60,7 @@ func main() {
 		return
 	}
 
-	cfg := catalog.DefaultSchemeConfig()
-	cfg.BagSize, cfg.LoFraction = *bag, *lowm
-	cfg.SendSpin, cfg.HandleSpin = *sigspin, *sigspin/2
+	cfg := catalog.SchemeConfig{BagSize: *bag, LoFraction: *lowm, SendSpin: *sigspin, HandleSpin: *sigspin / 2}
 
 	if *snapshot != "" {
 		// The snapshot suite is fixed (8 threads: the end-to-end workload

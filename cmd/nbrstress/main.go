@@ -1,5 +1,6 @@
 // Command nbrstress runs the full data-structure × scheme matrix under
-// continuous churn with aggressive reclamation settings. The allocator's
+// continuous churn with aggressive reclamation settings
+// (catalog.StressSchemeConfig, the correctness suites' own). The allocator's
 // generation tags turn any unsafe reclamation into a panic, and every
 // bench.Run ends by validating the structure and the retired/freed
 // accounting, so a clean exit is a machine-checked safety run of every
@@ -27,10 +28,7 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := catalog.DefaultSchemeConfig()
-	cfg.BagSize, cfg.Threshold = 128, 48 // reclaim constantly
-	cfg.EraFreq, cfg.ScanFreq = 16, 4
-
+	cfg := catalog.StressSchemeConfig()
 	failures := 0
 	for _, dsName := range catalog.DSNames {
 		for _, scheme := range catalog.SchemeNames {

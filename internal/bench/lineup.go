@@ -102,7 +102,7 @@ func (w Workload) measure(s *Snapshot, d time.Duration, cfg catalog.SchemeConfig
 func (w RuntimeWorkload) measure(s *Snapshot, d time.Duration, cfg catalog.SchemeConfig) error {
 	w.Structures = []string{"lazylist", "harris", "dgt"}
 	w.Slots, w.Workers = snapshotThreads, snapshotThreads+snapshotThreads/2
-	w.KeyRange, w.SessionOps, w.Duration, w.Cfg = 20_000, 64, d, cfg
+	w.KeyRange, w.SessionOps, w.Duration, w.BagSize = 20_000, 64, d, cfg.BagSize
 	r, err := RunRuntime(w)
 	s.Runtime = append(s.Runtime, r.RuntimePoint)
 	return err
@@ -201,8 +201,8 @@ func measureScanCost(threads, slots int) ScanCostPoint {
 // declared side is the reservation width the structure's own instance
 // declares, the Runtime side the width of a NewRuntime hosting that structure
 // plus any others attached before its first lease (none in the snapshot,
-// where the gap must be 0). Scan cost is measured at each side's threads ×
-// reservations entries.
+// where the gap must be 0). Each side is counted in scan entries, threads ×
+// reservations; a scan's cost at a width is the scan cells' business.
 func measureWidths(name string, threads int, others ...string) (WidthPoint, error) {
 	inst, err := catalog.NewDS(name, threads)
 	if err != nil {
@@ -218,11 +218,9 @@ func measureWidths(name string, threads int, others ...string) (WidthPoint, erro
 		}
 	}
 	_, runtimeRes := rt.Widths()
-	declared := measureScanCost(threads, inst.Req.Reservations)
-	shared := measureScanCost(threads, runtimeRes)
 	return WidthPoint{
-		DS: name, Threads: threads, DeclaredEntries: declared.Entries, RuntimeEntries: shared.Entries,
-		DeclaredNsPerScan: declared.NsPerScan, RuntimeNsScan: shared.NsPerScan,
+		DS: name, Threads: threads,
+		DeclaredEntries: threads * inst.Req.Reservations, RuntimeEntries: threads * runtimeRes,
 	}, nil
 }
 

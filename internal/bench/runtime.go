@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"nbr"
-	"nbr/internal/catalog"
 	"nbr/internal/obs"
 )
 
@@ -32,9 +31,10 @@ type RuntimeWorkload struct {
 	KeyRange   uint64
 	SessionOps int // operations per lease session, spread across structures
 	Duration   time.Duration
-	// Cfg carries the scheme knobs RuntimeOptions has; a Runtime sizes its
-	// scheme's widths to the attached structures.
-	Cfg catalog.SchemeConfig
+	// BagSize is the one scheme knob RuntimeOptions has; a Runtime sizes its
+	// scheme's widths to the attached structures and leaves every other knob
+	// at the scheme's default.
+	BagSize int
 	// Interleave selects the adversarial retire pattern: each session walks
 	// the structures round-robin doing insert-then-delete pairs, so the
 	// retire stream entering the shared bags alternates owners perfectly —
@@ -72,12 +72,7 @@ func RunRuntime(w RuntimeWorkload) (RuntimeResult, error) {
 	if len(w.Structures) == 0 || w.Slots <= 0 || w.Workers <= 0 || w.SessionOps <= 0 || w.KeyRange < 2 || w.Duration <= 0 {
 		return RuntimeResult{}, fmt.Errorf("bench: runtime cell needs Structures, Slots, Workers, SessionOps, KeyRange >= 2 and Duration")
 	}
-	rt, err := nbr.NewRuntime(nbr.RuntimeOptions{
-		Scheme: w.Scheme, MaxThreads: w.Slots,
-		BagSize: w.Cfg.BagSize, LoFraction: w.Cfg.LoFraction, ScanFreq: w.Cfg.ScanFreq,
-		Threshold: w.Cfg.Threshold, EraFreq: w.Cfg.EraFreq,
-		SendSpin: w.Cfg.SendSpin, HandleSpin: w.Cfg.HandleSpin,
-	})
+	rt, err := nbr.NewRuntime(nbr.RuntimeOptions{Scheme: w.Scheme, MaxThreads: w.Slots, BagSize: w.BagSize})
 	if err != nil {
 		return RuntimeResult{}, fmt.Errorf("bench: %w", err)
 	}

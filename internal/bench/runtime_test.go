@@ -4,16 +4,12 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"nbr/internal/catalog"
 )
 
 // TestRunRuntimeCell pins the shared-runtime measurement cell: it must
 // complete sessions, hold the aggregated bound, and drain the shared bags to
 // Retired == Freed.
 func TestRunRuntimeCell(t *testing.T) {
-	cfg := catalog.DefaultSchemeConfig()
-	cfg.BagSize = 256
 	r, err := RunRuntime(RuntimeWorkload{
 		Structures: []string{"lazylist", "harris", "dgt"},
 		Scheme:     "nbr+",
@@ -22,7 +18,7 @@ func TestRunRuntimeCell(t *testing.T) {
 		KeyRange:   512,
 		SessionOps: 32,
 		Duration:   150 * time.Millisecond,
-		Cfg:        cfg,
+		BagSize:    256,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -50,8 +46,6 @@ func TestRunRuntimeCell(t *testing.T) {
 // zombie Release (a counted no-op), and the bound and drain-to-zero hold
 // through the deaths.
 func TestRunRuntimeStallCell(t *testing.T) {
-	cfg := catalog.DefaultSchemeConfig()
-	cfg.BagSize = 256
 	r, err := RunRuntime(RuntimeWorkload{
 		Structures: []string{"lazylist", "harris", "dgt"},
 		Scheme:     "nbr+",
@@ -60,7 +54,7 @@ func TestRunRuntimeStallCell(t *testing.T) {
 		KeyRange:   512,
 		SessionOps: 32,
 		Duration:   150 * time.Millisecond,
-		Cfg:        cfg,
+		BagSize:    256,
 		Stall:      true,
 	})
 	if err != nil {

@@ -359,20 +359,22 @@ func (rb ResizeBurstPoint) Violations() []string {
 }
 
 // WidthPoint is one declared-widths-vs-Runtime width-comparison cell: the
-// reservation width a structure declares, the width a Runtime hosting it
-// builds, and the measured reservation-scan cost at those widths. The
-// runtime builds at the structure's declared widths, so the entries gap is
-// zero and ns/scan is at parity; a reopened gap (RuntimeEntries >
-// DeclaredEntries) means the runtime is back to conservative global widths —
-// a pure width count, wrong on any host. The JSON names predate the field
+// reservation width a structure declares against the width a Runtime hosting
+// it builds, each in scan entries. The runtime builds at the structure's
+// declared widths, so the entries gap is zero; a reopened gap (RuntimeEntries
+// > DeclaredEntries) means the runtime is back to conservative global widths
+// — a pure width count, wrong on any host. The JSON names predate the field
 // names and are kept so nbrtrend pairs the cells of every committed snapshot.
+// The two timings are read only from snapshots up to BENCH_22, which timed a
+// scan at each width; the widths are equal by construction, so newer ones
+// leave the timings out.
 type WidthPoint struct {
 	DS                string  `json:"ds"`
 	Threads           int     `json:"threads"`
 	DeclaredEntries   int     `json:"domain_entries"`  // threads × declared reservations
 	RuntimeEntries    int     `json:"runtime_entries"` // threads × runtime-built reservations
-	DeclaredNsPerScan float64 `json:"domain_ns_per_scan"`
-	RuntimeNsScan     float64 `json:"runtime_ns_per_scan"`
+	DeclaredNsPerScan float64 `json:"domain_ns_per_scan,omitempty"`
+	RuntimeNsScan     float64 `json:"runtime_ns_per_scan,omitempty"`
 }
 
 func (wd WidthPoint) key() string { return fmt.Sprintf("width %s t=%d", wd.DS, wd.Threads) }
@@ -380,7 +382,7 @@ func (wd WidthPoint) key() string { return fmt.Sprintf("width %s t=%d", wd.DS, w
 func (wd WidthPoint) columns() []column {
 	return []column{
 		{name: "width_gap", v: float64(wd.RuntimeEntries - wd.DeclaredEntries), up: true, class: zero, exact: true},
-		col("rt_ns_scan", wd.RuntimeNsScan, true, timing),
+		col("rt_ns_scan", wd.RuntimeNsScan, true, timing).when(wd.RuntimeNsScan > 0),
 	}
 }
 

@@ -23,7 +23,9 @@ import (
 // the paper's figures present them.
 var SchemeNames = []string{"none", "qsbr", "rcu", "debra", "ibr", "hp", "he", "nbr", "nbr+"}
 
-// SchemeConfig carries every scheme knob the experiments sweep.
+// SchemeConfig carries every scheme knob the experiments sweep. A zero knob
+// selects its scheme's own default; only the signal price has none behind
+// it: zero makes a simulated signal free.
 type SchemeConfig struct {
 	// BagSize is the NBR limbo-bag HiWatermark.
 	BagSize int
@@ -42,15 +44,20 @@ type SchemeConfig struct {
 	EraFreq int
 }
 
-// DefaultSchemeConfig returns the defaults documented in DESIGN.md §6.
+// DefaultSchemeConfig is the fixed-N harness's configuration: every knob at
+// its scheme's default, and a simulated pthread_kill priced at 600 spin
+// iterations to send and 300 to handle (DESIGN.md §2, §6).
 func DefaultSchemeConfig() SchemeConfig {
-	return SchemeConfig{
-		BagSize:    1024,
-		LoFraction: 0.5,
-		ScanFreq:   32,
-		SendSpin:   600,
-		HandleSpin: 300,
-	}
+	return SchemeConfig{SendSpin: 600, HandleSpin: 300}
+}
+
+// StressSchemeConfig is the aggressive setting the correctness suites and
+// nbrstress run under: small bags, a short NBR+ scan cadence, shallow retire
+// buffers and a fast era clock, so freeing and neutralization happen
+// constantly at test scale rather than only at benchmark scale. Signals are
+// free: the stress verdict is a safety verdict, not a cost.
+func StressSchemeConfig() SchemeConfig {
+	return SchemeConfig{BagSize: 128, ScanFreq: 4, Threshold: 48, EraFreq: 16}
 }
 
 // NewScheme constructs the named scheme over an arena for a thread count,

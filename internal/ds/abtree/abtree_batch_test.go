@@ -22,13 +22,7 @@ func TestSubtreeUnlinkStress(t *testing.T) {
 		keys    = 1 << 11
 		waves   = 3
 	)
-	cfg := catalog.SchemeConfig{
-		BagSize:    128,
-		LoFraction: 0.5,
-		ScanFreq:   4,
-		Threshold:  48,
-		EraFreq:    16,
-	}
+	cfg := catalog.StressSchemeConfig()
 	for _, scheme := range catalog.SchemeNames {
 		if !catalog.Runnable("abtree", scheme) {
 			continue

@@ -210,13 +210,8 @@ func TestResizeStormBound(t *testing.T) {
 func resizeStorm(t *testing.T, scheme string) {
 	const threads = 6
 	m := hashmap.New(threads)
-	cfg := catalog.SchemeConfig{
-		BagSize:    32, // one retired array can span the bag
-		LoFraction: 0.5,
-		ScanFreq:   4,
-		Threshold:  48,
-		EraFreq:    16,
-	}
+	cfg := catalog.StressSchemeConfig()
+	cfg.BagSize = 32 // one retired array can span the bag
 	sch, err := catalog.NewSchemeFor(scheme, m.Arena(), threads, cfg, m.Requirements())
 	if err != nil {
 		t.Fatal(err)

@@ -81,25 +81,11 @@ type Factory struct {
 // key space. All lie strictly between the sentinels.
 var TopBitKeys = []uint64{1, 1 | 1<<63, 5, 5 | 1<<63, 1 << 63, 1<<63 - 1, 1<<64 - 2}
 
-// config returns aggressive-reclamation settings so the suites exercise
-// freeing and neutralization constantly rather than only at scale. Slots
-// stays 0 (auto) so the suites run the same narrow per-DS widths the
-// benchmarks use.
-func config() catalog.SchemeConfig {
-	return catalog.SchemeConfig{
-		BagSize:    128,
-		LoFraction: 0.5,
-		ScanFreq:   4,
-		Threshold:  48,
-		EraFreq:    16,
-	}
-}
-
 func newScheme(t *testing.T, name string, inst Instance, threads int) smr.Scheme {
 	t.Helper()
 	// Schemes are sized to the structure's declared announcement widths,
 	// exactly as bench.Run constructs the measured configurations.
-	s, err := catalog.NewSchemeFor(name, inst.Arena, threads, config(), inst.Set.Requirements())
+	s, err := catalog.NewSchemeFor(name, inst.Arena, threads, catalog.StressSchemeConfig(), inst.Set.Requirements())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +386,7 @@ var boundedSchemes = map[string]bool{
 func Bound(t *testing.T, f Factory, scheme string) {
 	const threads = 6
 	inst := f.New(threads)
-	cfg := config()
+	cfg := catalog.StressSchemeConfig()
 	cfg.BagSize = 32 // N·R ≤ 18 stays below; one splice can span the bag
 	sch, err := catalog.NewSchemeFor(scheme, inst.Arena, threads, cfg, inst.Set.Requirements())
 	if err != nil {
@@ -473,7 +459,7 @@ func Bound(t *testing.T, f Factory, scheme string) {
 func BoundChain(t *testing.T, f Factory, scheme string) {
 	const threads = 2
 	inst := f.New(threads)
-	cfg := config()
+	cfg := catalog.StressSchemeConfig()
 	cfg.BagSize = 32 // one splice spans many bags
 	sch, err := catalog.NewSchemeFor(scheme, inst.Arena, threads, cfg, inst.Set.Requirements())
 	if err != nil {
@@ -520,7 +506,7 @@ func Stall(t *testing.T, f Factory, scheme string) {
 	inst := f.New(threads)
 	sch := newScheme(t, scheme, inst, threads)
 	rec := observe(sch, threads)
-	cfg := config()
+	cfg := catalog.StressSchemeConfig()
 
 	// The stalled thread enters an operation mid-read-phase and stops.
 	stalled := sch.Guard(workers)

@@ -57,7 +57,7 @@ func churnLeases(t *testing.T, f Factory, scheme string, kills bool) {
 	}
 
 	inst := f.New(maxThreads)
-	sch, err := catalog.NewSchemeFor(scheme, inst.Arena, maxThreads, config(), inst.Set.Requirements())
+	sch, err := catalog.NewSchemeFor(scheme, inst.Arena, maxThreads, catalog.StressSchemeConfig(), inst.Set.Requirements())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"nbr"
+	"nbr/internal/catalog"
 )
 
 // dumpRuntime is the dump-on-violation hook for the public-runtime suite:
@@ -55,12 +56,10 @@ func RuntimeChurn(t *testing.T, scheme string) {
 	rt, err := nbr.NewRuntime(nbr.RuntimeOptions{
 		Scheme:     scheme,
 		MaxThreads: maxThreads,
-		// The aggressive sizing the single-structure suites use, so
-		// reclamation and neutralization run constantly at test scale.
-		BagSize:   128,
-		ScanFreq:  4,
-		Threshold: 48,
-		EraFreq:   16,
+		// The single-structure suites' bag size, the one stress knob a
+		// Runtime takes; every other knob runs at its scheme's default, as
+		// in a service.
+		BagSize: catalog.StressSchemeConfig().BagSize,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,6 +131,14 @@ func RuntimeChurn(t *testing.T, scheme string) {
 	if st.Invalid() {
 		t.Fatalf("stats invalid at quiescence (double-free accounting): freed %d > retired %d",
 			st.Freed, st.Retired)
+	}
+	// Reclamation must have run under the traffic, not only in the final
+	// drain: at the default cadence a scheme that never reclaimed mid-run
+	// would still drain clean and pass everything below.
+	t.Logf("%s before drain: retired %d, freed %d, scans %d", scheme, st.Retired, st.Freed, st.Scans)
+	if scheme != "none" && st.Freed == 0 {
+		dumpRuntime(t, rt)
+		t.Fatalf("no record freed under traffic (retired %d, %d scans): the churn did not exercise reclamation", st.Retired, st.Scans)
 	}
 	if err := rt.Drain(); err != nil {
 		dumpRuntime(t, rt)

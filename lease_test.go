@@ -21,7 +21,6 @@ func TestDomainLifecycle(t *testing.T) {
 					Scheme:     scheme,
 					MaxThreads: 6,
 					BagSize:    128,
-					Threshold:  48,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -318,7 +318,7 @@ func TestLeaseSetDeadlineMoves(t *testing.T) {
 // afterwards.
 func TestRuntimeCancelVsReapRace(t *testing.T) {
 	rt, err := nbr.NewRuntime(nbr.RuntimeOptions{
-		MaxThreads: 2, BagSize: 128, ScanFreq: 4,
+		MaxThreads: 2, BagSize: 128,
 		LeaseTimeout: 2 * time.Millisecond,
 	})
 	if err != nil {

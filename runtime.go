@@ -29,9 +29,11 @@ import (
 // retired records, because they all live in the same per-thread bags. A
 // single-structure service is the one-Set case of the same API.
 
-// RuntimeOptions configures a Runtime. The zero value selects the paper's
-// defaults: NBR+ sized for a moderately parallel host. Structures are not
-// options: they attach with NewSet.
+// RuntimeOptions configures a Runtime with the four values a service sets:
+// the scheme, the registry's capacity, the lease watchdog and the NBR bag
+// size. The zero value selects the paper's defaults: NBR+ sized for a
+// moderately parallel host. Structures are not options: they attach with
+// NewSet, and the scheme is sized to the widths they declare.
 type RuntimeOptions struct {
 	// Scheme names the reclamation scheme (see Schemes). Default "nbr+".
 	Scheme string
@@ -54,21 +56,14 @@ type RuntimeOptions struct {
 	// strands its slot).
 	LeaseTimeout time.Duration
 
-	// The scheme knobs, as in the experiments (zero selects each scheme's
-	// default; see DESIGN.md §6 for the rationale behind the defaults).
-	BagSize    int     // NBR limbo-bag HiWatermark
-	LoFraction float64 // NBR+ LoWatermark position
-	ScanFreq   int     // NBR+ announceTS scan cadence
-	Threshold  int     // retire-buffer depth for hp/he/ibr/qsbr/rcu
-	EraFreq    int     // era-advance period for he/ibr
-
-	// The simulated signal's price, in spin-loop iterations: SendSpin per
-	// signalled peer on the sender, HandleSpin per delivery on the receiver.
-	// Unlike the knobs above, zero has no default behind it: it makes a
-	// signal free. The harness's workload cells charge 600 and 300
-	// (catalog.DefaultSchemeConfig); a Runtime pays that only when set here.
-	SendSpin   int
-	HandleSpin int
+	// BagSize is the NBR/NBR+ limbo-bag HiWatermark: the records a thread
+	// retires before it reclaims, and so the main term of the garbage bound.
+	// Zero selects the scheme's default (1024). Every other knob — NBR+'s
+	// LoWatermark and scan cadence, the pointer and epoch schemes'
+	// retire-buffer depth, the era period — takes its scheme's own default
+	// (DESIGN.md §6), and a neutralization signal carries no simulated
+	// price: only the fixed-N harness charges one (DESIGN.md §2).
+	BagSize int
 }
 
 func (o RuntimeOptions) withDefaults() RuntimeOptions {
@@ -167,15 +162,7 @@ func (rt *Runtime) materialize() (smr.Scheme, error) {
 	if req.Threshold <= 0 {
 		req.Threshold = ds.DefaultThreshold
 	}
-	cfg := catalog.SchemeConfig{
-		BagSize:    rt.opts.BagSize,
-		LoFraction: rt.opts.LoFraction,
-		ScanFreq:   rt.opts.ScanFreq,
-		Threshold:  rt.opts.Threshold,
-		EraFreq:    rt.opts.EraFreq,
-		SendSpin:   rt.opts.SendSpin,
-		HandleSpin: rt.opts.HandleSpin,
-	}
+	cfg := catalog.SchemeConfig{BagSize: rt.opts.BagSize}
 	scheme, err := catalog.NewSchemeFor(rt.opts.Scheme, rt.hub, rt.opts.MaxThreads, cfg, req)
 	if err != nil {
 		return nil, fmt.Errorf("nbr: %w", err)

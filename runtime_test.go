@@ -12,7 +12,9 @@ import (
 
 	"nbr"
 	"nbr/internal/catalog"
+	"nbr/internal/ds"
 	"nbr/internal/dstest"
+	"nbr/internal/mem"
 )
 
 // TestRuntimeMultiStructureChurn is the multi-structure lease-churn suite:
@@ -225,7 +227,7 @@ func TestRuntimeAdmissionNoStarvation(t *testing.T) {
 // operates on every attached structure, records retired into the shared
 // bags route back to their owning pools, and the runtime drains clean.
 func TestRuntimeSharedLeaseAcrossSets(t *testing.T) {
-	rt, err := nbr.NewRuntime(nbr.RuntimeOptions{MaxThreads: 4, BagSize: 128, ScanFreq: 4})
+	rt, err := nbr.NewRuntime(nbr.RuntimeOptions{MaxThreads: 4, BagSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,6 +254,12 @@ func TestRuntimeSharedLeaseAcrossSets(t *testing.T) {
 		if i%2 == 0 {
 			s.Delete(l, key)
 		}
+	}
+	// The churn retires past the 128-record bag, so the lease's own
+	// reclamation sent records home through the shared bags, before its
+	// release or the drain recovered anything.
+	if st := rt.Stats(); st.Freed == 0 {
+		t.Fatalf("nothing freed under the lease (retired %d)", st.Retired)
 	}
 	l.Release()
 
@@ -316,6 +324,47 @@ func TestRuntimeWidthNarrowing(t *testing.T) {
 	defer l.Release()
 	if s, r := rt.Widths(); s != 3 || r != 3 {
 		t.Fatalf("widths changed across materialization: %d/%d", s, r)
+	}
+}
+
+// TestRuntimeSchemeIsCatalogDefault pins that a Runtime hands its scheme
+// nothing but BagSize and the attached structures' widths: under every
+// scheme, its declared garbage bound equals that of the catalog's scheme
+// built from the same two, every other knob left at its default.
+func TestRuntimeSchemeIsCatalogDefault(t *testing.T) {
+	const threads, bag = 8, 256
+	var req ds.Requirements
+	for _, name := range []string{"lazylist", "dgt"} {
+		inst, err := catalog.NewDS(name, threads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Widen(inst.Req)
+	}
+	for _, scheme := range nbr.Schemes() {
+		t.Run(scheme, func(t *testing.T) {
+			rt, err := nbr.NewRuntime(nbr.RuntimeOptions{Scheme: scheme, MaxThreads: threads, BagSize: bag})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range []string{"lazylist", "dgt"} {
+				if _, err := rt.NewSet(name); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l, err := rt.Acquire()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Release()
+			want, err := catalog.NewSchemeFor(scheme, mem.NewHub(threads), threads, catalog.SchemeConfig{BagSize: bag}, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rt.GarbageBound(); got != want.GarbageBound() {
+				t.Fatalf("runtime bound %d, catalog default %d", got, want.GarbageBound())
+			}
+		})
 	}
 }
 
@@ -408,7 +457,7 @@ func TestRuntimeStagedFreesDrain(t *testing.T) {
 // must succeed. Once the sessions stop, one more Drain must free every
 // retired record.
 func TestRuntimeDrainUnderTraffic(t *testing.T) {
-	rt, err := nbr.NewRuntime(nbr.RuntimeOptions{Scheme: "qsbr", MaxThreads: 4, Threshold: 64})
+	rt, err := nbr.NewRuntime(nbr.RuntimeOptions{Scheme: "qsbr", MaxThreads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +593,7 @@ func TestRuntimeGarbageAgeEveryScheme(t *testing.T) {
 			continue // never frees: no record has an age to measure
 		}
 		t.Run(scheme, func(t *testing.T) {
-			rt, err := nbr.NewRuntime(nbr.RuntimeOptions{Scheme: scheme, MaxThreads: 4, BagSize: 64, Threshold: 64})
+			rt, err := nbr.NewRuntime(nbr.RuntimeOptions{Scheme: scheme, MaxThreads: 4, BagSize: 64})
 			if err != nil {
 				t.Fatal(err)
 			}
